@@ -2,7 +2,8 @@
 #
 #   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, 386 smoke
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
-#   make race    — race-check the concurrency-critical packages
+#   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4
+#   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make crashsoak — kill-and-restart soak of the durable journaled service
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -14,13 +15,18 @@
 
 GO ?= go
 
-.PHONY: ci build test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz bench-service bench-replica benchobs benchsched
+.PHONY: ci build benchbuild test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz bench-service bench-replica benchobs benchsched
 
-ci: build test vet lint lint-json race build386 sdcsoak clustersoak blackbox benchsched
+ci: build benchbuild test vet lint lint-json race build386 sdcsoak clustersoak blackbox benchsched
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own that imports internal/... packages: an API
+# change there breaks the benchmark without breaking `go build ./...`.
+benchbuild:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -49,8 +55,16 @@ lint-json:
 # group-commit write-ahead log under it, the shared-mutation observability
 # primitives (metrics registry, trace ring), the cluster router/standby
 # follower, the continuation-passing executor core, and the fault injector.
+# The block data path — store, executors, replica join, the kernels and the
+# harness that drives them — is then swept at one, two and four Ps, five
+# runs each: its interleavings (steal between notify and inject, a shadow
+# racing an evicting writer) differ with the core count, and every earlier
+# PR was developed on one core.
+RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/...
+
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=5 $(RACE_SWEEP) || exit 1; done
 
 # Cross-compile smoke for 32-bit: pairs with the atomicalign analyzer —
 # the build proves the tree compiles where 64-bit atomics need 8-byte

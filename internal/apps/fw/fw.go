@@ -280,7 +280,7 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		}
 		prev = p
 	}
-	c := make([]float64, b*b)
+	c := block.Alloc(b * b)
 	copy(c, prev)
 
 	switch {

@@ -133,7 +133,7 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 		}
 		corner = t[b*b-1]
 	}
-	tile := make([]float64, b*b)
+	tile := block.Alloc(b * b)
 	for r := 0; r < b; r++ {
 		gi := bi*b + r
 		for c := 0; c < b; c++ {

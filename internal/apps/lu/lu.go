@@ -151,7 +151,7 @@ func (a *LU) Compute(ctx graph.Context, key graph.Key) error {
 		}
 		prev = p
 	}
-	c := make([]float64, b*b)
+	c := block.Alloc(b * b)
 	copy(c, prev)
 
 	switch {

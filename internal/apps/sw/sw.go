@@ -178,7 +178,7 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 			runMax = t[b*b]
 		}
 	}
-	tile := make([]float64, b*b+1)
+	tile := block.Alloc(b*b + 1)
 	for r := 0; r < b; r++ {
 		gi := bi*b + r
 		for c := 0; c < b; c++ {

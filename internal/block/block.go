@@ -17,12 +17,22 @@
 // re-execution chain). K=1 is the memory-reuse configuration, K=2 is the
 // two-versions-per-block configuration the paper uses for Floyd-Warshall,
 // and K=0 means unlimited retention (single-assignment).
+//
+// The store owns its memory. Write copies the caller's payload into a buffer
+// the store allocated and Read copies the version out into a buffer private
+// to the reader, so the store never keeps a caller's slice and never hands
+// out its own: the injector may flip stored bits in place and a recovery may
+// overwrite a version while earlier readers still compute on what they read.
+// Evicted and replaced buffers go to one process-wide, size-keyed free list
+// (Alloc/Free) from which the next Write, Read and kernel output are taken —
+// the physical form of "reuse the memory of v to store v+1".
 package block
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -63,19 +73,21 @@ type AccessError struct {
 func (e *AccessError) Error() string { return fmt.Sprintf("%v: %v", e.Ref, e.Err) }
 func (e *AccessError) Unwrap() error { return e.Err }
 
+// entry is one retained version. Every field is guarded by the slot lock;
+// data is a buffer the store took from the free list and nobody else holds.
 type entry struct {
 	version   int
 	producer  int64 // task key that produced this version
 	data      []float64
 	checksum  uint64
-	corrupted atomic.Bool
+	corrupted bool
 }
 
 type slot struct {
 	mu sync.Mutex
 	// entries ordered oldest-written first; len <= retention when
 	// retention > 0.
-	entries []*entry
+	entries []entry
 }
 
 // Stats counts store activity for the experiment harness.
@@ -127,8 +139,10 @@ type Store struct {
 type Option func(*Store)
 
 // WithVerification enables checksum verification on every read, in addition
-// to the poisoned-flag check. Tests enable it; benchmarks model the paper's
-// flag-based detection and leave it off.
+// to the poisoned-flag check: the reader's private copy is re-hashed and
+// compared with the checksum stored at Write. core.Config.VerifyChecksums
+// turns it on; the paper's detection model only needs the flag, so the FT
+// executor runs without it unless asked (bench/ asks for its FT variants).
 func WithVerification() Option { return func(s *Store) { s.verify = true } }
 
 // NewStore returns a store retaining the given number of most recently
@@ -152,49 +166,50 @@ func (s *Store) slotFor(b ID) *slot {
 	return sl
 }
 
-// Write stores data as the given version of the block, produced by task
-// producer. It takes ownership of data. It returns the producer task keys
-// of any versions evicted to honour the retention limit — the executor
-// marks those tasks overwritten (paper §IV: "Our algorithm tracks such
-// overwrites"). Rewriting a version that is still retained replaces it in
-// place (this is how recovery repairs a corrupted version) and evicts
-// nothing.
-func (s *Store) Write(b ID, version int, producer int64, data []float64) (evictedProducers []int64) {
-	e := &entry{version: version, producer: producer, data: data, checksum: checksum(data)}
+// Write stores a copy of data as the given version of the block, produced by
+// task producer; the caller keeps data. It returns the checksum stored with
+// the version, which is Checksum(data), and — when the write pushed the
+// oldest-written version out of a full retention ring — that version's
+// producer task key, which the executor marks overwritten (paper §IV: "Our
+// algorithm tracks such overwrites"). Rewriting a version that is still
+// retained replaces it in place (this is how recovery repairs a corrupted
+// version) and evicts nothing. The buffer of an evicted or replaced version
+// goes back to the free list, and its ring entry is reused, so a store in
+// steady state writes without allocating.
+func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
+	own := clone(data)
+	sum = Checksum(own)
 	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	s.writes.Add(1)
 	delta := int64(len(data))
-	for i, old := range sl.entries {
-		if old.version == version {
-			sl.entries[i] = e
-			// Move the rewritten entry to the most-recently-written
-			// position to mirror a physical buffer write.
-			copy(sl.entries[i:], sl.entries[i+1:])
-			sl.entries[len(sl.entries)-1] = e
-			s.addRetained(delta - int64(len(old.data)))
-			return nil
+	// Whichever entry the write displaces moves out of the ring, the rest
+	// shift down, and the new version takes the most-recently-written
+	// position, mirroring a physical buffer write.
+	var old []float64
+	switch i := sl.index(version); {
+	case i >= 0:
+		old = sl.entries[i].data
+		copy(sl.entries[i:], sl.entries[i+1:])
+	case s.retention > 0 && len(sl.entries) == s.retention:
+		old = sl.entries[0].data
+		victim, evicted = sl.entries[0].producer, true
+		copy(sl.entries, sl.entries[1:])
+		s.evictions.Add(1)
+		if s.ins != nil {
+			s.ins.Evictions.Inc()
 		}
+	default:
+		sl.entries = append(sl.entries, entry{})
 	}
-	sl.entries = append(sl.entries, e)
-	if s.retention > 0 {
-		for len(sl.entries) > s.retention {
-			victim := sl.entries[0]
-			sl.entries = sl.entries[1:]
-			s.evictions.Add(1)
-			if s.ins != nil {
-				s.ins.Evictions.Inc()
-			}
-			delta -= int64(len(victim.data))
-			evictedProducers = append(evictedProducers, victim.producer)
-		}
-	}
+	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: own, checksum: sum}
+	Free(old)
 	// Applied as one net delta so the high-water mark models physical
-	// buffer reuse rather than transiently double-counting the evicted
+	// buffer reuse rather than transiently double-counting the displaced
 	// payload.
-	s.addRetained(delta)
-	return evictedProducers
+	s.addRetained(delta - int64(len(old)))
+	return sum, victim, evicted
 }
 
 func (s *Store) addRetained(delta int64) {
@@ -207,42 +222,63 @@ func (s *Store) addRetained(delta int64) {
 	}
 }
 
-// Read returns the data of the given block version. The returned slice is
-// owned by the store and must be treated as read-only. A missing (evicted or
-// never-written) version yields ErrNotRetained; a poisoned or
-// checksum-failing version yields ErrCorrupted. Both are wrapped in an
-// *AccessError carrying the Ref.
-func (s *Store) Read(b ID, version int) ([]float64, error) {
-	sl := s.slotFor(b)
-	sl.mu.Lock()
-	var e *entry
-	for _, cand := range sl.entries {
-		if cand.version == version {
-			e = cand
-			break
+// index returns the position of the given version in the ring, or -1. The
+// caller holds the slot lock.
+func (sl *slot) index(version int) int {
+	for i := range sl.entries {
+		if sl.entries[i].version == version {
+			return i
 		}
 	}
-	sl.mu.Unlock()
+	return -1
+}
+
+// find returns the retained entry of the given version, or nil. The pointer
+// is valid while the caller holds the slot lock.
+func (sl *slot) find(version int) *entry {
+	if i := sl.index(version); i >= 0 {
+		return &sl.entries[i]
+	}
+	return nil
+}
+
+// Read returns a private copy of the given block version: the slice belongs
+// to the caller, stays valid whatever happens to the store afterwards, and
+// may be handed to Free when the caller is done with it. A missing (evicted
+// or never-written) version yields ErrNotRetained; a poisoned or
+// checksum-failing version yields ErrCorrupted. Both are wrapped in an
+// *AccessError carrying the Ref. The copy is taken under the slot lock and
+// verification runs on the copy, so what was checked is what is returned.
+func (s *Store) Read(b ID, version int) ([]float64, error) {
+	sl := s.slotFor(b)
 	s.reads.Add(1)
+	sl.mu.Lock()
+	e := sl.find(version)
 	if e == nil {
+		sl.mu.Unlock()
 		s.missingReads.Add(1)
 		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrNotRetained}
 	}
-	if e.corrupted.Load() {
+	if e.corrupted {
+		sl.mu.Unlock()
 		s.corruptReads.Add(1)
 		if s.ins != nil {
 			s.ins.CorruptReads.Inc()
 		}
 		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrCorrupted}
 	}
-	if s.verify && checksum(e.data) != e.checksum {
+	out := clone(e.data)
+	want := e.checksum
+	sl.mu.Unlock()
+	if s.verify && Checksum(out) != want {
+		Free(out)
 		s.corruptReads.Add(1)
 		if s.ins != nil {
 			s.ins.ChecksumFailures.Inc()
 		}
 		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrCorrupted}
 	}
-	return e.data, nil
+	return out, nil
 }
 
 // Producer returns the task key recorded as producer of the given retained
@@ -251,61 +287,62 @@ func (s *Store) Producer(b ID, version int) (int64, bool) {
 	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	for _, e := range sl.entries {
-		if e.version == version {
-			return e.producer, true
-		}
+	if e := sl.find(version); e != nil {
+		return e.producer, true
 	}
 	return 0, false
 }
 
-// Retained reports whether the given version is currently retained and
-// uncorrupted.
+// Retained reports whether the given version is currently retained and not
+// poisoned. It is a lookup: it copies nothing and counts no read.
 func (s *Store) Retained(b ID, version int) bool {
-	_, err := s.Read(b, version)
-	return err == nil
+	sl := s.slotFor(b)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	e := sl.find(version)
+	return e != nil && !e.corrupted
 }
 
 // Corrupt poisons the given version if it is retained, returning whether it
 // was. Used by the fault injector; every subsequent Read observes the error
-// (the paper's detection model). The payload is also scrambled so that
-// checksum verification independently detects the corruption.
+// (the paper's detection model). The stored payload is also scrambled in
+// place so that checksum verification independently detects the corruption;
+// slices returned by earlier Reads are copies and do not change.
 func (s *Store) Corrupt(b ID, version int) bool {
 	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	for _, e := range sl.entries {
-		if e.version == version {
-			e.corrupted.Store(true)
-			if len(e.data) > 0 {
-				e.data[0] = flipBits(e.data[0])
-			}
-			return true
-		}
+	e := sl.find(version)
+	if e == nil {
+		return false
 	}
-	return false
+	e.corrupted = true
+	if len(e.data) > 0 {
+		e.data[0] = flipBits(e.data[0])
+	}
+	return true
 }
 
 // CorruptSilently models silent data corruption: it flips bits in the
-// payload of the given version and then recomputes the stored checksum over
-// the corrupted data, so neither the poisoned-flag check nor checksum
-// verification detects it. Reads succeed and return wrong data — the
-// failure mode only replica comparison (internal/replica) can catch. It
-// returns whether the version was retained.
-func (s *Store) CorruptSilently(b ID, version int) bool {
+// stored payload of the given version and then recomputes the stored
+// checksum over the corrupted data, so neither the poisoned-flag check nor
+// checksum verification detects it. Later reads succeed and return wrong
+// data — the failure mode only replica comparison (internal/replica) can
+// catch. It returns the recomputed checksum — the digest of what a consumer
+// will now read — and whether the version was retained.
+func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
 	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	for _, e := range sl.entries {
-		if e.version == version {
-			if len(e.data) > 0 {
-				e.data[0] = flipBits(e.data[0])
-			}
-			e.checksum = checksum(e.data)
-			return true
-		}
+	e := sl.find(version)
+	if e == nil {
+		return 0, false
 	}
-	return false
+	if len(e.data) > 0 {
+		e.data[0] = flipBits(e.data[0])
+	}
+	e.checksum = Checksum(e.data)
+	return e.checksum, true
 }
 
 // Versions returns the retained version numbers of a block, oldest written
@@ -321,21 +358,22 @@ func (s *Store) Versions(b ID) []int {
 	return out
 }
 
-// Latest returns the highest retained, uncorrupted version of a block and
-// its data. Used when extracting final results.
+// Latest returns the highest retained, uncorrupted version of a block and a
+// copy of its data. Used when extracting final results.
 func (s *Store) Latest(b ID) (int, []float64, bool) {
 	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	best := -1
-	var data []float64
-	for _, e := range sl.entries {
-		if e.version > best && !e.corrupted.Load() {
-			best = e.version
-			data = e.data
+	var best *entry
+	for i := range sl.entries {
+		if e := &sl.entries[i]; !e.corrupted && (best == nil || e.version > best.version) {
+			best = e
 		}
 	}
-	return best, data, best >= 0
+	if best == nil {
+		return -1, nil, false
+	}
+	return best.version, clone(best.data), true
 }
 
 // Stats returns a snapshot of the store counters.
@@ -350,26 +388,169 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// checksum is FNV-1a over the float64 bit patterns.
-func checksum(data []float64) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
-	for _, f := range data {
-		bits := float64bits(f)
-		for i := 0; i < 8; i++ {
-			h ^= bits & 0xff
-			h *= prime
-			bits >>= 8
-		}
+func flipBits(f float64) float64 {
+	return math.Float64frombits(math.Float64bits(f) ^ 0xDEADBEEFCAFEF00D)
+}
+
+// Checksum constants: an odd multiplier for the lane steps, a second one for
+// the finish, and four distinct lane seeds (so an all-zero payload does not
+// leave the lanes at a fixed point and equal words in different lanes hash
+// differently).
+const (
+	sumMul  = 0x9E3779B97F4A7C15
+	sumMul2 = 0xC2B2AE3D27D4EB4F
+	seed0   = 0x243F6A8885A308D3
+	seed1   = 0x13198A2E03707344
+	seed2   = 0xA4093822299F31D0
+	seed3   = 0x082EFA98EC4E6C89
+)
+
+// Checksum is the one integrity function of the data path: the store's
+// per-version checksum (Write, Read verification, CorruptSilently) and the
+// digest replicas are compared by (replica.Digest). It consumes the float64
+// bit patterns a word at a time in four independent lanes, word i going to
+// lane i mod 4 with the step
+//
+//	h = (rotl(h, 29) ^ w) * sumMul
+//
+// and folds the length and the four lanes together at the end.
+//
+// Detection argument. Rotation, xor with a constant and multiplication by an
+// odd constant are each bijections of the 64-bit words, so a lane step is a
+// bijection of h for a fixed w and of w for a fixed h. Take two payloads of
+// equal length that differ in exactly one word, at index i. Lane i mod 4
+// holds different states right after that word, the remaining steps of the
+// lane apply the same bijections to both, so the lane ends different; the
+// other three lanes end equal. The finish folds each lane in with another
+// such step and closes with xor-shifts and an odd multiplication, all
+// bijections of the running value, so the two checksums differ — for every
+// single-word change (any single bit flip, the injector's flipBits pattern),
+// not merely with high probability. Changes to several words, a swap of
+// unequal words across lanes (the lanes are seeded differently and folded in
+// order, so they are not interchangeable) and a length change (the length is
+// folded in, and a zero word still moves a lane) are detected up to 64-bit
+// hash collisions.
+func Checksum(data []float64) uint64 {
+	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
+	n := len(data)
+	for len(data) >= 4 {
+		h0 = (bits.RotateLeft64(h0, 29) ^ math.Float64bits(data[0])) * sumMul
+		h1 = (bits.RotateLeft64(h1, 29) ^ math.Float64bits(data[1])) * sumMul
+		h2 = (bits.RotateLeft64(h2, 29) ^ math.Float64bits(data[2])) * sumMul
+		h3 = (bits.RotateLeft64(h3, 29) ^ math.Float64bits(data[3])) * sumMul
+		data = data[4:]
 	}
+	switch len(data) {
+	case 3:
+		h2 = (bits.RotateLeft64(h2, 29) ^ math.Float64bits(data[2])) * sumMul
+		fallthrough
+	case 2:
+		h1 = (bits.RotateLeft64(h1, 29) ^ math.Float64bits(data[1])) * sumMul
+		fallthrough
+	case 1:
+		h0 = (bits.RotateLeft64(h0, 29) ^ math.Float64bits(data[0])) * sumMul
+	}
+	h := uint64(n) * sumMul2
+	h = (bits.RotateLeft64(h, 31) ^ h0) * sumMul
+	h = (bits.RotateLeft64(h, 31) ^ h1) * sumMul
+	h = (bits.RotateLeft64(h, 31) ^ h2) * sumMul
+	h = (bits.RotateLeft64(h, 31) ^ h3) * sumMul
+	h ^= h >> 32
+	h *= sumMul2
+	h ^= h >> 29
 	return h
 }
 
-func float64bits(f float64) uint64 { return math.Float64bits(f) }
+// PoolMin is the smallest payload, in float64s, that goes through the free
+// list. Below it Alloc is make and Free does nothing: for a one-float
+// payload the bookkeeping costs more than the allocation it saves.
+const PoolMin = 64
 
-func flipBits(f float64) float64 {
-	return math.Float64frombits(math.Float64bits(f) ^ 0xDEADBEEFCAFEF00D)
+// poolMaxFloats bounds what the free list may hold (64 MiB); buffers freed
+// beyond it are left to the garbage collector.
+const poolMaxFloats = 8 << 20
+
+// pool is the free list: buffers keyed by exact length, most recently freed
+// first. Holding a buffer is always optional — whatever is not returned here
+// the garbage collector takes — so only the party that took a buffer (or was
+// handed its ownership) may Free it, and at most once.
+var pool struct {
+	mu     sync.Mutex
+	bySize map[int][][]float64
+	floats int
+}
+
+// poisonOnFree is the test switch behind PoisonFreed.
+var poisonOnFree atomic.Bool
+
+// PoisonFreed makes Free overwrite every buffer with a NaN pattern before
+// listing it, so a use-after-free or double-free turns into a wrong digest
+// rather than a silent alias. Tests turn it on in TestMain; nothing else
+// should.
+func PoisonFreed(on bool) { poisonOnFree.Store(on) }
+
+// pop takes a buffer of exactly n float64s off the free list, or returns nil
+// when it has none (always, below PoolMin).
+func pop(n int) []float64 {
+	if n < PoolMin {
+		return nil
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	l := pool.bySize[n]
+	if len(l) == 0 {
+		return nil
+	}
+	buf := l[len(l)-1]
+	l[len(l)-1] = nil
+	pool.bySize[n] = l[:len(l)-1]
+	pool.floats -= n
+	return buf
+}
+
+// clone returns a copy of src in a buffer off the free list, or in a fresh
+// one — which append, unlike make, does not zero before the copy lands.
+func clone(src []float64) []float64 {
+	if buf := pop(len(src)); buf != nil {
+		copy(buf, src)
+		return buf
+	}
+	return append([]float64(nil), src...)
+}
+
+// Alloc returns a zeroed buffer of n float64s, recycled from the free list
+// when possible — a drop-in for make([]float64, n) where a kernel builds the
+// output it will pass to graph.Context.Write.
+func Alloc(n int) []float64 {
+	if buf := pop(n); buf != nil {
+		clear(buf)
+		return buf
+	}
+	return make([]float64, n)
+}
+
+// Free returns a buffer to the free list. The caller must own it — it came
+// from Alloc or Store.Read, or its ownership was passed to the caller (the
+// slice given to graph.Context.Write) — and must not touch it afterwards.
+// Only buf[:len(buf)] is recycled, never spare capacity behind it.
+func Free(buf []float64) {
+	n := len(buf)
+	if n < PoolMin {
+		return
+	}
+	if poisonOnFree.Load() {
+		poison := math.Float64frombits(0x7FF8DEADDEADDEAD)
+		for i := range buf {
+			buf[i] = poison
+		}
+	}
+	pool.mu.Lock()
+	if pool.floats+n <= poolMaxFloats {
+		if pool.bySize == nil {
+			pool.bySize = make(map[int][][]float64)
+		}
+		pool.bySize[n] = append(pool.bySize[n], buf[:n:n])
+		pool.floats += n
+	}
+	pool.mu.Unlock()
 }

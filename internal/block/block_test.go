@@ -2,6 +2,8 @@ package block
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -34,8 +36,8 @@ func TestReadMissing(t *testing.T) {
 func TestUnlimitedRetention(t *testing.T) {
 	s := NewStore(0)
 	for v := 0; v < 50; v++ {
-		if ev := s.Write(7, v, int64(v), []float64{float64(v)}); len(ev) != 0 {
-			t.Fatalf("unexpected eviction %v at version %d", ev, v)
+		if _, victim, evicted := s.Write(7, v, int64(v), []float64{float64(v)}); evicted {
+			t.Fatalf("unexpected eviction of %d at version %d", victim, v)
 		}
 	}
 	for v := 0; v < 50; v++ {
@@ -50,9 +52,8 @@ func TestRetentionEvictsOldestWritten(t *testing.T) {
 	s := NewStore(2)
 	s.Write(1, 0, 100, []float64{0})
 	s.Write(1, 1, 101, []float64{1})
-	ev := s.Write(1, 2, 102, []float64{2})
-	if len(ev) != 1 || ev[0] != 100 {
-		t.Fatalf("evicted producers = %v, want [100]", ev)
+	if _, victim, evicted := s.Write(1, 2, 102, []float64{2}); !evicted || victim != 100 {
+		t.Fatalf("evicted producer = %d, %v, want 100", victim, evicted)
 	}
 	if _, err := s.Read(1, 0); !errors.Is(err, ErrNotRetained) {
 		t.Fatalf("version 0 should be evicted, got %v", err)
@@ -70,14 +71,12 @@ func TestRetentionEvictsOldestWritten(t *testing.T) {
 func TestRecoveryRewriteEvictsNewer(t *testing.T) {
 	s := NewStore(1)
 	s.Write(1, 0, 100, []float64{0})
-	ev := s.Write(1, 1, 101, []float64{1})
-	if len(ev) != 1 || ev[0] != 100 {
-		t.Fatalf("evicted = %v, want [100]", ev)
+	if _, victim, evicted := s.Write(1, 1, 101, []float64{1}); !evicted || victim != 100 {
+		t.Fatalf("evicted = %d, %v, want 100", victim, evicted)
 	}
 	// Recovery of producer 100 rewrites version 0.
-	ev = s.Write(1, 0, 100, []float64{0})
-	if len(ev) != 1 || ev[0] != 101 {
-		t.Fatalf("evicted = %v, want [101]", ev)
+	if _, victim, evicted := s.Write(1, 0, 100, []float64{0}); !evicted || victim != 101 {
+		t.Fatalf("evicted = %d, %v, want 101", victim, evicted)
 	}
 	if _, err := s.Read(1, 1); !errors.Is(err, ErrNotRetained) {
 		t.Fatalf("version 1 should be evicted after the rewrite, got %v", err)
@@ -92,8 +91,8 @@ func TestRewriteRetainedVersionInPlace(t *testing.T) {
 	s.Write(1, 0, 100, []float64{0})
 	s.Write(1, 1, 101, []float64{1})
 	// Rewriting a still-retained version must not evict anything.
-	if ev := s.Write(1, 0, 100, []float64{9}); len(ev) != 0 {
-		t.Fatalf("in-place rewrite evicted %v", ev)
+	if _, victim, evicted := s.Write(1, 0, 100, []float64{9}); evicted {
+		t.Fatalf("in-place rewrite evicted %d", victim)
 	}
 	data, err := s.Read(1, 0)
 	if err != nil || data[0] != 9 {
@@ -101,9 +100,8 @@ func TestRewriteRetainedVersionInPlace(t *testing.T) {
 	}
 	// The rewrite refreshed version 0's write recency, so the next write
 	// evicts version 1 (oldest written), mirroring physical buffer reuse.
-	ev := s.Write(1, 2, 102, []float64{2})
-	if len(ev) != 1 || ev[0] != 101 {
-		t.Fatalf("evicted = %v, want [101]", ev)
+	if _, victim, evicted := s.Write(1, 2, 102, []float64{2}); !evicted || victim != 101 {
+		t.Fatalf("evicted = %d, %v, want 101", victim, evicted)
 	}
 }
 
@@ -126,17 +124,128 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// scribble changes one stored word behind the store's back — no poisoned
+// flag, no checksum update: the out-of-band bit flip that only checksum
+// verification can see.
+func scribble(s *Store, b ID, version, i int, v float64) {
+	sl := s.slotFor(b)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	sl.find(version).data[i] = v
+}
+
+// TestChecksumVerification: a payload that changes inside the store is
+// caught by a verifying store and passes unnoticed through a plain one (the
+// paper's detection is flag-based). Changing the slice that was handed to
+// Write does nothing to either: the store kept a copy.
 func TestChecksumVerification(t *testing.T) {
-	s := NewStore(0, WithVerification())
-	data := []float64{3, 1, 4, 1, 5}
-	s.Write(1, 0, 100, data)
-	if _, err := s.Read(1, 0); err != nil {
-		t.Fatalf("Read: %v", err)
+	for _, verify := range []bool{false, true} {
+		var opts []Option
+		if verify {
+			opts = append(opts, WithVerification())
+		}
+		s := NewStore(0, opts...)
+		data := []float64{3, 1, 4, 1, 5}
+		s.Write(1, 0, 100, data)
+		data[2] = 999
+		got, err := s.Read(1, 0)
+		if err != nil || got[2] != 4 {
+			t.Fatalf("verify=%v: Read after the writer changed its own slice = %v, %v", verify, got, err)
+		}
+		scribble(s, 1, 0, 2, 999)
+		got, err = s.Read(1, 0)
+		switch {
+		case verify && !errors.Is(err, ErrCorrupted):
+			t.Fatalf("Read after a silent flip in the store = %v, want ErrCorrupted", err)
+		case !verify && (err != nil || got[2] != 999):
+			t.Fatalf("plain store: Read after a silent flip = %v, %v, want the flipped data", got, err)
+		}
 	}
-	// Out-of-band mutation (a "silent" bit flip on the payload itself).
-	data[2] = 999
-	if _, err := s.Read(1, 0); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("Read after silent flip = %v, want ErrCorrupted", err)
+}
+
+// TestSilentCorruptionPassesVerification: CorruptSilently re-derives the
+// checksum, so even a verifying store serves the wrong data, and the sum it
+// returns is the digest of what a reader now gets.
+func TestSilentCorruptionPassesVerification(t *testing.T) {
+	s := NewStore(0, WithVerification())
+	clean, _, _ := s.Write(1, 0, 100, []float64{1, 2, 3})
+	if clean != Checksum([]float64{1, 2, 3}) {
+		t.Fatal("Write did not return Checksum(data)")
+	}
+	sum, ok := s.CorruptSilently(1, 0)
+	if !ok || sum == clean {
+		t.Fatalf("CorruptSilently = %#x, %v; clean sum %#x", sum, ok, clean)
+	}
+	got, err := s.Read(1, 0)
+	if err != nil || got[0] == 1 || Checksum(got) != sum {
+		t.Fatalf("Read after silent corruption = %v, %v", got, err)
+	}
+	if _, ok := s.CorruptSilently(1, 9); ok {
+		t.Fatal("CorruptSilently of a missing version reported ok")
+	}
+}
+
+// TestReadCopyOutlivesStoreChanges is the regression test for the aliasing
+// race (ROADMAP item 1): a slice obtained from Read is the reader's own, so
+// it stays what it was while the injector flips the stored bits, an SDC
+// rewrites them, and the version is evicted and rewritten into a recycled
+// buffer. The reader goroutine keeps summing its copy throughout, which is
+// what the race detector needs to see. The payload is above PoolMin so every
+// buffer involved goes through the free list.
+func TestReadCopyOutlivesStoreChanges(t *testing.T) {
+	const n = 4 * PoolMin
+	payload := func(seed float64) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = seed + float64(i)
+		}
+		return d
+	}
+	sumOf := func(d []float64) (s float64) {
+		for _, v := range d {
+			s += v
+		}
+		return s
+	}
+	s := NewStore(1, WithVerification())
+	s.Write(1, 0, 100, payload(1))
+	got, err := s.Read(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sumOf(payload(1))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sum := sumOf(got); sum != want {
+				t.Errorf("read copy changed under the reader: sum %v, want %v", sum, want)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		s.Corrupt(1, 0)
+		s.Write(1, 0, 100, payload(1)) // recovery repairs the version
+		s.CorruptSilently(1, 0)
+		s.Write(1, 1, 101, payload(2)) // evicts version 0; its buffer is recycled …
+		s.Write(1, 0, 100, payload(3)) // … and rewritten with other data
+		if other, err := s.Read(1, 0); err == nil {
+			Free(other)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if sum := sumOf(got); sum != want {
+		t.Fatalf("read copy = sum %v after the store moved on, want %v", sum, want)
 	}
 }
 
@@ -185,11 +294,38 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestRetainedHelper(t *testing.T) {
+func TestRetainedIsALookup(t *testing.T) {
 	s := NewStore(0)
 	s.Write(1, 0, 5, []float64{1})
 	if !s.Retained(1, 0) || s.Retained(1, 1) {
 		t.Fatal("Retained mismatch")
+	}
+	s.Corrupt(1, 0)
+	if s.Retained(1, 0) {
+		t.Fatal("a poisoned version reported retained")
+	}
+	if st := s.Stats(); st.Reads != 0 {
+		t.Fatalf("Retained counted %d reads", st.Reads)
+	}
+}
+
+// TestLatestReturnsCopy: what Latest hands out survives the version's
+// eviction and the reuse of its buffer.
+func TestLatestReturnsCopy(t *testing.T) {
+	s := NewStore(1)
+	first := make([]float64, PoolMin)
+	first[0] = 7
+	s.Write(1, 0, 10, first)
+	_, data, ok := s.Latest(1)
+	if !ok {
+		t.Fatal("Latest found nothing")
+	}
+	second := make([]float64, PoolMin)
+	second[0] = 8
+	s.Write(1, 1, 11, second)
+	s.Write(2, 0, 12, second) // takes version 0's old buffer off the free list
+	if data[0] != 7 {
+		t.Fatalf("Latest's slice changed to %v after eviction", data[0])
 	}
 }
 
@@ -236,35 +372,197 @@ func TestQuickRetentionInvariant(t *testing.T) {
 	}
 }
 
-// TestQuickChecksumRoundTrip: checksum must be stable and collision-free for
-// small perturbations (flip one element → different sum).
-func TestQuickChecksumRoundTrip(t *testing.T) {
-	f := func(data []float64, idx uint8) bool {
-		c1 := checksum(data)
-		if c1 != checksum(data) {
+// TestQuickChecksumDetects is the detection property of Checksum: it is
+// stable, and every one of these changes to a payload changes it — the
+// injector's flipBits pattern at any index, any single bit of any word, any
+// replacement of one word, a swap of two unequal words that sit in different
+// lanes, and trailing zeros. The single-word cases cannot collide (the
+// per-lane bijection argument in Checksum's comment); the others could only
+// by a 64-bit hash collision.
+func TestQuickChecksumDetects(t *testing.T) {
+	f := func(data []float64, idx, jdx uint16, bit uint8, repl float64, zeros uint8) bool {
+		c := Checksum(data)
+		if c != Checksum(append([]float64(nil), data...)) {
+			return false
+		}
+		if Checksum(append(append([]float64(nil), data...), make([]float64, int(zeros)%9+1)...)) == c {
 			return false
 		}
 		if len(data) == 0 {
 			return true
 		}
-		i := int(idx) % len(data)
-		mut := make([]float64, len(data))
-		copy(mut, data)
-		mut[i] = flipBits(mut[i])
-		return checksum(mut) != c1
+		i, j := int(idx)%len(data), int(jdx)%len(data)
+		changed := func(mutate func(d []float64)) bool {
+			mut := append([]float64(nil), data...)
+			mutate(mut)
+			return Checksum(mut) != c
+		}
+		if !changed(func(d []float64) { d[i] = flipBits(d[i]) }) {
+			return false
+		}
+		if !changed(func(d []float64) {
+			d[i] = math.Float64frombits(math.Float64bits(d[i]) ^ 1<<(bit%64))
+		}) {
+			return false
+		}
+		if math.Float64bits(repl) != math.Float64bits(data[i]) && !changed(func(d []float64) { d[i] = repl }) {
+			return false
+		}
+		if i%4 != j%4 && math.Float64bits(data[i]) != math.Float64bits(data[j]) &&
+			!changed(func(d []float64) { d[i], d[j] = d[j], d[i] }) {
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkWriteRead(b *testing.B) {
+// TestChecksumEverySingleBit walks every bit of every word of payloads whose
+// lengths cover each tail case of the four-lane loop.
+func TestChecksumEverySingleBit(t *testing.T) {
+	for n := 1; n <= 13; n++ {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = float64(i) * 0.37
+		}
+		c := Checksum(data)
+		for i := range data {
+			for bit := 0; bit < 64; bit++ {
+				orig := data[i]
+				data[i] = math.Float64frombits(math.Float64bits(orig) ^ 1<<bit)
+				if Checksum(data) == c {
+					t.Fatalf("len %d: flipping bit %d of word %d left the checksum unchanged", n, bit, i)
+				}
+				data[i] = orig
+			}
+		}
+	}
+	// Lengths alone: all-zero payloads of different lengths differ.
+	seen := map[uint64]int{}
+	for n := 0; n <= 64; n++ {
+		c := Checksum(make([]float64, n))
+		if m, dup := seen[c]; dup {
+			t.Fatalf("all-zero payloads of length %d and %d share a checksum", m, n)
+		}
+		seen[c] = n
+	}
+}
+
+// sameArray reports whether two slices start at the same element.
+func sameArray(a, b []float64) bool { return &a[0] == &b[0] }
+
+func TestFreeListReuse(t *testing.T) {
+	a := Alloc(PoolMin)
+	a[3] = 5
+	Free(a)
+	b := Alloc(PoolMin)
+	if !sameArray(a, b) {
+		t.Fatal("Alloc after Free of the same length did not reuse the buffer")
+	}
+	if b[3] != 0 {
+		t.Fatalf("recycled Alloc not zeroed: b[3] = %v", b[3])
+	}
+	if c := Alloc(PoolMin); sameArray(b, c) {
+		t.Fatal("one buffer handed out twice")
+	}
+
+	// Below the cutoff nothing is listed.
+	small := Alloc(PoolMin - 1)
+	Free(small)
+	if again := Alloc(PoolMin - 1); sameArray(small, again) {
+		t.Fatal("a payload below PoolMin went through the free list")
+	}
+
+	// Only the slice that was freed is recycled, not the capacity behind it.
+	big := make([]float64, 3*PoolMin)
+	Free(big[:PoolMin])
+	if got := Alloc(PoolMin); !sameArray(got, big) || cap(got) != PoolMin {
+		t.Fatalf("recycled prefix: same array %v, cap %d, want true, %d", sameArray(got, big), cap(got), PoolMin)
+	}
+}
+
+func TestFreeListIsBounded(t *testing.T) {
+	const n = poolMaxFloats/4 + 1
+	bufs := make([][]float64, 5)
+	for i := range bufs {
+		bufs[i] = make([]float64, n)
+	}
+	for _, b := range bufs {
+		Free(b)
+	}
+	pool.mu.Lock()
+	listed, held := len(pool.bySize[n]), pool.floats
+	pool.mu.Unlock()
+	if listed != 3 || held > poolMaxFloats {
+		t.Fatalf("free list holds %d buffers of %d floats (%d floats in all), want 3 within the %d cap", listed, n, held, poolMaxFloats)
+	}
+	for range listed {
+		Alloc(n)
+	}
+}
+
+func TestPoisonFreed(t *testing.T) {
+	PoisonFreed(true)
+	defer PoisonFreed(false)
+	a := Alloc(PoolMin)
+	Free(a)
+	for i, v := range a {
+		if !math.IsNaN(v) {
+			t.Fatalf("freed buffer[%d] = %v, want the NaN pattern", i, v)
+		}
+	}
+	// The store overwrites what it takes, and Alloc zeroes: poison never
+	// reaches a legitimate owner.
 	s := NewStore(1)
-	data := make([]float64, 256)
+	data := make([]float64, PoolMin)
+	data[1] = 2
+	s.Write(1, 0, 1, data)
+	got, err := s.Read(1, 0)
+	if err != nil || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("Read under poisoning = %v, %v", got[:2], err)
+	}
+}
+
+// benchSink keeps the compiler from dropping a benchmarked call.
+var benchSink uint64
+
+// BenchmarkChecksum is the integrity function's throughput at the payload
+// sizes of the apps (1 KiB boundary rows up to 32 KiB tiles).
+func BenchmarkChecksum(b *testing.B) {
+	for _, kib := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("%dKiB", kib), func(b *testing.B) {
+			data := make([]float64, kib*128)
+			for i := range data {
+				data[i] = float64(i) * 1.5
+			}
+			b.SetBytes(int64(len(data) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += Checksum(data)
+			}
+		})
+	}
+}
+
+// BenchmarkStoreWriteReadRelease is one version's life in a memory-reuse
+// store: copy-in write that evicts its predecessor, verified copy-out read,
+// and the reader's release. In steady state every buffer comes off the free
+// list: 0 allocs/op.
+func BenchmarkStoreWriteReadRelease(b *testing.B) {
+	s := NewStore(1, WithVerification())
+	data := make([]float64, 1024)
+	b.SetBytes(int64(len(data) * 8))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Write(1, i, 1, data)
-		s.Read(1, i)
+		got, err := s.Read(1, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		Free(got)
 	}
 }
 
@@ -312,18 +610,5 @@ func TestConcurrentAccess(t *testing.T) {
 		if vs := s.Versions(ID(b)); len(vs) > 2 {
 			t.Fatalf("block %d retains %d versions, cap 2", b, len(vs))
 		}
-	}
-}
-
-func TestVerificationOptionIsolated(t *testing.T) {
-	// Without verification, out-of-band payload mutation goes unnoticed
-	// (the paper's detection is flag-based); with it, the checksum
-	// catches it. Both must detect the poisoned flag.
-	data1 := []float64{1, 2, 3}
-	plain := NewStore(0)
-	plain.Write(1, 0, 9, data1)
-	data1[1] = 42
-	if _, err := plain.Read(1, 0); err != nil {
-		t.Fatalf("plain store rejected silent mutation: %v", err)
 	}
 }

@@ -130,6 +130,7 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 	if err := e.spec.Compute(ctx, t.key); err != nil {
 		panic(fmt.Sprintf("core: baseline compute of task %d failed: %v", t.key, err))
 	}
+	ctx.release(true)
 	if !ctx.wrote {
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
 	}
@@ -164,8 +165,9 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 // baseCtx is the baseline compute context; with no faults possible, access
 // errors indicate spec bugs and surface as panics.
 type baseCtx struct {
-	e     *Baseline
-	t     *bTask
+	e *Baseline
+	t *bTask
+	heldBufs
 	wrote bool
 }
 
@@ -177,6 +179,9 @@ func (c *baseCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	if err != nil {
 		panic(fmt.Sprintf("core: baseline read of %v (task %d) failed: %v — spec violates use-before-redefine ordering", ref, pred, err))
 	}
+	if len(data) >= block.PoolMin {
+		c.hold(pred, data, len(c.t.preds))
+	}
 	return data, nil
 }
 
@@ -184,4 +189,5 @@ func (c *baseCtx) Write(data []float64) {
 	ref := c.e.spec.Output(c.t.key)
 	c.e.store.Write(ref.Block, ref.Version, c.t.key, data)
 	c.wrote = true
+	c.out = data
 }

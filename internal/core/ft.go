@@ -28,7 +28,7 @@ type Config struct {
 	// Plan is the fault-injection plan (nil: no faults).
 	Plan *fault.Plan
 	// VerifyChecksums additionally validates block checksums on every
-	// read (tests; the paper's detection model only needs the flag).
+	// read (block.WithVerification).
 	VerifyChecksums bool
 	// Timeout bounds the run; 0 means no bound. A correct FT execution
 	// always drains (Lemma 3), so tests set this as a hang watchdog.
@@ -362,7 +362,7 @@ func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
 			e.inject(t, false)
 			return fault.Errorf(t.key, t.life)
 		}
-		if _, err := e.runCompute(w, t, nil); err != nil {
+		if err := e.runCompute(w, t, nil); err != nil {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
@@ -388,10 +388,12 @@ func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
 }
 
 // runCompute executes the user compute of t's current incarnation with its
-// hooks, trace events, and metrics, returning the written output payload.
-// Shared by the plain and replicated (primary) paths; the replicated path
-// passes a non-nil capture map to snapshot the inputs the compute read.
-func (e *FT) runCompute(w *sched.Worker, t *Task, capture map[graph.Key][]float64) ([]float64, error) {
+// hooks, trace events, and metrics, and returns the compute's buffers to the
+// block free list when it ends. Shared by the plain and replicated (primary)
+// paths; the replicated path passes its join, which receives the digest of
+// the written output — the checksum the store just computed for it — and the
+// snapshot of the inputs the compute read.
+func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
 		h(t.key, t.life)
 	}
@@ -408,28 +410,30 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, capture map[graph.Key][]float6
 	if sp != nil {
 		spanStart = time.Now()
 	}
-	ctx := &ftCtx{e: e, t: t, capture: capture}
-	if err := e.spec.Compute(ctx, t.key); err != nil {
-		e.met.computeErrors.Add(1)
-		if ins != nil {
-			ins.ComputeLatency.ObserveSince(computeStart)
-			ins.ComputeErrors.Inc()
-		}
-		if sp != nil {
-			e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.life, 1)
-		}
-		return nil, err
-	}
+	ctx := &ftCtx{e: e, t: t, capture: rj != nil}
+	err := e.spec.Compute(ctx, t.key)
+	ctx.release(rj == nil)
 	if ins != nil {
 		ins.ComputeLatency.ObserveSince(computeStart)
 	}
 	if sp != nil {
-		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.life, 0)
+		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.life, boolArg(err != nil))
+	}
+	if err != nil {
+		e.met.computeErrors.Add(1)
+		if ins != nil {
+			ins.ComputeErrors.Inc()
+		}
+		return err
 	}
 	if !ctx.wrote {
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
 	}
-	return ctx.out, nil
+	if rj != nil {
+		rj.inputs = ctx.reads
+		rj.primaryDigest = ctx.sum
+	}
+	return nil
 }
 
 // emitSpan records one executor span (compute, inject, recover,

@@ -196,11 +196,15 @@ func planWithOneFault() *fault.Plan {
 }
 
 func TestRunCancellation(t *testing.T) {
-	// A graph whose computes block until released; cancelling must abort
-	// the run promptly with ErrCancelled.
-	release := make(chan struct{})
+	// Cancelling must abort the run promptly with ErrCancelled. Every
+	// compute holds its worker until the run has observed the cancel (the
+	// group is aborted); releasing the computes on the test's own clock
+	// instead would let the four-task chain finish first now and then.
+	var e *FT
 	g := graph.NewStatic(func(key graph.Key, vals [][]float64) []float64 {
-		<-release
+		for deadline := time.Now().Add(10 * time.Second); !e.group.Aborted() && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
 		return []float64{1}
 	})
 	for i := 0; i < 4; i++ {
@@ -211,19 +215,19 @@ func TestRunCancellation(t *testing.T) {
 	}
 	g.SetSink(3)
 	cancel := make(chan struct{})
+	e = NewFT(g, Config{Workers: 2, Cancel: cancel})
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewFT(g, Config{Workers: 2, Cancel: cancel}).Run()
+		_, err := e.Run()
 		done <- err
 	}()
 	close(cancel)
-	close(release)
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("err = %v, want ErrCancelled", err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(20 * time.Second):
 		t.Fatal("cancellation did not abort the run")
 	}
 }

@@ -86,7 +86,9 @@ type recordCtx struct {
 
 func (c *recordCtx) ReadPred(pred graph.Key) ([]float64, error) { return c.inner.ReadPred(pred) }
 
+// Write keeps a copy: the slice itself passes to the executor, which may
+// recycle it as soon as the compute ends.
 func (c *recordCtx) Write(data []float64) {
-	c.data = data
+	c.data = append([]float64(nil), data...)
 	c.inner.Write(data)
 }

@@ -4,8 +4,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftdag/internal/block"
 	"ftdag/internal/fault"
-	"ftdag/internal/graph"
 	"ftdag/internal/replica"
 	"ftdag/internal/sched"
 	"ftdag/internal/trace"
@@ -36,12 +36,13 @@ type replicaJoin struct {
 	primaryDigest uint64
 	shadowDigest  uint64
 	shadowWorker  int64
-	// inputs is the primary's snapshot of the predecessor payloads it read,
-	// written before its arrive. If the live shadow loses a store read to
-	// retention eviction, the resolver re-runs the shadow compute from this
-	// snapshot so the primary never goes unverified just because an
-	// anti-dependent writer won a race.
-	inputs map[graph.Key][]float64
+	// inputs is the primary's snapshot of the predecessor payloads it read
+	// (its private read copies), written before its arrive. If the live
+	// shadow loses a store read to retention eviction, the resolver re-runs
+	// the shadow compute from this snapshot so the primary never goes
+	// unverified just because an anti-dependent writer won a race. The
+	// resolver frees the copies once the join is decided.
+	inputs []predRead
 }
 
 // arrive records one replica's completion and reports whether the caller is
@@ -69,9 +70,7 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 			e.inject(t, false)
 			return fault.Errorf(t.key, t.life)
 		}
-		rj.inputs = make(map[graph.Key][]float64)
-		out, err := e.runCompute(w, t, rj.inputs)
-		if err != nil {
+		if err := e.runCompute(w, t, rj); err != nil {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
@@ -79,14 +78,14 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 			return fault.Errorf(t.key, t.life)
 		}
 		if e.plan.Fire(t.key, t.life, fault.SDC) {
-			// CorruptSilently flips the stored payload in place; out
-			// shares that backing array, so the digest taken below is
-			// the digest of the corrupted data — exactly what a
-			// downstream consumer would read.
-			e.injectSDC(t)
+			// CorruptSilently flips the stored payload and re-derives its
+			// checksum; the primary's digest becomes that of the corrupted
+			// data — exactly what a downstream consumer would read.
+			if sum, ok := e.injectSDC(t); ok {
+				rj.primaryDigest = sum
+			}
 			rj.sdcFired = true
 		}
-		rj.primaryDigest = replica.Digest(out)
 		return nil
 	}()
 	if err != nil {
@@ -110,36 +109,39 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 // instead, so a shadow losing a store read to an anti-dependent writer
 // never costs detection coverage.
 func (e *FT) runShadow(w *sched.Worker, t *Task, rj *replicaJoin) {
-	out, err := e.shadowCompute(t, nil)
+	digest, err := e.shadowCompute(t, false, nil)
 	if err != nil {
 		rj.shadowFailed.Store(true)
 	} else {
-		rj.shadowDigest = replica.Digest(out)
+		rj.shadowDigest = digest
 	}
 	if rj.arrive() {
 		e.resolveReplicas(w, t, rj)
 	}
 }
 
-// shadowCompute runs t's compute without storing the output. With a non-nil
-// inputs map the predecessor reads come from that snapshot instead of the
-// store (the re-verification path).
-func (e *FT) shadowCompute(t *Task, inputs map[graph.Key][]float64) ([]float64, error) {
+// shadowCompute runs t's compute without storing the output and returns the
+// output's digest. With snapshot set, the predecessor reads come from inputs
+// — the primary's snapshot — instead of the store (the re-verification path).
+func (e *FT) shadowCompute(t *Task, snapshot bool, inputs []predRead) (uint64, error) {
 	if err := t.check(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	e.met.shadowComputes.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.ShadowComputes.Inc()
 	}
-	ctx := &shadowCtx{e: e, t: t, inputs: inputs}
-	if err := e.spec.Compute(ctx, t.key); err != nil {
-		return nil, err
+	ctx := &shadowCtx{ftCtx: ftCtx{e: e, t: t, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
+	err := e.spec.Compute(ctx, t.key)
+	if err == nil && !ctx.wrote {
+		err = fault.Errorf(t.key, t.life)
 	}
-	if !ctx.wrote {
-		return nil, fault.Errorf(t.key, t.life)
+	var digest uint64
+	if err == nil {
+		digest = replica.Digest(ctx.out)
 	}
-	return ctx.out, nil
+	ctx.release(!snapshot)
+	return digest, err
 }
 
 // reverifyFromSnapshot re-runs the shadow compute from the primary's input
@@ -148,14 +150,11 @@ func (e *FT) shadowCompute(t *Task, inputs map[graph.Key][]float64) ([]float64, 
 // attempted by the live shadow; this retry trades that placement for
 // guaranteed verification. Reports whether a digest was produced.
 func (e *FT) reverifyFromSnapshot(t *Task, rj *replicaJoin) bool {
-	if rj.inputs == nil {
-		return false
-	}
-	out, err := e.shadowCompute(t, rj.inputs)
+	digest, err := e.shadowCompute(t, true, rj.inputs)
 	if err != nil {
 		return false
 	}
-	rj.shadowDigest = replica.Digest(out)
+	rj.shadowDigest = digest
 	return true
 }
 
@@ -213,6 +212,10 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 		e.finishAndNotify(w, t)
 		return nil
 	}()
+	for _, in := range rj.inputs {
+		block.Free(in.data)
+	}
+	rj.inputs = nil
 	if err != nil { // catch
 		e.recoverFromError(w, err, t.key, t.life)
 	}
@@ -221,15 +224,17 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 // injectSDC silently corrupts the task's freshly written output version:
 // the payload bits flip and the stored checksum is recomputed over the
 // corrupted data, so neither the poisoned flag nor checksum verification
-// can observe it. Only replica digest comparison can.
-func (e *FT) injectSDC(t *Task) {
+// can observe it. Only replica digest comparison can. It returns the
+// recomputed checksum and whether the version was still retained.
+func (e *FT) injectSDC(t *Task) (sum uint64, ok bool) {
 	ref := e.spec.Output(t.key)
-	e.store.CorruptSilently(ref.Block, ref.Version)
+	sum, ok = e.store.CorruptSilently(ref.Block, ref.Version)
 	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.life, 0)
 	e.met.sdcInjected.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.SDCInjected.Inc()
 	}
+	return sum, ok
 }
 
 // spawnAvoiding schedules f on a worker other than w (round-robin; worker 0

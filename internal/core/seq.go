@@ -40,6 +40,7 @@ func (e *Sequential) Run() (*Result, error) {
 		if err := e.spec.Compute(ctx, key); err != nil {
 			return nil, fmt.Errorf("core: sequential compute of task %d: %w", key, err)
 		}
+		ctx.release(true)
 		if !ctx.wrote {
 			return nil, fmt.Errorf("core: task %d computed without writing its output", key)
 		}
@@ -57,8 +58,9 @@ func (e *Sequential) Run() (*Result, error) {
 }
 
 type seqCtx struct {
-	e     *Sequential
-	key   graph.Key
+	e   *Sequential
+	key graph.Key
+	heldBufs
 	wrote bool
 }
 
@@ -66,11 +68,16 @@ var _ graph.Context = (*seqCtx)(nil)
 
 func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	ref := c.e.spec.Output(pred)
-	return c.e.store.Read(ref.Block, ref.Version)
+	data, err := c.e.store.Read(ref.Block, ref.Version)
+	if err == nil && len(data) >= block.PoolMin {
+		c.hold(pred, data, 0)
+	}
+	return data, err
 }
 
 func (c *seqCtx) Write(data []float64) {
 	ref := c.e.spec.Output(c.key)
 	c.e.store.Write(ref.Block, ref.Version, c.key, data)
 	c.wrote = true
+	c.out = data
 }

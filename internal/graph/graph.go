@@ -27,10 +27,16 @@ type Key = int64
 // propagate errors unchanged.
 type Context interface {
 	// ReadPred returns the output block version defined by the given
-	// predecessor task. The slice is read-only.
+	// predecessor task. The slice is private to this compute: nothing else
+	// writes it, and it is valid until Compute returns — not after, the
+	// executor may recycle it then. Compute must not modify it (a
+	// replicated task is re-verified from the inputs its primary read), but
+	// may pass it, or a piece of it, to Write.
 	ReadPred(pred Key) ([]float64, error)
-	// Write stores data as this task's output block version, transferring
-	// ownership of the slice to the block store.
+	// Write stores a copy of data as this task's output block version and
+	// passes ownership of the slice to the executor, which may recycle it
+	// once Compute returns: Compute must not keep it or write it anywhere
+	// else. block.Alloc is the matching way to get an output buffer.
 	Write(data []float64)
 }
 

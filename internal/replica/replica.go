@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -205,26 +206,9 @@ func Rank(s graph.Spec, p Policy) []Score {
 	return scores
 }
 
-// Digest hashes a task output (FNV-1a over the float64 bit patterns, with a
-// length prefix) for replica comparison. Two replicas of a deterministic
-// task must produce equal digests; a silent corruption of either output
-// changes its digest with overwhelming probability.
-func Digest(data []float64) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
-	mix := func(bits uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= bits & 0xff
-			h *= prime
-			bits >>= 8
-		}
-	}
-	mix(uint64(len(data)))
-	for _, f := range data {
-		mix(math.Float64bits(f))
-	}
-	return h
-}
+// Digest hashes a task output for replica comparison. It is the block
+// store's integrity function — block.Checksum, which covers the length — so
+// the checksum Write stored for a primary's output is already its digest.
+// Two replicas of a deterministic task produce equal digests; a silent
+// corruption of one word of either output always changes its digest.
+func Digest(data []float64) uint64 { return block.Checksum(data) }
