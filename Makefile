@@ -56,11 +56,13 @@ lint-json:
 # primitives (metrics registry, trace ring), the cluster router/standby
 # follower, the continuation-passing executor core, and the fault injector.
 # The block data path — store, executors, replica join, the kernels and the
-# harness that drives them — is then swept at one, two and four Ps, five
-# runs each: its interleavings (steal between notify and inject, a shadow
-# racing an evicting writer) differ with the core count, and every earlier
-# PR was developed on one core.
-RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/...
+# harness that drives them — and the structures the task descriptor is built
+# from (sharded map, bit vector, graph) are then swept at one, two and four
+# Ps, five runs each: the interleavings (steal between notify and inject, a
+# shadow racing an evicting writer, a hitter on a stripe beside an inserter)
+# differ with the core count, and every PR before 12 was developed on one
+# core.
+RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/...
 
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...

@@ -12,6 +12,7 @@ package ftdag_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ftdag/internal/apps"
@@ -278,4 +279,38 @@ func BenchmarkFixedCounts(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchLayered is the fine-grain fixed-cost benchmark: the graph of bench/'s
+// finegrain_dag (102 401 trivial tasks), so ns/task, B/task and allocs/task
+// are what an executor spends per task on traversal, notification and block
+// access.
+func benchLayered(b *testing.B, run func(graph.Spec, core.Config) (*core.Result, error)) {
+	g := graph.Layered(400, 256, 3, 1, nil)
+	cfg := core.Config{Workers: 2, VerifyChecksums: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tasks := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := run(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks = res.Tasks
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(tasks)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/task")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/task")
+}
+
+func BenchmarkLayeredFT(b *testing.B) {
+	benchLayered(b, func(g graph.Spec, c core.Config) (*core.Result, error) { return core.NewFT(g, c).Run() })
+}
+
+func BenchmarkLayeredBaseline(b *testing.B) {
+	benchLayered(b, func(g graph.Spec, c core.Config) (*core.Result, error) { return core.NewBaseline(g, c).Run() })
 }

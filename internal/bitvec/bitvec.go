@@ -8,44 +8,81 @@
 // does not decrement the counter a second time.
 package bitvec
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 const wordBits = 64
 
 // Vector is a fixed-size vector of bits supporting atomic per-bit
 // test-and-clear and a bulk re-set used when a task's bookkeeping is reset
-// (RESETNODE in the paper). The zero value is unusable; use New.
+// (RESETNODE in the paper). The first word is part of the Vector itself, so
+// a vector of up to 64 bits — a task with up to 63 predecessors — held by
+// value inside its owner costs no allocation; longer vectors spill into
+// rest. The zero value has no bits; use New, or Init on an embedded Vector.
+// A Vector must not be copied after Init.
 type Vector struct {
 	n     int
-	words []atomic.Uint64
+	first atomic.Uint64
+	rest  []atomic.Uint64 // words 1.. of vectors longer than wordBits
 }
 
 // New returns a vector of n bits, all initially set to 1.
 func New(n int) *Vector {
-	v := &Vector{n: n, words: make([]atomic.Uint64, (n+wordBits-1)/wordBits)}
-	v.SetAll()
+	v := new(Vector)
+	v.Init(n)
 	return v
+}
+
+// Init sizes the vector to n bits, all set to 1. It is for a Vector held by
+// value, before the owner is shared.
+func (v *Vector) Init(n int) {
+	v.n = n
+	if n > wordBits {
+		v.rest = make([]atomic.Uint64, (n-1)/wordBits)
+	}
+	v.SetAll()
 }
 
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
+// words is the number of words in use.
+func (v *Vector) words() int { return (v.n + wordBits - 1) / wordBits }
+
+// word returns word w of the vector.
+func (v *Vector) word(w int) *atomic.Uint64 {
+	if w == 0 {
+		return &v.first
+	}
+	return &v.rest[w-1]
+}
+
+// bit returns the word holding bit i and i's mask within it.
+func (v *Vector) bit(i int) (*atomic.Uint64, uint64) {
+	if i < 0 || i >= v.n {
+		panic("bitvec: index out of range")
+	}
+	return v.word(i / wordBits), uint64(1) << uint(i%wordBits)
+}
+
 // SetAll atomically sets every bit in the vector to 1.
 // Bits past Len in the final word are left clear so Count stays exact.
 func (v *Vector) SetAll() {
-	for i := range v.words {
+	for w, n := 0, v.words(); w < n; w++ {
 		mask := ^uint64(0)
-		if rem := v.n - i*wordBits; rem < wordBits {
+		if rem := v.n - w*wordBits; rem < wordBits {
 			mask = (uint64(1) << uint(rem)) - 1
 		}
-		v.words[i].Store(mask)
+		v.word(w).Store(mask)
 	}
 }
 
 // ClearAll atomically clears every bit.
 func (v *Vector) ClearAll() {
-	for i := range v.words {
-		v.words[i].Store(0)
+	for w, n := 0, v.words(); w < n; w++ {
+		v.word(w).Store(0)
 	}
 }
 
@@ -53,11 +90,7 @@ func (v *Vector) ClearAll() {
 // set. It is the ATOMICBITUNSET of the paper: at most one caller per
 // set-round observes true for a given bit.
 func (v *Vector) TestAndClear(i int) bool {
-	if i < 0 || i >= v.n {
-		panic("bitvec: index out of range")
-	}
-	w := &v.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
+	w, mask := v.bit(i)
 	for {
 		old := w.Load()
 		if old&mask == 0 {
@@ -71,11 +104,7 @@ func (v *Vector) TestAndClear(i int) bool {
 
 // Set atomically sets bit i to 1.
 func (v *Vector) Set(i int) {
-	if i < 0 || i >= v.n {
-		panic("bitvec: index out of range")
-	}
-	w := &v.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
+	w, mask := v.bit(i)
 	for {
 		old := w.Load()
 		if old&mask != 0 {
@@ -89,26 +118,15 @@ func (v *Vector) Set(i int) {
 
 // IsSet reports whether bit i is currently set.
 func (v *Vector) IsSet(i int) bool {
-	if i < 0 || i >= v.n {
-		panic("bitvec: index out of range")
-	}
-	return v.words[i/wordBits].Load()&(uint64(1)<<uint(i%wordBits)) != 0
+	w, mask := v.bit(i)
+	return w.Load()&mask != 0
 }
 
 // Count returns the number of set bits.
 func (v *Vector) Count() int {
 	c := 0
-	for i := range v.words {
-		c += popcount(v.words[i].Load())
+	for w, n := 0, v.words(); w < n; w++ {
+		c += bits.OnesCount64(v.word(w).Load())
 	}
 	return c
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight bit-twiddling popcount; stdlib math/bits would also
-	// do, but this keeps the hot path free of call overhead on older Go.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }

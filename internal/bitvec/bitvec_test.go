@@ -165,17 +165,32 @@ func TestQuickSetAllRestores(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	cases := map[uint64]int{
-		0:                  0,
-		1:                  1,
-		0xFFFFFFFFFFFFFFFF: 64,
-		0x8000000000000001: 2,
-		0x5555555555555555: 32,
+// TestInitByValue: a Vector embedded by value behaves like one from New on
+// both sides of the inline-word boundary, and allocates only past it.
+func TestInitByValue(t *testing.T) {
+	var owner struct {
+		pad uint32 // would misalign a plain uint64 on 32-bit platforms
+		v   Vector
 	}
-	for x, want := range cases {
-		if got := popcount(x); got != want {
-			t.Errorf("popcount(%#x) = %d, want %d", x, got, want)
+	for _, n := range []int{0, 1, 64, 65, 200} {
+		allocs := testing.AllocsPerRun(10, func() { owner.v.Init(n) })
+		want := 0.0
+		if n > 64 {
+			want = 1
+		}
+		if allocs != want {
+			t.Fatalf("Init(%d) allocated %v times, want %v", n, allocs, want)
+		}
+		if owner.v.Len() != n || owner.v.Count() != n {
+			t.Fatalf("Init(%d): len=%d count=%d", n, owner.v.Len(), owner.v.Count())
+		}
+		for i := 0; i < n; i++ {
+			if !owner.v.TestAndClear(i) || owner.v.TestAndClear(i) || owner.v.IsSet(i) {
+				t.Fatalf("Init(%d): bit %d not cleared exactly once", n, i)
+			}
+		}
+		if owner.v.Count() != 0 {
+			t.Fatalf("Init(%d): %d bits left after clearing all", n, owner.v.Count())
 		}
 	}
 }

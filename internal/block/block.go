@@ -26,6 +26,11 @@
 // Evicted and replaced buffers go to one process-wide, size-keyed free list
 // (Alloc/Free) from which the next Write, Read and kernel output are taken —
 // the physical form of "reuse the memory of v to store v+1".
+//
+// A block is reached through its Slot. An executor resolves the Slot of a
+// task's output once, when it creates the task's descriptor, and reads and
+// writes through the handle from then on; Store.Read and Store.Write are the
+// same calls behind one lookup.
 package block
 
 import (
@@ -83,11 +88,18 @@ type entry struct {
 	corrupted bool
 }
 
-type slot struct {
-	mu sync.Mutex
-	// entries ordered oldest-written first; len <= retention when
-	// retention > 0.
+// Slot is the handle of one block: its retention ring, under its own lock.
+// Store.Slot returns it; it stays valid for the life of the store.
+type Slot struct {
+	store *Store
+	id    ID
+	mu    sync.Mutex
+	// entries are ordered oldest-written first; len <= retention when
+	// retention > 0. The ring starts out in first, so a block that never
+	// retains more than one version — every block of a K=1 store and every
+	// single-assignment block — costs the Slot and nothing else.
 	entries []entry
+	first   [1]entry
 }
 
 // Stats counts store activity for the experiment harness.
@@ -124,7 +136,7 @@ type Store struct {
 	retention int // K; 0 = unlimited
 	verify    bool
 	ins       *Instruments
-	slots     *cmap.Map[*slot]
+	slots     *cmap.Map[*Slot]
 
 	writes       atomic.Int64
 	reads        atomic.Int64
@@ -151,7 +163,7 @@ func NewStore(retention int, opts ...Option) *Store {
 	if retention < 0 {
 		panic("block: retention must be >= 0")
 	}
-	s := &Store{retention: retention, slots: cmap.New[*slot]()}
+	s := &Store{retention: retention, slots: cmap.New[*Slot]()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -161,9 +173,20 @@ func NewStore(retention int, opts ...Option) *Store {
 // Retention returns the configured K.
 func (s *Store) Retention() int { return s.retention }
 
-func (s *Store) slotFor(b ID) *slot {
-	sl, _ := s.slots.LoadOrStore(int64(b), func() *slot { return &slot{} })
+// Slot returns the handle of block b, creating the (empty) block on first
+// use. Every later call for b is a read-locked hit on the slot table.
+func (s *Store) Slot(b ID) *Slot {
+	sl, _ := s.slots.LoadOrStore(int64(b), func() *Slot {
+		sl := &Slot{store: s, id: b}
+		sl.entries = sl.first[:0]
+		return sl
+	})
 	return sl
+}
+
+// Write is Slot(b).Write.
+func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
+	return s.Slot(b).Write(version, producer, data)
 }
 
 // Write stores a copy of data as the given version of the block, produced by
@@ -176,10 +199,10 @@ func (s *Store) slotFor(b ID) *slot {
 // version) and evicts nothing. The buffer of an evicted or replaced version
 // goes back to the free list, and its ring entry is reused, so a store in
 // steady state writes without allocating.
-func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
-	own := clone(data)
+func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
+	s := sl.store
+	own := clone(data, nil)
 	sum = Checksum(own)
-	sl := s.slotFor(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	s.writes.Add(1)
@@ -224,7 +247,7 @@ func (s *Store) addRetained(delta int64) {
 
 // index returns the position of the given version in the ring, or -1. The
 // caller holds the slot lock.
-func (sl *slot) index(version int) int {
+func (sl *Slot) index(version int) int {
 	for i := range sl.entries {
 		if sl.entries[i].version == version {
 			return i
@@ -235,29 +258,36 @@ func (sl *slot) index(version int) int {
 
 // find returns the retained entry of the given version, or nil. The pointer
 // is valid while the caller holds the slot lock.
-func (sl *slot) find(version int) *entry {
+func (sl *Slot) find(version int) *entry {
 	if i := sl.index(version); i >= 0 {
 		return &sl.entries[i]
 	}
 	return nil
 }
 
-// Read returns a private copy of the given block version: the slice belongs
-// to the caller, stays valid whatever happens to the store afterwards, and
-// may be handed to Free when the caller is done with it. A missing (evicted
-// or never-written) version yields ErrNotRetained; a poisoned or
-// checksum-failing version yields ErrCorrupted. Both are wrapped in an
-// *AccessError carrying the Ref. The copy is taken under the slot lock and
-// verification runs on the copy, so what was checked is what is returned.
+// Read is Slot(b).Read with no arena.
 func (s *Store) Read(b ID, version int) ([]float64, error) {
-	sl := s.slotFor(b)
+	return s.Slot(b).Read(version, nil)
+}
+
+// Read returns a private copy of the given block version: the slice belongs
+// to the caller and stays valid whatever happens to the store afterwards. A
+// copy of PoolMin float64s or more — and any copy when a is nil — may be
+// handed to Free when the caller is done with it; a smaller one is taken from
+// a when a is not nil, and lives until a.Reset. A missing (evicted or
+// never-written) version yields ErrNotRetained; a poisoned or checksum-failing
+// version yields ErrCorrupted. Both are wrapped in an *AccessError carrying
+// the Ref. The copy is taken under the slot lock and verification runs on the
+// copy, so what was checked is what is returned.
+func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
+	s := sl.store
 	s.reads.Add(1)
 	sl.mu.Lock()
 	e := sl.find(version)
 	if e == nil {
 		sl.mu.Unlock()
 		s.missingReads.Add(1)
-		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrNotRetained}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
 	}
 	if e.corrupted {
 		sl.mu.Unlock()
@@ -265,9 +295,9 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 		if s.ins != nil {
 			s.ins.CorruptReads.Inc()
 		}
-		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrCorrupted}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
 	}
-	out := clone(e.data)
+	out := clone(e.data, a)
 	want := e.checksum
 	sl.mu.Unlock()
 	if s.verify && Checksum(out) != want {
@@ -276,7 +306,7 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 		if s.ins != nil {
 			s.ins.ChecksumFailures.Inc()
 		}
-		return nil, &AccessError{Ref: Ref{b, version}, Err: ErrCorrupted}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
 	}
 	return out, nil
 }
@@ -284,7 +314,7 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 // Producer returns the task key recorded as producer of the given retained
 // version, if present.
 func (s *Store) Producer(b ID, version int) (int64, bool) {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if e := sl.find(version); e != nil {
@@ -296,7 +326,7 @@ func (s *Store) Producer(b ID, version int) (int64, bool) {
 // Retained reports whether the given version is currently retained and not
 // poisoned. It is a lookup: it copies nothing and counts no read.
 func (s *Store) Retained(b ID, version int) bool {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	e := sl.find(version)
@@ -309,7 +339,7 @@ func (s *Store) Retained(b ID, version int) bool {
 // place so that checksum verification independently detects the corruption;
 // slices returned by earlier Reads are copies and do not change.
 func (s *Store) Corrupt(b ID, version int) bool {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	e := sl.find(version)
@@ -331,7 +361,7 @@ func (s *Store) Corrupt(b ID, version int) bool {
 // catch. It returns the recomputed checksum — the digest of what a consumer
 // will now read — and whether the version was retained.
 func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	e := sl.find(version)
@@ -348,7 +378,7 @@ func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
 // Versions returns the retained version numbers of a block, oldest written
 // first. Diagnostic use.
 func (s *Store) Versions(b ID) []int {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	out := make([]int, len(sl.entries))
@@ -361,7 +391,7 @@ func (s *Store) Versions(b ID) []int {
 // Latest returns the highest retained, uncorrupted version of a block and a
 // copy of its data. Used when extracting final results.
 func (s *Store) Latest(b ID) (int, []float64, bool) {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	var best *entry
@@ -373,7 +403,7 @@ func (s *Store) Latest(b ID) (int, []float64, bool) {
 	if best == nil {
 		return -1, nil, false
 	}
-	return best.version, clone(best.data), true
+	return best.version, clone(best.data, nil), true
 }
 
 // Stats returns a snapshot of the store counters.
@@ -483,11 +513,19 @@ var pool struct {
 // poisonOnFree is the test switch behind PoisonFreed.
 var poisonOnFree atomic.Bool
 
-// PoisonFreed makes Free overwrite every buffer with a NaN pattern before
-// listing it, so a use-after-free or double-free turns into a wrong digest
-// rather than a silent alias. Tests turn it on in TestMain; nothing else
-// should.
+// PoisonFreed makes Free (and Arena.Reset) overwrite every buffer with a NaN
+// pattern before listing it, so a use-after-free or double-free turns into a
+// wrong digest rather than a silent alias. Tests turn it on in TestMain;
+// nothing else should.
 func PoisonFreed(on bool) { poisonOnFree.Store(on) }
+
+// poison overwrites buf with the NaN pattern of PoisonFreed.
+func poison(buf []float64) {
+	nan := math.Float64frombits(0x7FF8DEADDEADDEAD)
+	for i := range buf {
+		buf[i] = nan
+	}
+}
 
 // pop takes a buffer of exactly n float64s off the free list, or returns nil
 // when it has none (always, below PoolMin).
@@ -508,14 +546,56 @@ func pop(n int) []float64 {
 	return buf
 }
 
-// clone returns a copy of src in a buffer off the free list, or in a fresh
-// one — which append, unlike make, does not zero before the copy lands.
-func clone(src []float64) []float64 {
+// clone returns a copy of src: in a when src is below PoolMin and a is not
+// nil, else in a buffer off the free list, or in a fresh one — which append,
+// unlike make, does not zero before the copy lands.
+func clone(src []float64, a *Arena) []float64 {
+	if a != nil && len(src) < PoolMin {
+		buf := a.take(len(src))
+		copy(buf, src)
+		return buf
+	}
 	if buf := pop(len(src)); buf != nil {
 		copy(buf, src)
 		return buf
 	}
 	return append([]float64(nil), src...)
+}
+
+// arenaChunk is the size of an Arena's chunks in float64s (4 KiB): eight
+// reads of the largest payload an arena serves, hundreds of one-float ones.
+const arenaChunk = 8 * PoolMin
+
+// Arena is scratch memory for the read copies too small for the free list: a
+// fine-grain task reads a few one-float payloads, and an allocation apiece
+// costs more than the task. Slot.Read carves such copies out of the arena's
+// current chunk; Reset makes the chunk available again, which ends the life
+// of every copy taken since the last Reset. The zero value is ready to use.
+// An Arena belongs to one goroutine at a time.
+type Arena struct {
+	chunk []float64
+	used  int
+}
+
+// take returns n < PoolMin float64s of the current chunk, starting a fresh
+// chunk when it is used up (copies in the old one stay valid; the garbage
+// collector takes it when they are gone).
+func (a *Arena) take(n int) []float64 {
+	if a.used+n > len(a.chunk) {
+		a.chunk, a.used = make([]float64, arenaChunk), 0
+	}
+	buf := a.chunk[a.used : a.used+n : a.used+n]
+	a.used += n
+	return buf
+}
+
+// Reset ends the life of every copy taken from the arena. Under PoisonFreed
+// they are overwritten like freed buffers.
+func (a *Arena) Reset() {
+	if poisonOnFree.Load() {
+		poison(a.chunk[:a.used])
+	}
+	a.used = 0
 }
 
 // Alloc returns a zeroed buffer of n float64s, recycled from the free list
@@ -539,10 +619,7 @@ func Free(buf []float64) {
 		return
 	}
 	if poisonOnFree.Load() {
-		poison := math.Float64frombits(0x7FF8DEADDEADDEAD)
-		for i := range buf {
-			buf[i] = poison
-		}
+		poison(buf)
 	}
 	pool.mu.Lock()
 	if pool.floats+n <= poolMaxFloats {

@@ -128,7 +128,7 @@ func TestCorruptionDetected(t *testing.T) {
 // flag, no checksum update: the out-of-band bit flip that only checksum
 // verification can see.
 func scribble(s *Store, b ID, version, i int, v float64) {
-	sl := s.slotFor(b)
+	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	sl.find(version).data[i] = v
@@ -522,6 +522,118 @@ func TestPoisonFreed(t *testing.T) {
 	got, err := s.Read(1, 0)
 	if err != nil || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("Read under poisoning = %v, %v", got[:2], err)
+	}
+}
+
+// TestSlotHandle: the handle Store.Slot returns is the block — the same
+// handle on every call, the same versions, errors and counters as the store's
+// own Read and Write — and a block that keeps one version at a time costs the
+// slot and the stored payload, nothing else.
+func TestSlotHandle(t *testing.T) {
+	s := NewStore(1, WithVerification())
+	sl := s.Slot(7)
+	if s.Slot(7) != sl {
+		t.Fatal("Slot returned a second handle for the same block")
+	}
+	sum, _, evicted := sl.Write(0, 70, []float64{1, 2})
+	if evicted || sum != Checksum([]float64{1, 2}) {
+		t.Fatalf("first slot write: sum=%#x evicted=%v", sum, evicted)
+	}
+	if got, err := s.Read(7, 0); err != nil || got[1] != 2 {
+		t.Fatalf("store read of a slot write = %v, %v", got, err)
+	}
+	_, victim, evicted := s.Write(7, 1, 71, []float64{3})
+	if !evicted || victim != 70 {
+		t.Fatalf("store write into the slot's ring: victim=%d evicted=%v, want 70 true", victim, evicted)
+	}
+	if got, err := sl.Read(1, nil); err != nil || got[0] != 3 {
+		t.Fatalf("slot read of a store write = %v, %v", got, err)
+	}
+	_, err := sl.Read(0, nil)
+	var ae *AccessError
+	if !errors.As(err, &ae) || !errors.Is(err, ErrNotRetained) || ae.Ref != (Ref{7, 0}) {
+		t.Fatalf("slot read of the evicted version: %v", err)
+	}
+	s.Corrupt(7, 1)
+	if _, err := sl.Read(1, nil); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("slot read of a corrupted version: %v", err)
+	}
+	if st := s.Stats(); st.Writes != 2 || st.Reads != 4 || st.Evictions != 1 || st.MissingReads != 1 || st.CorruptReads != 1 {
+		t.Fatalf("stats after mixed slot and store access: %+v", st)
+	}
+
+	single := NewStore(0)
+	block := ID(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		single.Slot(block).Write(0, 1, []float64{1})
+		block++
+	}); allocs > 3 { // slot, payload copy, and the slot table's amortized growth
+		t.Fatalf("a new single-version block cost %v allocations, want <= 3", allocs)
+	}
+}
+
+// TestArena: read copies below PoolMin come out of the arena without an
+// allocation apiece, survive what happens to the store, die at Reset, and
+// larger copies bypass the arena.
+func TestArena(t *testing.T) {
+	s := NewStore(0)
+	small, large := s.Slot(1), s.Slot(2)
+	small.Write(0, 1, []float64{1, 2, 3})
+	large.Write(0, 2, make([]float64, PoolMin))
+
+	var a Arena
+	first, err := small.Read(0, &a)
+	if err != nil || len(first) != 3 || cap(first) != 3 || first[2] != 3 {
+		t.Fatalf("arena read = %v (cap %d), %v", first, cap(first), err)
+	}
+	second, _ := small.Read(0, &a)
+	if &first[0] == &second[0] {
+		t.Fatal("two arena reads share memory")
+	}
+	s.Corrupt(1, 0)
+	if first[0] != 1 || second[0] != 1 {
+		t.Fatal("arena copy changed when the stored version was corrupted")
+	}
+	small.Write(0, 1, []float64{1, 2, 3})
+	if big, _ := large.Read(0, &a); a.used != 6 {
+		t.Fatalf("a %d-float read took arena space (used %d)", len(big), a.used)
+	}
+
+	a.Reset()
+	reused, _ := small.Read(0, &a)
+	if &reused[0] != &first[0] {
+		t.Fatal("Reset did not make the chunk available again")
+	}
+	a.Reset()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			if _, err := small.Read(0, &a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Reset()
+	}); allocs != 0 {
+		t.Fatalf("8 small reads and a Reset allocated %v times, want 0", allocs)
+	}
+	// More than a chunk between Resets: earlier copies stay intact.
+	var held [][]float64
+	for i := 0; i < 2*arenaChunk; i++ {
+		c, _ := small.Read(0, &a)
+		held = append(held, c)
+	}
+	for i, c := range held {
+		if c[0] != 1 || c[1] != 2 || c[2] != 3 {
+			t.Fatalf("copy %d of %d damaged by a later one: %v", i, len(held), c)
+		}
+	}
+
+	PoisonFreed(true)
+	defer PoisonFreed(false)
+	a.Reset()
+	stale, _ := small.Read(0, &a)
+	a.Reset()
+	if !math.IsNaN(stale[0]) {
+		t.Fatalf("copy used after Reset reads %v under PoisonFreed, want the NaN pattern", stale[0])
 	}
 }
 

@@ -67,9 +67,18 @@ func (m *Map[V]) Store(key int64, v V) {
 // stores the value returned by mk and returns it. mk is invoked at most
 // once, under the shard lock, and only when the key is absent — this is the
 // paper's atomic INSERTTASKIFABSENT. inserted reports whether mk's value was
-// stored.
+// stored. A key that is present — every later traversal of an already
+// discovered task — is served under the read lock, so hitters share the
+// stripe; only a miss takes the write lock, and looks again under it because
+// another inserter may have won in between.
 func (m *Map[V]) LoadOrStore(key int64, mk func() V) (v V, inserted bool) {
 	s := m.shard(key)
+	s.mu.RLock()
+	old, ok := s.m[key]
+	s.mu.RUnlock()
+	if ok {
+		return old, false
+	}
 	s.mu.Lock()
 	if old, ok := s.m[key]; ok {
 		s.mu.Unlock()

@@ -72,6 +72,46 @@ func TestLoadOrStoreConcurrentSingleWinner(t *testing.T) {
 	}
 }
 
+// TestLoadOrStoreHitPathRace drives the read-locked hit path against the
+// insert: for every key one goroutine inserts while the others hit (or lose
+// the insert race), mk runs exactly once per key, and every caller gets the
+// value that one call made. Run under -race: a hitter reads the stripe's map
+// while the inserter of a neighbouring key writes it.
+func TestLoadOrStoreHitPathRace(t *testing.T) {
+	const goroutines = 8
+	const keys = 500
+	m := New[*int64]()
+	var made [keys]atomic.Int64
+	var got [goroutines][keys]*int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < keys; k++ {
+				got[g][k], _ = m.LoadOrStore(int64(k), func() *int64 {
+					made[k].Add(1)
+					return new(int64)
+				})
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for k := 0; k < keys; k++ {
+		if n := made[k].Load(); n != 1 {
+			t.Fatalf("key %d: mk ran %d times, want 1", k, n)
+		}
+		for g := 1; g < goroutines; g++ {
+			if got[g][k] != got[0][k] {
+				t.Fatalf("key %d: goroutine %d got a different value", k, g)
+			}
+		}
+	}
+}
+
 func TestUpdate(t *testing.T) {
 	m := New[int]()
 	got := m.Update(3, func(old int, ok bool) int {

@@ -24,14 +24,38 @@ type Baseline struct {
 	met   metrics
 }
 
-// bTask is the baseline task descriptor: join counter, notify array, status.
+// bTask is the baseline task descriptor: the resolved facts and notify array
+// every descriptor has (node), join counter, status.
 type bTask struct {
-	key    graph.Key
+	node[bTask]
+	e      *Baseline
 	join   int32
-	mu     sync.Mutex
-	notify []graph.Key
 	status int32
-	preds  []graph.Key
+}
+
+// The baseline's spawned jobs, as for the FT executor (task.go): the
+// descriptor under three method sets.
+type (
+	bExploreJob  bTask // initAndCompute of the task
+	bTraverseJob bTask // tryInitCompute of the task's arg-th predecessor
+	bDrainJob    bTask // notifyOnce over the batch of the notify array arg names
+)
+
+func (j *bExploreJob) Run(w *sched.Worker, _ int) {
+	t := (*bTask)(j)
+	t.e.initAndCompute(w, t)
+}
+
+func (j *bTraverseJob) Run(w *sched.Worker, i int) {
+	t := (*bTask)(j)
+	t.e.tryInitCompute(w, t, i)
+}
+
+func (j *bDrainJob) Run(w *sched.Worker, arg int) {
+	t := (*bTask)(j)
+	for _, s := range t.batch(arg) {
+		t.e.notifyOnce(w, s)
+	}
 }
 
 // NewBaseline returns a non-fault-tolerant executor for the spec.
@@ -70,8 +94,7 @@ func (e *Baseline) Run() (*Result, error) {
 		Store:   e.store.Stats(),
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
-	ref := e.spec.Output(e.spec.Sink())
-	data, err := e.store.Read(ref.Block, ref.Version)
+	data, err := st.slot.Read(st.out.Version, nil)
 	if err != nil {
 		return res, fmt.Errorf("core: baseline sink output unreadable: %w", err)
 	}
@@ -81,30 +104,35 @@ func (e *Baseline) Run() (*Result, error) {
 
 func (e *Baseline) insertIfAbsent(key graph.Key) (*bTask, bool) {
 	return e.tasks.LoadOrStore(key, func() *bTask {
-		preds := e.spec.Predecessors(key)
-		t := &bTask{key: key, preds: preds}
-		storeInt32(&t.join, int32(1+len(preds)))
+		t := &bTask{e: e}
+		t.resolve(e.spec, e.store, key)
+		storeInt32(&t.join, int32(1+len(t.preds)))
 		return t
 	})
 }
 
+// initAndCompute spawns the traversal of every predecessor but the last and
+// runs that one by call (see FT.initAndCompute).
 func (e *Baseline) initAndCompute(w *sched.Worker, t *bTask) {
-	for _, pkey := range t.preds {
-		pk := pkey
-		w.Spawn(func(w *sched.Worker) { e.tryInitCompute(w, t, pk) })
+	if last := len(t.preds) - 1; last >= 0 {
+		for i := 0; i < last; i++ {
+			w.SpawnRunner((*bTraverseJob)(t), i)
+		}
+		e.tryInitCompute(w, t, last)
 	}
 	e.notifyOnce(w, t)
 }
 
-func (e *Baseline) tryInitCompute(w *sched.Worker, t *bTask, pkey graph.Key) {
-	b, inserted := e.insertIfAbsent(pkey)
+func (e *Baseline) tryInitCompute(w *sched.Worker, t *bTask, i int) {
+	b, inserted := e.insertIfAbsent(t.preds[i])
+	t.pred[i].Store(b)
 	if inserted {
-		w.Spawn(func(w *sched.Worker) { e.initAndCompute(w, b) })
+		w.SpawnRunner((*bExploreJob)(b), 0)
 	}
 	finished := true
 	b.mu.Lock()
 	if loadStatus(&b.status) < Computed {
-		b.notify = append(b.notify, t.key)
+		b.notify = append(b.notify, t)
 		e.met.registrations.Add(1)
 		finished = false
 	}
@@ -126,39 +154,38 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 		h(t.key, 0)
 	}
 	e.met.computes.Add(1)
-	ctx := &baseCtx{e: e, t: t}
+	ctx := baseCtxPool.Get().(*baseCtx)
+	ctx.e, ctx.t = e, t
 	if err := e.spec.Compute(ctx, t.key); err != nil {
 		panic(fmt.Sprintf("core: baseline compute of task %d failed: %v", t.key, err))
 	}
+	wrote := ctx.wrote
 	ctx.release(true)
-	if !ctx.wrote {
+	*ctx = baseCtx{heldBufs: ctx.heldBufs}
+	baseCtxPool.Put(ctx)
+	if !wrote {
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
 	}
 	if h := e.cfg.Hooks.OnComputed; h != nil {
 		h(t.key, 0)
 	}
 	storeStatus(&t.status, Computed)
+	// The drain is the FT executor's (finishAndNotify): batches of the
+	// notify array, each spawned as the task plus the batch's position.
 	notified := 0
 	for {
 		t.mu.Lock()
-		if notified == len(t.notify) {
+		total := len(t.notify)
+		if notified == total {
 			storeStatus(&t.status, Completed)
 			t.mu.Unlock()
 			return
 		}
-		batch := append([]graph.Key(nil), t.notify[notified:]...)
 		t.mu.Unlock()
-		notified += len(batch)
-		for _, skey := range batch {
-			sk := skey
-			w.Spawn(func(w *sched.Worker) {
-				s, ok := e.tasks.Load(sk)
-				if !ok {
-					panic(fmt.Sprintf("core: baseline notify of unknown task %d", sk))
-				}
-				e.notifyOnce(w, s)
-			})
+		for lo := notified; lo < total; lo += notifyBatchSize {
+			w.SpawnRunner((*bDrainJob)(t), batchArg(lo, total))
 		}
+		notified = total
 	}
 }
 
@@ -173,21 +200,30 @@ type baseCtx struct {
 
 var _ graph.Context = (*baseCtx)(nil)
 
+// baseCtxPool recycles contexts as ftCtxPool does.
+var baseCtxPool = sync.Pool{New: func() any { return new(baseCtx) }}
+
 func (c *baseCtx) ReadPred(pred graph.Key) ([]float64, error) {
-	ref := c.e.spec.Output(pred)
-	data, err := c.e.store.Read(ref.Block, ref.Version)
-	if err != nil {
-		panic(fmt.Sprintf("core: baseline read of %v (task %d) failed: %v — spec violates use-before-redefine ordering", ref, pred, err))
+	p := c.t.producer(pred)
+	if p == nil {
+		p, _ = c.e.tasks.Load(pred)
 	}
-	if len(data) >= block.PoolMin {
-		c.hold(pred, data, len(c.t.preds))
+	var slot *block.Slot
+	var version int
+	if p != nil {
+		slot, version = p.slot, p.out.Version
+	} else {
+		slot, version = specOutput(c.e.spec, c.e.store, pred)
+	}
+	data, err := c.read(pred, slot, version, false)
+	if err != nil {
+		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
 	}
 	return data, nil
 }
 
 func (c *baseCtx) Write(data []float64) {
-	ref := c.e.spec.Output(c.t.key)
-	c.e.store.Write(ref.Block, ref.Version, c.t.key, data)
+	c.t.slot.Write(c.t.out.Version, c.t.key, data)
 	c.wrote = true
 	c.out = data
 }

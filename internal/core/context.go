@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"ftdag/internal/block"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
@@ -16,26 +18,38 @@ type predRead struct {
 
 // heldBufs is what an executor context owns on behalf of one compute — the
 // read copies the store handed out and the slice the compute passed to
-// Write — so that it can return them to the block free list when the compute
-// ends. Payloads below block.PoolMin are never listed: the free list would
-// ignore them, and tracking them would cost an allocation per fine-grain
-// task.
+// Write — so that it can give them back when the compute ends, which is as
+// long as graph.Context promises them to the compute. Read copies of
+// block.PoolMin float64s or more are listed and go back to the block free
+// list; smaller ones come out of the small arena, at no allocation per read,
+// and go back with its Reset.
 type heldBufs struct {
 	out   []float64
 	reads []predRead
+	small block.Arena
 }
 
-// hold records a read copy; npreds sizes the list on first use.
-func (h *heldBufs) hold(pred graph.Key, data []float64, npreds int) {
-	if h.reads == nil {
-		h.reads = make([]predRead, 0, npreds)
+// read copies version of slot for the compute. With keep the copy is listed
+// and off the free list whatever its size: the caller means to hold it past
+// the compute.
+func (h *heldBufs) read(pred graph.Key, slot *block.Slot, version int, keep bool) ([]float64, error) {
+	arena := &h.small
+	if keep {
+		arena = nil
 	}
-	h.reads = append(h.reads, predRead{pred, data})
+	data, err := slot.Read(version, arena)
+	if err == nil && (keep || len(data) >= block.PoolMin) {
+		h.reads = append(h.reads, predRead{pred, data})
+	}
+	return data, err
 }
 
-// release returns the written slice, and with freeReads the read copies, to
-// the free list. A compute may write a slice it got from ReadPred (or a
-// piece of one); that buffer is freed once, as the read copy.
+// release ends the compute's claim on its buffers and readies h for the next
+// compute: the written slice, and with freeReads the listed read copies, go
+// to the free list, and the arena is reset. A compute may write a slice it got
+// from ReadPred (or a piece of it); that buffer is freed once, as the read
+// copy. Without freeReads the list itself passes to the caller with the
+// copies.
 func (h *heldBufs) release(freeReads bool) {
 	out := h.out
 	for _, r := range h.reads {
@@ -47,6 +61,21 @@ func (h *heldBufs) release(freeReads bool) {
 		}
 	}
 	block.Free(out)
+	h.out = nil
+	if freeReads {
+		clear(h.reads) // the list is reused; do not pin freed buffers
+		h.reads = h.reads[:0]
+	} else {
+		h.reads = nil
+	}
+	h.small.Reset()
+}
+
+// specOutput resolves the output of task key the long way — spec, then slot
+// table — for a compute that reads a task it has no descriptor of.
+func specOutput(spec graph.Spec, store *block.Store, key graph.Key) (*block.Slot, int) {
+	ref := spec.Output(key)
+	return store.Slot(ref.Block), ref.Version
 }
 
 // inside reports whether b starts inside a's backing array.
@@ -76,16 +105,30 @@ type ftCtx struct {
 
 var _ graph.Context = (*ftCtx)(nil)
 
+// ftCtxPool recycles the contexts of finished computes, each with its arena
+// and its list of held reads; a context is handed to one compute at a time
+// and holds no executor state while pooled.
+var ftCtxPool = sync.Pool{New: func() any { return new(ftCtx) }}
+
 // ReadPred returns a private copy of the block version produced by the given
-// predecessor. On corruption or eviction the error names the predecessor's
-// current incarnation, so the consumer's catch recovers the right task.
+// predecessor, found through the descriptor the traversal cached and, short of
+// that, through the task table or the spec. On corruption or eviction the
+// error names the predecessor's current incarnation, so the consumer's catch
+// recovers the right task.
 func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
-	ref := c.e.spec.Output(pred)
-	data, err := c.e.store.Read(ref.Block, ref.Version)
+	p := c.t.producer(pred)
+	if p == nil {
+		p, _ = c.e.tasks.Load(pred)
+	}
+	var slot *block.Slot
+	var version int
+	if p != nil {
+		slot, version = p.slot, p.out.Version
+	} else {
+		slot, version = specOutput(c.e.spec, c.e.store, pred)
+	}
+	data, err := c.read(pred, slot, version, c.capture)
 	if err == nil {
-		if c.capture || len(data) >= block.PoolMin {
-			c.hold(pred, data, len(c.t.preds))
-		}
 		return data, nil
 	}
 	life := 0
@@ -100,8 +143,7 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 // observe the failure and re-execute the producer (paper §IV, cascading
 // re-execution).
 func (c *ftCtx) Write(data []float64) {
-	ref := c.e.spec.Output(c.t.key)
-	sum, victim, evicted := c.e.store.Write(ref.Block, ref.Version, c.t.key, data)
+	sum, victim, evicted := c.t.slot.Write(c.t.out.Version, c.t.key, data)
 	if evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.overwritten.Store(true)

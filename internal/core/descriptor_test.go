@@ -1,0 +1,192 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"ftdag/internal/fault"
+	"ftdag/internal/graph"
+	"ftdag/internal/sched"
+)
+
+// These tests pin what the descriptor caches — the predecessors' descriptors
+// per index, descriptor pointers in the notify arrays — to the cases where a
+// cache entry is missing or stale.
+
+// TestEligibleBeforeOwnTraversal: a recovery of predecessor 1 that finds task
+// 3 waiting re-registers it (Guarantee 4), and the recovered incarnation's
+// notification makes 3 eligible before 3's own traversal of 1 has run. 3's
+// cache entry for 1 is still nil when it computes; the read goes through the
+// task table, and the late traversal changes nothing.
+func TestEligibleBeforeOwnTraversal(t *testing.T) {
+	g := graph.Diamond(nil) // 0 → {1, 2} → 3; preds(3) = [1, 2]
+	_, wantSink := groundTruth(t, g, 0)
+	e := NewFT(g, Config{})
+	s3, _ := e.insertIfAbsent(3)
+	withWorker(t, func(w *sched.Worker) {
+		// 3 traverses predecessor 2 only; the run computes 0 and 2 and
+		// notifies 3 for 2.
+		e.tryInitCompute(w, s3, 1)
+	})
+	if s3.bits.IsSet(1) || !s3.bits.IsSet(0) || s3.pred[0].Load() != nil {
+		t.Fatalf("after traversing 2 only: bits %d/%d, cache[0]=%p", s3.bits.Count(), s3.bits.Len(), s3.pred[0].Load())
+	}
+	withWorker(t, func(w *sched.Worker) {
+		// Task 1, discovered by someone else, fails; its recovery finds 3
+		// waiting, re-registers it, computes and notifies it.
+		e.insertIfAbsent(1)
+		e.recoverTask(w, 1)
+	})
+	if s3.bits.IsSet(0) || s3.join.Load() != 1 || s3.pred[0].Load() != nil {
+		t.Fatalf("after recovery of 1: bit set=%v join=%d cache[0]=%p, want cleared, 1, nil",
+			s3.bits.IsSet(0), s3.join.Load(), s3.pred[0].Load())
+	}
+	withWorker(t, func(w *sched.Worker) {
+		e.notifyOnce(w, s3, 2) // the self-notification: 3 computes, cache[0] nil
+	})
+	if s3.Status() != Completed {
+		t.Fatalf("task 3 is %v, want Completed", s3.Status())
+	}
+	got, err := s3.slot.Read(s3.out.Version, nil)
+	if err != nil || len(got) != 1 || got[0] != wantSink[0] {
+		t.Fatalf("task 3 wrote %v (err %v), want %v", got, err, wantSink)
+	}
+	computes := e.met.computes.Load()
+	withWorker(t, func(w *sched.Worker) {
+		e.tryInitCompute(w, s3, 0) // the traversal that came late
+	})
+	t1, _ := e.tasks.Load(1)
+	if s3.pred[0].Load() != t1 || t1.Life() != 1 {
+		t.Fatalf("late traversal cached %p, want the recovered incarnation %p (life %d)", s3.pred[0].Load(), t1, t1.Life())
+	}
+	if e.met.computes.Load() != computes || s3.join.Load() != 0 {
+		t.Fatalf("late traversal recomputed or re-notified: computes %d→%d join=%d", computes, e.met.computes.Load(), s3.join.Load())
+	}
+}
+
+// TestNotifyThroughStalePointer: a notify array entry that names a superseded
+// incarnation sends the notification to the one in the task table, and a
+// second notification through the same stale pointer finds the bit cleared.
+// An entry that is not superseded is used as it is.
+func TestNotifyThroughStalePointer(t *testing.T) {
+	e := NewFT(graph.Diamond(nil), Config{}) // preds(3) = [1, 2]
+	from, _ := e.insertIfAbsent(1)
+	stale, _ := e.insertIfAbsent(3)
+	cur := e.replaceTask(3)
+	withWorker(t, func(w *sched.Worker) {
+		e.notifySuccessor(w, from, stale)
+		e.notifySuccessor(w, from, stale)
+	})
+	if cur.bits.IsSet(0) || cur.bits.Count() != 2 || cur.join.Load() != 2 {
+		t.Fatalf("current incarnation: bits %d/3 join %d, want the bit of 1 cleared once and join 2", cur.bits.Count(), cur.join.Load())
+	}
+	if stale.bits.Count() != 3 || stale.join.Load() != 3 {
+		t.Fatalf("superseded incarnation was notified: bits %d/3 join %d", stale.bits.Count(), stale.join.Load())
+	}
+	if got := e.met.notifications.Load(); got != 1 {
+		t.Fatalf("notifications = %d, want 1", got)
+	}
+	// Not superseded: the pointer is the successor, table or no table.
+	loose := e.newTask(3, 0, false)
+	withWorker(t, func(w *sched.Worker) { e.notifySuccessor(w, from, loose) })
+	if loose.join.Load() != 2 || cur.join.Load() != 2 {
+		t.Fatalf("unsuperseded pointer: its join %d (want 2), table incarnation's join %d (want 2)", loose.join.Load(), cur.join.Load())
+	}
+}
+
+// farReader is a chain whose last task also reads the first, a task it
+// depends on only transitively — as the blocked FW and SW computes read blocks
+// behind ordering-only dependences.
+type farReader struct{ *graph.Static }
+
+func (s farReader) Compute(ctx graph.Context, key graph.Key) error {
+	if key != s.Sink() {
+		return s.Static.Compute(ctx, key)
+	}
+	near, err := ctx.ReadPred(key - 1)
+	if err != nil {
+		return err
+	}
+	far, err := ctx.ReadPred(0)
+	if err != nil {
+		return err
+	}
+	ctx.Write([]float64{near[0] + 100*far[0]})
+	return nil
+}
+
+// TestReadPredOfNonPredecessor: ReadPred of a key that is not in preds has no
+// cache entry to use and resolves through the task table — or, for a key no
+// descriptor exists for, through the spec.
+func TestReadPredOfNonPredecessor(t *testing.T) {
+	spec := farReader{graph.Chain(4, nil)}
+	_, want := groundTruth(t, spec, 0)
+	plan := func() *fault.Plan {
+		return fault.NewPlan().Add(0, fault.AfterCompute, 1).Add(2, fault.AfterCompute, 1)
+	}
+	for _, p := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			for name, run := range map[string]func() (*Result, error){
+				"baseline":  NewBaseline(spec, Config{Workers: p, Timeout: testTimeout}).Run,
+				"ft":        NewFT(spec, Config{Workers: p, Timeout: testTimeout}).Run,
+				"ft-faults": NewFT(spec, Config{Workers: p, Timeout: testTimeout, Plan: plan()}).Run,
+			} {
+				res, err := run()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(res.Sink) != 1 || res.Sink[0] != want[0] {
+					t.Fatalf("%s: sink %v, want %v", name, res.Sink, want)
+				}
+			}
+		})
+	}
+
+	// No descriptor at all for the task read: only its block exists.
+	e := NewFT(spec, Config{})
+	ref := spec.Output(0)
+	e.store.Write(ref.Block, ref.Version, 0, []float64{7})
+	ctx := &ftCtx{e: e, t: e.newTask(3, 0, false)}
+	if got, err := ctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
+		t.Fatalf("FT ReadPred through the spec: %v, %v", got, err)
+	}
+	b := NewBaseline(spec, Config{})
+	b.store.Write(ref.Block, ref.Version, 0, []float64{7})
+	bt, _ := b.insertIfAbsent(3)
+	bctx := &baseCtx{e: b, t: bt}
+	if got, err := bctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
+		t.Fatalf("baseline ReadPred through the spec: %v, %v", got, err)
+	}
+}
+
+// TestAllocationsPerTask is the tripwire on the per-task fixed cost: on a
+// fine-grain layered DAG an execution allocates at most maxAllocsPerTask
+// times per task — descriptor, predecessor cache, block slot, stored payload,
+// the two slices of graph.Static.Compute, and the amortized growth of the
+// task table, the slot table and the longer notify arrays. It was ≈ 17 before
+// descriptors resolved their facts once.
+func TestAllocationsPerTask(t *testing.T) {
+	const maxAllocsPerTask = 8
+	g := graph.Layered(40, 32, 3, 5, nil)
+	tasks := graph.Analyze(g).Tasks
+	cfg := Config{Workers: 2, VerifyChecksums: true, Timeout: testTimeout}
+	for name, run := range map[string]func() error{
+		"FT":       func() error { _, err := NewFT(g, cfg).Run(); return err },
+		"Baseline": func() error { _, err := NewBaseline(g, cfg).Run(); return err },
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(5, func() {
+			if e := run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		perTask := allocs / float64(tasks)
+		t.Logf("%s: %.2f allocations per task (%d tasks)", name, perTask, tasks)
+		if perTask > maxAllocsPerTask {
+			t.Errorf("%s: %.2f allocations per task, want <= %d", name, perTask, maxAllocsPerTask)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ftdag/internal/bitvec"
 	"ftdag/internal/block"
 	"ftdag/internal/cmap"
 	"ftdag/internal/fault"
@@ -215,8 +214,7 @@ func (e *FT) RunOn(pool *sched.Pool) (*Result, error) {
 		Store:   e.store.Stats(),
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
-	ref := e.spec.Output(e.spec.Sink())
-	data, err := e.store.Read(ref.Block, ref.Version)
+	data, err := st.slot.Read(st.out.Version, nil)
 	if err != nil {
 		// Only possible when a fault was injected on the sink's
 		// after-notify phase: nothing consumes the sink, so nothing
@@ -228,24 +226,24 @@ func (e *FT) RunOn(pool *sched.Pool) (*Result, error) {
 	return res, nil
 }
 
-// spawn schedules f as part of this run's group, so that per-run abort and
-// quiescence see exactly this run's work even on a shared pool. Outside a
-// RunOn execution (unit tests drive the routines directly on a bare worker)
-// there is no group and the spawn goes straight to the worker.
-func (e *FT) spawn(w *sched.Worker, f sched.Func) {
+// spawn schedules r.Run(_, arg) as part of this run's group, so that per-run
+// abort and quiescence see exactly this run's work even on a shared pool.
+// Outside a RunOn execution (unit tests drive the routines directly on a bare
+// worker) there is no group and the spawn goes straight to the worker.
+func (e *FT) spawn(w *sched.Worker, r sched.Runner, arg int) {
 	if e.group != nil {
-		e.group.Spawn(w, f)
+		e.group.SpawnRunner(w, r, arg)
 		return
 	}
-	w.Spawn(f)
+	w.SpawnRunner(r, arg)
 }
 
 // newTask builds a fresh incarnation descriptor.
 func (e *FT) newTask(key graph.Key, life int, recovery bool) *Task {
-	preds := e.spec.Predecessors(key)
-	t := &Task{key: key, life: life, recovery: recovery, preds: preds}
-	t.join.Store(int32(1 + len(preds)))
-	t.bits = bitvec.New(len(preds) + 1)
+	t := &Task{e: e, life: life, recovery: recovery}
+	t.resolve(e.spec, e.store, key)
+	t.join.Store(int32(1 + len(t.preds)))
+	t.bits.Init(len(t.preds) + 1)
 	return t
 }
 
@@ -254,27 +252,32 @@ func (e *FT) insertIfAbsent(key graph.Key) (*Task, bool) {
 	return e.tasks.LoadOrStore(key, func() *Task { return e.newTask(key, 0, false) })
 }
 
-// initAndCompute is INITANDCOMPUTE: traverse the immediate predecessors
-// (spawned so idle workers can steal the sub-traversals), then issue the
-// self-notification that makes the task eligible once every predecessor has
-// notified.
+// initAndCompute is INITANDCOMPUTE: traverse the immediate predecessors,
+// then issue the self-notification that makes the task eligible once every
+// predecessor has notified. All sub-traversals but the last are spawned, so
+// idle workers can steal them; the last runs by call, as the continuation of
+// a Cilk procedure runs after its last spawn — a spawn the same worker would
+// pop straight back buys nothing.
 func (e *FT) initAndCompute(w *sched.Worker, t *Task) {
-	for _, pkey := range t.preds {
-		pk := pkey
-		e.spawn(w, func(w *sched.Worker) { e.tryInitCompute(w, t, pk) })
+	if last := len(t.preds) - 1; last >= 0 {
+		for i := 0; i < last; i++ {
+			e.spawn(w, (*traverseJob)(t), i)
+		}
+		e.tryInitCompute(w, t, last)
 	}
-	e.notifyOnce(w, t, t.key)
+	e.notifyOnce(w, t, len(t.preds))
 }
 
-// tryInitCompute is TRYINITCOMPUTE: ensure the predecessor exists (exploring
-// it if this thread inserted it), then either register t in the
-// predecessor's notify array or, if the predecessor is already computed,
-// notify t directly. Any detected error on the predecessor triggers its
-// recovery.
-func (e *FT) tryInitCompute(w *sched.Worker, t *Task, pkey graph.Key) {
-	b, inserted := e.insertIfAbsent(pkey)
+// tryInitCompute is TRYINITCOMPUTE for t's i-th predecessor: ensure the
+// predecessor exists (exploring it if this thread inserted it), then either
+// register t in the predecessor's notify array or, if the predecessor is
+// already computed, notify t directly. Any detected error on the predecessor
+// triggers its recovery. The descriptor found stays in t.pred[i].
+func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
+	b, inserted := e.insertIfAbsent(t.preds[i])
+	t.pred[i].Store(b)
 	if inserted {
-		e.spawn(w, func(w *sched.Worker) { e.initAndCompute(w, b) })
+		e.spawn(w, (*exploreJob)(b), 0)
 	}
 	err := func() error { // try
 		if err := b.check(); err != nil {
@@ -287,13 +290,13 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, pkey graph.Key) {
 			return err
 		}
 		if b.Status() < Computed {
-			b.notify = append(b.notify, t.key)
+			b.notify = append(b.notify, t)
 			e.met.registrations.Add(1)
 			finished = false
 		}
 		b.mu.Unlock()
 		if finished {
-			e.notifyOnce(w, t, pkey)
+			e.notifyOnce(w, t, i)
 		}
 		return nil
 	}()
@@ -302,23 +305,23 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, pkey graph.Key) {
 	}
 }
 
-// notifyOnce is NOTIFYONCE: clear the bit for the notifying predecessor and,
-// if this notification won the bit, decrement the join counter; the thread
-// that takes it to zero executes the task. Errors accessing t trigger t's
-// recovery.
-func (e *FT) notifyOnce(w *sched.Worker, t *Task, pkey graph.Key) {
+// notifyOnce is NOTIFYONCE: clear the bit of the notifying predecessor — ind
+// is its predIndex, len(t.preds) for the self-notification — and, if this
+// notification won the bit, decrement the join counter; the thread that takes
+// it to zero executes the task. Errors accessing t trigger t's recovery.
+func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
 	err := func() error { // try
 		if err := t.check(); err != nil {
 			return err
 		}
-		if !t.bits.TestAndClear(t.predIndex(pkey)) {
+		if !t.bits.TestAndClear(ind) {
 			return nil
 		}
 		e.met.notifications.Add(1)
 		if ins := e.cfg.Instruments; ins != nil {
 			ins.Notifications.Inc()
 		}
-		e.cfg.Trace.Emit(trace.Notify, t.key, t.life, pkey)
+		e.cfg.Trace.Emit(trace.Notify, t.key, t.life, t.predKey(ind))
 		if t.join.Add(-1) == 0 {
 			e.computeAndNotify(w, t)
 		}
@@ -329,16 +332,18 @@ func (e *FT) notifyOnce(w *sched.Worker, t *Task, pkey graph.Key) {
 	}
 }
 
-// notifySuccessor is NOTIFYSUCCESSOR.
-func (e *FT) notifySuccessor(w *sched.Worker, from graph.Key, skey graph.Key) {
-	s, ok := e.tasks.Load(skey)
-	if !ok {
-		// The successor was registered, so it must exist; a missing
-		// entry can only mean the registration raced a recovery
-		// replacement, in which case the recovery scan covers it.
-		return
+// notifySuccessor is NOTIFYSUCCESSOR: notify the current incarnation of a
+// successor registered in from's notify array. The array holds the
+// descriptor that registered; unless a recovery has superseded it, that is
+// the current incarnation and the task table is not consulted. The flag is
+// read where the table used to be read, so a replacement that lands later is
+// the race it always was: the notification goes to the old incarnation, and
+// the recovery scan has re-registered a successor whose bit was still set.
+func (e *FT) notifySuccessor(w *sched.Worker, from, s *Task) {
+	if s.superseded.Load() {
+		s, _ = e.tasks.Load(s.key)
 	}
-	e.notifyOnce(w, s, from)
+	e.notifyOnce(w, s, s.predIndex(from.key))
 }
 
 // computeAndNotify is COMPUTEANDNOTIFY: run the user compute, mark the task
@@ -410,9 +415,13 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 	if sp != nil {
 		spanStart = time.Now()
 	}
-	ctx := &ftCtx{e: e, t: t, capture: rj != nil}
+	ctx := ftCtxPool.Get().(*ftCtx)
+	ctx.e, ctx.t, ctx.capture = e, t, rj != nil
 	err := e.spec.Compute(ctx, t.key)
+	wrote, sum, reads := ctx.wrote, ctx.sum, ctx.reads
 	ctx.release(rj == nil)
+	*ctx = ftCtx{heldBufs: ctx.heldBufs}
+	ftCtxPool.Put(ctx)
 	if ins != nil {
 		ins.ComputeLatency.ObserveSince(computeStart)
 	}
@@ -426,12 +435,12 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 		}
 		return err
 	}
-	if !ctx.wrote {
+	if !wrote {
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
 	}
 	if rj != nil {
-		rj.inputs = ctx.reads
-		rj.primaryDigest = ctx.sum
+		rj.inputs = reads
+		rj.primaryDigest = sum
 	}
 	return nil
 }
@@ -453,21 +462,11 @@ func (e *FT) emitSpan(name string, start time.Time, dur time.Duration, key graph
 	})
 }
 
-// notifyBatchSize is how many successors one spawned drain job notifies.
-// Chunking amortizes the per-spawn cost (group and pool pending counters,
-// deque push, wake check) over the batch while keeping the fan-out
-// stealable at chunk granularity; 8 keeps a task with a handful of
-// successors on one job and splits the big broadcast nodes across workers.
-const notifyBatchSize = 8
-
-// finishAndNotify marks t Computed and drains its notify array (spawning
-// one notifySuccessor batch per notifyBatchSize entries, re-checking under
-// the lock until the array stops growing), then fires any planned
-// after-notify fault. The spawned jobs reference frozen sub-ranges of
-// t.notify directly — entries below the observed length are never rewritten
-// and a concurrent append that grows the array leaves the old backing array
-// intact — so the drain copies no keys and allocates only one closure per
-// batch rather than one per successor.
+// finishAndNotify marks t Computed and drains its notify array (spawning one
+// drain job per notifyBatchSize entries, re-checking under the lock until the
+// array stops growing), then fires any planned after-notify fault. A drain
+// job is t itself plus the batch's position, so the drain copies no entries
+// and allocates nothing.
 func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 	if h := e.cfg.Hooks.OnComputed; h != nil {
 		h(t.key, t.life)
@@ -484,17 +483,11 @@ func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 			e.cfg.Trace.Emit(trace.Completed, t.key, t.life, int64(notified))
 			break
 		}
-		fresh := t.notify[notified:total:total]
 		t.mu.Unlock()
-		notified = total
-		for start := 0; start < len(fresh); start += notifyBatchSize {
-			batch := fresh[start:min(start+notifyBatchSize, len(fresh))]
-			e.spawn(w, func(w *sched.Worker) {
-				for _, sk := range batch {
-					e.notifySuccessor(w, t.key, sk)
-				}
-			})
+		for lo := notified; lo < total; lo += notifyBatchSize {
+			e.spawn(w, (*drainJob)(t), batchArg(lo, total))
 		}
+		notified = total
 	}
 	if e.plan.Fire(t.key, t.life, fault.AfterNotify) {
 		// Silent corruption: no exception here; the fault is
@@ -547,8 +540,7 @@ func (e *FT) inject(t *Task, withBlock bool) {
 	}
 	t.poisoned.Store(true)
 	if withBlock {
-		ref := e.spec.Output(t.key)
-		e.store.Corrupt(ref.Block, ref.Version)
+		e.store.Corrupt(t.out.Block, t.out.Version)
 	}
 	e.met.injections.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
@@ -618,7 +610,7 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 					return err
 				}
 			}
-			e.spawn(w, func(w *sched.Worker) { e.initAndCompute(w, t) })
+			e.spawn(w, (*exploreJob)(t), 0)
 			return nil
 		}()
 		if ins != nil {
@@ -641,13 +633,14 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 }
 
 // replaceTask is REPLACETASK: atomically install a fresh incarnation with
-// life+1.
+// life+1, and mark the old one superseded for the holders of its pointer.
 func (e *FT) replaceTask(key graph.Key) *Task {
 	var nt *Task
 	e.tasks.Update(key, func(old *Task, ok bool) *Task {
 		life := 0
 		if ok {
 			life = old.life + 1
+			old.superseded.Store(true)
 		}
 		nt = e.newTask(key, life, true)
 		return nt
@@ -678,7 +671,7 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 				return err
 			}
 			t.mu.Lock()
-			t.notify = append(t.notify, s.key)
+			t.notify = append(t.notify, s)
 			t.mu.Unlock()
 			e.met.reinitEnqueues.Add(1)
 		}

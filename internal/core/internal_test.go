@@ -68,8 +68,14 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 	if t0.Life() != 0 {
 		t.Fatal("old incarnation mutated")
 	}
+	// The replaced incarnations are marked for the holders of their
+	// pointers; the newest is not.
+	if !t0.superseded.Load() || !t1.superseded.Load() || t2.superseded.Load() {
+		t.Fatalf("superseded flags: t0=%v t1=%v t2=%v, want true true false",
+			t0.superseded.Load(), t1.superseded.Load(), t2.superseded.Load())
+	}
 	// Replacing a never-inserted key starts at life 0.
-	fresh := e.replaceTask(99)
+	fresh := e.replaceTask(1)
 	if fresh.Life() != 0 {
 		t.Fatalf("replacement of absent key: life=%d", fresh.Life())
 	}
@@ -87,6 +93,22 @@ func TestNewTaskShape(t *testing.T) {
 	}
 	if task.predIndex(1) != 0 || task.predIndex(2) != 1 || task.predIndex(3) != 2 {
 		t.Fatal("predIndex mapping wrong")
+	}
+	for i, want := range []graph.Key{1, 2, 3} {
+		if got := task.predKey(i); got != want {
+			t.Fatalf("predKey(%d) = %d, want %d", i, got, want)
+		}
+	}
+	// What the descriptor resolves once: output ref, block slot, an empty
+	// cache entry per predecessor, an empty notify array.
+	if task.out != g.Output(3) || task.slot != e.store.Slot(task.out.Block) {
+		t.Fatalf("out=%v slot=%p, want %v and the store's slot", task.out, task.slot, g.Output(3))
+	}
+	if len(task.pred) != 2 || task.pred[0].Load() != nil || task.pred[1].Load() != nil {
+		t.Fatalf("predecessor cache = %d entries, want 2 nil ones", len(task.pred))
+	}
+	if len(task.notify) != 0 {
+		t.Fatalf("notify array starts with %d entries", len(task.notify))
 	}
 }
 

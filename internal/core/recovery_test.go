@@ -33,8 +33,8 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 		if err := e.reinitNotifyEntry(w, pred, succ); err != nil {
 			t.Fatalf("reinit: %v", err)
 		}
-		if len(pred.notify) != 1 || pred.notify[0] != 3 {
-			t.Fatalf("notify array = %v, want [3]", pred.notify)
+		if len(pred.notify) != 1 || pred.notify[0] != succ {
+			t.Fatalf("notify array = %v, want [task 3's descriptor]", pred.notify)
 		}
 
 		// Bit already cleared (successor was notified) → no enqueue.
@@ -68,16 +68,6 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 	if !ok || cur.Life() != 1 {
 		t.Fatalf("poisoned successor not recovered: life=%d", cur.Life())
 	}
-}
-
-// TestNotifySuccessorMissingTask: a notification for a key absent from the
-// table is dropped (covered by the recovery scan), not a crash.
-func TestNotifySuccessorMissingTask(t *testing.T) {
-	g := graph.Diamond(nil)
-	e := NewFT(g, Config{})
-	withWorker(t, func(w *sched.Worker) {
-		e.notifySuccessor(w, 0, 99) // 99 never inserted
-	})
 }
 
 // TestRecoverFromErrorPanicsOnForeignError: non-fault errors are executor

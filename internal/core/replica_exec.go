@@ -205,8 +205,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 			// so the downstream notify closure re-attaches to the
 			// fresh incarnation via the recovery scan.
 			t.poisoned.Store(true)
-			ref := e.spec.Output(t.key)
-			e.store.Corrupt(ref.Block, ref.Version)
+			e.store.Corrupt(t.out.Block, t.out.Version)
 			return fault.Errorf(t.key, t.life)
 		}
 		e.finishAndNotify(w, t)
@@ -227,8 +226,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 // can observe it. Only replica digest comparison can. It returns the
 // recomputed checksum and whether the version was still retained.
 func (e *FT) injectSDC(t *Task) (sum uint64, ok bool) {
-	ref := e.spec.Output(t.key)
-	sum, ok = e.store.CorruptSilently(ref.Block, ref.Version)
+	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.life, 0)
 	e.met.sdcInjected.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {

@@ -35,8 +35,9 @@ func (e *Sequential) Run() (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
+	ctx := &seqCtx{e: e}
 	for _, key := range order {
-		ctx := &seqCtx{e: e, key: key}
+		ctx.key, ctx.wrote = key, false
 		if err := e.spec.Compute(ctx, key); err != nil {
 			return nil, fmt.Errorf("core: sequential compute of task %d: %w", key, err)
 		}
@@ -67,12 +68,8 @@ type seqCtx struct {
 var _ graph.Context = (*seqCtx)(nil)
 
 func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
-	ref := c.e.spec.Output(pred)
-	data, err := c.e.store.Read(ref.Block, ref.Version)
-	if err == nil && len(data) >= block.PoolMin {
-		c.hold(pred, data, 0)
-	}
-	return data, err
+	slot, version := specOutput(c.e.spec, c.e.store, pred)
+	return c.read(pred, slot, version, false)
 }
 
 func (c *seqCtx) Write(data []float64) {

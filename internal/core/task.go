@@ -6,12 +6,12 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ftdag/internal/bitvec"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/sched"
 )
 
 // Status is the execution status of a task (paper §III). Once inserted into
@@ -44,7 +44,13 @@ func (s Status) String() string {
 // entry with a fresh incarnation carrying life+1 (paper REPLACETASK), so a
 // *Task pointer held by a stale thread keeps observing the failed state.
 type Task struct {
-	key  graph.Key
+	// node holds what is resolved once per task — key, predecessor list,
+	// output block version and slot, the descriptors found for the
+	// predecessors — and the notify array. The task graph structure is
+	// assumed resilient (paper §II), so none of it is a fault target.
+	node[Task]
+
+	e    *FT
 	life int
 
 	// join is the number of outstanding notifications: one per
@@ -53,16 +59,13 @@ type Task struct {
 	// is still executed exactly once, by the self-notify.
 	join atomic.Int32
 
+	status atomic.Int32
+
 	// bits has len(preds)+1 bits (the last is the self slot). Bit i is
 	// cleared at most once per round by the notification from
 	// predecessor i; the join counter is decremented only when the clear
 	// won the race (Guarantee 3).
-	bits *bitvec.Vector
-
-	mu     sync.Mutex // guards notify
-	notify []graph.Key
-
-	status atomic.Int32
+	bits bitvec.Vector
 
 	// poisoned marks the descriptor as corrupted by a soft error; every
 	// subsequent access observes it via check (the paper's "once an
@@ -74,13 +77,14 @@ type Task struct {
 	// need it must recover (re-execute) this task (paper §II/§IV).
 	overwritten atomic.Bool
 
+	// superseded marks that replaceTask has installed a newer incarnation
+	// in the task table. Notify arrays and predecessor caches hold
+	// descriptor pointers; a holder that wants the current incarnation —
+	// notifySuccessor — goes back to the table when it sees the flag.
+	superseded atomic.Bool
+
 	// recovery marks incarnations created by recoverTask (life > 0).
 	recovery bool
-
-	// preds caches the spec's ordered predecessor list. The task graph
-	// structure is assumed resilient (paper §II), so this cache is not a
-	// fault target.
-	preds []graph.Key
 }
 
 // Key returns the task's key.
@@ -109,10 +113,47 @@ func (t *Task) predIndex(pred graph.Key) int {
 	if pred == t.key {
 		return len(t.preds)
 	}
-	for i, p := range t.preds {
-		if p == pred {
-			return i
-		}
+	if i := indexOf(t.preds, pred); i >= 0 {
+		return i
 	}
 	panic(fmt.Sprintf("core: task %d notified by non-predecessor %d", t.key, pred))
+}
+
+// predKey is the inverse of predIndex.
+func (t *Task) predKey(i int) graph.Key {
+	if i == len(t.preds) {
+		return t.key
+	}
+	return t.preds[i]
+}
+
+// The executor spawns three kinds of job, and each is the task descriptor
+// under another method set: a *Task converts to any of them for free, and a
+// pointer in a sched.Runner costs no allocation, where a closure capturing
+// the executor, the task and an index costs one per spawn.
+type (
+	// exploreJob runs INITANDCOMPUTE of the task.
+	exploreJob Task
+	// traverseJob runs TRYINITCOMPUTE of the task's arg-th predecessor.
+	traverseJob Task
+	// drainJob runs NOTIFYSUCCESSOR over the batch of the task's notify
+	// array that arg names.
+	drainJob Task
+)
+
+func (j *exploreJob) Run(w *sched.Worker, _ int) {
+	t := (*Task)(j)
+	t.e.initAndCompute(w, t)
+}
+
+func (j *traverseJob) Run(w *sched.Worker, i int) {
+	t := (*Task)(j)
+	t.e.tryInitCompute(w, t, i)
+}
+
+func (j *drainJob) Run(w *sched.Worker, arg int) {
+	t := (*Task)(j)
+	for _, s := range t.batch(arg) {
+		t.e.notifySuccessor(w, t, s)
+	}
 }

@@ -60,15 +60,18 @@ func (g *Group) Pool() *Pool { return g.pool }
 // Submit schedules f from outside the pool as part of this group.
 func (g *Group) Submit(f Func) {
 	g.pending.Add(1)
-	g.pool.submitJob(job{fn: f, g: g})
+	g.pool.submitJob(job{run: f, g: g})
 }
 
 // Spawn schedules f from a job running on w as part of this group. Like
 // Worker.Spawn it must be called from a job executing on w; f lands on w's
 // own deque (or the shared queue under the central-queue policy).
-func (g *Group) Spawn(w *Worker, f Func) {
+func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
+
+// SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner).
+func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
 	g.pending.Add(1)
-	w.spawnJob(job{fn: f, g: g})
+	w.spawnJob(job{run: r, arg: arg, g: g})
 }
 
 // SpawnAvoiding schedules f as part of this group on some worker other than
@@ -76,7 +79,7 @@ func (g *Group) Spawn(w *Worker, f Func) {
 // returns the chosen worker id. Used for distinct-worker replica placement.
 func (g *Group) SpawnAvoiding(w *Worker, f Func) int {
 	g.pending.Add(1)
-	return g.pool.submitAvoidingJob(w.ID(), job{fn: f, g: g})
+	return g.pool.submitAvoidingJob(w.ID(), job{run: f, g: g})
 }
 
 // Pending returns the group's outstanding job count (scheduled but not yet

@@ -22,7 +22,9 @@
 //     allocations in steady state.
 //
 // The task-graph executors in internal/core express every traversal step
-// (TRYINITCOMPUTE, INITANDCOMPUTE, NOTIFYSUCCESSOR, …) as a spawned job.
+// (TRYINITCOMPUTE, INITANDCOMPUTE, NOTIFYSUCCESSOR, …) as a spawned job: a
+// Runner — the task descriptor — plus an integer, so the caller's side of a
+// spawn allocates nothing either.
 package sched
 
 import (
@@ -39,16 +41,30 @@ import (
 // further spawns land on that worker's own deque, as in Cilk.
 type Func func(w *Worker)
 
-// job is the scheduler's internal unit of work: the function plus the
-// group it is accounted to (nil for ungrouped work) and, on observed pools,
-// the injector enqueue time. Groups used to wrap every function in a
+// Runner is a unit of work that is a value instead of a closure: the
+// scheduler calls Run with the worker executing it and the integer it was
+// spawned with. A task-graph executor spawns one job per dependence edge; with
+// the task descriptor (a pointer) as the Runner and the edge index as arg, the
+// spawn allocates nothing, where a closure capturing the same two would cost
+// an allocation per edge. Func is the Runner that ignores arg.
+type Runner interface {
+	Run(w *Worker, arg int)
+}
+
+// Run calls f; it makes every Func a Runner.
+func (f Func) Run(w *Worker, _ int) { f(w) }
+
+// job is the scheduler's internal unit of work: the Runner and its argument
+// plus the group it is accounted to (nil for ungrouped work) and, on observed
+// pools, the injector enqueue time. Groups used to wrap every function in a
 // closure to attach abort/quiescence bookkeeping; carrying the group as a
 // field instead keeps the spawn path allocation-free and the bookkeeping
 // inline in the worker loop.
 type job struct {
-	fn Func
-	g  *Group
-	at time.Time // injector enqueue time; set only on observed pools
+	run Runner
+	arg int
+	g   *Group
+	at  time.Time // injector enqueue time; set only on observed pools
 }
 
 // Stats aggregates scheduler counters across all workers of a Pool run.
@@ -147,7 +163,11 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // pushed onto this worker's own deque (LIFO, stealable FIFO); under the
 // central-queue ablation policy it goes through the shared queue. Must be
 // called from a job running on w.
-func (w *Worker) Spawn(f Func) { w.spawnJob(job{fn: f}) }
+func (w *Worker) Spawn(f Func) { w.SpawnRunner(f, 0) }
+
+// SpawnRunner is Spawn for a Runner: r.Run(w', arg) runs on whichever worker
+// w' takes the job.
+func (w *Worker) SpawnRunner(r Runner, arg int) { w.spawnJob(job{run: r, arg: arg}) }
 
 func (w *Worker) spawnJob(j job) {
 	p := w.pool
@@ -183,7 +203,7 @@ func (w *Worker) newSlot() *job {
 // putSlot recycles an executed job's slot into this worker's free-list,
 // dropping it for the garbage collector when the list is full.
 func (w *Worker) putSlot(s *job) {
-	*s = job{} // release the closure and group for GC
+	*s = job{} // release the runner and group for GC
 	if len(w.free) < cap(w.free) {
 		w.free = append(w.free, s)
 	}
@@ -268,7 +288,7 @@ func (p *Pool) Size() int { return len(p.workers) }
 
 // Submit schedules f from outside the pool (e.g. the root of a task-graph
 // traversal). Jobs submitted here are picked up by idle workers.
-func (p *Pool) Submit(f Func) { p.submitJob(job{fn: f}) }
+func (p *Pool) Submit(f Func) { p.submitJob(job{run: f}) }
 
 func (p *Pool) submitJob(j job) {
 	p.pending.Add(1)
@@ -324,7 +344,7 @@ func (p *Pool) takeOverflow() (job, bool) {
 // primitive behind distinct-worker replica execution (a replica that
 // migrated onto the same core as its twin could share the corruption it is
 // meant to catch).
-func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{fn: f}) }
+func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{run: f}) }
 
 func (p *Pool) submitToJob(id int, j job) {
 	w := p.workers[id]
@@ -344,7 +364,7 @@ func (p *Pool) submitToJob(id int, j job) {
 // no other worker; the job runs on worker 0 (degraded placement — callers
 // that need true physical separation must provision P >= 2).
 func (p *Pool) SubmitAvoiding(avoid int, f Func) int {
-	return p.submitAvoidingJob(avoid, job{fn: f})
+	return p.submitAvoidingJob(avoid, job{run: f})
 }
 
 func (p *Pool) submitAvoidingJob(avoid int, j job) int {
@@ -547,11 +567,11 @@ func (w *Worker) exec(j job) {
 // exactly when its last job has finished or been skipped.
 func (w *Worker) invoke(j job) {
 	if j.g == nil {
-		j.fn(w)
+		j.run.Run(w, j.arg)
 		return
 	}
 	if !j.g.aborted.Load() {
-		j.fn(w)
+		j.run.Run(w, j.arg)
 	}
 	if j.g.pending.Add(-1) == 0 {
 		j.g.mu.Lock()

@@ -221,3 +221,67 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("unknown policy string empty")
 	}
 }
+
+// countdown is a Runner whose job is a value: each run records its argument
+// and respawns itself with the next one down.
+type countdown struct {
+	g    *Group // nil: spawn on the worker directly
+	seen []int
+}
+
+func (c *countdown) Run(w *Worker, arg int) {
+	c.seen = append(c.seen, arg)
+	switch {
+	case arg == 0:
+	case c.g != nil:
+		c.g.SpawnRunner(w, c, arg-1)
+	default:
+		w.SpawnRunner(c, arg-1)
+	}
+}
+
+// TestSpawnRunner: a Runner spawned with an argument runs with it, directly on
+// a worker and through a group (counted toward the group's quiescence, skipped
+// after its abort), and the spawn→execute cycle of a pointer Runner allocates
+// nothing — which is the reason the type exists.
+func TestSpawnRunner(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	for _, grouped := range []bool{false, true} {
+		c := &countdown{seen: make([]int, 0, 8)}
+		if grouped {
+			c.g = p.NewGroup()
+			c.g.Submit(func(w *Worker) { c.g.SpawnRunner(w, c, 5) })
+			c.g.Wait()
+		} else {
+			p.Submit(func(w *Worker) { w.SpawnRunner(c, 5) })
+			p.Wait()
+		}
+		if len(c.seen) != 6 || c.seen[0] != 5 || c.seen[5] != 0 {
+			t.Fatalf("grouped=%v: ran with arguments %v, want 5 down to 0", grouped, c.seen)
+		}
+	}
+
+	g := p.NewGroup()
+	c := &countdown{g: g}
+	g.Submit(func(w *Worker) {
+		g.Abort()
+		g.SpawnRunner(w, c, 3)
+	})
+	p.Wait()
+	if len(c.seen) != 0 || g.Pending() != 0 {
+		t.Fatalf("aborted group ran %v, pending %d; want nothing run and nothing pending", c.seen, g.Pending())
+	}
+
+	c = &countdown{g: p.NewGroup(), seen: make([]int, 0, 1<<12)}
+	run := func() {
+		c.seen = c.seen[:0]
+		c.g.Submit(func(w *Worker) { c.g.SpawnRunner(w, c, 1000) })
+		c.g.Wait()
+	}
+	run() // fill the slot free-list
+	// The Submit closure is the one allocation; 1000 spawns add none.
+	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
+		t.Fatalf("1000 SpawnRunner cycles allocated %v times, want the Submit closure only", allocs)
+	}
+}
