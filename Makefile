@@ -61,8 +61,11 @@ lint-json:
 # Ps, five runs each: the interleavings (steal between notify and inject, a
 # shadow racing an evicting writer, a hitter on a stripe beside an inserter)
 # differ with the core count, and every PR before 12 was developed on one
-# core.
-RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/...
+# core. The durable service rides the same sweep — service, journal, trace:
+# whether the runner finishes a job before its Submit's fsync returns, who
+# shares whose group commit, and a snapshot racing emitters are orderings
+# the core count decides.
+RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/...
 
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...

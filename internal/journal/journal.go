@@ -10,13 +10,15 @@
 // tail and replaying the valid prefix — a crash never costs more than the
 // unsynced suffix, and never fails the whole store.
 //
-// The hot append path uses batched group commit: concurrent Append calls
-// write their frames under a short mutex and then share fsyncs — the first
-// caller into the sync section flushes every frame written so far, and the
-// batch returns together. Segments rotate at a size threshold; each
-// rotation snapshots the folded state and deletes the segments it covers,
-// so recovery replays one snapshot plus at most one segment's worth of
-// records.
+// The hot append path is two steps, Write and Sync (Append is the two
+// together). Write puts the frame in the segment under a short mutex; Sync
+// waits until it is on disk, with batched group commit: the first caller into
+// the sync section flushes every frame written so far, and the batch returns
+// together. A record nobody waits for (the service's Started) is only
+// written, and rides the next caller's fsync. Segments rotate at a size
+// threshold; each rotation snapshots the folded state and deletes the
+// segments it covers, so recovery replays one snapshot plus at most one
+// segment's worth of records.
 //
 //lint:deterministic crash-replay digests: replaying the same records must fold to the same state in every process incarnation
 package journal
@@ -107,6 +109,7 @@ type Journal struct {
 	syncMu    sync.Mutex // serializes fsync batches; held across rotation
 	syncedSeq uint64
 	syncErr   error
+	syncFault error // injected by FailSyncs
 
 	obs atomic.Pointer[journalObs] // instrument bundle; nil until Observe
 
@@ -390,17 +393,33 @@ func (j *Journal) writeSnapshot(st *State, seq uint64) error {
 	return nil
 }
 
-// Append durably adds one record: it is written, folded into the in-memory
-// state, and fsynced (group commit — concurrent appenders share syncs)
-// before Append returns. Rotation and snapshotting happen inline when the
-// segment crosses the size threshold.
+// Ticket names a written record for Sync.
+type Ticket struct {
+	seq    uint64
+	rotate bool      // the segment had crossed its size threshold
+	start  time.Time // when Write began, for the append-latency histogram; zero when unobserved
+}
+
+// Append durably adds one record: Write, then Sync.
 //
 //lint:durable fsync
 func (j *Journal) Append(rec Record) error {
-	o := j.obs.Load()
-	var appendStart time.Time
-	if o != nil {
-		appendStart = o.appendLat.Start()
+	t, err := j.Write(rec)
+	if err != nil {
+		return err
+	}
+	return j.Sync(t)
+}
+
+// Write adds one record without waiting for the disk: it is framed, written
+// to the segment and folded into the in-memory state (State shows it at
+// once). It is durable once Sync of the returned ticket — or of any later
+// one: the log is one ordered file — has returned nil. A crash before that
+// may lose it, together with everything written after it.
+func (j *Journal) Write(rec Record) (Ticket, error) {
+	var t Ticket
+	if o := j.obs.Load(); o != nil {
+		t.start = o.appendLat.Start()
 	}
 	if rec.Time.IsZero() {
 		//lint:ignore detrand record timestamps are observability metadata; replay folds state from record kinds and payloads, never from Time
@@ -408,39 +427,56 @@ func (j *Journal) Append(rec Record) error {
 	}
 	frame, err := EncodeRecord(&rec)
 	if err != nil {
-		return err
+		return t, err
 	}
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return ErrClosed
+		return t, ErrClosed
 	}
 	if _, err := j.f.Write(frame); err != nil {
 		j.mu.Unlock()
-		return err
+		return t, err
 	}
 	j.size += int64(len(frame))
 	j.state.apply(&rec)
 	j.appendSeq++
-	ticket := j.appendSeq
-	needRotate := j.size >= j.opts.SegmentBytes
+	t.seq, t.rotate = j.appendSeq, j.size >= j.opts.SegmentBytes
 	j.mu.Unlock()
 
 	j.stats.Lock()
 	j.stats.Appends++
 	j.stats.Unlock()
+	return t, nil
+}
 
-	if err := j.syncTo(ticket); err != nil {
+// Sync blocks until the ticket's record, and every record written before it,
+// is fsynced (group commit — concurrent callers share syncs). Rotation and
+// snapshotting happen inline when the segment has crossed the size threshold.
+//
+//lint:durable fsync
+func (j *Journal) Sync(t Ticket) error {
+	if err := j.syncTo(t.seq); err != nil {
 		return err
 	}
-	if o != nil {
+	if o := j.obs.Load(); o != nil && !t.start.IsZero() {
 		// Measured here: the record is durable; rotation is housekeeping.
-		o.appendLat.ObserveSince(appendStart)
+		o.appendLat.ObserveSince(t.start)
 	}
-	if needRotate {
+	if t.rotate {
 		j.rotate()
 	}
 	return nil
+}
+
+// FailSyncs makes every group-commit fsync from now on report err without
+// touching the disk (nil heals). It is fault injection for the callers' error
+// paths — a Sync that fails after its Write succeeded — which no real file
+// can be made to produce on demand.
+func (j *Journal) FailSyncs(err error) {
+	j.syncMu.Lock()
+	j.syncFault = err
+	j.syncMu.Unlock()
 }
 
 // syncTo blocks until every record up to ticket is fsynced. The first
@@ -464,8 +500,11 @@ func (j *Journal) syncTo(ticket uint64) error {
 		return ErrClosed
 	}
 	batch := int64(cur - j.syncedSeq)
-	//lint:ignore lockscope group commit by design: the fsync under syncMu is the batching point every concurrent appender shares
-	err := f.Sync()
+	err := j.syncFault
+	if err == nil {
+		//lint:ignore lockscope group commit by design: the fsync under syncMu is the batching point every concurrent appender shares
+		err = f.Sync()
+	}
 	j.syncedSeq, j.syncErr = cur, err
 	j.stats.Lock()
 	j.stats.Fsyncs++

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -441,4 +442,137 @@ func BenchmarkAppendParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWriteThenSync: Write returns without touching the disk's write-back
+// and the state shows the record at once; Sync of a ticket covers every
+// earlier write with one fsync; a ticket already covered costs none; Append
+// is the two together.
+func TestWriteThenSync(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, Options{Dir: dir})
+	var tickets []Ticket
+	for _, rec := range lifecycle(1, "aa") {
+		tk, err := j.Write(rec)
+		if err != nil {
+			t.Fatalf("Write(%v): %v", rec.Kind, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if s := j.Stats(); s.Appends != 3 || s.Fsyncs != 0 {
+		t.Fatalf("after three writes: appends %d fsyncs %d, want 3 and 0", s.Appends, s.Fsyncs)
+	}
+	if got := j.State().Jobs[1]; got == nil || got.State != Succeeded {
+		t.Fatalf("written records not folded into the state: %+v", got)
+	}
+	if err := j.Sync(tickets[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(tickets[0]); err != nil {
+		t.Fatal(err)
+	}
+	if s := j.Stats(); s.Fsyncs != 1 {
+		t.Fatalf("fsyncs = %d after syncing the last ticket and then a covered one, want 1", s.Fsyncs)
+	}
+	appendAll(t, j, Record{Kind: Submitted, ID: 2, Name: "two"})
+	if s := j.Stats(); s.Appends != 4 || s.Fsyncs != 2 {
+		t.Fatalf("after Append: appends %d fsyncs %d, want 4 and 2", s.Appends, s.Fsyncs)
+	}
+	// Crash-reopen (no Close): everything synced is there.
+	j2 := mustOpen(t, Options{Dir: dir})
+	defer j2.Close()
+	if st := j2.State(); len(st.Jobs) != 2 || st.Jobs[1].State != Succeeded || st.Jobs[2].State != Submitted {
+		t.Fatalf("recovered state = %+v", st.Jobs)
+	}
+}
+
+// TestSyncFailureAfterWrite: an fsync that fails after the write succeeded
+// fails the Sync (and an Append) but not the journal — once the fault heals,
+// a later ticket syncs.
+func TestSyncFailureAfterWrite(t *testing.T) {
+	j := mustOpen(t, Options{Dir: t.TempDir()})
+	defer j.Close()
+	boom := errors.New("injected fsync failure")
+	j.FailSyncs(boom)
+	tk, err := j.Write(Record{Kind: Submitted, ID: 1, Name: "one"})
+	if err != nil {
+		t.Fatalf("Write must not see the sync fault: %v", err)
+	}
+	if err := j.Sync(tk); !errors.Is(err, boom) {
+		t.Fatalf("Sync = %v, want the injected failure", err)
+	}
+	if err := j.Append(Record{Kind: Started, ID: 1}); !errors.Is(err, boom) {
+		t.Fatalf("Append = %v, want the injected failure", err)
+	}
+	j.FailSyncs(nil)
+	appendAll(t, j, Record{Kind: Succeeded, ID: 1, SinkDigest: "aa"})
+}
+
+// TestUnsyncedStartedTail: the service writes Started and waits for no
+// fsync, so a crash can leave it as the tail of the log — whole, torn, or
+// missing. Every variant replays to an incomplete job (to be re-run), the
+// torn one with its bytes truncated, and the log takes the re-run's records.
+func TestUnsyncedStartedTail(t *testing.T) {
+	for name, keep := range map[string]func(frameLen int64) int64{
+		"whole":   func(n int64) int64 { return n },
+		"torn":    func(n int64) int64 { return n / 2 },
+		"missing": func(int64) int64 { return 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := mustOpen(t, Options{Dir: dir})
+			appendAll(t, j, lifecycle(1, "aa")...)
+			appendAll(t, j, Record{Kind: Submitted, ID: 2, Name: "tail", Payload: []byte(`{}`)})
+			seg := segFiles(t, dir)[0]
+			synced, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Write(Record{Kind: Started, ID: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if s := j.Stats(); s.Appends != 5 || s.Fsyncs != 4 {
+				t.Fatalf("appends %d fsyncs %d, want 5 and 4: Started must not be synced", s.Appends, s.Fsyncs)
+			}
+			// Crash: no Close. The unsynced frame made it to disk in part.
+			written, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := keep(written.Size() - synced.Size())
+			if err := os.Truncate(seg, synced.Size()+kept); err != nil {
+				t.Fatal(err)
+			}
+
+			var lg testLogf
+			j2 := mustOpen(t, Options{Dir: dir, Logf: lg.logf})
+			wantState, wantTorn := Submitted, int64(0)
+			switch name {
+			case "whole":
+				wantState = Started
+			case "torn":
+				wantTorn = kept
+			}
+			if n, _ := j2.Truncated(); n != wantTorn {
+				t.Fatalf("truncated %d bytes, want %d", n, wantTorn)
+			}
+			got := j2.State().Jobs[2]
+			if got.State != wantState || got.Terminal() || string(got.Payload) != `{}` {
+				t.Fatalf("job 2 replays to %+v, want incomplete in state %v with its payload", got, wantState)
+			}
+			if one := j2.State().Jobs[1]; one.State != Succeeded || one.SinkDigest != "aa" {
+				t.Fatalf("job 1 = %+v", one)
+			}
+			// The re-run journals over the truncated tail.
+			appendAll(t, j2, Record{Kind: Started, ID: 2}, Record{Kind: Succeeded, ID: 2, SinkDigest: "cc"})
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j3 := mustOpen(t, Options{Dir: dir})
+			defer j3.Close()
+			if got := j3.State().Jobs[2]; got.State != Succeeded || got.SinkDigest != "cc" {
+				t.Fatalf("job 2 after the re-run = %+v", got)
+			}
+		})
+	}
 }

@@ -92,6 +92,20 @@ func TestDrainMigratesIncompleteJobs(t *testing.T) {
 	if js == nil || js.Terminal() {
 		t.Fatalf("journal state for blocked = %+v, want incomplete", js)
 	}
+	// Both jobs are records now: executor and graph released. The journaled
+	// one gave its payload up too; the checkpointed one keeps it — the drain
+	// just read it, and a second drain report would again.
+	for _, h := range []*Handle{quick, blocked} {
+		if j := h.j; j.exec != nil || j.spec.Spec != nil || j.spec.Plan != nil || j.spec.Verify != nil {
+			t.Fatalf("finished job %q still holds its executor or graph", j.spec.Name)
+		}
+	}
+	if quick.j.spec.Payload != nil || string(blocked.j.spec.Payload) != `{"job":"blocked"}` {
+		t.Fatalf("payloads after drain: quick %q, blocked %q", quick.j.spec.Payload, blocked.j.spec.Payload)
+	}
+	if st := quick.Status(); st.State != Succeeded || st.Name != "quick" || st.SinkDigest == "" {
+		t.Fatalf("released job's status = %+v", st)
+	}
 
 	// Admission is closed, queries are not.
 	if _, err := srv.Submit(JobSpec{Spec: graph.Chain(2, nil)}); !errors.Is(err, ErrDraining) {

@@ -286,6 +286,19 @@ func TestShutdownGraceExpiry(t *testing.T) {
 		Rebuild:           rebuildTestJob,
 		Logf:              t.Logf,
 	})
+	// Two jobs finish (and are released) before the shutdown: they must stay
+	// terminal in the journal and out of the aborted set.
+	var finished []int64
+	for i := 0; i < 2; i++ {
+		h, err := s.Submit(durableJob(t, "FW", i, int64(10+i)))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatalf("job %d: %v", h.ID(), err)
+		}
+		finished = append(finished, h.ID())
+	}
 	blocker := durableJob(t, "LU", 0, 3)
 	blocker.Verify = func(*core.Result) error { <-release; return nil }
 	hb, err := s.Submit(blocker)
@@ -324,6 +337,11 @@ func TestShutdownGraceExpiry(t *testing.T) {
 		}
 		if js.Terminal() {
 			t.Fatalf("shutdown-aborted job %d journaled terminal (%v)", id, js.State)
+		}
+	}
+	for _, id := range finished {
+		if js := st.Jobs[id]; js == nil || js.State != journal.Succeeded || js.SinkDigest == "" {
+			t.Fatalf("job %d finished before the shutdown, journal has %+v", id, js)
 		}
 	}
 

@@ -164,7 +164,8 @@ type Config struct {
 	SchedPolicy sched.Policy
 	// Journal, when non-nil, makes the server durable: every job state
 	// transition is appended to the write-ahead log (the Submitted
-	// record is group-commit-fsynced before Submit returns), and New
+	// record is group-commit-fsynced before Submit returns, the terminal
+	// record before the outcome is visible), and New
 	// replays the journal's state — completed jobs come back queryable
 	// with their result digests and metrics, incomplete jobs are
 	// re-enqueued and re-run. The server owns the journal from here on
@@ -213,17 +214,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the server-internal job record.
+// job is the server-internal job record. Once terminal it is a record and
+// nothing else: publish drops the executor and the graph (spec.Spec, Plan,
+// Verify, and the Payload once the journal holds the outcome), so what a
+// finished job keeps alive does not depend on what it computed.
 type job struct {
-	id        int64
+	id int64
+	// spec's Spec, Plan, Verify and Payload are written only by publish, on
+	// the runner's goroutine and under mu (Drain reads Payload under it).
 	spec      JobSpec
 	submitted time.Time
 	trace     *trace.Log
 	// span is the job's distributed-trace context: the submission's trace
 	// plus the admission span every later span of the job parents to.
 	// Journaled with the Submitted record; restored on replay.
-	span   trace.SpanContext
-	cancel chan struct{}
+	span      trace.SpanContext
+	cancel    chan struct{}
 	cancelled sync.Once
 	done      chan struct{}
 
@@ -384,7 +390,6 @@ func (s *Server) replay(st *journal.State) []*job {
 			restored:  true,
 		}
 		j.spec.Name = js.Name
-		j.spec.Payload = js.Payload
 		j.spec.Recovery = RecoveryPolicy(js.Recovery)
 		j.spec.ReplicaBudget = js.ReplicaBudget
 		switch js.State {
@@ -498,13 +503,14 @@ func (s *Server) failRestored(j *job, cause error) {
 	j.ackDone()
 }
 
-// journalAppend best-effort appends to the configured journal. Append
-// failures are logged, not fatal: the in-memory service keeps running, at
-// reduced durability (exactly what a disk-full production incident wants).
-// The fsync directive therefore asserts the barrier's contract, not a
-// guarantee of success: with no journal configured durability is vacuous by
-// configuration, and a logged append failure is the documented degraded
-// mode — neither is a protocol violation.
+// journalAppend best-effort appends a terminal record to the configured
+// journal and waits for it to be durable. Append failures are logged, not
+// fatal: the in-memory service keeps running, at reduced durability (exactly
+// what a disk-full production incident wants). The fsync directive therefore
+// asserts the barrier's contract, not a guarantee of success: with no
+// journal configured durability is vacuous by configuration, and a logged
+// append failure is the documented degraded mode — neither is a protocol
+// violation.
 //
 //lint:durable fsync
 func (s *Server) journalAppend(rec journal.Record) {
@@ -513,6 +519,20 @@ func (s *Server) journalAppend(rec journal.Record) {
 	}
 	if err := s.cfg.Journal.Append(rec); err != nil {
 		s.cfg.Logf("service: journal append (%v, job %d): %v", rec.Kind, rec.ID, err)
+	}
+}
+
+// journalStarted writes the Started record and waits for nothing: replay
+// re-runs a job whose last record is Started exactly as one whose last record
+// is Submitted, so recovery never reads a Started the terminal record's
+// fsync has not also made durable. It is deliberately no barrier — no fsync
+// sits between a job's started and finished stamps.
+func (s *Server) journalStarted(j *job) {
+	if s.cfg.Journal == nil {
+		return
+	}
+	if _, err := s.cfg.Journal.Write(journal.Record{Kind: journal.Started, ID: j.id}); err != nil {
+		s.cfg.Logf("service: journal write (%v, job %d): %v", journal.Started, j.id, err)
 	}
 }
 
@@ -583,10 +603,30 @@ func (s *Server) Submit(spec JobSpec) (*Handle, error) {
 		j.span = trace.SpanContext{Trace: parent.Trace, Span: tr.NextID()}
 	}
 
-	// Durable before acknowledged: a failed append is a failed Submit —
-	// the job is unregistered and never enqueued.
-	if err := s.journalSubmit(j, spec); err != nil {
-		s.unregister(j)
+	// Write → enqueue → sync → ack. The runner may pick the job up, and
+	// even finish it, while the Submitted record's fsync is in flight: the
+	// log is one ordered file, so the terminal record's own fsync cannot
+	// complete without the Submitted record before it being durable too.
+	// A failed write is a failed Submit — the job is unregistered and never
+	// enqueued.
+	ticket, err := s.journalSubmit(j, spec)
+	if err != nil {
+		s.unregister(j, true)
+		return nil, err
+	}
+	s.cfg.Flight.Emit("job-submit", spec.Name, j.id, -1, 0, j.span)
+	// Capacity was reserved above, so this cannot block; submitWG keeps
+	// Close/Shutdown from closing the channel underneath the send.
+	s.queue <- j
+	// Durable before acknowledged. A failed sync is a failed Submit as
+	// well, but the job is already the runner's: cancel it and take it out
+	// of the tables (the runner gives the queue slot back). The journal is
+	// left with a Submitted record of unknown durability — what a failed
+	// append has always left — plus whatever the runner manages to add; a
+	// failed Submit promises neither a re-run nor its absence.
+	if err := s.journalSync(ticket); err != nil {
+		j.cancelNow()
+		s.unregister(j, false)
 		return nil, err
 	}
 	if tr := s.cfg.Tracer; tr != nil {
@@ -597,24 +637,18 @@ func (s *Server) Submit(spec JobSpec) (*Handle, error) {
 			Job: j.id, Task: -1,
 		})
 	}
-	s.cfg.Flight.Emit("job-submit", spec.Name, j.id, -1, 0, j.span)
-	// Capacity was reserved above, so this cannot block; submitWG keeps
-	// Close/Shutdown from closing the channel underneath the send.
-	s.queue <- j
 	if o := s.obs; o != nil {
 		o.submitted.Inc()
 	}
 	return s.ackSubmit(j), nil
 }
 
-// journalSubmit durably records a job's admission. The directive sits here
-// rather than on the raw journal Append because the nil check is part of the
-// barrier's contract: an unjournaled server has no durability to violate.
-//
-//lint:durable fsync
-func (s *Server) journalSubmit(j *job, spec JobSpec) error {
+// journalSubmit writes the record of a job's admission and returns the
+// ticket journalSync waits on. It is no barrier: nothing here touches the
+// disk's write-back.
+func (s *Server) journalSubmit(j *job, spec JobSpec) (journal.Ticket, error) {
 	if s.cfg.Journal == nil {
-		return nil
+		return journal.Ticket{}, nil
 	}
 	rec := journal.Record{
 		Kind: journal.Submitted, ID: j.id, Name: spec.Name, Payload: spec.Payload,
@@ -626,11 +660,28 @@ func (s *Server) journalSubmit(j *job, spec JobSpec) error {
 	if spec.Plan != nil {
 		b, err := json.Marshal(spec.Plan)
 		if err != nil {
-			return fmt.Errorf("service: marshaling fault plan: %w", err)
+			return journal.Ticket{}, fmt.Errorf("service: marshaling fault plan: %w", err)
 		}
 		rec.Plan = b
 	}
-	if err := s.cfg.Journal.Append(rec); err != nil {
+	t, err := s.cfg.Journal.Write(rec)
+	if err != nil {
+		return t, fmt.Errorf("service: journaling submission: %w", err)
+	}
+	return t, nil
+}
+
+// journalSync waits until the admission record behind the ticket is durable.
+// The directive sits here rather than on the raw journal Sync because the nil
+// check is part of the barrier's contract: an unjournaled server has no
+// durability to violate.
+//
+//lint:durable fsync
+func (s *Server) journalSync(t journal.Ticket) error {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	if err := s.cfg.Journal.Sync(t); err != nil {
 		return fmt.Errorf("service: journaling submission: %w", err)
 	}
 	return nil
@@ -638,13 +689,15 @@ func (s *Server) journalSubmit(j *job, spec JobSpec) error {
 
 // ackSubmit hands out the submission handle — the acknowledgement Submit's
 // contract promises survives a crash. ackorder proves every path to it runs
-// journalSubmit first.
+// journalSync first.
 //
 //lint:durable ack
 func (s *Server) ackSubmit(j *job) *Handle { return &Handle{j: j} }
 
-// unregister rolls a failed Submit back out of the server's tables.
-func (s *Server) unregister(j *job) {
+// unregister rolls a failed Submit back out of the server's tables, and —
+// unless the job was already enqueued, in which case the runner that picks
+// it up does — gives its queue slot back.
+func (s *Server) unregister(j *job, freeSlot bool) {
 	s.mu.Lock()
 	delete(s.jobs, j.id)
 	for i, id := range s.order {
@@ -653,7 +706,9 @@ func (s *Server) unregister(j *job) {
 			break
 		}
 	}
-	s.inQueue--
+	if freeSlot {
+		s.inQueue--
+	}
 	s.mu.Unlock()
 }
 
@@ -683,7 +738,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	// A repeated Started (re-enqueued job that crashed mid-run last
 	// incarnation) is benign: journal replay treats it as idempotent.
-	s.journalAppend(journal.Record{Kind: journal.Started, ID: j.id})
+	s.journalStarted(j)
 
 	// The queue-wait span spans admission → pickup; for a crash-replayed
 	// job that interval honestly includes the downtime. The job-run span's
@@ -755,11 +810,14 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish moves the job to its terminal state and wakes waiters. On a
-// journaled server the terminal record is appended before the done channel
-// closes, so an observed outcome is a durable outcome (modulo fsync
-// batching — the record is at least written; the next append or Close
-// syncs it).
+// journaled server the terminal record is durable before the state is
+// published and before the done channel closes: neither a Wait nor a Status
+// poll (what every HTTP client sees) can observe an outcome a crash would
+// take back. The job stays Running, with live counters, across the fsync;
+// finished is stamped here, when execution ended, so the fsync is in nobody's
+// execution time.
 func (s *Server) finish(j *job, res *core.Result, err error) {
+	finished := time.Now()
 	state := Succeeded
 	j.mu.Lock()
 	if err != nil {
@@ -772,25 +830,28 @@ func (s *Server) finish(j *job, res *core.Result, err error) {
 			state = Failed
 		}
 	}
-	j.state = state
-	j.res = res
-	j.err = err
-	j.finished = time.Now()
-	if state == Succeeded && res != nil {
-		j.sinkDigest = journal.Digest(res.Sink)
-	}
+	skipJournal := j.shutdownAbort
+	deadlineMiss := j.deadlineHit && state == Cancelled
+	started := j.started
+	j.mu.Unlock()
+
+	var sinkDigest string
 	rec := journal.Record{ID: j.id}
 	switch state {
 	case Succeeded:
 		rec.Kind = journal.Succeeded
 		if res != nil {
-			rec.SinkDigest = j.sinkDigest
+			sinkDigest = journal.Digest(res.Sink)
+			rec.SinkDigest = sinkDigest
 			rec.SinkLen = len(res.Sink)
 			rec.Elapsed = res.Elapsed
 			rec.Tasks = res.Tasks
 			rec.ReexecutedTasks = res.ReexecutedTasks
 			m := res.Metrics
 			rec.Metrics = &m
+		}
+		if !started.IsZero() {
+			s.observeJobDuration(finished.Sub(started))
 		}
 	case Failed:
 		rec.Kind = journal.Failed
@@ -801,12 +862,6 @@ func (s *Server) finish(j *job, res *core.Result, err error) {
 			rec.Error = err.Error()
 		}
 	}
-	skipJournal := j.shutdownAbort
-	deadlineMiss := j.deadlineHit && state == Cancelled
-	if state == Succeeded && !j.started.IsZero() {
-		s.observeJobDuration(j.finished.Sub(j.started))
-	}
-	j.mu.Unlock()
 	if o := s.obs; o != nil {
 		switch state {
 		case Succeeded:
@@ -824,13 +879,33 @@ func (s *Server) finish(j *job, res *core.Result, err error) {
 	// stopping, not a property of the job: it stays incomplete in the
 	// journal and re-runs on the next boot.
 	if skipJournal {
+		j.publish(state, res, err, finished, sinkDigest, false)
 		//lint:ignore ackorder shutdown-aborted jobs are deliberately unjournaled: the job stays incomplete in the log and re-runs next boot, so there is no record to make durable before waking waiters
 		j.ackDone()
 		return
 	}
 	s.journalAppend(rec)
+	j.publish(state, res, err, finished, sinkDigest, true)
 	s.cfg.Flight.Emit("job-finish", state.String(), j.id, -1, int64(state), j.span)
 	j.ackDone()
+}
+
+// publish makes the terminal state visible to Status and releases what only
+// a running job needs. journaled says the terminal record is in the log: the
+// Payload is then the journal's to keep, while an unjournaled (drain- or
+// shutdown-aborted) job keeps it for Drain to hand to the router.
+func (j *job) publish(state State, res *core.Result, err error, finished time.Time, sinkDigest string, journaled bool) {
+	j.mu.Lock()
+	j.state, j.res, j.err, j.finished, j.sinkDigest = state, res, err, finished, sinkDigest
+	// An abort that arrived after finish had decided to journal the outcome
+	// lost the race: the job is finished, not incomplete.
+	j.shutdownAbort = !journaled
+	j.exec = nil
+	j.spec.Spec, j.spec.Plan, j.spec.Verify = nil, nil, nil
+	if journaled {
+		j.spec.Payload = nil
+	}
+	j.mu.Unlock()
 }
 
 // Job returns the handle of a previously submitted job.
