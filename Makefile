@@ -2,7 +2,7 @@
 #
 #   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, 386 smoke
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
-#   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4
+#   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make crashsoak — kill-and-restart soak of the durable journaled service
 #   make clustersoak — node-kill soak of the shard router + standby failover
@@ -57,19 +57,22 @@ lint-json:
 # follower, the continuation-passing executor core, and the fault injector.
 # The block data path — store, executors, replica join, the kernels and the
 # harness that drives them — and the structures the task descriptor is built
-# from (sharded map, bit vector, graph) are then swept at one, two and four
-# Ps, five runs each: the interleavings (steal between notify and inject, a
-# shadow racing an evicting writer, a hitter on a stripe beside an inserter)
-# differ with the core count, and every PR before 12 was developed on one
-# core. The durable service rides the same sweep — service, journal, trace:
-# whether the runner finishes a job before its Submit's fsync returns, who
-# shares whose group commit, and a snapshot racing emitters are orderings
-# the core count decides.
-RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/...
+# from (key table, bit vector, graph) are then swept at one, two, four and
+# eight Ps, five runs each: the interleavings (steal between notify and
+# inject, a shadow racing an evicting writer, a reader of the key table beside
+# a page install) differ with the core count, and every PR before 12 was
+# developed on one core. Eight Ps on a two-core host is oversubscription: a
+# goroutine is preempted inside critical sections that a matched count runs
+# straight through. The durable service rides the same sweep — service,
+# journal, trace: whether the runner finishes a job before its Submit's fsync
+# returns, who shares whose group commit, and a snapshot racing emitters are
+# orderings the core count decides — and so do the pool and its deque, whose
+# workers' IDs index the executors' counter blocks.
+RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/... ./internal/sched/... ./internal/deque/...
 
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=5 $(RACE_SWEEP) || exit 1; done
+	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=5 $(RACE_SWEEP) || exit 1; done
 
 # Cross-compile smoke for 32-bit: pairs with the atomicalign analyzer —
 # the build proves the tree compiles where 64-bit atomics need 8-byte

@@ -20,12 +20,14 @@ const wordBits = 64
 // (RESETNODE in the paper). The first word is part of the Vector itself, so
 // a vector of up to 64 bits — a task with up to 63 predecessors — held by
 // value inside its owner costs no allocation; longer vectors spill into
-// rest. The zero value has no bits; use New, or Init on an embedded Vector.
-// A Vector must not be copied after Init.
+// rest, which is a pointer and not a slice so that the vectors that never
+// spill — one per task descriptor — carry one word for it, not three. The
+// zero value has no bits; use New, or Init on an embedded Vector. A Vector
+// must not be copied after Init.
 type Vector struct {
 	n     int
 	first atomic.Uint64
-	rest  []atomic.Uint64 // words 1.. of vectors longer than wordBits
+	rest  *[]atomic.Uint64 // words 1.. of vectors longer than wordBits
 }
 
 // New returns a vector of n bits, all initially set to 1.
@@ -40,7 +42,8 @@ func New(n int) *Vector {
 func (v *Vector) Init(n int) {
 	v.n = n
 	if n > wordBits {
-		v.rest = make([]atomic.Uint64, (n-1)/wordBits)
+		rest := make([]atomic.Uint64, (n-1)/wordBits)
+		v.rest = &rest
 	}
 	v.SetAll()
 }
@@ -56,7 +59,7 @@ func (v *Vector) word(w int) *atomic.Uint64 {
 	if w == 0 {
 		return &v.first
 	}
-	return &v.rest[w-1]
+	return &(*v.rest)[w-1]
 }
 
 // bit returns the word holding bit i and i's mask within it.

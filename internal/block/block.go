@@ -88,12 +88,20 @@ type entry struct {
 	corrupted bool
 }
 
-// Slot is the handle of one block: its retention ring, under its own lock.
-// Store.Slot returns it; it stays valid for the life of the store.
+// Slot is the handle of one block: its retention ring and its share of the
+// store's activity counts, under its own lock. Store.Slot returns it; it stays
+// valid for the life of the store.
 type Slot struct {
 	store *Store
 	id    ID
 	mu    sync.Mutex
+	// count is the activity on this block. An access counts under the lock it
+	// takes anyway, so counting writes no cache line the store's other blocks
+	// share; Store.Stats sums the slots. The counts are 32 bits wide to keep
+	// a Slot in the 128-byte size class (a fine-grain graph has one per
+	// task): 2³² accesses to a single block, each copying its payload under
+	// this lock, is hours of one run spent on one block.
+	count struct{ writes, reads, evictions, corruptReads, missingReads uint32 }
 	// entries are ordered oldest-written first; len <= retention when
 	// retention > 0. The ring starts out in first, so a block that never
 	// retains more than one version — every block of a K=1 store and every
@@ -136,13 +144,10 @@ type Store struct {
 	retention int // K; 0 = unlimited
 	verify    bool
 	ins       *Instruments
-	slots     *cmap.Map[*Slot]
+	slots     cmap.Table[Slot]
 
-	writes       atomic.Int64
-	reads        atomic.Int64
-	evictions    atomic.Int64
-	corruptReads atomic.Int64
-	missingReads atomic.Int64
+	// The retained payload and its high-water mark are a peak of a sum over
+	// all blocks, which per-block counts cannot give; they stay global.
 	retainedF64  atomic.Int64
 	highWaterF64 atomic.Int64
 }
@@ -163,7 +168,7 @@ func NewStore(retention int, opts ...Option) *Store {
 	if retention < 0 {
 		panic("block: retention must be >= 0")
 	}
-	s := &Store{retention: retention, slots: cmap.New[*Slot]()}
+	s := &Store{retention: retention}
 	for _, o := range opts {
 		o(s)
 	}
@@ -174,7 +179,7 @@ func NewStore(retention int, opts ...Option) *Store {
 func (s *Store) Retention() int { return s.retention }
 
 // Slot returns the handle of block b, creating the (empty) block on first
-// use. Every later call for b is a read-locked hit on the slot table.
+// use. Every later call for b is a lock-free hit on the slot table.
 func (s *Store) Slot(b ID) *Slot {
 	sl, _ := s.slots.LoadOrStore(int64(b), func() *Slot {
 		sl := &Slot{store: s, id: b}
@@ -205,7 +210,7 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	sum = Checksum(own)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	s.writes.Add(1)
+	sl.count.writes++
 	delta := int64(len(data))
 	// Whichever entry the write displaces moves out of the ring, the rest
 	// shift down, and the new version takes the most-recently-written
@@ -219,7 +224,7 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 		old = sl.entries[0].data
 		victim, evicted = sl.entries[0].producer, true
 		copy(sl.entries, sl.entries[1:])
-		s.evictions.Add(1)
+		sl.count.evictions++
 		if s.ins != nil {
 			s.ins.Evictions.Inc()
 		}
@@ -230,12 +235,16 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	Free(old)
 	// Applied as one net delta so the high-water mark models physical
 	// buffer reuse rather than transiently double-counting the displaced
-	// payload.
+	// payload. A version that replaces one of its own size — every write of a
+	// store in steady state — moves neither number.
 	s.addRetained(delta - int64(len(old)))
 	return sum, victim, evicted
 }
 
 func (s *Store) addRetained(delta int64) {
+	if delta == 0 {
+		return
+	}
 	n := s.retainedF64.Add(delta)
 	for {
 		hw := s.highWaterF64.Load()
@@ -281,17 +290,17 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 // copy, so what was checked is what is returned.
 func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	s := sl.store
-	s.reads.Add(1)
 	sl.mu.Lock()
+	sl.count.reads++
 	e := sl.find(version)
 	if e == nil {
+		sl.count.missingReads++
 		sl.mu.Unlock()
-		s.missingReads.Add(1)
 		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
 	}
 	if e.corrupted {
+		sl.count.corruptReads++
 		sl.mu.Unlock()
-		s.corruptReads.Add(1)
 		if s.ins != nil {
 			s.ins.CorruptReads.Inc()
 		}
@@ -302,7 +311,9 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	sl.mu.Unlock()
 	if s.verify && Checksum(out) != want {
 		Free(out)
-		s.corruptReads.Add(1)
+		sl.mu.Lock()
+		sl.count.corruptReads++
+		sl.mu.Unlock()
 		if s.ins != nil {
 			s.ins.ChecksumFailures.Inc()
 		}
@@ -406,16 +417,22 @@ func (s *Store) Latest(b ID) (int, []float64, bool) {
 	return best.version, clone(best.data, nil), true
 }
 
-// Stats returns a snapshot of the store counters.
+// Stats returns a snapshot of the store counters: the sum of the slots'
+// counts, each read under its slot's lock.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Writes:        s.writes.Load(),
-		Reads:         s.reads.Load(),
-		Evictions:     s.evictions.Load(),
-		CorruptReads:  s.corruptReads.Load(),
-		MissingReads:  s.missingReads.Load(),
-		BytesRetained: s.highWaterF64.Load() * 8,
-	}
+	st := Stats{BytesRetained: s.highWaterF64.Load() * 8}
+	s.slots.Range(func(_ int64, sl *Slot) bool {
+		sl.mu.Lock()
+		c := sl.count
+		sl.mu.Unlock()
+		st.Writes += int64(c.writes)
+		st.Reads += int64(c.reads)
+		st.Evictions += int64(c.evictions)
+		st.CorruptReads += int64(c.corruptReads)
+		st.MissingReads += int64(c.missingReads)
+		return true
+	})
+	return st
 }
 
 func flipBits(f float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -679,16 +680,19 @@ func BenchmarkStoreWriteReadRelease(b *testing.B) {
 }
 
 // TestConcurrentAccess hammers one store from many goroutines: writers
-// advancing versions on shared blocks, readers of recent versions, and
-// corrupters. The assertions are crash-freedom and counter consistency; the
+// advancing versions on shared blocks (direct-indexed, negative and huge IDs
+// alike), readers of recent versions, and corrupters. Every goroutine tallies
+// what its own calls returned; the store's statistics, summed from the slots,
+// must equal those tallies exactly, and the retention invariant must hold. The
 // race detector checks the rest.
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore(2, WithVerification())
 	const (
 		goroutines = 8
-		blocks     = 4
 		iters      = 2000
 	)
+	ids := []ID{0, 1, 77, -3, 1 << 40}
+	var writes, evictions, reads, missing, corrupt atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -696,15 +700,24 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				b := ID(i % blocks)
+				b, v := ids[i%len(ids)], i/len(ids)
 				switch g % 3 {
 				case 0:
-					s.Write(b, i/blocks, int64(g), []float64{float64(i)})
+					writes.Add(1)
+					if _, _, evicted := s.Write(b, v, int64(g), []float64{float64(i)}); evicted {
+						evictions.Add(1)
+					}
 				case 1:
-					s.Read(b, i/blocks)
+					reads.Add(1)
+					switch _, err := s.Read(b, v); {
+					case errors.Is(err, ErrNotRetained):
+						missing.Add(1)
+					case errors.Is(err, ErrCorrupted):
+						corrupt.Add(1)
+					}
 				case 2:
 					if i%97 == 0 {
-						s.Corrupt(b, i/blocks)
+						s.Corrupt(b, v)
 					} else {
 						s.Latest(b)
 					}
@@ -714,12 +727,14 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.Writes == 0 || st.Reads == 0 {
-		t.Fatalf("counters empty: %+v", st)
+	want := Stats{Writes: writes.Load(), Reads: reads.Load(), Evictions: evictions.Load(),
+		CorruptReads: corrupt.Load(), MissingReads: missing.Load(), BytesRetained: st.BytesRetained}
+	if st != want || st.Writes == 0 || st.Reads == 0 || st.Evictions == 0 {
+		t.Fatalf("Stats = %+v, the callers counted %+v", st, want)
 	}
 	// Retention invariant survives concurrency.
-	for b := 0; b < blocks; b++ {
-		if vs := s.Versions(ID(b)); len(vs) > 2 {
+	for _, b := range ids {
+		if vs := s.Versions(b); len(vs) > 2 {
 			t.Fatalf("block %d retains %d versions, cap 2", b, len(vs))
 		}
 	}

@@ -1,13 +1,23 @@
-// Package cmap provides a sharded (lock-striped) concurrent hash map.
+// Package cmap provides the concurrent key tables of the schedulers.
 //
-// The fault-tolerant scheduler keeps two concurrent maps keyed by task key:
-// the task table (key → current task descriptor + life number) and the
-// recovery table R (key → most recent life whose recovery has been
-// initiated). Both need an atomic insert-if-absent (the paper's
-// INSERTTASKIFABSENT / INSERTRECORD), which sync.Map supports only through
-// LoadOrStore with pre-allocated values; the striped design here lets the
-// caller construct a value only when the insert actually happens and gives
-// predictable iteration for diagnostics.
+// The executors keep tables keyed by task key — the task table (key → current
+// task descriptor) and the recovery table R (key → most recent life whose
+// recovery has been initiated) — the block store keeps its slot table keyed
+// by block ID, and graph.Static keeps its nodes by task key. All need an
+// atomic insert-if-absent (the paper's INSERTTASKIFABSENT / INSERTRECORD)
+// that constructs the value only when the insert actually happens.
+//
+// Table is what they use. NABBIT keys are arbitrary int64s, which is why the
+// paper calls for a concurrent hash map; but every graph this repository runs
+// numbers its tasks and blocks densely from 0, and for such keys hashing is
+// pure cost: it scatters neighbouring keys on purpose, so every first touch of
+// a task is a cache miss per table, behind a shared lock word. Table therefore
+// direct-indexes the keys in [0, TableCap) — a lookup is an array index, with
+// no lock and no read-modify-write — and sends every other key (negative, or
+// TableCap and above) to a Map. The key alone selects the path, so a graph
+// with arbitrary keys runs unchanged, only slower.
+//
+// Map is the sharded (lock-striped) hash map behind those other keys.
 package cmap
 
 import (
@@ -55,14 +65,6 @@ func (m *Map[V]) Load(key int64) (V, bool) {
 	return v, ok
 }
 
-// Store sets the value for key, replacing any previous value.
-func (m *Map[V]) Store(key int64, v V) {
-	s := m.shard(key)
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
-}
-
 // LoadOrStore returns the existing value for key if present. Otherwise it
 // stores the value returned by mk and returns it. mk is invoked at most
 // once, under the shard lock, and only when the key is absent — this is the
@@ -102,14 +104,6 @@ func (m *Map[V]) Update(key int64, f func(old V, ok bool) V) V {
 	return v
 }
 
-// Delete removes key from the map.
-func (m *Map[V]) Delete(key int64) {
-	s := m.shard(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-}
-
 // Len returns the total number of entries. It locks each shard in turn, so
 // the result is a consistent per-shard snapshot, not a global one.
 func (m *Map[V]) Len() int {
@@ -136,15 +130,5 @@ func (m *Map[V]) Range(f func(key int64, v V) bool) {
 			}
 		}
 		s.mu.RUnlock()
-	}
-}
-
-// Clear removes all entries.
-func (m *Map[V]) Clear() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		s.m = make(map[int64]V)
-		s.mu.Unlock()
 	}
 }

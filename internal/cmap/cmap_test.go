@@ -7,20 +7,23 @@ import (
 	"testing/quick"
 )
 
-func TestLoadStore(t *testing.T) {
+// put stores v under key through Update, the map's one overwriting operation.
+func put[V any](m *Map[V], key int64, v V) { m.Update(key, func(V, bool) V { return v }) }
+
+func TestLoadAndOverwrite(t *testing.T) {
 	m := New[string]()
 	if _, ok := m.Load(1); ok {
 		t.Fatal("Load on empty map returned ok")
 	}
-	m.Store(1, "a")
-	m.Store(-7, "b")
+	put(m, 1, "a")
+	put(m, -7, "b")
 	if v, ok := m.Load(1); !ok || v != "a" {
 		t.Fatalf("Load(1) = %q,%v", v, ok)
 	}
 	if v, ok := m.Load(-7); !ok || v != "b" {
 		t.Fatalf("Load(-7) = %q,%v", v, ok)
 	}
-	m.Store(1, "c")
+	put(m, 1, "c")
 	if v, _ := m.Load(1); v != "c" {
 		t.Fatalf("Load(1) after overwrite = %q", v)
 	}
@@ -154,29 +157,11 @@ func TestUpdateConcurrentCounter(t *testing.T) {
 	}
 }
 
-func TestDeleteAndClear(t *testing.T) {
-	m := New[int]()
-	for k := int64(0); k < 10; k++ {
-		m.Store(k, int(k))
-	}
-	m.Delete(5)
-	if _, ok := m.Load(5); ok {
-		t.Fatal("Load(5) after Delete returned ok")
-	}
-	if m.Len() != 9 {
-		t.Fatalf("Len = %d, want 9", m.Len())
-	}
-	m.Clear()
-	if m.Len() != 0 {
-		t.Fatalf("Len after Clear = %d, want 0", m.Len())
-	}
-}
-
 func TestRange(t *testing.T) {
 	m := New[int]()
 	want := map[int64]int{}
 	for k := int64(0); k < 100; k++ {
-		m.Store(k, int(k*2))
+		put(m, k, int(k*2))
 		want[k] = int(k * 2)
 	}
 	got := map[int64]int{}
@@ -211,9 +196,9 @@ func TestQuickModel(t *testing.T) {
 		model := map[int64]int16{}
 		for _, op := range ops {
 			k := int64(op.Key)
-			switch op.Op % 4 {
+			switch op.Op % 3 {
 			case 0:
-				m.Store(k, op.Val)
+				put(m, k, op.Val)
 				model[k] = op.Val
 			case 1:
 				got, ok := m.Load(k)
@@ -222,9 +207,6 @@ func TestQuickModel(t *testing.T) {
 					return false
 				}
 			case 2:
-				m.Delete(k)
-				delete(model, k)
-			case 3:
 				v, inserted := m.LoadOrStore(k, func() int16 { return op.Val })
 				if want, wok := model[k]; wok {
 					if inserted || v != want {

@@ -20,7 +20,7 @@ type Baseline struct {
 	spec  graph.Spec
 	cfg   Config
 	store *block.Store
-	tasks *cmap.Map[*bTask]
+	tasks cmap.Table[bTask]
 	met   metrics
 }
 
@@ -63,7 +63,7 @@ func NewBaseline(spec graph.Spec, cfg Config) *Baseline {
 	if cfg.Plan.Len() > 0 {
 		panic("core: baseline executor cannot run with a fault plan")
 	}
-	return &Baseline{spec: spec, cfg: cfg, store: cfg.newStore(), tasks: cmap.New[*bTask]()}
+	return &Baseline{spec: spec, cfg: cfg, store: cfg.newStore(), met: newMetrics(cfg.workers())}
 }
 
 // Store exposes the block store.
@@ -133,7 +133,7 @@ func (e *Baseline) tryInitCompute(w *sched.Worker, t *bTask, i int) {
 	b.mu.Lock()
 	if loadStatus(&b.status) < Computed {
 		b.notify = append(b.notify, t)
-		e.met.registrations.Add(1)
+		e.met.at(w).registrations.Add(1)
 		finished = false
 	}
 	b.mu.Unlock()
@@ -143,7 +143,7 @@ func (e *Baseline) tryInitCompute(w *sched.Worker, t *bTask, i int) {
 }
 
 func (e *Baseline) notifyOnce(w *sched.Worker, t *bTask) {
-	e.met.notifications.Add(1)
+	e.met.at(w).notifications.Add(1)
 	if addInt32(&t.join, -1) == 0 {
 		e.computeAndNotify(w, t)
 	}
@@ -153,7 +153,7 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
 		h(t.key, 0)
 	}
-	e.met.computes.Add(1)
+	e.met.at(w).computes.Add(1)
 	ctx := baseCtxPool.Get().(*baseCtx)
 	ctx.e, ctx.t = e, t
 	if err := e.spec.Compute(ctx, t.key); err != nil {

@@ -130,7 +130,7 @@ func TestSnapshotReverifyKeepsInputs(t *testing.T) {
 	}
 	t1, _ := e.insertIfAbsent(1)
 	rj := &replicaJoin{inputs: []predRead{{pred: 0, data: in}}}
-	if !e.reverifyFromSnapshot(t1, rj) {
+	if !e.reverifyFromSnapshot(nil, t1, rj) {
 		t.Fatal("re-verification produced no digest")
 	}
 	if rj.shadowDigest != block.Checksum(in) {

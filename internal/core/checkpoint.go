@@ -35,7 +35,7 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	outs    map[graph.Key][]float64
 	poison  map[graph.Key]bool
-	met     metrics
+	met     counters
 	ckpts   int
 	rolls   int
 	copied  int64 // float64s copied into checkpoints

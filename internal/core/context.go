@@ -6,6 +6,7 @@ import (
 	"ftdag/internal/block"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/sched"
 	"ftdag/internal/trace"
 )
 
@@ -92,6 +93,7 @@ func inside(a, b []float64) bool {
 type ftCtx struct {
 	e *FT
 	t *Task
+	w *sched.Worker // the worker running the compute; its block counts
 	heldBufs
 	sum   uint64 // checksum the store kept for the written payload
 	wrote bool
@@ -147,7 +149,7 @@ func (c *ftCtx) Write(data []float64) {
 	if evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.overwritten.Store(true)
-			c.e.met.overwriteMarks.Add(1)
+			c.e.met.at(c.w).overwriteMarks.Add(1)
 			c.e.cfg.Trace.Emit(trace.Overwritten, victim, pt.life, c.t.key)
 		}
 	}

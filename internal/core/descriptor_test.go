@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ftdag/internal/fault"
@@ -51,7 +53,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0] != wantSink[0] {
 		t.Fatalf("task 3 wrote %v (err %v), want %v", got, err, wantSink)
 	}
-	computes := e.met.computes.Load()
+	computes := e.LiveMetrics().Computes
 	withWorker(t, func(w *sched.Worker) {
 		e.tryInitCompute(w, s3, 0) // the traversal that came late
 	})
@@ -59,8 +61,8 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if s3.pred[0].Load() != t1 || t1.Life() != 1 {
 		t.Fatalf("late traversal cached %p, want the recovered incarnation %p (life %d)", s3.pred[0].Load(), t1, t1.Life())
 	}
-	if e.met.computes.Load() != computes || s3.join.Load() != 0 {
-		t.Fatalf("late traversal recomputed or re-notified: computes %d→%d join=%d", computes, e.met.computes.Load(), s3.join.Load())
+	if e.LiveMetrics().Computes != computes || s3.join.Load() != 0 {
+		t.Fatalf("late traversal recomputed or re-notified: computes %d→%d join=%d", computes, e.LiveMetrics().Computes, s3.join.Load())
 	}
 }
 
@@ -72,7 +74,7 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 	e := NewFT(graph.Diamond(nil), Config{}) // preds(3) = [1, 2]
 	from, _ := e.insertIfAbsent(1)
 	stale, _ := e.insertIfAbsent(3)
-	cur := e.replaceTask(3)
+	cur := e.replaceTask(nil, 3)
 	withWorker(t, func(w *sched.Worker) {
 		e.notifySuccessor(w, from, stale)
 		e.notifySuccessor(w, from, stale)
@@ -83,7 +85,7 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 	if stale.bits.Count() != 3 || stale.join.Load() != 3 {
 		t.Fatalf("superseded incarnation was notified: bits %d/3 join %d", stale.bits.Count(), stale.join.Load())
 	}
-	if got := e.met.notifications.Load(); got != 1 {
+	if got := e.LiveMetrics().Notifications; got != 1 {
 		t.Fatalf("notifications = %d, want 1", got)
 	}
 	// Not superseded: the pointer is the successor, table or no table.
@@ -162,21 +164,26 @@ func TestReadPredOfNonPredecessor(t *testing.T) {
 // TestAllocationsPerTask is the tripwire on the per-task fixed cost: on a
 // fine-grain layered DAG an execution allocates at most maxAllocsPerTask
 // times per task — descriptor, predecessor cache, block slot, stored payload,
-// the two slices of graph.Static.Compute, and the amortized growth of the
-// task table, the slot table and the longer notify arrays. It was ≈ 17 before
-// descriptors resolved their facts once.
+// the two slices of graph.Static.Compute, and the amortized pages of the task
+// table and the slot table and growth of the longer notify arrays. It was ≈ 17
+// before descriptors resolved their facts once. On bench/'s finegrain_dag
+// graph it also allocates at most maxBytesPerTask per task (≈ 430 for the
+// fault-tolerant executor, ≈ 380 for the baseline; 503 and 439 when the
+// tables were hash maps).
 func TestAllocationsPerTask(t *testing.T) {
 	const maxAllocsPerTask = 8
+	const maxBytesPerTask = 450
+	cfg := Config{Workers: 2, VerifyChecksums: true, Timeout: testTimeout}
+	executors := map[string]func(g graph.Spec) error{
+		"FT":       func(g graph.Spec) error { _, err := NewFT(g, cfg).Run(); return err },
+		"Baseline": func(g graph.Spec) error { _, err := NewBaseline(g, cfg).Run(); return err },
+	}
 	g := graph.Layered(40, 32, 3, 5, nil)
 	tasks := graph.Analyze(g).Tasks
-	cfg := Config{Workers: 2, VerifyChecksums: true, Timeout: testTimeout}
-	for name, run := range map[string]func() error{
-		"FT":       func() error { _, err := NewFT(g, cfg).Run(); return err },
-		"Baseline": func() error { _, err := NewBaseline(g, cfg).Run(); return err },
-	} {
+	for name, run := range executors {
 		var err error
 		allocs := testing.AllocsPerRun(5, func() {
-			if e := run(); e != nil {
+			if e := run(g); e != nil {
 				err = e
 			}
 		})
@@ -189,4 +196,44 @@ func TestAllocationsPerTask(t *testing.T) {
 			t.Errorf("%s: %.2f allocations per task, want <= %d", name, perTask, maxAllocsPerTask)
 		}
 	}
+
+	if !poolsRetain() {
+		t.Log("sync.Pool drops what it is given here (the race detector does): the recycled contexts and their arenas are reallocated, so bytes per task are not measured")
+		return
+	}
+	g = graph.Layered(400, 256, 3, 1, nil)
+	tasks = 400*256 + 1
+	for name, run := range executors {
+		if err := run(g); err != nil { // fills the context pools and the scheduler's own
+			t.Fatalf("%s: %v", name, err)
+		}
+		const runs = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := run(g); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perTask := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*tasks)
+		t.Logf("%s: %.1f bytes per task (%d tasks)", name, perTask, tasks)
+		if perTask > maxBytesPerTask {
+			t.Errorf("%s: %.1f bytes per task, want <= %d", name, perTask, maxBytesPerTask)
+		}
+	}
+}
+
+// poolsRetain reports whether a sync.Pool hands back what it was given. Under
+// the race detector it drops a quarter of the Puts at random.
+func poolsRetain() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
 }

@@ -104,13 +104,11 @@ type FT struct {
 	cfg   Config
 	store *block.Store
 	plan  *fault.Plan
-	tasks *cmap.Map[*Task]        // the paper's concurrent hash map of descriptors
-	rec   *cmap.Map[*atomicInt64] // the recovery table R: key → last life recovered
+	tasks cmap.Table[Task]         // the paper's concurrent hash map of descriptors
+	rec   cmap.Table[atomic.Int64] // the recovery table R: key → last life recovered
 	met   metrics
 	group *sched.Group // this run's slice of the pool (set by RunOn)
 }
-
-type atomicInt64 struct{ v int64 } // accessed only via sync/atomic through rec
 
 // NewFT returns a fault-tolerant executor for the spec.
 func NewFT(spec graph.Spec, cfg Config) *FT {
@@ -119,8 +117,7 @@ func NewFT(spec graph.Spec, cfg Config) *FT {
 		cfg:   cfg,
 		store: cfg.newStore(),
 		plan:  cfg.Plan,
-		tasks: cmap.New[*Task](),
-		rec:   cmap.New[*atomicInt64](),
+		met:   newMetrics(cfg.workers()),
 	}
 }
 
@@ -128,8 +125,8 @@ func NewFT(spec graph.Spec, cfg Config) *FT {
 func (e *FT) Store() *block.Store { return e.store }
 
 // LiveMetrics snapshots the executor's counters mid-run. Safe to call
-// concurrently with the execution (the counters are atomics); serves the
-// live-introspection endpoints.
+// concurrently with the execution (the counters are atomics, summed over the
+// workers' blocks); serves the live-introspection endpoints.
 func (e *FT) LiveMetrics() Metrics { return e.met.snapshot() }
 
 // TasksDiscovered returns the number of task descriptors inserted so far —
@@ -291,7 +288,7 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 		}
 		if b.Status() < Computed {
 			b.notify = append(b.notify, t)
-			e.met.registrations.Add(1)
+			e.met.at(w).registrations.Add(1)
 			finished = false
 		}
 		b.mu.Unlock()
@@ -317,7 +314,7 @@ func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
 		if !t.bits.TestAndClear(ind) {
 			return nil
 		}
-		e.met.notifications.Add(1)
+		e.met.at(w).notifications.Add(1)
 		if ins := e.cfg.Instruments; ins != nil {
 			ins.Notifications.Inc()
 		}
@@ -364,22 +361,22 @@ func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
-			e.inject(t, false)
+			e.inject(w, t, false)
 			return fault.Errorf(t.key, t.life)
 		}
 		if err := e.runCompute(w, t, nil); err != nil {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
-			e.inject(t, true)
+			e.inject(w, t, true)
 			return fault.Errorf(t.key, t.life)
 		}
 		if e.plan.Fire(t.key, t.life, fault.SDC) {
 			// Unreplicated task: the corruption is unobservable by
 			// construction. Count the miss and continue as if nothing
 			// happened — that is the point of the SDC model.
-			e.injectSDC(t)
-			e.met.sdcMissed.Add(1)
+			e.injectSDC(w, t)
+			e.met.at(w).sdcMissed.Add(1)
 			if ins := e.cfg.Instruments; ins != nil {
 				ins.SDCMissed.Inc()
 			}
@@ -403,7 +400,7 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 		h(t.key, t.life)
 	}
 	e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.life, 0)
-	e.met.computes.Add(1)
+	e.met.at(w).computes.Add(1)
 	ins := e.cfg.Instruments
 	var computeStart time.Time
 	if ins != nil {
@@ -416,7 +413,7 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 		spanStart = time.Now()
 	}
 	ctx := ftCtxPool.Get().(*ftCtx)
-	ctx.e, ctx.t, ctx.capture = e, t, rj != nil
+	ctx.e, ctx.t, ctx.w, ctx.capture = e, t, w, rj != nil
 	err := e.spec.Compute(ctx, t.key)
 	wrote, sum, reads := ctx.wrote, ctx.sum, ctx.reads
 	ctx.release(rj == nil)
@@ -429,7 +426,7 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.life, boolArg(err != nil))
 	}
 	if err != nil {
-		e.met.computeErrors.Add(1)
+		e.met.at(w).computeErrors.Add(1)
 		if ins != nil {
 			ins.ComputeErrors.Inc()
 		}
@@ -493,7 +490,7 @@ func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 		// Silent corruption: no exception here; the fault is
 		// observed (if at all) by later readers of the task's
 		// descriptor or output (§VI-B "after notify").
-		e.inject(t, true)
+		e.inject(w, t, true)
 	}
 }
 
@@ -533,7 +530,7 @@ func (e *FT) catchComputeError(w *sched.Worker, t *Task, err error) {
 
 // inject poisons the task descriptor (and, when withBlock is set, the output
 // block version the incarnation has written).
-func (e *FT) inject(t *Task, withBlock bool) {
+func (e *FT) inject(w *sched.Worker, t *Task, withBlock bool) {
 	e.cfg.Trace.Emit(trace.Inject, t.key, t.life, boolArg(withBlock))
 	if e.cfg.Spans != nil {
 		e.emitSpan("inject", time.Now(), 0, t.key, t.life, boolArg(withBlock))
@@ -542,7 +539,7 @@ func (e *FT) inject(t *Task, withBlock bool) {
 	if withBlock {
 		e.store.Corrupt(t.out.Block, t.out.Version)
 	}
-	e.met.injections.Add(1)
+	e.met.at(w).injections.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.InjectionsFired.Inc()
 	}
@@ -572,13 +569,15 @@ func (e *FT) recoverTaskOnce(w *sched.Worker, key graph.Key, life int) {
 // recent life whose recovery has been initiated; claiming succeeds by
 // inserting the first record or by advancing life-1 → life.
 func (e *FT) isRecovering(key graph.Key, life int) bool {
-	rec, inserted := e.rec.LoadOrStore(key, func() *atomicInt64 {
-		return &atomicInt64{v: int64(life)}
+	rec, inserted := e.rec.LoadOrStore(key, func() *atomic.Int64 {
+		r := new(atomic.Int64)
+		r.Store(int64(life))
+		return r
 	})
 	if inserted {
 		return false
 	}
-	return !atomic.CompareAndSwapInt64(&rec.v, int64(life-1), int64(life))
+	return !rec.CompareAndSwap(int64(life-1), int64(life))
 }
 
 // recoverTask is RECOVERTASK (Guarantees 2, 4, 6): replace the descriptor
@@ -589,7 +588,7 @@ func (e *FT) isRecovering(key graph.Key, life int) bool {
 // thread has already claimed that newer recovery.
 func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 	for {
-		t := e.replaceTask(key)
+		t := e.replaceTask(w, key)
 		if h := e.cfg.Hooks.OnRecover; h != nil {
 			h(key, t.life)
 		}
@@ -634,7 +633,7 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 
 // replaceTask is REPLACETASK: atomically install a fresh incarnation with
 // life+1, and mark the old one superseded for the holders of its pointer.
-func (e *FT) replaceTask(key graph.Key) *Task {
+func (e *FT) replaceTask(w *sched.Worker, key graph.Key) *Task {
 	var nt *Task
 	e.tasks.Update(key, func(old *Task, ok bool) *Task {
 		life := 0
@@ -645,7 +644,7 @@ func (e *FT) replaceTask(key graph.Key) *Task {
 		nt = e.newTask(key, life, true)
 		return nt
 	})
-	e.met.recoveries.Add(1)
+	e.met.at(w).recoveries.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.Recoveries.Inc()
 	}
@@ -673,7 +672,7 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 			t.mu.Lock()
 			t.notify = append(t.notify, s)
 			t.mu.Unlock()
-			e.met.reinitEnqueues.Add(1)
+			e.met.at(w).reinitEnqueues.Add(1)
 		}
 		return nil
 	}()
@@ -694,7 +693,7 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 // counter is restored before the bits so that a stale concurrent
 // notification cannot decrement a counter that is about to be overwritten.
 func (e *FT) resetNode(w *sched.Worker, t *Task) {
-	e.met.resets.Add(1)
+	e.met.at(w).resets.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.Resets.Inc()
 	}

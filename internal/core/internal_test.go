@@ -51,11 +51,11 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 	if inserted || t0b != t0 {
 		t.Fatal("second insert did not return the existing task")
 	}
-	t1 := e.replaceTask(3)
+	t1 := e.replaceTask(nil, 3)
 	if t1.Life() != 1 || !t1.recovery {
 		t.Fatalf("first replacement: life=%d recovery=%v", t1.Life(), t1.recovery)
 	}
-	t2 := e.replaceTask(3)
+	t2 := e.replaceTask(nil, 3)
 	if t2.Life() != 2 {
 		t.Fatalf("second replacement: life=%d", t2.Life())
 	}
@@ -75,7 +75,7 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 			t0.superseded.Load(), t1.superseded.Load(), t2.superseded.Load())
 	}
 	// Replacing a never-inserted key starts at life 0.
-	fresh := e.replaceTask(1)
+	fresh := e.replaceTask(nil, 1)
 	if fresh.Life() != 0 {
 		t.Fatalf("replacement of absent key: life=%d", fresh.Life())
 	}

@@ -10,8 +10,8 @@ import (
 	"ftdag/internal/sched"
 )
 
-// metrics holds the executor's atomic counters.
-type metrics struct {
+// counters is one block of executor counters.
+type counters struct {
 	computes       atomic.Int64
 	computeErrors  atomic.Int64
 	recoveries     atomic.Int64
@@ -32,6 +32,46 @@ type metrics struct {
 	sdcInjected     atomic.Int64
 	sdcDetected     atomic.Int64
 	sdcMissed       atomic.Int64
+}
+
+// workerCounters is a counters block on cache lines of its own: padded to a
+// multiple of 128 bytes, two lines, because the adjacent-line prefetcher
+// pairs them (TestCounterBlocksArePadded holds the size to that).
+type workerCounters struct {
+	counters
+	_ [8]byte
+}
+
+// metrics is the counters of an executor that runs tasks on pool workers: one
+// block per worker, so that counting a notification, a registration and a
+// compute for every task writes no cache line another worker writes. A
+// snapshot is the sum of the blocks.
+type metrics struct {
+	blocks []workerCounters
+}
+
+func newMetrics(workers int) metrics { return metrics{blocks: make([]workerCounters, workers)} }
+
+// at returns the block w counts in. The counters are atomics, so sharing a
+// block is correct, only slower: a pool larger than the executor was
+// configured for wraps around, and code that runs on no worker (tests driving
+// a routine directly) counts in block 0.
+func (m *metrics) at(w *sched.Worker) *counters {
+	i := 0
+	if w != nil {
+		if i = w.ID(); i >= len(m.blocks) {
+			i %= len(m.blocks)
+		}
+	}
+	return &m.blocks[i].counters
+}
+
+func (m *metrics) snapshot() Metrics {
+	var out Metrics
+	for i := range m.blocks {
+		m.blocks[i].addTo(&out)
+	}
+	return out
 }
 
 // Metrics is an immutable snapshot of one run's executor counters.
@@ -77,24 +117,30 @@ type Metrics struct {
 	SDCMissed   int64
 }
 
-func (m *metrics) snapshot() Metrics {
-	return Metrics{
-		Computes:        m.computes.Load(),
-		ComputeErrors:   m.computeErrors.Load(),
-		Recoveries:      m.recoveries.Load(),
-		Resets:          m.resets.Load(),
-		Registrations:   m.registrations.Load(),
-		ReinitEnqueues:  m.reinitEnqueues.Load(),
-		Notifications:   m.notifications.Load(),
-		InjectionsFired: m.injections.Load(),
-		OverwriteMarks:  m.overwriteMarks.Load(),
-		ReplicatedTasks: m.replicatedTasks.Load(),
-		ShadowComputes:  m.shadowComputes.Load(),
-		ShadowFailures:  m.shadowFailures.Load(),
-		SDCInjected:     m.sdcInjected.Load(),
-		SDCDetected:     m.sdcDetected.Load(),
-		SDCMissed:       m.sdcMissed.Load(),
-	}
+// addTo adds the block's counts to m. Every counter only grows, so the sums
+// of successive snapshots taken during a run only grow too.
+func (c *counters) addTo(m *Metrics) {
+	m.Computes += c.computes.Load()
+	m.ComputeErrors += c.computeErrors.Load()
+	m.Recoveries += c.recoveries.Load()
+	m.Resets += c.resets.Load()
+	m.Registrations += c.registrations.Load()
+	m.ReinitEnqueues += c.reinitEnqueues.Load()
+	m.Notifications += c.notifications.Load()
+	m.InjectionsFired += c.injections.Load()
+	m.OverwriteMarks += c.overwriteMarks.Load()
+	m.ReplicatedTasks += c.replicatedTasks.Load()
+	m.ShadowComputes += c.shadowComputes.Load()
+	m.ShadowFailures += c.shadowFailures.Load()
+	m.SDCInjected += c.sdcInjected.Load()
+	m.SDCDetected += c.sdcDetected.Load()
+	m.SDCMissed += c.sdcMissed.Load()
+}
+
+func (c *counters) snapshot() Metrics {
+	var m Metrics
+	c.addTo(&m)
+	return m
 }
 
 func (m Metrics) String() string {

@@ -54,7 +54,7 @@ func (rj *replicaJoin) arrive() bool { return rj.remaining.Add(-1) == 0 }
 func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 	rj := &replicaJoin{}
 	rj.remaining.Store(2)
-	e.met.replicatedTasks.Add(1)
+	e.met.at(w).replicatedTasks.Add(1)
 	ins := e.cfg.Instruments
 	if ins != nil {
 		ins.ReplicatedTasks.Inc()
@@ -67,21 +67,21 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
-			e.inject(t, false)
+			e.inject(w, t, false)
 			return fault.Errorf(t.key, t.life)
 		}
 		if err := e.runCompute(w, t, rj); err != nil {
 			return err
 		}
 		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
-			e.inject(t, true)
+			e.inject(w, t, true)
 			return fault.Errorf(t.key, t.life)
 		}
 		if e.plan.Fire(t.key, t.life, fault.SDC) {
 			// CorruptSilently flips the stored payload and re-derives its
 			// checksum; the primary's digest becomes that of the corrupted
 			// data — exactly what a downstream consumer would read.
-			if sum, ok := e.injectSDC(t); ok {
+			if sum, ok := e.injectSDC(w, t); ok {
 				rj.primaryDigest = sum
 			}
 			rj.sdcFired = true
@@ -109,7 +109,7 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 // instead, so a shadow losing a store read to an anti-dependent writer
 // never costs detection coverage.
 func (e *FT) runShadow(w *sched.Worker, t *Task, rj *replicaJoin) {
-	digest, err := e.shadowCompute(t, false, nil)
+	digest, err := e.shadowCompute(w, t, false, nil)
 	if err != nil {
 		rj.shadowFailed.Store(true)
 	} else {
@@ -123,15 +123,15 @@ func (e *FT) runShadow(w *sched.Worker, t *Task, rj *replicaJoin) {
 // shadowCompute runs t's compute without storing the output and returns the
 // output's digest. With snapshot set, the predecessor reads come from inputs
 // — the primary's snapshot — instead of the store (the re-verification path).
-func (e *FT) shadowCompute(t *Task, snapshot bool, inputs []predRead) (uint64, error) {
+func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []predRead) (uint64, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
-	e.met.shadowComputes.Add(1)
+	e.met.at(w).shadowComputes.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.ShadowComputes.Inc()
 	}
-	ctx := &shadowCtx{ftCtx: ftCtx{e: e, t: t, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
+	ctx := &shadowCtx{ftCtx: ftCtx{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
 		err = fault.Errorf(t.key, t.life)
@@ -149,8 +149,8 @@ func (e *FT) shadowCompute(t *Task, snapshot bool, inputs []predRead) (uint64, e
 // inline on the resolving worker — the distinct-worker placement was already
 // attempted by the live shadow; this retry trades that placement for
 // guaranteed verification. Reports whether a digest was produced.
-func (e *FT) reverifyFromSnapshot(t *Task, rj *replicaJoin) bool {
-	digest, err := e.shadowCompute(t, true, rj.inputs)
+func (e *FT) reverifyFromSnapshot(w *sched.Worker, t *Task, rj *replicaJoin) bool {
+	digest, err := e.shadowCompute(w, t, true, rj.inputs)
 	if err != nil {
 		return false
 	}
@@ -176,15 +176,15 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 	}
 	err := func() error { // try
 		if rj.shadowFailed.Load() {
-			e.met.shadowFailures.Add(1)
-			if !e.reverifyFromSnapshot(t, rj) {
+			e.met.at(w).shadowFailures.Add(1)
+			if !e.reverifyFromSnapshot(w, t, rj) {
 				// Neither the live shadow nor the snapshot re-run could
 				// produce a digest (the task was poisoned under us, or
 				// its compute genuinely errors): accept the primary
 				// unverified. If a corruption was injected it escaped
 				// the one mechanism that could have caught it: a miss.
 				if rj.sdcFired {
-					e.met.sdcMissed.Add(1)
+					e.met.at(w).sdcMissed.Add(1)
 					if ins != nil {
 						ins.SDCMissed.Inc()
 					}
@@ -194,7 +194,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 			}
 		}
 		if rj.primaryDigest != rj.shadowDigest {
-			e.met.sdcDetected.Add(1)
+			e.met.at(w).sdcDetected.Add(1)
 			if ins != nil {
 				ins.SDCDetected.Inc()
 			}
@@ -225,10 +225,10 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 // corrupted data, so neither the poisoned flag nor checksum verification
 // can observe it. Only replica digest comparison can. It returns the
 // recomputed checksum and whether the version was still retained.
-func (e *FT) injectSDC(t *Task) (sum uint64, ok bool) {
+func (e *FT) injectSDC(w *sched.Worker, t *Task) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.life, 0)
-	e.met.sdcInjected.Add(1)
+	e.met.at(w).sdcInjected.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.SDCInjected.Inc()
 	}

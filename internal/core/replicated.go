@@ -29,7 +29,7 @@ type Replicated struct {
 
 	mu         sync.Mutex
 	outs       map[graph.Key][]float64
-	met        metrics
+	met        counters
 	mismatches int64
 }
 

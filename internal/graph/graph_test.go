@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"ftdag/internal/block"
+	"ftdag/internal/cmap"
 )
 
 func TestChainProps(t *testing.T) {
@@ -130,7 +133,7 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	g := NewStatic(nil)
 	g.AddTaskAuto(0).AddTaskAuto(1)
 	// Edge recorded only on the predecessor side.
-	g.preds[1] = append(g.preds[1], 0)
+	g.node(1).preds = append(g.node(1).preds, 0)
 	g.SetSink(1)
 	if err := Validate(g); err == nil {
 		t.Fatal("Validate accepted asymmetric edge")
@@ -214,3 +217,55 @@ type mapCtx struct {
 
 func (c *mapCtx) ReadPred(p Key) ([]float64, error) { return c.vals[p], nil }
 func (c *mapCtx) Write(d []float64)                 { c.out = d }
+
+// TestStaticArbitraryKeys: Static keeps its nodes in a table that
+// direct-indexes small non-negative keys and hashes the rest. A graph whose
+// keys are sparse, negative and beyond the direct-indexed range is the same
+// graph: Keys is sorted, the structure validates, an undeclared key has no
+// predecessors, no successors and no output.
+func TestStaticArbitraryKeys(t *testing.T) {
+	keys := []Key{math.MaxInt64, 5, -1, cmap.TableCap, 0, math.MinInt64, 1 << 20, cmap.TableCap - 1, -77, 4096}
+	g := NewStatic(nil)
+	for _, k := range keys {
+		g.AddTaskAuto(k)
+	}
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ { // a chain in ascending key order
+		g.AddEdge(sorted[i-1], sorted[i])
+	}
+	g.AddEdge(sorted[0], sorted[len(sorted)-1])
+	g.SetSink(sorted[len(sorted)-1])
+	if got := g.Keys(); !slices.Equal(got, sorted) {
+		t.Fatalf("Keys = %v, want %v", got, sorted)
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if p := Analyze(g); p.Tasks != len(keys) || p.Edges != len(keys) || p.CriticalPath != len(keys) {
+		t.Fatalf("props = %v, want T=E=S=%d", p, len(keys))
+	}
+	for _, k := range sorted {
+		if ref := g.Output(k); ref.Block != block.ID(k) {
+			t.Fatalf("Output(%d) = %v", k, ref)
+		}
+	}
+	for _, k := range []Key{3, -2, cmap.TableCap + 1} {
+		if g.Predecessors(k) != nil || g.Successors(k) != nil {
+			t.Fatalf("undeclared key %d has edges", k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Output(%d) of an undeclared key did not panic", k)
+				}
+			}()
+			g.Output(k)
+		}()
+	}
+	// An edge alone declares nothing.
+	g.AddEdge(-5, 9)
+	if got := g.Keys(); !slices.Equal(got, sorted) {
+		t.Fatalf("Keys after an edge between undeclared tasks = %v, want %v", got, sorted)
+	}
+}

@@ -2,9 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftdag/internal/block"
+	"ftdag/internal/cmap"
 )
 
 // ComputeFunc is the user computation of a Static graph node. vals holds the
@@ -19,10 +21,24 @@ type ComputeFunc func(key Key, vals [][]float64) []float64
 // cases.
 type Static struct {
 	sink    Key
-	preds   map[Key][]Key
-	succs   map[Key][]Key
-	outputs map[Key]block.Ref
+	nodes   cmap.Table[staticNode]
 	compute ComputeFunc
+}
+
+// staticNode is everything Static knows about one task, so that the
+// executor's questions about it — Predecessors, Output, and Compute's own
+// look at the predecessor list — are answered from one table entry.
+type staticNode struct {
+	preds, succs []Key
+	out          block.Ref
+	declared     bool // AddTask has given the task its output
+}
+
+// node returns the entry of key, creating it if need be. The graph is built
+// by one goroutine and read by many once it is complete.
+func (g *Static) node(key Key) *staticNode {
+	n, _ := g.nodes.LoadOrStore(key, func() *staticNode { return new(staticNode) })
+	return n
 }
 
 // NewStatic returns an empty static graph whose nodes compute fn. If fn is
@@ -40,22 +56,14 @@ func NewStatic(fn ComputeFunc) *Static {
 			return []float64{sum + 1}
 		}
 	}
-	return &Static{
-		preds:   make(map[Key][]Key),
-		succs:   make(map[Key][]Key),
-		outputs: make(map[Key]block.Ref),
-		compute: fn,
-	}
+	return &Static{compute: fn}
 }
 
 // AddTask declares a task with the given output block version. Declaring a
 // task twice is an error caught by Validate, not here.
 func (g *Static) AddTask(key Key, out block.Ref) *Static {
-	if _, ok := g.preds[key]; !ok {
-		g.preds[key] = nil
-		g.succs[key] = nil
-	}
-	g.outputs[key] = out
+	n := g.node(key)
+	n.out, n.declared = out, true
 	return g
 }
 
@@ -67,8 +75,9 @@ func (g *Static) AddTaskAuto(key Key) *Static {
 
 // AddEdge adds a dependence from producer from to consumer to.
 func (g *Static) AddEdge(from, to Key) *Static {
-	g.preds[to] = append(g.preds[to], from)
-	g.succs[from] = append(g.succs[from], to)
+	t, f := g.node(to), g.node(from)
+	t.preds = append(t.preds, from)
+	f.succs = append(f.succs, to)
 	return g
 }
 
@@ -77,29 +86,44 @@ func (g *Static) SetSink(k Key) *Static { g.sink = k; return g }
 
 // Keys returns all declared task keys in sorted order.
 func (g *Static) Keys() []Key {
-	ks := make([]Key, 0, len(g.preds))
-	for k := range g.preds {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	ks := make([]Key, 0, g.nodes.Len())
+	g.nodes.Range(func(k Key, n *staticNode) bool {
+		if n.declared {
+			ks = append(ks, k)
+		}
+		return true
+	})
+	slices.Sort(ks)
 	return ks
 }
 
 // Spec interface.
 
-func (g *Static) Sink() Key                { return g.sink }
-func (g *Static) Predecessors(k Key) []Key { return g.preds[k] }
-func (g *Static) Successors(k Key) []Key   { return g.succs[k] }
+func (g *Static) Sink() Key { return g.sink }
+
+func (g *Static) Predecessors(k Key) []Key {
+	if n, ok := g.nodes.Load(k); ok {
+		return n.preds
+	}
+	return nil
+}
+
+func (g *Static) Successors(k Key) []Key {
+	if n, ok := g.nodes.Load(k); ok {
+		return n.succs
+	}
+	return nil
+}
 
 func (g *Static) Output(k Key) block.Ref {
-	if ref, ok := g.outputs[k]; ok {
-		return ref
+	if n, ok := g.nodes.Load(k); ok && n.declared {
+		return n.out
 	}
 	panic(fmt.Sprintf("graph: no output declared for task %d", k))
 }
 
 func (g *Static) Compute(ctx Context, key Key) error {
-	preds := g.preds[key]
+	preds := g.Predecessors(key)
 	vals := make([][]float64, len(preds))
 	for i, p := range preds {
 		v, err := ctx.ReadPred(p)
@@ -204,7 +228,7 @@ func Layered(layers, width, maxIn int, seed uint64, fn ComputeFunc) *Static {
 	// (never chosen as a predecessor) one successor in the next layer.
 	for l := 0; l < layers-1; l++ {
 		for i := 0; i < width; i++ {
-			if len(g.succs[id(l, i)]) == 0 {
+			if len(g.Successors(id(l, i))) == 0 {
 				g.AddEdge(id(l, i), id(l+1, next(width)))
 			}
 		}

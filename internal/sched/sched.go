@@ -558,21 +558,24 @@ func (w *Worker) exec(j job) {
 		w.pool.quiesceCond.Broadcast()
 		w.pool.quiesceMu.Unlock()
 	}
-	w.stats.jobs.Add(1)
 }
 
 // invoke applies the group contract around the job body: an aborted group's
 // queued work becomes a no-op instead of being discarded (the pool's
 // pending count still drains normally), and the group reaches quiescence
-// exactly when its last job has finished or been skipped.
+// exactly when its last job has finished or been skipped. The job is counted
+// before either pending counter drops, so a waiter released by the group's or
+// the pool's quiescence broadcast reads a StatsSnapshot that includes it.
 func (w *Worker) invoke(j job) {
 	if j.g == nil {
 		j.run.Run(w, j.arg)
+		w.stats.jobs.Add(1)
 		return
 	}
 	if !j.g.aborted.Load() {
 		j.run.Run(w, j.arg)
 	}
+	w.stats.jobs.Add(1)
 	if j.g.pending.Add(-1) == 0 {
 		j.g.mu.Lock()
 		j.g.cond.Broadcast()
