@@ -12,14 +12,21 @@ package ftdag_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ftdag/internal/apps"
 	"ftdag/internal/apps/fw"
+	"ftdag/internal/bitvec"
+	"ftdag/internal/block"
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/harness"
+	"ftdag/internal/replica"
 	"ftdag/internal/sched"
+	"ftdag/internal/trace"
 )
 
 // BenchmarkAblationScheduler compares work stealing against the
@@ -147,4 +154,305 @@ func BenchmarkAblationTraversalOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(props.Tasks), "tasks")
 	})
+}
+
+// desc mirrors the part of core.Task that check() reads.
+type desc struct {
+	poisoned atomic.Bool
+	key      graph.Key
+	life     int
+	preds    [3]graph.Key
+}
+
+func (d *desc) check() error {
+	if d.poisoned.Load() {
+		return fault.Errorf(d.key, d.life)
+	}
+	return nil
+}
+
+//go:noinline
+func (d *desc) work() { d.life++ }
+
+// The closure-shaped try/catch the FT routines had, and the straight-line
+// form they have now; work stands for the calls that kept the closure from
+// being inlined.
+func (d *desc) tryClosure() {
+	err := func() error {
+		if err := d.check(); err != nil {
+			return err
+		}
+		d.work()
+		return nil
+	}()
+	if err != nil {
+		panic(err)
+	}
+}
+
+func (d *desc) tryStraight() {
+	if err := d.check(); err != nil {
+		panic(err)
+	}
+	d.work()
+}
+
+// chain is a Runner that respawns itself, through its group when it has one.
+type chain struct {
+	g    *sched.Group
+	left int
+	done chan struct{}
+}
+
+func (c *chain) Run(w *sched.Worker, _ int) {
+	switch c.left--; {
+	case c.left < 0:
+		close(c.done)
+	case c.g != nil:
+		c.g.SpawnRunner(w, c, 0)
+	default:
+		w.SpawnRunner(c, 0)
+	}
+}
+
+// Nil as the executor sees it on a fault-free, untraced run; package-level
+// so that the compiler does not fold the nil checks away.
+var (
+	noPlan  *fault.Plan
+	noSet   *replica.Set
+	noLog   *trace.Log
+	taxSink int
+	taxPtr  any
+)
+
+// BenchmarkAblationFTTax is the ledger of what fault tolerance costs a
+// fault-free task (ROADMAP item 5): each row times one mechanism the NABBIT
+// baseline does without — alone, on one goroutine, so uncontended — and
+// multiplies it by how often a task of Layered(400, 256, 3), bench/'s
+// finegrain_dag graph, pays it, counted from one run's Result. tax-ns/op is
+// the mechanism's cost over doing without it, tax-ns/task that times
+// events/task. Before the straight-line path a task paid check() once more per
+// traversal and the closure once per check(). The measured rows are whole
+// runs, FT minus baseline per task, for the rows to be summed against
+// (EXPERIMENTS.md "Quiescence without a shared counter").
+func BenchmarkAblationFTTax(b *testing.B) {
+	g := graph.Layered(400, 256, 3, 1, nil)
+	res, err := core.NewFT(g, core.Config{Workers: 2, VerifyChecksums: true}).Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := float64(res.Tasks)
+	notifs := float64(res.Metrics.Notifications) / tasks
+	edges := notifs - 1 // a traversal and a notification per predecessor, one notification more: the task's own
+	reads := float64(res.Store.Reads) / tasks
+	writes := float64(res.Store.Writes) / tasks
+	spawns := float64(res.Sched.Spawns) / tasks
+
+	// with and without take turns, a sixteenth of the iterations at a time, so
+	// that a slow spell of the host lands on both.
+	row := func(name string, perTask float64, with, without func(n int)) {
+		b.Run(name, func(b *testing.B) {
+			var tax time.Duration
+			for n, left := max(b.N/16, 1), b.N; left > 0; left -= n {
+				n = min(n, left)
+				start := time.Now()
+				with(n)
+				tax += time.Since(start)
+				if without != nil {
+					start = time.Now()
+					without(n)
+					tax -= time.Since(start)
+				}
+			}
+			perOp := float64(tax) / float64(b.N)
+			b.ReportMetric(perOp, "tax-ns/op")
+			b.ReportMetric(perTask, "events/task")
+			b.ReportMetric(perOp*perTask, "tax-ns/task")
+		})
+	}
+
+	descs := make([]desc, 1024)
+	for i := range descs {
+		descs[i].preds = [3]graph.Key{graph.Key(i), graph.Key(i + 1), graph.Key(i + 2)}
+	}
+	row("check", edges+notifs+1, func(n int) {
+		for i := 0; i < n; i++ {
+			if descs[i&1023].check() != nil {
+				taxSink++
+			}
+		}
+	}, nil)
+	row("closure-try", 0, func(n int) {
+		for i := 0; i < n; i++ {
+			descs[i&1023].tryClosure()
+		}
+	}, func(n int) {
+		for i := 0; i < n; i++ {
+			descs[i&1023].tryStraight()
+		}
+	})
+
+	// core.Task is 192 bytes, the baseline's descriptor 144; both hold pointers.
+	type task192 struct {
+		p [6]*int
+		_ [144]byte
+	}
+	type task144 struct {
+		p [6]*int
+		_ [96]byte
+	}
+	row("descriptor-48B", 1, func(n int) {
+		for i := 0; i < n; i++ {
+			taxPtr = new(task192)
+		}
+	}, func(n int) {
+		for i := 0; i < n; i++ {
+			taxPtr = new(task144)
+		}
+	})
+
+	const bits = 1 << 16
+	vec := bitvec.New(bits)
+	var join atomic.Int32
+	row("bit-test-and-clear", notifs, func(n int) {
+		for i := 0; i < n; i++ {
+			k := i & (bits - 1)
+			if k == 0 {
+				vec.SetAll()
+			}
+			if vec.TestAndClear(k) {
+				join.Add(-1)
+			}
+		}
+	}, func(n int) {
+		for i := 0; i < n; i++ {
+			join.Add(-1)
+		}
+	})
+	row("pred-index", edges, func(n int) {
+		for i := 0; i < n; i++ {
+			d := &descs[i&1023]
+			for j, p := range d.preds {
+				if p == d.preds[i%3] {
+					taxSink += j
+					break
+				}
+			}
+		}
+	}, func(n int) {
+		for i := 0; i < n; i++ {
+			taxSink += int(descs[i&1023].preds[i%3])
+		}
+	})
+
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	cycle := func(grouped bool) func(n int) {
+		return func(n int) {
+			c := &chain{left: n, done: make(chan struct{})}
+			if grouped {
+				c.g = pool.NewGroup()
+				c.g.Submit(func(w *sched.Worker) { c.Run(w, 0) })
+			} else {
+				pool.Submit(func(w *sched.Worker) { c.Run(w, 0) })
+			}
+			<-c.done
+		}
+	}
+	row("group-spawn", spawns, cycle(true), cycle(false))
+
+	for _, size := range []struct {
+		name    string
+		f64     int
+		perTask float64 // a Layered payload is one float64; the apps' blocks are the 8 KiB ones
+	}{{"8B", 1, 1}, {"8KiB", 1024, 0}} {
+		payload := make([]float64, size.f64)
+		for i := range payload {
+			payload[i] = float64(i) + 0.5
+		}
+		read := func(opts ...block.Option) func(n int) {
+			sl := block.NewStore(0, opts...).Slot(0)
+			sl.Write(0, 0, payload)
+			var arena block.Arena
+			return func(n int) {
+				for i := 0; i < n; i++ {
+					d, err := sl.Read(0, &arena)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(d) >= block.PoolMin {
+						block.Free(d)
+					} else {
+						arena.Reset()
+					}
+				}
+			}
+		}
+		row("verified-read/"+size.name, reads*size.perTask, read(block.WithVerification()), read())
+		// The baseline's writes are checksummed too: a row of the table, not of the difference.
+		row("write-checksum/"+size.name, writes*size.perTask, func(n int) {
+			for i := 0; i < n; i++ {
+				taxSink += int(block.Checksum(payload))
+			}
+		}, nil)
+	}
+
+	row("plan-fire-nil", 4, func(n int) {
+		for i := 0; i < n; i++ {
+			if noPlan.Fire(graph.Key(i), 0, fault.AfterCompute) {
+				taxSink++
+			}
+		}
+	}, nil)
+	row("replicate-contains-nil", 1, func(n int) {
+		for i := 0; i < n; i++ {
+			if noSet.Contains(graph.Key(i)) {
+				taxSink++
+			}
+		}
+	}, nil)
+	row("trace-emit-nil", notifs+3, func(n int) {
+		for i := 0; i < n; i++ {
+			noLog.Emit(trace.Notify, int64(i), 0, 0)
+		}
+	}, nil)
+
+	// Whole runs as bench/ makes them: FT verifies what it reads, the
+	// baseline does not. On one worker the difference is what the rows above
+	// should sum to; on two it is what finegrain_dag sees of it, for the
+	// Layered graph (per task) and for one quick LCS plus one quick SW, which
+	// finegrain_dag runs eight times each (per pair of runs).
+	type item struct {
+		spec      graph.Spec
+		retention int
+	}
+	whole := func(items []item, workers int, baseline bool) func(n int) {
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				for _, it := range items {
+					var err error
+					if baseline {
+						_, err = core.NewBaseline(it.spec, core.Config{Workers: workers, Retention: it.retention}).Run()
+					} else {
+						_, err = core.NewFT(it.spec, core.Config{Workers: workers, Retention: it.retention, VerifyChecksums: true}).Run()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	layered := []item{{g, 0}}
+	row("measured/layered-1worker", 1/tasks, whole(layered, 1, false), whole(layered, 1, true))
+	row("measured/layered-2workers", 1/tasks, whole(layered, 2, false), whole(layered, 2, true))
+	var quick []item
+	for _, name := range []string{"LCS", "SW"} {
+		a, err := harness.MakeApp(name, harness.QuickSizes()[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		quick = append(quick, item{a.Spec(), a.Retention()})
+	}
+	row("measured/quick-lcs-sw-2workers", 0, whole(quick, 2, false), whole(quick, 2, true))
 }

@@ -276,29 +276,20 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 	if inserted {
 		e.spawn(w, (*exploreJob)(b), 0)
 	}
-	err := func() error { // try
-		if err := b.check(); err != nil {
-			return err
-		}
-		finished := true
-		b.mu.Lock()
-		if err := b.check(); err != nil {
-			b.mu.Unlock()
-			return err
-		}
-		if b.Status() < Computed {
-			b.notify = append(b.notify, t)
-			e.met.at(w).registrations.Add(1)
-			finished = false
-		}
+	b.mu.Lock()
+	if err := b.check(); err != nil { // catch
 		b.mu.Unlock()
-		if finished {
-			e.notifyOnce(w, t, i)
-		}
-		return nil
-	}()
-	if err != nil { // catch
 		e.recoverFromError(w, err, b.key, b.life)
+		return
+	}
+	finished := b.Status() >= Computed
+	if !finished {
+		b.notify = append(b.notify, t)
+		e.met.at(w).registrations.Add(1)
+	}
+	b.mu.Unlock()
+	if finished {
+		e.notifyOnce(w, t, i)
 	}
 }
 
@@ -307,25 +298,20 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 // notification won the bit, decrement the join counter; the thread that takes
 // it to zero executes the task. Errors accessing t trigger t's recovery.
 func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
-	err := func() error { // try
-		if err := t.check(); err != nil {
-			return err
-		}
-		if !t.bits.TestAndClear(ind) {
-			return nil
-		}
-		e.met.at(w).notifications.Add(1)
-		if ins := e.cfg.Instruments; ins != nil {
-			ins.Notifications.Inc()
-		}
-		e.cfg.Trace.Emit(trace.Notify, t.key, t.life, t.predKey(ind))
-		if t.join.Add(-1) == 0 {
-			e.computeAndNotify(w, t)
-		}
-		return nil
-	}()
-	if err != nil { // catch
+	if err := t.check(); err != nil { // catch
 		e.recoverFromError(w, err, t.key, t.life)
+		return
+	}
+	if !t.bits.TestAndClear(ind) {
+		return
+	}
+	e.met.at(w).notifications.Add(1)
+	if ins := e.cfg.Instruments; ins != nil {
+		ins.Notifications.Inc()
+	}
+	e.cfg.Trace.Emit(trace.Notify, t.key, t.life, t.predKey(ind))
+	if t.join.Add(-1) == 0 {
+		e.computeAndNotify(w, t)
 	}
 }
 
@@ -356,37 +342,40 @@ func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
 		e.computeReplicated(w, t)
 		return
 	}
-	err := func() error { // try
-		if err := t.check(); err != nil {
-			return err
-		}
-		if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
-			e.inject(w, t, false)
-			return fault.Errorf(t.key, t.life)
-		}
-		if err := e.runCompute(w, t, nil); err != nil {
-			return err
-		}
-		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
-			e.inject(w, t, true)
-			return fault.Errorf(t.key, t.life)
-		}
-		if e.plan.Fire(t.key, t.life, fault.SDC) {
-			// Unreplicated task: the corruption is unobservable by
-			// construction. Count the miss and continue as if nothing
-			// happened — that is the point of the SDC model.
-			e.injectSDC(w, t)
-			e.met.at(w).sdcMissed.Add(1)
-			if ins := e.cfg.Instruments; ins != nil {
-				ins.SDCMissed.Inc()
-			}
-		}
-		e.finishAndNotify(w, t)
-		return nil
-	}()
-	if err != nil { // catch
+	if err := e.compute(w, t); err != nil { // catch
 		e.catchComputeError(w, t, err)
 	}
+}
+
+// compute is the try block of COMPUTEANDNOTIFY: what it returns, the caller
+// catches.
+func (e *FT) compute(w *sched.Worker, t *Task) error {
+	if err := t.check(); err != nil {
+		return err
+	}
+	if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
+		e.inject(w, t, false)
+		return fault.Errorf(t.key, t.life)
+	}
+	if err := e.runCompute(w, t, nil); err != nil {
+		return err
+	}
+	if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
+		e.inject(w, t, true)
+		return fault.Errorf(t.key, t.life)
+	}
+	if e.plan.Fire(t.key, t.life, fault.SDC) {
+		// Unreplicated task: the corruption is unobservable by
+		// construction. Count the miss and continue as if nothing
+		// happened — that is the point of the SDC model.
+		e.injectSDC(w, t)
+		e.met.at(w).sdcMissed.Add(1)
+		if ins := e.cfg.Instruments; ins != nil {
+			ins.SDCMissed.Inc()
+		}
+	}
+	e.finishAndNotify(w, t)
+	return nil
 }
 
 // runCompute executes the user compute of t's current incarnation with its

@@ -65,7 +65,7 @@ func (n *node[D]) producer(pred graph.Key) *D {
 }
 
 // notifyBatchSize is how many successors one spawned drain job notifies.
-// Chunking amortizes the per-spawn cost (group and pool pending counters,
+// Chunking amortizes the per-spawn cost (group and pool tallies,
 // deque push, wake check) over the batch while keeping the fan-out
 // stealable at chunk granularity; 8 keeps a task with a handful of
 // successors on one job and splits the big broadcast nodes across workers.

@@ -9,22 +9,27 @@ import (
 )
 
 // Group tracks one logical job's work on a shared Pool: a subset of the
-// pool's jobs with its own pending count, quiescence condition, and abort
-// flag. It is what lets a long-lived pool serve many concurrent task-graph
-// executions — each execution waits on (and cancels) only its own group,
-// while Pool.Wait/Pool.Abort retain their whole-pool semantics.
+// pool's jobs with its own tally, quiescence condition, and abort flag. It is
+// what lets a long-lived pool serve many concurrent task-graph executions —
+// each execution waits on (and cancels) only its own group, while
+// Pool.Wait/Pool.Abort retain their whole-pool semantics.
 //
 // Every function routed through Submit/Spawn carries the group in its job
 // record (not a wrapper closure — the spawn path stays allocation-free);
 // the worker loop applies the group contract: (a) an aborted group's queued
-// work becomes a no-op instead of being discarded — the pool's pending
-// count still drains normally, so other groups' progress and the pool's
-// own quiescence are unaffected — and (b) the group reaches its own
-// quiescence exactly when its last function (and everything transitively
-// spawned from it through the group) has finished or been skipped.
+// work becomes a no-op instead of being discarded — it is still counted
+// done, so other groups' progress and the pool's own quiescence are
+// unaffected — and (b) the group reaches its own quiescence exactly when its
+// last function (and everything transitively spawned from it through the
+// group) has finished or been skipped.
 type Group struct {
-	pool    *Pool
-	pending atomic.Int64
+	pool *Pool
+
+	// tally counts the group's outstanding jobs (tally.go), one pair per
+	// worker of the pool and one for everyone else; nothing in the Group
+	// itself is written per job. A worker looks at it where it stops working
+	// for the group (Worker.leaveGroup) and broadcasts cond under mu.
+	tally   tally
 	aborted atomic.Bool
 
 	// span/spanJob position the group's work in a distributed trace (set
@@ -49,7 +54,7 @@ func (g *Group) SetSpan(ctx trace.SpanContext, job int64) {
 
 // NewGroup returns an empty group on the pool. An empty group is quiescent.
 func (p *Pool) NewGroup() *Group {
-	g := &Group{pool: p}
+	g := &Group{pool: p, tally: newTally(len(p.workers))}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -59,7 +64,7 @@ func (g *Group) Pool() *Pool { return g.pool }
 
 // Submit schedules f from outside the pool as part of this group.
 func (g *Group) Submit(f Func) {
-	g.pending.Add(1)
+	g.tally.external().added.Add(1)
 	g.pool.submitJob(job{run: f, g: g})
 }
 
@@ -70,7 +75,7 @@ func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
 
 // SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner).
 func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
-	g.pending.Add(1)
+	g.tally[w.id].added.Add(1)
 	w.spawnJob(job{run: r, arg: arg, g: g})
 }
 
@@ -78,13 +83,14 @@ func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
 // w (round-robin; on a single-worker pool it degrades to worker 0) and
 // returns the chosen worker id. Used for distinct-worker replica placement.
 func (g *Group) SpawnAvoiding(w *Worker, f Func) int {
-	g.pending.Add(1)
+	g.tally.external().added.Add(1)
 	return g.pool.submitAvoidingJob(w.ID(), job{run: f, g: g})
 }
 
 // Pending returns the group's outstanding job count (scheduled but not yet
-// finished or skipped).
-func (g *Group) Pending() int64 { return g.pending.Load() }
+// finished or skipped). Mid-run it may count a job that finished during the
+// call; it is zero once Wait has returned from quiescence.
+func (g *Group) Pending() int64 { return g.tally.pending() }
 
 // Abort cancels the group cooperatively: functions of this group that have
 // not started yet run as no-ops, currently running ones finish normally, and
@@ -103,11 +109,11 @@ func (g *Group) Aborted() bool { return g.aborted.Load() }
 // Wait blocks until every function submitted or spawned through the group
 // has finished, or until the group is aborted.
 func (g *Group) Wait() {
-	if g.pending.Load() == 0 {
+	if g.tally.quiescent() {
 		return
 	}
 	g.mu.Lock()
-	for g.pending.Load() != 0 && !g.aborted.Load() {
+	for !g.tally.quiescent() && !g.aborted.Load() {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"strconv"
+	"time"
 
 	"ftdag/internal/metrics"
 	"ftdag/internal/trace"
@@ -14,6 +15,14 @@ import (
 type poolObs struct {
 	stealLat  *metrics.Histogram // successful-steal latency (findWork entry → steal)
 	queueWait *metrics.Histogram // injector queue wait (enqueue → pickup)
+}
+
+// pickedUp records how long j waited in the injector, if the pool was observed
+// when it was enqueued.
+func (o *poolObs) pickedUp(j job) {
+	if o != nil && j.at != 0 {
+		o.queueWait.ObserveSince(time.Unix(0, j.at))
+	}
 }
 
 // Observe registers the pool's scheduler metrics on r and enables latency

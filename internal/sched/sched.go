@@ -20,6 +20,9 @@
 //     group membership travels as a field of the job record rather than a
 //     wrapper closure, so the spawn→execute cycle performs zero heap
 //     allocations in steady state.
+//   - Outstanding jobs are counted in one {added, done} pair per worker
+//     (tally.go), for the pool and for each group, and quiescence is found by
+//     summing them: there is no counter that two workers write.
 //
 // The task-graph executors in internal/core express every traversal step
 // (TRYINITCOMPUTE, INITANDCOMPUTE, NOTIFYSUCCESSOR, …) as a spawned job: a
@@ -64,7 +67,7 @@ type job struct {
 	run Runner
 	arg int
 	g   *Group
-	at  time.Time // injector enqueue time; set only on observed pools
+	at  int64 // injector enqueue time, Unix nanoseconds; 0 unless the pool is observed
 }
 
 // Stats aggregates scheduler counters across all workers of a Pool run.
@@ -111,10 +114,9 @@ func (p Policy) String() string {
 // than plain fields owned by the worker goroutine) so that a long-lived pool
 // can be observed mid-run via StatsSnapshot without a data race; each worker
 // writes only its own cache line, so the hot-path cost is an uncontended
-// atomic add.
+// atomic add. Jobs and spawns are not here: they are the worker's pair of the
+// pool's tally.
 type counters struct {
-	jobs         atomic.Int64
-	spawns       atomic.Int64
 	steals       atomic.Int64
 	failedSteals atomic.Int64
 	injectorHits atomic.Int64
@@ -130,6 +132,11 @@ type Worker struct {
 	dq    *deque.Deque[job]
 	rng   uint64
 	stats counters
+
+	// cur is the group of the job the worker ran last, nil when that job
+	// had none or the worker has since looked at the group's tally. Owned by
+	// the worker goroutine.
+	cur *Group
 
 	// free is the worker-local free-list of deque job slots. It is touched
 	// only by the owning goroutine (Spawn allocates from the spawner, the
@@ -171,8 +178,7 @@ func (w *Worker) SpawnRunner(r Runner, arg int) { w.spawnJob(job{run: r, arg: ar
 
 func (w *Worker) spawnJob(j job) {
 	p := w.pool
-	p.pending.Add(1)
-	w.stats.spawns.Add(1)
+	p.tally[w.id].added.Add(1)
 	if p.policy == CentralQueue {
 		p.injectJob(j)
 		p.wakeOne()
@@ -217,6 +223,28 @@ const slotFreeListCap = 256
 type Pool struct {
 	workers []*Worker
 	wg      sync.WaitGroup
+	policy  Policy
+
+	// tally counts the pool's outstanding jobs (tally.go); its workers'
+	// pairs are also Stats.Spawns and Stats.Jobs. A worker that finds no
+	// work looks at it and, if nothing is outstanding, broadcasts
+	// quiesceCond under quiesceMu; Wait evaluates the same predicate under
+	// the same lock before it sleeps.
+	tally       tally
+	quiesceMu   sync.Mutex
+	quiesceCond *sync.Cond
+
+	// What every spawn and every turn of the worker loop reads — the head
+	// of the parked-worker stack (park.go), with its count for
+	// observability, and the stop flags — is written only when a worker
+	// parks or wakes or the pool stops. The pad keeps it off the line of the
+	// submission cursors below, which every external submission writes
+	// (TestSchedLayout).
+	parkHead    atomic.Uint64
+	parkedCount atomic.Int64
+	stop        atomic.Bool
+	aborted     atomic.Bool
+	_           [128]byte
 
 	// shards is the sharded external submission queue (injector.go), one
 	// bounded MPMC ring per worker. injLen counts jobs across all shards
@@ -225,27 +253,14 @@ type Pool struct {
 	shards []*injRing
 	injLen atomic.Int64
 	injRR  atomic.Uint64 // round-robin shard cursor for external Submit
+	rr     atomic.Int64  // round-robin cursor for SubmitAvoiding
 
 	// ovf is the overload relief valve: jobs that found every shard full.
 	ovfMu sync.Mutex
 	ovf   []job
 
-	// Parking (park.go): packed {version,id} head of the parked-worker
-	// stack, plus a count for observability.
-	parkHead    atomic.Uint64
-	parkedCount atomic.Int64
-
-	pending atomic.Int64 // submitted + spawned - completed
-	stop    atomic.Bool
-	aborted atomic.Bool
-	policy  Policy
-	rr      atomic.Int64 // round-robin cursor for SubmitAvoiding
-
 	obs   atomic.Pointer[poolObs]     // instrument bundle; nil until Observe
 	spans atomic.Pointer[trace.Spans] // steal-span recorder; nil until ObserveSpans
-
-	quiesceMu   sync.Mutex
-	quiesceCond *sync.Cond
 }
 
 // NewPool starts a work-stealing pool with p workers (p >= 1). The caller
@@ -261,7 +276,7 @@ func NewPoolWithPolicy(p int, policy Policy) *Pool {
 	if p > maxWorkers {
 		panic(fmt.Sprintf("sched: pool size %d exceeds the %d-worker limit", p, maxWorkers))
 	}
-	pool := &Pool{policy: policy}
+	pool := &Pool{policy: policy, tally: newTally(p)}
 	pool.quiesceCond = sync.NewCond(&pool.quiesceMu)
 	pool.workers = make([]*Worker, p)
 	pool.shards = make([]*injRing, p)
@@ -291,7 +306,7 @@ func (p *Pool) Size() int { return len(p.workers) }
 func (p *Pool) Submit(f Func) { p.submitJob(job{run: f}) }
 
 func (p *Pool) submitJob(j job) {
-	p.pending.Add(1)
+	p.tally.external().added.Add(1)
 	p.injectJob(j)
 	p.wakeOne()
 }
@@ -302,7 +317,7 @@ func (p *Pool) submitJob(j job) {
 // funnels everything through shard 0 to preserve its single-FIFO semantics.
 func (p *Pool) injectJob(j job) {
 	if p.obs.Load() != nil {
-		j.at = time.Now()
+		j.at = time.Now().UnixNano()
 	}
 	n := len(p.shards)
 	start := 0
@@ -348,7 +363,7 @@ func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{run: f}) }
 
 func (p *Pool) submitToJob(id int, j job) {
 	w := p.workers[id]
-	p.pending.Add(1)
+	p.tally.external().added.Add(1)
 	w.dirMu.Lock()
 	w.dir = append(w.dir, j)
 	w.dirLen.Store(int64(len(w.dir)))
@@ -404,11 +419,11 @@ func (w *Worker) takeDirected() (job, bool) {
 // Wait blocks until every submitted and spawned job has finished, or until
 // the pool is aborted.
 func (p *Pool) Wait() {
-	if p.pending.Load() == 0 {
+	if p.tally.quiescent() {
 		return
 	}
 	p.quiesceMu.Lock()
-	for p.pending.Load() != 0 && !p.aborted.Load() {
+	for !p.tally.quiescent() && !p.aborted.Load() {
 		p.quiesceCond.Wait()
 	}
 	p.quiesceMu.Unlock()
@@ -462,9 +477,9 @@ func (p *Pool) Close() Stats {
 // (service observability endpoints) where Close is not an option.
 func (p *Pool) StatsSnapshot() Stats {
 	var s Stats
-	for _, w := range p.workers {
-		s.Jobs += w.stats.jobs.Load()
-		s.Spawns += w.stats.spawns.Load()
+	for i, w := range p.workers {
+		s.Jobs += p.tally[i].done.Load()
+		s.Spawns += p.tally[i].added.Load()
 		s.Steals += w.stats.steals.Load()
 		s.FailedSteals += w.stats.failedSteals.Load()
 		s.InjectorHits += w.stats.injectorHits.Load()
@@ -487,10 +502,13 @@ func (w *Worker) run() {
 	defer w.pool.wg.Done()
 	for {
 		if w.pool.aborted.Load() {
+			w.leaveGroup()
 			return // abandon queued work on abort
 		}
 		j, ok := w.takeAny()
 		if !ok {
+			w.leaveGroup()
+			w.pool.settle()
 			if w.pool.stop.Load() {
 				return
 			}
@@ -499,7 +517,41 @@ func (w *Worker) run() {
 				continue // woken (or stopping): rescan from the top
 			}
 		}
+		if j.g != w.cur {
+			w.leaveGroup()
+			w.cur = j.g
+		}
 		w.exec(j)
+	}
+}
+
+// leaveGroup runs where the worker stops working for the group of its last
+// job: the job it takes next belongs to another group or to none, or there is
+// no job. If nothing of the group is outstanding it wakes the group's
+// waiters. Whichever worker counts a group's last job done comes through here
+// afterwards and then sees every other count, so scanning nowhere else loses
+// no wake-up — and scanning here does not wait for the pool to go idle.
+func (w *Worker) leaveGroup() {
+	g := w.cur
+	if g == nil {
+		return
+	}
+	w.cur = nil
+	if g.tally.quiescent() {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
+}
+
+// settle wakes the pool's waiters if nothing is outstanding. A worker calls
+// it when it has found no work: the worker that counted the pool's last job
+// done finds none next.
+func (p *Pool) settle() {
+	if p.tally.quiescent() {
+		p.quiesceMu.Lock()
+		p.quiesceCond.Broadcast()
+		p.quiesceMu.Unlock()
 	}
 }
 
@@ -543,8 +595,7 @@ func (w *Worker) park() (job, bool) {
 	return job{}, false
 }
 
-// exec runs one job, handling group accounting (skip after the group's
-// abort, group quiescence broadcast) and pool quiescence.
+// exec runs one job, timing it on observed pools.
 func (w *Worker) exec(j job) {
 	if w.pool.obs.Load() != nil {
 		busyStart := time.Now()
@@ -553,34 +604,26 @@ func (w *Worker) exec(j job) {
 	} else {
 		w.invoke(j)
 	}
-	if w.pool.pending.Add(-1) == 0 {
-		w.pool.quiesceMu.Lock()
-		w.pool.quiesceCond.Broadcast()
-		w.pool.quiesceMu.Unlock()
-	}
 }
 
 // invoke applies the group contract around the job body: an aborted group's
-// queued work becomes a no-op instead of being discarded (the pool's
-// pending count still drains normally), and the group reaches quiescence
-// exactly when its last job has finished or been skipped. The job is counted
-// before either pending counter drops, so a waiter released by the group's or
-// the pool's quiescence broadcast reads a StatsSnapshot that includes it.
+// queued work becomes a no-op instead of being discarded (it is still counted
+// done, so the pool drains normally), and the group reaches quiescence
+// exactly when its last job has finished or been skipped. The job leaves the
+// pool's count, which is also Stats.Jobs, before it leaves its group's: a
+// waiter released by the group's quiescence reads a StatsSnapshot that
+// includes it.
 func (w *Worker) invoke(j job) {
 	if j.g == nil {
 		j.run.Run(w, j.arg)
-		w.stats.jobs.Add(1)
+		w.pool.tally[w.id].done.Add(1)
 		return
 	}
 	if !j.g.aborted.Load() {
 		j.run.Run(w, j.arg)
 	}
-	w.stats.jobs.Add(1)
-	if j.g.pending.Add(-1) == 0 {
-		j.g.mu.Lock()
-		j.g.cond.Broadcast()
-		j.g.mu.Unlock()
-	}
+	w.pool.tally[w.id].done.Add(1)
+	j.g.tally[w.id].done.Add(1)
 }
 
 // findWork tries this worker's own injector shard, then a round of random
@@ -594,9 +637,7 @@ func (w *Worker) findWork() (job, bool) {
 	if j, ok := p.shards[w.id].dequeue(); ok {
 		p.injLen.Add(-1)
 		w.stats.injectorHits.Add(1)
-		if o != nil && !j.at.IsZero() {
-			o.queueWait.ObserveSince(j.at)
-		}
+		o.pickedUp(j)
 		return j, true
 	}
 	n := len(p.workers)
@@ -638,17 +679,13 @@ func (w *Worker) findWork() (job, bool) {
 			if j, ok := p.shards[(w.id+i)%n].dequeue(); ok {
 				p.injLen.Add(-1)
 				w.stats.injectorHits.Add(1)
-				if o != nil && !j.at.IsZero() {
-					o.queueWait.ObserveSince(j.at)
-				}
+				o.pickedUp(j)
 				return j, true
 			}
 		}
 		if j, ok := p.takeOverflow(); ok {
 			w.stats.injectorHits.Add(1)
-			if o != nil && !j.at.IsZero() {
-				o.queueWait.ObserveSince(j.at)
-			}
+			o.pickedUp(j)
 			return j, true
 		}
 	}
