@@ -8,16 +8,13 @@
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
-#   make bench-service — record the service throughput baseline
-#   make bench-replica — record the replication overhead-vs-coverage baseline
-#   make benchobs — gate: disabled instrumentation must cost <= 2 ns/op
-#   make benchsched — gate: allocation-free spawn cycle + throughput floor
+#   make loc     — non-test Go lines per package and in total (bench/ and testdata/ excluded)
 
 GO ?= go
 
-.PHONY: ci build benchbuild test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz bench-service bench-replica benchobs benchsched
+.PHONY: ci build benchbuild test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race build386 sdcsoak clustersoak blackbox benchsched
+ci: build benchbuild test vet lint lint-json race build386 sdcsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -67,8 +64,11 @@ lint-json:
 # journal, trace: whether the runner finishes a job before its Submit's fsync
 # returns, who shares whose group commit, and a snapshot racing emitters are
 # orderings the core count decides — and so do the pool and its deque, whose
-# workers' IDs index the executors' counter blocks.
-RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/... ./internal/sched/... ./internal/deque/...
+# workers' IDs index the executors' counter blocks, the cluster router and
+# standby (health probes racing submissions and a drain), the metrics
+# registry scraped beside its writers, the fault plan fired from every
+# worker, and the checkpoint comparator's wave barrier.
+RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/... ./internal/sched/... ./internal/deque/... ./internal/cluster/... ./internal/metrics/... ./internal/fault/... ./internal/comparators/...
 
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...
@@ -128,33 +128,7 @@ fuzz:
 	$(GO) test ./internal/journal/ -fuzz FuzzReplaySegment -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeStreamFrame -fuzztime 10s
 
-# Service throughput baseline (BENCH_service.json).
-bench-service:
-	$(GO) run ./cmd/ftserve -load 40 -workers 4 -maxjobs 4 -benchout BENCH_service.json
-
-# Replication baseline (BENCH_replica.json + results_csv/replication.csv):
-# the selective-vs-full overhead and the budget sweep's detection-rate curve.
-bench-replica:
-	$(GO) run ./cmd/ftbench -sizes bench -runs 5 -workers 4 -csv results_csv -replicaout BENCH_replica.json
-
-# Observability-overhead gate (BENCH_metrics.json): the disabled
-# instrumentation hot path — one nil check per site — must stay under
-# 2 ns/op and allocation-free, or the target fails. The same gate covers
-# disabled tracing: a nil job-event log (trace_capacity: 0), nil span
-# recorder, and nil flight recorder together must clear the same budget.
-# Timing-based, so it is not part of `ci`; run it when touching
-# internal/metrics, internal/trace, or call sites.
-benchobs:
-	$(GO) run ./cmd/ftmetrics -max-disabled-ns 2.0 -out BENCH_metrics.json
-
-# Scheduler fast-path gate (BENCH_sched.json), part of `ci`. Two checks:
-# the steady-state spawn→execute cycle must stay allocation-free (exact —
-# one alloc/op here multiplies across every task-graph edge), and the
-# 40-job quick service load must clear a throughput floor. The floor is a
-# deliberate tripwire well below steady state (~250 jobs/s on an otherwise
-# idle single-core box) because wall-clock throughput on shared hardware
-# swings ±30%; it catches serialization bugs (lost wakeups, deadlocked
-# shards), not percent-level drift — the alloc gate and the recorded
-# latency quantiles are the precise regression signals.
-benchsched:
-	$(GO) run ./cmd/ftsched -jobs 40 -workers 4 -min-jobs-per-sec 100 -max-spawn-allocs 0 -out BENCH_sched.json
+# Non-test Go lines per package directory and in total: the size that
+# ROADMAP item 2 asks every cut to report before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2

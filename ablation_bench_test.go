@@ -1,7 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - scheduler discipline: per-worker work-stealing deques (the NABBIT
-//     assumption) vs a single central FIFO queue;
 //   - block-version retention: single-assignment (unbounded) vs reuse (1)
 //     vs two versions (2), measuring both fault-free cost and the recovery
 //     cascade length the paper's §VI discusses for Floyd-Warshall;
@@ -28,35 +26,6 @@ import (
 	"ftdag/internal/sched"
 	"ftdag/internal/trace"
 )
-
-// BenchmarkAblationScheduler compares work stealing against the
-// central-queue discipline on the fault-free FT executor.
-func BenchmarkAblationScheduler(b *testing.B) {
-	policies := map[string]sched.Policy{
-		"worksteal": sched.WorkStealing,
-		"central":   sched.CentralQueue,
-	}
-	for _, name := range []string{"LU", "LCS"} {
-		a := benchApp(b, name)
-		for pn, pol := range policies {
-			for _, p := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/%s/P%d", name, pn, p), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						res, err := core.NewFT(a.Spec(), core.Config{
-							Workers:     p,
-							Retention:   a.Retention(),
-							SchedPolicy: pol,
-						}).Run()
-						if err != nil {
-							b.Fatal(err)
-						}
-						_ = res
-					}
-				})
-			}
-		}
-	}
-}
 
 // BenchmarkAblationRetention sweeps the block-version retention on FW: the
 // paper chose two versions per block specifically to bound the recovery

@@ -33,7 +33,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "fault-site selection seed")
 		verify     = flag.Bool("verify", false, "verify results against reference implementations (slower)")
 		csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV files into this directory")
-		replicaOut = flag.String("replicaout", "", "run the replication sweep and record the selective-vs-full baseline JSON at this path (overrides -experiment)")
 	)
 	flag.Parse()
 
@@ -70,13 +69,6 @@ func main() {
 		Out:     os.Stdout,
 		CSVDir:  *csvDir,
 	})
-	if *replicaOut != "" {
-		if err := h.RunReplicationBaseline(*replicaOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := h.Run(*experiment); err != nil {
 		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 		os.Exit(1)

@@ -40,11 +40,6 @@
 //	 "faults": {"count": 3, "point": "after-compute", "type": "any", "seed": 9},
 //	 "deadline_ms": 5000, "trace_capacity": 4096}
 //	{"synthetic": {"layers": 4, "width": 8, "max_in": 3, "seed": 7}, "verify": true}
-//
-// The load-generator mode drives N concurrent jobs through the in-process
-// service (no HTTP) and records throughput and recovery counters:
-//
-//	ftserve -load 40 -workers 4 -maxjobs 4 -benchout BENCH_service.json
 package main
 
 import (
@@ -87,20 +82,10 @@ func main() {
 		procName  = flag.String("proc-name", "", "process label for spans and the black box (empty: derived from -addr)")
 		spansCap  = flag.Int("spans", 8192, "process-wide span ring capacity for distributed tracing (0: tracing off)")
 		flightCap = flag.Int("flight", 4096, "flight-recorder ring capacity; persisted under <data-dir>/blackbox (0: off)")
-		load      = flag.Int("load", 0, "load-generator mode: drive N jobs in-process and exit")
-		loadSize  = flag.String("loadsize", "quick", "load-mode problem sizes: quick or bench")
-		benchOut  = flag.String("benchout", "BENCH_service.json", "load-mode results file (empty: stdout only)")
 	)
 	flag.Parse()
 
 	cfg := service.Config{Workers: *workers, MaxConcurrentJobs: *maxJobs, MaxQueuedJobs: *queue}
-	if *load > 0 {
-		if err := runLoad(cfg, *load, *loadSize, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var jr *journal.Journal
 	torn, incomplete := false, 0

@@ -8,9 +8,10 @@
 // computation twice, always; selective recovery pays almost nothing without
 // faults and re-executes only what was lost.
 //
-// Note: the checkpoint and replication executors live in the library's
-// internals as comparators for the benchmark harness; this example drives
-// them through `go run`, so it imports them directly.
+// Note: the checkpoint executor lives in the library's internals as a
+// comparator for the benchmark harness; this example drives it through
+// `go run`, so it imports it directly. Dual-modular redundancy is the same
+// fault-tolerant scheduler with every task in its replica set.
 //
 //	go run ./examples/comparison
 package main
@@ -20,9 +21,10 @@ import (
 	"log"
 
 	"ftdag"
-	"ftdag/internal/core"
+	"ftdag/internal/comparators"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/replica"
 )
 
 func main() {
@@ -61,9 +63,9 @@ func main() {
 	fmt.Printf("%-22s %12v %12v %10d\n", "ft-selective", clean.Elapsed.Round(10e3), faulty.Elapsed.Round(10e3), faulty.ReexecutedTasks)
 
 	// Collective checkpoint/restart.
-	ckClean, ckCleanStats, err := core.NewCheckpoint(g, core.Config{Workers: 4}, 3).Run()
+	ckClean, ckCleanStats, err := comparators.NewCheckpoint(g, ftdag.Config{Workers: 4}, 3).Run()
 	check(err)
-	ckFaulty, ckStats, err := core.NewCheckpoint(g, core.Config{Workers: 4, Plan: mkPlan()}, 3).Run()
+	ckFaulty, ckStats, err := comparators.NewCheckpoint(g, ftdag.Config{Workers: 4, Plan: mkPlan()}, 3).Run()
 	check(err)
 	mustEqual(clean.Sink, ckFaulty.Sink)
 	fmt.Printf("%-22s %12v %12v %10d   (%d checkpoints, %d rollbacks)\n",
@@ -71,14 +73,15 @@ func main() {
 		ckFaulty.ReexecutedTasks, ckCleanStats.Checkpoints, ckStats.Rollbacks)
 
 	// Dual-modular redundancy.
-	rClean, _, err := core.NewReplicated(g, core.Config{Workers: 4}).Run()
+	all := replica.Select(g, replica.Policy{Budget: 1})
+	rClean, err := ftdag.Run(g, ftdag.Config{Workers: 4, Replicate: all})
 	check(err)
-	rFaulty, rStats, err := core.NewReplicated(g, core.Config{Workers: 4, Plan: mkPlan()}).Run()
+	rFaulty, err := ftdag.Run(g, ftdag.Config{Workers: 4, Plan: mkPlan(), Replicate: all})
 	check(err)
 	mustEqual(clean.Sink, rFaulty.Sink)
-	fmt.Printf("%-22s %12v %12v %10d   (%d replica mismatches, 2x base work)\n",
+	fmt.Printf("%-22s %12v %12v %10d   (%d shadow computes fault-free, 2x base work)\n",
 		"replication (DMR)", rClean.Elapsed.Round(10e3), rFaulty.Elapsed.Round(10e3),
-		rFaulty.ReexecutedTasks, rStats.Mismatches)
+		rFaulty.ReexecutedTasks, rClean.Metrics.ShadowComputes)
 
 	fmt.Println("\nall three schemes produced identical results; selective recovery")
 	fmt.Printf("re-executed %d tasks for %d faults, checkpointing re-executed %d,\n",

@@ -1,10 +1,15 @@
-package core
+// Package comparators holds what the paper argues against — collective
+// checkpoint/restart — built only to be measured beside internal/core's FT
+// executor, whose Config and Result it speaks.
+package comparators
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 	"ftdag/internal/sched"
@@ -28,19 +33,20 @@ import (
 // block reuse.
 type Checkpoint struct {
 	spec graph.Spec
-	cfg  Config
+	cfg  core.Config
 	// Interval is the number of waves between checkpoints (>= 1).
 	interval int
 
 	mu      sync.Mutex
 	outs    map[graph.Key][]float64
 	poison  map[graph.Key]bool
-	met     counters
 	ckpts   int
 	rolls   int
 	copied  int64 // float64s copied into checkpoints
 	rexecs  int64 // tasks re-executed due to rollback
 	elapsed time.Duration
+
+	computes, computeErrors, injections atomic.Int64
 }
 
 // CheckpointStats extends Result metrics with comparator-specific counters.
@@ -53,9 +59,9 @@ type CheckpointStats struct {
 
 // NewCheckpoint returns a checkpoint/restart executor snapshotting every
 // interval waves.
-func NewCheckpoint(spec graph.Spec, cfg Config, interval int) *Checkpoint {
+func NewCheckpoint(spec graph.Spec, cfg core.Config, interval int) *Checkpoint {
 	if interval < 1 {
-		panic("core: checkpoint interval must be >= 1")
+		panic("comparators: checkpoint interval must be >= 1")
 	}
 	return &Checkpoint{
 		spec:     spec,
@@ -69,7 +75,7 @@ func NewCheckpoint(spec graph.Spec, cfg Config, interval int) *Checkpoint {
 // Run executes the graph to completion, rolling back to the last checkpoint
 // whenever a fault is detected. It returns the result plus the comparator's
 // stats.
-func (e *Checkpoint) Run() (*Result, *CheckpointStats, error) {
+func (e *Checkpoint) Run() (*core.Result, *CheckpointStats, error) {
 	start := time.Now()
 	order, err := graph.TopoOrder(e.spec)
 	if err != nil {
@@ -77,7 +83,7 @@ func (e *Checkpoint) Run() (*Result, *CheckpointStats, error) {
 	}
 	waves := buildWaves(e.spec, order)
 
-	pool := sched.NewPoolWithPolicy(e.cfg.workers(), e.cfg.SchedPolicy)
+	pool := sched.NewPool(max(e.cfg.Workers, 1))
 	defer pool.Close()
 
 	// The initial (empty) checkpoint.
@@ -124,20 +130,24 @@ func (e *Checkpoint) Run() (*Result, *CheckpointStats, error) {
 			e.mu.Unlock()
 		}
 		if e.cfg.Timeout > 0 && time.Since(start) > e.cfg.Timeout {
-			return nil, nil, fmt.Errorf("%w after %v", ErrTimeout, e.cfg.Timeout)
+			return nil, nil, fmt.Errorf("%w after %v", core.ErrTimeout, e.cfg.Timeout)
 		}
 	}
 	e.elapsed = time.Since(start)
 
 	sinkOut, ok := e.outs[e.spec.Sink()]
 	if !ok {
-		return nil, nil, ErrHung
+		return nil, nil, core.ErrHung
 	}
-	res := &Result{
+	res := &core.Result{
 		Sink:    sinkOut,
 		Elapsed: e.elapsed,
 		Tasks:   len(order),
-		Metrics: e.met.snapshot(),
+		Metrics: core.Metrics{
+			Computes:        e.computes.Load(),
+			ComputeErrors:   e.computeErrors.Load(),
+			InjectionsFired: e.injections.Load(),
+		},
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
 	stats := &CheckpointStats{
@@ -159,9 +169,9 @@ func (e *Checkpoint) runWave(pool *sched.Pool, wave []graph.Key) bool {
 		k := key
 		pool.Submit(func(w *sched.Worker) {
 			ctx := &ckptCtx{e: e, key: k}
-			e.met.computes.Add(1)
+			e.computes.Add(1)
 			if err := e.spec.Compute(ctx, k); err != nil {
-				e.met.computeErrors.Add(1)
+				e.computeErrors.Add(1)
 				faultSeen.Do(func() { faulty = true })
 				return
 			}
@@ -171,7 +181,7 @@ func (e *Checkpoint) runWave(pool *sched.Pool, wave []graph.Key) bool {
 				e.plan().Fire(k, life, fault.AfterNotify) {
 				// Any planned fault poisons the output; the
 				// collective scheme cannot localize it.
-				e.met.injections.Add(1)
+				e.injections.Add(1)
 				e.mu.Lock()
 				e.poison[k] = true
 				e.mu.Unlock()

@@ -1,18 +1,45 @@
-package core
+package comparators
 
 import (
 	"testing"
+	"time"
 
+	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 )
 
+const testTimeout = 30 * time.Second
+
+// groundTruth runs the spec sequentially and returns the per-task outputs.
+func groundTruth(t *testing.T, spec graph.Spec) map[graph.Key][]float64 {
+	t.Helper()
+	rec := core.NewRecorder(spec)
+	if _, err := core.NewSequential(rec, 0).Run(); err != nil {
+		t.Fatalf("sequential run: %v", err)
+	}
+	return rec.Outputs()
+}
+
+// syntheticGraphs are the shapes internal/core's executor tests run on.
+func syntheticGraphs() map[string]graph.Spec {
+	return map[string]graph.Spec{
+		"chain":        graph.Chain(20, nil),
+		"diamond":      graph.Diamond(nil),
+		"paper":        graph.PaperExample(false, nil),
+		"layered":      graph.Layered(6, 8, 3, 11, nil),
+		"tree":         graph.Tree(6, nil),
+		"versionchain": graph.VersionChain(8, nil),
+		"single":       graph.Chain(1, nil),
+	}
+}
+
 func TestCheckpointFaultFree(t *testing.T) {
 	for name, g := range syntheticGraphs() {
 		t.Run(name, func(t *testing.T) {
-			want, _ := groundTruth(t, g, 0)
-			rec := NewRecorder(g)
-			res, stats, err := NewCheckpoint(rec, Config{Workers: 2, Timeout: testTimeout}, 2).Run()
+			want := groundTruth(t, g)
+			rec := core.NewRecorder(g)
+			res, stats, err := NewCheckpoint(rec, core.Config{Workers: 2, Timeout: testTimeout}, 2).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,14 +62,14 @@ func TestCheckpointFaultFree(t *testing.T) {
 
 func TestCheckpointRecoversFaults(t *testing.T) {
 	g := graph.Layered(6, 6, 3, 5, nil)
-	want, _ := groundTruth(t, g, 0)
+	want := groundTruth(t, g)
 	for _, interval := range []int{1, 2, 4} {
 		plan := fault.NewPlan()
 		for _, k := range fault.SelectTasks(g, fault.AnyTask, 5, 11) {
 			plan.Add(k, fault.AfterCompute, 1)
 		}
-		rec := NewRecorder(g)
-		res, stats, err := NewCheckpoint(rec, Config{Workers: 3, Plan: plan, Timeout: testTimeout}, interval).Run()
+		rec := core.NewRecorder(g)
+		res, stats, err := NewCheckpoint(rec, core.Config{Workers: 3, Plan: plan, Timeout: testTimeout}, interval).Run()
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
 		}
@@ -70,11 +97,11 @@ func TestCheckpointCostDominatesSelective(t *testing.T) {
 		}
 		return p
 	}
-	ck, _, err := NewCheckpoint(g, Config{Workers: 2, Plan: mkPlan(), Timeout: testTimeout}, 4).Run()
+	ck, _, err := NewCheckpoint(g, core.Config{Workers: 2, Plan: mkPlan(), Timeout: testTimeout}, 4).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFT(g, Config{Workers: 2, Plan: mkPlan(), Timeout: testTimeout}).Run()
+	ft, err := core.NewFT(g, core.Config{Workers: 2, Plan: mkPlan(), Timeout: testTimeout}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +120,7 @@ func TestCheckpointIntervalValidation(t *testing.T) {
 			t.Fatal("interval 0 should panic")
 		}
 	}()
-	NewCheckpoint(graph.Diamond(nil), Config{}, 0)
+	NewCheckpoint(graph.Diamond(nil), core.Config{}, 0)
 }
 
 func TestBuildWaves(t *testing.T) {

@@ -72,7 +72,7 @@ func (e *Baseline) Store() *block.Store { return e.store }
 // Run executes the task graph to completion.
 func (e *Baseline) Run() (*Result, error) {
 	start := time.Now()
-	pool := sched.NewPoolWithPolicy(e.cfg.workers(), e.cfg.SchedPolicy)
+	pool := sched.NewPool(e.cfg.workers())
 	sink, _ := e.insertIfAbsent(e.spec.Sink())
 	pool.Submit(func(w *sched.Worker) { e.initAndCompute(w, sink) })
 	if e.cfg.Timeout > 0 {

@@ -35,10 +35,6 @@ type Config struct {
 	// Cancel, when non-nil, aborts the run cooperatively (between tasks)
 	// as soon as it is closed; Run then returns ErrCancelled.
 	Cancel <-chan struct{}
-	// SchedPolicy selects the scheduling discipline (work stealing by
-	// default; the central-queue ablation exists for the scheduler
-	// design-choice benchmarks).
-	SchedPolicy sched.Policy
 	// Hooks is optional instrumentation.
 	Hooks Hooks
 	// Trace, when non-nil, records the executor's event stream
@@ -145,7 +141,7 @@ func (e *FT) TaskStatus(key graph.Key) (Status, bool) {
 // Run executes the task graph to completion on a private pool of
 // cfg.Workers workers and returns the result.
 func (e *FT) Run() (*Result, error) {
-	pool := sched.NewPoolWithPolicy(e.cfg.workers(), e.cfg.SchedPolicy)
+	pool := sched.NewPool(e.cfg.workers())
 	res, err := e.RunOn(pool)
 	if err != nil && errors.Is(err, ErrTimeout) {
 		// Workers may be stuck inside a hung user compute; closing would

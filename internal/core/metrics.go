@@ -137,12 +137,6 @@ func (c *counters) addTo(m *Metrics) {
 	m.SDCMissed += c.sdcMissed.Load()
 }
 
-func (c *counters) snapshot() Metrics {
-	var m Metrics
-	c.addTo(&m)
-	return m
-}
-
 func (m Metrics) String() string {
 	s := fmt.Sprintf("computes=%d errors=%d recoveries=%d resets=%d injected=%d overwrites=%d",
 		m.Computes, m.ComputeErrors, m.Recoveries, m.Resets, m.InjectionsFired, m.OverwriteMarks)

@@ -34,6 +34,14 @@ func TestSelectiveReplicationFaultFree(t *testing.T) {
 				if res.Metrics.SDCDetected != 0 {
 					t.Fatalf("spurious SDC detections: %v", res.Metrics)
 				}
+				// The paper's resource-utilization argument (§VII): replication
+				// executes every task twice before any fault, FT alone once.
+				ft, all := runFT(t, g, Config{Workers: p}).Metrics, res.Metrics
+				if ft.Computes+ft.ShadowComputes != int64(props.Tasks) ||
+					all.Computes+all.ShadowComputes != 2*int64(props.Tasks) {
+					t.Fatalf("executions: FT alone %d, replicate-all %d, want %d and 2·%d",
+						ft.Computes+ft.ShadowComputes, all.Computes+all.ShadowComputes, props.Tasks, props.Tasks)
+				}
 			})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"ftdag/internal/comparators"
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
@@ -26,12 +27,13 @@ type ComparatorRow struct {
 }
 
 // Comparators benchmarks the FT scheduler against the checkpoint/restart
-// and dual-modular-redundancy executors — plus the FT scheduler with
-// selective replication layered on top — fault-free and under the
-// 512-equivalent after-compute scenario. The faulty plan also carries a
-// handful of silent corruptions, so each row reports how many tasks the
-// scheme dual-executed and what fraction of the SDCs that redundancy caught
-// (detected faults alone catch none of them).
+// executor and against itself with every task replicated (dual modular
+// redundancy: the budget-1 point of task-level replication) and with the
+// selective 25 % — fault-free and under the 512-equivalent after-compute
+// scenario. The faulty plan also carries a handful of silent corruptions, so
+// each row reports how many tasks the scheme dual-executed and what fraction
+// of the SDCs that redundancy caught (detected faults alone catch none of
+// them).
 func (h *Harness) Comparators() ([]ComparatorRow, error) {
 	fmt.Fprintln(h.opts.Out, "== Recovery-scheme comparison: selective (FT) vs checkpoint/restart vs replication ==")
 	w := tabwriter.NewWriter(h.opts.Out, 2, 4, 2, ' ', 0)
@@ -56,6 +58,7 @@ func (h *Harness) Comparators() ([]ComparatorRow, error) {
 			return p
 		}
 		selective := replica.Select(a.Spec(), replica.Policy{Budget: 0.25})
+		full := replica.Select(a.Spec(), replica.Policy{Budget: 1})
 
 		type runner func(plan *fault.Plan) (*core.Result, error)
 		schemes := []struct {
@@ -68,16 +71,16 @@ func (h *Harness) Comparators() ([]ComparatorRow, error) {
 				}).Run()
 			}},
 			{"checkpoint", func(plan *fault.Plan) (*core.Result, error) {
-				res, _, err := core.NewCheckpoint(a.Spec(), core.Config{
+				res, _, err := comparators.NewCheckpoint(a.Spec(), core.Config{
 					Workers: h.opts.Workers, Plan: plan,
 				}, 4).Run()
 				return res, err
 			}},
 			{"replication", func(plan *fault.Plan) (*core.Result, error) {
-				res, _, err := core.NewReplicated(a.Spec(), core.Config{
-					Workers: h.opts.Workers, Plan: plan,
+				return core.NewFT(a.Spec(), core.Config{
+					Workers: h.opts.Workers, Retention: a.Retention(), Plan: plan,
+					Replicate: full,
 				}).Run()
-				return res, err
 			}},
 			{"ft-replicate-selective", func(plan *fault.Plan) (*core.Result, error) {
 				return core.NewFT(a.Spec(), core.Config{

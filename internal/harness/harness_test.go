@@ -227,6 +227,10 @@ func TestComparators(t *testing.T) {
 			if r.SDCRate != 1 {
 				t.Fatalf("full DMR missed silent corruptions: %+v", r)
 			}
+			// FT plus a shadow for every task; recovered tasks run theirs again.
+			if tasks := h.Props(r.App).Tasks; r.Replicas < float64(tasks) {
+				t.Fatalf("full DMR replicated %.0f of %d tasks: %+v", r.Replicas, tasks, r)
+			}
 		case "ft-replicate-selective":
 			if r.Replicas <= 0 {
 				t.Fatalf("selective replication replicated nothing: %+v", r)

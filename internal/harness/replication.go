@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"text/tabwriter"
-	"time"
 
 	"ftdag/internal/fault"
 	"ftdag/internal/replica"
@@ -121,81 +118,4 @@ func (h *Harness) csvReplication(rows []ReplicationRow) error {
 	return h.writeCSV("replication",
 		[]string{"app", "budget", "covered", "tasks", "clean_s", "overhead_pct", "std",
 			"shadow_computes", "sdc_injected", "sdc_detected", "detection_rate"}, out)
-}
-
-// RunReplicationBaseline runs the replication sweep, writes its CSV (when
-// CSV output is enabled), and records the selective-vs-full baseline JSON at
-// path (cmd/ftbench -replicaout, `make bench-replica`).
-func (h *Harness) RunReplicationBaseline(path string) error {
-	rows, err := h.Replication()
-	if err != nil {
-		return err
-	}
-	if err := h.csvReplication(rows); err != nil {
-		return err
-	}
-	return h.WriteReplicaBaseline(path, rows)
-}
-
-// replicaBaseline is the BENCH_replica.json schema: per app, the measured
-// cost/coverage of the selective default budget against full replication.
-type replicaBaseline struct {
-	Timestamp string                  `json:"timestamp"`
-	Runs      int                     `json:"runs"`
-	Workers   int                     `json:"workers"`
-	Apps      []replicaBaselineEntry  `json:"apps"`
-	Budgets   map[string][]budgetCost `json:"budgets"`
-}
-
-type replicaBaselineEntry struct {
-	App               string  `json:"app"`
-	Tasks             int     `json:"tasks"`
-	SelectiveOverhead float64 `json:"selective_overhead_pct"` // budget 0.25
-	SelectiveRate     float64 `json:"selective_detection_rate"`
-	FullOverhead      float64 `json:"full_overhead_pct"` // budget 1.0
-	FullRate          float64 `json:"full_detection_rate"`
-}
-
-type budgetCost struct {
-	Budget        float64 `json:"budget"`
-	OverheadPct   float64 `json:"overhead_pct"`
-	DetectionRate float64 `json:"detection_rate"`
-}
-
-// WriteReplicaBaseline records the selective-vs-full replication baseline
-// (plus the full per-budget curve) as JSON at path.
-func (h *Harness) WriteReplicaBaseline(path string, rows []ReplicationRow) error {
-	b := replicaBaseline{
-		//lint:ignore detrand the baseline timestamp is provenance metadata only; it never enters a result digest
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Runs:      h.opts.Runs,
-		Workers:   h.opts.Workers,
-		Budgets:   make(map[string][]budgetCost),
-	}
-	perApp := make(map[string]*replicaBaselineEntry)
-	for _, r := range rows {
-		e := perApp[r.App]
-		if e == nil {
-			e = &replicaBaselineEntry{App: r.App, Tasks: r.Tasks}
-			perApp[r.App] = e
-		}
-		switch r.Budget {
-		case 0.25:
-			e.SelectiveOverhead, e.SelectiveRate = r.Overhead, r.DetectionRate
-		case 1.0:
-			e.FullOverhead, e.FullRate = r.Overhead, r.DetectionRate
-		}
-		b.Budgets[r.App] = append(b.Budgets[r.App],
-			budgetCost{Budget: r.Budget, OverheadPct: r.Overhead, DetectionRate: r.DetectionRate})
-	}
-	for _, name := range AppNames {
-		if e := perApp[name]; e != nil {
-			b.Apps = append(b.Apps, *e)
-		}
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,23 +1,28 @@
-package metrics
+package metrics_test
 
 import (
+	"math"
+	"runtime/debug"
 	"testing"
 	"time"
+
+	"ftdag/internal/metrics"
+	"ftdag/internal/trace"
 )
 
 // instrumented mirrors the bundle-of-instruments pattern the runtime layers
 // use (core.Instruments, journal/sched observer structs): a struct of
 // instrument pointers built once, nil when the registry is nil, with hot
 // paths guarded by a single bundle nil check. The disabled case is therefore
-// one predicted-not-taken pointer test per instrumentation site; the
-// benchmark gate (make benchobs) requires it to cost ≤ 2 ns/op.
+// one predicted-not-taken pointer test per instrumentation site;
+// TestDisabledInstrumentsCostNothing requires it to cost ≤ 2 ns/op.
 type instrumented struct {
-	computed *Counter
-	lat      *Histogram
-	depth    *Gauge
+	computed *metrics.Counter
+	lat      *metrics.Histogram
+	depth    *metrics.Gauge
 }
 
-func newInstrumented(r *Registry) *instrumented {
+func newInstrumented(r *metrics.Registry) *instrumented {
 	if r == nil {
 		return nil
 	}
@@ -45,7 +50,7 @@ func BenchmarkDisabledHotPath(b *testing.B) {
 }
 
 func BenchmarkEnabledHotPath(b *testing.B) {
-	in := newInstrumented(NewRegistry())
+	in := newInstrumented(metrics.NewRegistry())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if in != nil {
@@ -67,9 +72,75 @@ func BenchmarkDisabledObserveSince(b *testing.B) {
 }
 
 func BenchmarkEnabledObserveDuration(b *testing.B) {
-	in := newInstrumented(NewRegistry())
+	in := newInstrumented(metrics.NewRegistry())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in.lat.ObserveDuration(time.Duration(i))
+	}
+}
+
+// BenchmarkDisabledTracing is the same pattern for the tracing family, three
+// sites per iteration: a nil *trace.Log (the trace_capacity: 0 contract), a
+// nil *trace.Spans (distributed tracing off) and a nil *trace.Flight (no
+// black box). Each Emit must reduce to one inlined nil check with the
+// argument construction dead-code-eliminated. The recorders come from a
+// package variable so that the compiler cannot see they are nil and delete
+// the loop.
+var tracingOff = struct {
+	log    *trace.Log
+	spans  *trace.Spans
+	flight *trace.Flight
+}{trace.New(0), trace.NewSpans("bench", 0), trace.NewFlight("bench", 0)}
+
+func BenchmarkDisabledTracing(b *testing.B) {
+	log, sp, f := tracingOff.log, tracingOff.spans, tracingOff.flight
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		log.Emit(trace.ComputeStart, int64(i), 0, 0)
+		sp.Emit(trace.Span{Name: "compute", Job: 1, Task: int64(i)})
+		f.Emit("compute", "bench", 1, int64(i), 0, trace.SpanContext{})
+	}
+}
+
+// TestDisabledInstrumentsCostNothing: instrumentation that was not asked for
+// — every production default — allocates nothing and costs at most 2 ns per
+// site, so it can never quietly tax a run. The time is the best of three,
+// because the bound is a ceiling and only spurious slowness can break it; it
+// is not measured under -short or under the race detector, whose
+// instrumentation it would time.
+func TestDisabledInstrumentsCostNothing(t *testing.T) {
+	const maxNsPerSite = 2.0
+	timed := !testing.Short()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				timed = false
+			}
+		}
+	}
+	for _, l := range []struct {
+		name  string
+		sites float64
+		loop  func(*testing.B)
+	}{
+		{"metrics bundle", 1, BenchmarkDisabledHotPath},
+		{"trace log, spans, flight", 3, BenchmarkDisabledTracing},
+	} {
+		b := &testing.B{N: 1000}
+		if allocs := testing.AllocsPerRun(10, func() { l.loop(b) }); allocs != 0 {
+			t.Errorf("%s: 1000 disabled iterations allocated %v times, want 0", l.name, allocs)
+		}
+		if !timed {
+			continue
+		}
+		best := math.Inf(1)
+		for i := 0; i < 3 && best > maxNsPerSite; i++ {
+			r := testing.Benchmark(l.loop)
+			best = min(best, float64(r.T.Nanoseconds())/float64(r.N)/l.sites)
+		}
+		t.Logf("%s: %.2f ns per disabled site", l.name, best)
+		if best > maxNsPerSite {
+			t.Errorf("%s: %.2f ns per disabled site, want <= %.0f", l.name, best, maxNsPerSite)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 // therefore build their instrument bundles unconditionally and instrument
 // their hot paths with plain method calls — when observability is off the
 // whole thing compiles down to predicted-not-taken nil tests (≤ 2 ns/op on
-// the task-compute hot path, enforced by `make benchobs`).
+// the task-compute hot path, enforced by TestDisabledInstrumentsCostNothing).
 //
 // Instruments are lock-free (sync/atomic) on the write path; the registry
 // mutex is taken only at registration and scrape time.

@@ -70,7 +70,7 @@ func (g *Group) Submit(f Func) {
 
 // Spawn schedules f from a job running on w as part of this group. Like
 // Worker.Spawn it must be called from a job executing on w; f lands on w's
-// own deque (or the shared queue under the central-queue policy).
+// own deque.
 func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
 
 // SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner).

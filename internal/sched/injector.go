@@ -7,11 +7,11 @@ import "sync/atomic"
 // The original injector was a single mutex-guarded slice popped LIFO: every
 // Submit serialized on one lock, every idle worker contended for the same
 // cache line, and the newest submission was served first (inflating tail
-// sojourn for early jobs — BENCH_service.json's starvation signature). The
-// replacement is one bounded MPMC ring per worker: Submit round-robins
-// across shards, each worker drains its own shard first and scans the
-// others only after a failed steal pass, so the common case is an
-// uncontended ring operation and service order within a shard is strictly
+// sojourn for early jobs: bench/'s service_durable workload reports it as
+// service.done_p95_ms). The replacement is one bounded MPMC ring per worker:
+// Submit round-robins across shards, each worker drains its own shard first
+// and scans the others only after a failed steal pass, so the common case is
+// an uncontended ring operation and service order within a shard is strictly
 // FIFO.
 //
 // Each ring is a Vyukov bounded MPMC queue: a power-of-two slot array where

@@ -87,29 +87,6 @@ func (s Stats) String() string {
 		s.Jobs, s.Spawns, s.Steals, s.FailedSteals, s.InjectorHits, s.Parks, s.IdleTime)
 }
 
-// Policy selects the pool's scheduling discipline. WorkStealing is the
-// NABBIT/Cilk discipline the paper's bounds assume; CentralQueue is an
-// ablation baseline where every spawn goes through one shared FIFO queue
-// (shard 0 of the injector), exposing the contention and lost locality that
-// work stealing avoids.
-type Policy int
-
-const (
-	WorkStealing Policy = iota
-	CentralQueue
-)
-
-func (p Policy) String() string {
-	switch p {
-	case WorkStealing:
-		return "work-stealing"
-	case CentralQueue:
-		return "central-queue"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // counters are one worker's scheduler statistics. They are atomics (rather
 // than plain fields owned by the worker goroutine) so that a long-lived pool
 // can be observed mid-run via StatsSnapshot without a data race; each worker
@@ -166,10 +143,8 @@ func (w *Worker) ID() int { return w.id }
 // Pool returns the owning pool.
 func (w *Worker) Pool() *Pool { return w.pool }
 
-// Spawn schedules f for execution. Under the work-stealing policy it is
-// pushed onto this worker's own deque (LIFO, stealable FIFO); under the
-// central-queue ablation policy it goes through the shared queue. Must be
-// called from a job running on w.
+// Spawn schedules f for execution: it is pushed onto this worker's own deque
+// (LIFO, stealable FIFO). Must be called from a job running on w.
 func (w *Worker) Spawn(f Func) { w.SpawnRunner(f, 0) }
 
 // SpawnRunner is Spawn for a Runner: r.Run(w', arg) runs on whichever worker
@@ -179,11 +154,6 @@ func (w *Worker) SpawnRunner(r Runner, arg int) { w.spawnJob(job{run: r, arg: ar
 func (w *Worker) spawnJob(j job) {
 	p := w.pool
 	p.tally[w.id].added.Add(1)
-	if p.policy == CentralQueue {
-		p.injectJob(j)
-		p.wakeOne()
-		return
-	}
 	s := w.newSlot()
 	*s = j
 	w.dq.PushBottom(s)
@@ -223,7 +193,6 @@ const slotFreeListCap = 256
 type Pool struct {
 	workers []*Worker
 	wg      sync.WaitGroup
-	policy  Policy
 
 	// tally counts the pool's outstanding jobs (tally.go); its workers'
 	// pairs are also Stats.Spawns and Stats.Jobs. A worker that finds no
@@ -266,17 +235,14 @@ type Pool struct {
 // NewPool starts a work-stealing pool with p workers (p >= 1). The caller
 // should arrange GOMAXPROCS >= p if true parallelism is desired; the pool
 // itself only guarantees p concurrent logical workers.
-func NewPool(p int) *Pool { return NewPoolWithPolicy(p, WorkStealing) }
-
-// NewPoolWithPolicy starts a pool with the given scheduling policy.
-func NewPoolWithPolicy(p int, policy Policy) *Pool {
+func NewPool(p int) *Pool {
 	if p < 1 {
 		panic("sched: pool size must be >= 1")
 	}
 	if p > maxWorkers {
 		panic(fmt.Sprintf("sched: pool size %d exceeds the %d-worker limit", p, maxWorkers))
 	}
-	pool := &Pool{policy: policy, tally: newTally(p)}
+	pool := &Pool{tally: newTally(p)}
 	pool.quiesceCond = sync.NewCond(&pool.quiesceMu)
 	pool.workers = make([]*Worker, p)
 	pool.shards = make([]*injRing, p)
@@ -312,16 +278,15 @@ func (p *Pool) submitJob(j job) {
 }
 
 // injectJob places a job into the sharded submission queue, stamping the
-// enqueue time when the pool is observed (queue-wait histogram). External
-// submissions round-robin across shards; the central-queue ablation policy
-// funnels everything through shard 0 to preserve its single-FIFO semantics.
+// enqueue time when the pool is observed (queue-wait histogram). Submissions
+// round-robin across shards.
 func (p *Pool) injectJob(j job) {
 	if p.obs.Load() != nil {
 		j.at = time.Now().UnixNano()
 	}
 	n := len(p.shards)
 	start := 0
-	if p.policy != CentralQueue && n > 1 {
+	if n > 1 {
 		start = int(p.injRR.Add(1)-1) % n
 	}
 	for i := 0; i < n; i++ {

@@ -179,46 +179,29 @@ func BenchmarkSpawnOverhead(b *testing.B) {
 	p.Wait()
 }
 
-func TestCentralQueuePolicy(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		pool := NewPoolWithPolicy(p, CentralQueue)
-		var c atomic.Int64
-		pool.Submit(func(w *Worker) {
-			for i := 0; i < 500; i++ {
-				w.Spawn(func(w *Worker) { c.Add(1) })
-			}
-		})
-		stats := pool.Close()
-		if c.Load() != 500 {
-			t.Fatalf("P=%d: ran %d, want 500", p, c.Load())
-		}
-		// Under the central queue, spawned work never touches the
-		// deques, so every job comes from the injector.
-		if stats.InjectorHits != 501 {
-			t.Fatalf("P=%d: injector hits = %d, want 501", p, stats.InjectorHits)
-		}
-		if stats.Steals != 0 {
-			t.Fatalf("P=%d: steals = %d under central queue", p, stats.Steals)
+// TestSpawnCycleAllocatesNothing: the steady-state spawn→execute cycle — each
+// job takes its slot from the worker's free-list and the executing worker
+// recycles it — touches no allocator. Exact, because one allocation here
+// multiplies across every task-graph edge. The job chains to its successor
+// rather than bursting: a burst never recycles a slot.
+func TestSpawnCycleAllocatesNothing(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	n := 0
+	var f Func
+	f = func(w *Worker) {
+		if n++; n < 1000 {
+			w.Spawn(f)
 		}
 	}
-}
-
-func TestCentralQueueRecursive(t *testing.T) {
-	var result atomic.Int64
-	pool := NewPoolWithPolicy(3, CentralQueue)
-	pool.Submit(func(w *Worker) { fib(w, 15, &result) })
-	pool.Close()
-	if result.Load() != seqFib(15) {
-		t.Fatalf("fib = %d, want %d", result.Load(), seqFib(15))
+	run := func() {
+		n = 0
+		p.Submit(f)
+		p.Wait()
 	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if WorkStealing.String() != "work-stealing" || CentralQueue.String() != "central-queue" {
-		t.Fatal("policy strings wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Fatal("unknown policy string empty")
+	run() // fill the slot free-list
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("1000 Spawn cycles allocated %v times, want 0", allocs)
 	}
 }
 

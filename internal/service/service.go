@@ -160,8 +160,6 @@ type Config struct {
 	// MaxConcurrentJobs bounds the number of jobs executing at once
 	// (default 4); admitted jobs beyond it wait in the queue.
 	MaxConcurrentJobs int
-	// SchedPolicy selects the pool's scheduling discipline.
-	SchedPolicy sched.Policy
 	// Journal, when non-nil, makes the server durable: every job state
 	// transition is appended to the write-ahead log (the Submitted
 	// record is group-commit-fsynced before Submit returns, the terminal
@@ -309,7 +307,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:  cfg,
-		pool: sched.NewPoolWithPolicy(cfg.Workers, cfg.SchedPolicy),
+		pool: sched.NewPool(cfg.Workers),
 		jobs: make(map[int64]*job),
 	}
 	// Steals of any job's tasks land in that job's distributed trace.

@@ -198,8 +198,8 @@ func (s Span) End() int64 { return s.Start + s.Dur }
 // shared by every job and subsystem in the process. When full, the oldest
 // spans are overwritten. All methods are safe for concurrent use; a nil
 // *Spans discards everything, so distributed tracing costs one nil check
-// when disabled (the same contract as the nil metrics registry — gated by
-// `make benchobs`).
+// when disabled (the same contract as the nil metrics registry — held by
+// internal/metrics' TestDisabledInstrumentsCostNothing).
 type Spans struct {
 	proc   string
 	base   uint64

@@ -101,8 +101,9 @@ type Log struct {
 // capacity < 1 means "tracing off" and returns nil — the nil log's
 // methods are no-ops, so callers need no pre-check and a disabled trace
 // costs one inlined nil branch per Emit (the same contract as the nil
-// metrics registry, gated by `make benchobs`), not a zero-length ring
-// that still pays event construction.
+// metrics registry, held by internal/metrics'
+// TestDisabledInstrumentsCostNothing), not a zero-length ring that still
+// pays event construction.
 func New(capacity int) *Log {
 	if capacity < 1 {
 		return nil
