@@ -4,6 +4,7 @@
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task, no threshold)
 #   make crashsoak — kill-and-restart soak of the durable journaled service
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -12,9 +13,9 @@
 
 GO ?= go
 
-.PHONY: ci build benchbuild test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz loc
+.PHONY: ci build benchbuild benchsmoke test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race build386 sdcsoak clustersoak blackbox
+ci: build benchbuild test vet lint lint-json race build386 benchsmoke sdcsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -24,6 +25,12 @@ build:
 # change there breaks the benchmark without breaking `go build ./...`.
 benchbuild:
 	cd bench && $(GO) build ./... && $(GO) vet ./...
+
+# The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
+# at two Ps over one P, FT and baseline — must keep printing. No threshold:
+# timing gates do not survive this host.
+benchsmoke:
+	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 
 test:
 	$(GO) test ./...

@@ -13,7 +13,9 @@ package ftdag_test
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"ftdag/internal/apps"
 	"ftdag/internal/apps/chol"
@@ -284,13 +286,16 @@ func BenchmarkFixedCounts(b *testing.B) {
 // benchLayered is the fine-grain fixed-cost benchmark: the graph of bench/'s
 // finegrain_dag (102 401 trivial tasks), so ns/task, B/task and allocs/task
 // are what an executor spends per task on traversal, notification and block
-// access.
+// access. It runs one worker per P, so -cpu 1,2 prints T1 and T2, and
+// cpu-ns/task — the process's user and system time, the collector's included —
+// at two Ps over one P is how much the work grows when a worker is added.
 func benchLayered(b *testing.B, run func(graph.Spec, core.Config) (*core.Result, error)) {
 	g := graph.Layered(400, 256, 3, 1, nil)
-	cfg := core.Config{Workers: 2, VerifyChecksums: true}
+	cfg := core.Config{Workers: runtime.GOMAXPROCS(0), VerifyChecksums: true}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tasks := 0
+	cpu := processCPU(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := run(g, cfg)
@@ -300,11 +305,22 @@ func benchLayered(b *testing.B, run func(graph.Spec, core.Config) (*core.Result,
 		tasks = res.Tasks
 	}
 	b.StopTimer()
+	cpu = processCPU(b) - cpu
 	runtime.ReadMemStats(&after)
 	n := float64(b.N) * float64(tasks)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/task")
+	b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/task")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/task")
+}
+
+// processCPU is the user and system time the process has used so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func BenchmarkLayeredFT(b *testing.B) {

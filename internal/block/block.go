@@ -88,20 +88,12 @@ type entry struct {
 	corrupted bool
 }
 
-// Slot is the handle of one block: its retention ring and its share of the
-// store's activity counts, under its own lock. Store.Slot returns it; it stays
-// valid for the life of the store.
+// Slot is the handle of one block: its retention ring under its own lock.
+// Store.Slot returns it; it stays valid for the life of the store.
 type Slot struct {
 	store *Store
 	id    ID
 	mu    sync.Mutex
-	// count is the activity on this block. An access counts under the lock it
-	// takes anyway, so counting writes no cache line the store's other blocks
-	// share; Store.Stats sums the slots. The counts are 32 bits wide to keep
-	// a Slot in the 128-byte size class (a fine-grain graph has one per
-	// task): 2³² accesses to a single block, each copying its payload under
-	// this lock, is hours of one run spent on one block.
-	count struct{ writes, reads, evictions, corruptReads, missingReads uint32 }
 	// entries are ordered oldest-written first; len <= retention when
 	// retention > 0. The ring starts out in first, so a block that never
 	// retains more than one version — every block of a K=1 store and every
@@ -110,7 +102,11 @@ type Slot struct {
 	first   [1]entry
 }
 
-// Stats counts store activity for the experiment harness.
+// Stats counts store activity for the experiment harness. The store keeps
+// none of the access counts itself: Write's evicted and Read's error say what
+// happened, and the caller — an executor, which knows the worker it runs on —
+// counts where no other worker does (core.Result.Store). BytesRetained is
+// Store.BytesRetained.
 type Stats struct {
 	Writes        int64
 	Reads         int64
@@ -209,9 +205,6 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	own := clone(data, nil)
 	sum = Checksum(own)
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	sl.count.writes++
-	delta := int64(len(data))
 	// Whichever entry the write displaces moves out of the ring, the rest
 	// shift down, and the new version takes the most-recently-written
 	// position, mirroring a physical buffer write.
@@ -224,20 +217,24 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 		old = sl.entries[0].data
 		victim, evicted = sl.entries[0].producer, true
 		copy(sl.entries, sl.entries[1:])
-		sl.count.evictions++
-		if s.ins != nil {
-			s.ins.Evictions.Inc()
-		}
 	default:
 		sl.entries = append(sl.entries, entry{})
 	}
 	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: own, checksum: sum}
+	sl.mu.Unlock()
+	// The free list's lock and the store's shared line are taken with the
+	// slot lock dropped: the displaced buffer is out of the ring, and the
+	// high-water mark is the peak of the sum in the order the deltas reach
+	// it, which no slot's lock ever fixed between blocks.
+	if evicted && s.ins != nil {
+		s.ins.Evictions.Inc()
+	}
 	Free(old)
 	// Applied as one net delta so the high-water mark models physical
 	// buffer reuse rather than transiently double-counting the displaced
 	// payload. A version that replaces one of its own size — every write of a
 	// store in steady state — moves neither number.
-	s.addRetained(delta - int64(len(old)))
+	s.addRetained(int64(len(data) - len(old)))
 	return sum, victim, evicted
 }
 
@@ -291,15 +288,12 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	s := sl.store
 	sl.mu.Lock()
-	sl.count.reads++
 	e := sl.find(version)
 	if e == nil {
-		sl.count.missingReads++
 		sl.mu.Unlock()
 		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
 	}
 	if e.corrupted {
-		sl.count.corruptReads++
 		sl.mu.Unlock()
 		if s.ins != nil {
 			s.ins.CorruptReads.Inc()
@@ -311,9 +305,6 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	sl.mu.Unlock()
 	if s.verify && Checksum(out) != want {
 		Free(out)
-		sl.mu.Lock()
-		sl.count.corruptReads++
-		sl.mu.Unlock()
 		if s.ins != nil {
 			s.ins.ChecksumFailures.Inc()
 		}
@@ -417,23 +408,8 @@ func (s *Store) Latest(b ID) (int, []float64, bool) {
 	return best.version, clone(best.data, nil), true
 }
 
-// Stats returns a snapshot of the store counters: the sum of the slots'
-// counts, each read under its slot's lock.
-func (s *Store) Stats() Stats {
-	st := Stats{BytesRetained: s.highWaterF64.Load() * 8}
-	s.slots.Range(func(_ int64, sl *Slot) bool {
-		sl.mu.Lock()
-		c := sl.count
-		sl.mu.Unlock()
-		st.Writes += int64(c.writes)
-		st.Reads += int64(c.reads)
-		st.Evictions += int64(c.evictions)
-		st.CorruptReads += int64(c.corruptReads)
-		st.MissingReads += int64(c.missingReads)
-		return true
-	})
-	return st
-}
+// BytesRetained returns the high-water mark of retained payload bytes.
+func (s *Store) BytesRetained() int64 { return s.highWaterF64.Load() * 8 }
 
 func flipBits(f float64) float64 {
 	return math.Float64frombits(math.Float64bits(f) ^ 0xDEADBEEFCAFEF00D)

@@ -91,7 +91,7 @@ func (e *Baseline) Run() (*Result, error) {
 		Tasks:   e.tasks.Len(),
 		Metrics: e.met.snapshot(),
 		Sched:   stats,
-		Store:   e.store.Stats(),
+		Store:   e.met.storeStats(e.store),
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
 	data, err := st.slot.Read(st.out.Version, nil)
@@ -125,7 +125,6 @@ func (e *Baseline) initAndCompute(w *sched.Worker, t *bTask) {
 
 func (e *Baseline) tryInitCompute(w *sched.Worker, t *bTask, i int) {
 	b, inserted := e.insertIfAbsent(t.preds[i])
-	t.pred[i].Store(b)
 	if inserted {
 		w.SpawnRunner((*bExploreJob)(b), 0)
 	}
@@ -155,7 +154,7 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 	}
 	e.met.at(w).computes.Add(1)
 	ctx := baseCtxPool.Get().(*baseCtx)
-	ctx.e, ctx.t = e, t
+	ctx.e, ctx.t, ctx.w = e, t, w
 	if err := e.spec.Compute(ctx, t.key); err != nil {
 		panic(fmt.Sprintf("core: baseline compute of task %d failed: %v", t.key, err))
 	}
@@ -194,6 +193,7 @@ func (e *Baseline) computeAndNotify(w *sched.Worker, t *bTask) {
 type baseCtx struct {
 	e *Baseline
 	t *bTask
+	w *sched.Worker // as ftCtx.w
 	heldBufs
 	wrote bool
 }
@@ -204,18 +204,14 @@ var _ graph.Context = (*baseCtx)(nil)
 var baseCtxPool = sync.Pool{New: func() any { return new(baseCtx) }}
 
 func (c *baseCtx) ReadPred(pred graph.Key) ([]float64, error) {
-	p := c.t.producer(pred)
-	if p == nil {
-		p, _ = c.e.tasks.Load(pred)
-	}
 	var slot *block.Slot
 	var version int
-	if p != nil {
+	if p, ok := c.e.tasks.Load(pred); ok {
 		slot, version = p.slot, p.out.Version
 	} else {
 		slot, version = specOutput(c.e.spec, c.e.store, pred)
 	}
-	data, err := c.read(pred, slot, version, false)
+	data, err := c.read(c.e.met.at(c.w), pred, slot, version, false)
 	if err != nil {
 		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
 	}
@@ -223,7 +219,8 @@ func (c *baseCtx) ReadPred(pred graph.Key) ([]float64, error) {
 }
 
 func (c *baseCtx) Write(data []float64) {
-	c.t.slot.Write(c.t.out.Version, c.t.key, data)
+	_, _, evicted := c.t.slot.Write(c.t.out.Version, c.t.key, data)
+	c.e.met.at(c.w).countWrite(evicted)
 	c.wrote = true
 	c.out = data
 }

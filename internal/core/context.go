@@ -30,15 +30,16 @@ type heldBufs struct {
 	small block.Arena
 }
 
-// read copies version of slot for the compute. With keep the copy is listed
-// and off the free list whatever its size: the caller means to hold it past
-// the compute.
-func (h *heldBufs) read(pred graph.Key, slot *block.Slot, version int, keep bool) ([]float64, error) {
+// read copies version of slot for the compute and counts the access in c.
+// With keep the copy is listed and off the free list whatever its size: the
+// caller means to hold it past the compute.
+func (h *heldBufs) read(c *counters, pred graph.Key, slot *block.Slot, version int, keep bool) ([]float64, error) {
 	arena := &h.small
 	if keep {
 		arena = nil
 	}
 	data, err := slot.Read(version, arena)
+	c.countRead(err)
 	if err == nil && (keep || len(data) >= block.PoolMin) {
 		h.reads = append(h.reads, predRead{pred, data})
 	}
@@ -93,7 +94,7 @@ func inside(a, b []float64) bool {
 type ftCtx struct {
 	e *FT
 	t *Task
-	w *sched.Worker // the worker running the compute; its block counts
+	w *sched.Worker // the worker running the compute; it counts in its block of e.met
 	heldBufs
 	sum   uint64 // checksum the store kept for the written payload
 	wrote bool
@@ -113,23 +114,19 @@ var _ graph.Context = (*ftCtx)(nil)
 var ftCtxPool = sync.Pool{New: func() any { return new(ftCtx) }}
 
 // ReadPred returns a private copy of the block version produced by the given
-// predecessor, found through the descriptor the traversal cached and, short of
-// that, through the task table or the spec. On corruption or eviction the
-// error names the predecessor's current incarnation, so the consumer's catch
-// recovers the right task.
+// predecessor, found through the task table — slot and version are the same
+// for every incarnation — or, for a task nobody has discovered, the spec. On
+// corruption or eviction the error names the predecessor's current
+// incarnation, so the consumer's catch recovers the right task.
 func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
-	p := c.t.producer(pred)
-	if p == nil {
-		p, _ = c.e.tasks.Load(pred)
-	}
 	var slot *block.Slot
 	var version int
-	if p != nil {
+	if p, ok := c.e.tasks.Load(pred); ok {
 		slot, version = p.slot, p.out.Version
 	} else {
 		slot, version = specOutput(c.e.spec, c.e.store, pred)
 	}
-	data, err := c.read(pred, slot, version, c.capture)
+	data, err := c.read(c.e.met.at(c.w), pred, slot, version, c.capture)
 	if err == nil {
 		return data, nil
 	}
@@ -146,10 +143,12 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 // re-execution).
 func (c *ftCtx) Write(data []float64) {
 	sum, victim, evicted := c.t.slot.Write(c.t.out.Version, c.t.key, data)
+	met := c.e.met.at(c.w)
+	met.countWrite(evicted)
 	if evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.overwritten.Store(true)
-			c.e.met.at(c.w).overwriteMarks.Add(1)
+			met.overwriteMarks.Add(1)
 			c.e.cfg.Trace.Emit(trace.Overwritten, victim, pt.life, c.t.key)
 		}
 	}

@@ -204,7 +204,7 @@ func (e *FT) RunOn(pool *sched.Pool) (*Result, error) {
 		Elapsed: elapsed,
 		Tasks:   e.tasks.Len(),
 		Metrics: e.met.snapshot(),
-		Store:   e.store.Stats(),
+		Store:   e.met.storeStats(e.store),
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
 	data, err := st.slot.Read(st.out.Version, nil)
@@ -265,10 +265,9 @@ func (e *FT) initAndCompute(w *sched.Worker, t *Task) {
 // predecessor exists (exploring it if this thread inserted it), then either
 // register t in the predecessor's notify array or, if the predecessor is
 // already computed, notify t directly. Any detected error on the predecessor
-// triggers its recovery. The descriptor found stays in t.pred[i].
+// triggers its recovery.
 func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 	b, inserted := e.insertIfAbsent(t.preds[i])
-	t.pred[i].Store(b)
 	if inserted {
 		e.spawn(w, (*exploreJob)(b), 0)
 	}

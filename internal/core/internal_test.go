@@ -100,12 +100,9 @@ func TestNewTaskShape(t *testing.T) {
 		}
 	}
 	// What the descriptor resolves once: output ref, block slot, an empty
-	// cache entry per predecessor, an empty notify array.
+	// notify array.
 	if task.out != g.Output(3) || task.slot != e.store.Slot(task.out.Block) {
 		t.Fatalf("out=%v slot=%p, want %v and the store's slot", task.out, task.slot, g.Output(3))
-	}
-	if len(task.pred) != 2 || task.pred[0].Load() != nil || task.pred[1].Load() != nil {
-		t.Fatalf("predecessor cache = %d entries, want 2 nil ones", len(task.pred))
 	}
 	if len(task.notify) != 0 {
 		t.Fatalf("notify array starts with %d entries", len(task.notify))

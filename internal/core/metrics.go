@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -32,14 +33,35 @@ type counters struct {
 	sdcInjected     atomic.Int64
 	sdcDetected     atomic.Int64
 	sdcMissed       atomic.Int64
+
+	// Block accesses (Result.Store), counted from what Slot.Read and Write return.
+	blockWrites, blockReads, evictions, corruptReads, missingReads atomic.Int64
+}
+
+// countRead counts one Slot.Read that returned err.
+func (c *counters) countRead(err error) {
+	c.blockReads.Add(1)
+	if errors.Is(err, block.ErrCorrupted) {
+		c.corruptReads.Add(1)
+	} else if err != nil {
+		c.missingReads.Add(1)
+	}
+}
+
+// countWrite counts one Slot.Write.
+func (c *counters) countWrite(evicted bool) {
+	c.blockWrites.Add(1)
+	if evicted {
+		c.evictions.Add(1)
+	}
 }
 
 // workerCounters is a counters block on cache lines of its own: padded to a
 // multiple of 128 bytes, two lines, because the adjacent-line prefetcher
-// pairs them (TestCounterBlocksArePadded holds the size to that).
+// pairs them (TestCounterBlocksArePadded holds size and addresses to that).
 type workerCounters struct {
 	counters
-	_ [8]byte
+	_ [96]byte
 }
 
 // metrics is the counters of an executor that runs tasks on pool workers: one
@@ -72,6 +94,20 @@ func (m *metrics) snapshot() Metrics {
 		m.blocks[i].addTo(&out)
 	}
 	return out
+}
+
+// storeStats is Result.Store: the workers' counts and the store's high water.
+func (m *metrics) storeStats(s *block.Store) block.Stats {
+	st := block.Stats{BytesRetained: s.BytesRetained()}
+	for i := range m.blocks {
+		c := &m.blocks[i]
+		st.Writes += c.blockWrites.Load()
+		st.Reads += c.blockReads.Load()
+		st.Evictions += c.evictions.Load()
+		st.CorruptReads += c.corruptReads.Load()
+		st.MissingReads += c.missingReads.Load()
+	}
+	return st
 }
 
 // Metrics is an immutable snapshot of one run's executor counters.

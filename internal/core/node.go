@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
@@ -11,24 +10,13 @@ import (
 // node is the part of a task descriptor that the fault-tolerant and the
 // baseline executor share; D is the descriptor type that embeds it. It is the
 // one place the facts of a task are resolved: the spec is asked once, at
-// creation, for the predecessor list and the output block version, the block
-// slot is looked up once, and the traversal leaves a pointer to every
-// predecessor's descriptor behind. Notifying a successor, reading a
-// predecessor's output and writing the task's own then go from pointer to
-// pointer instead of through the task table, the spec and the slot table.
+// creation, for the predecessor list and the output block version, and the
+// block slot is looked up once. Notifying a successor and writing the task's
+// own output then go from pointer to pointer; reading a predecessor's output
+// asks the task table for its descriptor, three dependent loads.
 type node[D any] struct {
 	key   graph.Key
 	preds []graph.Key // the spec's ordered predecessor list
-
-	// pred[i] is the descriptor tryInitCompute found for preds[i], or nil
-	// while that traversal has not run. Nil is legal whenever the task runs,
-	// its compute included: a recovery of preds[i] that finds this task
-	// waiting re-registers it (Guarantee 4) and can make it eligible before
-	// its own traversal of preds[i] has run. Readers then fall back to the
-	// task table. Under the fault-tolerant executor the incarnation named may
-	// be superseded; what is read through it (out, slot) is the same for
-	// every incarnation.
-	pred []atomic.Pointer[D]
 
 	// out is the block version the task defines, slot the handle of its
 	// block.
@@ -47,21 +35,9 @@ type node[D any] struct {
 func (n *node[D]) resolve(spec graph.Spec, store *block.Store, key graph.Key) {
 	n.key = key
 	n.preds = spec.Predecessors(key)
-	n.pred = make([]atomic.Pointer[D], len(n.preds))
 	n.out = spec.Output(key)
 	n.slot = store.Slot(n.out.Block)
 	n.notify = n.notify0[:0]
-}
-
-// producer returns the cached descriptor of the task that produces what
-// ReadPred(pred) reads, or nil when there is none: the traversal of pred has
-// not run, or pred is not an immediate predecessor (the blocked FW and SW
-// computes read blocks of tasks they depend on only transitively).
-func (n *node[D]) producer(pred graph.Key) *D {
-	if i := indexOf(n.preds, pred); i >= 0 {
-		return n.pred[i].Load()
-	}
-	return nil
 }
 
 // notifyBatchSize is how many successors one spawned drain job notifies.
@@ -88,14 +64,4 @@ func (n *node[D]) batch(arg int) []*D {
 	b := n.notify[lo : lo+cnt]
 	n.mu.Unlock()
 	return b
-}
-
-// indexOf returns the position of k in keys, or -1.
-func indexOf(keys []graph.Key, k graph.Key) int {
-	for i, x := range keys {
-		if x == k {
-			return i
-		}
-	}
-	return -1
 }

@@ -15,12 +15,13 @@ import (
 type Sequential struct {
 	spec  graph.Spec
 	store *block.Store
+	met   metrics // one block: the one context's block accesses
 }
 
 // NewSequential returns a sequential executor with the given block-version
 // retention.
 func NewSequential(spec graph.Spec, retention int) *Sequential {
-	return &Sequential{spec: spec, store: block.NewStore(retention)}
+	return &Sequential{spec: spec, store: block.NewStore(retention), met: newMetrics(1)}
 }
 
 // Store exposes the block store after Run.
@@ -47,7 +48,7 @@ func (e *Sequential) Run() (*Result, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	res := &Result{Elapsed: elapsed, Tasks: len(order), Store: e.store.Stats()}
+	res := &Result{Elapsed: elapsed, Tasks: len(order), Store: e.met.storeStats(e.store)}
 	res.Metrics.Computes = int64(len(order))
 	ref := e.spec.Output(e.spec.Sink())
 	data, err := e.store.Read(ref.Block, ref.Version)
@@ -69,12 +70,13 @@ var _ graph.Context = (*seqCtx)(nil)
 
 func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	slot, version := specOutput(c.e.spec, c.e.store, pred)
-	return c.read(pred, slot, version, false)
+	return c.read(c.e.met.at(nil), pred, slot, version, false)
 }
 
 func (c *seqCtx) Write(data []float64) {
 	ref := c.e.spec.Output(c.key)
-	c.e.store.Write(ref.Block, ref.Version, c.key, data)
+	_, _, evicted := c.e.store.Write(ref.Block, ref.Version, c.key, data)
+	c.e.met.at(nil).countWrite(evicted)
 	c.wrote = true
 	c.out = data
 }

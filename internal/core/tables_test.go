@@ -15,11 +15,27 @@ import (
 
 // These tests pin what moved under the executors in one step: the key tables
 // (direct-indexed for the keys graphs use, hashed for the rest), the
-// per-worker counter blocks, and the store's per-slot counts.
+// per-worker counter blocks, and the block accesses counted in them.
 
+// TestCounterBlocksArePadded: a block is a multiple of 128 bytes, and in a
+// live metrics the first and last counter of one worker's block share no
+// 128-byte block with another worker's.
 func TestCounterBlocksArePadded(t *testing.T) {
 	if sz := unsafe.Sizeof(workerCounters{}); sz%128 != 0 {
 		t.Fatalf("workerCounters is %d bytes, want a multiple of 128: adjust its padding", sz)
+	}
+	for _, p := range []int{2, 3, 4, 8} {
+		m := newMetrics(p)
+		owner := map[uintptr]int{}
+		for i := range m.blocks {
+			c := &m.blocks[i].counters
+			for _, addr := range []uintptr{uintptr(unsafe.Pointer(&c.computes)), uintptr(unsafe.Pointer(&c.missingReads))} {
+				if prev, ok := owner[addr>>7]; ok && prev != i {
+					t.Errorf("P=%d: a counter of worker %d (%#x) is in one 128-byte block with worker %d's", p, i, addr, prev)
+				}
+				owner[addr>>7] = i
+			}
+		}
 	}
 }
 
@@ -128,9 +144,9 @@ func (c countingCtx) Write(data []float64) {
 }
 
 // TestStoreStatsMatchAccessCounts: after runs with faults — corrupted
-// versions, versions evicted from a retention-1 ring, re-executions — the
-// store's statistics, now summed from the slots, equal the accesses counted
-// from outside, as they did when the store counted them in one place.
+// versions, versions evicted from a retention-1 ring, re-executions —
+// Result.Store, summed from the workers' blocks, equals the accesses counted
+// from outside, as it did when the store counted them.
 func TestStoreStatsMatchAccessCounts(t *testing.T) {
 	for name, tc := range map[string]struct {
 		g         *graph.Static
@@ -163,6 +179,78 @@ func TestStoreStatsMatchAccessCounts(t *testing.T) {
 				t.Fatalf("%s seed %d: a retention-1 chain evicted nothing", name, seed)
 			}
 		}
+	}
+}
+
+// TestStoreStatsAreTheWorkersCounts: Result.Store is what the compute contexts
+// count, each in its worker's block, from what Slot.Read and Slot.Write
+// return. Whether one worker counted or four shared the counting, the sums
+// are the ones the store's own per-slot counts gave (the constants: the
+// commit before the counts moved, same plans, one worker); BytesRetained is
+// still the store's. The plans inject at compute time only: where an
+// after-notify fault is first observed depends on the schedule.
+func TestStoreStatsAreTheWorkersCounts(t *testing.T) {
+	layered := graph.Layered(60, 32, 3, 17, nil)
+	layeredPlan := func() *fault.Plan {
+		plan := fault.PlanFraction(layered, fault.AnyTask, fault.AfterCompute, 0.05, 7)
+		taken := map[graph.Key]bool{}
+		for _, k := range plan.Keys() {
+			taken[k] = true
+		}
+		for _, k := range fault.SelectTasks(layered, fault.AnyTask, 38, 8) { // 2 % of 1921
+			if !taken[k] {
+				plan.Add(k, fault.BeforeCompute, 1)
+			}
+		}
+		return plan
+	}
+	chain := graph.VersionChain(12, nil)
+	chainPlan := func() *fault.Plan {
+		return fault.NewPlan().Add(3, fault.AfterCompute, 1).Add(7, fault.BeforeCompute, 1)
+	}
+	for name, tc := range map[string]struct {
+		g         graph.Spec
+		retention int
+		plan      func() *fault.Plan
+		want      block.Stats
+	}{
+		"layered/faults":      {layered, 0, layeredPlan, block.Stats{Writes: 2017, Reads: 4275, BytesRetained: 15368}},
+		"layered/clean":       {layered, 0, fault.NewPlan, block.Stats{Writes: 1921, Reads: 4075, BytesRetained: 15368}},
+		"versionchain/faults": {chain, 1, chainPlan, block.Stats{Writes: 29, Reads: 58, Evictions: 15, MissingReads: 3, BytesRetained: 112}},
+		"versionchain/clean":  {chain, 1, fault.NewPlan, block.Stats{Writes: 25, Reads: 46, Evictions: 11, BytesRetained: 112}},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := Config{Workers: workers, Retention: tc.retention, Plan: tc.plan(), VerifyChecksums: true, Timeout: testTimeout}
+			res, err := NewFT(tc.g, cfg).Run()
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			if res.Store != tc.want {
+				t.Errorf("%s, %d workers: FT counted %+v, want %+v", name, workers, res.Store, tc.want)
+			}
+			if cfg.Plan.Len() > 0 {
+				continue // the other executors take no plan
+			}
+			if res, err = NewBaseline(tc.g, cfg).Run(); err != nil || res.Store != tc.want {
+				t.Errorf("%s, %d workers: baseline counted %+v (err %v), want %+v", name, workers, res.Store, err, tc.want)
+			}
+			if res, err = NewSequential(tc.g, tc.retention).Run(); err != nil || res.Store != tc.want {
+				t.Errorf("%s: the sequential executor counted %+v (err %v), want %+v", name, res.Store, err, tc.want)
+			}
+		}
+	}
+
+	// A corrupt read, counted by the context that saw it.
+	e := NewFT(chain, Config{})
+	ref := chain.Output(0)
+	e.store.Write(ref.Block, ref.Version, 0, []float64{1})
+	e.store.Corrupt(ref.Block, ref.Version)
+	ctx := &ftCtx{e: e, t: e.newTask(1, 0, false)}
+	if _, err := ctx.ReadPred(0); err == nil {
+		t.Fatal("ReadPred of a corrupted version succeeded")
+	}
+	if got, want := e.met.storeStats(e.store), (block.Stats{Reads: 1, CorruptReads: 1, BytesRetained: 8}); got != want {
+		t.Fatalf("after one corrupt read: %+v, want %+v", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ftdag/internal/bitvec"
@@ -45,9 +46,9 @@ func (s Status) String() string {
 // *Task pointer held by a stale thread keeps observing the failed state.
 type Task struct {
 	// node holds what is resolved once per task — key, predecessor list,
-	// output block version and slot, the descriptors found for the
-	// predecessors — and the notify array. The task graph structure is
-	// assumed resilient (paper §II), so none of it is a fault target.
+	// output block version and slot — and the notify array. The task graph
+	// structure is assumed resilient (paper §II), so none of it is a fault
+	// target.
 	node[Task]
 
 	e    *FT
@@ -78,9 +79,9 @@ type Task struct {
 	overwritten atomic.Bool
 
 	// superseded marks that replaceTask has installed a newer incarnation
-	// in the task table. Notify arrays and predecessor caches hold
-	// descriptor pointers; a holder that wants the current incarnation —
-	// notifySuccessor — goes back to the table when it sees the flag.
+	// in the task table. Notify arrays hold descriptor pointers; a holder
+	// that wants the current incarnation — notifySuccessor — goes back to
+	// the table when it sees the flag.
 	superseded atomic.Bool
 
 	// recovery marks incarnations created by recoverTask (life > 0).
@@ -113,7 +114,7 @@ func (t *Task) predIndex(pred graph.Key) int {
 	if pred == t.key {
 		return len(t.preds)
 	}
-	if i := indexOf(t.preds, pred); i >= 0 {
+	if i := slices.Index(t.preds, pred); i >= 0 {
 		return i
 	}
 	panic(fmt.Sprintf("core: task %d notified by non-predecessor %d", t.key, pred))

@@ -45,10 +45,18 @@ func (r *ring[T]) grow(top, bottom int64) *ring[T] {
 // PushBottom and PopBottom may only be called by the owning goroutine;
 // Steal may be called by any goroutine. The zero value is not usable; call
 // New.
+//
+// The owner stores to bottom on every push and pop and reads top and buf
+// beside it; thieves write top. Each side has a 128-byte block of its own (two
+// lines: the adjacent-line prefetcher pairs them) and the struct fills two,
+// so the allocator aligns it to them and no word one worker writes shares a
+// block with a word of another worker's deque (sched's TestWorkerLayout).
 type Deque[T any] struct {
 	top    atomic.Int64
+	_      [128 - 8]byte
 	bottom atomic.Int64
 	buf    atomic.Pointer[ring[T]]
+	_      [128 - 16]byte
 }
 
 // MinCapacity is the initial ring capacity. It must be a power of two.

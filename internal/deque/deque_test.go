@@ -1,12 +1,39 @@
 package deque
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestDequesShareNoBlock: of deques allocated one after the other, as a pool
+// allocates its workers', no two words that different goroutines write — a
+// deque's top, its bottom and buf, the next deque's — lie in one 128-byte
+// block.
+func TestDequesShareNoBlock(t *testing.T) {
+	seen := map[uintptr]string{}
+	for i := 0; i < 8; i++ {
+		d := New[int]()
+		for name, addr := range map[string]uintptr{
+			"top":    uintptr(unsafe.Pointer(&d.top)),
+			"bottom": uintptr(unsafe.Pointer(&d.bottom)),
+			"buf":    uintptr(unsafe.Pointer(&d.buf)),
+		} {
+			who := fmt.Sprintf("deque %d owner", i)
+			if name == "top" {
+				who = fmt.Sprintf("deque %d thieves", i)
+			}
+			if prev, ok := seen[addr>>7]; ok && prev != who {
+				t.Errorf("deque %d: %s (%#x) is in one 128-byte block with a word of %s", i, name, addr, prev)
+			}
+			seen[addr>>7] = who
+		}
+	}
+}
 
 func TestLIFOOwner(t *testing.T) {
 	d := New[int]()

@@ -107,8 +107,13 @@ type Worker struct {
 	pool  *Pool
 	id    int
 	dq    *deque.Deque[job]
-	rng   uint64
 	stats counters
+
+	// rng, cur and free are the words of the Worker that its goroutine writes
+	// per steal attempt and per job. They are kept together: 40 bytes of an
+	// object allocated 176 bytes from the next Worker cannot share a 128-byte
+	// block with the next one's 40 (TestWorkerLayout).
+	rng uint64
 
 	// cur is the group of the job the worker ran last, nil when that job
 	// had none or the worker has since looked at the group's tally. Owned by

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"ftdag/internal/deque"
 )
 
 // TestTallyNoFalseQuiescence drives a tally the way a pool does — a job is
@@ -227,6 +230,17 @@ func TestSchedLayout(t *testing.T) {
 			t.Fatalf("%s.tally must be a slice: the pairs do not belong on the struct's own lines", typ.Name())
 		}
 	}
+	// A deque is two blocks, thieves' top on the first, the owner's bottom
+	// and buf on the second.
+	dq := reflect.TypeOf(deque.Deque[job]{})
+	for name, want := range map[string]uintptr{"top": 0, "bottom": 128, "buf": 136} {
+		if f, ok := dq.FieldByName(name); !ok || f.Offset != want {
+			t.Errorf("Deque.%s at offset %d (found %v), want %d", name, f.Offset, ok, want)
+		}
+	}
+	if dq.Size() != 256 {
+		t.Errorf("Deque is %d bytes, want 256: adjust its padding", dq.Size())
+	}
 	var p Pool
 	read := map[string]uintptr{
 		"parkHead": unsafe.Offsetof(p.parkHead),
@@ -244,6 +258,45 @@ func TestSchedLayout(t *testing.T) {
 				t.Errorf("Pool.%s (offset %d) is within 128 bytes of Pool.%s (offset %d)", wn, wo, rn, ro)
 			}
 		}
+	}
+}
+
+// TestWorkerLayout takes, on a live pool, the address of every word a worker
+// writes per job — its deque's bottom and buf and its ring's first slot, the
+// header of free, cur, rng, its pairs of the pool's and of a group's tally —
+// and of its deque's top, which thieves write: no two workers' words, and no
+// deque's top and bottom, may lie in one 128-byte block. Sizeof cannot say
+// that; where the allocator puts the objects decides it.
+func TestWorkerLayout(t *testing.T) {
+	for _, p := range []int{2, 4, 8} {
+		pool := NewPool(p)
+		g := pool.NewGroup()
+		owner := map[uintptr]string{} // 128-byte block → who writes in it
+		claim := func(who, what string, addr uintptr) {
+			if prev, ok := owner[addr>>7]; ok && prev != who {
+				t.Errorf("P=%d: %s.%s (%#x) is in one 128-byte block with a word of %s", p, who, what, addr, prev)
+			}
+			owner[addr>>7] = who
+		}
+		for i, w := range pool.workers {
+			who := fmt.Sprintf("worker %d", i)
+			dq := reflect.ValueOf(w.dq).Elem()
+			ring := dq.FieldByName("buf").FieldByName("v").UnsafePointer()
+			elts := reflect.NewAt(reflect.TypeOf([]uintptr(nil)), unsafe.Add(ring, 8)).Elem() // ring{mask, elts}
+			claim(who, "dq.bottom", dq.FieldByName("bottom").UnsafeAddr())
+			claim(who, "dq.buf", dq.FieldByName("buf").UnsafeAddr())
+			claim(who, "dq ring[0]", elts.Pointer())
+			claim(who, "free", uintptr(unsafe.Pointer(&w.free)))
+			claim(who, "free+16", uintptr(unsafe.Pointer(&w.free))+16)
+			claim(who, "cur", uintptr(unsafe.Pointer(&w.cur)))
+			claim(who, "rng", uintptr(unsafe.Pointer(&w.rng)))
+			for name, tl := range map[string]tally{"pool": pool.tally, "group": g.tally} {
+				claim(who, name+" tally added", uintptr(unsafe.Pointer(&tl[i].added)))
+				claim(who, name+" tally done", uintptr(unsafe.Pointer(&tl[i].done)))
+			}
+			claim(fmt.Sprintf("the thieves of worker %d", i), "dq.top", dq.FieldByName("top").UnsafeAddr())
+		}
+		pool.Close()
 	}
 }
 
