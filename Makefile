@@ -5,7 +5,7 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task, no threshold)
-#   make crashsoak — kill-and-restart soak of the durable journaled service
+#   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
@@ -15,7 +15,7 @@ GO ?= go
 
 .PHONY: ci build benchbuild benchsmoke test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race build386 benchsmoke sdcsoak clustersoak blackbox
+ci: build benchbuild test vet lint lint-json race build386 benchsmoke sdcsoak crashsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -58,7 +58,9 @@ lint-json:
 # tables, the multi-job service that multiplexes jobs onto one pool, the
 # group-commit write-ahead log under it, the shared-mutation observability
 # primitives (metrics registry, trace ring), the cluster router/standby
-# follower, the continuation-passing executor core, and the fault injector.
+# follower, the continuation-passing executor core, the fault injector, and
+# the two commands with tests of their own — ftserve's run a real
+# service.Server behind the mux it serves, ftsoak's a child supervisor.
 # The block data path — store, executors, replica join, the kernels and the
 # harness that drives them — and the structures the task descriptor is built
 # from (key table, bit vector, graph) are then swept at one, two, four and
@@ -78,7 +80,7 @@ lint-json:
 RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./internal/apps/... ./internal/harness/... ./internal/cmap/... ./internal/bitvec/... ./internal/graph/... ./internal/service/... ./internal/journal/... ./internal/trace/... ./internal/sched/... ./internal/deque/... ./internal/cluster/... ./internal/metrics/... ./internal/fault/... ./internal/comparators/...
 
 race:
-	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/...
+	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/... ./cmd/ftserve/... ./cmd/ftsoak/...
 	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=5 $(RACE_SWEEP) || exit 1; done
 
 # Cross-compile smoke for 32-bit: pairs with the atomicalign analyzer —
@@ -92,10 +94,11 @@ soak:
 	$(GO) run ./cmd/ftsoak -duration 30s
 	$(GO) run ./cmd/ftsoak -duration 30s -service -jobs 4
 
-# Crash-recovery soak: SIGKILL a child server at random points (-cycles
-# kills, or until a run finishes early), restart it from the same journal
-# (corrupting the tail once along the way), verify every job across
-# restarts against its sequential reference digest.
+# Crash-recovery soak (part of ci, ≈ 2 s once built): SIGKILL a child
+# server at random points (-cycles kills, or until a run finishes early),
+# restart it from the same journal (corrupting the tail once along the
+# way), verify every job across restarts against its sequential reference
+# digest.
 crashsoak:
 	$(GO) run ./cmd/ftsoak -crash -cycles 8 -crashjobs 12 -v
 

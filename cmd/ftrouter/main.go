@@ -61,15 +61,10 @@ func main() {
 	if proc == "" {
 		proc = "ftrouter-" + strings.Trim(strings.ReplaceAll(*addr, ":", "-"), "-")
 	}
-	tracer := trace.NewSpans(proc, *spansCap)
-	var flight *trace.Flight
-	if *dataDir != "" {
-		flight = trace.NewFlight(proc, *flightCap)
-		if err := flight.Persist(*dataDir, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "ftrouter: %v\n", err)
-			os.Exit(1)
-		}
-		tracer.Mirror(flight)
+	tracer, flight, err := trace.NewRecorders(proc, *spansCap, *flightCap, *dataDir, 0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftrouter: %v\n", err)
+		os.Exit(1)
 	}
 
 	reg := metrics.NewRegistry()
@@ -82,9 +77,7 @@ func main() {
 		Tracer:         tracer,
 		Flight:         flight,
 	})
-	started := time.Now()
-	reg.GaugeFunc("ftdag_uptime_seconds", "Seconds since the router started.",
-		func() float64 { return time.Since(started).Seconds() })
+	reg.Uptime("Seconds since the router started.")
 
 	n, err := addBackends(rt, *backends)
 	if err != nil {

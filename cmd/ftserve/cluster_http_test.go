@@ -23,7 +23,7 @@ func TestJournalStreamEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Payload = []byte(`{"synthetic":{"layers":2,"width":2,"max_in":1,"seed":3}}`)
-	h, err := d.srv.Submit(spec)
+	h, err := d.Service.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDrainEndpoint(t *testing.T) {
 	d, mux := newTestDaemon(t, t.TempDir())
 	release := make(chan struct{})
 	go func() {
-		for !d.srv.Draining() {
+		for !d.Service.Draining() {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -97,7 +97,7 @@ func TestDrainEndpoint(t *testing.T) {
 		}),
 		Payload: []byte(`{"app":"stuck"}`),
 	}
-	h, err := d.srv.Submit(spec)
+	h, err := d.Service.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

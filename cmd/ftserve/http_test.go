@@ -8,32 +8,34 @@ import (
 	"testing"
 	"time"
 
+	"ftdag/internal/cluster"
 	"ftdag/internal/graph"
-	"ftdag/internal/journal"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 )
 
-// newTestDaemon builds a daemon over an in-process service (durable when
-// dataDir is non-empty) and returns it with its production mux.
-func newTestDaemon(t *testing.T, dataDir string) (*daemon, *http.ServeMux) {
+// newTestBackend boots a backend the way main does — cluster.OpenBackend
+// over the daemon's rebuildJob vocabulary (durable when dataDir is
+// non-empty) — and returns it with the mux production serves.
+func newTestBackend(t *testing.T, dataDir string, sc service.Config) (*cluster.Backend, *http.ServeMux) {
 	t.Helper()
-	var jr *journal.Journal
-	cfg := service.Config{Workers: 2, MaxConcurrentJobs: 2, Registry: metrics.NewRegistry()}
-	if dataDir != "" {
-		var err error
-		jr, err = journal.Open(journal.Options{Dir: dataDir, NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Journal = jr
-		cfg.Rebuild = rebuildJob
+	be, err := cluster.OpenBackend(cluster.BackendConfig{
+		Name: "ftserve-test", DataDir: dataDir, Service: sc, Build: rebuildJob, Spans: 256, Flight: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := service.New(cfg)
-	t.Cleanup(func() { srv.Close() })
-	d := &daemon{srv: srv, jr: jr, reg: cfg.Registry, started: time.Now()}
-	d.reg.GaugeFunc("ftdag_uptime_seconds", "x", func() float64 { return time.Since(d.started).Seconds() })
-	return d, d.newMux()
+	t.Cleanup(func() {
+		be.Service.Close()
+		if err := be.Flight.Close("test"); err != nil {
+			t.Error(err)
+		}
+	})
+	return be, be.Node.Mux()
+}
+
+func newTestDaemon(t *testing.T, dataDir string) (*cluster.Backend, *http.ServeMux) {
+	return newTestBackend(t, dataDir, service.Config{Workers: 2, MaxConcurrentJobs: 2})
 }
 
 func get(t *testing.T, mux *http.ServeMux, path string) *httptest.ResponseRecorder {
@@ -43,53 +45,23 @@ func get(t *testing.T, mux *http.ServeMux, path string) *httptest.ResponseRecord
 	return rr
 }
 
+// TestHealthz: main's wiring hands the node what the healthz body reports —
+// the configured pool size, the journal it opened, its own name.
 func TestHealthz(t *testing.T) {
 	_, mux := newTestDaemon(t, t.TempDir())
 	rr := get(t, mux, "/healthz")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d, want 200", rr.Code)
 	}
-	var resp struct {
-		Status    string         `json:"status"`
-		UptimeSec float64        `json:"uptime_sec"`
-		Workers   int            `json:"workers"`
-		Durable   bool           `json:"durable"`
-		Journal   *journal.Stats `json:"journal"`
-	}
+	var resp cluster.Health
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != "ok" || resp.Workers != 2 || !resp.Durable || resp.Journal == nil {
+	if resp.Status != "ok" || resp.Name != "ftserve-test" || resp.Workers != 2 || !resp.Durable || resp.Journal == nil {
 		t.Fatalf("healthz = %+v", resp)
 	}
 	if resp.UptimeSec < 0 {
 		t.Fatalf("negative uptime %v", resp.UptimeSec)
-	}
-}
-
-func TestWrongMethodGets405WithAllow(t *testing.T) {
-	_, mux := newTestDaemon(t, "")
-	cases := []struct {
-		method, path, wantAllow string
-	}{
-		{http.MethodPost, "/healthz", "GET, HEAD"},
-		{http.MethodPut, "/metrics", "GET, HEAD"},
-		{http.MethodDelete, "/jobs", "GET, HEAD, POST"},
-		{http.MethodGet, "/jobs/1/cancel", "POST"},
-		{http.MethodPost, "/debug/jobs", "GET, HEAD"},
-		{http.MethodPost, "/journal/stream", "GET, HEAD"},
-		{http.MethodGet, "/drain", "POST"},
-	}
-	for _, c := range cases {
-		rr := httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest(c.method, c.path, nil))
-		if rr.Code != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s = %d, want 405", c.method, c.path, rr.Code)
-			continue
-		}
-		if got := rr.Header().Get("Allow"); got != c.wantAllow {
-			t.Errorf("%s %s Allow = %q, want %q", c.method, c.path, got, c.wantAllow)
-		}
 	}
 }
 
@@ -103,7 +75,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.srv.Submit(spec)
+	h, err := d.Service.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +107,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		}
 	}
 	// The faulty run must show computed tasks and the fired recoveries.
-	if v, ok := d.reg.Value("ftdag_tasks_computed_total"); !ok || v < 13 { // 3*4+1 tasks minimum
+	if v, ok := d.Service.Config().Registry.Value("ftdag_tasks_computed_total"); !ok || v < 13 { // 3*4+1 tasks minimum
 		t.Fatalf("ftdag_tasks_computed_total = %v, %v", v, ok)
 	}
-	rec, _ := d.reg.Value("ftdag_recoveries_total")
-	inj, _ := d.reg.Value("ftdag_injections_fired_total")
+	rec, _ := d.Service.Config().Registry.Value("ftdag_recoveries_total")
+	inj, _ := d.Service.Config().Registry.Value("ftdag_injections_fired_total")
 	if inj == 0 || rec == 0 {
 		t.Fatalf("faulty run moved no recovery counters: injections=%v recoveries=%v", inj, rec)
 	}
@@ -154,7 +126,7 @@ func TestDebugJobsLiveProgress(t *testing.T) {
 		}
 		return []float64{float64(key)}
 	})
-	h, err := d.srv.Submit(service.JobSpec{Name: "blocking-chain", Spec: spec})
+	h, err := d.Service.Submit(service.JobSpec{Name: "blocking-chain", Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,28 +160,25 @@ func TestDebugJobsLiveProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Terminal state keeps the final result and gains derived throughput.
-	var jobs []debugJob
-	if err := json.Unmarshal(get(t, mux, "/debug/jobs").Body.Bytes(), &jobs); err == nil {
-		if len(jobs) != 1 || jobs[0].Tasks != 3 {
-			t.Fatalf("final /debug/jobs = %+v", jobs)
-		}
-		if jobs[0].TasksPerSec <= 0 {
-			t.Fatalf("tasks_per_sec = %v, want > 0", jobs[0].TasksPerSec)
-		}
+	var jobs []struct {
+		Tasks       int     `json:"tasks"`
+		TasksPerSec float64 `json:"tasks_per_sec"`
+	}
+	if err := json.Unmarshal(get(t, mux, "/debug/jobs").Body.Bytes(), &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].Tasks != 3 {
+		t.Fatalf("final /debug/jobs = %+v", jobs)
+	}
+	if jobs[0].TasksPerSec <= 0 {
+		t.Fatalf("tasks_per_sec = %v, want > 0", jobs[0].TasksPerSec)
 	}
 }
 
 func TestSubmitRecoveryPolicyAndRetryAfter(t *testing.T) {
-	srv := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
-	t.Cleanup(func() { srv.Close() })
-	d := &daemon{srv: srv, started: time.Now()}
-	mux := d.newMux()
-	post := func(body string) *httptest.ResponseRecorder {
-		rr := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body))
-		mux.ServeHTTP(rr, req)
-		return rr
-	}
+	be, mux := newTestBackend(t, "", service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
+	srv := be.Service
+	post := func(body string) *httptest.ResponseRecorder { return post(mux, body) }
 
 	// A replicated submission is accepted and reports its policy.
 	rr := post(`{"synthetic":{"layers":3,"width":3,"max_in":2,"seed":9},"recovery":"replicate-selective","replica_budget":0.5,"verify":true}`)
@@ -278,7 +247,7 @@ func TestDebugTraceAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.srv.Submit(spec)
+	h, err := d.Service.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

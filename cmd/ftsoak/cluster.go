@@ -13,112 +13,50 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 
 	"ftdag/internal/cluster"
-	"ftdag/internal/core"
 	"ftdag/internal/journal"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 	"ftdag/internal/trace"
 )
 
-// runClusterChild is one backend of the soak cluster: a journaled service
-// behind a cluster.Node mux on an ephemeral port (printed on stdout for
-// the parent to scrape), building jobs from the shared crash-soak
-// vocabulary. On boot the service replays whatever the journal holds — for
-// a child started over the promoted standby mirror, that is the killed
-// victim's WAL, so its incomplete jobs re-run here automatically.
+// runClusterChild is one backend of the soak cluster: the backend ftserve
+// boots (cluster.OpenBackend) over the crash-soak job vocabulary, on an
+// ephemeral port printed on stdout for the parent to scrape. On boot the
+// service replays whatever the journal holds — for a child started over the
+// promoted standby mirror, that is the killed victim's WAL, so its
+// incomplete jobs re-run here automatically. Every child flies with the
+// black box flushed every 20ms, so a SIGKILL — the soak's weapon — leaves a
+// parseable box at most one flush behind for the parent to collect.
 func runClusterChild(dataDir string, workers int, timeout time.Duration) error {
-	jr, err := journal.Open(journal.Options{Dir: dataDir})
+	be, err := cluster.OpenBackend(cluster.BackendConfig{
+		Name:       filepath.Base(dataDir),
+		DataDir:    dataDir,
+		Service:    service.Config{Workers: workers, MaxConcurrentJobs: 2, MaxQueuedJobs: 256},
+		Build:      crashRebuild(timeout),
+		Spans:      8192,
+		Flight:     4096,
+		Flush:      20 * time.Millisecond,
+		DrainGrace: 2 * time.Second,
+	})
 	if err != nil {
-		return fmt.Errorf("opening journal: %w", err)
-	}
-	// Every child flies with the black box on: the span ring mirrors into
-	// the flight ring, the flusher persists it under <dataDir>/blackbox
-	// every 20ms, and a SIGKILL — the soak's weapon — leaves a parseable
-	// box at most one flush behind for the parent to collect.
-	name := filepath.Base(dataDir)
-	tracer := trace.NewSpans(name, 8192)
-	flight := trace.NewFlight(name, 4096)
-	if err := flight.Persist(dataDir, 20*time.Millisecond); err != nil {
 		return err
 	}
-	tracer.Mirror(flight)
-	incomplete := 0
-	for _, js := range jr.State().Jobs {
-		if !js.Terminal() {
-			incomplete++
-		}
-	}
-	srv := service.New(service.Config{
-		Workers:           workers,
-		MaxConcurrentJobs: 2,
-		MaxQueuedJobs:     256,
-		Journal:           jr,
-		Rebuild:           crashRebuild(timeout),
-		Tracer:            tracer,
-		Flight:            flight,
-	})
-	if incomplete > 0 {
-		// Replaying another incarnation's unfinished jobs is crash
-		// evidence; box it before new work dilutes the ring.
-		if _, err := flight.Snapshot("replay-after-crash"); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterchild: boxing crash replay: %v\n", err)
-		}
-	}
-	node := cluster.NewNode(cluster.NodeConfig{
-		Name:       name,
-		Service:    srv,
-		Journal:    jr,
-		Build:      crashRebuild(timeout),
-		DrainGrace: 2 * time.Second,
-		Tracer:     tracer,
-	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("listening %s\n", ln.Addr())
-	return http.Serve(ln, node.Mux())
-}
-
-// clusterNode is the parent's handle on one child backend process.
-type clusterNode struct {
-	name string
-	dir  string
-	url  string
-	cmd  *exec.Cmd
-	out  *lockedBuf
-}
-
-// lockedBuf collects child output concurrently with parent reads.
-type lockedBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuf) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
+	return http.Serve(ln, be.Node.Mux())
 }
 
 // runClusterSoak is the parent orchestrator. With blackbox, the soak also
@@ -129,33 +67,14 @@ func (l *lockedBuf) String() string {
 // router plus at least two backend processes under one trace ID, with the
 // failover-resubmit span parented to the original cluster-submit span.
 func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbose, blackbox bool) {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftsoak: locating executable: %v\n", err)
-		os.Exit(1)
-	}
-	root, err := os.MkdirTemp("", "ftsoak-cluster-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftsoak: %v\n", err)
-		os.Exit(1)
-	}
+	s := newSoak("cluster")
+	root, fatalf := s.root, s.fatalf
 	fmt.Printf("ftsoak: cluster soak seed=%d jobs=%d root=%s\n", seed, njobs, root)
-	var nodes []*clusterNode
-	fatalf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ftsoak: FAILURE: "+format+"\n", args...)
-		for _, n := range nodes {
-			_ = n.cmd.Process.Kill()
-			fmt.Fprintf(os.Stderr, "--- %s output ---\n%s", n.name, n.out.String())
-		}
-		fmt.Fprintf(os.Stderr, "  cluster state kept for inspection: %s\n", root)
-		os.Exit(1)
-	}
 
 	// Deterministic job list and sequential reference digests. Faults are
 	// restricted to compute points and the per-task delay stretched so the
 	// SIGKILL reliably lands while the victim still has jobs in flight.
 	jobs := crashJobList(seed, njobs)
-	wantDigest := make(map[string]string, njobs)
 	for i := range jobs {
 		jobs[i].Points = "compute"
 		jobs[i].DelayMS = 30
@@ -165,83 +84,45 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 			// needs at least one rerouted AND standby-replayed job.
 			jobs[i].DelayMS = 60
 		}
-		res, err := core.NewSequential(jobs[i].graph(), 0).Run()
-		if err != nil {
-			fatalf("sequential reference %s: %v", jobs[i].name(), err)
-		}
-		wantDigest[jobs[i].name()] = journal.Digest(res.Sink)
 	}
+	wantDigest := s.references(jobs)
 
-	start := func(name, dir string) *clusterNode {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatalf("%v", err)
-		}
-		cmd := exec.Command(exe,
+	// Each backend's data dir is <root>/<name>.
+	start := func(name string) *proc {
+		dir := filepath.Join(root, name)
+		p := s.start(name,
 			"-clusterchild",
 			"-datadir", dir,
 			"-maxworkers", fmt.Sprint(workers),
 			"-timeout", fmt.Sprint(timeout))
-		out := &lockedBuf{}
-		cmd.Stderr = out
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			fatalf("%s stdout: %v", name, err)
-		}
-		if err := cmd.Start(); err != nil {
-			fatalf("starting %s: %v", name, err)
-		}
-		addrCh := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(stdout)
-			for sc.Scan() {
-				line := sc.Text()
-				if a, ok := strings.CutPrefix(line, "listening "); ok {
-					select {
-					case addrCh <- a:
-					default:
-					}
-					continue
-				}
-				fmt.Fprintln(out, line)
-			}
-			_ = cmd.Wait() // reap once the pipe closes (exit or SIGKILL)
-		}()
-		n := &clusterNode{name: name, dir: dir, cmd: cmd, out: out}
-		nodes = append(nodes, n)
-		select {
-		case a := <-addrCh:
-			n.url = "http://" + a
-		case <-time.After(10 * time.Second):
-			fatalf("backend %s never reported its address", name)
+		if err := p.listening(10 * time.Second); err != nil {
+			fatalf("%v", err)
 		}
 		if verbose {
-			fmt.Printf("backend %s on %s (%s)\n", name, n.url, dir)
+			fmt.Printf("backend %s on %s (%s)\n", name, p.url, dir)
 		}
-		return n
+		return p
 	}
 	for _, name := range []string{"b0", "b1", "b2"} {
-		start(name, filepath.Join(root, name))
+		start(name)
 	}
 
 	// The router runs in-process so the soak can reconcile its metrics
 	// registry directly at the end.
-	client := &http.Client{Timeout: 10 * time.Second}
 	reg := metrics.NewRegistry()
-	routerSpans := trace.NewSpans("router", 8192)
-	routerFlight := trace.NewFlight("router", 2048)
-	if err := routerFlight.Persist(root, 20*time.Millisecond); err != nil {
+	routerSpans, routerFlight, err := trace.NewRecorders("router", 8192, 2048, root, 20*time.Millisecond)
+	if err != nil {
 		fatalf("router black box: %v", err)
 	}
-	routerSpans.Mirror(routerFlight)
 	rt := cluster.NewRouter(cluster.RouterConfig{
-		Client:         client,
+		Client:         s.client,
 		Registry:       reg,
 		HealthInterval: 25 * time.Millisecond,
 		FailThreshold:  2,
 		Tracer:         routerSpans,
 		Flight:         routerFlight,
 	})
-	for _, n := range nodes {
+	for _, n := range s.procs {
 		if err := rt.AddBackend(n.name, n.url); err != nil {
 			fatalf("adding backend %s: %v", n.name, err)
 		}
@@ -257,11 +138,6 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 
 	// Submit every job through the router, shard-pinned by job name so the
 	// placement is a pure function of the ring.
-	type placed struct {
-		id      int64
-		name    string
-		backend string
-	}
 	placements := make([]placed, 0, njobs)
 	perBackend := make(map[string]int)
 	for _, c := range jobs {
@@ -275,7 +151,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Shard-Key", c.name())
-		resp, err := client.Do(req)
+		resp, err := s.client.Do(req)
 		if err != nil {
 			fatalf("submitting %s: %v", c.name(), err)
 		}
@@ -291,8 +167,8 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 
 	// The victim is the busiest backend — the kill should orphan as many
 	// in-flight jobs as possible.
-	victim := nodes[0]
-	for _, n := range nodes {
+	victim := s.procs[0]
+	for _, n := range s.procs {
 		if perBackend[n.name] > perBackend[victim.name] {
 			victim = n
 		}
@@ -306,7 +182,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// the first began — in particular every acknowledged submission — is
 	// durable in the mirror before the kill.
 	standbyDir := filepath.Join(root, "standby")
-	fl, err := cluster.NewFollower(victim.url, standbyDir, client)
+	fl, err := cluster.NewFollower(victim.url, standbyDir, s.client)
 	if err != nil {
 		fatalf("standby follower: %v", err)
 	}
@@ -337,21 +213,16 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// SIGKILL the victim mid-storm; the health loop must declare it dead
 	// and re-route its incomplete jobs to the survivors.
 	killedAt := time.Now()
-	_ = victim.cmd.Process.Kill()
-	waitMetric := func(name string, want float64, within time.Duration) {
-		deadline := time.Now().Add(within)
-		for {
-			if v, _ := reg.Value(name); v == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				v, _ := reg.Value(name)
-				fatalf("%s = %v, want %v", name, v, want)
-			}
-			time.Sleep(10 * time.Millisecond)
+	victim.kill()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		v, _ := reg.Value("ftrouter_failover_total")
+		if v == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			fatalf("ftrouter_failover_total = %v, want 1", v)
 		}
 	}
-	waitMetric("ftrouter_failover_total", 1, 15*time.Second)
 	// Kill-to-reroute latency as the parent observes it: health-probe
 	// detection (FailThreshold misses at HealthInterval) plus the reroute
 	// resubmissions; ftrouter_failover_seconds records the reroute part.
@@ -369,8 +240,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	for _, js := range promoted.State().Jobs {
 		standbyByName[js.Name] = js
 	}
-	replayed := 0
-	var replayedJobs []placed // victim jobs the standby will re-run
+	var replayed []placed // victim jobs the standby will re-run
 	for _, p := range placements {
 		if p.backend != victim.name {
 			continue
@@ -383,8 +253,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 			fatalf("standby digest for %s = %s, want %s", p.name, js.SinkDigest, wantDigest[p.name])
 		}
 		if !js.Terminal() {
-			replayed++
-			replayedJobs = append(replayedJobs, p)
+			replayed = append(replayed, p)
 		}
 	}
 	if err := promoted.Close(); err != nil {
@@ -394,7 +263,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// Boot the promoted mirror as a fourth backend: its service replays the
 	// victim's incomplete jobs from the streamed WAL, independently of the
 	// router's re-routing — determinism makes the duplication benign.
-	standby := start("standby", standbyDir)
+	standby := start("standby")
 	if err := rt.AddBackend(standby.name, standby.url); err != nil {
 		fatalf("adding standby backend: %v", err)
 	}
@@ -402,76 +271,35 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// Every routed job must reach Succeeded with its reference digest, the
 	// victim's via re-execution on a survivor.
 	for _, p := range placements {
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			if time.Now().After(deadline) {
-				fatalf("job %d (%s) never reached a terminal state through the router", p.id, p.name)
-			}
-			resp, err := client.Get(fmt.Sprintf("%s/jobs/%d", routerURL, p.id))
-			if err != nil {
-				fatalf("router status for %s: %v", p.name, err)
-			}
-			var rs cluster.RoutedStatus
-			err = json.NewDecoder(resp.Body).Decode(&rs)
-			_ = resp.Body.Close()
-			// 503 is the failover window ("backend unavailable"); keep polling.
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			if err != nil || resp.StatusCode != http.StatusOK {
-				fatalf("router status for %s: code %d, err %v", p.name, resp.StatusCode, err)
-			}
-			if !rs.State.Terminal() {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			if rs.State != service.Succeeded {
-				fatalf("%s finished %v on %s, want succeeded", p.name, rs.State, rs.Backend)
-			}
-			if rs.SinkDigest != wantDigest[p.name] {
-				fatalf("%s digest %s on %s != sequential reference %s (Theorem 1 violation across failover)",
-					p.name, rs.SinkDigest, rs.Backend, wantDigest[p.name])
-			}
-			break
+		rs := pollJSON(s, fmt.Sprintf("%s/jobs/%d", routerURL, p.id), "router status for "+p.name,
+			fmt.Sprintf("job %d (%s) never reached a terminal state through the router", p.id, p.name),
+			func(rs cluster.RoutedStatus) bool { return rs.State.Terminal() })
+		if rs.State != service.Succeeded {
+			fatalf("%s finished %v on %s, want succeeded", p.name, rs.State, rs.Backend)
+		}
+		if rs.SinkDigest != wantDigest[p.name] {
+			fatalf("%s digest %s on %s != sequential reference %s (Theorem 1 violation across failover)",
+				p.name, rs.SinkDigest, rs.Backend, wantDigest[p.name])
 		}
 	}
 
 	// The standby's replay converges too: every job it inherited ends
 	// Succeeded with the reference digest.
-	replayDeadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(replayDeadline) {
-			fatalf("standby replay never converged")
-		}
-		resp, err := client.Get(standby.url + "/jobs")
-		if err != nil {
-			fatalf("standby jobs: %v", err)
-		}
-		var sts []service.Status
-		err = json.NewDecoder(resp.Body).Decode(&sts)
-		_ = resp.Body.Close()
-		if err != nil {
-			fatalf("standby jobs: %v", err)
-		}
-		settled := true
-		for _, st := range sts {
-			if !st.State.Terminal() {
-				settled = false
-				break
+	pollJSON(s, standby.url+"/jobs", "standby jobs", "standby replay never converged",
+		func(sts []service.Status) bool {
+			for _, st := range sts {
+				if !st.State.Terminal() {
+					return false
+				}
+				if st.State != service.Succeeded {
+					fatalf("standby replay of %s finished %v, want succeeded", st.Name, st.State)
+				}
+				if want, ok := wantDigest[st.Name]; !ok || st.SinkDigest != want {
+					fatalf("standby replay of %s digest %s, want %s", st.Name, st.SinkDigest, want)
+				}
 			}
-			if st.State != service.Succeeded {
-				fatalf("standby replay of %s finished %v, want succeeded", st.Name, st.State)
-			}
-			if want, ok := wantDigest[st.Name]; !ok || st.SinkDigest != want {
-				fatalf("standby replay of %s digest %s, want %s", st.Name, st.SinkDigest, want)
-			}
-		}
-		if settled {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+			return true
+		})
 
 	// Metric reconciliation against the one injected kill: the per-backend
 	// routed counters must sum to submissions + re-routes, exactly one
@@ -499,41 +327,20 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// and router are still up (the merge polls /debug/spans live).
 	backendProcs, probeName := 0, ""
 	if blackbox {
-		var rIDs []int64
-		var rNames []string
-		for _, p := range replayedJobs {
-			rIDs = append(rIDs, p.id)
-			rNames = append(rNames, p.name)
-		}
-		var victimNames []string
-		for _, p := range placements {
-			if p.backend == victim.name {
-				victimNames = append(victimNames, p.name)
-			}
-		}
 		backendProcs, probeName = auditBlackBoxes(boxAudit{
-			nodes:         nodes,
-			victim:        victim,
-			victimJobs:    victimNames,
-			routerURL:     routerURL,
-			client:        client,
-			routerSpans:   routerSpans,
-			routerBox:     trace.BoxPath(root, "router"),
-			rerouted:      int(rerouted),
-			replayedIDs:   rIDs,
-			replayedNames: rNames,
-			fatalf:        fatalf,
+			soak: s, victim: victim, placements: placements, replayed: replayed,
+			routerURL: routerURL, routerSpans: routerSpans, rerouted: int(rerouted),
 		})
 	}
 
 	rt.Stop()
 	_ = ln.Close()
-	for _, n := range nodes {
-		_ = n.cmd.Process.Kill()
+	for _, n := range s.procs {
+		n.kill()
 	}
 	os.RemoveAll(root)
 	fmt.Printf("ftsoak: PASS (cluster) — %d jobs across 3 backends (%d KiB WAL mirrored); killed %s holding %d jobs, failover in %dms, %d rerouted to survivors, %d replayed by the promoted standby; every digest matches its sequential reference\n",
-		njobs, mirrored>>10, victim.name, perBackend[victim.name], failoverMS, int(rerouted), replayed)
+		njobs, mirrored>>10, victim.name, perBackend[victim.name], failoverMS, int(rerouted), len(replayed))
 	if blackbox {
 		fmt.Printf("ftsoak: PASS (blackbox) — every SIGKILLed child left a parseable black box reconciling with the router's placements and failover metrics; job %s's merged trace spans the router + %d backend processes under one trace ID with failover-resubmit parented to the original submit\n",
 			probeName, backendProcs)

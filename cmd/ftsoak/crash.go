@@ -11,19 +11,17 @@
 package main
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	mrand "math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
-	"ftdag/internal/core"
+	"ftdag/internal/cluster"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 	"ftdag/internal/journal"
@@ -111,11 +109,10 @@ func crashJobList(seed int64, n int) []crashJob {
 // against a sequential reference computed fresh in this process.
 func buildCrashSpec(c crashJob, timeout time.Duration) (service.JobSpec, error) {
 	g := c.graph()
-	ref := core.NewRecorder(g)
-	if _, err := core.NewSequential(ref, 0).Run(); err != nil {
+	want, err := truth(g)
+	if err != nil {
 		return service.JobSpec{}, fmt.Errorf("sequential reference for %s: %w", c.name(), err)
 	}
-	want := ref.Outputs()
 	plan := fault.NewPlan()
 	points := []fault.Point{fault.BeforeCompute, fault.AfterCompute, fault.AfterNotify}
 	if c.Points == "compute" {
@@ -129,27 +126,10 @@ func buildCrashSpec(c crashJob, timeout time.Duration) (service.JobSpec, error) 
 	if c.DelayMS > 0 {
 		delay = time.Duration(c.DelayMS) * time.Millisecond
 	}
-	rec := core.NewRecorder(slowSpec{Spec: g, delay: delay})
-	payload, err := json.Marshal(c)
-	if err != nil {
-		return service.JobSpec{}, err
-	}
-	return service.JobSpec{
-		Name:            c.name(),
-		Spec:            rec,
-		Plan:            plan,
-		Recovery:        service.RecoveryPolicy(c.Recovery),
-		ReplicaBudget:   c.Budget,
-		VerifyChecksums: true,
-		Deadline:        timeout,
-		Payload:         payload,
-		Verify: func(*core.Result) error {
-			if d := rec.Diff(want); d != "" {
-				return fmt.Errorf("output divergence: %s", d)
-			}
-			return nil
-		},
-	}, nil
+	spec := verifiedJob(c.name(), slowSpec{Spec: g, delay: delay}, want, plan, timeout)
+	spec.Recovery, spec.ReplicaBudget = service.RecoveryPolicy(c.Recovery), c.Budget
+	spec.Payload, err = json.Marshal(c)
+	return spec, err
 }
 
 // crashRebuild is the child's Config.Rebuild: payload JSON back to the
@@ -165,28 +145,26 @@ func crashRebuild(timeout time.Duration) func([]byte) (service.JobSpec, error) {
 	}
 }
 
-// runCrashChild is the child process: open the journal (recovering whatever
-// the previous incarnation left), re-enqueue incomplete jobs, submit jobs
-// never journaled, wait for everything, exit 0. The parent may SIGKILL it
-// anywhere in between — that is the point.
+// runCrashChild is the child process: boot over the journal the way ftserve
+// does (recovering whatever the previous incarnation left and re-enqueueing
+// its incomplete jobs), submit jobs never journaled, wait for everything,
+// exit 0. The parent may SIGKILL it anywhere in between — that is the point.
 func runCrashChild(dataDir string, seed int64, njobs, workers int, timeout time.Duration) error {
-	jr, err := journal.Open(journal.Options{Dir: dataDir})
-	if err != nil {
-		return fmt.Errorf("opening journal: %w", err)
-	}
-	have := make(map[string]bool)
-	for _, js := range jr.State().Jobs {
-		have[js.Name] = true
-	}
-	srv := service.New(service.Config{
-		Workers:           workers,
-		MaxConcurrentJobs: 2,
-		MaxQueuedJobs:     njobs + 4,
-		Journal:           jr,
-		Rebuild:           crashRebuild(timeout),
+	be, err := cluster.OpenBackend(cluster.BackendConfig{
+		Name:    "crashchild",
+		DataDir: dataDir,
+		Service: service.Config{Workers: workers, MaxConcurrentJobs: 2, MaxQueuedJobs: njobs + 4},
+		Build:   crashRebuild(timeout),
 	})
-	jobs := crashJobList(seed, njobs)
-	for _, c := range jobs {
+	if err != nil {
+		return err
+	}
+	srv := be.Service
+	have := make(map[string]bool)
+	for _, st := range srv.Jobs() {
+		have[st.Name] = true
+	}
+	for _, c := range crashJobList(seed, njobs) {
 		if have[c.name()] {
 			continue
 		}
@@ -197,22 +175,16 @@ func runCrashChild(dataDir string, seed int64, njobs, workers int, timeout time.
 		if _, err := srv.Submit(spec); err != nil {
 			return fmt.Errorf("submit %s: %w", c.name(), err)
 		}
+		have[c.name()] = true
 	}
-	byName := make(map[string]service.Status)
+	if len(have) != njobs {
+		return fmt.Errorf("%d distinct jobs restored or submitted, want %d", len(have), njobs)
+	}
 	for _, st := range srv.Jobs() {
-		byName[st.Name] = st
-	}
-	for _, c := range jobs {
-		st, ok := byName[c.name()]
-		if !ok {
-			return fmt.Errorf("%s neither restored nor submitted", c.name())
-		}
-		h, ok := srv.Job(st.ID)
-		if !ok {
-			return fmt.Errorf("no handle for job %d (%s)", st.ID, c.name())
-		}
-		if _, err := h.Wait(); err != nil {
-			return fmt.Errorf("%s: %w", c.name(), err)
+		if h, ok := srv.Job(st.ID); ok {
+			if _, err := h.Wait(); err != nil {
+				return fmt.Errorf("%s: %w", st.Name, err)
+			}
 		}
 	}
 	srv.Close()
@@ -225,26 +197,14 @@ func runCrashChild(dataDir string, seed int64, njobs, workers int, timeout time.
 // segment holding nothing but garbage after its magic). The next boot must
 // truncate it with a warning, not fail.
 func corruptJournalTail(dataDir string) (string, error) {
-	ents, err := os.ReadDir(dataDir)
-	if err != nil {
-		return "", err
-	}
-	var segs, snaps []string
-	for _, e := range ents {
-		switch {
-		case strings.HasPrefix(e.Name(), "wal-"):
-			segs = append(segs, e.Name())
-		case strings.HasPrefix(e.Name(), "snap-"):
-			snaps = append(snaps, e.Name())
-		}
-	}
 	garbage := make([]byte, 73)
 	if _, err := rand.Read(garbage); err != nil {
 		return "", err
 	}
-	if len(segs) > 0 {
-		sort.Strings(segs)
-		path := filepath.Join(dataDir, segs[len(segs)-1])
+	// Sequence numbers are fixed-width hex, so the greatest name is the
+	// newest file.
+	if segs, _ := filepath.Glob(filepath.Join(dataDir, "wal-*.log")); len(segs) > 0 {
+		path := slices.Max(segs)
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			return "", err
@@ -257,13 +217,14 @@ func corruptJournalTail(dataDir string) (string, error) {
 	}
 	// Clean shutdown compacted every segment away: plant a next-seq
 	// segment that is pure garbage past the magic.
+	snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*.snap"))
 	if len(snaps) == 0 {
 		return "", fmt.Errorf("nothing to corrupt in %s", dataDir)
 	}
-	sort.Strings(snaps)
 	var seq uint64
-	if _, err := fmt.Sscanf(snaps[len(snaps)-1], "snap-%016x.snap", &seq); err != nil {
-		return "", fmt.Errorf("parsing %s: %w", snaps[len(snaps)-1], err)
+	newest := filepath.Base(slices.Max(snaps))
+	if _, err := fmt.Sscanf(newest, "snap-%016x.snap", &seq); err != nil {
+		return "", fmt.Errorf("parsing %s: %w", newest, err)
 	}
 	path := filepath.Join(dataDir, fmt.Sprintf("wal-%016x.log", seq))
 	return path, os.WriteFile(path, append([]byte("FTJRNL01"), garbage...), 0o644)
@@ -273,43 +234,22 @@ func corruptJournalTail(dataDir string) (string, error) {
 // cycles, tail corruption, final verification of every job against its
 // sequential reference digest.
 func runCrashSoak(seed int64, cycles, njobs, workers int, timeout time.Duration, verbose bool) {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftsoak: locating executable: %v\n", err)
-		os.Exit(1)
-	}
-	dataDir, err := os.MkdirTemp("", "ftsoak-crash-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftsoak: %v\n", err)
-		os.Exit(1)
-	}
+	s := newSoak("crash")
+	dataDir := s.root
 	fmt.Printf("ftsoak: crash soak seed=%d jobs=%d data-dir=%s\n", seed, njobs, dataDir)
-	fatalf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ftsoak: FAILURE: "+format+"\n", args...)
-		fmt.Fprintf(os.Stderr, "  journal kept for inspection: %s\n", dataDir)
-		os.Exit(1)
-	}
 
 	// Sequential reference digests, computed once up front.
 	jobs := crashJobList(seed, njobs)
-	wantDigest := make(map[string]string, njobs)
-	for _, c := range jobs {
-		res, err := core.NewSequential(c.graph(), 0).Run()
-		if err != nil {
-			fatalf("sequential reference %s: %v", c.name(), err)
-		}
-		wantDigest[c.name()] = journal.Digest(res.Sink)
-	}
+	wantDigest := s.references(jobs)
 
-	child := func() *exec.Cmd {
-		cmd := exec.Command(exe,
+	child := func(name string) *proc {
+		return s.start(name,
 			"-crashchild",
 			"-datadir", dataDir,
 			"-seed", fmt.Sprint(seed),
 			"-crashjobs", fmt.Sprint(njobs),
 			"-maxworkers", fmt.Sprint(workers),
 			"-timeout", fmt.Sprint(timeout))
-		return cmd
 	}
 
 	// Kill loop: let each incarnation live 30–400ms, then SIGKILL it.
@@ -317,38 +257,25 @@ func runCrashSoak(seed int64, cycles, njobs, workers int, timeout time.Duration,
 	// pair replays the same schedule of child lifetimes everywhere.
 	krng := mrand.New(mrand.NewSource(seed ^ 0x6b696c6c)) // "kill"
 	runs, kills := 0, 0
-	for kills < cycles {
+	for finished := false; kills < cycles && !finished; {
 		runs++
-		cmd := child()
-		var out bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &out
-		if err := cmd.Start(); err != nil {
-			fatalf("starting child: %v", err)
-		}
+		c := child(fmt.Sprintf("child run %d", runs))
 		live := time.Duration(30+krng.Intn(370)) * time.Millisecond
-		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
-		var finished bool
 		select {
-		case err := <-done:
-			if err != nil {
-				fatalf("child run %d exited with error: %v\n--- child output ---\n%s", runs, err, out.String())
+		case <-c.done:
+			if c.err != nil {
+				s.fatalf("child run %d exited with error: %v", runs, c.err)
+			}
+			if verbose {
+				fmt.Printf("run %d: child finished cleanly\n", runs)
 			}
 			finished = true
 		case <-time.After(live):
-			_ = cmd.Process.Kill()
-			<-done
+			c.kill()
 			kills++
-		}
-		if verbose {
-			if finished {
-				fmt.Printf("run %d: child finished cleanly\n", runs)
-			} else {
+			if verbose {
 				fmt.Printf("run %d: SIGKILL after %v\n", runs, live)
 			}
-		}
-		if finished {
-			break
 		}
 	}
 
@@ -356,26 +283,25 @@ func runCrashSoak(seed int64, cycles, njobs, workers int, timeout time.Duration,
 	// (truncate-with-warning) and finish every job.
 	corrupted, err := corruptJournalTail(dataDir)
 	if err != nil {
-		fatalf("corrupting journal tail: %v", err)
+		s.fatalf("corrupting journal tail: %v", err)
 	}
 	if verbose {
 		fmt.Printf("corrupted tail of %s\n", corrupted)
 	}
-	cmd := child()
-	var out bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &out
-	if err := cmd.Run(); err != nil {
-		fatalf("final child run failed: %v\n--- child output ---\n%s", err, out.String())
+	final := child("final child run")
+	<-final.done
+	if final.err != nil {
+		s.fatalf("final child run failed: %v", final.err)
 	}
-	if !strings.Contains(out.String(), "torn tail") {
-		fatalf("final run did not report the corrupted tail truncation\n--- child output ---\n%s", out.String())
+	if !strings.Contains(final.output(), "torn tail") {
+		s.fatalf("final run did not report the corrupted tail truncation")
 	}
 
 	// Final verification straight from the journal: every job Succeeded,
 	// every digest equal to its sequential reference.
 	jr, err := journal.Open(journal.Options{Dir: dataDir})
 	if err != nil {
-		fatalf("opening journal for verification: %v", err)
+		s.fatalf("opening journal for verification: %v", err)
 	}
 	st := jr.State()
 	byName := make(map[string]*journal.JobState, len(st.Jobs))
@@ -386,19 +312,19 @@ func runCrashSoak(seed int64, cycles, njobs, workers int, timeout time.Duration,
 	for _, c := range jobs {
 		js, ok := byName[c.name()]
 		if !ok {
-			fatalf("%s missing from journal after recovery", c.name())
+			s.fatalf("%s missing from journal after recovery", c.name())
 		}
 		if js.State != journal.Succeeded {
-			fatalf("%s recovered as %v (error %q), want succeeded", c.name(), js.State, js.Error)
+			s.fatalf("%s recovered as %v (error %q), want succeeded", c.name(), js.State, js.Error)
 		}
 		if js.SinkDigest != wantDigest[c.name()] {
-			fatalf("%s digest %s != sequential reference %s (Theorem 1 violation across restarts)",
+			s.fatalf("%s digest %s != sequential reference %s (Theorem 1 violation across restarts)",
 				c.name(), js.SinkDigest, wantDigest[c.name()])
 		}
 		reexec += js.ReexecutedTasks
 	}
 	if err := jr.Close(); err != nil {
-		fatalf("closing journal: %v", err)
+		s.fatalf("closing journal: %v", err)
 	}
 	os.RemoveAll(dataDir)
 	fmt.Printf("ftsoak: PASS (crash) — %d jobs verified across %d run(s), %d kill(s), 1 corrupted tail; %d tasks re-executed\n",

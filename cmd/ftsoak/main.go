@@ -39,8 +39,6 @@ import (
 
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
-	"ftdag/internal/graph"
-	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 )
 
@@ -66,85 +64,61 @@ func main() {
 	)
 	flag.Parse()
 
-	if *crashChild {
-		if err := runCrashChild(*dataDir, *seed, *crashJobs, *maxWorkers, *timeout); err != nil {
-			fmt.Fprintf(os.Stderr, "crashchild: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clustChild {
-		if err := runClusterChild(*dataDir, *maxWorkers, *timeout); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterchild: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *crash {
+	var childErr error
+	switch {
+	case *crashChild:
+		childErr = runCrashChild(*dataDir, *seed, *crashJobs, *maxWorkers, *timeout)
+	case *clustChild:
+		childErr = runClusterChild(*dataDir, *maxWorkers, *timeout)
+	case *crash:
 		runCrashSoak(*seed, *cycles, *crashJobs, *maxWorkers, *timeout, *verbose)
-		return
-	}
-	if *clusterM {
+	case *clusterM:
 		runClusterSoak(*seed, *crashJobs, *maxWorkers, *timeout, *verbose, *blackbox)
-		return
-	}
-	if *sdc {
+	case *sdc:
 		runSDCSoak(*seed, *sdcIters, *maxWorkers, *timeout, *verbose)
-		return
+	default:
+		fmt.Printf("ftsoak: seed=%d duration=%v\n", *seed, *duration)
+		rng := rand.New(rand.NewSource(*seed))
+		deadline := time.Now().Add(*duration)
+		if *useService {
+			soakService(rng, deadline, *maxWorkers, *jobs, *timeout, *verbose)
+		} else {
+			soakOnce(rng, deadline, *maxWorkers, *timeout, *verbose)
+		}
 	}
-
-	fmt.Printf("ftsoak: seed=%d duration=%v\n", *seed, *duration)
-	rng := rand.New(rand.NewSource(*seed))
-	deadline := time.Now().Add(*duration)
-
-	if *useService {
-		soakService(rng, deadline, *maxWorkers, *jobs, *timeout, *verbose)
-		return
+	if childErr != nil {
+		fmt.Fprintf(os.Stderr, "ftsoak child: %v\n", childErr)
+		os.Exit(1)
 	}
+}
 
+// soakOnce is the one-shot mode: each iteration runs one random scenario
+// under its own FT executor, with a storm over all three fault points.
+func soakOnce(rng *rand.Rand, deadline time.Time, maxWorkers int, timeout time.Duration, verbose bool) {
 	var iters, faultsInjected, recoveries int64
 	for time.Now().Before(deadline) {
 		iters++
-		gseed := rng.Uint64() | 1
-		layers := 2 + rng.Intn(6)
-		width := 2 + rng.Intn(8)
-		maxIn := 1 + rng.Intn(3)
-		g := graph.Layered(layers, width, maxIn, gseed, nil)
-
-		// Ground truth.
-		rec0 := core.NewRecorder(g)
-		if _, err := core.NewSequential(rec0, 0).Run(); err != nil {
-			fail(gseed, nil, fmt.Errorf("sequential: %w", err))
-		}
-		want := rec0.Outputs()
-
-		// Random storm.
-		plan := fault.NewPlan()
-		points := []fault.Point{fault.BeforeCompute, fault.AfterCompute, fault.AfterNotify}
-		n := rng.Intn(layers * width / 2)
-		for _, k := range fault.SelectTasks(g, fault.AnyTask, n, rng.Int63()) {
-			plan.Add(k, points[rng.Intn(3)], 1+rng.Intn(3))
-		}
-
-		workers := 1 + rng.Intn(*maxWorkers)
-		rec := core.NewRecorder(g)
+		sc := newScenario(rng, 2, 6, 2, 8)
+		plan := sc.storm(rng, fault.BeforeCompute, fault.AfterCompute, fault.AfterNotify)
+		workers := 1 + rng.Intn(maxWorkers)
+		rec, verify := verified(sc.g, sc.want)
 		res, err := core.NewFT(rec, core.Config{
 			Workers:         workers,
 			Plan:            plan,
-			Timeout:         *timeout,
+			Timeout:         timeout,
 			VerifyChecksums: true,
 		}).Run()
-		if err != nil {
-			fail(gseed, plan, err)
+		if err == nil {
+			err = verify(res)
 		}
-		if d := rec.Diff(want); d != "" {
-			fail(gseed, plan, fmt.Errorf("output divergence: %s", d))
+		if err != nil {
+			fail(sc.gseed, plan, err)
 		}
 		faultsInjected += res.Metrics.InjectionsFired
 		recoveries += res.Metrics.Recoveries
-		if *verbose {
+		if verbose {
 			fmt.Printf("iter %d: graph %dx%d seed=%d workers=%d faults=%d recoveries=%d reexec=%d OK\n",
-				iters, layers, width, gseed, workers,
+				iters, sc.layers, sc.width, sc.gseed, workers,
 				res.Metrics.InjectionsFired, res.Metrics.Recoveries, res.ReexecutedTasks)
 		}
 	}
@@ -158,70 +132,30 @@ func main() {
 // truth, so any cross-job interference on the shared pool (a Theorem 1
 // violation under multi-tenancy) is caught immediately.
 func soakService(rng *rand.Rand, deadline time.Time, workers, batch int, timeout time.Duration, verbose bool) {
-	reg := metrics.NewRegistry()
-	srv := service.New(service.Config{
-		Workers:           workers,
-		MaxConcurrentJobs: batch,
-		MaxQueuedJobs:     2 * batch,
-		Registry:          reg,
-	})
-	pre := scrape(reg)
+	srv, books := meteredServer(workers, batch, 2*batch)
 	var batches, jobsRun, faultsInjected, recoveries int64
 	for time.Now().Before(deadline) {
 		batches++
 		type pending struct {
 			gseed uint64
 			plan  *fault.Plan
-			rec   *core.Recorder
-			want  map[graph.Key][]float64
 			h     *service.Handle
 		}
-		ps := make([]*pending, 0, batch)
+		ps := make([]pending, 0, batch)
 		for i := 0; i < batch; i++ {
-			gseed := rng.Uint64() | 1
-			layers := 2 + rng.Intn(6)
-			width := 2 + rng.Intn(8)
-			maxIn := 1 + rng.Intn(3)
-			g := graph.Layered(layers, width, maxIn, gseed, nil)
-
-			rec0 := core.NewRecorder(g)
-			if _, err := core.NewSequential(rec0, 0).Run(); err != nil {
-				fail(gseed, nil, fmt.Errorf("sequential: %w", err))
-			}
-			want := rec0.Outputs()
-
+			sc := newScenario(rng, 2, 6, 2, 8)
 			// Compute-point faults only: each firing is detected at the
 			// faulted task itself and costs exactly one recovery, so the
 			// post-soak scrape can assert recoveries == injections. (An
 			// AfterNotify fault is detected downstream and re-arms tasks via
 			// resets, breaking that 1:1 accounting; the one-shot soak above
 			// still covers it.)
-			plan := fault.NewPlan()
-			points := []fault.Point{fault.BeforeCompute, fault.AfterCompute}
-			n := rng.Intn(layers * width / 2)
-			for _, k := range fault.SelectTasks(g, fault.AnyTask, n, rng.Int63()) {
-				plan.Add(k, points[rng.Intn(2)], 1+rng.Intn(3))
-			}
-
-			p := &pending{gseed: gseed, plan: plan, rec: core.NewRecorder(g), want: want}
-			h, err := srv.Submit(service.JobSpec{
-				Name:            fmt.Sprintf("soak-%d", gseed),
-				Spec:            p.rec,
-				Plan:            plan,
-				VerifyChecksums: true,
-				Deadline:        timeout,
-				Verify: func(res *core.Result) error {
-					if d := p.rec.Diff(p.want); d != "" {
-						return fmt.Errorf("output divergence: %s", d)
-					}
-					return nil
-				},
-			})
+			plan := sc.storm(rng, fault.BeforeCompute, fault.AfterCompute)
+			h, err := srv.Submit(verifiedJob(fmt.Sprintf("soak-%d", sc.gseed), sc.g, sc.want, plan, timeout))
 			if err != nil {
-				fail(gseed, plan, fmt.Errorf("submit: %w", err))
+				fail(sc.gseed, plan, fmt.Errorf("submit: %w", err))
 			}
-			p.h = h
-			ps = append(ps, p)
+			ps = append(ps, pending{sc.gseed, plan, h})
 		}
 		for _, p := range ps {
 			res, err := p.h.Wait()
@@ -239,7 +173,6 @@ func soakService(rng *rand.Rand, deadline time.Time, workers, batch int, timeout
 		}
 	}
 	stats := srv.Close()
-	post := reg.Gather()
 	fmt.Printf("ftsoak: PASS (service) — %d batches, %d jobs, %d faults injected, %d recoveries, 0 divergences\n",
 		batches, jobsRun, faultsInjected, recoveries)
 	fmt.Printf("ftsoak: shared pool: %v\n", stats)
@@ -249,34 +182,18 @@ func soakService(rng *rand.Rand, deadline time.Time, workers, batch int, timeout
 	// above, and — with the storm restricted to compute points — every fired
 	// injection must account for exactly one recovery.
 	fmt.Println("ftsoak: /metrics scrape diff (post - pre):")
-	for _, s := range post {
-		if d := s.Value - pre[s.Name+s.Labels]; d != 0 {
+	for _, s := range books.reg.Gather() {
+		if d := s.Value - books.pre[s.Name+s.Labels]; d != 0 {
 			fmt.Printf("  %s%s %+g\n", s.Name, s.Labels, d)
 		}
 	}
-	mustAccount := func(name string, want int64) {
-		got, ok := reg.Value(name)
-		if !ok || int64(got)-int64(pre[name]) != want {
-			fail(0, nil, fmt.Errorf("metric accounting: %s moved by %v, want %d", name, got-pre[name], want))
-		}
-	}
-	mustAccount("ftdag_injections_fired_total", faultsInjected)
-	mustAccount("ftdag_recoveries_total", recoveries)
-	mustAccount("ftdag_jobs_succeeded_total", jobsRun)
+	books.mustMove("ftdag_injections_fired_total", faultsInjected)
+	books.mustMove("ftdag_recoveries_total", recoveries)
+	books.mustMove("ftdag_jobs_succeeded_total", jobsRun)
 	if recoveries != faultsInjected {
 		fail(0, nil, fmt.Errorf("metric accounting: %d recoveries for %d fired injections", recoveries, faultsInjected))
 	}
 	fmt.Printf("ftsoak: metric accounting OK — recoveries_total == injections fired == %d\n", faultsInjected)
-}
-
-// scrape snapshots every registry series into a name+labels → value map for
-// before/after diffing.
-func scrape(reg *metrics.Registry) map[string]float64 {
-	out := make(map[string]float64)
-	for _, s := range reg.Gather() {
-		out[s.Name+s.Labels] = s.Value
-	}
-	return out
 }
 
 func fail(gseed uint64, plan *fault.Plan, err error) {

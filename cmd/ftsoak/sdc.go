@@ -12,10 +12,8 @@ import (
 	"math/rand"
 	"time"
 
-	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/metrics"
 	"ftdag/internal/replica"
 	"ftdag/internal/service"
 )
@@ -27,37 +25,20 @@ var sdcBudgets = []float64{0.25, 0.5, 0.75, 1.0}
 func runSDCSoak(seed int64, iters, workers int, timeout time.Duration, verbose bool) {
 	fmt.Printf("ftsoak: sdc soak seed=%d iters=%d\n", seed, iters)
 	rng := rand.New(rand.NewSource(seed))
-	reg := metrics.NewRegistry()
-	srv := service.New(service.Config{
-		Workers:           workers,
-		MaxConcurrentJobs: 2,
-		MaxQueuedJobs:     iters + 4,
-		Registry:          reg,
-	})
-	pre := scrape(reg)
+	srv, books := meteredServer(workers, 2, iters+4)
 
 	var jobsRun, injected, detected, replicated int64
 	for i := 0; i < iters; i++ {
-		gseed := rng.Uint64() | 1
-		layers := 3 + rng.Intn(4)
-		width := 4 + rng.Intn(5)
-		maxIn := 1 + rng.Intn(3)
-		g := graph.Layered(layers, width, maxIn, gseed, nil)
+		sc := newScenario(rng, 3, 4, 4, 5)
 		budget := sdcBudgets[i%len(sdcBudgets)]
-		set := replica.Select(g, replica.Policy{Budget: budget})
-
-		rec0 := core.NewRecorder(g)
-		if _, err := core.NewSequential(rec0, 0).Run(); err != nil {
-			fail(gseed, nil, fmt.Errorf("sequential: %w", err))
-		}
-		want := rec0.Outputs()
+		set := replica.Select(sc.g, replica.Policy{Budget: budget})
 
 		// Victims come from the covered set (sink excluded, matching
 		// fault.SelectTasks), so the budget always dominates the injected
 		// fraction and full detection is the hard requirement, not a hope.
 		var pool []graph.Key
 		for _, k := range set.Keys() {
-			if k != g.Sink() {
+			if k != sc.g.Sink() {
 				pool = append(pool, k)
 			}
 		}
@@ -71,35 +52,22 @@ func runSDCSoak(seed int64, iters, workers int, timeout time.Duration, verbose b
 			plan.Add(k, fault.SDC, 1)
 		}
 
-		rec := core.NewRecorder(g)
-		h, err := srv.Submit(service.JobSpec{
-			Name:            fmt.Sprintf("sdc-%d", gseed),
-			Spec:            rec,
-			Plan:            plan,
-			Recovery:        service.RecoverReplicateSelective,
-			ReplicaBudget:   budget,
-			VerifyChecksums: true,
-			Deadline:        timeout,
-			Verify: func(res *core.Result) error {
-				if d := rec.Diff(want); d != "" {
-					return fmt.Errorf("output divergence: %s", d)
-				}
-				return nil
-			},
-		})
+		spec := verifiedJob(fmt.Sprintf("sdc-%d", sc.gseed), sc.g, sc.want, plan, timeout)
+		spec.Recovery, spec.ReplicaBudget = service.RecoverReplicateSelective, budget
+		h, err := srv.Submit(spec)
 		if err != nil {
-			fail(gseed, plan, fmt.Errorf("submit: %w", err))
+			fail(sc.gseed, plan, fmt.Errorf("submit: %w", err))
 		}
 		res, err := h.Wait()
 		if err != nil {
-			fail(gseed, plan, err)
+			fail(sc.gseed, plan, err)
 		}
 		m := res.Metrics
 		if m.SDCInjected != int64(n) {
-			fail(gseed, plan, fmt.Errorf("sdc: %d injections fired, planned %d", m.SDCInjected, n))
+			fail(sc.gseed, plan, fmt.Errorf("sdc: %d injections fired, planned %d", m.SDCInjected, n))
 		}
 		if m.SDCDetected != m.SDCInjected || m.SDCMissed != 0 {
-			fail(gseed, plan, fmt.Errorf(
+			fail(sc.gseed, plan, fmt.Errorf(
 				"sdc: budget %.2f covered every victim yet detection leaked: injected=%d detected=%d missed=%d",
 				budget, m.SDCInjected, m.SDCDetected, m.SDCMissed))
 		}
@@ -109,7 +77,7 @@ func runSDCSoak(seed int64, iters, workers int, timeout time.Duration, verbose b
 		replicated += m.ReplicatedTasks
 		if verbose {
 			fmt.Printf("iter %d: graph %dx%d seed=%d budget=%.2f replicated=%d sdc=%d/%d OK\n",
-				i+1, layers, width, gseed, budget, m.ReplicatedTasks, m.SDCDetected, m.SDCInjected)
+				i+1, sc.layers, sc.width, sc.gseed, budget, m.ReplicatedTasks, m.SDCDetected, m.SDCInjected)
 		}
 	}
 	srv.Close()
@@ -117,16 +85,10 @@ func runSDCSoak(seed int64, iters, workers int, timeout time.Duration, verbose b
 	// Registry reconciliation: the scrape-level counters must agree exactly
 	// with the per-job sums — a detection that happened but was not
 	// accounted (or vice versa) is a failure even if every sink verified.
-	mustAccount := func(name string, want int64) {
-		got, ok := reg.Value(name)
-		if !ok || int64(got)-int64(pre[name]) != want {
-			fail(0, nil, fmt.Errorf("metric accounting: %s moved by %v, want %d", name, got-pre[name], want))
-		}
-	}
-	mustAccount("ftdag_sdc_injected_total", injected)
-	mustAccount("ftdag_sdc_detected_total", detected)
-	mustAccount("ftdag_sdc_missed_total", 0)
-	mustAccount("ftdag_replicated_tasks_total", replicated)
+	books.mustMove("ftdag_sdc_injected_total", injected)
+	books.mustMove("ftdag_sdc_detected_total", detected)
+	books.mustMove("ftdag_sdc_missed_total", 0)
+	books.mustMove("ftdag_replicated_tasks_total", replicated)
 	if detected != injected {
 		fail(0, nil, fmt.Errorf("sdc: %d detections for %d injections", detected, injected))
 	}

@@ -1,10 +1,9 @@
 package cluster
 
-// Backend-side HTTP surface. StreamHandler and DrainHandler are mounted by
-// cmd/ftserve on its production mux; Node bundles them with a minimal
-// jobs API around a service.Server so cluster tests and the ftsoak
-// -cluster children run real HTTP backends without dragging in all of
-// ftserve's request vocabulary.
+// Backend-side HTTP surface. Node is the one jobs API in the tree: ftserve,
+// the ftsoak -cluster children and the cluster tests all serve Node.Mux(),
+// each over its own Build vocabulary, so the soaks kill the handlers
+// production serves.
 
 import (
 	"encoding/json"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"ftdag/internal/journal"
+	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 	"ftdag/internal/trace"
 )
@@ -28,11 +28,11 @@ const (
 	// returns; a follower behind by more than this catches up over
 	// successive requests, each resuming at its new local offset.
 	streamMaxResponse = 1 << 20
-	// maxSubmitBody bounds a submission body read.
+	// maxSubmitBody bounds a submission body; a larger one answers 413.
 	maxSubmitBody = 1 << 20
 )
 
-// StreamHandler serves a journal's tailing protocol:
+// streamHandler serves a journal's tailing protocol:
 //
 //	GET /journal/stream              the TailManifest (JSON)
 //	GET /journal/stream?seg=N&off=M  segment N's bytes from offset M, as
@@ -43,7 +43,7 @@ const (
 // A missing segment or snapshot answers 404: it was compacted away and the
 // follower must refetch the manifest. A nil journal (server started
 // without -data-dir) answers 503 — there is nothing durable to replicate.
-func StreamHandler(j *journal.Journal) http.HandlerFunc {
+func streamHandler(j *journal.Journal) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if j == nil {
 			httpError(w, http.StatusServiceUnavailable, errors.New("journal streaming requires a durable server (-data-dir)"))
@@ -90,7 +90,7 @@ func StreamHandler(j *journal.Journal) http.HandlerFunc {
 				if len(data) == 0 {
 					break // caught up
 				}
-				out = AppendStreamFrame(out, StreamChunk{Seq: seq, Off: off, Data: data})
+				out = journal.AppendStreamFrame(out, journal.StreamChunk{Seq: seq, Off: off, Data: data})
 				off += int64(len(data))
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -108,38 +108,24 @@ func StreamHandler(j *journal.Journal) http.HandlerFunc {
 	}
 }
 
-// Stream framing re-exports: the wire format lives beside the journal's
-// other on-disk framing, but it is the cluster transport's vocabulary, so
-// cluster callers (and cmd/ftrouter) use these names.
-type StreamChunk = journal.StreamChunk
-
-// AppendStreamFrame and DecodeStreamFrame frame spans of segment bytes
-// with a CRC-32C covering header and payload (see internal/journal).
-var (
-	AppendStreamFrame = journal.AppendStreamFrame
-	DecodeStreamFrame = journal.DecodeStreamFrame
-)
-
-// DrainHandler serves POST /drain: stop admission, give in-flight jobs
-// ?grace_ms (default defaultGrace) to finish, checkpoint the rest as
+// drain serves POST /drain: stop admission, give in-flight jobs ?grace_ms
+// (default NodeConfig.DrainGrace) to finish, checkpoint the rest as
 // incomplete, and return the service.DrainResult — the migration manifest
 // whose payloads the router resubmits elsewhere.
-func DrainHandler(s *service.Server, defaultGrace time.Duration) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		grace := defaultGrace
-		if v := r.URL.Query().Get("grace_ms"); v != "" {
-			ms, err := strconv.Atoi(v)
-			if err != nil || ms < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad grace_ms %q", v))
-				return
-			}
-			grace = time.Duration(ms) * time.Millisecond
+func (n *Node) drain(w http.ResponseWriter, r *http.Request) {
+	grace := n.cfg.DrainGrace
+	if v := r.URL.Query().Get("grace_ms"); v != "" {
+		ms, err := strconv.Atoi(v)
+		if err != nil || ms < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad grace_ms %q", v))
+			return
 		}
-		writeJSON(w, http.StatusOK, s.Drain(grace))
+		grace = time.Duration(ms) * time.Millisecond
 	}
+	writeJSON(w, http.StatusOK, n.cfg.Service.Drain(grace))
 }
 
-// NodeConfig configures a minimal cluster backend.
+// NodeConfig configures a backend's HTTP surface.
 type NodeConfig struct {
 	// Name labels the node in healthz responses and logs.
 	Name string
@@ -148,8 +134,10 @@ type NodeConfig struct {
 	// Journal, when non-nil, is served at /journal/stream. It should be
 	// the same journal the Service writes.
 	Journal *journal.Journal
-	// Build turns a submission body into a JobSpec; the node persists the
-	// body itself as the job's payload (matching Service's Rebuild).
+	// Build turns a submission body into a JobSpec. It should be the
+	// Service's Config.Rebuild: the node journals the body itself as the
+	// job's payload, so live submission and crash replay run the same
+	// function over the same bytes.
 	Build func(body []byte) (service.JobSpec, error)
 	// DrainGrace is the default /drain grace when the request carries no
 	// grace_ms parameter.
@@ -158,38 +146,84 @@ type NodeConfig struct {
 	// can assemble cluster-wide traces. It should be the same recorder the
 	// Service's Config.Tracer points at.
 	Tracer *trace.Spans
+	// Registry, when non-nil, is served at GET /metrics and gains the
+	// node's uptime gauge. It should be the Service's Config.Registry.
+	Registry *metrics.Registry
 }
 
-// Node serves the subset of the ftserve API a Router needs — submit,
-// status, cancel, healthz — plus the cluster endpoints (/journal/stream,
-// /drain), against any Build vocabulary. ftserve itself mounts the same
-// Stream/Drain handlers on its fuller mux.
+// Node serves a backend's whole HTTP API — jobs, traces, metrics, debug
+// state, healthz and the cluster endpoints (/journal/stream, /drain) —
+// against any Build vocabulary.
 type Node struct {
-	cfg NodeConfig
+	cfg    NodeConfig
+	uptime func() float64 // seconds; the registry's clock (this package keeps none)
 }
 
 // NewNode wires a backend node around a running service.
-func NewNode(cfg NodeConfig) *Node { return &Node{cfg: cfg} }
+func NewNode(cfg NodeConfig) *Node {
+	return &Node{cfg: cfg, uptime: cfg.Registry.Uptime("Seconds since the node started.")}
+}
 
-// Mux builds the node's route table (method-qualified patterns give 405 +
-// Allow for free, matching the ftserve convention).
+// Mux builds the node's route table:
+//
+//	POST /jobs              submit a job (the body is Build's to interpret)
+//	GET  /jobs              list all jobs (running jobs show live progress)
+//	GET  /jobs/{id}         one job's status (live while running)
+//	POST /jobs/{id}/cancel  cancel a queued or running job
+//	GET  /jobs/{id}/trace   the job's lifecycle as a Chrome/Perfetto trace
+//	GET  /debug/trace/{id}  alias of /jobs/{id}/trace
+//	GET  /metrics           Prometheus text exposition (scheduler, executor,
+//	                        block store, journal, and service families)
+//	GET  /debug/state       the full JSON state snapshot (queue depths,
+//	                        scheduler stats, recovery totals, journal counters)
+//	GET  /debug/jobs        live per-job progress with derived throughput
+//	GET  /debug/spans       the process's distributed-tracing spans
+//	                        (?trace=<32 hex> filters to one trace)
+//	GET  /healthz           liveness: the Health body
+//	GET  /journal/stream    the WAL tailing protocol a standby follows
+//	POST /drain             stop admission, checkpoint, hand the rest back
+//
+// Replies are compact JSON, errors {"error": "..."}. Method-qualified
+// patterns make the mux answer wrong-method requests with 405 and an Allow
+// header for free.
 func (n *Node) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", n.submit)
 	mux.HandleFunc("GET /jobs", n.list)
 	mux.HandleFunc("GET /jobs/{id}", n.status)
 	mux.HandleFunc("POST /jobs/{id}/cancel", n.cancel)
+	mux.HandleFunc("GET /jobs/{id}/trace", n.jobTrace)
+	mux.HandleFunc("GET /debug/trace/{id}", n.jobTrace)
+	mux.HandleFunc("GET /metrics", n.metrics)
+	mux.HandleFunc("GET /debug/state", n.debugState)
+	mux.HandleFunc("GET /debug/jobs", n.debugJobs)
+	mux.HandleFunc("GET /debug/spans", n.spans)
 	mux.HandleFunc("GET /healthz", n.healthz)
-	mux.HandleFunc("GET /journal/stream", StreamHandler(n.cfg.Journal))
-	mux.HandleFunc("POST /drain", DrainHandler(n.cfg.Service, n.cfg.DrainGrace))
-	mux.HandleFunc("GET /debug/spans", SpansHandler(n.cfg.Tracer))
+	mux.HandleFunc("GET /journal/stream", streamHandler(n.cfg.Journal))
+	mux.HandleFunc("POST /drain", n.drain)
 	return mux
 }
 
-func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBody))
+// readSubmission reads a submission body whole, answering 413 past
+// maxSubmitBody — never a silently truncated prefix, which would be
+// journaled, or routed, as if it were the request.
+func readSubmission(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("reading submission: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readSubmission(w, r)
+	if !ok {
 		return
 	}
 	spec, err := n.cfg.Build(body)
@@ -197,8 +231,8 @@ func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// An FT-Trace header (router submission or failover resubmission)
-	// parents this job's spans into the caller's trace. A malformed
+	// An FT-Trace header (shard router, failover resubmission, or a traced
+	// client) parents this job's spans into the caller's trace. A malformed
 	// header is ignored — tracing is diagnostic, never load-bearing.
 	if ctx, err := trace.ParseHeader(r.Header.Get(trace.HeaderName)); err == nil && ctx.Valid() {
 		spec.Span = ctx
@@ -208,7 +242,7 @@ func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	h, err := n.cfg.Service.Submit(spec)
 	if err != nil {
-		WriteSubmitError(w, err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, h.Status())
@@ -245,59 +279,125 @@ func (n *Node) cancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// SpansHandler serves GET /debug/spans: the process's retained spans as a
-// JSON array, oldest first. ?trace=<32 hex> filters to one trace — the
-// form the router's /debug/cluster-trace merge polls. A nil recorder
-// (tracing off) serves an empty list, not an error, so the router's merge
-// loop needs no special case for untraced backends.
-func SpansHandler(sp *trace.Spans) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var out []trace.Span
-		if v := r.URL.Query().Get("trace"); v != "" {
-			tid, err := trace.ParseTraceID(v)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			out = sp.ForTrace(tid)
-		} else {
-			out = sp.Snapshot()
-		}
-		if out == nil {
-			out = []trace.Span{}
-		}
-		writeJSON(w, http.StatusOK, out)
+// jobTrace serves a job's lifecycle as a Chrome/Perfetto trace; a job
+// submitted without a trace capacity has none (404).
+func (n *Node) jobTrace(w http.ResponseWriter, r *http.Request) {
+	h, ok := n.job(w, r)
+	if !ok {
+		return
+	}
+	tl := h.Trace()
+	if tl == nil {
+		httpError(w, http.StatusNotFound, fmt.Errorf("job %d was submitted without a trace capacity", h.ID()))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := tl.WriteJSONNamed(w, h.Status().Name); err != nil {
+		log.Printf("cluster: writing trace of job %d: %v", h.ID(), err)
 	}
 }
 
-// Health is the healthz body shared by Node and inspected by the Router.
+// metrics serves the registry in Prometheus text exposition format (empty
+// without one).
+func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", metrics.TextContentType)
+	if err := n.cfg.Registry.WritePrometheus(w); err != nil {
+		log.Printf("cluster: writing metrics: %v", err)
+	}
+}
+
+// journalStats is the journal's counters, nil on a memory-only node.
+func (n *Node) journalStats() *journal.Stats {
+	if n.cfg.Journal == nil {
+		return nil
+	}
+	s := n.cfg.Journal.Stats()
+	return &s
+}
+
+// debugState is the full JSON state snapshot: queue depths, scheduler
+// stats, aggregated recovery totals, journal counters.
+func (n *Node) debugState(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, struct {
+		UptimeSec float64 `json:"uptime_sec"`
+		service.Snapshot
+		Journal *journal.Stats `json:"journal,omitempty"`
+	}{n.uptime(), n.cfg.Service.Snapshot(), n.journalStats()})
+}
+
+// debugJobs decorates every job status with throughput derived from its
+// metrics — live mid-run numbers for running jobs, final ones once terminal.
+func (n *Node) debugJobs(w http.ResponseWriter, r *http.Request) {
+	type debugJob struct {
+		service.Status
+		TasksPerSec float64 `json:"tasks_per_sec,omitempty"`
+	}
+	sts := n.cfg.Service.Jobs()
+	out := make([]debugJob, len(sts))
+	for i, st := range sts {
+		out[i].Status = st
+		if st.Metrics != nil && st.ElapsedMS > 0 {
+			out[i].TasksPerSec = float64(st.Metrics.Computes) / (st.ElapsedMS / 1000)
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// spans serves GET /debug/spans: the process's retained spans as a JSON
+// array, oldest first. ?trace=<32 hex> filters to one trace — the form the
+// router's /debug/cluster-trace merge polls. A nil recorder (tracing off)
+// serves an empty list, not an error, so the router's merge loop needs no
+// special case for untraced backends.
+func (n *Node) spans(w http.ResponseWriter, r *http.Request) {
+	var out []trace.Span
+	if v := r.URL.Query().Get("trace"); v != "" {
+		tid, err := trace.ParseTraceID(v)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		out = n.cfg.Tracer.ForTrace(tid)
+	} else {
+		out = n.cfg.Tracer.Snapshot()
+	}
+	if out == nil {
+		out = []trace.Span{}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// Health is a backend's healthz body, the one the Router's probe decodes.
 type Health struct {
-	Status   string `json:"status"` // "ok" or "draining"
-	Name     string `json:"name,omitempty"`
-	Draining bool   `json:"draining"`
-	Durable  bool   `json:"durable"`
-	Jobs     int    `json:"jobs"`
+	Status    string         `json:"status"` // "ok" or "draining"
+	Name      string         `json:"name,omitempty"`
+	UptimeSec float64        `json:"uptime_sec"`
+	Workers   int            `json:"workers"`
+	Durable   bool           `json:"durable"`
+	Draining  bool           `json:"draining"`
+	Journal   *journal.Stats `json:"journal,omitempty"`
 }
 
 func (n *Node) healthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{
-		Status:  "ok",
-		Name:    n.cfg.Name,
-		Durable: n.cfg.Journal != nil,
-		Jobs:    len(n.cfg.Service.Jobs()),
+		Status:    "ok",
+		Name:      n.cfg.Name,
+		UptimeSec: n.uptime(),
+		Workers:   n.cfg.Service.Config().Workers,
+		Durable:   n.cfg.Journal != nil,
+		Journal:   n.journalStats(),
 	}
 	if n.cfg.Service.Draining() {
+		// A shard router treats a draining node as live but unplaceable.
 		h.Status, h.Draining = "draining", true
 	}
 	writeJSON(w, http.StatusOK, h)
 }
 
-// WriteSubmitError maps a Submit error onto the wire the way ftserve does:
-// queue saturation answers 429 with the service's Retry-After hint;
-// draining and closed answer 503 (resubmit elsewhere); anything else is a
-// 500. Shared so every backend speaks the same backpressure dialect the
-// router propagates.
-func WriteSubmitError(w http.ResponseWriter, err error) {
+// writeSubmitError maps a Submit error onto the wire: queue saturation
+// answers 429 with the service's Retry-After hint; draining and closed
+// answer 503 (resubmit elsewhere); anything else is a 500 — the
+// backpressure dialect the router propagates.
+func writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, service.ErrQueueFull):
 		var qf *service.QueueFullError
@@ -322,6 +422,7 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// writeJSON is the tree's one JSON reply writer: compact, one value per line.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

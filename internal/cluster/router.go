@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -106,7 +105,8 @@ type Router struct {
 	jobs     map[int64]*routedJob
 	order    []int64
 	nextID   int64
-	ewmaMS   float64 // EWMA of completed-job latency, the saturation hint
+	ewmaMS   float64      // EWMA of completed-job latency, the saturation hint
+	orphans  []*routedJob // acknowledged, unfinished, and without a live candidate: placeOrphans retries
 
 	spillover *metrics.Counter
 	saturated *metrics.Counter
@@ -156,13 +156,13 @@ func NewRouter(cfg RouterConfig) *Router {
 
 // AddBackend registers a backend and places it on the ring. Re-adding a
 // known name (a node that was down or drained and came back) revives it
-// without re-registering its metric series.
+// without re-registering its metric series. Jobs orphaned while every
+// candidate was down are placed at once.
 func (rt *Router) AddBackend(name, baseURL string) error {
 	if err := parseURL(baseURL); err != nil {
 		return err
 	}
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	b := rt.backends[name]
 	if b == nil {
 		b = &backendState{name: name}
@@ -178,6 +178,8 @@ func (rt *Router) AddBackend(name, baseURL string) error {
 	b.consecFails = 0
 	b.up.Set(1)
 	rt.ring.Add(name)
+	rt.mu.Unlock()
+	rt.placeOrphans()
 	return nil
 }
 
@@ -256,9 +258,8 @@ func (rt *Router) candidatesFor(key string) []*backendState {
 }
 
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readSubmission(w, r)
+	if !ok {
 		return
 	}
 	key := ShardKey(r.Header, body)
@@ -586,8 +587,8 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 	}{status, live, jobs, rows})
 }
 
-// checkHealth polls every backend once and fails over those that crossed
-// the consecutive-failure threshold.
+// checkHealth polls every backend once, fails over those that crossed the
+// consecutive-failure threshold, and retries the placement of orphans.
 func (rt *Router) checkHealth() {
 	rt.mu.Lock()
 	names := make([]string, 0, len(rt.backends))
@@ -628,6 +629,7 @@ func (rt *Router) checkHealth() {
 			rt.failBackend(p.b.name)
 		}
 	}
+	rt.placeOrphans()
 }
 
 // failBackend declares a backend dead: off the ring, its incomplete jobs
@@ -662,8 +664,8 @@ func (rt *Router) failBackend(name string) {
 
 // rerouteJobs resubmits orphaned jobs (ordered by router ID, so recovery
 // is deterministic given the same survivor set) to each job's first live
-// candidate. A job with no live candidate stays orphaned; a later
-// AddBackend or the next failover pass can pick it up via Reroute.
+// candidate. A job with no live candidate joins rt.orphans, from where the
+// next AddBackend or health tick retries it (placeOrphans).
 // spanName labels the movement span ("failover-resubmit" or
 // "drain-migrate"); each movement gets a fresh span ID but parents to
 // the job's original cluster-submit span, so the trace stays one tree
@@ -711,35 +713,26 @@ func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 		}
 		if !moved {
 			rt.mu.Lock()
+			retry := j.backend == ""
 			j.backend = ""
+			rt.orphans = append(rt.orphans, j)
 			rt.mu.Unlock()
-			log.Printf("ftrouter: job %d has no live backend; left orphaned", j.id)
+			if !retry {
+				log.Printf("ftrouter: job %d has no live backend; orphaned until one returns", j.id)
+			}
 		}
 	}
 }
 
-// Reroute retries placement for jobs with no live owner (after every
-// backend was down, say). Returns how many found a home.
-func (rt *Router) Reroute() int {
+// placeOrphans retries the jobs rerouteJobs found no live candidate for.
+// Taking the list under the lock is the claim: AddBackend and the health
+// tick may both run this, and neither resubmits a job the other holds.
+func (rt *Router) placeOrphans() {
 	rt.mu.Lock()
-	var orphans []*routedJob
-	for _, id := range rt.order {
-		j := rt.jobs[id]
-		if j != nil && j.terminal == nil && (j.backend == "" || rt.backends[j.backend] == nil || !rt.backends[j.backend].healthy) {
-			orphans = append(orphans, j)
-		}
-	}
+	orphans := rt.orphans
+	rt.orphans = nil
 	rt.mu.Unlock()
 	rt.rerouteJobs(orphans, "failover-resubmit")
-	n := 0
-	rt.mu.Lock()
-	for _, j := range orphans {
-		if j.backend != "" {
-			n++
-		}
-	}
-	rt.mu.Unlock()
-	return n
 }
 
 // drainBackend migrates a named backend out: POST /drain stops its

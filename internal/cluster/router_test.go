@@ -379,3 +379,65 @@ func TestRouterDrainMigration(t *testing.T) {
 		t.Fatalf("drained node healthz = %+v, want draining", h)
 	}
 }
+
+// TestRouterReplacesOrphans: with every backend down a job the router has
+// acknowledged has nowhere to go; it must be placed as soon as a backend
+// comes back, not lost to the router for ever.
+func TestRouterReplacesOrphans(t *testing.T) {
+	a := newTestBackend(t, "a", true)
+	b := newTestBackend(t, "b", true)
+	reg := metrics.NewRegistry()
+	rt, ts := newTestRouter(t, reg, a, b)
+
+	// The reference digest, from an undisturbed run of the same request.
+	body := `{"name":"orphan","tasks":6,"sleep_ms":100}`
+	_, ref := submitViaRouter(t, ts.URL, "", body)
+	want := waitTerminal(t, ts.URL, ref.ID, 10*time.Second).SinkDigest
+
+	resp, rs := submitViaRouter(t, ts.URL, "", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	for _, dead := range []*testBackend{a, b} {
+		dead.ts.CloseClientConnections()
+		dead.ts.Close()
+	}
+	orphaned := func() int {
+		resp, err := http.Get(ts.URL + "/debug/backends")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var d struct {
+			Orphaned int `json:"orphaned"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		return d.Orphaned
+	}
+	for deadline := time.Now().Add(10 * time.Second); orphaned() != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job was never orphaned")
+		}
+	}
+	if v, _ := reg.Value("ftrouter_rerouted_jobs_total"); v != 0 {
+		t.Fatalf("ftrouter_rerouted_jobs_total = %v with no live backend, want 0", v)
+	}
+
+	// "a" comes back (a fresh process on a new port, as after a restart).
+	back := newTestBackend(t, "a", true)
+	if err := rt.AddBackend("a", back.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, ts.URL, rs.ID, 10*time.Second)
+	if final.State != service.Succeeded || final.Backend != "a" || final.SinkDigest != want {
+		t.Fatalf("re-placed job: %+v, want succeeded on a with digest %s", final, want)
+	}
+	if v, _ := reg.Value("ftrouter_rerouted_jobs_total"); v != 1 {
+		t.Fatalf("ftrouter_rerouted_jobs_total = %v, want 1", v)
+	}
+	if n := orphaned(); n != 0 {
+		t.Fatalf("%d orphans after re-placement", n)
+	}
+}

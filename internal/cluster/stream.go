@@ -278,7 +278,7 @@ func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
 		// dropped connection) or a corrupt frame stops the segment here and
 		// the next round resumes from the offset reached so far.
 		for len(body) > 0 {
-			c, n, err := DecodeStreamFrame(body)
+			c, n, err := journal.DecodeStreamFrame(body)
 			if err != nil {
 				return copied, fmt.Errorf("cluster: segment %d at %d: %w", seq, off, err)
 			}

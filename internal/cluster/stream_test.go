@@ -20,7 +20,7 @@ func newPrimary(t *testing.T) (*journal.Journal, *httptest.Server) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /journal/stream", StreamHandler(j))
+	mux.HandleFunc("GET /journal/stream", streamHandler(j))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return j, ts
@@ -144,7 +144,7 @@ func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 	appendJobs(t, j, 1, 20, true)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /journal/stream", StreamHandler(j))
+	mux.HandleFunc("GET /journal/stream", streamHandler(j))
 	proxy := &flakyProxy{inner: mux, mutate: mutate}
 	ts := httptest.NewServer(proxy)
 	defer ts.Close()

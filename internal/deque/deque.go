@@ -134,6 +134,3 @@ func (d *Deque[T]) Len() int {
 	}
 	return int(n)
 }
-
-// Empty reports whether the deque appears empty.
-func (d *Deque[T]) Empty() bool { return d.Len() == 0 }

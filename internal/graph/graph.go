@@ -228,23 +228,6 @@ func Validate(s Spec) error {
 	return nil
 }
 
-// PredIndex returns the position of pred in the ordered predecessor list of
-// key; the executor uses one extra index (len(preds)) for the
-// self-notification slot, returned when pred == key. It is the paper's
-// CONVERTPREDKEYTOINDEX.
-func PredIndex(s Spec, key, pred Key) (int, error) {
-	preds := s.Predecessors(key)
-	if pred == key {
-		return len(preds), nil
-	}
-	for i, p := range preds {
-		if p == pred {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("graph: task %d is not a predecessor of task %d", pred, key)
-}
-
 func contains(ks []Key, k Key) bool {
 	for _, x := range ks {
 		if x == k {

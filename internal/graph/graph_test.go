@@ -161,24 +161,6 @@ func TestValidateCatchesDuplicatePred(t *testing.T) {
 	}
 }
 
-func TestPredIndex(t *testing.T) {
-	g := Diamond(nil)
-	// Task 3 has preds [1, 2].
-	if i, err := PredIndex(g, 3, 1); err != nil || i != 0 {
-		t.Fatalf("PredIndex(3,1) = %d,%v", i, err)
-	}
-	if i, err := PredIndex(g, 3, 2); err != nil || i != 1 {
-		t.Fatalf("PredIndex(3,2) = %d,%v", i, err)
-	}
-	// Self maps to the extra slot.
-	if i, err := PredIndex(g, 3, 3); err != nil || i != 2 {
-		t.Fatalf("PredIndex(3,3) = %d,%v", i, err)
-	}
-	if _, err := PredIndex(g, 3, 0); err == nil {
-		t.Fatal("PredIndex accepted non-predecessor")
-	}
-}
-
 func TestEnumerateReachesAll(t *testing.T) {
 	g := Layered(3, 4, 2, 7, nil)
 	keys := Enumerate(g)

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -152,10 +151,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += float64(c)
 	}
 	return 0 // unreachable: total > 0 places the rank in some bucket
-}
-
-// QuantileDuration is Quantile rounded to a time.Duration, for seconds
-// histograms.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(math.Round(h.Quantile(q)))
 }

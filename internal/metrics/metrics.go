@@ -26,11 +26,9 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing int64. A counter registered with
-// Seconds semantics accumulates nanoseconds and renders as seconds.
+// Counter is a monotonically increasing int64.
 type Counter struct {
-	v       atomic.Int64
-	seconds bool
+	v atomic.Int64
 }
 
 // Inc adds one. No-op on a nil counter.
@@ -41,16 +39,13 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n (nanoseconds for a seconds counter). No-op on a nil counter.
+// Add adds n. No-op on a nil counter.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
 	c.v.Add(n)
 }
-
-// AddDuration adds d to a seconds counter. No-op on a nil counter.
-func (c *Counter) AddDuration(d time.Duration) { c.Add(int64(d)) }
 
 // Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() int64 {
@@ -155,20 +150,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return c
 }
 
-// SecondsCounter registers a counter that accumulates nanoseconds (via Add
-// or AddDuration) and renders as seconds. Returns nil on a nil registry.
-func (r *Registry) SecondsCounter(name, help string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{seconds: true}
-	r.register(name, help, "counter", &series{
-		labels: renderLabels(labels),
-		value:  func() float64 { return float64(c.v.Load()) / 1e9 },
-	})
-	return c
-}
-
 // Gauge registers and returns a gauge. Returns nil on a nil registry.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
@@ -199,6 +180,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 		return
 	}
 	r.register(name, help, "gauge", &series{labels: renderLabels(labels), value: fn})
+}
+
+// Uptime registers the ftdag_uptime_seconds gauge — seconds since this call —
+// and returns its reader, so a process's uptime has one clock whether a
+// scrape or a healthz body reports it. On a nil registry only the gauge is
+// missing: the reader still counts.
+func (r *Registry) Uptime(help string) func() float64 {
+	start := time.Now()
+	up := func() float64 { return time.Since(start).Seconds() }
+	r.GaugeFunc("ftdag_uptime_seconds", help, up)
+	return up
 }
 
 // Sample is one gathered time series value.

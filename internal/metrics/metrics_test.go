@@ -12,19 +12,17 @@ import (
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "help")
-	sc := r.SecondsCounter("x_seconds_total", "help")
 	g := r.Gauge("x", "help")
 	h := r.Histogram("x_seconds", "help")
 	vh := r.ValueHistogram("x_batch", "help")
 	r.CounterFunc("y_total", "help", func() float64 { return 1 })
 	r.GaugeFunc("y", "help", func() float64 { return 1 })
-	if c != nil || sc != nil || g != nil || h != nil || vh != nil {
+	if c != nil || g != nil || h != nil || vh != nil {
 		t.Fatal("nil registry must return nil instruments")
 	}
 	// All instrument methods must be no-ops, not panics.
 	c.Inc()
 	c.Add(5)
-	c.AddDuration(time.Second)
 	g.Set(3)
 	g.Add(-1)
 	h.Observe(7)
@@ -67,15 +65,6 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 	}
 	if _, ok := r.Value("absent"); ok {
 		t.Fatal("Value(absent) must report absent")
-	}
-}
-
-func TestSecondsCounterRenders(t *testing.T) {
-	r := NewRegistry()
-	c := r.SecondsCounter("busy_seconds_total", "busy time")
-	c.AddDuration(1500 * time.Millisecond)
-	if v, ok := r.Value("busy_seconds_total"); !ok || v != 1.5 {
-		t.Fatalf("seconds counter = %v, %v, want 1.5", v, ok)
 	}
 }
 
@@ -285,5 +274,23 @@ func TestHistogramValueByCountSuffix(t *testing.T) {
 	h.Observe(9)
 	if v, ok := r.Value("lat_seconds_count"); !ok || v != 2 {
 		t.Fatalf("Value(lat_seconds_count) = %v, %v, want 2", v, ok)
+	}
+}
+
+// TestUptimeOneClock: the gauge and the returned reader are the same clock,
+// and a nil registry loses the gauge but not the reader.
+func TestUptimeOneClock(t *testing.T) {
+	r := NewRegistry()
+	up := r.Uptime("since start")
+	time.Sleep(time.Millisecond)
+	a := up()
+	g, ok := r.Value("ftdag_uptime_seconds")
+	b := up()
+	if !ok || a <= 0 || g < a || g > b {
+		t.Fatalf("reader %v, gauge %v (%v), reader %v: want them ordered and positive", a, g, ok, b)
+	}
+	var none *Registry
+	if nup := none.Uptime("x"); nup() < 0 {
+		t.Fatal("nil registry's uptime reader went backwards")
 	}
 }

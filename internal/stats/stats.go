@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Summary describes a sample of float64 observations.
@@ -105,15 +104,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[i]*(1-f) + sorted[i+1]*f
 }
 
-// SummarizeDurations converts durations to seconds and summarises them.
-func SummarizeDurations(ds []time.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return Summarize(xs)
-}
-
 // SummarizeInts summarises integer observations (e.g. re-executed task
 // counts, Table II).
 func SummarizeInts(ns []int64) Summary {
@@ -144,13 +134,4 @@ func Speedup(t1, tp float64) float64 {
 		return 0
 	}
 	return t1 / tp
-}
-
-// Rate returns n completions per second of elapsed wall-clock time (0 for a
-// non-positive elapsed) — the multi-job service's throughput metric.
-func Rate(n int, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n) / elapsed.Seconds()
 }

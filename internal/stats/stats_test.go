@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarizeBasic(t *testing.T) {
@@ -31,11 +30,7 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSummarizeDurationsAndInts(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if s.Mean != 2 {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
+func TestSummarizeInts(t *testing.T) {
 	si := SummarizeInts([]int64{1, 2, 3})
 	if si.Mean != 2 || si.Min != 1 || si.Max != 3 {
 		t.Fatalf("ints Summary = %+v", si)
@@ -171,20 +166,5 @@ func TestRank(t *testing.T) {
 		if got := Rank(c.n, c.q); got != c.want {
 			t.Errorf("Rank(%d, %v) = %v, want %v", c.n, c.q, got, c.want)
 		}
-	}
-}
-
-func TestRate(t *testing.T) {
-	if got := Rate(10, 2*time.Second); got != 5 {
-		t.Errorf("Rate(10, 2s) = %v, want 5", got)
-	}
-	if got := Rate(3, 0); got != 0 {
-		t.Errorf("Rate(3, 0) = %v, want 0", got)
-	}
-	if got := Rate(0, time.Second); got != 0 {
-		t.Errorf("Rate(0, 1s) = %v, want 0", got)
-	}
-	if got := Rate(7, -time.Second); got != 0 {
-		t.Errorf("Rate with negative elapsed = %v, want 0", got)
 	}
 }

@@ -225,13 +225,25 @@ func NewSpans(proc string, capacity int) *Spans {
 	return &Spans{proc: proc, base: binary.BigEndian.Uint64(b[:]), buf: make([]Span, 0, capacity)}
 }
 
-// Mirror tees every emitted span into the flight recorder as a "span"
+// NewRecorders wires a process's two recorders in the one order that works:
+// the span ring (spans < 1: nil, tracing off), then — only with a dataDir to
+// persist under — the flight recorder (flight < 1: nil), persisting every
+// flush (<= 0: Persist's default) before the first span can reach it, and
+// last the tee: every emitted span also lands in the flight ring as a "span"
 // event, so a crash-surviving black box holds the process's last spans.
-// Call once during wiring, before concurrent use.
-func (s *Spans) Mirror(f *Flight) {
+func NewRecorders(proc string, spans, flight int, dataDir string, flush time.Duration) (*Spans, *Flight, error) {
+	s := NewSpans(proc, spans)
+	if dataDir == "" {
+		return s, nil, nil
+	}
+	f := NewFlight(proc, flight)
+	if err := f.Persist(dataDir, flush); err != nil {
+		return nil, nil, err
+	}
 	if s != nil {
 		s.flight = f
 	}
+	return s, f, nil
 }
 
 // Proc returns the recorder's process label ("" for nil).

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -29,7 +30,7 @@ func TestParseHeaderMalformed(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"short",
-		strings.Repeat("0", 49),                       // right length, no separator
+		strings.Repeat("0", 49), // right length, no separator
 		strings.Repeat("z", 32) + "-" + strings.Repeat("0", 16), // non-hex trace
 		strings.Repeat("0", 32) + "-" + strings.Repeat("z", 16), // non-hex span
 		strings.Repeat("0", 32) + "-" + strings.Repeat("0", 17), // overlong
@@ -47,7 +48,6 @@ func TestNilSpansContract(t *testing.T) {
 	}
 	// Every method must be a safe no-op on the nil recorder.
 	sp.Emit(Span{Name: "ignored"})
-	sp.Mirror(nil)
 	if sp.NextID() != 0 || sp.Len() != 0 || sp.Proc() != "" {
 		t.Fatal("nil recorder leaked state")
 	}
@@ -123,5 +123,45 @@ func TestNextIDUniqueUnderConcurrency(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// TestNewRecordersTeesSpansIntoTheBox: the one wiring constructor persists
+// before the first span and tees every span into the flight ring; without a
+// data dir there is no flight recorder, and with tracing off the box still
+// records plain events.
+func TestNewRecordersTeesSpansIntoTheBox(t *testing.T) {
+	if sp, fl, err := NewRecorders("mem", 8, 8, "", 0); err != nil || sp == nil || fl != nil {
+		t.Fatalf("no data dir: spans %v, flight %v, err %v; want spans only", sp, fl, err)
+	}
+	dir := t.TempDir()
+	sp, fl, err := NewRecorders("p", 8, 8, dir, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := NewTraceID()
+	sp.Emit(Span{Trace: tid, Name: "submit", Job: 3, Task: -1, Dur: 7})
+	if err := fl.Close("test"); err != nil {
+		t.Fatal(err)
+	}
+	box, err := ReadBlackBox(BoxPath(dir, "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(box.Events) != 1 || box.Events[0].Kind != "span" || box.Events[0].Name != "submit" ||
+		box.Events[0].Trace != tid || box.Events[0].Job != 3 || box.Events[0].Arg != 7 {
+		t.Fatalf("box events = %+v, want the one teed span", box.Events)
+	}
+
+	off, fl2, err := NewRecorders("q", 0, 8, dir, time.Hour)
+	if err != nil || off != nil || fl2 == nil {
+		t.Fatalf("tracing off: spans %v, flight %v, err %v; want flight only", off, fl2, err)
+	}
+	fl2.Emit("job-submit", "j", 1, -1, 0, SpanContext{})
+	if err := fl2.Close("test"); err != nil {
+		t.Fatal(err)
+	}
+	if box, err := ReadBlackBox(BoxPath(dir, "q")); err != nil || len(box.Events) != 1 {
+		t.Fatalf("tracing-off box: %+v, %v", box, err)
 	}
 }
