@@ -125,16 +125,17 @@ func BenchmarkAblationTraversalOverhead(b *testing.B) {
 	})
 }
 
-// desc mirrors the part of core.Task that check() reads.
+// desc mirrors the part of core.Task that check() reads: the poisoned flag,
+// a bit of the state word.
 type desc struct {
-	poisoned atomic.Bool
-	key      graph.Key
-	life     int
-	preds    [3]graph.Key
+	state atomic.Uint32
+	key   graph.Key
+	life  int
+	preds [3]graph.Key
 }
 
 func (d *desc) check() error {
-	if d.poisoned.Load() {
+	if d.state.Load()&4 != 0 {
 		return fault.Errorf(d.key, d.life)
 	}
 	return nil
@@ -201,9 +202,11 @@ var (
 // finegrain_dag graph, pays it, counted from one run's Result. tax-ns/op is
 // the mechanism's cost over doing without it, tax-ns/task that times
 // events/task. Before the straight-line path a task paid check() once more per
-// traversal and the closure once per check(). The measured rows are whole
-// runs, FT minus baseline per task, for the rows to be summed against
-// (EXPERIMENTS.md "Quiescence without a shared counter").
+// traversal and the closure once per check(); before PR 25 a grouped job paid
+// two tally pairs, a notification a bit and a join decrement, and a nil plan
+// four calls. The measured rows are whole runs, FT minus baseline per task,
+// for the rows to be summed against (EXPERIMENTS.md "Quiescence without a
+// shared counter", "The baseline's RMW count").
 func BenchmarkAblationFTTax(b *testing.B) {
 	g := graph.Layered(400, 256, 3, 1, nil)
 	res, err := core.NewFT(g, core.Config{Workers: 2, VerifyChecksums: true}).Run()
@@ -261,19 +264,19 @@ func BenchmarkAblationFTTax(b *testing.B) {
 		}
 	})
 
-	// core.Task is 168 bytes, allocated as 176, the baseline's descriptor 120,
-	// allocated as 128; both hold pointers.
-	type task168 struct {
+	// core.Task is 144 bytes, a size class of its own, the baseline's
+	// descriptor 120, allocated as 128; both hold pointers.
+	type task144 struct {
 		p [6]*int
-		_ [120]byte
+		_ [96]byte
 	}
 	type task120 struct {
 		p [6]*int
 		_ [72]byte
 	}
-	row("descriptor-48B", 1, func(n int) {
+	row("descriptor-24B", 1, func(n int) {
 		for i := 0; i < n; i++ {
-			taxPtr = new(task168)
+			taxPtr = new(task144)
 		}
 	}, func(n int) {
 		for i := 0; i < n; i++ {
@@ -281,22 +284,28 @@ func BenchmarkAblationFTTax(b *testing.B) {
 		}
 	})
 
-	const bits = 1 << 16
-	vec := bitvec.New(bits)
-	var join atomic.Int32
+	// A notification: FT clears the notifier's bit, and the clear that empties
+	// the vector is the join; the baseline decrements its join counter. One
+	// vector or counter per Layered task (three predecessors and the self
+	// slot), re-armed by the notification that empties it.
+	vecs := make([]bitvec.Vector, 1024)
+	joins := make([]atomic.Int32, 1024)
+	for i := range vecs {
+		vecs[i].Init(4)
+		joins[i].Store(4)
+	}
 	row("bit-test-and-clear", notifs, func(n int) {
 		for i := 0; i < n; i++ {
-			k := i & (bits - 1)
-			if k == 0 {
-				vec.SetAll()
-			}
-			if vec.TestAndClear(k) {
-				join.Add(-1)
+			v := &vecs[i&1023]
+			if _, last := v.Clear(i >> 10 & 3); last {
+				v.SetAll()
 			}
 		}
 	}, func(n int) {
 		for i := 0; i < n; i++ {
-			join.Add(-1)
+			if j := &joins[i&1023]; j.Add(-1) == 0 {
+				j.Store(4)
+			}
 		}
 	})
 	row("pred-index", edges, func(n int) {

@@ -1,11 +1,12 @@
 // Package bitvec provides a fixed-size atomic bit vector.
 //
-// The fault-tolerant scheduler associates one bit per predecessor with each
-// task's join counter (paper §IV, Guarantee 3). The bit for a predecessor is
-// cleared exactly once per notification round via TestAndClear, which makes
-// join-counter decrements idempotent across task recoveries: a predecessor
-// that notifies again after being recovered finds its bit already cleared and
-// does not decrement the counter a second time.
+// The fault-tolerant scheduler gives each task one bit per predecessor plus
+// one for itself (paper §IV, Guarantee 3). The bit for a predecessor is
+// cleared at most once per notification round, which makes notifications
+// idempotent across task recoveries: a predecessor that notifies again after
+// being recovered finds its bit already cleared. The vector is also the join
+// counter: the clear that empties it is the last notification of the round,
+// and Clear says so.
 package bitvec
 
 import (
@@ -15,19 +16,28 @@ import (
 
 const wordBits = 64
 
-// Vector is a fixed-size vector of bits supporting atomic per-bit
-// test-and-clear and a bulk re-set used when a task's bookkeeping is reset
-// (RESETNODE in the paper). The first word is part of the Vector itself, so
-// a vector of up to 64 bits — a task with up to 63 predecessors — held by
-// value inside its owner costs no allocation; longer vectors spill into
-// rest, which is a pointer and not a slice so that the vectors that never
-// spill — one per task descriptor — carry one word for it, not three. The
-// zero value has no bits; use New, or Init on an embedded Vector. A Vector
-// must not be copied after Init.
+// Vector is a fixed-size vector of bits supporting atomic per-bit clear and a
+// bulk re-set used when a task's bookkeeping is reset (RESETNODE in the
+// paper). The first word is part of the Vector itself, so a vector of up to 64
+// bits — a task with up to 63 predecessors — held by value inside its owner
+// costs no allocation, and the clear that takes that word to zero is the
+// vector's last: one compare-and-swap is both the bit and the join. Longer
+// vectors spill into rest, a pointer and not a slice so that the vectors that
+// never spill — one per task descriptor — carry one word for it, not three;
+// the spill also counts the vector's non-zero words. The zero value has no
+// bits; use New, or Init on an embedded Vector. A Vector must not be copied
+// after Init.
 type Vector struct {
 	n     int
 	first atomic.Uint64
-	rest  *[]atomic.Uint64 // words 1.. of vectors longer than wordBits
+	rest  *spill
+}
+
+// spill is what a vector longer than wordBits keeps outside itself: words 1..
+// and the number of words, the first included, that are not zero.
+type spill struct {
+	live  atomic.Int64
+	words []atomic.Uint64
 }
 
 // New returns a vector of n bits, all initially set to 1.
@@ -41,9 +51,9 @@ func New(n int) *Vector {
 // value, before the owner is shared.
 func (v *Vector) Init(n int) {
 	v.n = n
+	v.rest = nil
 	if n > wordBits {
-		rest := make([]atomic.Uint64, (n-1)/wordBits)
-		v.rest = &rest
+		v.rest = &spill{words: make([]atomic.Uint64, (n-1)/wordBits)}
 	}
 	v.SetAll()
 }
@@ -59,7 +69,7 @@ func (v *Vector) word(w int) *atomic.Uint64 {
 	if w == 0 {
 		return &v.first
 	}
-	return &(*v.rest)[w-1]
+	return &v.rest.words[w-1]
 }
 
 // bit returns the word holding bit i and i's mask within it.
@@ -70,10 +80,17 @@ func (v *Vector) bit(i int) (*atomic.Uint64, uint64) {
 	return v.word(i / wordBits), uint64(1) << uint(i%wordBits)
 }
 
-// SetAll atomically sets every bit in the vector to 1.
-// Bits past Len in the final word are left clear so Count stays exact.
+// SetAll sets every bit in the vector to 1. Bits past Len in the final word
+// are left clear so Count stays exact. On a vector of one word it is one
+// store. A longer vector stores its live-word count before the words: a clear
+// racing the re-set can then empty only words already re-set, which leaves
+// the count above zero until every word is set again.
 func (v *Vector) SetAll() {
-	for w, n := 0, v.words(); w < n; w++ {
+	n := v.words()
+	if v.rest != nil {
+		v.rest.live.Store(int64(n))
+	}
+	for w := 0; w < n; w++ {
 		mask := ^uint64(0)
 		if rem := v.n - w*wordBits; rem < wordBits {
 			mask = (uint64(1) << uint(rem)) - 1
@@ -82,30 +99,46 @@ func (v *Vector) SetAll() {
 	}
 }
 
-// ClearAll atomically clears every bit.
+// ClearAll clears every bit.
 func (v *Vector) ClearAll() {
 	for w, n := 0, v.words(); w < n; w++ {
 		v.word(w).Store(0)
 	}
+	if v.rest != nil {
+		v.rest.live.Store(0)
+	}
 }
 
-// TestAndClear atomically clears bit i and reports whether it was previously
-// set. It is the ATOMICBITUNSET of the paper: at most one caller per
-// set-round observes true for a given bit.
-func (v *Vector) TestAndClear(i int) bool {
+// Clear atomically clears bit i. won reports that the bit was set — it is
+// the ATOMICBITUNSET of the paper: at most one caller per set-round wins a
+// given bit — and last that this clear left the vector empty: exactly one
+// caller per set-round sees it, after every other bit's winner has cleared.
+func (v *Vector) Clear(i int) (won, last bool) {
 	w, mask := v.bit(i)
 	for {
 		old := w.Load()
 		if old&mask == 0 {
-			return false
+			return false, false
 		}
 		if w.CompareAndSwap(old, old&^mask) {
-			return true
+			if old != mask {
+				return true, false
+			}
+			return true, v.rest == nil || v.rest.live.Add(-1) == 0
 		}
 	}
 }
 
-// Set atomically sets bit i to 1.
+// TestAndClear is Clear for a caller that does not ask whether the vector is
+// now empty.
+func (v *Vector) TestAndClear(i int) bool {
+	won, _ := v.Clear(i)
+	return won
+}
+
+// Set atomically sets bit i to 1. On a vector longer than one word it must
+// not race a Clear: the live-word count follows each word's transitions, not
+// their order.
 func (v *Vector) Set(i int) {
 	w, mask := v.bit(i)
 	for {
@@ -114,6 +147,9 @@ func (v *Vector) Set(i int) {
 			return
 		}
 		if w.CompareAndSwap(old, old|mask) {
+			if old == 0 && v.rest != nil {
+				v.rest.live.Add(1)
+			}
 			return
 		}
 	}

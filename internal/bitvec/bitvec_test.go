@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,47 @@ func TestConcurrentTestAndClearExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestConcurrentClearLastOnce is the property the join counter's removal
+// rests on: P goroutines each clear every bit, each starting at another
+// place, and exactly one clear per round reports that it left the vector
+// empty — one that won its bit, after which no bit is set — on both sides of
+// the one-word boundary, in the first round after Init and in every round
+// after SetAll.
+func TestConcurrentClearLastOnce(t *testing.T) {
+	const goroutines, rounds = 4, 50
+	for _, n := range []int{1, 2, 63, 64, 65, 128, 130} {
+		v := New(n)
+		for round := 0; round < rounds; round++ {
+			var wins, lasts, bad atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(start int) {
+					defer wg.Done()
+					for k := 0; k < n; k++ {
+						won, last := v.Clear((start + k) % n)
+						if won {
+							wins.Add(1)
+						}
+						if last {
+							lasts.Add(1)
+							if !won || v.Count() != 0 {
+								bad.Add(1)
+							}
+						}
+					}
+				}(g*n/goroutines + round)
+			}
+			wg.Wait()
+			if wins.Load() != int64(n) || lasts.Load() != 1 || bad.Load() != 0 {
+				t.Fatalf("n=%d round %d: %d bits won, %d clears saw last (%d of them lost their bit or left bits set); want %d, 1, 0",
+					n, round, wins.Load(), lasts.Load(), bad.Load(), n)
+			}
+			v.SetAll()
+		}
+	}
+}
+
 func TestQuickCountMatchesClears(t *testing.T) {
 	f := func(size uint8, clears []uint16) bool {
 		n := int(size)%500 + 1
@@ -176,7 +218,7 @@ func TestInitByValue(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() { owner.v.Init(n) })
 		want := 0.0
 		if n > 64 {
-			want = 2 // the spilled words and the slice header rest points to
+			want = 2 // the spilled words and the spill rest points to
 		}
 		if allocs != want {
 			t.Fatalf("Init(%d) allocated %v times, want %v", n, allocs, want)

@@ -3,7 +3,7 @@ package core
 import "sync/atomic"
 
 // Small helpers for the baseline executor's plain-int32 fields; the FT
-// executor uses atomic.Int32 directly in its Task type, but the baseline
+// executor uses sync/atomic types directly in its Task type, but the baseline
 // keeps its descriptor a close transcription of the paper's field list.
 
 func storeInt32(p *int32, v int32) { atomic.StoreInt32(p, v) }

@@ -96,7 +96,7 @@ func TestExecutorAccessors(t *testing.T) {
 		t.Fatal("Sequential.Store nil")
 	}
 	// Task accessors.
-	task := ft.newTask(2, 3, true) // a descriptor needs a key the spec declares
+	task := ft.newTask(2, 3) // a descriptor needs a key the spec declares
 	if task.Key() != 2 || task.Life() != 3 {
 		t.Fatalf("accessors: key=%d life=%d", task.Key(), task.Life())
 	}

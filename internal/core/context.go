@@ -132,7 +132,7 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	}
 	life := 0
 	if pt, ok := c.e.tasks.Load(pred); ok {
-		life = pt.life
+		life = pt.Life()
 	}
 	return nil, fault.Errorf(pred, life)
 }
@@ -147,9 +147,9 @@ func (c *ftCtx) Write(data []float64) {
 	met.countWrite(evicted)
 	if evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
-			pt.overwritten.Store(true)
+			pt.mark(overwritten)
 			met.overwriteMarks.Add(1)
-			c.e.cfg.Trace.Emit(trace.Overwritten, victim, pt.life, c.t.key)
+			c.e.cfg.Trace.Emit(trace.Overwritten, victim, pt.Life(), c.t.key)
 		}
 	}
 	c.wrote = true
@@ -181,7 +181,7 @@ func (c *shadowCtx) ReadPred(pred graph.Key) ([]float64, error) {
 			return in.data, nil
 		}
 	}
-	return nil, fault.Errorf(c.t.key, c.t.life)
+	return nil, fault.Errorf(c.t.key, c.t.Life())
 }
 
 func (c *shadowCtx) Write(data []float64) {

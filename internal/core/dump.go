@@ -9,10 +9,11 @@ import (
 )
 
 // DumpStuck renders the state of up to max incomplete tasks — key, life,
-// status, join counter, outstanding notification bits, flags, and notify
-// array length. A correct fault-tolerant execution always drains (Lemma 3),
-// so this is attached to timeout errors as the first diagnostic a developer
-// reaches for when an experimental spec misbehaves.
+// status, outstanding notification bits (the join counter: the task runs when
+// they reach 0), flags, and notify array length. A correct fault-tolerant
+// execution always drains (Lemma 3), so this is attached to timeout errors as
+// the first diagnostic a developer reaches for when an experimental spec
+// misbehaves.
 func (e *FT) DumpStuck(max int) string {
 	type row struct {
 		key  graph.Key
@@ -30,9 +31,9 @@ func (e *FT) DumpStuck(max int) string {
 			notify := len(t.notify)
 			t.mu.Unlock()
 			rows = append(rows, row{key: k, line: fmt.Sprintf(
-				"  task %d life=%d status=%v join=%d bits=%d/%d poisoned=%v overwritten=%v notify=%d",
-				k, t.life, t.Status(), t.join.Load(), t.bits.Count(), t.bits.Len(),
-				t.poisoned.Load(), t.overwritten.Load(), notify)})
+				"  task %d life=%d status=%v bits=%d/%d poisoned=%v overwritten=%v notify=%d",
+				k, t.Life(), t.Status(), t.bits.Count(), t.bits.Len(),
+				t.has(poisoned), t.has(overwritten), notify)})
 		}
 		return true
 	})

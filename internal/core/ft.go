@@ -232,17 +232,16 @@ func (e *FT) spawn(w *sched.Worker, r sched.Runner, arg int) {
 }
 
 // newTask builds a fresh incarnation descriptor.
-func (e *FT) newTask(key graph.Key, life int, recovery bool) *Task {
-	t := &Task{e: e, life: life, recovery: recovery}
+func (e *FT) newTask(key graph.Key, life int) *Task {
+	t := &Task{e: e, life: int32(life)}
 	t.resolve(e.spec, e.store, key)
-	t.join.Store(int32(1 + len(t.preds)))
 	t.bits.Init(len(t.preds) + 1)
 	return t
 }
 
 // insertIfAbsent is INSERTTASKIFABSENT + GETTASK.
 func (e *FT) insertIfAbsent(key graph.Key) (*Task, bool) {
-	return e.tasks.LoadOrStore(key, func() *Task { return e.newTask(key, 0, false) })
+	return e.tasks.LoadOrStore(key, func() *Task { return e.newTask(key, 0) })
 }
 
 // initAndCompute is INITANDCOMPUTE: traverse the immediate predecessors,
@@ -274,7 +273,7 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 	b.mu.Lock()
 	if err := b.check(); err != nil { // catch
 		b.mu.Unlock()
-		e.recoverFromError(w, err, b.key, b.life)
+		e.recoverFromError(w, err, b.key, b.Life())
 		return
 	}
 	finished := b.Status() >= Computed
@@ -289,23 +288,26 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 }
 
 // notifyOnce is NOTIFYONCE: clear the bit of the notifying predecessor — ind
-// is its predIndex, len(t.preds) for the self-notification — and, if this
-// notification won the bit, decrement the join counter; the thread that takes
-// it to zero executes the task. Errors accessing t trigger t's recovery.
+// is its predIndex, len(t.preds) for the self-notification. A notification
+// that wins its bit counts; the one whose clear empties the vector is the
+// join's decrement to zero, and its thread executes the task. For a task with
+// at most 63 predecessors that is one compare-and-swap on t, as the baseline's
+// decrement is one add. Errors accessing t trigger t's recovery.
 func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
 	if err := t.check(); err != nil { // catch
-		e.recoverFromError(w, err, t.key, t.life)
+		e.recoverFromError(w, err, t.key, t.Life())
 		return
 	}
-	if !t.bits.TestAndClear(ind) {
+	won, last := t.bits.Clear(ind)
+	if !won {
 		return
 	}
 	e.met.at(w).notifications.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.Notifications.Inc()
 	}
-	e.cfg.Trace.Emit(trace.Notify, t.key, t.life, t.predKey(ind))
-	if t.join.Add(-1) == 0 {
+	e.cfg.Trace.Emit(trace.Notify, t.key, t.Life(), t.predKey(ind))
+	if last {
 		e.computeAndNotify(w, t)
 	}
 }
@@ -318,7 +320,7 @@ func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
 // the race it always was: the notification goes to the old incarnation, and
 // the recovery scan has re-registered a successor whose bit was still set.
 func (e *FT) notifySuccessor(w *sched.Worker, from, s *Task) {
-	if s.superseded.Load() {
+	if s.has(superseded) {
 		s, _ = e.tasks.Load(s.key)
 	}
 	e.notifyOnce(w, s, s.predIndex(from.key))
@@ -348,18 +350,18 @@ func (e *FT) compute(w *sched.Worker, t *Task) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
+	if e.plan.Fire(t.key, t.Life(), fault.BeforeCompute) {
 		e.inject(w, t, false)
-		return fault.Errorf(t.key, t.life)
+		return fault.Errorf(t.key, t.Life())
 	}
 	if err := e.runCompute(w, t, nil); err != nil {
 		return err
 	}
-	if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
+	if e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
 		e.inject(w, t, true)
-		return fault.Errorf(t.key, t.life)
+		return fault.Errorf(t.key, t.Life())
 	}
-	if e.plan.Fire(t.key, t.life, fault.SDC) {
+	if e.plan.Fire(t.key, t.Life(), fault.SDC) {
 		// Unreplicated task: the corruption is unobservable by
 		// construction. Count the miss and continue as if nothing
 		// happened — that is the point of the SDC model.
@@ -381,9 +383,9 @@ func (e *FT) compute(w *sched.Worker, t *Task) error {
 // snapshot of the inputs the compute read.
 func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
-		h(t.key, t.life)
+		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.life, 0)
+	e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.Life(), 0)
 	e.met.at(w).computes.Add(1)
 	ins := e.cfg.Instruments
 	var computeStart time.Time
@@ -407,7 +409,7 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 		ins.ComputeLatency.ObserveSince(computeStart)
 	}
 	if sp != nil {
-		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.life, boolArg(err != nil))
+		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.Life(), boolArg(err != nil))
 	}
 	if err != nil {
 		e.met.at(w).computeErrors.Add(1)
@@ -450,18 +452,18 @@ func (e *FT) emitSpan(name string, start time.Time, dur time.Duration, key graph
 // and allocates nothing.
 func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 	if h := e.cfg.Hooks.OnComputed; h != nil {
-		h(t.key, t.life)
+		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.ComputeDone, t.key, t.life, 0)
-	t.status.Store(int32(Computed))
+	e.cfg.Trace.Emit(trace.ComputeDone, t.key, t.Life(), 0)
+	t.setStatus(Computed)
 	notified := 0
 	for {
 		t.mu.Lock()
 		total := len(t.notify)
 		if notified == total {
-			t.status.Store(int32(Completed))
+			t.setStatus(Completed)
 			t.mu.Unlock()
-			e.cfg.Trace.Emit(trace.Completed, t.key, t.life, int64(notified))
+			e.cfg.Trace.Emit(trace.Completed, t.key, t.Life(), int64(notified))
 			break
 		}
 		t.mu.Unlock()
@@ -470,7 +472,7 @@ func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 		}
 		notified = total
 	}
-	if e.plan.Fire(t.key, t.life, fault.AfterNotify) {
+	if e.plan.Fire(t.key, t.Life(), fault.AfterNotify) {
 		// Silent corruption: no exception here; the fault is
 		// observed (if at all) by later readers of the task's
 		// descriptor or output (§VI-B "after notify").
@@ -486,7 +488,7 @@ func (e *FT) catchComputeError(w *sched.Worker, t *Task, err error) {
 	if !errors.As(err, &fe) {
 		panic(fmt.Sprintf("core: task %d compute returned non-fault error: %v", t.key, err))
 	}
-	e.cfg.Trace.Emit(trace.ComputeFault, t.key, t.life, fe.Key)
+	e.cfg.Trace.Emit(trace.ComputeFault, t.key, t.Life(), fe.Key)
 	if fe.Key == t.key {
 		e.recoverTaskOnce(w, fe.Key, fe.Life)
 	} else {
@@ -515,11 +517,11 @@ func (e *FT) catchComputeError(w *sched.Worker, t *Task, err error) {
 // inject poisons the task descriptor (and, when withBlock is set, the output
 // block version the incarnation has written).
 func (e *FT) inject(w *sched.Worker, t *Task, withBlock bool) {
-	e.cfg.Trace.Emit(trace.Inject, t.key, t.life, boolArg(withBlock))
+	e.cfg.Trace.Emit(trace.Inject, t.key, t.Life(), boolArg(withBlock))
 	if e.cfg.Spans != nil {
-		e.emitSpan("inject", time.Now(), 0, t.key, t.life, boolArg(withBlock))
+		e.emitSpan("inject", time.Now(), 0, t.key, t.Life(), boolArg(withBlock))
 	}
-	t.poisoned.Store(true)
+	t.mark(poisoned)
 	if withBlock {
 		e.store.Corrupt(t.out.Block, t.out.Version)
 	}
@@ -574,9 +576,9 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 	for {
 		t := e.replaceTask(w, key)
 		if h := e.cfg.Hooks.OnRecover; h != nil {
-			h(key, t.life)
+			h(key, t.Life())
 		}
-		e.cfg.Trace.Emit(trace.RecoverStart, key, t.life, 0)
+		e.cfg.Trace.Emit(trace.RecoverStart, key, t.Life(), 0)
 		ins := e.cfg.Instruments
 		sp := e.cfg.Spans
 		var recStart time.Time
@@ -600,7 +602,7 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 			ins.RecoveryLatency.ObserveSince(recStart)
 		}
 		if sp != nil {
-			e.emitSpan("recover", recStart, time.Since(recStart), key, t.life, 0)
+			e.emitSpan("recover", recStart, time.Since(recStart), key, t.Life(), 0)
 		}
 		if err == nil {
 			return
@@ -609,7 +611,7 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 		if !errors.As(err, &fe) {
 			panic(fmt.Sprintf("core: unexpected non-fault error recovering task %d: %v", key, err))
 		}
-		if e.isRecovering(key, t.life) {
+		if e.isRecovering(key, t.Life()) {
 			return // another thread owns the newer recovery
 		}
 	}
@@ -622,10 +624,10 @@ func (e *FT) replaceTask(w *sched.Worker, key graph.Key) *Task {
 	e.tasks.Update(key, func(old *Task, ok bool) *Task {
 		life := 0
 		if ok {
-			life = old.life + 1
-			old.superseded.Store(true)
+			life = old.Life() + 1
+			old.mark(superseded)
 		}
-		nt = e.newTask(key, life, true)
+		nt = e.newTask(key, life)
 		return nt
 	})
 	e.met.at(w).recoveries.Add(1)
@@ -671,31 +673,29 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 	return err // rethrow: error in t (or unexpected)
 }
 
-// resetNode is RESETNODE (Guarantee 5): re-arm the join counter and bit
-// vector of the same incarnation and re-traverse its predecessors; the
-// traversal observes and recovers whichever predecessor failed. The join
-// counter is restored before the bits so that a stale concurrent
-// notification cannot decrement a counter that is about to be overwritten.
+// resetNode is RESETNODE (Guarantee 5): re-arm the bit vector of the same
+// incarnation — which is also its join counter — and re-traverse its
+// predecessors; the traversal observes and recovers whichever predecessor
+// failed.
 func (e *FT) resetNode(w *sched.Worker, t *Task) {
 	e.met.at(w).resets.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.Resets.Inc()
 	}
 	if h := e.cfg.Hooks.OnReset; h != nil {
-		h(t.key, t.life)
+		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.Reset, t.key, t.life, 0)
+	e.cfg.Trace.Emit(trace.Reset, t.key, t.Life(), 0)
 	err := func() error { // try
 		if err := t.check(); err != nil {
 			return err
 		}
-		t.join.Store(int32(1 + len(t.preds)))
 		t.bits.SetAll()
 		e.initAndCompute(w, t)
 		return nil
 	}()
 	if err != nil { // catch
-		e.recoverFromError(w, err, t.key, t.life)
+		e.recoverFromError(w, err, t.key, t.Life())
 	}
 }
 

@@ -43,7 +43,7 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 	g := graph.Diamond(nil)
 	e := NewFT(g, Config{})
 	t0, inserted := e.insertIfAbsent(3)
-	if !inserted || t0.Life() != 0 || t0.recovery {
+	if !inserted || t0.Life() != 0 {
 		t.Fatalf("initial insert: %+v", t0)
 	}
 	// Reinsertion returns the existing descriptor.
@@ -52,8 +52,8 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 		t.Fatal("second insert did not return the existing task")
 	}
 	t1 := e.replaceTask(nil, 3)
-	if t1.Life() != 1 || !t1.recovery {
-		t.Fatalf("first replacement: life=%d recovery=%v", t1.Life(), t1.recovery)
+	if t1.Life() != 1 {
+		t.Fatalf("first replacement: life=%d", t1.Life())
 	}
 	t2 := e.replaceTask(nil, 3)
 	if t2.Life() != 2 {
@@ -70,9 +70,9 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 	}
 	// The replaced incarnations are marked for the holders of their
 	// pointers; the newest is not.
-	if !t0.superseded.Load() || !t1.superseded.Load() || t2.superseded.Load() {
+	if !t0.has(superseded) || !t1.has(superseded) || t2.has(superseded) {
 		t.Fatalf("superseded flags: t0=%v t1=%v t2=%v, want true true false",
-			t0.superseded.Load(), t1.superseded.Load(), t2.superseded.Load())
+			t0.has(superseded), t1.has(superseded), t2.has(superseded))
 	}
 	// Replacing a never-inserted key starts at life 0.
 	fresh := e.replaceTask(nil, 1)
@@ -84,10 +84,7 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 func TestNewTaskShape(t *testing.T) {
 	g := graph.Diamond(nil)
 	e := NewFT(g, Config{})
-	task := e.newTask(3, 0, false) // task 3 has preds [1, 2]
-	if got := task.join.Load(); got != 3 {
-		t.Fatalf("join = %d, want 1+|preds| = 3", got)
-	}
+	task := e.newTask(3, 0) // task 3 has preds [1, 2]
 	if task.bits.Len() != 3 || task.bits.Count() != 3 {
 		t.Fatalf("bits len=%d count=%d, want 3/3", task.bits.Len(), task.bits.Count())
 	}
@@ -111,7 +108,7 @@ func TestNewTaskShape(t *testing.T) {
 
 func TestPredIndexPanicsOnStranger(t *testing.T) {
 	e := NewFT(graph.Diamond(nil), Config{})
-	task := e.newTask(3, 0, false)
+	task := e.newTask(3, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("predIndex of non-predecessor should panic")
@@ -122,11 +119,11 @@ func TestPredIndexPanicsOnStranger(t *testing.T) {
 
 func TestCheckPoisoned(t *testing.T) {
 	e := NewFT(graph.Diamond(nil), Config{})
-	task := e.newTask(0, 2, false)
+	task := e.newTask(0, 2)
 	if err := task.check(); err != nil {
 		t.Fatalf("clean task check: %v", err)
 	}
-	task.poisoned.Store(true)
+	task.mark(poisoned)
 	err := task.check()
 	if err == nil || !strings.Contains(err.Error(), "task 0") || !strings.Contains(err.Error(), "life 2") {
 		t.Fatalf("poisoned check: %v", err)

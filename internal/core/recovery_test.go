@@ -26,7 +26,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 	g := graph.Diamond(nil) // preds(3) = [1, 2]
 	e := NewFT(g, Config{})
 	withWorker(t, func(w *sched.Worker) {
-		pred := e.newTask(1, 1, true) // recovered incarnation of task 1
+		pred := e.newTask(1, 1) // recovered incarnation of task 1
 		succ, _ := e.insertIfAbsent(3)
 
 		// Visited successor with the bit for task 1 still set → enqueue.
@@ -48,7 +48,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 
 		// Computed successor → no enqueue regardless of bits.
 		succ.bits.SetAll()
-		succ.status.Store(int32(Computed))
+		succ.setStatus(Computed)
 		if err := e.reinitNotifyEntry(w, pred, succ); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 
 		// Poisoned successor → its recovery is initiated, no rethrow.
 		succ2, _ := e.insertIfAbsent(2)
-		succ2.poisoned.Store(true)
+		succ2.mark(poisoned)
 		if err := e.reinitNotifyEntry(w, pred, succ2); err != nil {
 			t.Fatalf("reinit of poisoned successor returned error: %v", err)
 		}
@@ -120,10 +120,11 @@ func TestRecoverTaskReconstructsNotifyArray(t *testing.T) {
 		t.Fatal("successor 1 was not notified by the recovered incarnation")
 	}
 	s2, _ := e.tasks.Load(2)
-	if got := s2.join.Load(); got != 2 {
-		// join started at 1+|preds| = 2; the cleared bit must have
-		// suppressed a second decrement.
-		t.Fatalf("successor 2 join = %d, want 2 (no double notification)", got)
+	if got := s2.bits.Count(); got != 1 {
+		// The bit of 0 was cleared before the recovery; its self bit is
+		// all that is left, and the recovered incarnation's notification
+		// must have found the bit of 0 cleared.
+		t.Fatalf("successor 2 has %d bits set, want 1 (no double notification)", got)
 	}
 }
 
@@ -134,7 +135,7 @@ func TestResetNodePoisonedSelf(t *testing.T) {
 	e := NewFT(g, Config{})
 	withWorker(t, func(w *sched.Worker) {
 		task, _ := e.insertIfAbsent(2)
-		task.poisoned.Store(true)
+		task.mark(poisoned)
 		e.resetNode(w, task)
 	})
 	cur, _ := e.tasks.Load(2)

@@ -66,18 +66,18 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 		if err := t.check(); err != nil {
 			return err
 		}
-		if e.plan.Fire(t.key, t.life, fault.BeforeCompute) {
+		if e.plan.Fire(t.key, t.Life(), fault.BeforeCompute) {
 			e.inject(w, t, false)
-			return fault.Errorf(t.key, t.life)
+			return fault.Errorf(t.key, t.Life())
 		}
 		if err := e.runCompute(w, t, rj); err != nil {
 			return err
 		}
-		if e.plan.Fire(t.key, t.life, fault.AfterCompute) {
+		if e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
 			e.inject(w, t, true)
-			return fault.Errorf(t.key, t.life)
+			return fault.Errorf(t.key, t.Life())
 		}
-		if e.plan.Fire(t.key, t.life, fault.SDC) {
+		if e.plan.Fire(t.key, t.Life(), fault.SDC) {
 			// CorruptSilently flips the stored payload and re-derives its
 			// checksum; the primary's digest becomes that of the corrupted
 			// data — exactly what a downstream consumer would read.
@@ -134,7 +134,7 @@ func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []pre
 	ctx := &shadowCtx{ftCtx: ftCtx{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
-		err = fault.Errorf(t.key, t.life)
+		err = fault.Errorf(t.key, t.Life())
 	}
 	var digest uint64
 	if err == nil {
@@ -171,7 +171,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 	if e.cfg.Spans != nil {
 		// The replica digest join, as a trace span: Arg 1 when the digests
 		// disagreed (an SDC was caught), 0 on agreement.
-		e.emitSpan("replica-join", time.Now(), 0, t.key, t.life,
+		e.emitSpan("replica-join", time.Now(), 0, t.key, t.Life(),
 			boolArg(rj.primaryDigest != rj.shadowDigest && !rj.shadowFailed.Load()))
 	}
 	err := func() error { // try
@@ -198,15 +198,15 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 			if ins != nil {
 				ins.SDCDetected.Inc()
 			}
-			e.cfg.Trace.Emit(trace.SDCDetect, t.key, t.life, rj.shadowWorker)
+			e.cfg.Trace.Emit(trace.SDCDetect, t.key, t.Life(), rj.shadowWorker)
 			// Invalidate the task and its output so any concurrent
 			// reader observes the failure, then hand the incarnation
 			// to recovery. Successors are un-notified at this point,
 			// so the downstream notify closure re-attaches to the
 			// fresh incarnation via the recovery scan.
-			t.poisoned.Store(true)
+			t.mark(poisoned)
 			e.store.Corrupt(t.out.Block, t.out.Version)
-			return fault.Errorf(t.key, t.life)
+			return fault.Errorf(t.key, t.Life())
 		}
 		e.finishAndNotify(w, t)
 		return nil
@@ -216,7 +216,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 	}
 	rj.inputs = nil
 	if err != nil { // catch
-		e.recoverFromError(w, err, t.key, t.life)
+		e.recoverFromError(w, err, t.key, t.Life())
 	}
 }
 
@@ -227,7 +227,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 // recomputed checksum and whether the version was still retained.
 func (e *FT) injectSDC(w *sched.Worker, t *Task) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
-	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.life, 0)
+	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.Life(), 0)
 	e.met.at(w).sdcInjected.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.SDCInjected.Inc()

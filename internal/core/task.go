@@ -43,7 +43,8 @@ func (s Status) String() string {
 // Task is the runtime descriptor of one incarnation of a task. A recovery
 // never mutates an existing descriptor back to health: it replaces the map
 // entry with a fresh incarnation carrying life+1 (paper REPLACETASK), so a
-// *Task pointer held by a stale thread keeps observing the failed state.
+// *Task pointer held by a stale thread keeps observing the failed state. It
+// is 144 bytes, a size class of its own (TestTaskSize); the baseline's is 120.
 type Task struct {
 	// node holds what is resolved once per task — key, predecessor list,
 	// output block version and slot — and the notify array. The task graph
@@ -52,56 +53,82 @@ type Task struct {
 	node[Task]
 
 	e    *FT
-	life int
+	life int32 // the incarnation: 0 for the original, > 0 for recoveries
 
-	// join is the number of outstanding notifications: one per
-	// predecessor plus one self-notification issued at the end of
-	// initAndCompute, so a task with all predecessors already Computed
-	// is still executed exactly once, by the self-notify.
-	join atomic.Int32
+	// state is the status (Visited, Computed, Completed) in its low bits and
+	// the poisoned, superseded and overwritten flags above them (statusMask
+	// and the flag constants below). The module is go1.22, which has no
+	// atomic.Or: the flags are set by compare-and-swap loops (mark).
+	state atomic.Uint32
 
-	status atomic.Int32
-
-	// bits has len(preds)+1 bits (the last is the self slot). Bit i is
-	// cleared at most once per round by the notification from
-	// predecessor i; the join counter is decremented only when the clear
-	// won the race (Guarantee 3).
+	// bits has len(preds)+1 bits (the last is the self slot, cleared by the
+	// self-notification issued at the end of initAndCompute, so a task with
+	// every predecessor already Computed is still executed exactly once).
+	// Bit i is cleared at most once per round by the notification from
+	// predecessor i (Guarantee 3), and the clear that empties the vector is
+	// the join: its caller executes the task.
 	bits bitvec.Vector
+}
 
+// statusMask is the bits of Task.state that hold the Status.
+const statusMask = 1<<2 - 1
+
+// The flags of Task.state, above the status.
+const (
 	// poisoned marks the descriptor as corrupted by a soft error; every
-	// subsequent access observes it via check (the paper's "once an
-	// error is detected, all subsequent accesses ... observe the error").
-	poisoned atomic.Bool
-
-	// overwritten marks that a data-block version this incarnation
-	// produced has been evicted by a later version; consumers that still
-	// need it must recover (re-execute) this task (paper §II/§IV).
-	overwritten atomic.Bool
+	// subsequent access observes it via check (the paper's "once an error
+	// is detected, all subsequent accesses ... observe the error").
+	poisoned uint32 = 1 << (2 + iota)
 
 	// superseded marks that replaceTask has installed a newer incarnation
 	// in the task table. Notify arrays hold descriptor pointers; a holder
 	// that wants the current incarnation — notifySuccessor — goes back to
 	// the table when it sees the flag.
-	superseded atomic.Bool
+	superseded
 
-	// recovery marks incarnations created by recoverTask (life > 0).
-	recovery bool
-}
+	// overwritten marks that a data-block version this incarnation produced
+	// has been evicted by a later version; consumers that still need it must
+	// recover (re-execute) this task (paper §II/§IV).
+	overwritten
+)
 
 // Key returns the task's key.
 func (t *Task) Key() graph.Key { return t.key }
 
 // Life returns the incarnation number (0 for the original execution).
-func (t *Task) Life() int { return t.life }
+func (t *Task) Life() int { return int(t.life) }
 
 // Status returns the current execution status.
-func (t *Task) Status() Status { return Status(t.status.Load()) }
+func (t *Task) Status() Status { return Status(t.state.Load() & statusMask) }
+
+// has reports whether flag is set.
+func (t *Task) has(flag uint32) bool { return t.state.Load()&flag != 0 }
+
+// setStatus replaces the status and keeps the flags.
+func (t *Task) setStatus(s Status) {
+	for {
+		old := t.state.Load()
+		if t.state.CompareAndSwap(old, old&^statusMask|uint32(s)) {
+			return
+		}
+	}
+}
+
+// mark sets flag and keeps the status and the other flags.
+func (t *Task) mark(flag uint32) {
+	for {
+		old := t.state.Load()
+		if old&flag != 0 || t.state.CompareAndSwap(old, old|flag) {
+			return
+		}
+	}
+}
 
 // check models the try-block around descriptor accesses: it returns a
 // *fault.Error for this incarnation if the descriptor is poisoned.
 func (t *Task) check() error {
-	if t.poisoned.Load() {
-		return fault.Errorf(t.key, t.life)
+	if t.has(poisoned) {
+		return fault.Errorf(t.key, t.Life())
 	}
 	return nil
 }

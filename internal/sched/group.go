@@ -22,13 +22,20 @@ import (
 // unaffected — and (b) the group reaches its own quiescence exactly when its
 // last function (and everything transitively spawned from it through the
 // group) has finished or been skipped.
+//
+// A grouped job is counted in the group's tally alone — one add where it is
+// spawned, one done where it ran, both on the worker's own pair — and the
+// group holds one job of the pool's tally while it has work: the hold is
+// taken by the Submit that finds the group idle and released, once nothing
+// of the group is outstanding, by the worker that leaves it (release). A
+// running job of the group implies the hold, so a spawn takes no lock.
 type Group struct {
 	pool *Pool
 
 	// tally counts the group's outstanding jobs (tally.go), one pair per
 	// worker of the pool and one for everyone else; nothing in the Group
 	// itself is written per job. A worker looks at it where it stops working
-	// for the group (Worker.leaveGroup) and broadcasts cond under mu.
+	// for the group (Worker.leaveGroup).
 	tally   tally
 	aborted atomic.Bool
 
@@ -40,8 +47,15 @@ type Group struct {
 	span    trace.SpanContext
 	spanJob int64
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	// mu guards held and the folded counts, and is the lock of cond, which
+	// Wait sleeps on until the hold is released. held is whether the group
+	// holds a job of the pool's tally; foldedJobs and foldedSpawns are the
+	// group's Stats.Jobs and Stats.Spawns already added to the pool's.
+	mu           sync.Mutex
+	cond         *sync.Cond
+	held         bool
+	foldedJobs   int64
+	foldedSpawns int64
 }
 
 // SetSpan attaches a distributed-trace context (and the owning job's ID)
@@ -62,10 +76,45 @@ func (p *Pool) NewGroup() *Group {
 // Pool returns the pool the group schedules onto.
 func (g *Group) Pool() *Pool { return g.pool }
 
-// Submit schedules f from outside the pool as part of this group.
+// Submit schedules f from outside the pool as part of this group. The first
+// Submit after the group was idle takes the group's hold on the pool.
 func (g *Group) Submit(f Func) {
+	g.mu.Lock()
+	if !g.held {
+		g.held = true
+		g.pool.tally.external().added.Add(1)
+	}
 	g.tally.external().added.Add(1)
+	g.mu.Unlock()
 	g.pool.submitJob(job{run: f, g: g})
+}
+
+// release is where a group that has gone idle gives its hold on the pool
+// back, after folding its counts into the pool's Stats, and wakes its
+// waiters. A worker calls it when its scan of the tally found nothing of the
+// group outstanding; under mu the scan is repeated, because a Submit may
+// have come in between, and with no Submit able to add while mu is held and
+// no job of the group running to spawn, a quiescent tally stays quiescent
+// until the hold is gone. The hold is counted done on the pool's external
+// pair, where it was added, so the workers' pairs keep counting jobs only.
+func (g *Group) release() {
+	g.mu.Lock()
+	if g.held && g.tally.quiescent() {
+		var jobs, spawns int64
+		for i := range g.tally {
+			jobs += g.tally[i].done.Load()
+		}
+		for i := range g.tally[:len(g.tally)-1] {
+			spawns += g.tally[i].added.Load()
+		}
+		g.pool.groupJobs.Add(jobs - g.foldedJobs)
+		g.pool.groupSpawns.Add(spawns - g.foldedSpawns)
+		g.foldedJobs, g.foldedSpawns = jobs, spawns
+		g.held = false
+		g.pool.tally.external().done.Add(1)
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
 }
 
 // Spawn schedules f from a job running on w as part of this group. Like
@@ -75,7 +124,6 @@ func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
 
 // SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner).
 func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
-	g.tally[w.id].added.Add(1)
 	w.spawnJob(job{run: r, arg: arg, g: g})
 }
 
@@ -89,7 +137,8 @@ func (g *Group) SpawnAvoiding(w *Worker, f Func) int {
 
 // Pending returns the group's outstanding job count (scheduled but not yet
 // finished or skipped). Mid-run it may count a job that finished during the
-// call; it is zero once Wait has returned from quiescence.
+// call; it is zero once Wait has returned from quiescence, and once Pool.Wait
+// has returned.
 func (g *Group) Pending() int64 { return g.tally.pending() }
 
 // Abort cancels the group cooperatively: functions of this group that have
@@ -107,13 +156,11 @@ func (g *Group) Abort() {
 func (g *Group) Aborted() bool { return g.aborted.Load() }
 
 // Wait blocks until every function submitted or spawned through the group
-// has finished, or until the group is aborted.
+// has finished and the group has released its hold on the pool, or until the
+// group is aborted.
 func (g *Group) Wait() {
-	if g.tally.quiescent() {
-		return
-	}
 	g.mu.Lock()
-	for !g.tally.quiescent() && !g.aborted.Load() {
+	for g.held && !g.aborted.Load() {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()

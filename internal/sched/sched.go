@@ -21,8 +21,11 @@
 //     wrapper closure, so the spawn→execute cycle performs zero heap
 //     allocations in steady state.
 //   - Outstanding jobs are counted in one {added, done} pair per worker
-//     (tally.go), for the pool and for each group, and quiescence is found by
-//     summing them: there is no counter that two workers write.
+//     (tally.go), and quiescence is found by summing them: there is no
+//     counter that two workers write. An ungrouped job is counted in the
+//     pool's tally, a grouped job in its group's only; the pool's tally holds
+//     one job for each group that has work (group.go), so the pool is idle
+//     only when every group is.
 //
 // The task-graph executors in internal/core express every traversal step
 // (TRYINITCOMPUTE, INITANDCOMPUTE, NOTIFYSUCCESSOR, …) as a spawned job: a
@@ -91,8 +94,8 @@ func (s Stats) String() string {
 // than plain fields owned by the worker goroutine) so that a long-lived pool
 // can be observed mid-run via StatsSnapshot without a data race; each worker
 // writes only its own cache line, so the hot-path cost is an uncontended
-// atomic add. Jobs and spawns are not here: they are the worker's pair of the
-// pool's tally.
+// atomic add. Jobs and spawns are not here: they are the worker's pairs of the
+// pool's and the groups' tallies.
 type counters struct {
 	steals       atomic.Int64
 	failedSteals atomic.Int64
@@ -156,9 +159,15 @@ func (w *Worker) Spawn(f Func) { w.SpawnRunner(f, 0) }
 // w' takes the job.
 func (w *Worker) SpawnRunner(r Runner, arg int) { w.spawnJob(job{run: r, arg: arg}) }
 
+// spawnJob counts j in the tally of its group, or the pool's if it has none,
+// on the spawning worker's pair, and pushes it.
 func (w *Worker) spawnJob(j job) {
 	p := w.pool
-	p.tally[w.id].added.Add(1)
+	if j.g != nil {
+		j.g.tally[w.id].added.Add(1)
+	} else {
+		p.tally[w.id].added.Add(1)
+	}
 	s := w.newSlot()
 	*s = j
 	w.dq.PushBottom(s)
@@ -199,12 +208,17 @@ type Pool struct {
 	workers []*Worker
 	wg      sync.WaitGroup
 
-	// tally counts the pool's outstanding jobs (tally.go); its workers'
-	// pairs are also Stats.Spawns and Stats.Jobs. A worker that finds no
-	// work looks at it and, if nothing is outstanding, broadcasts
+	// tally counts the pool's outstanding jobs (tally.go): its ungrouped
+	// jobs and one hold per group with work (group.go). Its workers' pairs
+	// are the ungrouped part of Stats.Spawns and Stats.Jobs; groupSpawns
+	// and groupJobs are the rest, folded in from each group when it
+	// releases its hold — once per group, not per job. A worker that finds
+	// no work looks at the tally and, if nothing is outstanding, broadcasts
 	// quiesceCond under quiesceMu; Wait evaluates the same predicate under
 	// the same lock before it sleeps.
 	tally       tally
+	groupSpawns atomic.Int64
+	groupJobs   atomic.Int64
 	quiesceMu   sync.Mutex
 	quiesceCond *sync.Cond
 
@@ -276,8 +290,12 @@ func (p *Pool) Size() int { return len(p.workers) }
 // traversal). Jobs submitted here are picked up by idle workers.
 func (p *Pool) Submit(f Func) { p.submitJob(job{run: f}) }
 
+// submitJob counts an ungrouped job in the pool's tally — a grouped one is
+// counted by Group.Submit — and injects it.
 func (p *Pool) submitJob(j job) {
-	p.tally.external().added.Add(1)
+	if j.g == nil {
+		p.tally.external().added.Add(1)
+	}
 	p.injectJob(j)
 	p.wakeOne()
 }
@@ -333,7 +351,9 @@ func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{run: f}) }
 
 func (p *Pool) submitToJob(id int, j job) {
 	w := p.workers[id]
-	p.tally.external().added.Add(1)
+	if j.g == nil {
+		p.tally.external().added.Add(1)
+	}
 	w.dirMu.Lock()
 	w.dir = append(w.dir, j)
 	w.dirLen.Store(int64(len(w.dir)))
@@ -444,9 +464,11 @@ func (p *Pool) Close() Stats {
 
 // StatsSnapshot aggregates the workers' counters without stopping the pool.
 // Safe to call concurrently with running work; used by long-lived pools
-// (service observability endpoints) where Close is not an option.
+// (service observability endpoints) where Close is not an option. A group's
+// jobs and spawns are in it from the moment the group goes idle — before its
+// Wait returns — and not before.
 func (p *Pool) StatsSnapshot() Stats {
-	var s Stats
+	s := Stats{Jobs: p.groupJobs.Load(), Spawns: p.groupSpawns.Load()}
 	for i, w := range p.workers {
 		s.Jobs += p.tally[i].done.Load()
 		s.Spawns += p.tally[i].added.Load()
@@ -497,10 +519,11 @@ func (w *Worker) run() {
 
 // leaveGroup runs where the worker stops working for the group of its last
 // job: the job it takes next belongs to another group or to none, or there is
-// no job. If nothing of the group is outstanding it wakes the group's
-// waiters. Whichever worker counts a group's last job done comes through here
-// afterwards and then sees every other count, so scanning nowhere else loses
-// no wake-up — and scanning here does not wait for the pool to go idle.
+// no job. If nothing of the group is outstanding it releases the group's hold
+// on the pool and wakes the group's waiters (Group.release). Whichever worker
+// counts a group's last job done comes through here afterwards and then sees
+// every other count, so scanning nowhere else loses no release — and scanning
+// here does not wait for the pool to go idle.
 func (w *Worker) leaveGroup() {
 	g := w.cur
 	if g == nil {
@@ -508,9 +531,7 @@ func (w *Worker) leaveGroup() {
 	}
 	w.cur = nil
 	if g.tally.quiescent() {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
+		g.release()
 	}
 }
 
@@ -579,10 +600,8 @@ func (w *Worker) exec(j job) {
 // invoke applies the group contract around the job body: an aborted group's
 // queued work becomes a no-op instead of being discarded (it is still counted
 // done, so the pool drains normally), and the group reaches quiescence
-// exactly when its last job has finished or been skipped. The job leaves the
-// pool's count, which is also Stats.Jobs, before it leaves its group's: a
-// waiter released by the group's quiescence reads a StatsSnapshot that
-// includes it.
+// exactly when its last job has finished or been skipped. The job is counted
+// done where it was counted added: in its group's tally, or the pool's.
 func (w *Worker) invoke(j job) {
 	if j.g == nil {
 		j.run.Run(w, j.arg)
@@ -592,13 +611,12 @@ func (w *Worker) invoke(j job) {
 	if !j.g.aborted.Load() {
 		j.run.Run(w, j.arg)
 	}
-	w.pool.tally[w.id].done.Add(1)
 	j.g.tally[w.id].done.Add(1)
 }
 
-// findWork tries this worker's own injector shard, then a round of random
-// steal attempts against the other workers' deques, then the remaining
-// shards and the overflow queue.
+// findWork tries this worker's own injector shard, then one steal attempt on
+// each other worker's deque from a random start, then the remaining shards
+// and the overflow queue.
 func (w *Worker) findWork() (job, bool) {
 	p := w.pool
 	o := p.obs.Load()
@@ -616,10 +634,14 @@ func (w *Worker) findWork() (job, bool) {
 		searchStart = time.Now()
 	}
 	if n > 1 {
-		// One randomized pass over the other workers per call; the
-		// caller's park loop provides repetition.
-		for attempts := 0; attempts < n; attempts++ {
-			victim := p.workers[w.nextRand()%uint64(n)]
+		// One pass over every other worker per call, starting at a random
+		// one; the caller's park loop provides repetition. Every worker, not
+		// n random draws: a thief that parks is not woken again for work
+		// already queued, so a pass that skips the one busy deque strands
+		// its work until the owner gets back to it.
+		start := int(w.nextRand() % uint64(n))
+		for k := 0; k < n; k++ {
+			victim := p.workers[(start+k)%n]
 			if victim == w {
 				continue
 			}

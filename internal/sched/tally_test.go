@@ -110,6 +110,122 @@ func TestTallyNoFalseQuiescence(t *testing.T) {
 	}
 }
 
+// TestGroupHoldNoFalseQuiescence drives the groups' holds on a live pool:
+// outside goroutines, one per group, submit a chain of grouped jobs (each
+// spawns the next before it is counted done), and as soon as the chain's last
+// job has run they submit the next — half the time after Wait, half the time
+// without waiting for the release, so that the Submit races the worker that
+// is releasing the hold. Scanners look at the pool's tally without pause. The
+// ground truth is each group's round: odd from before the chain's root can
+// run (it waits for the round to be raised) until its last job's body ends,
+// and all that time one job of the chain is outstanding. A scan that lies
+// wholly inside an odd round of some group must not find the pool quiescent;
+// Wait must not return inside one; and Stats must count every chain's jobs
+// once, the holds not at all.
+func TestGroupHoldNoFalseQuiescence(t *testing.T) {
+	const submitters, scanners, rounds, chain = 3, 2, 200, 20
+	pool := NewPool(4)
+	round := make([]atomic.Int64, submitters)
+
+	var link func(g *Group, r *atomic.Int64, left int) Func
+	link = func(g *Group, r *atomic.Int64, left int) Func {
+		return func(w *Worker) {
+			if left == 0 {
+				r.Add(1) // even: the chain's last job is about to be counted done
+				return
+			}
+			g.Spawn(w, link(g, r, left-1))
+		}
+	}
+
+	stop := make(chan struct{})
+	var scans, violations atomic.Int64
+	var scanWG sync.WaitGroup
+	for i := 0; i < scanners; i++ {
+		scanWG.Add(1)
+		go func() {
+			defer scanWG.Done()
+			var r1 [submitters]int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range round {
+					r1[i] = round[i].Load()
+				}
+				q := pool.tally.quiescent()
+				for i := range round {
+					if r2 := round[i].Load(); q && r1[i] == r2 && r2%2 == 1 {
+						violations.Add(1)
+					}
+				}
+				scans.Add(1)
+			}
+		}()
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(r *atomic.Int64) {
+			defer wg.Done()
+			g := pool.NewGroup()
+			for k := 0; k < rounds; k++ {
+				gate := make(chan struct{})
+				next := link(g, r, chain-1)
+				g.Submit(func(w *Worker) {
+					<-gate
+					next(w)
+				})
+				r.Add(1) // odd: the root is counted and cannot finish before the gate opens
+				close(gate)
+				if k%2 == 0 {
+					g.Wait()
+					if r.Load()%2 == 1 {
+						t.Errorf("round %d: Wait returned while the chain was running", k)
+						return
+					}
+					continue
+				}
+				for r.Load()%2 == 1 {
+					runtime.Gosched()
+				}
+			}
+			g.Wait()
+		}(&round[i])
+	}
+	wg.Wait()
+	pool.Wait()
+	close(stop)
+	scanWG.Wait()
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("the pool's tally was quiescent %d times (of %d scans) while a grouped job was outstanding", v, scans.Load())
+	}
+
+	// The race above that is hardest to hit, made to happen: a worker's scan
+	// found the group idle, and a Submit came in before it took the lock.
+	// The release must look again and keep the hold.
+	g := pool.NewGroup()
+	gate := make(chan struct{})
+	g.Submit(func(*Worker) { <-gate })
+	g.release()
+	g.mu.Lock()
+	held := g.held
+	g.mu.Unlock()
+	if !held || pool.tally.quiescent() {
+		t.Fatalf("a release with a job of the group outstanding gave the hold back (held %v)", held)
+	}
+	close(gate)
+	g.Wait()
+	s := pool.Close()
+	jobs, spawns := int64(submitters*rounds*chain+1), int64(submitters*rounds*(chain-1))
+	if s.Jobs != jobs || s.Spawns != spawns {
+		t.Fatalf("Jobs = %d, Spawns = %d, want %d and %d", s.Jobs, s.Spawns, jobs, spawns)
+	}
+}
+
 // TestGroupQuiescesWhileWorkerContinues: group A's last job finishes on a
 // worker that goes straight on to group B's long-running job. A's waiter must
 // be released then — by the scan where the worker leaves A — and not when the
@@ -301,10 +417,12 @@ func TestWorkerLayout(t *testing.T) {
 }
 
 // TestStatsAreThePairs: Stats.Jobs and Stats.Spawns keep their meaning now
-// that they are read off the pool's tally — Jobs is every job executed,
-// Spawns the jobs pushed by running jobs, with the root Submit and the
-// directed placements (SubmitTo, SpawnAvoiding) left out — and a group's pairs
-// mirror the pool's when it is the only thing that ran.
+// that they are read off the tallies — Jobs is every job executed, Spawns the
+// jobs pushed by running jobs, with the root Submit and the directed
+// placements (SubmitTo, SpawnAvoiding) left out. A grouped job is counted in
+// the group's pairs alone, the pool's see the group's one hold on the
+// external pair, and the group's counts reach Stats when it releases the
+// hold, before its Wait returns.
 func TestStatsAreThePairs(t *testing.T) {
 	pool := NewPool(1)
 	g := pool.NewGroup()
@@ -317,13 +435,20 @@ func TestStatsAreThePairs(t *testing.T) {
 		g.SpawnAvoiding(w, func(*Worker) {})
 	})
 	g.Wait()
-	for _, tl := range []tally{pool.tally, g.tally} {
-		if a, d := tl[0].added.Load(), tl[0].done.Load(); a != 20 || d != 22 {
-			t.Fatalf("worker pair: added %d done %d, want 20 and 22", a, d)
-		}
-		if a, d := tl.external().added.Load(), tl.external().done.Load(); a != 2 || d != 0 {
-			t.Fatalf("external pair: added %d done %d, want 2 (Submit, SpawnAvoiding) and 0", a, d)
-		}
+	if a, d := g.tally[0].added.Load(), g.tally[0].done.Load(); a != 20 || d != 22 {
+		t.Fatalf("group's worker pair: added %d done %d, want 20 and 22", a, d)
+	}
+	if a, d := g.tally.external().added.Load(), g.tally.external().done.Load(); a != 2 || d != 0 {
+		t.Fatalf("group's external pair: added %d done %d, want 2 (Submit, SpawnAvoiding) and 0", a, d)
+	}
+	if a, d := pool.tally[0].added.Load(), pool.tally[0].done.Load(); a != 0 || d != 0 {
+		t.Fatalf("pool's worker pair: added %d done %d, want 0 and 0", a, d)
+	}
+	if a, d := pool.tally.external().added.Load(), pool.tally.external().done.Load(); a != 1 || d != 1 {
+		t.Fatalf("pool's external pair: added %d done %d, want the group's hold, taken and released", a, d)
+	}
+	if s := pool.StatsSnapshot(); s.Jobs != 22 || s.Spawns != 20 {
+		t.Fatalf("after the group's Wait: Jobs = %d, Spawns = %d, want 22 and 20", s.Jobs, s.Spawns)
 	}
 	pool.Submit(func(w *Worker) { w.Spawn(func(*Worker) {}) })
 	pool.SubmitTo(0, func(*Worker) {})
