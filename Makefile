@@ -4,7 +4,7 @@
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task, no threshold)
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), then the apps' kernels (ns/tile); no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -27,10 +27,12 @@ benchbuild:
 	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
-# at two Ps over one P, FT and baseline — must keep printing. No threshold:
-# timing gates do not survive this host.
+# at two Ps over one P, FT and baseline — must keep printing, and so must
+# what bounds the apps: ns/tile of each kernel beside the textbook loop it
+# replaced. No threshold: timing gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
+	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
 
 test:
 	$(GO) test ./...

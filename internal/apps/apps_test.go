@@ -14,6 +14,7 @@ import (
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/journal"
 )
 
 const testTimeout = 60 * time.Second
@@ -83,6 +84,18 @@ func TestSequentialMatchesReference(t *testing.T) {
 	}
 }
 
+// sequentialDigest is the journal.Digest of a's sink computed by the
+// sequential executor: a parallel run must reproduce it bit for bit, not
+// merely within VerifySink's tolerance.
+func sequentialDigest(t *testing.T, a apps.App) string {
+	t.Helper()
+	res, err := core.NewSequential(a.Spec(), a.Retention()).Run()
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	return journal.Digest(res.Sink)
+}
+
 // TestFTFaultFreeMatchesReference runs each app under the FT executor with
 // several worker counts.
 func TestFTFaultFreeMatchesReference(t *testing.T) {
@@ -100,6 +113,9 @@ func TestFTFaultFreeMatchesReference(t *testing.T) {
 				}
 				if err := a.VerifySink(res.Sink); err != nil {
 					t.Fatal(err)
+				}
+				if got, want := journal.Digest(res.Sink), sequentialDigest(t, a); got != want {
+					t.Fatalf("FT sink digest = %s, sequential %s", got, want)
 				}
 				if res.Metrics.Recoveries != 0 {
 					t.Fatalf("fault-free run performed %d recoveries", res.Metrics.Recoveries)
@@ -124,6 +140,9 @@ func TestBaselineMatchesReference(t *testing.T) {
 			}
 			if err := a.VerifySink(res.Sink); err != nil {
 				t.Fatal(err)
+			}
+			if got, want := journal.Digest(res.Sink), sequentialDigest(t, a); got != want {
+				t.Fatalf("baseline sink digest = %s, sequential %s", got, want)
 			}
 		})
 	}

@@ -134,31 +134,28 @@ func (a *Chol) Output(key graph.Key) block.Ref {
 	return block.Ref{Block: block.ID(i*a.nb + j), Version: k + 1}
 }
 
-func (a *Chol) inputTile(i, j int) []float64 {
+// inputTile copies tile (i,j) of the input matrix into t.
+func (a *Chol) inputTile(t []float64, i, j int) {
 	b := a.b
-	t := make([]float64, b*b)
 	for r := 0; r < b; r++ {
-		copy(t[r*b:(r+1)*b], a.a[(i*b+r)*a.n+j*b:(i*b+r)*a.n+j*b+b])
+		copy(t[r*b:(r+1)*b], a.a[(i*b+r)*a.n+j*b:])
 	}
-	return t
 }
 
 // Compute performs the stage-k kernel on tile (i,j).
 func (a *Chol) Compute(ctx graph.Context, key graph.Key) error {
 	b := a.b
 	k, i, j := a.coords(key)
-	var prev []float64
+	c := block.Alloc(b * b)
 	if k == 0 {
-		prev = a.inputTile(i, j)
+		a.inputTile(c, i, j)
 	} else {
-		p, err := ctx.ReadPred(a.task(k-1, i, j))
+		prev, err := ctx.ReadPred(a.task(k-1, i, j))
 		if err != nil {
 			return err
 		}
-		prev = p
+		copy(c, prev)
 	}
-	c := block.Alloc(b * b)
-	copy(c, prev)
 
 	switch {
 	case i == k && j == k:
@@ -225,15 +222,50 @@ func trsmRightT(c, d []float64, b int) {
 	}
 }
 
-// gemmSubT computes C -= L·Rᵀ.
+// gemmSubT computes C -= L·Rᵀ. Each element starts from its value in c and
+// subtracts its products l[row][p]·r[col][p] in ascending p, as the textbook
+// dot-product loop does, so the result is bit-identical to it (no FMA is
+// fused at GOAMD64=v1). That loop is one dependent chain of subtractions per
+// element; the bulk runs a 2×2 register block instead, four independent
+// chains whose accumulators stay in registers across the p loop, fed by two
+// elements of l and two of r per p. (A 2×4 block spills: measured slower.) An
+// odd b takes the plain loop.
 func gemmSubT(c, l, r []float64, b int) {
-	for row := 0; row < b; row++ {
-		for col := 0; col < b; col++ {
-			s := c[row*b+col]
-			for p := 0; p < b; p++ {
-				s -= l[row*b+p] * r[col*b+p]
+	if b%2 != 0 {
+		for row := 0; row < b; row++ {
+			for col := 0; col < b; col++ {
+				s := c[row*b+col]
+				for p := 0; p < b; p++ {
+					s -= l[row*b+p] * r[col*b+p]
+				}
+				c[row*b+col] = s
 			}
-			c[row*b+col] = s
+		}
+		return
+	}
+	for row := 0; row < b; row += 2 {
+		l0 := l[row*b : row*b+b]
+		l1 := l[row*b+b : row*b+2*b]
+		l1 = l1[:len(l0)] // equal lengths: no bounds checks in the p loop
+		c0 := c[row*b : row*b+b]
+		c1 := c[row*b+b : row*b+2*b]
+		for col := 0; col < b; col += 2 {
+			r0 := r[col*b : col*b+b]
+			r1 := r[col*b+b : col*b+2*b]
+			r0, r1 = r0[:len(l0)], r1[:len(l0)]
+			x0, x1 := c0[col:col+2:col+2], c1[col:col+2:col+2]
+			s00, s01 := x0[0], x0[1]
+			s10, s11 := x1[0], x1[1]
+			for p, a0 := range l0 {
+				a1 := l1[p]
+				y0, y1 := r0[p], r1[p]
+				s00 -= a0 * y0
+				s01 -= a0 * y1
+				s10 -= a1 * y0
+				s11 -= a1 * y1
+			}
+			x0[0], x0[1] = s00, s01
+			x1[0], x1[1] = s10, s11
 		}
 	}
 }

@@ -79,26 +79,6 @@ func TestTrsmRightT(t *testing.T) {
 	}
 }
 
-func TestGemmSubT(t *testing.T) {
-	const b = 5
-	c0 := randTile(b, 4)
-	l := randTile(b, 5)
-	r2 := randTile(b, 6)
-	c := append([]float64(nil), c0...)
-	gemmSubT(c, l, r2, b)
-	for row := 0; row < b; row++ {
-		for col := 0; col < b; col++ {
-			s := c0[row*b+col]
-			for p := 0; p < b; p++ {
-				s -= l[row*b+p] * r2[col*b+p]
-			}
-			if math.Abs(s-c[row*b+col]) > 1e-9 {
-				t.Fatalf("gemmSubT[%d][%d] = %v, want %v", row, col, c[row*b+col], s)
-			}
-		}
-	}
-}
-
 // TestBlockedMatchesUnblocked compares every final lower tile against the
 // unblocked factor.
 func TestBlockedMatchesUnblocked(t *testing.T) {

@@ -227,14 +227,12 @@ func (a *FW) Output(key graph.Key) block.Ref {
 	return block.Ref{Block: block.ID(i*nb + j), Version: k + 1}
 }
 
-// inputTile copies tile (i,j) of the input matrix.
-func (a *FW) inputTile(i, j int) []float64 {
+// inputTile copies tile (i,j) of the input matrix into t.
+func (a *FW) inputTile(t []float64, i, j int) {
 	b := a.b
-	t := make([]float64, b*b)
 	for r := 0; r < b; r++ {
-		copy(t[r*b:(r+1)*b], a.dist[(i*b+r)*a.n+j*b:(i*b+r)*a.n+j*b+b])
+		copy(t[r*b:(r+1)*b], a.dist[(i*b+r)*a.n+j*b:])
 	}
-	return t
 }
 
 // Compute performs the stage-k min-plus update of tile (i,j) (or a
@@ -270,18 +268,16 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 	}
 
 	k, i, j := a.coords(key)
-	var prev []float64
+	c := block.Alloc(b * b)
 	if k == 0 {
-		prev = a.inputTile(i, j)
+		a.inputTile(c, i, j)
 	} else {
-		p, err := ctx.ReadPred(a.task(k-1, i, j))
+		prev, err := ctx.ReadPred(a.task(k-1, i, j))
 		if err != nil {
 			return err
 		}
-		prev = p
+		copy(c, prev)
 	}
-	c := block.Alloc(b * b)
-	copy(c, prev)
 
 	switch {
 	case i == k && j == k:
@@ -340,6 +336,21 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		if err != nil {
 			return err
 		}
+		minPlus(c, av, bv, b)
+	}
+	ctx.Write(c)
+	return nil
+}
+
+// minPlus computes C = min(C, A ⊗ B), the min-plus product of the interior
+// phase: c[r][q] = min(c[r][q], min over p of a[r][p] + b[p][q]). Each sum is
+// rounded as in the textbook loop and min is exact, so the order of the p
+// loop does not change a bit of the result. The bulk runs a 2×4 register
+// block: eight running minima stay in registers across the p loop, fed by two
+// elements of A and four of B per p. A b that is not a multiple of 4 takes the
+// plain loop.
+func minPlus(c, av, bv []float64, b int) {
+	if b%4 != 0 {
 		for p := 0; p < b; p++ {
 			for r := 0; r < b; r++ {
 				arp := av[r*b+p]
@@ -350,9 +361,50 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 				}
 			}
 		}
+		return
 	}
-	ctx.Write(c)
-	return nil
+	for r := 0; r < b; r += 2 {
+		a0s := av[r*b : r*b+b]
+		a1s := av[r*b+b : r*b+2*b]
+		a1s = a1s[:len(a0s)] // equal lengths: no bounds check on a1s[p]
+		c0 := c[r*b : r*b+b]
+		c1 := c[r*b+b : r*b+2*b]
+		for q := 0; q < b; q += 4 {
+			x0, x1 := c0[q:q+4:q+4], c1[q:q+4:q+4]
+			s00, s01, s02, s03 := x0[0], x0[1], x0[2], x0[3]
+			s10, s11, s12, s13 := x1[0], x1[1], x1[2], x1[3]
+			for p, a0 := range a0s {
+				a1 := a1s[p]
+				y := bv[p*b+q : p*b+q+4 : p*b+q+4]
+				if v := a0 + y[0]; v < s00 {
+					s00 = v
+				}
+				if v := a0 + y[1]; v < s01 {
+					s01 = v
+				}
+				if v := a0 + y[2]; v < s02 {
+					s02 = v
+				}
+				if v := a0 + y[3]; v < s03 {
+					s03 = v
+				}
+				if v := a1 + y[0]; v < s10 {
+					s10 = v
+				}
+				if v := a1 + y[1]; v < s11 {
+					s11 = v
+				}
+				if v := a1 + y[2]; v < s12 {
+					s12 = v
+				}
+				if v := a1 + y[3]; v < s13 {
+					s13 = v
+				}
+			}
+			x0[0], x0[1], x0[2], x0[3] = s00, s01, s02, s03
+			x1[0], x1[1], x1[2], x1[3] = s10, s11, s12, s13
+		}
+	}
 }
 
 // Reference computes the digest (sum of all shortest-path distances) with

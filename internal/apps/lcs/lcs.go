@@ -134,42 +134,37 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 		corner = t[b*b-1]
 	}
 	tile := block.Alloc(b * b)
-	for r := 0; r < b; r++ {
-		gi := bi*b + r
-		for c := 0; c < b; c++ {
-			gj := bj*b + c
-			var up, lf, dg float64
-			if r == 0 {
-				up = top[c]
-			} else {
-				up = tile[(r-1)*b+c]
-			}
-			if c == 0 {
-				lf = left[r]
-			} else {
-				lf = tile[r*b+c-1]
-			}
-			switch {
-			case r == 0 && c == 0:
-				dg = corner
-			case r == 0:
-				dg = top[c-1]
-			case c == 0:
-				dg = left[r-1]
-			default:
-				dg = tile[(r-1)*b+c-1]
-			}
-			if a.x[gi] == a.y[gj] {
-				tile[r*b+c] = dg + 1
-			} else if up > lf {
-				tile[r*b+c] = up
-			} else {
-				tile[r*b+c] = lf
-			}
-		}
-	}
+	fill(tile, top, left, corner, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
 	ctx.Write(tile)
 	return nil
+}
+
+// fill computes a tile's cells from its boundary: top is the row above the
+// tile, left the column to its left, corner the cell above-left of both, and
+// xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
+// row the cell to the left and the diagonal one are the values just computed
+// and just read, so they are carried in locals; the row above is top for the
+// first row and the tile's previous row after it.
+func fill(tile, top, left []float64, corner float64, xs, ys []byte) {
+	b := len(ys)
+	up, dg0 := top, corner
+	for r, x := range xs {
+		row := tile[r*b : r*b+b]
+		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
+		dg, lf := dg0, left[r]
+		for c, y := range ys {
+			u := up[c]
+			v := lf
+			if x == y {
+				v = dg + 1
+			} else if u > lf {
+				v = u
+			}
+			row[c] = v
+			dg, lf = u, v
+		}
+		up, dg0 = row, left[r]
+	}
 }
 
 // Reference computes the LCS length with the plain O(N²) recurrence.

@@ -112,26 +112,6 @@ func TestTrsmLeft(t *testing.T) {
 	}
 }
 
-func TestGemmSub(t *testing.T) {
-	const b = 5
-	c0 := randTile(b, 6)
-	l := randTile(b, 7)
-	u := randTile(b, 8)
-	c := append([]float64(nil), c0...)
-	gemmSub(c, l, u, b)
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := c0[r*b+q]
-			for p := 0; p < b; p++ {
-				s -= l[r*b+p] * u[p*b+q]
-			}
-			if math.Abs(s-c[r*b+q]) > 1e-9 {
-				t.Fatalf("gemmSub[%d][%d] = %v, want %v", r, q, c[r*b+q], s)
-			}
-		}
-	}
-}
-
 // TestBlockedMatchesUnblocked runs the task graph sequentially by hand (in
 // topological order through the spec) and compares every final tile to the
 // unblocked factorisation.

@@ -1,0 +1,111 @@
+package sw
+
+import (
+	"math"
+	"testing"
+)
+
+// fillNaive is the textbook per-cell loop fill replaced, kept as its oracle:
+// every cell picks its up, left and diagonal neighbours through a switch on
+// whether it sits in the tile's first row or column.
+func fillNaive(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	b := len(ys)
+	for r := 0; r < b; r++ {
+		for c := 0; c < b; c++ {
+			var up, lf, dg float64
+			if r == 0 {
+				up = top[c]
+			} else {
+				up = tile[(r-1)*b+c]
+			}
+			if c == 0 {
+				lf = left[r]
+			} else {
+				lf = tile[r*b+c-1]
+			}
+			switch {
+			case r == 0 && c == 0:
+				dg = corner
+			case r == 0:
+				dg = top[c-1]
+			case c == 0:
+				dg = left[r-1]
+			default:
+				dg = tile[(r-1)*b+c-1]
+			}
+			s := mismatch
+			if xs[r] == ys[c] {
+				s = match
+			}
+			v := dg + s
+			if up-gap > v {
+				v = up - gap
+			}
+			if lf-gap > v {
+				v = lf - gap
+			}
+			if v < 0 {
+				v = 0
+			}
+			tile[r*b+c] = v
+			if v > runMax {
+				runMax = v
+			}
+		}
+	}
+	return runMax
+}
+
+// kernelSizes are the tile sizes the oracle test covers.
+var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32}
+
+// boundary returns a tile's random boundary: a row above, a column to the
+// left, a corner, and the symbols of its rows and columns.
+func boundary(b int, seed int64) (top, left []float64, corner float64, xs, ys []byte) {
+	xs, ys = randomSeq(b, seed), randomSeq(b, seed+1)
+	s := randomSeq(2*b+1, seed+2)
+	top, left = make([]float64, b), make([]float64, b)
+	for i := range top {
+		top[i], left[i] = 2*float64(s[i]), 2*float64(s[b+i])
+	}
+	return top, left, float64(s[2*b]), xs, ys
+}
+
+// TestFillMatchesOracle: the row-carried kernel reproduces the per-cell loop
+// bit for bit, cells and running maximum, on random boundaries and sequences
+// of every size.
+func TestFillMatchesOracle(t *testing.T) {
+	for _, b := range kernelSizes {
+		for seed := int64(1); seed <= 8; seed++ {
+			top, left, corner, xs, ys := boundary(b, 3*seed)
+			runMax := float64(seed)
+			got, want := make([]float64, b*b+1), make([]float64, b*b+1)
+			got[b*b] = fill(got[:b*b], top, left, corner, runMax, xs, ys)
+			want[b*b] = fillNaive(want[:b*b], top, left, corner, runMax, xs, ys)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("b=%d seed=%d: fill[%d] = %v, per-cell loop %v", b, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernels prices one 32×32 tile, row-carried and with the per-cell
+// loop it replaced.
+func BenchmarkKernels(b *testing.B) {
+	const n = 32
+	top, left, corner, xs, ys := boundary(n, 1)
+	tile := make([]float64, n*n)
+	for _, k := range []struct {
+		name string
+		f    func(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64
+	}{{"fill/blocked", fill}, {"fill/naive", fillNaive}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.f(tile, top, left, corner, 0, xs, ys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
+		})
+	}
+}

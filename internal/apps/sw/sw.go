@@ -179,38 +179,34 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 		}
 	}
 	tile := block.Alloc(b*b + 1)
-	for r := 0; r < b; r++ {
-		gi := bi*b + r
-		for c := 0; c < b; c++ {
-			gj := bj*b + c
-			var up, lf, dg float64
-			if r == 0 {
-				up = top[c]
-			} else {
-				up = tile[(r-1)*b+c]
-			}
-			if c == 0 {
-				lf = left[r]
-			} else {
-				lf = tile[r*b+c-1]
-			}
-			switch {
-			case r == 0 && c == 0:
-				dg = corner
-			case r == 0:
-				dg = top[c-1]
-			case c == 0:
-				dg = left[r-1]
-			default:
-				dg = tile[(r-1)*b+c-1]
-			}
+	tile[b*b] = fill(tile[:b*b], top, left, corner, runMax, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	ctx.Write(tile)
+	return nil
+}
+
+// fill computes a tile's b×b score cells from its boundary and returns the
+// running maximum, runMax raised by every cell: top is the row above the
+// tile, left the column to its left, corner the cell above-left of both, and
+// xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
+// row the cell to the left and the diagonal one are the values just computed
+// and just read, so they are carried in locals; the row above is top for the
+// first row and the tile's previous row after it.
+func fill(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	b := len(ys)
+	up, dg0 := top, corner
+	for r, x := range xs {
+		row := tile[r*b : r*b+b]
+		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
+		dg, lf := dg0, left[r]
+		for c, y := range ys {
+			u := up[c]
 			s := mismatch
-			if a.x[gi] == a.y[gj] {
+			if x == y {
 				s = match
 			}
 			v := dg + s
-			if up-gap > v {
-				v = up - gap
+			if u-gap > v {
+				v = u - gap
 			}
 			if lf-gap > v {
 				v = lf - gap
@@ -218,15 +214,15 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 			if v < 0 {
 				v = 0
 			}
-			tile[r*b+c] = v
+			row[c] = v
 			if v > runMax {
 				runMax = v
 			}
+			dg, lf = u, v
 		}
+		up, dg0 = row, left[r]
 	}
-	tile[b*b] = runMax
-	ctx.Write(tile)
-	return nil
+	return runMax
 }
 
 // Reference computes the maximum local alignment score with the plain O(N²)
