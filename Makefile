@@ -4,7 +4,7 @@
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), then the apps' kernels (ns/tile); no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), then the block read path (ns/KiB); no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -29,10 +29,13 @@ benchbuild:
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
-# replaced. No threshold: timing gates do not survive this host.
+# replaced, and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# over the payload is the FT − NABBIT gap on the apps. No threshold: timing
+# gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
+	$(GO) test -run '^$$' -bench SlotRead -benchtime 20000x ./internal/block
 
 test:
 	$(GO) test ./...

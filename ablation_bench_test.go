@@ -350,8 +350,9 @@ func BenchmarkAblationFTTax(b *testing.B) {
 			payload[i] = float64(i) + 0.5
 		}
 		read := func(opts ...block.Option) func(n int) {
-			sl := block.NewStore(0, opts...).Slot(0)
-			sl.Write(0, 0, payload)
+			s := block.NewStore(0, opts...)
+			s.Write(0, 0, 0, payload) // a copy: both rows' stores read payload
+			sl := s.Slot(0)
 			var arena block.Arena
 			return func(n int) {
 				for i := 0; i < n; i++ {

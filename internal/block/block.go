@@ -18,14 +18,18 @@
 // two-versions-per-block configuration the paper uses for Floyd-Warshall,
 // and K=0 means unlimited retention (single-assignment).
 //
-// The store owns its memory. Write copies the caller's payload into a buffer
-// the store allocated and Read copies the version out into a buffer private
-// to the reader, so the store never keeps a caller's slice and never hands
-// out its own: the injector may flip stored bits in place and a recovery may
-// overwrite a version while earlier readers still compute on what they read.
-// Evicted and replaced buffers go to one process-wide, size-keyed free list
-// (Alloc/Free) from which the next Write, Read and kernel output are taken —
-// the physical form of "reuse the memory of v to store v+1".
+// The store owns its memory. Slot.Write adopts the buffer it is given — the
+// writer passes its ownership, as graph.Context.Write does for a kernel's
+// output — and Store.Write is the copying convenience for a caller that keeps
+// its slice. Read copies the version out into a buffer private to the reader,
+// so the store never hands out its own: the injector may flip stored bits in
+// place and a recovery may overwrite a version while earlier readers still
+// compute on what they read. Evicted and replaced buffers go to one
+// process-wide, size-keyed free list (Alloc/Free) from which the next Read
+// and kernel output are taken — the physical form of "reuse the memory of v
+// to store v+1". Every payload crosses memory once on its way in and once on
+// its way out: a write hashes the buffer it adopts, and a verified read
+// hashes the words as it copies them.
 //
 // A block is reached through its Slot. An executor resolves the Slot of a
 // task's output once, when it creates the task's descriptor, and reads and
@@ -79,7 +83,7 @@ func (e *AccessError) Error() string { return fmt.Sprintf("%v: %v", e.Ref, e.Err
 func (e *AccessError) Unwrap() error { return e.Err }
 
 // entry is one retained version. Every field is guarded by the slot lock;
-// data is a buffer the store took from the free list and nobody else holds.
+// data is the buffer its writer handed over, which nobody else holds.
 type entry struct {
 	version   int
 	producer  int64 // task key that produced this version
@@ -152,10 +156,11 @@ type Store struct {
 type Option func(*Store)
 
 // WithVerification enables checksum verification on every read, in addition
-// to the poisoned-flag check: the reader's private copy is re-hashed and
-// compared with the checksum stored at Write. core.Config.VerifyChecksums
-// turns it on; the paper's detection model only needs the flag, so the FT
-// executor runs without it unless asked (bench/ asks for its FT variants).
+// to the poisoned-flag check: the reader's private copy is hashed as it is
+// made and compared with the checksum stored at Write.
+// core.Config.VerifyChecksums turns it on; the paper's detection model only
+// needs the flag, so the FT executor runs without it unless asked (bench/
+// asks for its FT variants).
 func WithVerification() Option { return func(s *Store) { s.verify = true } }
 
 // NewStore returns a store retaining the given number of most recently
@@ -185,25 +190,27 @@ func (s *Store) Slot(b ID) *Slot {
 	return sl
 }
 
-// Write is Slot(b).Write.
+// Write is Slot(b).Write of a copy of data: the caller keeps its slice.
 func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
-	return s.Slot(b).Write(version, producer, data)
+	return s.Slot(b).Write(version, producer, clone(data, nil))
 }
 
-// Write stores a copy of data as the given version of the block, produced by
-// task producer; the caller keeps data. It returns the checksum stored with
-// the version, which is Checksum(data), and — when the write pushed the
-// oldest-written version out of a full retention ring — that version's
-// producer task key, which the executor marks overwritten (paper §IV: "Our
-// algorithm tracks such overwrites"). Rewriting a version that is still
-// retained replaces it in place (this is how recovery repairs a corrupted
-// version) and evicts nothing. The buffer of an evicted or replaced version
-// goes back to the free list, and its ring entry is reused, so a store in
-// steady state writes without allocating.
+// Write stores data as the given version of the block, produced by task
+// producer. The store adopts the buffer: it keeps data itself, which the
+// caller must not touch afterwards, and hands it to the free list when the
+// version is evicted or replaced. It returns the checksum stored with the
+// version, Checksum(data), taken while the writer's output is still in cache,
+// and — when the write pushed the oldest-written version out of a full
+// retention ring — that version's producer task key, which the executor marks
+// overwritten (paper §IV: "Our algorithm tracks such overwrites"). Rewriting
+// a version that is still retained replaces it in place (this is how recovery
+// repairs a corrupted version) and evicts nothing. The buffer of an evicted or
+// replaced version goes back to the free list — unless it is data's own, which
+// a second Write of one slice displaces — and its ring entry is reused, so a
+// store in steady state writes without allocating.
 func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
 	s := sl.store
-	own := clone(data, nil)
-	sum = Checksum(own)
+	sum = Checksum(data)
 	sl.mu.Lock()
 	// Whichever entry the write displaces moves out of the ring, the rest
 	// shift down, and the new version takes the most-recently-written
@@ -220,7 +227,7 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	default:
 		sl.entries = append(sl.entries, entry{})
 	}
-	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: own, checksum: sum}
+	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum}
 	sl.mu.Unlock()
 	// The free list's lock and the store's shared line are taken with the
 	// slot lock dropped: the displaced buffer is out of the ring, and the
@@ -229,7 +236,9 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	if evicted && s.ins != nil {
 		s.ins.Evictions.Inc()
 	}
-	Free(old)
+	if !sameStart(old, data) {
+		Free(old)
+	}
 	// Applied as one net delta so the high-water mark models physical
 	// buffer reuse rather than transiently double-counting the displaced
 	// payload. A version that replaces one of its own size — every write of a
@@ -283,8 +292,9 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 // a when a is not nil, and lives until a.Reset. A missing (evicted or
 // never-written) version yields ErrNotRetained; a poisoned or checksum-failing
 // version yields ErrCorrupted. Both are wrapped in an *AccessError carrying
-// the Ref. The copy is taken under the slot lock and verification runs on the
-// copy, so what was checked is what is returned.
+// the Ref. The copy is taken under the slot lock; a verifying store hashes
+// each word as it stores it into the copy, in the same pass, so what was
+// checked is what is returned.
 func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	s := sl.store
 	sl.mu.Lock()
@@ -300,10 +310,19 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 		}
 		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
 	}
-	out := clone(e.data, a)
+	if !s.verify {
+		out := clone(e.data, a)
+		sl.mu.Unlock()
+		return out, nil
+	}
+	out := reuse(len(e.data), a)
+	if out == nil {
+		out = make([]float64, len(e.data))
+	}
+	sum := copySum(out, e.data)
 	want := e.checksum
 	sl.mu.Unlock()
-	if s.verify && Checksum(out) != want {
+	if sum != want {
 		Free(out)
 		if s.ins != nil {
 			s.ins.ChecksumFailures.Inc()
@@ -457,22 +476,63 @@ func Checksum(data []float64) uint64 {
 	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
 	n := len(data)
 	for len(data) >= 4 {
-		h0 = (bits.RotateLeft64(h0, 29) ^ math.Float64bits(data[0])) * sumMul
-		h1 = (bits.RotateLeft64(h1, 29) ^ math.Float64bits(data[1])) * sumMul
-		h2 = (bits.RotateLeft64(h2, 29) ^ math.Float64bits(data[2])) * sumMul
-		h3 = (bits.RotateLeft64(h3, 29) ^ math.Float64bits(data[3])) * sumMul
+		h0 = step(h0, data[0])
+		h1 = step(h1, data[1])
+		h2 = step(h2, data[2])
+		h3 = step(h3, data[3])
 		data = data[4:]
 	}
-	switch len(data) {
+	h0, h1, h2 = stepTail(data, h0, h1, h2)
+	return finish(n, h0, h1, h2, h3)
+}
+
+// copySum copies src into dst, which must be as long, and returns
+// Checksum(src) computed in the same pass: each word is loaded once, stored
+// and hashed, so the checksum is that of what dst holds.
+func copySum(dst, src []float64) uint64 {
+	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
+	n := len(src)
+	dst = dst[:n]
+	// An index loop: advancing both slices instead costs more instructions
+	// per stripe than the lanes' latency hides (≈ 1.3× Checksum's time).
+	i := 0
+	for ; i+3 < n; i += 4 {
+		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
+		w0, w1, w2, w3 := s[0], s[1], s[2], s[3]
+		d[0], d[1], d[2], d[3] = w0, w1, w2, w3
+		h0 = step(h0, w0)
+		h1 = step(h1, w1)
+		h2 = step(h2, w2)
+		h3 = step(h3, w3)
+	}
+	copy(dst[i:], src[i:])
+	h0, h1, h2 = stepTail(dst[i:], h0, h1, h2)
+	return finish(n, h0, h1, h2, h3)
+}
+
+// step is one lane step of Checksum.
+func step(h uint64, w float64) uint64 {
+	return (bits.RotateLeft64(h, 29) ^ math.Float64bits(w)) * sumMul
+}
+
+// stepTail steps the lanes of the last len(t) < 4 words of a payload.
+func stepTail(t []float64, h0, h1, h2 uint64) (uint64, uint64, uint64) {
+	switch len(t) {
 	case 3:
-		h2 = (bits.RotateLeft64(h2, 29) ^ math.Float64bits(data[2])) * sumMul
+		h2 = step(h2, t[2])
 		fallthrough
 	case 2:
-		h1 = (bits.RotateLeft64(h1, 29) ^ math.Float64bits(data[1])) * sumMul
+		h1 = step(h1, t[1])
 		fallthrough
 	case 1:
-		h0 = (bits.RotateLeft64(h0, 29) ^ math.Float64bits(data[0])) * sumMul
+		h0 = step(h0, t[0])
 	}
+	return h0, h1, h2
+}
+
+// finish folds the length and the four lanes of an n-word payload into its
+// checksum.
+func finish(n int, h0, h1, h2, h3 uint64) uint64 {
 	h := uint64(n) * sumMul2
 	h = (bits.RotateLeft64(h, 31) ^ h0) * sumMul
 	h = (bits.RotateLeft64(h, 31) ^ h1) * sumMul
@@ -543,16 +603,26 @@ func pop(n int) []float64 {
 // nil, else in a buffer off the free list, or in a fresh one — which append,
 // unlike make, does not zero before the copy lands.
 func clone(src []float64, a *Arena) []float64 {
-	if a != nil && len(src) < PoolMin {
-		buf := a.take(len(src))
-		copy(buf, src)
-		return buf
-	}
-	if buf := pop(len(src)); buf != nil {
+	if buf := reuse(len(src), a); buf != nil {
 		copy(buf, src)
 		return buf
 	}
 	return append([]float64(nil), src...)
+}
+
+// reuse returns n float64s taken from a when n is below PoolMin and a is not
+// nil, else off the free list, or nil when it has none.
+func reuse(n int, a *Arena) []float64 {
+	if a != nil && n < PoolMin {
+		return a.take(n)
+	}
+	return pop(n)
+}
+
+// sameStart reports whether a and b are one buffer: both non-empty, starting
+// at the same element.
+func sameStart(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // arenaChunk is the size of an Arena's chunks in float64s (4 KiB): eight
@@ -603,8 +673,8 @@ func Alloc(n int) []float64 {
 }
 
 // Free returns a buffer to the free list. The caller must own it — it came
-// from Alloc or Store.Read, or its ownership was passed to the caller (the
-// slice given to graph.Context.Write) — and must not touch it afterwards.
+// from Alloc or Store.Read, or its ownership was passed to the caller, and it
+// was not handed on to Slot.Write since — and must not touch it afterwards.
 // Only buf[:len(buf)] is recycled, never spare capacity behind it.
 func Free(buf []float64) {
 	n := len(buf)

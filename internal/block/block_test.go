@@ -2,8 +2,8 @@ package block
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -456,6 +456,128 @@ func TestChecksumEverySingleBit(t *testing.T) {
 	}
 }
 
+// randomBits returns n words of random bit patterns — NaNs, infinities and
+// subnormals among them — with every fourth word a NaN whose payload is
+// random.
+func randomBits(r *rand.Rand, n int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		w := r.Uint64()
+		if i%4 == 3 {
+			w |= 0x7FF0_0000_0000_0001
+		}
+		d[i] = math.Float64frombits(w)
+	}
+	return d
+}
+
+// TestCopySumIsChecksum: the verified read's fused loop returns exactly
+// Checksum of its source and leaves an exact copy, bit for bit (NaN payloads
+// included), at every tail length and at a tile's size and one word over.
+func TestCopySumIsChecksum(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	lengths := []int{4096, 4097}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for round := 0; round < 4; round++ {
+			src := randomBits(r, n)
+			dst := randomBits(r, n)
+			if got, want := copySum(dst, src), Checksum(src); got != want {
+				t.Fatalf("len %d: copySum = %#x, Checksum = %#x", n, got, want)
+			}
+			for i := range src {
+				if math.Float64bits(dst[i]) != math.Float64bits(src[i]) {
+					t.Fatalf("len %d: word %d copied as %#x, want %#x", n, i, math.Float64bits(dst[i]), math.Float64bits(src[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestVerifiedReadDetectsOneFlippedBit: one stored bit flipped in place is an
+// ErrCorrupted read from a verifying store, on both sides of PoolMin — copies
+// out of the arena and off the free list — and wherever the word sits in the
+// lanes and the tail.
+func TestVerifiedReadDetectsOneFlippedBit(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	var a Arena
+	for _, n := range []int{1, 3, 63, 64, 65, 4096} {
+		for _, i := range []int{0, n / 2, n - 1} {
+			s := NewStore(0, WithVerification())
+			data := randomBits(r, n)
+			s.Write(1, 0, 1, data)
+			bit := r.IntN(64)
+			scribble(s, 1, 0, i, math.Float64frombits(math.Float64bits(data[i])^1<<bit))
+			if _, err := s.Slot(1).Read(0, &a); !errors.Is(err, ErrCorrupted) {
+				t.Fatalf("len %d: bit %d of word %d flipped: Read = %v, want ErrCorrupted", n, bit, i, err)
+			}
+			scribble(s, 1, 0, i, data[i])
+			got, err := s.Slot(1).Read(0, &a)
+			if err != nil || len(got) != n {
+				t.Fatalf("len %d: Read after the bit was restored = %d words, %v", n, len(got), err)
+			}
+			a.Reset()
+		}
+	}
+}
+
+// TestSlotWriteAdopts: Slot.Write keeps the very buffer it is given — the
+// version is the caller's backing array — while Store.Write keeps a copy, so
+// its caller may overwrite its slice and still read the old bits back.
+func TestSlotWriteAdopts(t *testing.T) {
+	s := NewStore(0)
+	for _, n := range []int{3, PoolMin, 4 * PoolMin} {
+		data := make([]float64, n)
+		sl := s.Slot(1)
+		sl.Write(n, 1, data)
+		sl.mu.Lock()
+		kept := sl.find(n).data
+		sl.mu.Unlock()
+		if !sameArray(kept, data) {
+			t.Fatalf("len %d: Slot.Write stored a copy, not the caller's buffer", n)
+		}
+
+		mine := make([]float64, n)
+		mine[n-1] = 5
+		s.Write(2, n, 2, mine)
+		mine[n-1] = 6
+		if got, err := s.Read(2, n); err != nil || got[n-1] != 5 {
+			t.Fatalf("len %d: Store.Write kept the caller's slice: Read = %v, %v after the caller overwrote it", n, got, err)
+		}
+	}
+}
+
+// TestRewriteOfTheSameSlice: a version written twice from one slice — in
+// place, and into a K=1 ring whose evicted version is that slice — must not
+// hand the stored buffer to the free list. Under PoisonFreed a Free would
+// turn the stored data into NaNs.
+func TestRewriteOfTheSameSlice(t *testing.T) {
+	PoisonFreed(true)
+	defer PoisonFreed(false)
+	s := NewStore(1, WithVerification())
+	data := make([]float64, PoolMin)
+	for i := range data {
+		data[i] = float64(i)
+	}
+	sl := s.Slot(1)
+	sl.Write(0, 1, data)
+	sl.Write(0, 1, data) // replaces version 0 in place
+	if got, err := sl.Read(0, nil); err != nil || got[1] != 1 {
+		t.Fatalf("after a rewrite of one slice in place: Read = %v, %v", got, err)
+	}
+	if _, _, evicted := sl.Write(1, 2, data); !evicted {
+		t.Fatal("the K=1 write did not evict version 0")
+	}
+	if got, err := sl.Read(1, nil); err != nil || got[1] != 1 {
+		t.Fatalf("after an evicting write of the evicted version's slice: Read = %v, %v", got, err)
+	}
+	if again := Alloc(PoolMin); sameArray(again, data) {
+		t.Fatal("the stored buffer went to the free list")
+	}
+}
+
 // sameArray reports whether two slices start at the same element.
 func sameArray(a, b []float64) bool { return &a[0] == &b[0] }
 
@@ -643,12 +765,20 @@ func TestArena(t *testing.T) {
 // benchSink keeps the compiler from dropping a benchmarked call.
 var benchSink uint64
 
+// payloadSizes are the benchmarked payloads: the fine-grain graphs' one
+// float, one below PoolMin, and the apps' 1 KiB boundary rows up to 32 KiB
+// tiles.
+var payloadSizes = []struct {
+	name   string
+	floats int
+}{{"8B", 1}, {"64B", 8}, {"1KiB", 128}, {"8KiB", 1024}, {"32KiB", 4096}}
+
 // BenchmarkChecksum is the integrity function's throughput at the payload
-// sizes of the apps (1 KiB boundary rows up to 32 KiB tiles).
+// sizes.
 func BenchmarkChecksum(b *testing.B) {
-	for _, kib := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("%dKiB", kib), func(b *testing.B) {
-			data := make([]float64, kib*128)
+	for _, size := range payloadSizes {
+		b.Run(size.name, func(b *testing.B) {
+			data := make([]float64, size.floats)
 			for i := range data {
 				data[i] = float64(i) * 1.5
 			}
@@ -658,6 +788,42 @@ func BenchmarkChecksum(b *testing.B) {
 				benchSink += Checksum(data)
 			}
 		})
+	}
+}
+
+// BenchmarkSlotRead is an executor's read path: a copy out of the store into
+// the arena or off the free list, hashed in the same pass when verified, and
+// the reader's release. It reports ns/KiB beside ns/op.
+func BenchmarkSlotRead(b *testing.B) {
+	for _, verify := range []bool{true, false} {
+		var opts []Option
+		name := "plain"
+		if verify {
+			opts, name = []Option{WithVerification()}, "verified"
+		}
+		for _, size := range payloadSizes {
+			b.Run(name+"/"+size.name, func(b *testing.B) {
+				s := NewStore(0, opts...)
+				s.Write(0, 0, 0, randomBits(rand.New(rand.NewPCG(5, 6)), size.floats))
+				sl := s.Slot(0)
+				var a Arena
+				b.SetBytes(int64(size.floats * 8))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d, err := sl.Read(0, &a)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(d) >= PoolMin {
+						Free(d)
+					} else {
+						a.Reset()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(size.floats*8)/1024), "ns/KiB")
+			})
+		}
 	}
 }
 

@@ -219,8 +219,7 @@ func (c *baseCtx) ReadPred(pred graph.Key) ([]float64, error) {
 }
 
 func (c *baseCtx) Write(data []float64) {
-	_, _, evicted := c.t.slot.Write(c.t.out.Version, c.t.key, data)
+	_, _, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, data)
 	c.e.met.at(c.w).countWrite(evicted)
 	c.wrote = true
-	c.out = data
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ftdag/internal/block"
@@ -9,12 +10,12 @@ import (
 	"ftdag/internal/graph"
 )
 
-// The executors recycle a compute's buffers — its read copies and the slice
-// it wrote — through the block free list. These tests run payloads above
-// block.PoolMin (the synthetic graphs elsewhere use one float, which never
-// touches the list) with freed buffers poisoned (main_test.go), so a buffer
-// freed twice, freed while in use, or recycled while recorded shows up as a
-// diverging output.
+// The executors recycle a compute's buffers through the block free list: its
+// read copies when it ends, the slice it wrote when the store evicts or
+// replaces that version. These tests run payloads above block.PoolMin (the
+// synthetic graphs elsewhere use one float, which never touches the list)
+// with freed buffers poisoned (main_test.go), so a buffer freed twice, freed
+// while in use, or recycled while recorded shows up as a diverging output.
 
 const widePayload = 2 * block.PoolMin
 
@@ -141,6 +142,80 @@ func TestSnapshotReverifyKeepsInputs(t *testing.T) {
 	}
 	if in[1] != 1 {
 		t.Fatalf("snapshot buffer changed: in[1] = %v", in[1])
+	}
+}
+
+// pieceKernel returns a ComputeFunc whose sources write n fresh float64s and
+// whose other tasks write a piece of one of their ReadPred copies (the whole
+// copy once pieces are down to half the source): the payloads an executor
+// context must copy rather than hand to the store. At n >= block.PoolMin the
+// read copy goes back to the free list (or to the replica join) when the
+// compute ends; below it, the copy is a piece of the context's arena.
+func pieceKernel(n int) graph.ComputeFunc {
+	return func(key graph.Key, vals [][]float64) []float64 {
+		if len(vals) == 0 {
+			out := block.Alloc(n)
+			for i := range out {
+				out[i] = float64(key) + float64(i)/8
+			}
+			return out
+		}
+		in := vals[int(key)%len(vals)]
+		if len(in) > n/2 {
+			return in[1:]
+		}
+		return in
+	}
+}
+
+// TestWritePieceOfReadCopy: every executor reproduces the sequential sink
+// when computes write pieces of their read copies, freed buffers and reset
+// arenas poisoned. The poison is NaN and no kernel output is, so a stored
+// piece that was freed with its read copy shows even where every executor
+// would agree on it.
+func TestWritePieceOfReadCopy(t *testing.T) {
+	check := func(t *testing.T, who string, sink []float64, want uint64) {
+		t.Helper()
+		for i, v := range sink {
+			if math.IsNaN(v) {
+				t.Fatalf("%s: sink[%d] is the poison of a freed buffer", who, i)
+			}
+		}
+		if got := block.Checksum(sink); got != want {
+			t.Fatalf("%s: sink checksum %#x, want the sequential %#x", who, got, want)
+		}
+	}
+	for _, n := range []int{4 * block.PoolMin, 8} {
+		graphs := map[string]wideGraph{
+			"chain":        {graph.Chain(24, pieceKernel(n)), 0},
+			"layered":      {graph.Layered(6, 8, 3, 11, pieceKernel(n)), 0},
+			"versionchain": {graph.VersionChain(10, pieceKernel(n)), 1},
+		}
+		for name, g := range graphs {
+			name = fmt.Sprintf("%s/n=%d", name, n)
+			_, seqSink := groundTruth(t, g.spec, g.retention)
+			want := block.Checksum(seqSink)
+			check(t, name+"/sequential", seqSink, want)
+			for _, p := range []int{1, 2, 4} {
+				cfg := Config{Workers: p, Retention: g.retention, VerifyChecksums: true, Timeout: testTimeout}
+				t.Run(fmt.Sprintf("%s/P=%d", name, p), func(t *testing.T) {
+					res, err := NewFT(g.spec, cfg).Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, "FT", res.Sink, want)
+					if res, err = NewBaseline(g.spec, cfg).Run(); err != nil {
+						t.Fatal(err)
+					}
+					check(t, "baseline", res.Sink, want)
+					cfg.Replicate = replicateAll(g.spec)
+					if res, err = NewFT(g.spec, cfg).Run(); err != nil {
+						t.Fatal(err)
+					}
+					check(t, "replicated FT", res.Sink, want)
+				})
+			}
+		}
 	}
 }
 

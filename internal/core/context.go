@@ -18,16 +18,40 @@ type predRead struct {
 }
 
 // heldBufs is what an executor context owns on behalf of one compute — the
-// read copies the store handed out and the slice the compute passed to
-// Write — so that it can give them back when the compute ends, which is as
-// long as graph.Context promises them to the compute. Read copies of
-// block.PoolMin float64s or more are listed and go back to the block free
-// list; smaller ones come out of the small arena, at no allocation per read,
-// and go back with its Reset.
+// read copies the store handed out — so that it can give them back when the
+// compute ends, which is as long as graph.Context promises them to the
+// compute. Read copies of block.PoolMin float64s or more are listed and go
+// back to the block free list; smaller ones come out of the small arena, at
+// no allocation per read, and go back with its Reset. A slice the compute
+// passes to Write is not held: write hands it to the store, which adopts it.
 type heldBufs struct {
-	out   []float64
 	reads []predRead
 	small block.Arena
+}
+
+// write stores data, whose ownership the compute passed with it, as version
+// of slot. The store adopts the slice itself unless the context may still
+// give it back: a payload below block.PoolMin may be a piece of the arena,
+// and one inside a held read copy goes back with that copy (graph.Context
+// lets a compute write a piece of what ReadPred returned). Those two are
+// copied.
+func (h *heldBufs) write(slot *block.Slot, version int, producer graph.Key, data []float64) (sum uint64, victim int64, evicted bool) {
+	if len(data) < block.PoolMin || h.holds(data) {
+		own := block.Alloc(len(data))
+		copy(own, data)
+		data = own
+	}
+	return slot.Write(version, producer, data)
+}
+
+// holds reports whether data lies inside one of the listed read copies.
+func (h *heldBufs) holds(data []float64) bool {
+	for _, r := range h.reads {
+		if inside(r.data, data) {
+			return true
+		}
+	}
+	return false
 }
 
 // read copies version of slot for the compute and counts the access in c.
@@ -47,24 +71,14 @@ func (h *heldBufs) read(c *counters, pred graph.Key, slot *block.Slot, version i
 }
 
 // release ends the compute's claim on its buffers and readies h for the next
-// compute: the written slice, and with freeReads the listed read copies, go
-// to the free list, and the arena is reset. A compute may write a slice it got
-// from ReadPred (or a piece of it); that buffer is freed once, as the read
-// copy. Without freeReads the list itself passes to the caller with the
-// copies.
+// compute: with freeReads the listed read copies go to the free list, and the
+// arena is reset. Without freeReads the list itself passes to the caller with
+// the copies.
 func (h *heldBufs) release(freeReads bool) {
-	out := h.out
-	for _, r := range h.reads {
-		if inside(r.data, out) {
-			out = nil
-		}
-		if freeReads {
+	if freeReads {
+		for _, r := range h.reads {
 			block.Free(r.data)
 		}
-	}
-	block.Free(out)
-	h.out = nil
-	if freeReads {
 		clear(h.reads) // the list is reused; do not pin freed buffers
 		h.reads = h.reads[:0]
 	} else {
@@ -137,12 +151,12 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	return nil, fault.Errorf(pred, life)
 }
 
-// Write stores the task's output block version. Evicting an older version
-// marks its producer overwritten: any task still needing that version will
-// observe the failure and re-execute the producer (paper §IV, cascading
-// re-execution).
+// Write stores the task's output block version; the store keeps the slice
+// (heldBufs.write). Evicting an older version marks its producer
+// overwritten: any task still needing that version will observe the failure
+// and re-execute the producer (paper §IV, cascading re-execution).
 func (c *ftCtx) Write(data []float64) {
-	sum, victim, evicted := c.t.slot.Write(c.t.out.Version, c.t.key, data)
+	sum, victim, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, data)
 	met := c.e.met.at(c.w)
 	met.countWrite(evicted)
 	if evicted && victim != c.t.key {
@@ -153,7 +167,6 @@ func (c *ftCtx) Write(data []float64) {
 		}
 	}
 	c.wrote = true
-	c.out = data
 	c.sum = sum
 }
 
@@ -168,6 +181,7 @@ func (c *ftCtx) Write(data []float64) {
 type shadowCtx struct {
 	ftCtx
 	snapshot bool
+	out      []float64 // the captured output
 }
 
 var _ graph.Context = (*shadowCtx)(nil)

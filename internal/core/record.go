@@ -86,8 +86,8 @@ type recordCtx struct {
 
 func (c *recordCtx) ReadPred(pred graph.Key) ([]float64, error) { return c.inner.ReadPred(pred) }
 
-// Write keeps a copy: the slice itself passes to the executor, which may
-// recycle it as soon as the compute ends.
+// Write keeps a copy: the slice itself passes to the executor's store, where
+// the injector may flip its bits and an eviction recycles it.
 func (c *recordCtx) Write(data []float64) {
 	c.data = append([]float64(nil), data...)
 	c.inner.Write(data)

@@ -140,6 +140,11 @@ func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []pre
 	if err == nil {
 		digest = replica.Digest(ctx.out)
 	}
+	// The captured output is the shadow's to free, once: a piece of a read
+	// copy goes back with the copy.
+	if !ctx.holds(ctx.out) {
+		block.Free(ctx.out)
+	}
 	ctx.release(!snapshot)
 	return digest, err
 }

@@ -74,9 +74,8 @@ func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
 }
 
 func (c *seqCtx) Write(data []float64) {
-	ref := c.e.spec.Output(c.key)
-	_, _, evicted := c.e.store.Write(ref.Block, ref.Version, c.key, data)
+	slot, version := specOutput(c.e.spec, c.e.store, c.key)
+	_, _, evicted := c.write(slot, version, c.key, data)
 	c.e.met.at(nil).countWrite(evicted)
 	c.wrote = true
-	c.out = data
 }

@@ -33,9 +33,10 @@ type Context interface {
 	// replicated task is re-verified from the inputs its primary read), but
 	// may pass it, or a piece of it, to Write.
 	ReadPred(pred Key) ([]float64, error)
-	// Write stores a copy of data as this task's output block version and
-	// passes ownership of the slice to the executor, which may recycle it
-	// once Compute returns: Compute must not keep it or write it anywhere
+	// Write stores data as this task's output block version and passes
+	// ownership of the slice to the executor: the store keeps the slice
+	// itself as the version (a small one, or a piece of a ReadPred slice,
+	// it copies). Compute must not keep it, change it or write it anywhere
 	// else. block.Alloc is the matching way to get an output buffer.
 	Write(data []float64)
 }
