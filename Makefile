@@ -1,6 +1,6 @@
 # CI gate for the FT-NABBIT reproduction.
 #
-#   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, 386 smoke
+#   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, soaks
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
@@ -13,9 +13,9 @@
 
 GO ?= go
 
-.PHONY: ci build benchbuild benchsmoke test vet lint lint-json race build386 soak crashsoak clustersoak blackbox sdcsoak fuzz loc
+.PHONY: ci build benchbuild benchsmoke test vet lint lint-json race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race build386 benchsmoke sdcsoak crashsoak clustersoak blackbox
+ci: build benchbuild test vet lint lint-json race benchsmoke sdcsoak crashsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -43,12 +43,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repository's own analyzer suite, all eight analyzers: mixed
-# atomic/plain field access, blocking ops under a mutex,
-# determinism-manifest violations, discarded durability-path errors, 32-bit
-# atomic alignment, plus the interprocedural trio — lock-order cycles,
-# goroutine leaks, and the fsync-before-ack proof. Suppressions are
-# //lint:ignore <analyzer> <reason>; see README "Static analysis".
+# The repository's own analyzer suite, all seven analyzers: sync/atomic
+# function calls (the typed API only), blocking ops under a mutex,
+# determinism-manifest violations, discarded durability-path errors, plus the
+# interprocedural trio — lock-order cycles, goroutine leaks, and the
+# fsync-before-ack proof. Suppressions are //lint:ignore <analyzer> <reason>;
+# see README "Static analysis".
 lint:
 	$(GO) run ./cmd/ftlint ./...
 
@@ -87,12 +87,6 @@ RACE_SWEEP = ./internal/block/... ./internal/core/... ./internal/replica/... ./i
 race:
 	$(GO) test -race ./internal/sched/... ./internal/cmap/... ./internal/service/... ./internal/journal/... ./internal/deque/... ./internal/block/... ./internal/bitvec/... ./internal/metrics/... ./internal/trace/... ./internal/replica/... ./internal/cluster/... ./internal/core/... ./internal/fault/... ./cmd/ftserve/... ./cmd/ftsoak/...
 	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=5 $(RACE_SWEEP) || exit 1; done
-
-# Cross-compile smoke for 32-bit: pairs with the atomicalign analyzer —
-# the build proves the tree compiles where 64-bit atomics need 8-byte
-# alignment, the analyzer proves the alignment.
-build386:
-	GOOS=linux GOARCH=386 $(GO) build ./...
 
 # Randomized end-to-end soak (not part of ci; run before releases).
 soak:

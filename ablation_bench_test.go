@@ -16,7 +16,6 @@ import (
 
 	"ftdag/internal/apps"
 	"ftdag/internal/apps/fw"
-	"ftdag/internal/bitvec"
 	"ftdag/internal/block"
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
@@ -264,47 +263,42 @@ func BenchmarkAblationFTTax(b *testing.B) {
 		}
 	})
 
-	// core.Task is 144 bytes, a size class of its own, the baseline's
-	// descriptor 120, allocated as 128; both hold pointers.
-	type task144 struct {
-		p [6]*int
-		_ [96]byte
-	}
-	type task120 struct {
-		p [6]*int
-		_ [72]byte
-	}
+	// The two descriptors as the executors allocate them: core.Task is 144
+	// bytes, a size class of its own, core.BaselineTask 120, allocated as
+	// 128; both hold pointers.
 	row("descriptor-24B", 1, func(n int) {
 		for i := 0; i < n; i++ {
-			taxPtr = new(task144)
+			taxPtr = new(core.Task)
 		}
 	}, func(n int) {
 		for i := 0; i < n; i++ {
-			taxPtr = new(task120)
+			taxPtr = new(core.BaselineTask)
 		}
 	})
 
-	// A notification: FT clears the notifier's bit, and the clear that empties
-	// the vector is the join; the baseline decrements its join counter. One
-	// vector or counter per Layered task (three predecessors and the self
-	// slot), re-armed by the notification that empties it.
-	vecs := make([]bitvec.Vector, 1024)
-	joins := make([]atomic.Int32, 1024)
-	for i := range vecs {
-		vecs[i].Init(4)
-		joins[i].Store(4)
+	// A notification, as notifyOnce makes it (Join): FT clears the notifier's
+	// bit, and the clear that empties the vector is the join; the baseline
+	// decrements its join counter. One descriptor of each per Layered task
+	// (three predecessors and the self slot), re-armed by the notification
+	// that makes it ready.
+	fts := make([]core.Task, 1024)
+	nabbits := make([]core.BaselineTask, 1024)
+	for i := range fts {
+		fts[i].Arm(4)
+		nabbits[i].Arm(4)
 	}
 	row("bit-test-and-clear", notifs, func(n int) {
 		for i := 0; i < n; i++ {
-			v := &vecs[i&1023]
-			if _, last := v.Clear(i >> 10 & 3); last {
-				v.SetAll()
+			t := &fts[i&1023]
+			if _, last := t.Join(i >> 10 & 3); last {
+				t.Arm(4)
 			}
 		}
 	}, func(n int) {
 		for i := 0; i < n; i++ {
-			if j := &joins[i&1023]; j.Add(-1) == 0 {
-				j.Store(4)
+			t := &nabbits[i&1023]
+			if _, last := t.Join(i >> 10 & 3); last {
+				t.Arm(4)
 			}
 		}
 	})

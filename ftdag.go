@@ -192,7 +192,7 @@ func Run(spec Spec, cfg Config) (*Result, error) {
 }
 
 // RunBaseline executes the task graph with the original non-fault-tolerant
-// NABBIT scheduler. cfg.Plan must be nil.
+// NABBIT scheduler. cfg.Plan and cfg.Replicate must be empty.
 func RunBaseline(spec Spec, cfg Config) (*Result, error) {
 	return core.NewBaseline(spec, cfg).Run()
 }

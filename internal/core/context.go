@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"ftdag/internal/block"
@@ -100,14 +101,15 @@ func inside(a, b []float64) bool {
 	return cap(b) > 0 && k >= 0 && &a[:cap(a)][k] == &b[:1][0]
 }
 
-// ftCtx is the graph.Context handed to user computes by the fault-tolerant
-// executor. It attributes block access failures to the producing task,
+// taskCtx is the graph.Context handed to user computes by the executor. Under
+// FT-NABBIT it attributes block access failures to the producing task,
 // turning them into *fault.Error values that the executor's catch blocks
 // route to recovery, and it marks producer tasks overwritten when a write
-// evicts their retained version.
-type ftCtx struct {
-	e *FT
-	t *Task
+// evicts their retained version. Under NABBIT, with no faults possible, an
+// access failure is a spec bug and panics.
+type taskCtx[S state] struct {
+	e *exec[S]
+	t *task[S]
 	w *sched.Worker // the worker running the compute; it counts in its block of e.met
 	heldBufs
 	sum   uint64 // checksum the store kept for the written payload
@@ -120,19 +122,23 @@ type ftCtx struct {
 	capture bool
 }
 
-var _ graph.Context = (*ftCtx)(nil)
+var _ graph.Context = (*taskCtx[ftState])(nil)
 
-// ftCtxPool recycles the contexts of finished computes, each with its arena
+// The pools recycle the contexts of finished computes, each with its arena
 // and its list of held reads; a context is handed to one compute at a time
-// and holds no executor state while pooled.
-var ftCtxPool = sync.Pool{New: func() any { return new(ftCtx) }}
+// and holds no executor state while pooled. A sync.Pool cannot be generic:
+// each executor has its own.
+var (
+	ftCtxPool     = sync.Pool{New: func() any { return new(taskCtx[ftState]) }}
+	nabbitCtxPool = sync.Pool{New: func() any { return new(taskCtx[nabbitState]) }}
+)
 
 // ReadPred returns a private copy of the block version produced by the given
 // predecessor, found through the task table — slot and version are the same
 // for every incarnation — or, for a task nobody has discovered, the spec. On
 // corruption or eviction the error names the predecessor's current
 // incarnation, so the consumer's catch recovers the right task.
-func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
+func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	var slot *block.Slot
 	var version int
 	if p, ok := c.e.tasks.Load(pred); ok {
@@ -143,6 +149,9 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	data, err := c.read(c.e.met.at(c.w), pred, slot, version, c.capture)
 	if err == nil {
 		return data, nil
+	}
+	if !c.t.shaded() {
+		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
 	}
 	life := 0
 	if pt, ok := c.e.tasks.Load(pred); ok {
@@ -155,11 +164,11 @@ func (c *ftCtx) ReadPred(pred graph.Key) ([]float64, error) {
 // (heldBufs.write). Evicting an older version marks its producer
 // overwritten: any task still needing that version will observe the failure
 // and re-execute the producer (paper §IV, cascading re-execution).
-func (c *ftCtx) Write(data []float64) {
+func (c *taskCtx[S]) Write(data []float64) {
 	sum, victim, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, data)
 	met := c.e.met.at(c.w)
 	met.countWrite(evicted)
-	if evicted && victim != c.t.key {
+	if c.t.shaded() && evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.mark(overwritten)
 			met.overwriteMarks.Add(1)
@@ -178,17 +187,17 @@ func (c *ftCtx) Write(data []float64) {
 // ReadPred serves from it (the re-verification path after the live shadow
 // lost a predecessor version to retention eviction); those copies stay the
 // join's to free.
-type shadowCtx struct {
-	ftCtx
+type shadowCtx[S state] struct {
+	taskCtx[S]
 	snapshot bool
 	out      []float64 // the captured output
 }
 
-var _ graph.Context = (*shadowCtx)(nil)
+var _ graph.Context = (*shadowCtx[ftState])(nil)
 
-func (c *shadowCtx) ReadPred(pred graph.Key) ([]float64, error) {
+func (c *shadowCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	if !c.snapshot {
-		return c.ftCtx.ReadPred(pred)
+		return c.taskCtx.ReadPred(pred)
 	}
 	for _, in := range c.reads {
 		if in.pred == pred {
@@ -198,7 +207,7 @@ func (c *shadowCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	return nil, fault.Errorf(c.t.key, c.t.Life())
 }
 
-func (c *shadowCtx) Write(data []float64) {
+func (c *shadowCtx[S]) Write(data []float64) {
 	c.out = data
 	c.wrote = true
 }

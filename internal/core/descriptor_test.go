@@ -31,8 +31,8 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 		// notifies 3 for 2.
 		e.tryInitCompute(w, s3, 1)
 	})
-	if s3.bits.IsSet(1) || !s3.bits.IsSet(0) {
-		t.Fatalf("after traversing 2 only: bits %d/%d", s3.bits.Count(), s3.bits.Len())
+	if s3.ft().bits.IsSet(1) || !s3.ft().bits.IsSet(0) {
+		t.Fatalf("after traversing 2 only: bits %d/%d", s3.ft().bits.Count(), s3.ft().bits.Len())
 	}
 	withWorker(t, func(w *sched.Worker) {
 		// Task 1, discovered by someone else, fails; its recovery finds 3
@@ -40,8 +40,8 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 		e.insertIfAbsent(1)
 		e.recoverTask(w, 1)
 	})
-	if s3.bits.IsSet(0) || s3.bits.Count() != 1 {
-		t.Fatalf("after recovery of 1: bit set=%v, %d outstanding; want cleared, 1", s3.bits.IsSet(0), s3.bits.Count())
+	if s3.ft().bits.IsSet(0) || s3.ft().bits.Count() != 1 {
+		t.Fatalf("after recovery of 1: bit set=%v, %d outstanding; want cleared, 1", s3.ft().bits.IsSet(0), s3.ft().bits.Count())
 	}
 	withWorker(t, func(w *sched.Worker) {
 		e.notifyOnce(w, s3, 2) // the self-notification: 3 computes, its traversal of 1 still to come
@@ -60,8 +60,8 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if t1, _ := e.tasks.Load(1); t1.Life() != 1 {
 		t.Fatalf("task 1 is at life %d after the late traversal, want 1", t1.Life())
 	}
-	if e.LiveMetrics().Computes != computes || s3.bits.Count() != 0 {
-		t.Fatalf("late traversal recomputed or re-notified: computes %d→%d, %d outstanding", computes, e.LiveMetrics().Computes, s3.bits.Count())
+	if e.LiveMetrics().Computes != computes || s3.ft().bits.Count() != 0 {
+		t.Fatalf("late traversal recomputed or re-notified: computes %d→%d, %d outstanding", computes, e.LiveMetrics().Computes, s3.ft().bits.Count())
 	}
 }
 
@@ -78,11 +78,11 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 		e.notifySuccessor(w, from, stale)
 		e.notifySuccessor(w, from, stale)
 	})
-	if cur.bits.IsSet(0) || cur.bits.Count() != 2 {
-		t.Fatalf("current incarnation: bits %d/3, want the bit of 1 cleared once", cur.bits.Count())
+	if cur.ft().bits.IsSet(0) || cur.ft().bits.Count() != 2 {
+		t.Fatalf("current incarnation: bits %d/3, want the bit of 1 cleared once", cur.ft().bits.Count())
 	}
-	if stale.bits.Count() != 3 {
-		t.Fatalf("superseded incarnation was notified: bits %d/3", stale.bits.Count())
+	if stale.ft().bits.Count() != 3 {
+		t.Fatalf("superseded incarnation was notified: bits %d/3", stale.ft().bits.Count())
 	}
 	if got := e.LiveMetrics().Notifications; got != 1 {
 		t.Fatalf("notifications = %d, want 1", got)
@@ -90,8 +90,8 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 	// Not superseded: the pointer is the successor, table or no table.
 	loose := e.newTask(3, 0)
 	withWorker(t, func(w *sched.Worker) { e.notifySuccessor(w, from, loose) })
-	if loose.bits.Count() != 2 || cur.bits.Count() != 2 {
-		t.Fatalf("unsuperseded pointer: its bits %d/3 (want 2), table incarnation's %d/3 (want 2)", loose.bits.Count(), cur.bits.Count())
+	if loose.ft().bits.Count() != 2 || cur.ft().bits.Count() != 2 {
+		t.Fatalf("unsuperseded pointer: its bits %d/3 (want 2), table incarnation's %d/3 (want 2)", loose.ft().bits.Count(), cur.ft().bits.Count())
 	}
 }
 
@@ -147,14 +147,14 @@ func TestReadPredOfNonPredecessor(t *testing.T) {
 	e := NewFT(spec, Config{})
 	ref := spec.Output(0)
 	e.store.Write(ref.Block, ref.Version, 0, []float64{7})
-	ctx := &ftCtx{e: e, t: e.newTask(3, 0)}
+	ctx := &taskCtx[ftState]{e: e, t: e.newTask(3, 0)}
 	if got, err := ctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("FT ReadPred through the spec: %v, %v", got, err)
 	}
 	b := NewBaseline(spec, Config{})
 	b.store.Write(ref.Block, ref.Version, 0, []float64{7})
 	bt, _ := b.insertIfAbsent(3)
-	bctx := &baseCtx{e: b, t: bt}
+	bctx := &taskCtx[nabbitState]{e: b, t: bt}
 	if got, err := bctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("baseline ReadPred through the spec: %v, %v", got, err)
 	}
@@ -165,8 +165,16 @@ func TestReadPredOfNonPredecessor(t *testing.T) {
 // bit vector is the join counter, and life is 32 bits; a field added here
 // costs every task of every run 16 bytes more, and GC marking with them.
 func TestTaskSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Task{}); sz > 144 {
-		t.Fatalf("core.Task is %d bytes, want at most 144", sz)
+	for _, c := range []struct {
+		name     string
+		size, at uintptr
+	}{
+		{"FT", unsafe.Sizeof(Task{}), 144},
+		{"NABBIT", unsafe.Sizeof(BaselineTask{}), 128},
+	} {
+		if c.size > c.at {
+			t.Errorf("the %s descriptor is %d bytes, want at most %d", c.name, c.size, c.at)
+		}
 	}
 }
 

@@ -95,12 +95,25 @@ var ErrCancelled = errors.New("core: execution cancelled")
 
 // FT is the fault-tolerant dynamic task graph executor of Figures 2 and 3.
 // One FT value executes one graph once; construct a new one per run.
-type FT struct {
+type FT = exec[ftState]
+
+// Baseline is the original (non-fault-tolerant) NABBIT scheduler — the
+// non-shaded portions of Figure 2, which is what the executor is when its
+// descriptors hold no shaded state. It has no life numbers, bit vectors,
+// recovery table, poisoning checks, fault plan, replicas or event trace, and
+// therefore pays none of their costs; Figure 4 compares it against the FT
+// executor in the absence of faults.
+type Baseline = exec[nabbitState]
+
+// exec is the executor; S, the state its descriptors hold, makes it FT-NABBIT
+// or NABBIT. The lines only FT-NABBIT runs are those behind task.shaded,
+// where the NABBIT stencil has nothing.
+type exec[S state] struct {
 	spec  graph.Spec
 	cfg   Config
 	store *block.Store
 	plan  *fault.Plan
-	tasks cmap.Table[Task]         // the paper's concurrent hash map of descriptors
+	tasks cmap.Table[task[S]]      // the paper's concurrent hash map of descriptors
 	rec   cmap.Table[atomic.Int64] // the recovery table R: key → last life recovered
 	met   metrics
 	group *sched.Group // this run's slice of the pool (set by RunOn)
@@ -117,20 +130,33 @@ func NewFT(spec graph.Spec, cfg Config) *FT {
 	}
 }
 
+// NewBaseline returns a non-fault-tolerant executor for the spec. Without
+// recovery nothing could act on an injected fault or a replica's digest
+// mismatch, so a fault plan or a replica set is a programming error.
+func NewBaseline(spec graph.Spec, cfg Config) *Baseline {
+	if cfg.Plan.Len() > 0 {
+		panic("core: baseline executor cannot run with a fault plan")
+	}
+	if cfg.Replicate.Len() > 0 {
+		panic("core: baseline executor cannot replicate tasks")
+	}
+	return &Baseline{spec: spec, cfg: cfg, store: cfg.newStore(), met: newMetrics(cfg.workers())}
+}
+
 // Store exposes the block store (result extraction, verification).
-func (e *FT) Store() *block.Store { return e.store }
+func (e *exec[S]) Store() *block.Store { return e.store }
 
 // LiveMetrics snapshots the executor's counters mid-run. Safe to call
 // concurrently with the execution (the counters are atomics, summed over the
 // workers' blocks); serves the live-introspection endpoints.
-func (e *FT) LiveMetrics() Metrics { return e.met.snapshot() }
+func (e *exec[S]) LiveMetrics() Metrics { return e.met.snapshot() }
 
 // TasksDiscovered returns the number of task descriptors inserted so far —
 // a live progress indicator that converges on the graph's task count.
-func (e *FT) TasksDiscovered() int { return e.tasks.Len() }
+func (e *exec[S]) TasksDiscovered() int { return e.tasks.Len() }
 
 // TaskStatus returns the status of the current incarnation of key.
-func (e *FT) TaskStatus(key graph.Key) (Status, bool) {
+func (e *exec[S]) TaskStatus(key graph.Key) (Status, bool) {
 	t, ok := e.tasks.Load(key)
 	if !ok {
 		return 0, false
@@ -140,7 +166,7 @@ func (e *FT) TaskStatus(key graph.Key) (Status, bool) {
 
 // Run executes the task graph to completion on a private pool of
 // cfg.Workers workers and returns the result.
-func (e *FT) Run() (*Result, error) {
+func (e *exec[S]) Run() (*Result, error) {
 	pool := sched.NewPool(e.cfg.workers())
 	res, err := e.RunOn(pool)
 	if err != nil && errors.Is(err, ErrTimeout) {
@@ -162,7 +188,7 @@ func (e *FT) Run() (*Result, error) {
 // keeps responsibility for closing the pool; Result.Sched is left zero here
 // because a shared pool's counters are not attributable to one run (Run
 // fills it for the single-run case).
-func (e *FT) RunOn(pool *sched.Pool) (*Result, error) {
+func (e *exec[S]) RunOn(pool *sched.Pool) (*Result, error) {
 	start := time.Now()
 	g := pool.NewGroup()
 	e.group = g
@@ -222,26 +248,19 @@ func (e *FT) RunOn(pool *sched.Pool) (*Result, error) {
 // spawn schedules r.Run(_, arg) as part of this run's group, so that per-run
 // abort and quiescence see exactly this run's work even on a shared pool.
 // Outside a RunOn execution (unit tests drive the routines directly on a bare
-// worker) there is no group and the spawn goes straight to the worker.
-func (e *FT) spawn(w *sched.Worker, r sched.Runner, arg int) {
-	if e.group != nil {
-		e.group.SpawnRunner(w, r, arg)
-		return
-	}
-	w.SpawnRunner(r, arg)
-}
+// worker) there is no group, and the nil group's spawn is the worker's own.
+func (e *exec[S]) spawn(w *sched.Worker, r sched.Runner, arg int) { e.group.SpawnRunner(w, r, arg) }
 
 // newTask builds a fresh incarnation descriptor.
-func (e *FT) newTask(key graph.Key, life int) *Task {
-	t := &Task{e: e, life: int32(life)}
-	t.resolve(e.spec, e.store, key)
-	t.bits.Init(len(t.preds) + 1)
+func (e *exec[S]) newTask(key graph.Key, life int) *task[S] {
+	t := &task[S]{e: e}
+	t.resolve(e.spec, e.store, key, life)
 	return t
 }
 
 // insertIfAbsent is INSERTTASKIFABSENT + GETTASK.
-func (e *FT) insertIfAbsent(key graph.Key) (*Task, bool) {
-	return e.tasks.LoadOrStore(key, func() *Task { return e.newTask(key, 0) })
+func (e *exec[S]) insertIfAbsent(key graph.Key) (*task[S], bool) {
+	return e.tasks.LoadOrStore(key, func() *task[S] { return e.newTask(key, 0) })
 }
 
 // initAndCompute is INITANDCOMPUTE: traverse the immediate predecessors,
@@ -250,10 +269,10 @@ func (e *FT) insertIfAbsent(key graph.Key) (*Task, bool) {
 // idle workers can steal them; the last runs by call, as the continuation of
 // a Cilk procedure runs after its last spawn — a spawn the same worker would
 // pop straight back buys nothing.
-func (e *FT) initAndCompute(w *sched.Worker, t *Task) {
+func (e *exec[S]) initAndCompute(w *sched.Worker, t *task[S]) {
 	if last := len(t.preds) - 1; last >= 0 {
 		for i := 0; i < last; i++ {
-			e.spawn(w, (*traverseJob)(t), i)
+			e.spawn(w, (*traverseJob[S])(t), i)
 		}
 		e.tryInitCompute(w, t, last)
 	}
@@ -265,10 +284,10 @@ func (e *FT) initAndCompute(w *sched.Worker, t *Task) {
 // register t in the predecessor's notify array or, if the predecessor is
 // already computed, notify t directly. Any detected error on the predecessor
 // triggers its recovery.
-func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
+func (e *exec[S]) tryInitCompute(w *sched.Worker, t *task[S], i int) {
 	b, inserted := e.insertIfAbsent(t.preds[i])
 	if inserted {
-		e.spawn(w, (*exploreJob)(b), 0)
+		e.spawn(w, (*exploreJob[S])(b), 0)
 	}
 	b.mu.Lock()
 	if err := b.check(); err != nil { // catch
@@ -290,23 +309,25 @@ func (e *FT) tryInitCompute(w *sched.Worker, t *Task, i int) {
 // notifyOnce is NOTIFYONCE: clear the bit of the notifying predecessor — ind
 // is its predIndex, len(t.preds) for the self-notification. A notification
 // that wins its bit counts; the one whose clear empties the vector is the
-// join's decrement to zero, and its thread executes the task. For a task with
-// at most 63 predecessors that is one compare-and-swap on t, as the baseline's
-// decrement is one add. Errors accessing t trigger t's recovery.
-func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
+// join's decrement to zero, and its thread executes the task (task.Join). For
+// a task with at most 63 predecessors that is one compare-and-swap on t, as
+// NABBIT's decrement is one add. Errors accessing t trigger t's recovery.
+func (e *exec[S]) notifyOnce(w *sched.Worker, t *task[S], ind int) {
 	if err := t.check(); err != nil { // catch
 		e.recoverFromError(w, err, t.key, t.Life())
 		return
 	}
-	won, last := t.bits.Clear(ind)
+	won, last := t.Join(ind)
 	if !won {
 		return
 	}
 	e.met.at(w).notifications.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.Notifications.Inc()
+	if t.shaded() {
+		if ins := e.cfg.Instruments; ins != nil {
+			ins.Notifications.Inc()
+		}
+		e.cfg.Trace.Emit(trace.Notify, t.key, t.Life(), t.predKey(ind))
 	}
-	e.cfg.Trace.Emit(trace.Notify, t.key, t.Life(), t.predKey(ind))
 	if last {
 		e.computeAndNotify(w, t)
 	}
@@ -319,11 +340,24 @@ func (e *FT) notifyOnce(w *sched.Worker, t *Task, ind int) {
 // read where the table used to be read, so a replacement that lands later is
 // the race it always was: the notification goes to the old incarnation, and
 // the recovery scan has re-registered a successor whose bit was still set.
-func (e *FT) notifySuccessor(w *sched.Worker, from, s *Task) {
+func (e *exec[S]) notifySuccessor(w *sched.Worker, from, s *task[S]) {
 	if s.has(superseded) {
 		s, _ = e.tasks.Load(s.key)
 	}
 	e.notifyOnce(w, s, s.predIndex(from.key))
+}
+
+// drain runs NOTIFYSUCCESSOR over the batch of t's notify array that arg
+// names. NABBIT notifies the registered descriptors themselves: it has no
+// incarnations, and its join is a counter.
+func (e *exec[S]) drain(w *sched.Worker, t *task[S], arg int) {
+	for _, s := range t.batch(arg) {
+		if t.shaded() {
+			e.notifySuccessor(w, t, s)
+		} else {
+			e.notifyOnce(w, s, 0)
+		}
+	}
 }
 
 // computeAndNotify is COMPUTEANDNOTIFY: run the user compute, mark the task
@@ -334,8 +368,8 @@ func (e *FT) notifySuccessor(w *sched.Worker, from, s *Task) {
 // Tasks selected by Config.Replicate take the replicated path instead
 // (replica_exec.go), which defers the notify drain until both replicas'
 // digests agree.
-func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
-	if e.cfg.Replicate.Contains(t.key) {
+func (e *exec[S]) computeAndNotify(w *sched.Worker, t *task[S]) {
+	if t.shaded() && e.cfg.Replicate.Contains(t.key) {
 		e.computeReplicated(w, t)
 		return
 	}
@@ -346,22 +380,22 @@ func (e *FT) computeAndNotify(w *sched.Worker, t *Task) {
 
 // compute is the try block of COMPUTEANDNOTIFY: what it returns, the caller
 // catches.
-func (e *FT) compute(w *sched.Worker, t *Task) error {
+func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	if e.plan.Fire(t.key, t.Life(), fault.BeforeCompute) {
+	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.BeforeCompute) {
 		e.inject(w, t, false)
 		return fault.Errorf(t.key, t.Life())
 	}
 	if err := e.runCompute(w, t, nil); err != nil {
 		return err
 	}
-	if e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
+	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
 		e.inject(w, t, true)
 		return fault.Errorf(t.key, t.Life())
 	}
-	if e.plan.Fire(t.key, t.Life(), fault.SDC) {
+	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.SDC) {
 		// Unreplicated task: the corruption is unobservable by
 		// construction. Count the miss and continue as if nothing
 		// happened — that is the point of the SDC model.
@@ -380,31 +414,36 @@ func (e *FT) compute(w *sched.Worker, t *Task) error {
 // block free list when it ends. Shared by the plain and replicated (primary)
 // paths; the replicated path passes its join, which receives the digest of
 // the written output — the checksum the store just computed for it — and the
-// snapshot of the inputs the compute read.
-func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
+// snapshot of the inputs the compute read. NABBIT's computes are seen by the
+// hooks and counted, but not traced, timed or spanned.
+func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
 		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.Life(), 0)
 	e.met.at(w).computes.Add(1)
-	ins := e.cfg.Instruments
+	var ins *Instruments
+	var sp *trace.Spans
+	pool := &nabbitCtxPool
+	if t.shaded() {
+		e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.Life(), 0)
+		ins, sp, pool = e.cfg.Instruments, e.cfg.Spans, &ftCtxPool
+	}
 	var computeStart time.Time
 	if ins != nil {
 		ins.TasksComputed.Inc()
 		computeStart = time.Now()
 	}
-	sp := e.cfg.Spans
 	var spanStart time.Time
 	if sp != nil {
 		spanStart = time.Now()
 	}
-	ctx := ftCtxPool.Get().(*ftCtx)
+	ctx := pool.Get().(*taskCtx[S])
 	ctx.e, ctx.t, ctx.w, ctx.capture = e, t, w, rj != nil
 	err := e.spec.Compute(ctx, t.key)
 	wrote, sum, reads := ctx.wrote, ctx.sum, ctx.reads
 	ctx.release(rj == nil)
-	*ctx = ftCtx{heldBufs: ctx.heldBufs}
-	ftCtxPool.Put(ctx)
+	*ctx = taskCtx[S]{heldBufs: ctx.heldBufs}
+	pool.Put(ctx)
 	if ins != nil {
 		ins.ComputeLatency.ObserveSince(computeStart)
 	}
@@ -431,7 +470,7 @@ func (e *FT) runCompute(w *sched.Worker, t *Task, rj *replicaJoin) error {
 // emitSpan records one executor span (compute, inject, recover,
 // replica-join) under the run's distributed-trace context. Callers guard
 // with a Config.Spans nil check so disabled tracing costs one branch.
-func (e *FT) emitSpan(name string, start time.Time, dur time.Duration, key graph.Key, life int, arg int64) {
+func (e *exec[S]) emitSpan(name string, start time.Time, dur time.Duration, key graph.Key, life int, arg int64) {
 	e.cfg.Spans.Emit(trace.Span{
 		Trace:  e.cfg.SpanCtx.Trace,
 		Parent: e.cfg.SpanCtx.Span,
@@ -450,11 +489,13 @@ func (e *FT) emitSpan(name string, start time.Time, dur time.Duration, key graph
 // array stops growing), then fires any planned after-notify fault. A drain
 // job is t itself plus the batch's position, so the drain copies no entries
 // and allocates nothing.
-func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
+func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
 	if h := e.cfg.Hooks.OnComputed; h != nil {
 		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.ComputeDone, t.key, t.Life(), 0)
+	if t.shaded() {
+		e.cfg.Trace.Emit(trace.ComputeDone, t.key, t.Life(), 0)
+	}
 	t.setStatus(Computed)
 	notified := 0
 	for {
@@ -463,16 +504,18 @@ func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 		if notified == total {
 			t.setStatus(Completed)
 			t.mu.Unlock()
-			e.cfg.Trace.Emit(trace.Completed, t.key, t.Life(), int64(notified))
+			if t.shaded() {
+				e.cfg.Trace.Emit(trace.Completed, t.key, t.Life(), int64(notified))
+			}
 			break
 		}
 		t.mu.Unlock()
 		for lo := notified; lo < total; lo += notifyBatchSize {
-			e.spawn(w, (*drainJob)(t), batchArg(lo, total))
+			e.spawn(w, (*drainJob[S])(t), batchArg(lo, total))
 		}
 		notified = total
 	}
-	if e.plan.Fire(t.key, t.Life(), fault.AfterNotify) {
+	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.AfterNotify) {
 		// Silent corruption: no exception here; the fault is
 		// observed (if at all) by later readers of the task's
 		// descriptor or output (§VI-B "after notify").
@@ -482,10 +525,11 @@ func (e *FT) finishAndNotify(w *sched.Worker, t *Task) {
 
 // catchComputeError is the catch block shared by the plain and replicated
 // compute paths: a fault in the task itself is recovered; a predecessor's
-// fault recovers the predecessor and resets this task (Guarantee 5).
-func (e *FT) catchComputeError(w *sched.Worker, t *Task, err error) {
+// fault recovers the predecessor and resets this task (Guarantee 5). NABBIT
+// has no faults to catch: any error is a spec bug.
+func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 	var fe *fault.Error
-	if !errors.As(err, &fe) {
+	if !t.shaded() || !errors.As(err, &fe) {
 		panic(fmt.Sprintf("core: task %d compute returned non-fault error: %v", t.key, err))
 	}
 	e.cfg.Trace.Emit(trace.ComputeFault, t.key, t.Life(), fe.Key)
@@ -516,7 +560,7 @@ func (e *FT) catchComputeError(w *sched.Worker, t *Task, err error) {
 
 // inject poisons the task descriptor (and, when withBlock is set, the output
 // block version the incarnation has written).
-func (e *FT) inject(w *sched.Worker, t *Task, withBlock bool) {
+func (e *exec[S]) inject(w *sched.Worker, t *task[S], withBlock bool) {
 	e.cfg.Trace.Emit(trace.Inject, t.key, t.Life(), boolArg(withBlock))
 	if e.cfg.Spans != nil {
 		e.emitSpan("inject", time.Now(), 0, t.key, t.Life(), boolArg(withBlock))
@@ -533,7 +577,7 @@ func (e *FT) inject(w *sched.Worker, t *Task, withBlock bool) {
 
 // recoverFromError routes a caught *fault.Error to recovery of the task it
 // names. Non-fault errors indicate executor bugs and panic.
-func (e *FT) recoverFromError(w *sched.Worker, err error, defaultKey graph.Key, defaultLife int) {
+func (e *exec[S]) recoverFromError(w *sched.Worker, err error, defaultKey graph.Key, defaultLife int) {
 	var fe *fault.Error
 	if errors.As(err, &fe) {
 		e.recoverTaskOnce(w, fe.Key, fe.Life)
@@ -544,7 +588,7 @@ func (e *FT) recoverFromError(w *sched.Worker, err error, defaultKey graph.Key, 
 
 // recoverTaskOnce is RECOVERTASKONCE (Guarantee 1): only the thread that
 // wins the recovery-table race performs the recovery of this incarnation.
-func (e *FT) recoverTaskOnce(w *sched.Worker, key graph.Key, life int) {
+func (e *exec[S]) recoverTaskOnce(w *sched.Worker, key graph.Key, life int) {
 	if !e.isRecovering(key, life) {
 		e.recoverTask(w, key)
 	}
@@ -554,7 +598,7 @@ func (e *FT) recoverTaskOnce(w *sched.Worker, key graph.Key, life int) {
 // recovering incarnation life of key. The table maps each key to the most
 // recent life whose recovery has been initiated; claiming succeeds by
 // inserting the first record or by advancing life-1 → life.
-func (e *FT) isRecovering(key graph.Key, life int) bool {
+func (e *exec[S]) isRecovering(key graph.Key, life int) bool {
 	rec, inserted := e.rec.LoadOrStore(key, func() *atomic.Int64 {
 		r := new(atomic.Int64)
 		r.Store(int64(life))
@@ -572,7 +616,7 @@ func (e *FT) isRecovering(key graph.Key, life int) bool {
 // still set), and re-process the task as if newly created. Failures during
 // recovery restart the loop with yet another incarnation, unless some other
 // thread has already claimed that newer recovery.
-func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
+func (e *exec[S]) recoverTask(w *sched.Worker, key graph.Key) {
 	for {
 		t := e.replaceTask(w, key)
 		if h := e.cfg.Hooks.OnRecover; h != nil {
@@ -595,7 +639,7 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 					return err
 				}
 			}
-			e.spawn(w, (*exploreJob)(t), 0)
+			e.spawn(w, (*exploreJob[S])(t), 0)
 			return nil
 		}()
 		if ins != nil {
@@ -619,9 +663,9 @@ func (e *FT) recoverTask(w *sched.Worker, key graph.Key) {
 
 // replaceTask is REPLACETASK: atomically install a fresh incarnation with
 // life+1, and mark the old one superseded for the holders of its pointer.
-func (e *FT) replaceTask(w *sched.Worker, key graph.Key) *Task {
-	var nt *Task
-	e.tasks.Update(key, func(old *Task, ok bool) *Task {
+func (e *exec[S]) replaceTask(w *sched.Worker, key graph.Key) *task[S] {
+	var nt *task[S]
+	e.tasks.Update(key, func(old *task[S], ok bool) *task[S] {
 		life := 0
 		if ok {
 			life = old.Life() + 1
@@ -642,7 +686,7 @@ func (e *FT) replaceTask(w *sched.Worker, key graph.Key) *Task {
 // waiting (or would have registered) on the failed incarnation; enqueue it
 // in the new incarnation's notify array. Errors in the successor trigger its
 // recovery; errors in t propagate to recoverTask's retry loop.
-func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
+func (e *exec[S]) reinitNotifyEntry(w *sched.Worker, t *task[S], s *task[S]) error {
 	err := func() error { // try
 		if err := s.check(); err != nil {
 			return err
@@ -651,7 +695,7 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 			return nil
 		}
 		ind := s.predIndex(t.key)
-		if s.bits.IsSet(ind) {
+		if s.ft().bits.IsSet(ind) {
 			if err := t.check(); err != nil {
 				return err
 			}
@@ -677,7 +721,7 @@ func (e *FT) reinitNotifyEntry(w *sched.Worker, t *Task, s *Task) error {
 // incarnation — which is also its join counter — and re-traverse its
 // predecessors; the traversal observes and recovers whichever predecessor
 // failed.
-func (e *FT) resetNode(w *sched.Worker, t *Task) {
+func (e *exec[S]) resetNode(w *sched.Worker, t *task[S]) {
 	e.met.at(w).resets.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.Resets.Inc()
@@ -690,7 +734,7 @@ func (e *FT) resetNode(w *sched.Worker, t *Task) {
 		if err := t.check(); err != nil {
 			return err
 		}
-		t.bits.SetAll()
+		t.ft().bits.SetAll()
 		e.initAndCompute(w, t)
 		return nil
 	}()

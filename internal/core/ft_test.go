@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -371,17 +372,24 @@ func TestFTResultFields(t *testing.T) {
 	}
 }
 
+// TestFTTimeout: a compute that sleeps long enough trips the watchdog of
+// either executor, and the error carries the stuck tasks.
 func TestFTTimeout(t *testing.T) {
-	// A compute that sleeps long enough trips the watchdog.
 	g := graph.NewStatic(func(key graph.Key, vals [][]float64) []float64 {
 		time.Sleep(200 * time.Millisecond)
 		return []float64{1}
 	})
 	g.AddTaskAuto(0)
 	g.SetSink(0)
-	_, err := NewFT(g, Config{Workers: 1, Timeout: 10 * time.Millisecond}).Run()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	cfg := Config{Workers: 1, Timeout: 10 * time.Millisecond}
+	for name, run := range map[string]func() (*Result, error){
+		"FT":     NewFT(g, cfg).Run,
+		"NABBIT": NewBaseline(g, cfg).Run,
+	} {
+		_, err := run()
+		if !errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "1 incomplete task(s)") {
+			t.Errorf("%s: err = %v, want ErrTimeout with the stuck task", name, err)
+		}
 	}
 }
 

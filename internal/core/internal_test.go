@@ -85,8 +85,8 @@ func TestNewTaskShape(t *testing.T) {
 	g := graph.Diamond(nil)
 	e := NewFT(g, Config{})
 	task := e.newTask(3, 0) // task 3 has preds [1, 2]
-	if task.bits.Len() != 3 || task.bits.Count() != 3 {
-		t.Fatalf("bits len=%d count=%d, want 3/3", task.bits.Len(), task.bits.Count())
+	if task.ft().bits.Len() != 3 || task.ft().bits.Count() != 3 {
+		t.Fatalf("bits len=%d count=%d, want 3/3", task.ft().bits.Len(), task.ft().bits.Count())
 	}
 	if task.predIndex(1) != 0 || task.predIndex(2) != 1 || task.predIndex(3) != 2 {
 		t.Fatal("predIndex mapping wrong")
@@ -152,14 +152,23 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestBaselineRejectsPlan: NABBIT has no recovery, so nothing could act on an
+// injected fault or on a replica's digest mismatch.
 func TestBaselineRejectsPlan(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("baseline with plan should panic")
-		}
-	}()
-	plan := planWithOneFault()
-	NewBaseline(graph.Diamond(nil), Config{Plan: plan})
+	g := graph.Diamond(nil)
+	for name, cfg := range map[string]Config{
+		"plan":      {Plan: planWithOneFault()},
+		"replicate": {Replicate: replicateAll(g)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("baseline with a %s should panic", name)
+				}
+			}()
+			NewBaseline(g, cfg)
+		})
+	}
 }
 
 func TestRecorderDiff(t *testing.T) {
@@ -212,11 +221,16 @@ func planWithOneFault() *fault.Plan {
 }
 
 func TestRunCancellation(t *testing.T) {
+	t.Run("FT", func(t *testing.T) { testRunCancellation(t, NewFT) })
+	t.Run("NABBIT", func(t *testing.T) { testRunCancellation(t, NewBaseline) })
+}
+
+func testRunCancellation[S state](t *testing.T, newExec func(graph.Spec, Config) *exec[S]) {
 	// Cancelling must abort the run promptly with ErrCancelled. Every
 	// compute holds its worker until the run has observed the cancel (the
 	// group is aborted); releasing the computes on the test's own clock
 	// instead would let the four-task chain finish first now and then.
-	var e *FT
+	var e *exec[S]
 	g := graph.NewStatic(func(key graph.Key, vals [][]float64) []float64 {
 		for deadline := time.Now().Add(10 * time.Second); !e.group.Aborted() && time.Now().Before(deadline); {
 			time.Sleep(50 * time.Microsecond)
@@ -231,7 +245,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 	g.SetSink(3)
 	cancel := make(chan struct{})
-	e = NewFT(g, Config{Workers: 2, Cancel: cancel})
+	e = newExec(g, Config{Workers: 2, Cancel: cancel})
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.Run()

@@ -38,7 +38,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 		}
 
 		// Bit already cleared (successor was notified) → no enqueue.
-		succ.bits.TestAndClear(succ.predIndex(1))
+		succ.ft().bits.TestAndClear(succ.predIndex(1))
 		if err := e.reinitNotifyEntry(w, pred, succ); err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 		}
 
 		// Computed successor → no enqueue regardless of bits.
-		succ.bits.SetAll()
+		succ.ft().bits.SetAll()
 		succ.setStatus(Computed)
 		if err := e.reinitNotifyEntry(w, pred, succ); err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRecoverTaskReconstructsNotifyArray(t *testing.T) {
 		e.insertIfAbsent(0)
 		s1, _ := e.insertIfAbsent(1)
 		s2, _ := e.insertIfAbsent(2)
-		s2.bits.TestAndClear(s2.predIndex(0))
+		s2.ft().bits.TestAndClear(s2.predIndex(0))
 		_ = s1
 
 		e.recoverTask(w, 0)
@@ -116,11 +116,11 @@ func TestRecoverTaskReconstructsNotifyArray(t *testing.T) {
 		t.Fatalf("recovered task 0: life=%d status=%v", t0.Life(), t0.Status())
 	}
 	s1, _ := e.tasks.Load(1)
-	if s1.bits.IsSet(s1.predIndex(0)) {
+	if s1.ft().bits.IsSet(s1.predIndex(0)) {
 		t.Fatal("successor 1 was not notified by the recovered incarnation")
 	}
 	s2, _ := e.tasks.Load(2)
-	if got := s2.bits.Count(); got != 1 {
+	if got := s2.ft().bits.Count(); got != 1 {
 		// The bit of 0 was cleared before the recovery; its self bit is
 		// all that is left, and the recovered incarnation's notification
 		// must have found the bit of 0 cleared.

@@ -51,7 +51,7 @@ func (rj *replicaJoin) arrive() bool { return rj.remaining.Add(-1) == 0 }
 
 // computeReplicated executes t with a shadow replica. The shadow is spawned
 // first so it can overlap the primary; the primary then runs inline on w.
-func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
+func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 	rj := &replicaJoin{}
 	rj.remaining.Store(2)
 	e.met.at(w).replicatedTasks.Add(1)
@@ -108,7 +108,7 @@ func (e *FT) computeReplicated(w *sched.Worker, t *Task) {
 // recovery — the resolver re-verifies the primary from its input snapshot
 // instead, so a shadow losing a store read to an anti-dependent writer
 // never costs detection coverage.
-func (e *FT) runShadow(w *sched.Worker, t *Task, rj *replicaJoin) {
+func (e *exec[S]) runShadow(w *sched.Worker, t *task[S], rj *replicaJoin) {
 	digest, err := e.shadowCompute(w, t, false, nil)
 	if err != nil {
 		rj.shadowFailed.Store(true)
@@ -123,7 +123,7 @@ func (e *FT) runShadow(w *sched.Worker, t *Task, rj *replicaJoin) {
 // shadowCompute runs t's compute without storing the output and returns the
 // output's digest. With snapshot set, the predecessor reads come from inputs
 // — the primary's snapshot — instead of the store (the re-verification path).
-func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []predRead) (uint64, error) {
+func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inputs []predRead) (uint64, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
@@ -131,7 +131,7 @@ func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []pre
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.ShadowComputes.Inc()
 	}
-	ctx := &shadowCtx{ftCtx: ftCtx{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
+	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
 		err = fault.Errorf(t.key, t.Life())
@@ -154,7 +154,7 @@ func (e *FT) shadowCompute(w *sched.Worker, t *Task, snapshot bool, inputs []pre
 // inline on the resolving worker — the distinct-worker placement was already
 // attempted by the live shadow; this retry trades that placement for
 // guaranteed verification. Reports whether a digest was produced.
-func (e *FT) reverifyFromSnapshot(w *sched.Worker, t *Task, rj *replicaJoin) bool {
+func (e *exec[S]) reverifyFromSnapshot(w *sched.Worker, t *task[S], rj *replicaJoin) bool {
 	digest, err := e.shadowCompute(w, t, true, rj.inputs)
 	if err != nil {
 		return false
@@ -168,7 +168,7 @@ func (e *FT) reverifyFromSnapshot(w *sched.Worker, t *Task, rj *replicaJoin) boo
 // its stored output are poisoned and the ordinary recovery machinery
 // re-executes the incarnation (the SDC plan entry has already fired, so the
 // re-execution is clean).
-func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
+func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) {
 	if rj.aborted.Load() {
 		return // the primary's catch already dispatched recovery
 	}
@@ -230,7 +230,7 @@ func (e *FT) resolveReplicas(w *sched.Worker, t *Task, rj *replicaJoin) {
 // corrupted data, so neither the poisoned flag nor checksum verification
 // can observe it. Only replica digest comparison can. It returns the
 // recomputed checksum and whether the version was still retained.
-func (e *FT) injectSDC(w *sched.Worker, t *Task) (sum uint64, ok bool) {
+func (e *exec[S]) injectSDC(w *sched.Worker, t *task[S]) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.Life(), 0)
 	e.met.at(w).sdcInjected.Add(1)
@@ -243,7 +243,7 @@ func (e *FT) injectSDC(w *sched.Worker, t *Task) (sum uint64, ok bool) {
 // spawnAvoiding schedules f on a worker other than w (round-robin; worker 0
 // on a single-worker pool), through this run's group when present so abort
 // and quiescence semantics match spawn. Returns the chosen worker id.
-func (e *FT) spawnAvoiding(w *sched.Worker, f sched.Func) int {
+func (e *exec[S]) spawnAvoiding(w *sched.Worker, f sched.Func) int {
 	if e.group != nil {
 		return e.group.SpawnAvoiding(w, f)
 	}

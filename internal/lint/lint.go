@@ -41,15 +41,6 @@ func (d Diagnostic) String() string {
 // and consumed during the run phase. All analyzers of one Check call share
 // one Facts value.
 type Facts struct {
-	// AtomicFields maps "pkgpath.StructType.field" to one position where
-	// the field is accessed through sync/atomic. Populated by mixedatomic,
-	// also consumed by atomicalign.
-	AtomicFields map[string]token.Position
-	// AtomicWrappers maps "pkgpath.funcName" of a module-internal function
-	// that forwards a pointer parameter into sync/atomic (e.g. the
-	// baseline executor's storeInt32 helper) to the indices of those
-	// pointer parameters.
-	AtomicWrappers map[string][]int
 	// Deterministic records packages carrying a //lint:deterministic
 	// directive: the determinism manifest for the detrand analyzer.
 	Deterministic map[string]bool
@@ -66,11 +57,7 @@ type Facts struct {
 }
 
 func newFacts() *Facts {
-	return &Facts{
-		AtomicFields:   make(map[string]token.Position),
-		AtomicWrappers: make(map[string][]int),
-		Deterministic:  make(map[string]bool),
-	}
+	return &Facts{Deterministic: make(map[string]bool)}
 }
 
 // Pass is one analyzer's view of one package.
@@ -101,9 +88,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // Analyzer is one static check. Collect (optional) gathers cross-package
-// facts; the driver runs every Collect over every package (twice, so facts
-// discovered late — e.g. an atomic wrapper defined in a package loaded after
-// its callers — still register every call site) before any Run.
+// facts; the driver runs every Collect over every package before any Run.
 type Analyzer struct {
 	Name    string
 	Doc     string
@@ -112,7 +97,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite, in reporting order.
-var All = []*Analyzer{MixedAtomic, LockScope, DetRand, ErrSink, AtomicAlign, LockOrder, GoLeak, AckOrder}
+var All = []*Analyzer{RawAtomic, LockScope, DetRand, ErrSink, LockOrder, GoLeak, AckOrder}
 
 // Check runs the analyzers over the packages and returns the surviving
 // findings sorted by position: load errors first-class, //lint:ignore
@@ -144,18 +129,14 @@ func CheckVerbose(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	}
 
 	facts := newFacts()
-	collect := func() {
-		for _, a := range analyzers {
-			if a.Collect == nil {
-				continue
-			}
-			for _, pkg := range healthy {
-				a.Collect(&Pass{Analyzer: a, Fset: fset, Pkg: pkg, Facts: facts, report: func(Diagnostic) {}})
-			}
+	for _, a := range analyzers {
+		if a.Collect == nil {
+			continue
+		}
+		for _, pkg := range healthy {
+			a.Collect(&Pass{Analyzer: a, Fset: fset, Pkg: pkg, Facts: facts, report: func(Diagnostic) {}})
 		}
 	}
-	collect()
-	collect() // second round: wrapper call sites in packages collected before the wrapper's own package
 
 	var found []Diagnostic
 	// The interprocedural foundation: one call graph per Check, shared by

@@ -122,7 +122,8 @@ func (g *Group) release() {
 // own deque.
 func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
 
-// SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner).
+// SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner). On a nil group
+// it is Worker.SpawnRunner.
 func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
 	w.spawnJob(job{run: r, arg: arg, g: g})
 }
