@@ -4,7 +4,7 @@
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), then the block read path (ns/KiB); no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), then the block read path (ns/KiB, whole tiles and boundary reads); no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -30,8 +30,9 @@ benchbuild:
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
 # replaced, and ns/KiB of a verified and a plain Slot.Read, whose one pass
-# over the payload is the FT − NABBIT gap on the apps. No threshold: timing
-# gates do not survive this host.
+# over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
+# boundary reads (a tile's row, column and corner) of the same 32 KiB. No
+# threshold: timing gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
@@ -130,12 +131,14 @@ sdcsoak:
 	$(GO) run ./cmd/ftsoak -sdc -sdciters 24 -seed 2
 
 # Short fuzz passes over the journal's record/segment decoders (seed corpus
-# in internal/journal/fuzz_test.go).
+# in internal/journal/fuzz_test.go) and the block store's verified boundary
+# read (internal/block/readat_test.go).
 fuzz:
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzReplaySegment -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeStreamFrame -fuzztime 10s
+	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzSlotReadAt -fuzztime 10s
 
 # Non-test Go lines per package directory and in total: the size that
 # ROADMAP item 2 asks every cut to report before and after.

@@ -92,27 +92,23 @@ func (wf *wavefront) Output(k ftdag.Key) ftdag.BlockRef {
 func (wf *wavefront) Compute(ctx ftdag.Context, k ftdag.Key) error {
 	i, j := wf.coords(k)
 	t := wf.tile
+	// Only the neighbours' boundary is read: the last row above, the last
+	// column to the left and the last cell above-left, as strided runs.
 	top := make([]float64, t)
 	left := make([]float64, t)
-	corner := 0.0
+	corner := make([]float64, 1)
 	if i > 0 {
-		v, err := ctx.ReadPred(wf.key(i-1, j))
-		if err != nil {
+		if err := ftdag.ReadPredAt(ctx, wf.key(i-1, j), top, ftdag.BlockRun{Off: (t - 1) * t, Stride: 1, N: t}); err != nil {
 			return err
 		}
-		copy(top, v[(t-1)*t:])
 	} else {
 		for c := 0; c < t; c++ {
 			top[c] = float64(j*t + c) // first row: distance from empty prefix
 		}
 	}
 	if j > 0 {
-		v, err := ctx.ReadPred(wf.key(i, j-1))
-		if err != nil {
+		if err := ftdag.ReadPredAt(ctx, wf.key(i, j-1), left, ftdag.BlockRun{Off: t - 1, Stride: t, N: t}); err != nil {
 			return err
-		}
-		for r := 0; r < t; r++ {
-			left[r] = v[r*t+t-1]
 		}
 	} else {
 		for r := 0; r < t; r++ {
@@ -121,15 +117,13 @@ func (wf *wavefront) Compute(ctx ftdag.Context, k ftdag.Key) error {
 	}
 	switch {
 	case i > 0 && j > 0:
-		v, err := ctx.ReadPred(wf.key(i-1, j-1))
-		if err != nil {
+		if err := ftdag.ReadPredAt(ctx, wf.key(i-1, j-1), corner, ftdag.BlockRun{Off: t*t - 1, Stride: 1, N: 1}); err != nil {
 			return err
 		}
-		corner = v[t*t-1]
 	case i > 0:
-		corner = float64(i * t)
+		corner[0] = float64(i * t)
 	case j > 0:
-		corner = float64(j * t)
+		corner[0] = float64(j * t)
 	}
 	out := make([]float64, t*t)
 	for r := 0; r < t; r++ {
@@ -149,7 +143,7 @@ func (wf *wavefront) Compute(ctx ftdag.Context, k ftdag.Key) error {
 			}
 			switch {
 			case r == 0 && c == 0:
-				dg = corner
+				dg = corner[0]
 			case r == 0:
 				dg = top[c-1]
 			case c == 0:

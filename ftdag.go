@@ -52,6 +52,8 @@ type (
 	BlockRef = block.Ref
 	// BlockID identifies a logical data block.
 	BlockID = block.ID
+	// BlockRun names strided words of a block version, for ReadPredAt.
+	BlockRun = block.Run
 	// Graph is an explicitly constructed Spec with builder methods.
 	Graph = graph.Static
 	// ComputeFunc is the kernel type used by Graph.
@@ -219,6 +221,14 @@ func PlanCount(spec Spec, typ TaskType, point Point, n int, seed int64) *Plan {
 // PlanFraction plans faults at point on the given fraction of all tasks.
 func PlanFraction(spec Spec, typ TaskType, point Point, frac float64, seed int64) *Plan {
 	return fault.PlanFraction(spec, typ, point, frac, seed)
+}
+
+// ReadPredAt fills dst with the words of pred's output that the runs name,
+// copying (and, under VerifyChecksums, checking) only those: a tile's
+// boundary without a copy of the tile. A Context that cannot serve it
+// directly falls back on ReadPred and a gather. See graph.ReadPredAt.
+func ReadPredAt(ctx Context, pred Key, dst []float64, runs ...BlockRun) error {
+	return graph.ReadPredAt(ctx, pred, dst, runs...)
 }
 
 // Validate structurally checks a Spec (predecessor/successor symmetry,

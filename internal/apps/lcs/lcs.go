@@ -23,6 +23,9 @@ const alphabet = 4
 type LCS struct {
 	n, b, nb int
 	x, y     []byte
+	// row, col and corner are the runs a tile reads of its upper, left and
+	// upper-left neighbour: that tile's last row, last column, last cell.
+	row, col, corner []block.Run
 }
 
 var _ apps.App = (*LCS)(nil)
@@ -32,9 +35,13 @@ func New(cfg apps.Config) (apps.App, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &LCS{n: cfg.N, b: cfg.B, nb: cfg.Tiles()}
+	b := cfg.B
+	a := &LCS{n: cfg.N, b: b, nb: cfg.Tiles()}
 	a.x = randomSeq(cfg.N, cfg.Seed)
 	a.y = randomSeq(cfg.N, cfg.Seed+1)
+	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}}
+	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}}
+	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 1}}
 	return a, nil
 }
 
@@ -105,36 +112,30 @@ func (a *LCS) Output(k graph.Key) block.Ref {
 func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 	bi, bj := a.coords(k)
 	b, nb := a.b, a.nb
-	// Boundary values D[bi*b-1+r][bj*b-1+c] come from neighbour tiles;
-	// row -1 / column -1 of the global table are zero.
-	top := make([]float64, b)  // D[bi*b-1][bj*b + c]
-	left := make([]float64, b) // D[bi*b + r][bj*b-1]
-	corner := 0.0              // D[bi*b-1][bj*b-1]
-	if bi > 0 {
-		t, err := ctx.ReadPred(graph.Key((bi-1)*nb + bj))
-		if err != nil {
-			return err
-		}
-		copy(top, t[(b-1)*b:])
-	}
-	if bj > 0 {
-		t, err := ctx.ReadPred(graph.Key(bi*nb + (bj - 1)))
-		if err != nil {
-			return err
-		}
-		for r := 0; r < b; r++ {
-			left[r] = t[r*b+b-1]
-		}
-	}
-	if bi > 0 && bj > 0 {
-		t, err := ctx.ReadPred(graph.Key((bi-1)*nb + (bj - 1)))
-		if err != nil {
-			return err
-		}
-		corner = t[b*b-1]
-	}
+	// Boundary values D[bi*b-1+r][bj*b-1+c] come from neighbour tiles, read
+	// for just those words; row -1 / column -1 of the global table are zero.
+	// The row above lands in the tile's own last row, which fill reads only
+	// for the first row and overwrites last, so the column and the corner
+	// are the compute's one allocation besides the tile.
 	tile := block.Alloc(b * b)
-	fill(tile, top, left, corner, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	edge := make([]float64, b+1)
+	top := tile[(b-1)*b:]              // D[bi*b-1][bj*b + c]
+	left, corner := edge[:b], edge[b:] // D[bi*b + r][bj*b-1], D[bi*b-1][bj*b-1]
+	var err error
+	if bi > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), top, a.row...)
+	}
+	if err == nil && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), left, a.col...)
+	}
+	if err == nil && bi > 0 && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), corner, a.corner...)
+	}
+	if err != nil {
+		block.Free(tile)
+		return err
+	}
+	fill(tile, top, left, corner[0], a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
 	ctx.Write(tile)
 	return nil
 }
@@ -144,7 +145,9 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 // xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
 // row the cell to the left and the diagonal one are the values just computed
 // and just read, so they are carried in locals; the row above is top for the
-// first row and the tile's previous row after it.
+// first row and the tile's previous row after it. top may be the tile's own
+// last row: fill reads it only for the first row, and reads each cell of it
+// before writing that cell when the first row is the last (b = 1).
 func fill(tile, top, left []float64, corner float64, xs, ys []byte) {
 	b := len(ys)
 	up, dg0 := top, corner

@@ -73,18 +73,22 @@ func boundary(b int, seed int64) (top, left []float64, corner float64, xs, ys []
 
 // TestFillMatchesOracle: the row-carried kernel reproduces the per-cell loop
 // bit for bit, cells and running maximum, on random boundaries and sequences
-// of every size.
+// of every size — also with the row above read into the tile's own last row,
+// as Compute reads it.
 func TestFillMatchesOracle(t *testing.T) {
 	for _, b := range kernelSizes {
 		for seed := int64(1); seed <= 8; seed++ {
 			top, left, corner, xs, ys := boundary(b, 3*seed)
 			runMax := float64(seed)
-			got, want := make([]float64, b*b+1), make([]float64, b*b+1)
+			got, want, inPlace := make([]float64, b*b+1), make([]float64, b*b+1), make([]float64, b*b+1)
 			got[b*b] = fill(got[:b*b], top, left, corner, runMax, xs, ys)
 			want[b*b] = fillNaive(want[:b*b], top, left, corner, runMax, xs, ys)
+			last := inPlace[(b-1)*b : b*b]
+			copy(last, top)
+			inPlace[b*b] = fill(inPlace[:b*b], last, left, corner, runMax, xs, ys)
 			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("b=%d seed=%d: fill[%d] = %v, per-cell loop %v", b, seed, i, got[i], want[i])
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("b=%d seed=%d: fill[%d] = %v (top in the last row: %v), per-cell loop %v", b, seed, i, got[i], inPlace[i], want[i])
 				}
 			}
 		}

@@ -40,6 +40,10 @@ const (
 type SW struct {
 	n, b, nb int
 	x, y     []byte
+	// row, col and corner are the runs a tile reads of its upper, left and
+	// upper-left neighbour: that tile's last row, last column or last cell,
+	// each followed by its running maximum.
+	row, col, corner []block.Run
 }
 
 var _ apps.App = (*SW)(nil)
@@ -49,9 +53,14 @@ func New(cfg apps.Config) (apps.App, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &SW{n: cfg.N, b: cfg.B, nb: cfg.Tiles()}
+	b := cfg.B
+	a := &SW{n: cfg.N, b: b, nb: cfg.Tiles()}
 	a.x = randomSeq(cfg.N, cfg.Seed+7)
 	a.y = randomSeq(cfg.N, cfg.Seed+11)
+	runMax := block.Run{Off: b * b, Stride: 1, N: 1}
+	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}, runMax}
+	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}, runMax}
+	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 2}} // the last cell and the running maximum after it
 	return a, nil
 }
 
@@ -142,44 +151,32 @@ func (a *SW) Output(k graph.Key) block.Ref {
 func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 	bi, bj := a.coords(k)
 	b, nb := a.b, a.nb
-	top := make([]float64, b)
-	left := make([]float64, b)
-	corner := 0.0
-	runMax := 0.0
-	if bi > 0 {
-		t, err := ctx.ReadPred(graph.Key((bi-1)*nb + bj))
-		if err != nil {
-			return err
-		}
-		copy(top, t[(b-1)*b:b*b])
-		if t[b*b] > runMax {
-			runMax = t[b*b]
-		}
-	}
-	if bj > 0 {
-		t, err := ctx.ReadPred(graph.Key(bi*nb + (bj - 1)))
-		if err != nil {
-			return err
-		}
-		for r := 0; r < b; r++ {
-			left[r] = t[r*b+b-1]
-		}
-		if t[b*b] > runMax {
-			runMax = t[b*b]
-		}
-	}
-	if bi > 0 && bj > 0 {
-		t, err := ctx.ReadPred(graph.Key((bi-1)*nb + (bj - 1)))
-		if err != nil {
-			return err
-		}
-		corner = t[b*b-1]
-		if t[b*b] > runMax {
-			runMax = t[b*b]
-		}
-	}
+	// Each neighbour is read for its boundary and its running maximum only; a
+	// missing neighbour leaves zeros, the boundary of the global table and
+	// the score floor. The row above and its maximum land in the tile's own
+	// last row and maximum slot, which fill reads only for the first row and
+	// overwrites last, so the column and the corner are the compute's one
+	// allocation besides the tile.
 	tile := block.Alloc(b*b + 1)
-	tile[b*b] = fill(tile[:b*b], top, left, corner, runMax, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	edge := make([]float64, b+3)
+	up := tile[(b-1)*b:]             // the row above, then its tile's running maximum
+	lf, dg := edge[:b+1], edge[b+1:] // the column to the left, the corner: each then its tile's maximum
+	var err error
+	if bi > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), up, a.row...)
+	}
+	if err == nil && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), lf, a.col...)
+	}
+	if err == nil && bi > 0 && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), dg, a.corner...)
+	}
+	if err != nil {
+		block.Free(tile)
+		return err
+	}
+	runMax := max(0, up[b], lf[b], dg[1])
+	tile[b*b] = fill(tile[:b*b], up[:b], lf[:b], dg[0], runMax, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
 	ctx.Write(tile)
 	return nil
 }
@@ -190,7 +187,9 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 // xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
 // row the cell to the left and the diagonal one are the values just computed
 // and just read, so they are carried in locals; the row above is top for the
-// first row and the tile's previous row after it.
+// first row and the tile's previous row after it. top may be the tile's own
+// last row: fill reads it only for the first row, and reads each cell of it
+// before writing that cell when the first row is the last (b = 1).
 func fill(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
 	b := len(ys)
 	up, dg0 := top, corner

@@ -31,6 +31,14 @@
 // its way out: a write hashes the buffer it adopts, and a verified read
 // hashes the words as it copies them.
 //
+// A reader that needs only part of a payload — a tile's last row, last
+// column and last cell — names the words as strided runs and calls ReadAt,
+// which copies just those. On a verifying store a write also records the
+// checksum's lane states at every segment boundary (segWords), and ReadAt
+// re-hashes only the segments that hold a word it returns, each against the
+// states recorded at its two ends: what was checked is still what is
+// returned.
+//
 // A block is reached through its Slot. An executor resolves the Slot of a
 // task's output once, when it creates the task's descriptor, and reads and
 // writes through the handle from then on; Store.Read and Store.Write are the
@@ -44,6 +52,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ftdag/internal/cmap"
 	"ftdag/internal/metrics"
@@ -85,11 +94,23 @@ func (e *AccessError) Unwrap() error { return e.Err }
 // entry is one retained version. Every field is guarded by the slot lock;
 // data is the buffer its writer handed over, which nobody else holds.
 type entry struct {
-	version   int
-	producer  int64 // task key that produced this version
-	data      []float64
-	checksum  uint64
+	version  int
+	producer int64 // task key that produced this version
+	data     []float64
+	checksum uint64
+	// snaps is the first of the snapCount(len(data)) lane snapshots of
+	// checksum (checksumSnaps) on a verifying store, nil elsewhere. One
+	// pointer rather than a slice keeps the Slot in its 112-byte size class.
+	snaps     *lanes
 	corrupted bool
+}
+
+// snapshots returns the entry's lane snapshots, one per segment but the last.
+func (e *entry) snapshots() []lanes {
+	if e.snaps == nil {
+		return nil
+	}
+	return unsafe.Slice(e.snaps, snapCount(len(e.data)))
 }
 
 // Slot is the handle of one block: its retention ring under its own lock.
@@ -207,27 +228,63 @@ func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum ui
 // repairs a corrupted version) and evicts nothing. The buffer of an evicted or
 // replaced version goes back to the free list — unless it is data's own, which
 // a second Write of one slice displaces — and its ring entry is reused, so a
-// store in steady state writes without allocating.
+// store in steady state writes without allocating. On a verifying store a
+// payload longer than one segment also keeps the lane snapshots ReadAt
+// verifies by; they are recorded in the same pass as the checksum.
 func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
+	if k := snapCount(len(data)); k > 0 && sl.store.verify {
+		return sl.writeSnaps(version, producer, data, k)
+	}
+	return sl.put(version, producer, data, Checksum(data), nil, nil)
+}
+
+// stackSnaps is how many lane snapshots a write records on its stack: a
+// 32 KiB tile and one word more.
+const stackSnaps = 16
+
+// writeSnaps is Write of a payload of k+1 segments on a verifying store. A
+// single-assignment store, which displaces an entry only on a rewrite, and a
+// payload of more than stackSnaps+1 segments hash into an array the version
+// keeps; any other write records on its stack, and put moves the record into
+// the array of the entry the write displaces.
+func (sl *Slot) writeSnaps(version int, producer int64, data []float64, k int) (uint64, int64, bool) {
+	if sl.store.retention == 0 || k > stackSnaps {
+		kept := make([]lanes, k)
+		return sl.put(version, producer, data, checksumSnaps(data, kept), &kept[0], nil)
+	}
+	var rec [stackSnaps]lanes
+	return sl.put(version, producer, data, checksumSnaps(data, rec[:k]), nil, rec[:k])
+}
+
+// put stores data, whose checksum is sum, as the given version (Write). Its
+// lane snapshots are kept, an array the version keeps, or rec, which put
+// copies into the array of the entry the write displaces when that holds as
+// many — every write of a store in steady state — and into a new one when not.
+func (sl *Slot) put(version int, producer int64, data []float64, sum uint64, kept *lanes, rec []lanes) (_ uint64, victim int64, evicted bool) {
 	s := sl.store
-	sum = Checksum(data)
 	sl.mu.Lock()
 	// Whichever entry the write displaces moves out of the ring, the rest
 	// shift down, and the new version takes the most-recently-written
 	// position, mirroring a physical buffer write.
-	var old []float64
+	var old entry
 	switch i := sl.index(version); {
 	case i >= 0:
-		old = sl.entries[i].data
+		old = sl.entries[i]
 		copy(sl.entries[i:], sl.entries[i+1:])
 	case s.retention > 0 && len(sl.entries) == s.retention:
-		old = sl.entries[0].data
-		victim, evicted = sl.entries[0].producer, true
+		old = sl.entries[0]
+		victim, evicted = old.producer, true
 		copy(sl.entries, sl.entries[1:])
 	default:
 		sl.entries = append(sl.entries, entry{})
 	}
-	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum}
+	if len(rec) > 0 {
+		if kept = old.snaps; kept == nil || snapCount(len(old.data)) < len(rec) {
+			kept = &make([]lanes, len(rec))[0]
+		}
+		copy(unsafe.Slice(kept, len(rec)), rec)
+	}
+	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum, snaps: kept}
 	sl.mu.Unlock()
 	// The free list's lock and the store's shared line are taken with the
 	// slot lock dropped: the displaced buffer is out of the ring, and the
@@ -236,14 +293,14 @@ func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, 
 	if evicted && s.ins != nil {
 		s.ins.Evictions.Inc()
 	}
-	if !sameStart(old, data) {
-		Free(old)
+	if !sameStart(old.data, data) {
+		Free(old.data)
 	}
 	// Applied as one net delta so the high-water mark models physical
 	// buffer reuse rather than transiently double-counting the displaced
 	// payload. A version that replaces one of its own size — every write of a
 	// store in steady state — moves neither number.
-	s.addRetained(int64(len(data) - len(old)))
+	s.addRetained(int64(len(data) - len(old.data)))
 	return sum, victim, evicted
 }
 
@@ -332,6 +389,142 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	return out, nil
 }
 
+// Run names N words of a payload, Stride apart from word Off: Off,
+// Off+Stride, …, Off+(N-1)·Stride. Stride must be positive when N > 1. A
+// tile's last row of b words is {(b-1)·b, 1, b}, its last column {b-1, b, b}.
+type Run struct{ Off, Stride, N int }
+
+// Words returns how many words the runs name.
+func Words(runs ...Run) int {
+	n := 0
+	for _, r := range runs {
+		n += r.N
+	}
+	return n
+}
+
+// Gather copies the words the runs name from src into dst, run after run.
+// dst must hold Words(runs...) words.
+func Gather(dst, src []float64, runs ...Run) {
+	for _, r := range runs {
+		if r.Stride == 1 || r.N == 1 {
+			copy(dst[:r.N], src[r.Off:r.Off+r.N])
+		} else {
+			for i, w := 0, r.Off; i < r.N; i, w = i+1, w+r.Stride {
+				dst[i] = src[w]
+			}
+		}
+		dst = dst[r.N:]
+	}
+}
+
+// fits reports whether every run lies inside a payload of n words, with a
+// positive stride where it names more than one, and dst holds what they name.
+func fits(runs []Run, n, dst int) bool {
+	for _, r := range runs {
+		switch {
+		case r.N < 0, r.N > 0 && (r.Off < 0 || r.Off >= n), r.N > 1 && (r.Stride < 1 || r.Off+(r.N-1)*r.Stride >= n):
+			return false
+		}
+	}
+	return Words(runs...) <= dst
+}
+
+// ReadAt copies the words of the given block version that the runs name into
+// dst, run after run — Slot.Read of just those words, with its errors, under
+// one acquisition of the slot lock. The poisoned flag is checked before
+// anything is copied. A verifying store then re-hashes every segment that
+// holds a word the runs name, from the lane states recorded at its start, and
+// compares the result with those recorded at its end (the last segment: with
+// the version's checksum); any difference is ErrCorrupted and leaves dst
+// unchanged. So what was checked is what is returned, and the single-word
+// argument of Checksum holds segment by segment. A run outside the payload,
+// or a dst too short for the runs, panics.
+func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
+	s := sl.store
+	sl.mu.Lock()
+	e := sl.find(version)
+	if e == nil {
+		sl.mu.Unlock()
+		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
+	}
+	if e.corrupted {
+		sl.mu.Unlock()
+		if s.ins != nil {
+			s.ins.CorruptReads.Inc()
+		}
+		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+	}
+	if n := len(e.data); !fits(runs, n, len(dst)) {
+		sl.mu.Unlock()
+		panic(fmt.Sprintf("block: ReadAt of %v: runs %v do not fit a %d-word payload and a %d-word dst", Ref{sl.id, version}, runs, n, len(dst)))
+	}
+	ok := !s.verify || e.verify(runs)
+	if ok {
+		Gather(dst, e.data, runs...)
+	}
+	sl.mu.Unlock()
+	if !ok {
+		if s.ins != nil {
+			s.ins.ChecksumFailures.Inc()
+		}
+		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+	}
+	return nil
+}
+
+// verify reports whether every segment holding a word the runs name hashes
+// from the lane states recorded at its start to those recorded at its end —
+// for the last segment, to the checksum. The caller holds the slot lock and
+// has checked that the runs fit.
+func (e *entry) verify(runs []Run) bool {
+	n := len(e.data)
+	snaps := e.snapshots()
+	lo, hi := n, -1 // the first and last word named
+	for _, r := range runs {
+		if r.N > 0 {
+			lo, hi = min(lo, r.Off), max(hi, r.Off+(r.N-1)*r.Stride)
+		}
+	}
+	for seg := lo / segWords; seg <= hi/segWords; seg++ {
+		from, to := seg*segWords, min(seg*segWords+segWords, n)
+		if !touches(runs, from, to) {
+			continue
+		}
+		h := lanes{seed0, seed1, seed2, seed3}
+		if seg > 0 {
+			h = snaps[seg-1]
+		}
+		h0, h1, h2, h3 := stepLanes(e.data[from:to], h[0], h[1], h[2], h[3])
+		if seg < len(snaps) {
+			if (lanes{h0, h1, h2, h3}) != snaps[seg] {
+				return false
+			}
+		} else if finish(n, h0, h1, h2, h3) != e.checksum {
+			return false
+		}
+	}
+	return true
+}
+
+// touches reports whether a run names a word in [from, to).
+func touches(runs []Run, from, to int) bool {
+	for _, r := range runs {
+		switch {
+		case r.N == 0 || r.Off >= to:
+		case r.Off >= from:
+			return true
+		case r.N > 1:
+			// The first word at or past from, if the run gets that far.
+			i := (from - r.Off + r.Stride - 1) / r.Stride
+			if i < r.N && r.Off+i*r.Stride < to {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Producer returns the task key recorded as producer of the given retained
 // version, if present.
 func (s *Store) Producer(b ID, version int) (int64, bool) {
@@ -376,10 +569,10 @@ func (s *Store) Corrupt(b ID, version int) bool {
 
 // CorruptSilently models silent data corruption: it flips bits in the
 // stored payload of the given version and then recomputes the stored
-// checksum over the corrupted data, so neither the poisoned-flag check nor
-// checksum verification detects it. Later reads succeed and return wrong
-// data — the failure mode only replica comparison (internal/replica) can
-// catch. It returns the recomputed checksum — the digest of what a consumer
+// checksum (and lane snapshots) over the corrupted data, so neither the
+// poisoned-flag check nor checksum verification detects it. Later reads
+// succeed and return wrong data — the failure mode only replica comparison
+// (internal/replica) can catch. It returns the recomputed checksum — the digest of what a consumer
 // will now read — and whether the version was retained.
 func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
 	sl := s.Slot(b)
@@ -392,7 +585,7 @@ func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
 	if len(e.data) > 0 {
 		e.data[0] = flipBits(e.data[0])
 	}
-	e.checksum = Checksum(e.data)
+	e.checksum = checksumSnaps(e.data, e.snapshots())
 	return e.checksum, true
 }
 
@@ -484,6 +677,53 @@ func Checksum(data []float64) uint64 {
 	}
 	h0, h1, h2 = stepTail(data, h0, h1, h2)
 	return finish(n, h0, h1, h2, h3)
+}
+
+// segWords is the length, in words, of the segments by which a verifying
+// store checks a ReadAt. A multiple of four, so every segment starts on lane
+// 0 and the lane states at its ends are Checksum's own.
+const segWords = 256
+
+// lanes is the four lane states of Checksum part way through a payload.
+type lanes [4]uint64
+
+// snapCount returns how many lane snapshots a verifying store keeps for an
+// n-word payload: one at the end of every segment but the last.
+func snapCount(n int) int {
+	if n <= segWords {
+		return 0
+	}
+	return (n - 1) / segWords
+}
+
+// checksumSnaps returns Checksum(data) and records in snaps — none, or
+// snapCount(len(data)) — the lane states at the end of each segment of data
+// but the last.
+func checksumSnaps(data []float64, snaps []lanes) uint64 {
+	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
+	for i := range snaps {
+		h0, h1, h2, h3 = stepLanes(data[i*segWords:(i+1)*segWords], h0, h1, h2, h3)
+		snaps[i] = lanes{h0, h1, h2, h3}
+	}
+	h0, h1, h2, h3 = stepLanes(data[len(snaps)*segWords:], h0, h1, h2, h3)
+	return finish(len(data), h0, h1, h2, h3)
+}
+
+// stepLanes steps the four lane states over data, whose first word goes to
+// lane 0: Checksum's loop from any point of a payload. The states travel as
+// four words, which the register ABI passes in registers (an array it passes
+// in memory). Checksum keeps a loop of its own: the call costs a one-word
+// hash — every write of a fine-grain graph — a sixth more.
+func stepLanes(data []float64, h0, h1, h2, h3 uint64) (uint64, uint64, uint64, uint64) {
+	for len(data) >= 4 {
+		h0 = step(h0, data[0])
+		h1 = step(h1, data[1])
+		h2 = step(h2, data[2])
+		h3 = step(h3, data[3])
+		data = data[4:]
+	}
+	h0, h1, h2 = stepTail(data, h0, h1, h2)
+	return h0, h1, h2, h3
 }
 
 // copySum copies src into dst, which must be as long, and returns

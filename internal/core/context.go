@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ftdag/internal/block"
@@ -12,10 +13,12 @@ import (
 )
 
 // predRead is one predecessor payload a compute obtained from ReadPred: a
-// private copy the store made for it.
+// private copy the store made for it — or, with runs set, the words a
+// capturing context gathered for ReadPredAt by those runs.
 type predRead struct {
 	pred graph.Key
 	data []float64
+	runs []block.Run
 }
 
 // heldBufs is what an executor context owns on behalf of one compute — the
@@ -66,9 +69,23 @@ func (h *heldBufs) read(c *counters, pred graph.Key, slot *block.Slot, version i
 	data, err := slot.Read(version, arena)
 	c.countRead(err)
 	if err == nil && (keep || len(data) >= block.PoolMin) {
-		h.reads = append(h.reads, predRead{pred, data})
+		h.reads = append(h.reads, predRead{pred: pred, data: data})
 	}
 	return data, err
+}
+
+// readAt gathers the words of version of slot that the runs name into the
+// compute's dst and counts the access in c: one access, as read is. With keep
+// a copy of the gathered words is listed with the runs, to be held past the
+// compute like read's.
+func (h *heldBufs) readAt(c *counters, pred graph.Key, slot *block.Slot, version int, dst []float64, runs []block.Run, keep bool) error {
+	err := slot.ReadAt(version, dst, runs...)
+	c.countRead(err)
+	if err == nil && keep {
+		got := append([]float64(nil), dst[:block.Words(runs...)]...)
+		h.reads = append(h.reads, predRead{pred: pred, data: got, runs: slices.Clone(runs)})
+	}
+	return err
 }
 
 // release ends the compute's claim on its buffers and readies h for the next
@@ -115,14 +132,17 @@ type taskCtx[S state] struct {
 	sum   uint64 // checksum the store kept for the written payload
 	wrote bool
 	// capture makes the context keep every predecessor payload this compute
-	// reads, whatever its size, and leave the copies alive past the compute.
-	// The replicated path snapshots the primary's inputs this way so a shadow
-	// that loses the store-read race to version eviction can still verify
-	// the primary.
+	// reads, whatever its size — and of a ReadPredAt, the words it gathered
+	// — and leave the copies alive past the compute. The replicated path
+	// snapshots the primary's inputs this way so a shadow that loses the
+	// store-read race to version eviction can still verify the primary.
 	capture bool
 }
 
-var _ graph.Context = (*taskCtx[ftState])(nil)
+var (
+	_ graph.Context   = (*taskCtx[ftState])(nil)
+	_ graph.RunReader = (*taskCtx[ftState])(nil)
+)
 
 // The pools recycle the contexts of finished computes, each with its arena
 // and its list of held reads; a context is handed to one compute at a time
@@ -134,22 +154,43 @@ var (
 )
 
 // ReadPred returns a private copy of the block version produced by the given
-// predecessor, found through the task table — slot and version are the same
-// for every incarnation — or, for a task nobody has discovered, the spec. On
-// corruption or eviction the error names the predecessor's current
-// incarnation, so the consumer's catch recovers the right task.
+// predecessor. On corruption or eviction the error names the predecessor's
+// current incarnation, so the consumer's catch recovers the right task.
 func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
-	var slot *block.Slot
-	var version int
-	if p, ok := c.e.tasks.Load(pred); ok {
-		slot, version = p.slot, p.out.Version
-	} else {
-		slot, version = specOutput(c.e.spec, c.e.store, pred)
-	}
+	slot, version := c.output(pred)
 	data, err := c.read(c.e.met.at(c.w), pred, slot, version, c.capture)
-	if err == nil {
-		return data, nil
+	if err != nil {
+		return nil, c.failed(pred, err)
 	}
+	return data, nil
+}
+
+// ReadPredAt is ReadPred of just the words the runs name (graph.RunReader):
+// one store access that copies, and on a verifying store checks, only the
+// segments they lie in, counted and attributed as ReadPred's. A capturing
+// context keeps a copy of the gathered words with their runs.
+func (c *taskCtx[S]) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
+	slot, version := c.output(pred)
+	if err := c.readAt(c.e.met.at(c.w), pred, slot, version, dst, runs, c.capture); err != nil {
+		return c.failed(pred, err)
+	}
+	return nil
+}
+
+// output returns the slot and version of pred's output: through the task
+// table — they are the same for every incarnation — or, for a task nobody
+// has discovered, the spec.
+func (c *taskCtx[S]) output(pred graph.Key) (*block.Slot, int) {
+	if p, ok := c.e.tasks.Load(pred); ok {
+		return p.slot, p.out.Version
+	}
+	return specOutput(c.e.spec, c.e.store, pred)
+}
+
+// failed turns a failed read of pred's output into the error the compute
+// returns: a fault naming pred's current incarnation, which the consumer's
+// catch recovers. Under NABBIT no read can fail but by a spec bug.
+func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 	if !c.t.shaded() {
 		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
 	}
@@ -157,7 +198,7 @@ func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	if pt, ok := c.e.tasks.Load(pred); ok {
 		life = pt.Life()
 	}
-	return nil, fault.Errorf(pred, life)
+	return fault.Errorf(pred, life)
 }
 
 // Write stores the task's output block version; the store keeps the slice
@@ -184,27 +225,51 @@ func (c *taskCtx[S]) Write(data []float64) {
 // stored — only the digest of a shadow's output matters, and a second store
 // write would evict retained versions and double overwrite bookkeeping.
 // With snapshot set, reads instead holds the primary's captured inputs and
-// ReadPred serves from it (the re-verification path after the live shadow
-// lost a predecessor version to retention eviction); those copies stay the
-// join's to free.
+// ReadPred and ReadPredAt serve from it (the re-verification path after the
+// live shadow lost a predecessor version to retention eviction); those
+// copies stay the join's to free.
 type shadowCtx[S state] struct {
 	taskCtx[S]
 	snapshot bool
 	out      []float64 // the captured output
 }
 
-var _ graph.Context = (*shadowCtx[ftState])(nil)
+var (
+	_ graph.Context   = (*shadowCtx[ftState])(nil)
+	_ graph.RunReader = (*shadowCtx[ftState])(nil)
+)
 
 func (c *shadowCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	if !c.snapshot {
 		return c.taskCtx.ReadPred(pred)
 	}
 	for _, in := range c.reads {
-		if in.pred == pred {
+		if in.pred == pred && in.runs == nil {
 			return in.data, nil
 		}
 	}
 	return nil, fault.Errorf(c.t.key, c.t.Life())
+}
+
+// ReadPredAt replays the primary's gather of the same runs from the snapshot
+// — the primary's compute, being deterministic, asked for the same words —
+// or gathers from a whole payload the primary read.
+func (c *shadowCtx[S]) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
+	if !c.snapshot {
+		return c.taskCtx.ReadPredAt(pred, dst, runs...)
+	}
+	for _, in := range c.reads {
+		switch {
+		case in.pred != pred:
+		case in.runs == nil:
+			block.Gather(dst, in.data, runs...)
+			return nil
+		case slices.Equal(in.runs, runs):
+			copy(dst, in.data)
+			return nil
+		}
+	}
+	return fault.Errorf(c.t.key, c.t.Life())
 }
 
 func (c *shadowCtx[S]) Write(data []float64) {

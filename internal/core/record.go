@@ -86,6 +86,10 @@ type recordCtx struct {
 
 func (c *recordCtx) ReadPred(pred graph.Key) ([]float64, error) { return c.inner.ReadPred(pred) }
 
+func (c *recordCtx) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
+	return graph.ReadPredAt(c.inner, pred, dst, runs...)
+}
+
 // Write keeps a copy: the slice itself passes to the executor's store, where
 // the injector may flip its bits and an eviction recycles it.
 func (c *recordCtx) Write(data []float64) {

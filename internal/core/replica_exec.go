@@ -37,11 +37,12 @@ type replicaJoin struct {
 	shadowDigest  uint64
 	shadowWorker  int64
 	// inputs is the primary's snapshot of the predecessor payloads it read
-	// (its private read copies), written before its arrive. If the live
-	// shadow loses a store read to retention eviction, the resolver re-runs
-	// the shadow compute from this snapshot so the primary never goes
-	// unverified just because an anti-dependent writer won a race. The
-	// resolver frees the copies once the join is decided.
+	// (its private read copies, and copies of the words it gathered),
+	// written before its arrive. If the live shadow loses a store read to
+	// retention eviction, the resolver re-runs the shadow compute from this
+	// snapshot so the primary never goes unverified just because an
+	// anti-dependent writer won a race. The resolver frees the read copies
+	// once the join is decided.
 	inputs []predRead
 }
 
@@ -217,7 +218,11 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 		return nil
 	}()
 	for _, in := range rj.inputs {
-		block.Free(in.data)
+		// A gather's copy is a tile's boundary: listed, it would sit on the
+		// free list under a length no Alloc asks for, up to the list's cap.
+		if in.runs == nil {
+			block.Free(in.data)
+		}
 	}
 	rj.inputs = nil
 	if err != nil { // catch

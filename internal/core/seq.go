@@ -66,11 +66,19 @@ type seqCtx struct {
 	wrote bool
 }
 
-var _ graph.Context = (*seqCtx)(nil)
+var (
+	_ graph.Context   = (*seqCtx)(nil)
+	_ graph.RunReader = (*seqCtx)(nil)
+)
 
 func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	slot, version := specOutput(c.e.spec, c.e.store, pred)
 	return c.read(c.e.met.at(nil), pred, slot, version, false)
+}
+
+func (c *seqCtx) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
+	slot, version := specOutput(c.e.spec, c.e.store, pred)
+	return c.readAt(c.e.met.at(nil), pred, slot, version, dst, runs, false)
 }
 
 func (c *seqCtx) Write(data []float64) {

@@ -24,7 +24,9 @@ type Key = int64
 // blocks. It is implemented by the executors, which attribute any block
 // access failure to the producing task (turning it into a *TaskError) so
 // that recovery can target the right task. Compute implementations must
-// propagate errors unchanged.
+// propagate errors unchanged. A compute that uses only part of a predecessor's
+// output reads it with ReadPredAt, which falls back on ReadPred for a Context
+// that is not a RunReader.
 type Context interface {
 	// ReadPred returns the output block version defined by the given
 	// predecessor task. The slice is private to this compute: nothing else
@@ -39,6 +41,35 @@ type Context interface {
 	// it copies). Compute must not keep it, change it or write it anywhere
 	// else. block.Alloc is the matching way to get an output buffer.
 	Write(data []float64)
+}
+
+// RunReader is what a Context implements to serve ReadPredAt itself: the
+// executors' contexts do, with one store access per call that copies — and,
+// on a verifying store, checks — only the words named. A Context without it
+// still serves ReadPredAt, through ReadPred.
+type RunReader interface {
+	// ReadPredAt is ReadPred of just the words the runs name, copied into
+	// dst run after run, with ReadPred's errors and fault attribution.
+	ReadPredAt(pred Key, dst []float64, runs ...block.Run) error
+}
+
+// ReadPredAt fills dst with the words of pred's output that the runs name,
+// run after run (block.Run; dst holds block.Words(runs...) of them): a tile's
+// boundary row, column or corner without a copy of the whole tile. It is
+// ctx's own ReadPredAt when ctx is a RunReader, and otherwise ReadPred and a
+// gather from its copy. dst is the compute's; nothing else writes it. The
+// runs slice is best built once, outside Compute: a literal passed here is
+// allocated on every call.
+func ReadPredAt(ctx Context, pred Key, dst []float64, runs ...block.Run) error {
+	if r, ok := ctx.(RunReader); ok {
+		return r.ReadPredAt(pred, dst, runs...)
+	}
+	data, err := ctx.ReadPred(pred)
+	if err != nil {
+		return err
+	}
+	block.Gather(dst, data, runs...)
+	return nil
 }
 
 // Spec describes a dynamic task graph (paper §III: task key, sink task,
