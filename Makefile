@@ -4,6 +4,7 @@
 #   make lint    — run the ftlint static-analysis suite (internal/lint)
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
+#   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
 #   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), then the block read path (ns/KiB, whole tiles and boundary reads); no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
@@ -13,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: ci build benchbuild benchsmoke test vet lint lint-json race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
+.PHONY: ci build benchbuild graphsmoke benchsmoke test vet lint lint-json race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race benchsmoke sdcsoak crashsoak clustersoak blackbox
+ci: build benchbuild test vet lint lint-json race graphsmoke benchsmoke sdcsoak crashsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -37,6 +38,9 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
 	$(GO) test -run '^$$' -bench SlotRead -benchtime 20000x ./internal/block
+
+graphsmoke:
+	$(GO) run ./cmd/ftgraph -app LU -n 64 -b 16 -p 2 -faults 2 -trace 64 > /dev/null
 
 test:
 	$(GO) test ./...

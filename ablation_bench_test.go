@@ -23,7 +23,6 @@ import (
 	"ftdag/internal/harness"
 	"ftdag/internal/replica"
 	"ftdag/internal/sched"
-	"ftdag/internal/trace"
 )
 
 // BenchmarkAblationRetention sweeps the block-version retention on FW: the
@@ -189,7 +188,6 @@ func (c *chain) Run(w *sched.Worker, _ int) {
 var (
 	noPlan  *fault.Plan
 	noSet   *replica.Set
-	noLog   *trace.Log
 	taxSink int
 	taxPtr  any
 )
@@ -383,11 +381,6 @@ func BenchmarkAblationFTTax(b *testing.B) {
 			if noSet.Contains(graph.Key(i)) {
 				taxSink++
 			}
-		}
-	}, nil)
-	row("trace-emit-nil", notifs+3, func(n int) {
-		for i := 0; i < n; i++ {
-			noLog.Emit(trace.Notify, int64(i), 0, 0)
 		}
 	}, nil)
 

@@ -49,7 +49,7 @@ func main() {
 		fseed    = flag.Int64("fseed", 7, "fault-site selection seed")
 		verify   = flag.Bool("verify", true, "verify the sink against the reference implementation")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "watchdog")
-		traceCap = flag.Int("trace", 0, "record the last N executor events and print them (ft only)")
+		traceCap = flag.Int("trace", 0, "record the last N executor spans and print them as a Chrome/Perfetto trace (ft only)")
 		planFile = flag.String("plan", "", "load the fault plan from this JSON file (overrides -faults)")
 		savePlan = flag.String("saveplan", "", "write the generated fault plan to this JSON file for replay")
 	)
@@ -103,8 +103,9 @@ func main() {
 		fmt.Printf("saved fault plan to %s\n", *savePlan)
 	}
 
-	log := trace.New(*traceCap) // nil (tracing off) when the capacity is < 1
-	cfg := core.Config{Workers: *p, Retention: a.Retention(), Plan: plan, Timeout: *timeout, Trace: log}
+	spans := trace.NewSpans("ftgraph", *traceCap) // nil (tracing off) when the capacity is < 1
+	cfg := core.Config{Workers: *p, Retention: a.Retention(), Plan: plan, Timeout: *timeout,
+		Spans: spans, SpanCtx: trace.SpanContext{Trace: trace.NewTraceID()}}
 	var res *core.Result
 	switch *executor {
 	case "ft":
@@ -136,9 +137,10 @@ func main() {
 		}
 		fmt.Println("verification: OK (result matches reference implementation)")
 	}
-	if log != nil {
-		fmt.Printf("--- last %d of %d executor events ---\n", len(log.Snapshot()), log.Len())
-		if err := log.Dump(os.Stdout); err != nil {
+	if spans != nil {
+		kept := spans.Snapshot()
+		fmt.Printf("--- last %d executor spans ---\n", len(kept))
+		if err := trace.MergeSpans(kept).WriteJSON(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"ftdag/internal/graph"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
+	"ftdag/internal/trace"
 )
 
 // newTestBackend boots a backend the way main does — cluster.OpenBackend
@@ -238,27 +240,57 @@ func TestSubmitRecoveryPolicyAndRetryAfter(t *testing.T) {
 	}
 }
 
-func TestDebugTraceAlias(t *testing.T) {
+// TestJobTraceFromSpanRing: GET /jobs/{id}/trace serves the job's spans from
+// the process ring with no per-request option — a compute span for every
+// compute the job's metrics count, re-executions included — and keeps out a
+// second job that continued the same trace.
+func TestJobTraceFromSpanRing(t *testing.T) {
 	d, mux := newTestDaemon(t, "")
-	spec, err := buildJob(jobRequest{
-		Synthetic:     &syntheticRequest{Layers: 2, Width: 2, MaxIn: 1, Seed: 5},
-		TraceCapacity: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
+	header := trace.SpanContext{Trace: trace.NewTraceID(), Span: 1}.Header()
+	computes := map[int64]int64{}
+	for id, body := range []string{
+		`{"synthetic":{"layers":3,"width":4,"max_in":2,"seed":5},"faults":{"count":2,"seed":3}}`,
+		`{"synthetic":{"layers":2,"width":2,"max_in":1,"seed":6}}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body))
+		req.Header.Set(trace.HeaderName, header)
+		rr := httptest.NewRecorder()
+		if mux.ServeHTTP(rr, req); rr.Code != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", rr.Code, rr.Body.String())
+		}
+		h, _ := d.Service.Job(int64(id + 1))
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		computes[h.ID()] = res.Metrics.Computes
 	}
-	h, err := d.Service.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	if computes[1] <= 3*4+1 {
+		t.Fatalf("job 1 made %d computes: its faults re-executed nothing", computes[1])
 	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	rr := get(t, mux, "/debug/trace/1")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /debug/trace/1 = %d: %s", rr.Code, rr.Body.String())
-	}
-	if !strings.Contains(rr.Body.String(), "traceEvents") {
-		t.Fatalf("trace body missing traceEvents: %.200s", rr.Body.String())
+	for id, want := range computes {
+		rr := get(t, mux, fmt.Sprintf("/jobs/%d/trace", id))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET /jobs/%d/trace = %d: %s", id, rr.Code, rr.Body.String())
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+			Spans       []trace.Span      `json:"spans"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Fatalf("job %d: not a trace document (%v): %.200s", id, err, rr.Body.String())
+		}
+		var got int64
+		for _, sp := range doc.Spans {
+			if sp.Job != id || sp.Trace.String() != header[:32] {
+				t.Fatalf("job %d's trace holds %+v", id, sp)
+			}
+			if sp.Name == "compute" {
+				got++
+			}
+		}
+		if got != want {
+			t.Fatalf("job %d's trace has %d compute spans, its metrics %d computes", id, got, want)
+		}
 	}
 }

@@ -25,7 +25,7 @@
 //
 //	{"app": "LU", "n": 96, "b": 16, "seed": 4, "verify": true,
 //	 "faults": {"count": 3, "point": "after-compute", "type": "any", "seed": 9},
-//	 "deadline_ms": 5000, "trace_capacity": 4096}
+//	 "deadline_ms": 5000}
 //	{"synthetic": {"layers": 4, "width": 8, "max_in": 3, "seed": 7}, "verify": true}
 package main
 
@@ -149,8 +149,6 @@ type jobRequest struct {
 	ReplicaBudget float64 `json:"replica_budget,omitempty"`
 	// DeadlineMS bounds the job's execution time in milliseconds.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// TraceCapacity > 0 records the job's lifecycle for GET /jobs/{id}/trace.
-	TraceCapacity int `json:"trace_capacity,omitempty"`
 	// Verify checks the sink against the sequential reference.
 	Verify bool `json:"verify,omitempty"`
 }
@@ -269,7 +267,6 @@ func buildJob(req jobRequest) (service.JobSpec, error) {
 	if req.DeadlineMS > 0 {
 		spec.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	spec.TraceCapacity = req.TraceCapacity
 	return spec, nil
 }
 
@@ -287,6 +284,8 @@ func orDefault(s, def string) string {
 // journaled fault-plan manifest — the original run's exact injections — then
 // overrides the plan derived here from the request's seed.) json.Unmarshal
 // rejects trailing bytes after the first value; a streaming decoder would not.
+// It ignores keys the vocabulary no longer has, so a payload journaled before
+// a key was dropped still replays.
 func rebuildJob(body []byte) (service.JobSpec, error) {
 	var req jobRequest
 	if err := json.Unmarshal(body, &req); err != nil {

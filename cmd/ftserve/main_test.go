@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,7 +72,7 @@ func TestBuildJobFaultPlanSized(t *testing.T) {
 // into an equivalent JobSpec — the daemon's crash-recovery path.
 func TestRebuildJobRoundTrip(t *testing.T) {
 	req := jobRequest{App: "LU", N: 96, B: 16, Seed: 4, Verify: true,
-		Faults: &faultRequest{Count: 2, Seed: 9}, TraceCapacity: 128}
+		Faults: &faultRequest{Count: 2, Seed: 9}}
 	orig, err := buildJob(req)
 	if err != nil {
 		t.Fatalf("buildJob: %v", err)
@@ -88,13 +91,39 @@ func TestRebuildJobRoundTrip(t *testing.T) {
 	if spec.Plan == nil || spec.Plan.Len() != orig.Plan.Len() {
 		t.Fatalf("rebuilt plan drifted: %v vs %v", spec.Plan, orig.Plan)
 	}
-	if spec.TraceCapacity != orig.TraceCapacity {
-		t.Fatalf("rebuilt trace capacity %d != %d", spec.TraceCapacity, orig.TraceCapacity)
-	}
 	if spec.Verify == nil {
 		t.Fatalf("rebuilt spec lost its verifier")
 	}
 	if _, err := rebuildJob([]byte("{broken")); err == nil {
 		t.Fatalf("rebuildJob accepted broken payload")
+	}
+}
+
+// TestRebuildJobIgnoresDroppedKeys: journals written before a request key
+// was dropped still hold it, and replay must rebuild the spec those payloads
+// describe, not fail the job. The fixture is such a payload: a per-job trace
+// ring size, which the vocabulary once had.
+func TestRebuildJobIgnoresDroppedKeys(t *testing.T) {
+	want, err := buildJob(jobRequest{App: "LU", N: 96, B: 16, Seed: 4, Verify: true,
+		Faults: &faultRequest{Count: 2, Seed: 9}, DeadlineMS: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile("testdata/dropped_key_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := json.NewDecoder(bytes.NewReader(body))
+	strict.DisallowUnknownFields()
+	if strict.Decode(new(jobRequest)) == nil {
+		t.Fatal("the fixture holds no key the vocabulary lacks")
+	}
+	got, err := rebuildJob(body)
+	if err != nil {
+		t.Fatalf("payload with a dropped key: %v", err)
+	}
+	if got.Name != want.Name || got.Retention != want.Retention || got.Deadline != want.Deadline ||
+		!reflect.DeepEqual(got.Plan, want.Plan) || got.Recovery != want.Recovery || got.Verify == nil {
+		t.Fatalf("rebuilt %+v, want %+v", got, want)
 	}
 }

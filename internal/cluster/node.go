@@ -143,8 +143,9 @@ type NodeConfig struct {
 	// grace_ms parameter.
 	DrainGrace time.Duration
 	// Tracer, when non-nil, is served at GET /debug/spans so the router
-	// can assemble cluster-wide traces. It should be the same recorder the
-	// Service's Config.Tracer points at.
+	// can assemble cluster-wide traces, and one job's share of it at
+	// GET /jobs/{id}/trace. It should be the same recorder the Service's
+	// Config.Tracer points at.
 	Tracer *trace.Spans
 	// Registry, when non-nil, is served at GET /metrics and gains the
 	// node's uptime gauge. It should be the Service's Config.Registry.
@@ -170,8 +171,7 @@ func NewNode(cfg NodeConfig) *Node {
 //	GET  /jobs              list all jobs (running jobs show live progress)
 //	GET  /jobs/{id}         one job's status (live while running)
 //	POST /jobs/{id}/cancel  cancel a queued or running job
-//	GET  /jobs/{id}/trace   the job's lifecycle as a Chrome/Perfetto trace
-//	GET  /debug/trace/{id}  alias of /jobs/{id}/trace
+//	GET  /jobs/{id}/trace   the job's spans as a Chrome/Perfetto trace
 //	GET  /metrics           Prometheus text exposition (scheduler, executor,
 //	                        block store, journal, and service families)
 //	GET  /debug/state       the full JSON state snapshot (queue depths,
@@ -193,7 +193,6 @@ func (n *Node) Mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}", n.status)
 	mux.HandleFunc("POST /jobs/{id}/cancel", n.cancel)
 	mux.HandleFunc("GET /jobs/{id}/trace", n.jobTrace)
-	mux.HandleFunc("GET /debug/trace/{id}", n.jobTrace)
 	mux.HandleFunc("GET /metrics", n.metrics)
 	mux.HandleFunc("GET /debug/state", n.debugState)
 	mux.HandleFunc("GET /debug/jobs", n.debugJobs)
@@ -279,20 +278,27 @@ func (n *Node) cancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jobTrace serves a job's lifecycle as a Chrome/Perfetto trace; a job
-// submitted without a trace capacity has none (404).
+// jobTrace serves a job's spans in this process's ring — admission, queue
+// wait, run, and every executor span under it — as the merged document the
+// router's /debug/cluster-trace builds for a whole trace. A node without a
+// tracer, or whose ring holds no span of the job any more, answers 404.
 func (n *Node) jobTrace(w http.ResponseWriter, r *http.Request) {
 	h, ok := n.job(w, r)
 	if !ok {
 		return
 	}
-	tl := h.Trace()
-	if tl == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("job %d was submitted without a trace capacity", h.ID()))
+	var spans []trace.Span
+	for _, sp := range n.cfg.Tracer.ForTrace(h.Span().Trace) {
+		if sp.Job == h.ID() {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) == 0 {
+		httpError(w, http.StatusNotFound, fmt.Errorf("no span of job %d in this node's span ring", h.ID()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := tl.WriteJSONNamed(w, h.Status().Name); err != nil {
+	if err := trace.MergeSpans(spans).WriteJSON(w); err != nil {
 		log.Printf("cluster: writing trace of job %d: %v", h.ID(), err)
 	}
 }

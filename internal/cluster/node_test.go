@@ -15,7 +15,7 @@ import (
 // order over the mux every backend serves (ftserve, the soak children, the
 // test backends): status codes, the headers clients and the router act on,
 // and the reply shapes they decode. What depends on a job vocabulary —
-// recovery policies, fault plans, trace capacity, the Prometheus families —
+// recovery policies, fault plans, the Prometheus families —
 // is tested where the vocabulary lives (cmd/ftserve).
 func TestNodeContract(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -59,7 +59,7 @@ func TestNodeContract(t *testing.T) {
 		{name: "status bad id", method: "GET", path: "/jobs/one", code: 400},
 		{name: "cancel miss", method: "POST", path: "/jobs/99/cancel", code: 404},
 		{name: "cancel finished job", method: "POST", path: "/jobs/1/cancel", code: 200, until: state("succeeded")},
-		{name: "trace of untraced job", method: "GET", path: "/jobs/1/trace", code: 404},
+		{name: "node without a tracer", method: "GET", path: "/jobs/1/trace", code: 404},
 		{name: "list", method: "GET", path: "/jobs", code: 200, until: func(b []byte) bool {
 			var sts []service.Status
 			return json.Unmarshal(b, &sts) == nil && len(sts) == 1

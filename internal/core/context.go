@@ -9,7 +9,6 @@ import (
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 	"ftdag/internal/sched"
-	"ftdag/internal/trace"
 )
 
 // predRead is one predecessor payload a compute obtained from ReadPred: a
@@ -213,7 +212,6 @@ func (c *taskCtx[S]) Write(data []float64) {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.mark(overwritten)
 			met.overwriteMarks.Add(1)
-			c.e.cfg.Trace.Emit(trace.Overwritten, victim, pt.Life(), c.t.key)
 		}
 	}
 	c.wrote = true

@@ -37,9 +37,6 @@ type Config struct {
 	Cancel <-chan struct{}
 	// Hooks is optional instrumentation.
 	Hooks Hooks
-	// Trace, when non-nil, records the executor's event stream
-	// (computes, faults, recoveries, resets) for post-mortem analysis.
-	Trace *trace.Log
 	// Spans, when non-nil, is the process-wide distributed-trace recorder:
 	// the executor emits compute, fault-injection, recovery, and
 	// replica-digest-join spans into it under SpanCtx's trace, so one
@@ -100,7 +97,7 @@ type FT = exec[ftState]
 // Baseline is the original (non-fault-tolerant) NABBIT scheduler — the
 // non-shaded portions of Figure 2, which is what the executor is when its
 // descriptors hold no shaded state. It has no life numbers, bit vectors,
-// recovery table, poisoning checks, fault plan, replicas or event trace, and
+// recovery table, poisoning checks, fault plan, replicas or spans, and
 // therefore pays none of their costs; Figure 4 compares it against the FT
 // executor in the absence of faults.
 type Baseline = exec[nabbitState]
@@ -326,7 +323,6 @@ func (e *exec[S]) notifyOnce(w *sched.Worker, t *task[S], ind int) {
 		if ins := e.cfg.Instruments; ins != nil {
 			ins.Notifications.Inc()
 		}
-		e.cfg.Trace.Emit(trace.Notify, t.key, t.Life(), t.predKey(ind))
 	}
 	if last {
 		e.computeAndNotify(w, t)
@@ -391,10 +387,6 @@ func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 	if err := e.runCompute(w, t, nil); err != nil {
 		return err
 	}
-	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
-		e.inject(w, t, true)
-		return fault.Errorf(t.key, t.Life())
-	}
 	if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.SDC) {
 		// Unreplicated task: the corruption is unobservable by
 		// construction. Count the miss and continue as if nothing
@@ -410,12 +402,14 @@ func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 }
 
 // runCompute executes the user compute of t's current incarnation with its
-// hooks, trace events, and metrics, and returns the compute's buffers to the
-// block free list when it ends. Shared by the plain and replicated (primary)
-// paths; the replicated path passes its join, which receives the digest of
-// the written output — the checksum the store just computed for it — and the
-// snapshot of the inputs the compute read. NABBIT's computes are seen by the
-// hooks and counted, but not traced, timed or spanned.
+// hooks, metrics and span, fires a planned after-compute fault, and returns
+// the compute's buffers to the block free list when it ends. Shared by the
+// plain and replicated (primary) paths; the replicated path passes its join,
+// which receives the digest of the written output — the checksum the store
+// just computed for it — and the snapshot of the inputs the compute read. The
+// compute span covers the injection, and its arg is 1 when the compute failed
+// either way. NABBIT's computes are seen by the hooks and counted, but not
+// timed or spanned.
 func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
 		h(t.key, t.Life())
@@ -425,7 +419,6 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 	var sp *trace.Spans
 	pool := &nabbitCtxPool
 	if t.shaded() {
-		e.cfg.Trace.Emit(trace.ComputeStart, t.key, t.Life(), 0)
 		ins, sp, pool = e.cfg.Instruments, e.cfg.Spans, &ftCtxPool
 	}
 	var computeStart time.Time
@@ -447,24 +440,28 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 	if ins != nil {
 		ins.ComputeLatency.ObserveSince(computeStart)
 	}
-	if sp != nil {
-		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.Life(), boolArg(err != nil))
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		e.met.at(w).computeErrors.Add(1)
 		if ins != nil {
 			ins.ComputeErrors.Inc()
 		}
-		return err
-	}
-	if !wrote {
+	case !wrote:
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
+	default:
+		if rj != nil {
+			rj.inputs = reads
+			rj.primaryDigest = sum
+		}
+		if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
+			e.inject(w, t, true)
+			err = fault.Errorf(t.key, t.Life())
+		}
 	}
-	if rj != nil {
-		rj.inputs = reads
-		rj.primaryDigest = sum
+	if sp != nil {
+		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.Life(), boolArg(err != nil))
 	}
-	return nil
+	return err
 }
 
 // emitSpan records one executor span (compute, inject, recover,
@@ -493,9 +490,6 @@ func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
 	if h := e.cfg.Hooks.OnComputed; h != nil {
 		h(t.key, t.Life())
 	}
-	if t.shaded() {
-		e.cfg.Trace.Emit(trace.ComputeDone, t.key, t.Life(), 0)
-	}
 	t.setStatus(Computed)
 	notified := 0
 	for {
@@ -504,9 +498,6 @@ func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
 		if notified == total {
 			t.setStatus(Completed)
 			t.mu.Unlock()
-			if t.shaded() {
-				e.cfg.Trace.Emit(trace.Completed, t.key, t.Life(), int64(notified))
-			}
 			break
 		}
 		t.mu.Unlock()
@@ -532,7 +523,6 @@ func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 	if !t.shaded() || !errors.As(err, &fe) {
 		panic(fmt.Sprintf("core: task %d compute returned non-fault error: %v", t.key, err))
 	}
-	e.cfg.Trace.Emit(trace.ComputeFault, t.key, t.Life(), fe.Key)
 	if fe.Key == t.key {
 		e.recoverTaskOnce(w, fe.Key, fe.Life)
 	} else {
@@ -561,7 +551,6 @@ func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 // inject poisons the task descriptor (and, when withBlock is set, the output
 // block version the incarnation has written).
 func (e *exec[S]) inject(w *sched.Worker, t *task[S], withBlock bool) {
-	e.cfg.Trace.Emit(trace.Inject, t.key, t.Life(), boolArg(withBlock))
 	if e.cfg.Spans != nil {
 		e.emitSpan("inject", time.Now(), 0, t.key, t.Life(), boolArg(withBlock))
 	}
@@ -622,7 +611,6 @@ func (e *exec[S]) recoverTask(w *sched.Worker, key graph.Key) {
 		if h := e.cfg.Hooks.OnRecover; h != nil {
 			h(key, t.Life())
 		}
-		e.cfg.Trace.Emit(trace.RecoverStart, key, t.Life(), 0)
 		ins := e.cfg.Instruments
 		sp := e.cfg.Spans
 		var recStart time.Time
@@ -729,7 +717,6 @@ func (e *exec[S]) resetNode(w *sched.Worker, t *task[S]) {
 	if h := e.cfg.Hooks.OnReset; h != nil {
 		h(t.key, t.Life())
 	}
-	e.cfg.Trace.Emit(trace.Reset, t.key, t.Life(), 0)
 	err := func() error { // try
 		if err := t.check(); err != nil {
 			return err
@@ -743,7 +730,7 @@ func (e *exec[S]) resetNode(w *sched.Worker, t *task[S]) {
 	}
 }
 
-// boolArg encodes a boolean as a trace event argument.
+// boolArg encodes a boolean as a span argument.
 func boolArg(b bool) int64 {
 	if b {
 		return 1

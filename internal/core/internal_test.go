@@ -91,11 +91,6 @@ func TestNewTaskShape(t *testing.T) {
 	if task.predIndex(1) != 0 || task.predIndex(2) != 1 || task.predIndex(3) != 2 {
 		t.Fatal("predIndex mapping wrong")
 	}
-	for i, want := range []graph.Key{1, 2, 3} {
-		if got := task.predKey(i); got != want {
-			t.Fatalf("predKey(%d) = %d, want %d", i, got, want)
-		}
-	}
 	// What the descriptor resolves once: output ref, block slot, an empty
 	// notify array.
 	if task.out != g.Output(3) || task.slot != e.store.Slot(task.out.Block) {

@@ -8,7 +8,6 @@ import (
 	"ftdag/internal/fault"
 	"ftdag/internal/replica"
 	"ftdag/internal/sched"
-	"ftdag/internal/trace"
 )
 
 // This file is the executor half of selective task replication
@@ -35,7 +34,6 @@ type replicaJoin struct {
 	sdcFired      bool        // an SDC was injected into the primary's output
 	primaryDigest uint64
 	shadowDigest  uint64
-	shadowWorker  int64
 	// inputs is the primary's snapshot of the predecessor payloads it read
 	// (its private read copies, and copies of the words it gathered),
 	// written before its arrive. If the live shadow loses a store read to
@@ -60,9 +58,9 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 	if ins != nil {
 		ins.ReplicatedTasks.Inc()
 	}
-	rj.shadowWorker = int64(e.spawnAvoiding(w, func(w2 *sched.Worker) {
+	e.spawnAvoiding(w, func(w2 *sched.Worker) {
 		e.runShadow(w2, t, rj)
-	}))
+	})
 	err := func() error { // try (primary)
 		if err := t.check(); err != nil {
 			return err
@@ -73,10 +71,6 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 		}
 		if err := e.runCompute(w, t, rj); err != nil {
 			return err
-		}
-		if e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
-			e.inject(w, t, true)
-			return fault.Errorf(t.key, t.Life())
 		}
 		if e.plan.Fire(t.key, t.Life(), fault.SDC) {
 			// CorruptSilently flips the stored payload and re-derives its
@@ -204,7 +198,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 			if ins != nil {
 				ins.SDCDetected.Inc()
 			}
-			e.cfg.Trace.Emit(trace.SDCDetect, t.key, t.Life(), rj.shadowWorker)
 			// Invalidate the task and its output so any concurrent
 			// reader observes the failure, then hand the incarnation
 			// to recovery. Successors are un-notified at this point,
@@ -237,7 +230,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 // recomputed checksum and whether the version was still retained.
 func (e *exec[S]) injectSDC(w *sched.Worker, t *task[S]) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
-	e.cfg.Trace.Emit(trace.SDCInject, t.key, t.Life(), 0)
 	e.met.at(w).sdcInjected.Add(1)
 	if ins := e.cfg.Instruments; ins != nil {
 		ins.SDCInjected.Inc()

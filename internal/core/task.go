@@ -277,14 +277,6 @@ func (t *task[S]) predIndex(pred graph.Key) int {
 	panic(fmt.Sprintf("core: task %d notified by non-predecessor %d", t.key, pred))
 }
 
-// predKey is the inverse of predIndex.
-func (t *task[S]) predKey(i int) graph.Key {
-	if i == len(t.preds) {
-		return t.key
-	}
-	return t.preds[i]
-}
-
 // notifyBatchSize is how many successors one spawned drain job notifies.
 // Chunking amortizes the per-spawn cost (group and pool tallies,
 // deque push, wake check) over the batch while keeping the fan-out

@@ -9,121 +9,97 @@ import (
 	"ftdag/internal/trace"
 )
 
-// TestTraceFaultFreeRun checks the trace of a clean execution: one
-// compute-start/compute-done pair per task, no recovery events.
-func TestTraceFaultFreeRun(t *testing.T) {
-	g := graph.Layered(4, 5, 2, 3, nil)
-	log := trace.New(100000)
-	_, err := NewFT(g, Config{Workers: 2, Timeout: testTimeout, Trace: log}).Run()
+// runSpanned runs g under FT with a span recorder and returns the spans the
+// executor emitted, in emission order, with the run's result.
+func runSpanned(t *testing.T, g graph.Spec, cfg Config) ([]trace.Span, *Result) {
+	t.Helper()
+	cfg.Spans = trace.NewSpans("test", 1<<16)
+	cfg.SpanCtx = trace.SpanContext{Trace: trace.NewTraceID()}
+	cfg.Timeout = testTimeout
+	res, err := NewFT(g, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	props := graph.Analyze(g)
-	if got := len(log.Filter(trace.ComputeStart)); got != props.Tasks {
-		t.Fatalf("%d compute-start events, want %d", got, props.Tasks)
-	}
-	if got := len(log.Filter(trace.ComputeDone)); got != props.Tasks {
-		t.Fatalf("%d compute-done events, want %d", got, props.Tasks)
-	}
-	if got := len(log.Filter(trace.Completed)); got != props.Tasks {
-		t.Fatalf("%d completed events, want %d", got, props.Tasks)
-	}
-	for _, kind := range []trace.Kind{trace.Inject, trace.RecoverStart, trace.Reset, trace.ComputeFault} {
-		if evs := log.Filter(kind); len(evs) != 0 {
-			t.Fatalf("unexpected %v events in fault-free run: %v", kind, evs)
+	return cfg.Spans.Snapshot(), res
+}
+
+// TestTraceFaultFreeRun checks the spans of a clean execution: one compute
+// span per task, none of them failed, and no injection or recovery.
+func TestTraceFaultFreeRun(t *testing.T) {
+	g := graph.Layered(4, 5, 2, 3, nil)
+	spans, res := runSpanned(t, g, Config{Workers: 2})
+	computed := map[int64]bool{}
+	for _, sp := range spans {
+		switch {
+		case sp.Name != "compute":
+			t.Fatalf("unexpected %s span in a fault-free run: %+v", sp.Name, sp)
+		case sp.Arg != 0 || computed[sp.Task]:
+			t.Fatalf("compute span %+v: failed, or the task's second", sp)
 		}
+		computed[sp.Task] = true
+	}
+	if props := graph.Analyze(g); len(computed) != props.Tasks || int64(len(spans)) != res.Metrics.Computes {
+		t.Fatalf("%d compute spans over %d tasks; want one per task (%d) and per compute (%d)",
+			len(spans), len(computed), props.Tasks, res.Metrics.Computes)
 	}
 }
 
-// TestTraceRecoverySequence checks the causal order of the recovery events
-// for a single after-compute fault: inject → fault observed → recovery of
-// the next incarnation → its compute.
+// TestTraceRecoverySequence checks the causal order of the spans of a single
+// after-compute fault: the injection into life 0, the compute it failed, the
+// recovery into life 1 and that incarnation's successful compute.
 func TestTraceRecoverySequence(t *testing.T) {
-	g := graph.Chain(10, nil)
 	const victim = 4
-	log := trace.New(100000)
 	plan := fault.NewPlan().Add(victim, fault.AfterCompute, 1)
-	_, err := NewFT(g, Config{Workers: 2, Timeout: testTimeout, Plan: plan, Trace: log}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := log.TaskHistory(victim)
-	var sawInject, sawFault, sawRecover, sawRecompute bool
-	for _, e := range hist {
-		switch e.Kind {
-		case trace.Inject:
-			if e.Life != 0 {
-				t.Fatalf("injection on life %d", e.Life)
-			}
-			sawInject = true
-		case trace.ComputeFault:
-			if !sawInject {
-				t.Fatal("fault observed before injection")
-			}
-			if e.Arg != victim {
-				t.Fatalf("fault attributed to task %d, want %d", e.Arg, victim)
-			}
-			sawFault = true
-		case trace.RecoverStart:
-			if !sawFault {
-				t.Fatal("recovery before fault observation")
-			}
-			if e.Life != 1 {
-				t.Fatalf("recovered into life %d, want 1", e.Life)
-			}
-			sawRecover = true
-		case trace.ComputeDone:
-			if sawRecover {
-				sawRecompute = true
-			}
+	spans, _ := runSpanned(t, graph.Chain(10, nil), Config{Workers: 2, Plan: plan})
+	var hist []trace.Span
+	for _, sp := range spans {
+		if sp.Task == victim {
+			hist = append(hist, sp)
 		}
 	}
-	if !sawInject || !sawFault || !sawRecover || !sawRecompute {
-		t.Fatalf("incomplete recovery sequence: inject=%v fault=%v recover=%v recompute=%v\n%v",
-			sawInject, sawFault, sawRecover, sawRecompute, hist)
+	want := []struct {
+		name      string
+		life, arg int64
+	}{{"inject", 0, 1}, {"compute", 0, 1}, {"recover", 1, 0}, {"compute", 1, 0}}
+	if len(hist) != len(want) {
+		t.Fatalf("victim's spans %+v, want %v", hist, want)
+	}
+	// Life 1's compute may be stolen and finish before the recovering
+	// worker emits the recover span: compare it apart from the order.
+	if hist[2].Name == "compute" {
+		hist[2], hist[3] = hist[3], hist[2]
+	}
+	for i, w := range want {
+		if sp := hist[i]; sp.Name != w.name || int64(sp.Life) != w.life || sp.Arg != w.arg {
+			t.Fatalf("victim's span %d = %+v, want %s of life %d with arg %d", i, sp, w.name, w.life, w.arg)
+		}
 	}
 }
 
 // TestTracePaperWalkthrough reproduces §II on the Figure 1 graph with reuse
-// (C overwrites A's block). B fails after notifying; the trace must show
-// A's version being overwritten by C and B recovered.
+// (C overwrites A's block). B fails after notifying; the run must mark an
+// overwritten version and recover B.
 func TestTracePaperWalkthrough(t *testing.T) {
-	g := graph.PaperExample(true, nil)
-	const A, B, C = 0, 1, 2
-	log := trace.New(100000)
+	const B = 1
+	var hookRecovered bool
 	plan := fault.NewPlan().Add(B, fault.AfterNotify, 1)
-	_, err := NewFT(g, Config{
-		Workers: 1, Retention: 1, Timeout: testTimeout, Plan: plan, Trace: log,
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
+	spans, res := runSpanned(t, graph.PaperExample(true, nil), Config{
+		Workers: 1, Retention: 1, Plan: plan,
+		Hooks: Hooks{OnRecover: func(key graph.Key, _ int) { hookRecovered = hookRecovered || key == B }},
+	})
+	if res.Metrics.OverwriteMarks < 1 {
+		t.Fatalf("no overwritten version marked: %+v", res.Metrics)
 	}
-	// C's write of (block A, version 1) evicts A's version 0.
-	overwrites := log.Filter(trace.Overwritten)
-	foundA := false
-	for _, e := range overwrites {
-		if e.Key == A && e.Arg == C {
-			foundA = true
-		}
+	spanRecovered := false
+	for _, sp := range spans {
+		spanRecovered = spanRecovered || sp.Name == "recover" && sp.Task == B
 	}
-	if !foundA {
-		t.Fatalf("no overwrite of A by C recorded: %v", overwrites)
-	}
-	// B must have been recovered (C or E observed the corruption), and if
-	// B's recompute needed A's evicted output, A recovered too.
-	recs := log.Filter(trace.RecoverStart)
-	foundB := false
-	for _, e := range recs {
-		if e.Key == B {
-			foundB = true
-		}
-	}
-	if !foundB {
-		t.Fatalf("B was not recovered: %v", recs)
+	if !spanRecovered || !hookRecovered {
+		t.Fatalf("B recovered: recover span %v, OnRecover %v", spanRecovered, hookRecovered)
 	}
 }
 
-// TestTraceDisabledCostsNothing just exercises the nil-log path end to end.
+// TestTraceDisabledCostsNothing just exercises the nil-recorder path end to end.
 func TestTraceDisabledCostsNothing(t *testing.T) {
 	g := graph.Diamond(nil)
 	res, err := NewFT(g, Config{Workers: 1, Timeout: 5 * time.Second}).Run()

@@ -79,24 +79,21 @@ func BenchmarkEnabledObserveDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledTracing is the same pattern for the tracing family, three
-// sites per iteration: a nil *trace.Log (the trace_capacity: 0 contract), a
-// nil *trace.Spans (distributed tracing off) and a nil *trace.Flight (no
-// black box). Each Emit must reduce to one inlined nil check with the
-// argument construction dead-code-eliminated. The recorders come from a
-// package variable so that the compiler cannot see they are nil and delete
-// the loop.
+// BenchmarkDisabledTracing is the same pattern for the tracing family, two
+// sites per iteration: a nil *trace.Spans (tracing off) and a nil
+// *trace.Flight (no black box). Each Emit must reduce to one inlined nil
+// check with the argument construction dead-code-eliminated. The recorders
+// come from a package variable so that the compiler cannot see they are nil
+// and delete the loop.
 var tracingOff = struct {
-	log    *trace.Log
 	spans  *trace.Spans
 	flight *trace.Flight
-}{trace.New(0), trace.NewSpans("bench", 0), trace.NewFlight("bench", 0)}
+}{trace.NewSpans("bench", 0), trace.NewFlight("bench", 0)}
 
 func BenchmarkDisabledTracing(b *testing.B) {
-	log, sp, f := tracingOff.log, tracingOff.spans, tracingOff.flight
+	sp, f := tracingOff.spans, tracingOff.flight
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		log.Emit(trace.ComputeStart, int64(i), 0, 0)
 		sp.Emit(trace.Span{Name: "compute", Job: 1, Task: int64(i)})
 		f.Emit("compute", "bench", 1, int64(i), 0, trace.SpanContext{})
 	}
@@ -124,7 +121,7 @@ func TestDisabledInstrumentsCostNothing(t *testing.T) {
 		loop  func(*testing.B)
 	}{
 		{"metrics bundle", 1, BenchmarkDisabledHotPath},
-		{"trace log, spans, flight", 3, BenchmarkDisabledTracing},
+		{"spans, flight", 2, BenchmarkDisabledTracing},
 	} {
 		b := &testing.B{N: 1000}
 		if allocs := testing.AllocsPerRun(10, func() { l.loop(b) }); allocs != 0 {

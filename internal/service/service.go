@@ -10,9 +10,9 @@
 // keeps serving work. Admission control is a bounded queue (Submit rejects
 // with ErrQueueFull when full) drained by a fixed number of runner
 // goroutines (the max-concurrent-jobs bound). Per-job executor metrics and
-// trace logs remain retrievable from the job's Handle after completion, and
-// Snapshot aggregates scheduler stats, recovery counters, and queue depths
-// for observability endpoints (cmd/ftserve).
+// the job's trace context remain retrievable from its Handle after
+// completion, and Snapshot aggregates scheduler stats, recovery counters, and
+// queue depths for observability endpoints (cmd/ftserve).
 package service
 
 import (
@@ -130,9 +130,6 @@ type JobSpec struct {
 	// Deadline bounds the job's execution time (queue wait excluded);
 	// 0 means no deadline. An expired deadline aborts only this job.
 	Deadline time.Duration
-	// TraceCapacity, when > 0, attaches a trace.Log of that capacity to
-	// the run; it stays retrievable from the Handle after completion.
-	TraceCapacity int
 	// Verify, when non-nil, is called with the result of a successful
 	// run; a non-nil error marks the job Failed. It runs on the job's
 	// runner goroutine.
@@ -222,7 +219,6 @@ type job struct {
 	// the runner's goroutine and under mu (Drain reads Payload under it).
 	spec      JobSpec
 	submitted time.Time
-	trace     *trace.Log
 	// span is the job's distributed-trace context: the submission's trace
 	// plus the admission span every later span of the job parents to.
 	// Journaled with the Submitted record; restored on replay.
@@ -426,7 +422,6 @@ func (s *Server) replay(st *journal.State) []*job {
 			spec.Name = js.Name
 			spec.Payload = js.Payload
 			j.spec = spec
-			j.trace = trace.New(spec.TraceCapacity)
 			// Re-entering the journaled span context (rather than minting a
 			// fresh trace) is what makes a crash-replayed re-execution show
 			// up in the job's original cluster trace.
@@ -578,7 +573,6 @@ func (s *Server) Submit(spec JobSpec) (*Handle, error) {
 		done:      make(chan struct{}),
 		state:     Queued,
 	}
-	j.trace = trace.New(spec.TraceCapacity)
 	s.nextID++
 	j.id = s.nextID
 	s.jobs[j.id] = j
@@ -769,7 +763,6 @@ func (s *Server) runJob(j *job) {
 		Replicate:       j.spec.replicateSet(),
 		VerifyChecksums: j.spec.VerifyChecksums,
 		Cancel:          j.cancel,
-		Trace:           j.trace,
 		Instruments:     s.ins,
 		Spans:           tr,
 		SpanCtx:         runCtx,
@@ -1197,6 +1190,7 @@ func (h *Handle) Wait() (*core.Result, error) {
 // Status returns the job's current status snapshot.
 func (h *Handle) Status() Status { return h.j.status() }
 
-// Trace returns the job's trace log (nil unless JobSpec.TraceCapacity > 0).
-// Valid during and after the run; snapshot-safe for concurrent use.
-func (h *Handle) Trace() *trace.Log { return h.j.trace }
+// Span returns the job's distributed-trace context: its trace and its
+// admission span, which every later span of the job parents to. Zero for a
+// job admitted by a server without a Config.Tracer.
+func (h *Handle) Span() trace.SpanContext { return h.j.span }

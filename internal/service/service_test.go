@@ -240,16 +240,14 @@ func TestServerCloseCancelsQueued(t *testing.T) {
 	}
 }
 
-// TestServerPerJobTrace: a traced job's lifecycle is retrievable from its
-// handle after completion and contains its computes.
+// TestServerPerJobTrace: after completion a job's lifecycle is in the
+// server's span ring under the trace its handle names, one compute span per
+// compute the job's metrics count.
 func TestServerPerJobTrace(t *testing.T) {
-	s := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 2})
+	tracer := trace.NewSpans("test", 256)
+	s := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 2, Tracer: tracer})
 	defer s.Close()
-	h, err := s.Submit(service.JobSpec{
-		Name:          "traced",
-		Spec:          graph.Diamond(nil),
-		TraceCapacity: 256,
-	})
+	h, err := s.Submit(service.JobSpec{Name: "traced", Spec: graph.Diamond(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +255,16 @@ func TestServerPerJobTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := h.Trace()
-	if tl == nil {
-		t.Fatal("traced job has no trace log")
+	if !h.Span().Valid() {
+		t.Fatal("job admitted by a traced server has no trace context")
 	}
-	if got := int64(len(tl.Filter(trace.ComputeDone))); got != res.Metrics.Computes {
-		t.Errorf("trace has %d compute-done events, metrics say %d computes", got, res.Metrics.Computes)
+	names := map[string]int64{}
+	for _, sp := range tracer.ForTrace(h.Span().Trace) {
+		if sp.Job == h.ID() {
+			names[sp.Name]++
+		}
+	}
+	if names["compute"] != res.Metrics.Computes || names["submit"] != 1 || names["job-run"] != 1 {
+		t.Errorf("job's spans by name %v; want %d computes, one submit and one job-run", names, res.Metrics.Computes)
 	}
 }

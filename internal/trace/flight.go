@@ -30,11 +30,7 @@ import (
 // check, the same contract as the nil metrics registry and nil *Spans.
 type Flight struct {
 	proc string
-
-	mu    sync.Mutex
-	buf   []FlightEvent
-	seq   uint64
-	dirty bool
+	ring ring[FlightEvent]
 
 	path string // the box file; "" until Persist
 	tmp  string // staging name, renamed over path
@@ -58,7 +54,7 @@ type Flight struct {
 // FlightEvent is one recorded occurrence. Fields are fixed-size or
 // pre-existing strings so Emit never allocates.
 type FlightEvent struct {
-	Seq    uint64  `json:"seq"`
+	Seq    uint64  `json:"seq"`     // the event's position in the ring, filled in by the encoder
 	WhenUS int64   `json:"when_us"` // unix microseconds
 	Kind   string  `json:"kind"`
 	Name   string  `json:"name,omitempty"`
@@ -87,7 +83,7 @@ func NewFlight(proc string, capacity int) *Flight {
 	if capacity < 1 {
 		return nil
 	}
-	return &Flight{proc: proc, buf: make([]FlightEvent, 0, capacity)}
+	return &Flight{proc: proc, ring: ring[FlightEvent]{buf: make([]FlightEvent, 0, capacity)}}
 }
 
 // Emit records an event. Safe for concurrent use; allocation-free; no-op
@@ -101,17 +97,10 @@ func (f *Flight) Emit(kind, name string, job, task, arg int64, ctx SpanContext) 
 
 func (f *Flight) emit(kind, name string, job, task, arg int64, ctx SpanContext) {
 	when := time.Now().UnixMicro()
-	f.mu.Lock()
-	e := FlightEvent{Seq: f.seq, WhenUS: when, Kind: kind, Name: name,
+	f.ring.mu.Lock()
+	*f.ring.next() = FlightEvent{WhenUS: when, Kind: kind, Name: name,
 		Job: job, Task: task, Arg: arg, Trace: ctx.Trace, Span: ctx.Span}
-	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, e)
-	} else {
-		f.buf[f.seq%uint64(cap(f.buf))] = e
-	}
-	f.seq++
-	f.dirty = true
-	f.mu.Unlock()
+	f.ring.mu.Unlock()
 }
 
 // boxPrefix opens the document. The events come first and the box's own
@@ -129,16 +118,7 @@ const boxPrefix = `{"events":[`
 // since overwritten are left behind as dead bytes in front of the document.
 // The caller holds snapMu, and the result is valid until the next call.
 func (f *Flight) encode(reason string) []byte {
-	f.mu.Lock()
-	seq := f.seq
-	first := seq - uint64(len(f.buf)) // oldest retained event
-	from := max(first, f.encFirst+uint64(len(f.ends)))
-	fresh := f.fresh[:0]
-	for s := from; s < seq; s++ {
-		fresh = append(fresh, f.buf[s%uint64(cap(f.buf))])
-	}
-	f.dirty = false
-	f.mu.Unlock()
+	fresh, first, seq := f.ring.since(f.fresh[:0], f.encoded())
 	f.fresh = fresh
 
 	if f.lo == 0 {
@@ -169,6 +149,7 @@ func (f *Flight) encode(reason string) []byte {
 	}
 	f.encFirst = first
 	for i := range fresh {
+		fresh[i].Seq = seq - uint64(len(fresh)-i)
 		out = append(appendEvent(out, &fresh[i]), ',')
 		f.ends = append(f.ends, len(out))
 	}
@@ -197,6 +178,10 @@ func (f *Flight) encode(reason string) []byte {
 	copy(doc, boxPrefix)
 	return doc
 }
+
+// encoded returns the number of events the encoder has seen: every one up to
+// the newest it encoded. The caller holds snapMu.
+func (f *Flight) encoded() uint64 { return f.encFirst + uint64(len(f.ends)) }
 
 func appendEvent(b []byte, e *FlightEvent) []byte {
 	b = append(b, `{"seq":`...)
@@ -318,7 +303,7 @@ func (f *Flight) Persist(dataDir string, interval time.Duration) error {
 		interval = 50 * time.Millisecond
 	}
 	f.path, f.tmp = path, path+".tmp"
-	f.fresh = make([]FlightEvent, 0, cap(f.buf))
+	f.fresh = make([]FlightEvent, 0, cap(f.ring.buf))
 	f.stop = make(chan struct{})
 	f.done = make(chan struct{})
 	go f.flushLoop(interval)
@@ -334,9 +319,9 @@ func (f *Flight) flushLoop(interval time.Duration) {
 		case <-f.stop:
 			return
 		case <-t.C:
-			f.mu.Lock()
-			dirty := f.dirty
-			f.mu.Unlock()
+			f.snapMu.Lock()
+			dirty := f.ring.count() != f.encoded()
+			f.snapMu.Unlock()
 			if dirty {
 				// Flush failures must not kill the recorder: the next tick
 				// retries, and the final Close snapshot reports the error.

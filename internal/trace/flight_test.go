@@ -189,16 +189,20 @@ var hostileStrings = []string{
 // ringBox is the reference: the box built from the ring as it stands, for
 // encoding/json to write.
 func ringBox(f *Flight, reason string) BlackBox {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	events := make([]FlightEvent, 0, len(f.buf))
+	f.ring.mu.Lock()
+	defer f.ring.mu.Unlock()
+	buf, seq := f.ring.buf, f.ring.total
+	events := make([]FlightEvent, 0, len(buf))
 	head := 0
-	if len(f.buf) == cap(f.buf) {
-		head = int(f.seq % uint64(cap(f.buf)))
+	if len(buf) == cap(buf) {
+		head = int(seq % uint64(cap(buf)))
 	}
-	events = append(append(events, f.buf[head:]...), f.buf[:head]...)
-	return BlackBox{Proc: f.proc, PID: os.Getpid(), Reason: reason, Seq: f.seq,
-		Dropped: f.seq - uint64(len(events)), Events: events}
+	events = append(append(events, buf[head:]...), buf[:head]...)
+	for i := range events {
+		events[i].Seq = seq - uint64(len(events)-i)
+	}
+	return BlackBox{Proc: f.proc, PID: os.Getpid(), Reason: reason, Seq: seq,
+		Dropped: seq - uint64(len(events)), Events: events}
 }
 
 func decodeBox(t *testing.T, data []byte) BlackBox {
@@ -287,7 +291,7 @@ func TestFlightEncodeMatchesEncodingJSON(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		f := NewFlight(randString(r), 1+r.Intn(8))
 		for flush := 0; flush < 8; flush++ {
-			for i, n := 0, r.Intn(2*cap(f.buf)+2); i < n && r.Intn(8) > 0; i++ {
+			for i, n := 0, r.Intn(2*cap(f.ring.buf)+2); i < n && r.Intn(8) > 0; i++ {
 				f.Emit(randString(r), randString(r), randInt(r), randInt(r), randInt(r),
 					SpanContext{Trace: TraceID{Hi: uint64(randInt(r)), Lo: uint64(randInt(r))}, Span: SpanID(randInt(r))})
 			}
@@ -381,7 +385,7 @@ func TestFlightFlushDoesNotAllocate(t *testing.T) {
 			f.Emit("span", "compute", 7, int64(i), 41, SpanContext{Span: SpanID(i + 1)})
 		}
 	}
-	for _, fresh := range []int{0, 300, cap(f.buf)} {
+	for _, fresh := range []int{0, 300, cap(f.ring.buf)} {
 		if n := testing.AllocsPerRun(10, func() {
 			emit(fresh)
 			f.encode("flush")

@@ -13,10 +13,26 @@ import (
 // becomes a flow event, so a kill-to-reroute reads as one connected
 // timeline in the Perfetto UI.
 
+// chromeEvent is one entry of the Chrome trace-event format (the JSON
+// object form understood by about:tracing and Perfetto).
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"` // microseconds since the earliest span
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int64          `json:"tid"`
+	S    string         `json:"s,omitempty"`  // instant scope
+	ID   string         `json:"id,omitempty"` // flow-event binding id
+	Bp   string         `json:"bp,omitempty"` // flow-event binding point
+	Args map[string]any `json:"args,omitempty"`
+}
+
 // MergedTrace is the document served by the router's
-// /debug/cluster-trace/{id} endpoint: Chrome trace events for viewers,
-// the raw merged spans for tools (the soak's assertions, the triage
-// matrix), and the critical path.
+// /debug/cluster-trace/{id} endpoint and, for one job's spans, by a backend's
+// /jobs/{id}/trace: Chrome trace events for viewers, the raw merged spans for
+// tools (the soak's assertions, the triage matrix), and the critical path.
 type MergedTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
@@ -56,22 +72,17 @@ func MergeSpans(sets ...[]Span) *MergedTrace {
 		return out
 	}
 
-	// One pid per process, in first-seen order; name the rows.
+	// One pid per process, in first-seen order; name the rows. The spans
+	// are sorted, so the first starts the timeline.
 	pids := make(map[string]int)
+	var procs []string
 	t0 := spans[0].Start
 	for _, sp := range spans {
-		if sp.Start < t0 {
-			t0 = sp.Start
-		}
 		if _, ok := pids[sp.Proc]; !ok {
 			pids[sp.Proc] = len(pids) + 1
+			procs = append(procs, sp.Proc)
 		}
 	}
-	procs := make([]string, 0, len(pids))
-	for p := range pids {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return pids[procs[i]] < pids[procs[j]] })
 	events := make([]chromeEvent, 0, 2*len(spans)+len(pids))
 	for _, p := range procs {
 		name := p

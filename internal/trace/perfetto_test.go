@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -81,6 +82,99 @@ func TestMergeSpansHostileInput(t *testing.T) {
 	// The cycle must terminate the critical-path walk, not hang it.
 	if len(m.CriticalPath) == 0 || len(m.CriticalPath) > 2 {
 		t.Fatalf("cycle-guarded critical path has %d spans", len(m.CriticalPath))
+	}
+}
+
+// TestWriteJSONRoundTrip writes one job's executor spans as the document and
+// parses it back: a span with a duration is a complete ("X") event, an
+// instant an "i", each on its task's lane, with life and arg in its args.
+func TestWriteJSONRoundTrip(t *testing.T) {
+	tid := NewTraceID()
+	spans := []Span{
+		{Trace: tid, ID: 1, Proc: "p", Name: "inject", Start: 10, Job: 1, Task: 7, Arg: 1},
+		{Trace: tid, ID: 2, Proc: "p", Name: "compute", Start: 5, Dur: 20, Job: 1, Task: 7, Arg: 1},
+		{Trace: tid, ID: 3, Proc: "p", Name: "recover", Start: 30, Dur: 2, Job: 1, Task: 7, Life: 1},
+	}
+	var buf bytes.Buffer
+	if err := MergeSpans(spans).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Tid  int64          `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+		Spans           []Span `json:"spans"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("document is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if doc.DisplayTimeUnit != "ms" || len(doc.Spans) != 3 {
+		t.Fatalf("displayTimeUnit %q, %d spans", doc.DisplayTimeUnit, len(doc.Spans))
+	}
+	// One process_name event, then the spans by start time.
+	if len(doc.TraceEvents) != 4 || doc.TraceEvents[0].Ph != "M" {
+		t.Fatalf("trace events: %+v", doc.TraceEvents)
+	}
+	for i, want := range []struct {
+		name, ph  string
+		ts, dur   float64
+		life, arg float64
+	}{{"compute", "X", 0, 20, 0, 1}, {"inject", "i", 5, 0, 0, 1}, {"recover", "X", 25, 2, 1, 0}} {
+		e := doc.TraceEvents[i+1]
+		life, _ := e.Args["life"].(float64)
+		arg, _ := e.Args["arg"].(float64)
+		if e.Name != want.name || e.Ph != want.ph || e.Ts != want.ts || e.Dur != want.dur || e.Tid != 8 ||
+			life != want.life || arg != want.arg {
+			t.Fatalf("event %d = %+v, want %+v on tid 8", i+1, e, want)
+		}
+	}
+}
+
+// TestWriteJSONNamedHostileInput: process labels and notes (the submit span's
+// note is the job's name, arbitrary request input) and task keys at the int64
+// extremes must leave the document valid JSON that round-trips every valid
+// byte of the strings.
+func TestWriteJSONNamedHostileInput(t *testing.T) {
+	tid := NewTraceID()
+	for i, name := range []string{
+		`quote " inside`,
+		`back\slash and \"both\"`,
+		"newline\nand\ttab",
+		"non-ASCII: héllo wörld — 日本語 ✓",
+		"control \x00\x1f bytes",
+		`</script><script>alert(1)</script>`,
+	} {
+		m := MergeSpans([]Span{
+			{Trace: tid, ID: SpanID(2*i + 1), Proc: name, Name: "submit", Note: name, Start: 1, Job: 1, Task: -1},
+			{Trace: tid, ID: SpanID(2*i + 2), Proc: name, Name: "compute", Start: 2, Dur: 1, Job: 1, Task: math.MaxInt64 - 1},
+			{Trace: tid, ID: SpanID(2*i + 3), Proc: name, Name: "inject", Start: 3, Job: 1, Task: math.MinInt64},
+		})
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatalf("name %q: %v", name, err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+			Spans []Span `json:"spans"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("name %q produced invalid JSON: %v\n%s", name, err, buf.String())
+		}
+		if len(doc.TraceEvents) != 4 || doc.TraceEvents[0].Name != "process_name" {
+			t.Fatalf("name %q: events %+v", name, doc.TraceEvents)
+		}
+		if got := doc.TraceEvents[0].Args["name"]; got != name || doc.Spans[0].Note != name {
+			t.Fatalf("name %q round-tripped as %q and %q", name, got, doc.Spans[0].Note)
+		}
 	}
 }
 

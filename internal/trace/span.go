@@ -1,3 +1,15 @@
+// Package trace records what a process did, for reading after the fact.
+// Spans is the process's bounded ring of causal spans: a job's admission,
+// queue wait and run, and under the run every executor event — computes,
+// injected faults, recoveries, replica digest joins — so one job's spans are
+// its lifecycle, and one trace's spans across processes (MergeSpans) are a
+// cluster-wide timeline. Flight is the black box that survives the process.
+//
+// A span context (128-bit trace ID + 64-bit span ID) is minted by whichever
+// process first sees a submission — normally the shard router — and rides the
+// FT-Trace HTTP header and the journal's Submitted records, so failover
+// resubmission and replay-after-crash *continue* the original trace instead
+// of starting a new one.
 package trace
 
 import (
@@ -5,18 +17,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// This file is the distributed half of the package: where Log records one
-// job's intra-process lifecycle, Spans records causal spans that cross
-// process boundaries. A span context (128-bit trace ID + 64-bit span ID)
-// is minted by whichever process first sees a submission — normally the
-// shard router — and rides the FT-Trace HTTP header and the journal's
-// Submitted records, so failover resubmission and replay-after-crash
-// *continue* the original trace instead of starting a new one.
 
 // HeaderName is the HTTP header carrying a span context between
 // processes: router → backend on submission and failover resubmission.
@@ -50,27 +53,21 @@ func ParseTraceID(s string) (TraceID, error) {
 	return TraceID{Hi: binary.BigEndian.Uint64(b[:8]), Lo: binary.BigEndian.Uint64(b[8:])}, nil
 }
 
-// MarshalJSON encodes the ID as its 32-hex-digit string form.
-func (t TraceID) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + t.String() + `"`), nil
+// MarshalText encodes the ID as its 32-hex-digit string form, which is also
+// its JSON form.
+func (t TraceID) MarshalText() ([]byte, error) {
+	return []byte(t.String()), nil
 }
 
-// UnmarshalJSON accepts the string form; an empty string is the zero ID.
-func (t *TraceID) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("trace: trace id: not a JSON string: %q", data)
-	}
-	s := string(data[1 : len(data)-1])
-	if s == "" {
+// UnmarshalText accepts the string form; an empty string is the zero ID.
+func (t *TraceID) UnmarshalText(s []byte) error {
+	if len(s) == 0 {
 		*t = TraceID{}
 		return nil
 	}
-	id, err := ParseTraceID(s)
-	if err != nil {
-		return err
-	}
+	id, err := ParseTraceID(string(s))
 	*t = id
-	return nil
+	return err
 }
 
 // NewTraceID mints a random 128-bit trace ID (crypto/rand, so IDs minted
@@ -114,27 +111,21 @@ func ParseSpanID(s string) (SpanID, error) {
 	return SpanID(binary.BigEndian.Uint64(b[:])), nil
 }
 
-// MarshalJSON encodes the ID as its 16-hex-digit string form.
-func (s SpanID) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
+// MarshalText encodes the ID as its 16-hex-digit string form, which is also
+// its JSON form.
+func (s SpanID) MarshalText() ([]byte, error) {
+	return []byte(s.String()), nil
 }
 
-// UnmarshalJSON accepts the string form; an empty string is span 0.
-func (s *SpanID) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("trace: span id: not a JSON string: %q", data)
-	}
-	str := string(data[1 : len(data)-1])
-	if str == "" {
+// UnmarshalText accepts the string form; an empty string is span 0.
+func (s *SpanID) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
 		*s = 0
 		return nil
 	}
-	id, err := ParseSpanID(str)
-	if err != nil {
-		return err
-	}
+	id, err := ParseSpanID(string(b))
 	*s = id
-	return nil
+	return err
 }
 
 // SpanContext names a position in a trace: the trace plus the span that
@@ -205,10 +196,7 @@ type Spans struct {
 	base   uint64
 	ctr    atomic.Uint64
 	flight *Flight // optional mirror: spans also land in the black box
-
-	mu  sync.Mutex
-	buf []Span
-	seq uint64
+	ring   ring[Span]
 }
 
 // NewSpans returns a recorder labelled with the process name, retaining
@@ -222,7 +210,7 @@ func NewSpans(proc string, capacity int) *Spans {
 	if _, err := cryptorand.Read(b[:]); err != nil {
 		binary.BigEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
 	}
-	return &Spans{proc: proc, base: binary.BigEndian.Uint64(b[:]), buf: make([]Span, 0, capacity)}
+	return &Spans{proc: proc, base: binary.BigEndian.Uint64(b[:]), ring: ring[Span]{buf: make([]Span, 0, capacity)}}
 }
 
 // NewRecorders wires a process's two recorders in the one order that works:
@@ -244,14 +232,6 @@ func NewRecorders(proc string, spans, flight int, dataDir string, flush time.Dur
 		s.flight = f
 	}
 	return s, f, nil
-}
-
-// Proc returns the recorder's process label ("" for nil).
-func (s *Spans) Proc() string {
-	if s == nil {
-		return ""
-	}
-	return s.proc
 }
 
 // NextID mints a span ID unique across processes (random per-process base
@@ -284,28 +264,12 @@ func (s *Spans) emit(sp Span) {
 		sp.ID = s.NextID()
 	}
 	sp.Proc = s.proc
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, sp)
-	} else {
-		s.buf[s.seq%uint64(cap(s.buf))] = sp
-	}
-	s.seq++
-	s.mu.Unlock()
+	s.ring.mu.Lock()
+	*s.ring.next() = sp
+	s.ring.mu.Unlock()
 	if f := s.flight; f != nil {
 		f.Emit("span", sp.Name, sp.Job, sp.Task, sp.Dur, SpanContext{Trace: sp.Trace, Span: sp.ID})
 	}
-}
-
-// Len returns the total number of spans emitted (including overwritten
-// ones).
-func (s *Spans) Len() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -313,15 +277,8 @@ func (s *Spans) Snapshot() []Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Span, 0, len(s.buf))
-	if len(s.buf) < cap(s.buf) {
-		return append(out, s.buf...)
-	}
-	head := int(s.seq % uint64(cap(s.buf)))
-	out = append(out, s.buf[head:]...)
-	return append(out, s.buf[:head]...)
+	out, _, _ := s.ring.since(nil, 0)
+	return out
 }
 
 // ForTrace returns the retained spans belonging to one trace, oldest

@@ -48,7 +48,7 @@ func TestNilSpansContract(t *testing.T) {
 	}
 	// Every method must be a safe no-op on the nil recorder.
 	sp.Emit(Span{Name: "ignored"})
-	if sp.NextID() != 0 || sp.Len() != 0 || sp.Proc() != "" {
+	if sp.NextID() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	if got := sp.Snapshot(); len(got) != 0 {
@@ -59,14 +59,50 @@ func TestNilSpansContract(t *testing.T) {
 	}
 }
 
+// TestNewValidation: a capacity < 1 means "off" for both recorders — nil, so
+// that every method is a cheap no-op rather than a zero-length ring that still
+// pays for building what it records.
+func TestNewValidation(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		if sp := NewSpans("p", capacity); sp != nil {
+			t.Fatalf("NewSpans(%d) = %v, want nil", capacity, sp)
+		}
+		if f := NewFlight("p", capacity); f != nil {
+			t.Fatalf("NewFlight(%d) = %v, want nil", capacity, f)
+		}
+	}
+}
+
+// TestEmitAndSnapshot: Emit stamps the process label, mints an ID for a span
+// without one and keeps one it was given; Snapshot returns the spans in the
+// order they were emitted.
+func TestEmitAndSnapshot(t *testing.T) {
+	sp := NewSpans("p", 16)
+	sp.Emit(Span{Name: "compute", Task: 1})
+	sp.Emit(Span{Name: "inject", Task: 1, ID: 42})
+	sp.Emit(Span{Name: "recover", Task: 1, Life: 1})
+	got := sp.Snapshot()
+	if len(got) != 3 || sp.ring.count() != 3 {
+		t.Fatalf("Snapshot = %d spans, count = %d; want 3, 3", len(got), sp.ring.count())
+	}
+	for i, name := range []string{"compute", "inject", "recover"} {
+		if got[i].Name != name || got[i].Proc != "p" || got[i].ID == 0 {
+			t.Fatalf("span %d = %+v, want %s stamped with proc p and an ID", i, got[i], name)
+		}
+	}
+	if got[1].ID != 42 {
+		t.Fatalf("given ID replaced: %s", got[1].ID)
+	}
+}
+
 func TestSpansRingOverwriteKeepsNewest(t *testing.T) {
 	sp := NewSpans("ring", 4)
 	tid := NewTraceID()
 	for i := 0; i < 10; i++ {
 		sp.Emit(Span{Trace: tid, Name: "s", Task: int64(i)})
 	}
-	if sp.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", sp.Len())
+	if sp.ring.count() != 10 {
+		t.Fatalf("count = %d, want 10", sp.ring.count())
 	}
 	got := sp.Snapshot()
 	if len(got) != 4 {
