@@ -5,7 +5,7 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), then the block read path (ns/KiB, whole tiles and boundary reads); no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), then a warm LCS rerun (B/op, allocs/op); no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -32,12 +32,16 @@ benchbuild:
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
 # replaced, and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
-# boundary reads (a tile's row, column and corner) of the same 32 KiB. No
-# threshold: timing gates do not survive this host.
+# boundary reads (a tile's row, column and corner) of the same 32 KiB. Last,
+# the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
+# the free list and the next run takes them, so it stays below the 512 KiB
+# table (≈ 210 KB); a change that stops the recycling shows here as the table
+# added back. No threshold: timing gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
 	$(GO) test -run '^$$' -bench SlotRead -benchtime 20000x ./internal/block
+	$(GO) test -run '^$$' -bench RerunLCS -benchtime 20x ./internal/core
 
 graphsmoke:
 	$(GO) run ./cmd/ftgraph -app LU -n 64 -b 16 -p 2 -faults 2 -trace 64 > /dev/null

@@ -1,10 +1,12 @@
 // Command ftgraph executes a single benchmark task graph once and reports
-// the run's timing, scheduler statistics, and recovery metrics. It is the
+// the run's timing, scheduler statistics, and recovery metrics — or, with
+// -inspect, reports the graph's structure without running it. It is the
 // workhorse for ad-hoc experiments:
 //
 //	ftgraph -app LU -n 512 -b 32 -p 4
 //	ftgraph -app FW -n 192 -b 16 -p 2 -faults 50 -point after-compute -type v=rand
 //	ftgraph -app SW -n 1024 -b 64 -executor baseline
+//	ftgraph -app LU -n 512 -b 32 -inspect -validate
 package main
 
 import (
@@ -15,24 +17,12 @@ import (
 	"time"
 
 	"ftdag/internal/apps"
-	"ftdag/internal/apps/chol"
-	"ftdag/internal/apps/fw"
-	"ftdag/internal/apps/lcs"
-	"ftdag/internal/apps/lu"
-	"ftdag/internal/apps/sw"
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/harness"
 	"ftdag/internal/trace"
 )
-
-var makers = map[string]apps.Maker{
-	"LCS":      lcs.New,
-	"SW":       sw.New,
-	"FW":       fw.New,
-	"LU":       lu.New,
-	"Cholesky": chol.New,
-}
 
 func main() {
 	var (
@@ -52,18 +42,21 @@ func main() {
 		traceCap = flag.Int("trace", 0, "record the last N executor spans and print them as a Chrome/Perfetto trace (ft only)")
 		planFile = flag.String("plan", "", "load the fault plan from this JSON file (overrides -faults)")
 		savePlan = flag.String("saveplan", "", "write the generated fault plan to this JSON file for replay")
+		inspect  = flag.Bool("inspect", false, "print the graph's structure (Table I's T, E, S, degrees, task types) instead of running it")
+		validate = flag.Bool("validate", false, "with -inspect, also check that predecessors and successors mirror each other (slow on big graphs)")
 	)
 	flag.Parse()
 
-	mk, ok := makers[*app]
-	if !ok {
-		fatalf("unknown -app %q", *app)
-	}
-	a, err := mk(apps.Config{N: *n, B: *b, Seed: *seed})
+	a, err := harness.MakeApp(*app, apps.Config{N: *n, B: *b, Seed: *seed})
 	if err != nil {
 		fatalf("%v", err)
 	}
 	props := graph.Analyze(a.Spec())
+	if *inspect {
+		fmt.Printf("%s N=%d B=%d (retention %d)\n", a.Name(), *n, *b, a.Retention())
+		printStructure(a.Spec(), props, *validate)
+		return
+	}
 	fmt.Printf("%s N=%d B=%d: %v retention=%d\n", a.Name(), *n, *b, props, a.Retention())
 
 	var plan *fault.Plan
@@ -143,6 +136,42 @@ func main() {
 		if err := trace.MergeSpans(kept).WriteJSON(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
+	}
+}
+
+// printStructure prints the Table I quantities of spec (T, E, S), its
+// degrees and in-degree histogram, and its task-type population (v=0 and
+// v=last), and with validate checks its structure.
+func printStructure(spec graph.Spec, props graph.Props, validate bool) {
+	fmt.Printf("  tasks (T):          %d\n", props.Tasks)
+	fmt.Printf("  dependences (E):    %d\n", props.Edges)
+	fmt.Printf("  critical path (S):  %d\n", props.CriticalPath)
+	fmt.Printf("  max in/out degree:  %d / %d\n", props.MaxInDegree, props.MaxOutDegree)
+	fmt.Printf("  source tasks:       %d\n", props.Sources)
+	fmt.Printf("  sink key:           %d\n", spec.Sink())
+
+	hist := map[int]int{}
+	for _, k := range graph.Enumerate(spec) {
+		hist[len(spec.Predecessors(k))]++
+	}
+	fmt.Printf("  in-degree histogram:")
+	for d := 0; d <= props.MaxInDegree; d++ {
+		if c := hist[d]; c > 0 {
+			fmt.Printf(" %d:%d", d, c)
+		}
+	}
+	fmt.Println()
+
+	v0 := fault.SelectTasks(spec, fault.V0, props.Tasks, 1)
+	vlast := fault.SelectTasks(spec, fault.VLast, props.Tasks, 1)
+	fmt.Printf("  v=0 tasks:          %d (%.1f%%)\n", len(v0), 100*float64(len(v0))/float64(props.Tasks))
+	fmt.Printf("  v=last tasks:       %d (%.1f%%)\n", len(vlast), 100*float64(len(vlast))/float64(props.Tasks))
+
+	if validate {
+		if err := graph.Validate(spec); err != nil {
+			fatalf("validation FAILED: %v", err)
+		}
+		fmt.Println("  validation:         OK")
 	}
 }
 

@@ -116,7 +116,8 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 	// for just those words; row -1 / column -1 of the global table are zero.
 	// The row above lands in the tile's own last row, which fill reads only
 	// for the first row and overwrites last, so the column and the corner
-	// are the compute's one allocation besides the tile.
+	// are the compute's one allocation besides the tile. A recycled tile is
+	// not zero: the top row of the table clears its row above.
 	tile := block.Alloc(b * b)
 	edge := make([]float64, b+1)
 	top := tile[(b-1)*b:]              // D[bi*b-1][bj*b + c]
@@ -124,6 +125,8 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 	var err error
 	if bi > 0 {
 		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), top, a.row...)
+	} else {
+		clear(top)
 	}
 	if err == nil && bj > 0 {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), left, a.col...)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -40,8 +41,14 @@ func TestSequenceGeneration(t *testing.T) {
 }
 
 // TestBlockedMatchesReference computes the full blocked DP by hand and
-// compares every cell of every tile with the unblocked recurrence.
+// compares every cell of every tile with the unblocked recurrence. Where a
+// tile is big enough for the free list, Compute takes it from there holding
+// the poison of a freed buffer, as a recycled tile does under the executors'
+// tests: a word Compute reads before writing it — the row above the table's
+// top row — shows as a wrong cell.
 func TestBlockedMatchesReference(t *testing.T) {
+	block.PoisonFreed(true)
+	defer block.PoisonFreed(false)
 	for _, size := range []struct{ n, b int }{{16, 4}, {32, 8}, {48, 8}, {60, 4}} {
 		a := newLCS(t, size.n, size.b)
 		outs := map[graph.Key][]float64{}
@@ -50,6 +57,7 @@ func TestBlockedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range order {
+			block.Free(make([]float64, size.b*size.b)) // Alloc's next tile
 			ctx := &fakeCtx{outs: outs}
 			if err := a.Compute(ctx, k); err != nil {
 				t.Fatal(err)

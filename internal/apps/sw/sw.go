@@ -156,7 +156,8 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 	// the score floor. The row above and its maximum land in the tile's own
 	// last row and maximum slot, which fill reads only for the first row and
 	// overwrites last, so the column and the corner are the compute's one
-	// allocation besides the tile.
+	// allocation besides the tile. A recycled tile is not zero: the top row
+	// of the table clears its row above and that row's maximum.
 	tile := block.Alloc(b*b + 1)
 	edge := make([]float64, b+3)
 	up := tile[(b-1)*b:]             // the row above, then its tile's running maximum
@@ -164,6 +165,8 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 	var err error
 	if bi > 0 {
 		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), up, a.row...)
+	} else {
+		clear(up)
 	}
 	if err == nil && bj > 0 {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), lf, a.col...)

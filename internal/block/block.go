@@ -24,12 +24,14 @@
 // its slice. Read copies the version out into a buffer private to the reader,
 // so the store never hands out its own: the injector may flip stored bits in
 // place and a recovery may overwrite a version while earlier readers still
-// compute on what they read. Evicted and replaced buffers go to one
-// process-wide, size-keyed free list (Alloc/Free) from which the next Read
-// and kernel output are taken — the physical form of "reuse the memory of v
-// to store v+1". Every payload crosses memory once on its way in and once on
-// its way out: a write hashes the buffer it adopts, and a verified read
-// hashes the words as it copies them.
+// compute on what they read. A version's buffer lives until the version is
+// evicted or replaced, or until the run ends and its executor calls
+// Store.Release; then it goes to one process-wide, size-keyed free list
+// (Alloc/Free) from which the next Read and kernel output — of this run or
+// the next — are taken: the physical form of "reuse the memory of v to store
+// v+1". Every payload crosses memory once on its way in and once on its way
+// out: a write hashes the buffer it adopts, and a verified read hashes the
+// words as it copies them.
 //
 // A reader that needs only part of a payload — a tile's last row, last
 // column and last cell — names the words as strided runs and calls ReadAt,
@@ -165,7 +167,11 @@ type Store struct {
 	retention int // K; 0 = unlimited
 	verify    bool
 	ins       *Instruments
-	slots     cmap.Table[Slot]
+	// pooled is set by the first write of a payload the free list takes
+	// (PoolMin float64s or more): until then Release has nothing to hand back
+	// and visits no slot.
+	pooled atomic.Bool
+	slots  cmap.Table[Slot]
 
 	// The retained payload and its high-water mark are a peak of a sum over
 	// all blocks, which per-block counts cannot give; they stay global.
@@ -286,6 +292,9 @@ func (sl *Slot) put(version int, producer int64, data []float64, sum uint64, kep
 	}
 	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum, snaps: kept}
 	sl.mu.Unlock()
+	if len(data) >= PoolMin && !s.pooled.Load() {
+		s.pooled.Store(true)
+	}
 	// The free list's lock and the store's shared line are taken with the
 	// slot lock dropped: the displaced buffer is out of the ring, and the
 	// high-water mark is the peak of the sum in the order the deltas reach
@@ -623,6 +632,45 @@ func (s *Store) Latest(b ID) (int, []float64, bool) {
 // BytesRetained returns the high-water mark of retained payload bytes.
 func (s *Store) BytesRetained() int64 { return s.highWaterF64.Load() * 8 }
 
+// Release ends the store's hold on its payloads, as an executor does when its
+// run ends: every retained version's buffer goes to the free list, where the
+// next run's reads and kernel outputs find it, and every ring is emptied, so a
+// later read of any version is ErrNotRetained. The retained-bytes count drops
+// by what was released; its high-water mark, BytesRetained, stays. Each slot is
+// emptied under its lock, so a Read, ReadAt or Write racing Release — a
+// cancelled run's compute still in flight — sees the version or
+// ErrNotRetained, and a version written after its slot was emptied stays in
+// the ring, for the garbage collector. A store that never held a payload of
+// PoolMin float64s or more, which Free would not keep, returns at once and is
+// left as it is.
+func (s *Store) Release() { s.release() }
+
+// release is Release. It returns the number of slots it visited.
+func (s *Store) release() (visited int) {
+	if !s.pooled.Load() {
+		return 0
+	}
+	var bufs [][]float64
+	var floats int64
+	s.slots.Range(func(_ int64, sl *Slot) bool {
+		visited++
+		sl.mu.Lock()
+		for _, e := range sl.entries {
+			floats += int64(len(e.data))
+			if len(e.data) >= PoolMin {
+				bufs = append(bufs, e.data)
+			}
+		}
+		clear(sl.entries) // the ring is reused; do not pin the released buffers
+		sl.entries = sl.entries[:0]
+		sl.mu.Unlock()
+		return true
+	})
+	s.addRetained(-floats)
+	freeAll(bufs)
+	return visited
+}
+
 func flipBits(f float64) float64 {
 	return math.Float64frombits(math.Float64bits(f) ^ 0xDEADBEEFCAFEF00D)
 }
@@ -901,12 +949,13 @@ func (a *Arena) Reset() {
 	a.used = 0
 }
 
-// Alloc returns a zeroed buffer of n float64s, recycled from the free list
-// when possible — a drop-in for make([]float64, n) where a kernel builds the
-// output it will pass to graph.Context.Write.
+// Alloc returns a buffer of n float64s whose contents are unspecified,
+// recycled from the free list when possible, for a kernel that builds the
+// output it will pass to graph.Context.Write and writes every word of it. A
+// fresh buffer is zero; a recycled one holds whatever its last owner left —
+// the NaN pattern under PoisonFreed — and is not cleared again.
 func Alloc(n int) []float64 {
 	if buf := pop(n); buf != nil {
-		clear(buf)
 		return buf
 	}
 	return make([]float64, n)
@@ -925,12 +974,37 @@ func Free(buf []float64) {
 		poison(buf)
 	}
 	pool.mu.Lock()
-	if pool.floats+n <= poolMaxFloats {
-		if pool.bySize == nil {
-			pool.bySize = make(map[int][][]float64)
+	push(buf)
+	pool.mu.Unlock()
+}
+
+// freeAll is Free of every buffer in bufs, each of PoolMin float64s or more,
+// under one acquisition of the free list's lock.
+func freeAll(bufs [][]float64) {
+	if len(bufs) == 0 {
+		return
+	}
+	if poisonOnFree.Load() {
+		for _, buf := range bufs {
+			poison(buf)
 		}
-		pool.bySize[n] = append(pool.bySize[n], buf[:n:n])
-		pool.floats += n
+	}
+	pool.mu.Lock()
+	for _, buf := range bufs {
+		push(buf)
 	}
 	pool.mu.Unlock()
+}
+
+// push lists buf, unless the free list is full. The caller holds its lock.
+func push(buf []float64) {
+	n := len(buf)
+	if pool.floats+n > poolMaxFloats {
+		return
+	}
+	if pool.bySize == nil {
+		pool.bySize = make(map[int][][]float64)
+	}
+	pool.bySize[n] = append(pool.bySize[n], buf[:n:n])
+	pool.floats += n
 }

@@ -188,9 +188,14 @@ func (c *taskCtx[S]) output(pred graph.Key) (*block.Slot, int) {
 
 // failed turns a failed read of pred's output into the error the compute
 // returns: a fault naming pred's current incarnation, which the consumer's
-// catch recovers. Under NABBIT no read can fail but by a spec bug.
+// catch recovers. Under NABBIT no read can fail but by a spec bug — or in a
+// compute an aborted run left running, whose store has been released; the
+// error then goes back to the compute as it is, and the catch drops it.
 func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 	if !c.t.shaded() {
+		if c.e.aborted() {
+			return err
+		}
 		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
 	}
 	life := 0

@@ -140,7 +140,8 @@ func NewBaseline(spec graph.Spec, cfg Config) *Baseline {
 	return &Baseline{spec: spec, cfg: cfg, store: cfg.newStore(), met: newMetrics(cfg.workers())}
 }
 
-// Store exposes the block store (result extraction, verification).
+// Store exposes the block store. A run empties it when it ends
+// (block.Store.Release): what the run computed is Result.Sink.
 func (e *exec[S]) Store() *block.Store { return e.store }
 
 // LiveMetrics snapshots the executor's counters mid-run. Safe to call
@@ -184,8 +185,12 @@ func (e *exec[S]) Run() (*Result, error) {
 // only this execution — the pool stays healthy and reusable. The caller
 // keeps responsibility for closing the pool; Result.Sched is left zero here
 // because a shared pool's counters are not attributable to one run (Run
-// fills it for the single-run case).
+// fills it for the single-run case). However the run ends, its store hands
+// its buffers to the block free list on the way out (block.Store.Release),
+// once the sink has been copied out; a compute that a cancel or a timeout
+// leaves running then reads ErrNotRetained.
 func (e *exec[S]) RunOn(pool *sched.Pool) (*Result, error) {
+	defer e.store.Release()
 	start := time.Now()
 	g := pool.NewGroup()
 	e.group = g
@@ -241,6 +246,10 @@ func (e *exec[S]) RunOn(pool *sched.Pool) (*Result, error) {
 	res.Sink = data
 	return res, nil
 }
+
+// aborted reports whether this run was cancelled or timed out: RunOn has
+// returned, or is about to, while computes may still be running.
+func (e *exec[S]) aborted() bool { return e.group != nil && e.group.Aborted() }
 
 // spawn schedules r.Run(_, arg) as part of this run's group, so that per-run
 // abort and quiescence see exactly this run's work even on a shared pool.
@@ -517,9 +526,13 @@ func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
 // catchComputeError is the catch block shared by the plain and replicated
 // compute paths: a fault in the task itself is recovered; a predecessor's
 // fault recovers the predecessor and resets this task (Guarantee 5). NABBIT
-// has no faults to catch: any error is a spec bug.
+// has no faults to catch: any error is a spec bug, unless the run was aborted
+// under the compute and its store released (taskCtx.failed).
 func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 	var fe *fault.Error
+	if !t.shaded() && e.aborted() {
+		return
+	}
 	if !t.shaded() || !errors.As(err, &fe) {
 		panic(fmt.Sprintf("core: task %d compute returned non-fault error: %v", t.key, err))
 	}

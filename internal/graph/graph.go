@@ -38,8 +38,11 @@ type Context interface {
 	// Write stores data as this task's output block version and passes
 	// ownership of the slice to the executor: the store keeps the slice
 	// itself as the version (a small one, or a piece of a ReadPred slice,
-	// it copies). Compute must not keep it, change it or write it anywhere
-	// else. block.Alloc is the matching way to get an output buffer.
+	// it copies) until a later version evicts or replaces it or the run
+	// ends, and then recycles it. Compute must not keep it, change it or
+	// write it anywhere else. block.Alloc is the matching way to get an
+	// output buffer; its contents are unspecified, so Compute writes every
+	// word before passing it here.
 	Write(data []float64)
 }
 
