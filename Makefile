@@ -30,7 +30,7 @@ benchbuild:
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
-# replaced, and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# replaced, over 16 rotating inputs at the BenchSizes tile, and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads (a tile's row, column and corner) of the same 32 KiB. Last,
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to

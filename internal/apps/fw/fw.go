@@ -20,8 +20,10 @@
 // directly from application memory, which the paper assumes resilient.
 //
 // The final result is digested through per-row reduction tasks and a sink
-// that sums all shortest-path distances; edge weights are small integers so
-// the digest is exact in float64.
+// that sums all shortest-path distances. Edge weights are small integers, so
+// every distance and every sum is an integer below 2⁵³ and exact in float64:
+// min-plus updates may be reordered without changing a bit, which lets the
+// pivot row and column tiles run through the interior's blocked kernel.
 package fw
 
 import (
@@ -282,48 +284,18 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 	switch {
 	case i == k && j == k:
 		// Phase 1: Floyd-Warshall within the pivot tile.
-		for p := 0; p < b; p++ {
-			for r := 0; r < b; r++ {
-				crp := c[r*b+p]
-				for cc := 0; cc < b; cc++ {
-					if v := crp + c[p*b+cc]; v < c[r*b+cc] {
-						c[r*b+cc] = v
-					}
-				}
-			}
-		}
-	case j == k:
-		// Phase 2 (column tile): uses the updated pivot; the p-loop is
-		// sequential because c's own column p feeds later iterations.
+		closure(c, b)
+	case j == k || i == k:
+		// Phase 2: a column tile becomes c ⊗ pv, a row tile pv ⊗ c, in place
+		// through the updated pivot (minPlus says why that is exact).
 		pv, err := ctx.ReadPred(a.task(k, k, k))
 		if err != nil {
 			return err
 		}
-		for p := 0; p < b; p++ {
-			for r := 0; r < b; r++ {
-				crp := c[r*b+p]
-				for cc := 0; cc < b; cc++ {
-					if v := crp + pv[p*b+cc]; v < c[r*b+cc] {
-						c[r*b+cc] = v
-					}
-				}
-			}
-		}
-	case i == k:
-		// Phase 2 (row tile).
-		pv, err := ctx.ReadPred(a.task(k, k, k))
-		if err != nil {
-			return err
-		}
-		for p := 0; p < b; p++ {
-			for r := 0; r < b; r++ {
-				prp := pv[r*b+p]
-				for cc := 0; cc < b; cc++ {
-					if v := prp + c[p*b+cc]; v < c[r*b+cc] {
-						c[r*b+cc] = v
-					}
-				}
-			}
+		if j == k {
+			minPlus(c, c, pv, b)
+		} else {
+			minPlus(c, pv, c, b)
 		}
 	default:
 		// Phase 3 (interior): plain min-plus product with the updated
@@ -342,6 +314,21 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 	return nil
 }
 
+// closure runs Floyd-Warshall within the b×b tile c: afterwards c[r][q] ≤
+// c[r][p] + c[p][q] for every p, and the diagonal stays zero.
+func closure(c []float64, b int) {
+	for p := 0; p < b; p++ {
+		for r := 0; r < b; r++ {
+			crp := c[r*b+p]
+			for cc := 0; cc < b; cc++ {
+				if v := crp + c[p*b+cc]; v < c[r*b+cc] {
+					c[r*b+cc] = v
+				}
+			}
+		}
+	}
+}
+
 // minPlus computes C = min(C, A ⊗ B), the min-plus product of the interior
 // phase: c[r][q] = min(c[r][q], min over p of a[r][p] + b[p][q]). Each sum is
 // rounded as in the textbook loop and min is exact, so the order of the p
@@ -349,6 +336,12 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 // block: eight running minima stay in registers across the p loop, fed by two
 // elements of A and four of B per p. A b that is not a multiple of 4 takes the
 // plain loop.
+//
+// The pivot row and column tiles pass c as A or as B. With P the pivot tile
+// after closure (P ⊗ P = P, zero diagonal) and every value an exact integer,
+// any tile X between C ⊗ P and C (elementwise) has min(X, X ⊗ P) = C ⊗ P, so
+// reading words of c that are already updated, in any order, gives the
+// textbook loop's result bit for bit; likewise for P ⊗ C.
 func minPlus(c, av, bv []float64, b int) {
 	if b%4 != 0 {
 		for p := 0; p < b; p++ {

@@ -7,7 +7,7 @@ import (
 	"ftdag/internal/graph"
 )
 
-func newFW(t *testing.T, n, b int) *FW {
+func newFW(t testing.TB, n, b int) *FW {
 	t.Helper()
 	a, err := New(apps.Config{N: n, B: b, Seed: 7})
 	if err != nil {

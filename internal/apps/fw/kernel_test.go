@@ -3,6 +3,8 @@ package fw
 import (
 	"math"
 	"testing"
+
+	"ftdag/internal/graph"
 )
 
 // minPlusNaive is the textbook interior-phase loop minPlus replaced, kept as
@@ -13,6 +15,35 @@ func minPlusNaive(c, av, bv []float64, b int) {
 			arp := av[r*b+p]
 			for cc := 0; cc < b; cc++ {
 				if v := arp + bv[p*b+cc]; v < c[r*b+cc] {
+					c[r*b+cc] = v
+				}
+			}
+		}
+	}
+}
+
+// columnNaive and rowNaive are the textbook phase-2 loops the pivot column
+// and row tiles ran before minPlus, kept as its oracles: p outermost, and c's
+// own column (row) p, updated by earlier iterations, read in place.
+func columnNaive(c, pv []float64, b int) {
+	for p := 0; p < b; p++ {
+		for r := 0; r < b; r++ {
+			crp := c[r*b+p]
+			for cc := 0; cc < b; cc++ {
+				if v := crp + pv[p*b+cc]; v < c[r*b+cc] {
+					c[r*b+cc] = v
+				}
+			}
+		}
+	}
+}
+
+func rowNaive(c, pv []float64, b int) {
+	for p := 0; p < b; p++ {
+		for r := 0; r < b; r++ {
+			prp := pv[r*b+p]
+			for cc := 0; cc < b; cc++ {
+				if v := prp + c[p*b+cc]; v < c[r*b+cc] {
 					c[r*b+cc] = v
 				}
 			}
@@ -38,6 +69,17 @@ func distTile(b int, hi, seed uint64) []float64 {
 	return t
 }
 
+// pivotTile returns a b×b pivot tile as phase 1 leaves it: random distances
+// with a zero diagonal, closed by closure.
+func pivotTile(b int, seed uint64) []float64 {
+	pv := distTile(b, maxEdge, seed)
+	for r := 0; r < b; r++ {
+		pv[r*b+r] = 0
+	}
+	closure(pv, b)
+	return pv
+}
+
 // TestMinPlusMatchesOracle: the blocked kernel reproduces the textbook loop
 // bit for bit on random tiles of every size.
 func TestMinPlusMatchesOracle(t *testing.T) {
@@ -57,21 +99,97 @@ func TestMinPlusMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels prices one 32×32 interior-phase update, blocked and with
-// the textbook loop it replaced.
+// TestPivotRowAndColumnMatchOracle: with the pivot tile closed by phase 1,
+// the column update minPlus(c, c, pv) and the row update minPlus(c, pv, c),
+// which read words of c they have already updated, reproduce the textbook
+// phase-2 loops bit for bit on random tiles of every size.
+func TestPivotRowAndColumnMatchOracle(t *testing.T) {
+	for _, b := range kernelSizes {
+		for seed := uint64(1); seed <= 8; seed++ {
+			pv := pivotTile(b, 3*seed)
+			for _, u := range []struct {
+				name   string
+				kernel func(c []float64)
+				oracle func(c, pv []float64, b int)
+			}{
+				{"column", func(c []float64) { minPlus(c, c, pv, b) }, columnNaive},
+				{"row", func(c []float64) { minPlus(c, pv, c, b) }, rowNaive},
+			} {
+				c := distTile(b, 3*maxEdge, 3*seed+1)
+				want := append([]float64(nil), c...)
+				u.oracle(want, pv, b)
+				u.kernel(c)
+				for i := range want {
+					if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s b=%d seed=%d: minPlus[%d] = %v, textbook loop %v", u.name, b, seed, i, c[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// stageInput is one interior update: its tile c and the column and row tiles
+// av and bv it reads, and the column tile col of its row with the pivot pv.
+type stageInput struct{ c, av, bv, col, pv []float64 }
+
+// stageInputs runs a 5×5-tile instance by hand and returns 16 of its
+// interior updates at stages 1–4, spread over them: the tiles each one reads,
+// as the app feeds minPlus (distances settle as the stages go on, and the
+// kernels' branches follow them), and the pivot column update of its row.
+func stageInputs(tb testing.TB, b int) []stageInput {
+	a := newFW(tb, 5*b, b)
+	outs := map[graph.Key][]float64{}
+	order, err := graph.TopoOrder(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, k := range order {
+		ctx := &fakeCtx{outs: outs}
+		if err := a.Compute(ctx, k); err != nil {
+			tb.Fatal(err)
+		}
+		outs[k] = ctx.out
+	}
+	var all []stageInput
+	for k := 1; k < a.nb; k++ {
+		for i := 0; i < a.nb; i++ {
+			for j := 0; j < a.nb; j++ {
+				if i != k && j != k {
+					all = append(all, stageInput{
+						c: outs[a.task(k-1, i, j)], av: outs[a.task(k, i, k)], bv: outs[a.task(k, k, j)],
+						col: outs[a.task(k-1, i, k)], pv: outs[a.task(k, k, k)],
+					})
+				}
+			}
+		}
+	}
+	in := make([]stageInput, 16)
+	for i := range in {
+		in[i] = all[i*len(all)/len(in)]
+	}
+	return in
+}
+
+// BenchmarkKernels prices one 32×32 tile, the BenchSizes tile, through the
+// interior and the pivot-column update, blocked and with the textbook loop
+// each replaced, rotating over 16 updates of a real run (stageInputs).
 func BenchmarkKernels(b *testing.B) {
 	const n = 32
-	c0 := distTile(n, 3*maxEdge, 1)
-	av, bv := distTile(n, maxEdge, 2), distTile(n, maxEdge, 3)
+	in := stageInputs(b, n)
 	c := make([]float64, n*n)
 	for _, k := range []struct {
 		name string
-		f    func(c, av, bv []float64, b int)
-	}{{"minPlus/blocked", minPlus}, {"minPlus/naive", minPlusNaive}} {
+		f    func(c []float64, x *stageInput)
+	}{
+		{"minPlus/blocked", func(c []float64, x *stageInput) { copy(c, x.c); minPlus(c, x.av, x.bv, n) }},
+		{"minPlus/naive", func(c []float64, x *stageInput) { copy(c, x.c); minPlusNaive(c, x.av, x.bv, n) }},
+		{"column/blocked", func(c []float64, x *stageInput) { copy(c, x.col); minPlus(c, c, x.pv, n) }},
+		{"column/naive", func(c []float64, x *stageInput) { copy(c, x.col); columnNaive(c, x.pv, n) }},
+	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				copy(c, c0)
-				k.f(c, av, bv, n)
+				k.f(c, &in[i%len(in)])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
 		})

@@ -44,28 +44,37 @@ func fillNaive(tile, top, left []float64, corner float64, xs, ys []byte) {
 	}
 }
 
-// kernelSizes are the tile sizes the oracle test covers.
-var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32}
+// kernelSizes are the tile sizes the oracle test covers: small ones, odd ones,
+// and the BenchSizes tile.
+var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32, 64}
+
+// tableMax is the largest cell a BenchSizes table reaches: its N.
+const tableMax = 2048
 
 // boundary returns a tile's random boundary: a row above, a column to the
-// left, a corner, and the symbols of its rows and columns.
-func boundary(b int, seed int64) (top, left []float64, corner float64, xs, ys []byte) {
+// left, a corner, all at least base, and the symbols of its rows and columns.
+func boundary(b int, seed int64, base float64) (top, left []float64, corner float64, xs, ys []byte) {
 	xs, ys = randomSeq(b, seed), randomSeq(b, seed+1)
 	s := randomSeq(2*b+1, seed+2)
 	top, left = make([]float64, b), make([]float64, b)
 	for i := range top {
-		top[i], left[i] = float64(s[i])+float64(i), float64(s[b+i])+float64(i)
+		top[i], left[i] = base+float64(s[i])+float64(i), base+float64(s[b+i])+float64(i)
 	}
-	return top, left, float64(s[2*b]), xs, ys
+	return top, left, base + float64(s[2*b]), xs, ys
 }
 
 // TestFillMatchesOracle: the row-carried kernel reproduces the per-cell loop
-// bit for bit on random boundaries and sequences of every size — also with
-// the row above read into the tile's own last row, as Compute reads it.
+// bit for bit on random boundaries and sequences of every size, near zero and
+// near the largest cell of a BenchSizes table — also with the row above read
+// into the tile's own last row, as Compute reads it.
 func TestFillMatchesOracle(t *testing.T) {
 	for _, b := range kernelSizes {
 		for seed := int64(1); seed <= 8; seed++ {
-			top, left, corner, xs, ys := boundary(b, 3*seed)
+			base := 0.0
+			if seed%2 == 0 {
+				base = float64(tableMax - b - alphabet)
+			}
+			top, left, corner, xs, ys := boundary(b, 3*seed, base)
 			got, want, inPlace := make([]float64, b*b), make([]float64, b*b), make([]float64, b*b)
 			fill(got, top, left, corner, xs, ys)
 			fillNaive(want, top, left, corner, xs, ys)
@@ -81,11 +90,21 @@ func TestFillMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels prices one 32×32 tile, row-carried and with the per-cell
-// loop it replaced.
+// BenchmarkKernels prices one 64×64 tile, the BenchSizes tile, row-carried
+// and with the per-cell loop it replaced. It rotates over 16 seeded inputs,
+// so the branch predictor cannot learn one.
 func BenchmarkKernels(b *testing.B) {
-	const n = 32
-	top, left, corner, xs, ys := boundary(n, 1)
+	const n, inputs = 64, 16
+	type input struct {
+		top, left []float64
+		corner    float64
+		xs, ys    []byte
+	}
+	in := make([]input, inputs)
+	for i := range in {
+		x := &in[i]
+		x.top, x.left, x.corner, x.xs, x.ys = boundary(n, int64(3*i+1), float64(i*n))
+	}
 	tile := make([]float64, n*n)
 	for _, k := range []struct {
 		name string
@@ -93,7 +112,8 @@ func BenchmarkKernels(b *testing.B) {
 	}{{"fill/blocked", fill}, {"fill/naive", fillNaive}} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.f(tile, top, left, corner, xs, ys)
+				x := &in[i%inputs]
+				k.f(tile, x.top, x.left, x.corner, x.xs, x.ys)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
 		})

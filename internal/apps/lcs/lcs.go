@@ -6,6 +6,10 @@
 // boundary row/column/corner. Every tile's output is part of the final DP
 // table, so LCS cannot reuse block memory (paper §VI) and uses
 // single-assignment storage (retention 0, one version per block).
+//
+// The tile kernel works in int64 and stores float64: every cell is an LCS
+// length, an integer no larger than N and so below 2⁵³, which float64 holds
+// exactly.
 package lcs
 
 import (
@@ -151,25 +155,27 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 // first row and the tile's previous row after it. top may be the tile's own
 // last row: fill reads it only for the first row, and reads each cell of it
 // before writing that cell when the first row is the last (b = 1).
+//
+// The cells are computed in int64 (package doc), where max and the match
+// select compile to conditional moves: no cell's control flow depends on its
+// data, so an unpredictable sequence costs no mispredicted branches.
 func fill(tile, top, left []float64, corner float64, xs, ys []byte) {
 	b := len(ys)
-	up, dg0 := top, corner
+	up, dg0 := top, int64(corner)
 	for r, x := range xs {
 		row := tile[r*b : r*b+b]
 		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
-		dg, lf := dg0, left[r]
+		dg, lf := dg0, int64(left[r])
 		for c, y := range ys {
-			u := up[c]
-			v := lf
+			u := int64(up[c])
+			v := max(u, lf)
 			if x == y {
 				v = dg + 1
-			} else if u > lf {
-				v = u
 			}
-			row[c] = v
+			row[c] = float64(v)
 			dg, lf = u, v
 		}
-		up, dg0 = row, left[r]
+		up, dg0 = row, int64(left[r])
 	}
 }
 

@@ -48,11 +48,17 @@ func TestGemmSub(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels prices one 32×32 trailing update, blocked and with the
-// textbook loop it replaced.
+// BenchmarkKernels prices one 32×32 trailing update, the BenchSizes tile,
+// blocked and with the textbook loop it replaced. It rotates over 16 seeded
+// inputs, as the apps feed it many.
 func BenchmarkKernels(b *testing.B) {
-	const n = 32
-	c0, l, u := randTile(n, 1), randTile(n, 2), randTile(n, 3)
+	const n, inputs = 32, 16
+	type input struct{ c, l, u []float64 }
+	in := make([]input, inputs)
+	for i := range in {
+		s := 3 * uint64(i+1)
+		in[i] = input{randTile(n, s), randTile(n, s+1), randTile(n, s+2)}
+	}
 	c := make([]float64, n*n)
 	for _, k := range []struct {
 		name string
@@ -60,8 +66,9 @@ func BenchmarkKernels(b *testing.B) {
 	}{{"gemmSub/blocked", gemmSub}, {"gemmSub/naive", gemmSubNaive}} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				copy(c, c0)
-				k.f(c, l, u, n)
+				x := &in[i%inputs]
+				copy(c, x.c)
+				k.f(c, x.l, x.u, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
 		})

@@ -33,7 +33,7 @@ func fillNaive(tile, top, left []float64, corner, runMax float64, xs, ys []byte)
 			default:
 				dg = tile[(r-1)*b+c-1]
 			}
-			s := mismatch
+			s := float64(mismatch)
 			if xs[r] == ys[c] {
 				s = match
 			}
@@ -56,30 +56,40 @@ func fillNaive(tile, top, left []float64, corner, runMax float64, xs, ys []byte)
 	return runMax
 }
 
-// kernelSizes are the tile sizes the oracle test covers.
-var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32}
+// kernelSizes are the tile sizes the oracle test covers: small ones, odd ones,
+// and the BenchSizes tile.
+var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32, 64}
+
+// tableMax is the largest score a BenchSizes table reaches: match·N.
+const tableMax = match * 2048
 
 // boundary returns a tile's random boundary: a row above, a column to the
-// left, a corner, and the symbols of its rows and columns.
-func boundary(b int, seed int64) (top, left []float64, corner float64, xs, ys []byte) {
+// left and a corner, each base or base+1, and the symbols of its rows and
+// columns. At base 0 a mismatch below and beside zeros takes the floor.
+func boundary(b int, seed int64, base float64) (top, left []float64, corner float64, xs, ys []byte) {
 	xs, ys = randomSeq(b, seed), randomSeq(b, seed+1)
 	s := randomSeq(2*b+1, seed+2)
 	top, left = make([]float64, b), make([]float64, b)
 	for i := range top {
-		top[i], left[i] = 2*float64(s[i]), 2*float64(s[b+i])
+		top[i], left[i] = base+float64(s[i]%2), base+float64(s[b+i]%2)
 	}
-	return top, left, float64(s[2*b]), xs, ys
+	return top, left, base + float64(s[2*b]%2), xs, ys
 }
 
 // TestFillMatchesOracle: the row-carried kernel reproduces the per-cell loop
 // bit for bit, cells and running maximum, on random boundaries and sequences
-// of every size — also with the row above read into the tile's own last row,
-// as Compute reads it.
+// of every size, near zero and near the largest score of a BenchSizes table —
+// also with the row above read into the tile's own last row, as Compute reads
+// it.
 func TestFillMatchesOracle(t *testing.T) {
 	for _, b := range kernelSizes {
 		for seed := int64(1); seed <= 8; seed++ {
-			top, left, corner, xs, ys := boundary(b, 3*seed)
-			runMax := float64(seed)
+			base := 0.0
+			if seed%2 == 0 {
+				base = tableMax - 1 - match*float64(b)
+			}
+			top, left, corner, xs, ys := boundary(b, 3*seed, base)
+			runMax := base + float64(seed)
 			got, want, inPlace := make([]float64, b*b+1), make([]float64, b*b+1), make([]float64, b*b+1)
 			got[b*b] = fill(got[:b*b], top, left, corner, runMax, xs, ys)
 			want[b*b] = fillNaive(want[:b*b], top, left, corner, runMax, xs, ys)
@@ -95,11 +105,21 @@ func TestFillMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels prices one 32×32 tile, row-carried and with the per-cell
-// loop it replaced.
+// BenchmarkKernels prices one 64×64 tile, the BenchSizes tile, row-carried
+// and with the per-cell loop it replaced. It rotates over 16 seeded inputs,
+// so the branch predictor cannot learn one.
 func BenchmarkKernels(b *testing.B) {
-	const n = 32
-	top, left, corner, xs, ys := boundary(n, 1)
+	const n, inputs = 64, 16
+	type input struct {
+		top, left []float64
+		corner    float64
+		xs, ys    []byte
+	}
+	in := make([]input, inputs)
+	for i := range in {
+		x := &in[i]
+		x.top, x.left, x.corner, x.xs, x.ys = boundary(n, int64(3*i+1), 0)
+	}
 	tile := make([]float64, n*n)
 	for _, k := range []struct {
 		name string
@@ -107,7 +127,8 @@ func BenchmarkKernels(b *testing.B) {
 	}{{"fill/blocked", fill}, {"fill/naive", fillNaive}} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.f(tile, top, left, corner, 0, xs, ys)
+				x := &in[i%inputs]
+				k.f(tile, x.top, x.left, x.corner, 0, x.xs, x.ys)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
 		})

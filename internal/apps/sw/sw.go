@@ -16,6 +16,9 @@
 // The global maximum score is threaded through the wavefront: each tile's
 // output carries a running maximum in an extra trailing element, so the sink
 // tile's trailing element is the alignment score.
+//
+// The tile kernel works in int64 and stores float64: every cell is an integer
+// score of at most match·N, below 2⁵³, which float64 holds exactly.
 package sw
 
 import (
@@ -28,9 +31,11 @@ import (
 
 const (
 	alphabet = 4
-	match    = 2.0
-	mismatch = -1.0
-	gap      = 1.0
+	// The scores are untyped integer constants: fill computes in int64, so a
+	// score that is not an integer does not compile.
+	match    = 2
+	mismatch = -1
+	gap      = 1
 	// rows of tile buffers kept live; tile (bi, bj) writes buffer
 	// (bi mod bufRows, bj).
 	bufRows = 2
@@ -193,73 +198,52 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 // first row and the tile's previous row after it. top may be the tile's own
 // last row: fill reads it only for the first row, and reads each cell of it
 // before writing that cell when the first row is the last (b = 1).
+//
+// The cells are computed in int64 (package doc), where max and the score
+// select compile to conditional moves: no cell's control flow depends on its
+// data, so an unpredictable sequence costs no mispredicted branches.
 func fill(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
 	b := len(ys)
-	up, dg0 := top, corner
+	up, dg0, best := top, int64(corner), int64(runMax)
 	for r, x := range xs {
 		row := tile[r*b : r*b+b]
 		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
-		dg, lf := dg0, left[r]
+		dg, lf := dg0, int64(left[r])
 		for c, y := range ys {
-			u := up[c]
-			s := mismatch
+			u := int64(up[c])
+			s := int64(mismatch)
 			if x == y {
 				s = match
 			}
-			v := dg + s
-			if u-gap > v {
-				v = u - gap
-			}
-			if lf-gap > v {
-				v = lf - gap
-			}
-			if v < 0 {
-				v = 0
-			}
-			row[c] = v
-			if v > runMax {
-				runMax = v
-			}
+			v := max(dg+s, u-gap, lf-gap, 0)
+			row[c] = float64(v)
+			best = max(best, v)
 			dg, lf = u, v
 		}
-		up, dg0 = row, left[r]
+		up, dg0 = row, int64(left[r])
 	}
-	return runMax
+	return float64(best)
 }
 
 // Reference computes the maximum local alignment score with the plain O(N²)
 // recurrence.
 func (a *SW) Reference() float64 {
-	prev := make([]float64, a.n+1)
-	cur := make([]float64, a.n+1)
-	best := 0.0
+	prev := make([]int, a.n+1)
+	cur := make([]int, a.n+1)
+	best := 0
 	for i := 1; i <= a.n; i++ {
 		for j := 1; j <= a.n; j++ {
 			s := mismatch
 			if a.x[i-1] == a.y[j-1] {
 				s = match
 			}
-			v := prev[j-1] + s
-			if prev[j]-gap > v {
-				v = prev[j] - gap
-			}
-			if cur[j-1]-gap > v {
-				v = cur[j-1] - gap
-			}
-			if v < 0 {
-				v = 0
-			}
+			v := max(prev[j-1]+s, prev[j]-gap, cur[j-1]-gap, 0)
 			cur[j] = v
-			if v > best {
-				best = v
-			}
+			best = max(best, v)
 		}
 		prev, cur = cur, prev
-		for j := range cur {
-			cur[j] = 0
-		}
 	}
-	return best
+	return float64(best)
 }
 
 // VerifySink checks the threaded running maximum against the reference.
