@@ -52,12 +52,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repository's own analyzer suite, all seven analyzers: sync/atomic
+# The repository's own analyzer suite, all five analyzers: sync/atomic
 # function calls (the typed API only), blocking ops under a mutex,
 # determinism-manifest violations, discarded durability-path errors, plus the
-# interprocedural trio — lock-order cycles, goroutine leaks, and the
-# fsync-before-ack proof. Suppressions are //lint:ignore <analyzer> <reason>;
-# see README "Static analysis".
+# interprocedural fsync-before-ack proof. Suppressions are
+# //lint:ignore <analyzer> <reason>; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/ftlint ./...
 

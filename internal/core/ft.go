@@ -168,8 +168,10 @@ func (e *exec[S]) Run() (*Result, error) {
 	pool := sched.NewPool(e.cfg.workers())
 	res, err := e.RunOn(pool)
 	if err != nil && errors.Is(err, ErrTimeout) {
-		// Workers may be stuck inside a hung user compute; closing would
-		// block forever. Leak the pool, as the watchdog contract always did.
+		// Workers may be stuck inside a slow user compute, and Close waits
+		// for them: close in the background, so the pool's workers exit once
+		// the compute returns. Only a compute that never returns pins them.
+		go pool.Close()
 		return res, err
 	}
 	stats := pool.Close()

@@ -49,6 +49,12 @@ func ackOrderRun(pass *Pass) {
 	}
 }
 
+// pkgDiag routes a precomputed module-wide diagnostic to its package's pass.
+type pkgDiag struct {
+	pkg  *Package
+	diag Diagnostic
+}
+
 // ackObligation is one ack-class call not dominated by a barrier inside its
 // enclosing function. origin stays pinned to the direct call of the
 // annotated ack as the obligation climbs the call graph — that is where the
@@ -82,7 +88,7 @@ func computeAckOrder(fset *token.FileSet, g *Graph) []pkgDiag {
 			return
 		}
 		reaches := false
-		g.reachableFrom(n.Key, false, func(m *FuncNode) bool {
+		g.reachableFrom(n.Key, func(m *FuncNode) bool {
 			if m.CallsFileSync || (m != n && m.Durable == "fsync") {
 				reaches = true
 				return false

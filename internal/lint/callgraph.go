@@ -8,28 +8,26 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural foundation shared by the module-wide
-// analyzers (lockorder, goleak, ackorder): a call graph over every function
-// and function literal of the analyzed packages, with per-function primitive
-// facts gathered in one AST walk. It is built once per Check call and handed
-// to the analyzers through Facts, so adding an interprocedural analyzer costs
-// one summary computation, not another load or another walk.
+// This file is the interprocedural foundation of the ackorder analyzer: a
+// call graph over every function and function literal of the analyzed
+// packages, with per-function primitive facts gathered in one AST walk. It is
+// built once per Check call and handed to the analyzer through Facts.
 //
 // Functions are keyed by types.Func.FullName() — e.g.
 // "(*ftdag/internal/journal.Journal).Append" — which is stable across
 // separately type-checked packages (the same method seen from source and from
 // export data yields the same key). Function literals get synthetic keys
 // derived from their position; they are nodes of their own, reached by an
-// ordinary call edge when invoked immediately and by a Go edge when launched
-// with a go statement. A literal that escapes into a variable or parameter
-// has no incoming edge: calls through function values are indirect and the
-// graph deliberately under-approximates them.
+// ordinary call edge when invoked immediately. A literal launched with a go
+// statement, or one that escapes into a variable or parameter, is a node with
+// no incoming edge: the launcher does not wait for it, and calls through
+// function values are indirect, so the graph deliberately under-approximates
+// them.
 
-// CallSite is one static call (or goroutine launch) edge out of a function.
+// CallSite is one static call edge out of a function.
 type CallSite struct {
 	Callee string    // key of the called function
 	Pos    token.Pos // position of the call expression
-	Go     bool      // launched via a go statement
 }
 
 // FuncNode is one function or function literal in the call graph.
@@ -53,8 +51,7 @@ type FuncNode struct {
 	// ackorder directive sanity check.
 	CallsFileSync bool
 
-	callers    int  // static non-go intramodule call sites targeting this node
-	goLaunched bool // appears as the target of a go statement
+	callers int // static intramodule call sites targeting this node
 }
 
 // Body returns the function's statement block.
@@ -81,7 +78,7 @@ func (g *Graph) Nodes(f func(*FuncNode)) {
 }
 
 // HasCallers reports whether the node is the target of at least one static
-// intramodule call (go launches excluded).
+// intramodule call.
 func (g *Graph) HasCallers(key string) bool {
 	n := g.Funcs[key]
 	return n != nil && n.callers > 0
@@ -168,11 +165,7 @@ func buildGraph(fset *token.FileSet, pkgs []*Package, report func(Diagnostic)) *
 	for _, n := range g.Funcs {
 		for _, cs := range n.Calls {
 			if callee := g.Funcs[cs.Callee]; callee != nil {
-				if cs.Go {
-					callee.goLaunched = true
-				} else {
-					callee.callers++
-				}
+				callee.callers++
 			}
 		}
 	}
@@ -217,13 +210,10 @@ func collectBody(g *Graph, pkg *Package, node *FuncNode, body ast.Node, loaded m
 		ast.Inspect(root, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.GoStmt:
+				// A launch is no call edge, but a launched literal is still
+				// a node: ackorder judges an ack inside it by its key.
 				if fl, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-					lit := handleLit(fl)
-					node.Calls = append(node.Calls, CallSite{Callee: lit.Key, Pos: x.Pos(), Go: true})
-				} else if f := calleeFunc(info, x.Call); f != nil {
-					if key := funcKey(f); loaded[pkgPathOf(f)] {
-						node.Calls = append(node.Calls, CallSite{Callee: key, Pos: x.Pos(), Go: true})
-					}
+					handleLit(fl)
 				}
 				for _, a := range x.Call.Args {
 					walk(a)
@@ -267,11 +257,11 @@ func pkgPathOf(f *types.Func) string {
 	return f.Pkg().Path()
 }
 
-// reachableFrom runs a breadth-first walk over static call edges (go edges
-// included when includeGo) from key, invoking visit for every node reached,
-// the origin included. visit returning false stops the walk. The walk order
-// is deterministic (per-node edge order, FIFO).
-func (g *Graph) reachableFrom(key string, includeGo bool, visit func(*FuncNode) bool) {
+// reachableFrom runs a breadth-first walk over static call edges from key,
+// invoking visit for every node reached, the origin included. visit
+// returning false stops the walk. The walk order is deterministic (per-node
+// edge order, FIFO).
+func (g *Graph) reachableFrom(key string, visit func(*FuncNode) bool) {
 	seen := map[string]bool{key: true}
 	queue := []string{key}
 	for len(queue) > 0 {
@@ -285,9 +275,6 @@ func (g *Graph) reachableFrom(key string, includeGo bool, visit func(*FuncNode) 
 			return
 		}
 		for _, cs := range n.Calls {
-			if cs.Go && !includeGo {
-				continue
-			}
 			if !seen[cs.Callee] {
 				seen[cs.Callee] = true
 				queue = append(queue, cs.Callee)

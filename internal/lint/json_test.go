@@ -93,21 +93,21 @@ func TestVerboseKeepsSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld := NewLoader(root)
-	pkg, err := ld.LoadDir(filepath.Join("testdata", "src", "goleak"))
+	pkg, err := ld.LoadDir(filepath.Join("testdata", "src", "ackorder"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	verbose := CheckVerbose(ld.Fset, []*Package{pkg}, All)
 	active := Check(ld.Fset, []*Package{pkg}, All)
 	if len(verbose) <= len(active) {
-		t.Fatalf("verbose (%d findings) should exceed active (%d): the suppressed spinner must appear", len(verbose), len(active))
+		t.Fatalf("verbose (%d findings) should exceed active (%d): the suppressed ack must appear", len(verbose), len(active))
 	}
 	found := false
 	for _, d := range verbose {
 		if d.Suppressed {
 			found = true
-			if d.Analyzer != "goleak" {
-				t.Errorf("suppressed finding from %q, want goleak", d.Analyzer)
+			if d.Analyzer != "ackorder" {
+				t.Errorf("suppressed finding from %q, want ackorder", d.Analyzer)
 			}
 			if !strings.Contains(d.SuppressedBy, "golden suppressed case") {
 				t.Errorf("SuppressedBy = %q, want the directive's written reason", d.SuppressedBy)

@@ -9,10 +9,10 @@ import (
 )
 
 // Diagnostic is one finding: a position, the analyzer that raised it, and a
-// message. The String form is the CI-facing output format. Interprocedural
-// analyzers attach a Witness chain — the path of positions that makes the
-// finding checkable by a human. Suppressed findings are normally filtered
-// out; the verbose (JSON) path keeps them, marked.
+// message. The String form is the CI-facing output format. The
+// interprocedural ackorder attaches a Witness chain — the path of positions
+// that makes the finding checkable by a human. Suppressed findings are
+// normally filtered out; the verbose (JSON) path keeps them, marked.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
@@ -45,15 +45,13 @@ type Facts struct {
 	// directive: the determinism manifest for the detrand analyzer.
 	Deterministic map[string]bool
 
-	// Graph is the module-wide call graph built once per Check, shared by
-	// the interprocedural analyzers (lockorder, goleak, ackorder).
+	// Graph is the module-wide call graph built once per Check, for the
+	// interprocedural ackorder analyzer.
 	Graph *Graph
 
-	// Cached module-wide results: each is computed by the first Run of its
-	// analyzer and replayed into every later pass for routing.
-	lockCycles []pkgDiag
-	goLeaks    []pkgDiag
-	ackDiags   []pkgDiag
+	// ackDiags caches ackorder's module-wide result: computed by its first
+	// Run and replayed into every later pass for routing.
+	ackDiags []pkgDiag
 }
 
 func newFacts() *Facts {
@@ -97,7 +95,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite, in reporting order.
-var All = []*Analyzer{RawAtomic, LockScope, DetRand, ErrSink, LockOrder, GoLeak, AckOrder}
+var All = []*Analyzer{RawAtomic, LockScope, DetRand, ErrSink, AckOrder}
 
 // Check runs the analyzers over the packages and returns the surviving
 // findings sorted by position: load errors first-class, //lint:ignore
@@ -139,9 +137,9 @@ func CheckVerbose(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	}
 
 	var found []Diagnostic
-	// The interprocedural foundation: one call graph per Check, shared by
-	// every analyzer that asks. Malformed //lint:durable directives are
-	// findings of their own, suppressible like any other.
+	// The interprocedural foundation: one call graph per Check, for
+	// ackorder. Malformed //lint:durable directives are findings of their
+	// own, suppressible like any other.
 	facts.Graph = buildGraph(fset, healthy, func(d Diagnostic) { found = append(found, d) })
 	for _, a := range analyzers {
 		for _, pkg := range healthy {

@@ -141,8 +141,8 @@ func TestModuleClean(t *testing.T) {
 // non-empty names (they are the suppression keys) and one-line docs for
 // ftlint -list.
 func TestAnalyzerMetadata(t *testing.T) {
-	if len(All) != 7 {
-		t.Errorf("suite has %d analyzers, want 7 (rawatomic, lockscope, detrand, errsink, lockorder, goleak, ackorder)", len(All))
+	if len(All) != 5 {
+		t.Errorf("suite has %d analyzers, want 5 (rawatomic, lockscope, detrand, errsink, ackorder)", len(All))
 	}
 	seen := make(map[string]bool)
 	for _, a := range All {

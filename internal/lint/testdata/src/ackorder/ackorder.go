@@ -70,6 +70,14 @@ func (w *wal) replayAck() {
 	w.ack()
 }
 
+// Positive: a launched literal is a node of its own, with no caller to
+// discharge its obligation, so its unbarriered ack is reported.
+func (w *wal) ackInGoroutine() {
+	go func() {
+		w.ack() // want:ackorder: ack "ack" is not dominated by a durable fsync
+	}()
+}
+
 // want+1:ackorder: malformed //lint:durable directive
 //lint:durable flush
 func (w *wal) badDirective() {}

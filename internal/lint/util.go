@@ -64,31 +64,6 @@ func isMethodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name st
 	return typeIs(sig.Recv().Type(), pkgPath, typeName)
 }
 
-// fieldKey returns the cross-package identity of a struct field accessed by
-// the selector expression, as "pkgpath.StructType.field", and whether the
-// selector is a field access on a named struct type at all. String keys keep
-// identity stable across separately type-checked packages (the same field
-// seen from source and from export data is two distinct types.Object values).
-func fieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	field, ok := s.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil {
-		return "", false
-	}
-	recv := s.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", false // anonymous struct; no stable cross-package name
-	}
-	return field.Pkg().Path() + "." + named.Obj().Name() + "." + field.Name(), true
-}
-
 // forEachFunc invokes f for every function or method declaration with a body.
 func forEachFunc(pkg *Package, f func(decl *ast.FuncDecl)) {
 	for _, file := range pkg.Files {

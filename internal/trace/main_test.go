@@ -1,0 +1,9 @@
+package trace
+
+import (
+	"testing"
+
+	"ftdag/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
