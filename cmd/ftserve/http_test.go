@@ -94,7 +94,21 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	body := rr.Body.String()
 	for _, want := range []string{
 		"# TYPE ftdag_tasks_computed_total counter",
+		"# TYPE ftdag_compute_errors_total counter",
 		"# TYPE ftdag_recoveries_total counter",
+		"# TYPE ftdag_resets_total counter",
+		"# TYPE ftdag_notifications_total counter",
+		"# TYPE ftdag_injections_fired_total counter",
+		"# TYPE ftdag_replicated_tasks_total counter",
+		"# TYPE ftdag_shadow_computes_total counter",
+		"# TYPE ftdag_sdc_injected_total counter",
+		"# TYPE ftdag_sdc_detected_total counter",
+		"# TYPE ftdag_sdc_missed_total counter",
+		"# TYPE ftdag_replication_overhead_ratio gauge",
+		"# TYPE ftdag_recovery_latency_seconds histogram",
+		"# TYPE ftdag_block_evictions_total counter",
+		"# TYPE ftdag_block_corrupt_reads_total counter",
+		"# TYPE ftdag_block_checksum_failures_total counter",
 		"# TYPE ftdag_steals_total counter",
 		"# TYPE ftdag_compute_latency_seconds histogram",
 		"ftdag_compute_latency_seconds_count",
@@ -108,9 +122,14 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-	// The faulty run must show computed tasks and the fired recoveries.
-	if v, ok := d.Service.Config().Registry.Value("ftdag_tasks_computed_total"); !ok || v < 13 { // 3*4+1 tasks minimum
-		t.Fatalf("ftdag_tasks_computed_total = %v, %v", v, ok)
+	// The faulty run must show computed tasks — exactly the jobs' own
+	// counts — and the fired recoveries.
+	var computes int64
+	for _, st := range d.Service.Jobs() {
+		computes += st.Metrics.Computes
+	}
+	if v, ok := d.Service.Config().Registry.Value("ftdag_tasks_computed_total"); !ok || v != float64(computes) || computes < 13 { // 3*4+1 tasks minimum
+		t.Fatalf("ftdag_tasks_computed_total = %v, %v; the jobs computed %d", v, ok, computes)
 	}
 	rec, _ := d.Service.Config().Registry.Value("ftdag_recoveries_total")
 	inj, _ := d.Service.Config().Registry.Value("ftdag_injections_fired_total")

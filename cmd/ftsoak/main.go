@@ -162,6 +162,11 @@ func soakService(rng *rand.Rand, deadline time.Time, workers, batch int, timeout
 			if err != nil {
 				fail(p.gseed, p.plan, err)
 			}
+			// The recovery audit, job by job: a miss names the graph and
+			// plan that reproduce it, which the sums below cannot.
+			if m := res.Metrics; m.Recoveries != m.InjectionsFired {
+				fail(p.gseed, p.plan, fmt.Errorf("job %d: %d recoveries for %d fired injections", p.h.ID(), m.Recoveries, m.InjectionsFired))
+			}
 			jobsRun++
 			faultsInjected += res.Metrics.InjectionsFired
 			recoveries += res.Metrics.Recoveries

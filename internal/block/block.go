@@ -57,7 +57,6 @@ import (
 	"unsafe"
 
 	"ftdag/internal/cmap"
-	"ftdag/internal/metrics"
 )
 
 // ID identifies a logical data block (e.g. one tile of a matrix).
@@ -80,6 +79,10 @@ var (
 	// ErrCorrupted reports that the version is present but its contents
 	// are poisoned (fault-injected) or fail checksum verification.
 	ErrCorrupted = errors.New("block version corrupted")
+	// ErrChecksum is the ErrCorrupted of a version whose contents fail
+	// checksum verification: errors.Is finds both in it, and only ErrCorrupted
+	// in a read of a poisoned version.
+	ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupted)
 )
 
 // AccessError is the concrete error returned by Read; it records which
@@ -87,7 +90,7 @@ var (
 // producing task.
 type AccessError struct {
 	Ref Ref
-	Err error // ErrNotRetained or ErrCorrupted
+	Err error // ErrNotRetained, ErrCorrupted or ErrChecksum
 }
 
 func (e *AccessError) Error() string { return fmt.Sprintf("%v: %v", e.Ref, e.Err) }
@@ -132,41 +135,34 @@ type Slot struct {
 // Stats counts store activity for the experiment harness. The store keeps
 // none of the access counts itself: Write's evicted and Read's error say what
 // happened, and the caller — an executor, which knows the worker it runs on —
-// counts where no other worker does (core.Result.Store). BytesRetained is
-// Store.BytesRetained.
+// counts where no other worker does (core.Result.Store). CorruptReads counts
+// every ErrCorrupted read, ChecksumFailures the ErrChecksum ones among them.
+// BytesRetained is Store.BytesRetained.
 type Stats struct {
-	Writes        int64
-	Reads         int64
-	Evictions     int64
-	CorruptReads  int64
-	MissingReads  int64
-	BytesRetained int64 // high-water mark of retained float64 payload bytes
+	Writes           int64
+	Reads            int64
+	Evictions        int64
+	CorruptReads     int64
+	ChecksumFailures int64
+	MissingReads     int64
+	BytesRetained    int64 // high-water mark of retained float64 payload bytes
 }
 
-// Instruments is the store-layer metrics bundle. One bundle is shared by
-// every store wired to the same registry (stores are per-job; the counters
-// aggregate), so it is passed in via WithInstruments rather than registered
-// per store. A nil bundle disables instrumentation at the cost of one
-// pointer check per event.
-type Instruments struct {
-	// Evictions counts versions physically evicted by the retention ring —
-	// the overwrites that force the paper's re-execution chains.
-	Evictions *metrics.Counter
-	// CorruptReads counts reads that observed the poisoned flag (the
-	// paper's detection model); ChecksumFailures counts reads failing
-	// checksum verification (WithVerification stores only).
-	CorruptReads     *metrics.Counter
-	ChecksumFailures *metrics.Counter
+// Add adds b's access counts to st. BytesRetained, a peak, is not a sum and
+// is left as it is.
+func (st *Stats) Add(b Stats) {
+	st.Writes += b.Writes
+	st.Reads += b.Reads
+	st.Evictions += b.Evictions
+	st.CorruptReads += b.CorruptReads
+	st.ChecksumFailures += b.ChecksumFailures
+	st.MissingReads += b.MissingReads
 }
-
-// WithInstruments attaches a (possibly shared) instrument bundle.
-func WithInstruments(ins *Instruments) Option { return func(s *Store) { s.ins = ins } }
 
 // Store is a concurrent versioned block store.
 type Store struct {
 	retention int // K; 0 = unlimited
 	verify    bool
-	ins       *Instruments
 	// pooled is set by the first write of a payload the free list takes
 	// (PoolMin float64s or more): until then Release has nothing to hand back
 	// and visits no slot.
@@ -299,9 +295,6 @@ func (sl *Slot) put(version int, producer int64, data []float64, sum uint64, kep
 	// slot lock dropped: the displaced buffer is out of the ring, and the
 	// high-water mark is the peak of the sum in the order the deltas reach
 	// it, which no slot's lock ever fixed between blocks.
-	if evicted && s.ins != nil {
-		s.ins.Evictions.Inc()
-	}
 	if !sameStart(old.data, data) {
 		Free(old.data)
 	}
@@ -356,9 +349,9 @@ func (s *Store) Read(b ID, version int) ([]float64, error) {
 // copy of PoolMin float64s or more — and any copy when a is nil — may be
 // handed to Free when the caller is done with it; a smaller one is taken from
 // a when a is not nil, and lives until a.Reset. A missing (evicted or
-// never-written) version yields ErrNotRetained; a poisoned or checksum-failing
-// version yields ErrCorrupted. Both are wrapped in an *AccessError carrying
-// the Ref. The copy is taken under the slot lock; a verifying store hashes
+// never-written) version yields ErrNotRetained, a poisoned one ErrCorrupted
+// and a checksum-failing one ErrChecksum. Each is wrapped in an *AccessError
+// carrying the Ref. The copy is taken under the slot lock; a verifying store hashes
 // each word as it stores it into the copy, in the same pass, so what was
 // checked is what is returned.
 func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
@@ -371,9 +364,6 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	}
 	if e.corrupted {
 		sl.mu.Unlock()
-		if s.ins != nil {
-			s.ins.CorruptReads.Inc()
-		}
 		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
 	}
 	if !s.verify {
@@ -390,10 +380,7 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 	sl.mu.Unlock()
 	if sum != want {
 		Free(out)
-		if s.ins != nil {
-			s.ins.ChecksumFailures.Inc()
-		}
-		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrChecksum}
 	}
 	return out, nil
 }
@@ -445,7 +432,7 @@ func fits(runs []Run, n, dst int) bool {
 // anything is copied. A verifying store then re-hashes every segment that
 // holds a word the runs name, from the lane states recorded at its start, and
 // compares the result with those recorded at its end (the last segment: with
-// the version's checksum); any difference is ErrCorrupted and leaves dst
+// the version's checksum); any difference is ErrChecksum and leaves dst
 // unchanged. So what was checked is what is returned, and the single-word
 // argument of Checksum holds segment by segment. A run outside the payload,
 // or a dst too short for the runs, panics.
@@ -459,9 +446,6 @@ func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 	}
 	if e.corrupted {
 		sl.mu.Unlock()
-		if s.ins != nil {
-			s.ins.CorruptReads.Inc()
-		}
 		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
 	}
 	if n := len(e.data); !fits(runs, n, len(dst)) {
@@ -474,10 +458,7 @@ func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 	}
 	sl.mu.Unlock()
 	if !ok {
-		if s.ins != nil {
-			s.ins.ChecksumFailures.Inc()
-		}
-		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrChecksum}
 	}
 	return nil
 }

@@ -112,8 +112,8 @@ func TestCorruptionDetected(t *testing.T) {
 	if !s.Corrupt(1, 0) {
 		t.Fatal("Corrupt returned false for a retained version")
 	}
-	if _, err := s.Read(1, 0); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("Read corrupted = %v, want ErrCorrupted", err)
+	if _, err := s.Read(1, 0); !errors.Is(err, ErrCorrupted) || errors.Is(err, ErrChecksum) {
+		t.Fatalf("Read corrupted = %v, want ErrCorrupted and not ErrChecksum", err)
 	}
 	if s.Corrupt(1, 5) {
 		t.Fatal("Corrupt of missing version returned true")
@@ -510,8 +510,8 @@ func TestVerifiedReadDetectsOneFlippedBit(t *testing.T) {
 			s.Write(1, 0, 1, data)
 			bit := r.IntN(64)
 			scribble(s, 1, 0, i, math.Float64frombits(math.Float64bits(data[i])^1<<bit))
-			if _, err := s.Slot(1).Read(0, &a); !errors.Is(err, ErrCorrupted) {
-				t.Fatalf("len %d: bit %d of word %d flipped: Read = %v, want ErrCorrupted", n, bit, i, err)
+			if _, err := s.Slot(1).Read(0, &a); !errors.Is(err, ErrCorrupted) || !errors.Is(err, ErrChecksum) {
+				t.Fatalf("len %d: bit %d of word %d flipped: Read = %v, want ErrChecksum, an ErrCorrupted", n, bit, i, err)
 			}
 			scribble(s, 1, 0, i, data[i])
 			got, err := s.Slot(1).Read(0, &a)

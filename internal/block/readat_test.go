@@ -101,8 +101,8 @@ func TestReadAtChecksTheSegmentsItReads(t *testing.T) {
 				err := sl.ReadAt(0, dst, runs...)
 				scribble(s, 1, 0, w, data[w])
 				switch {
-				case segs[w/segWords] && !errors.Is(err, ErrCorrupted):
-					t.Fatalf("len %d, %s: bit %d of word %d (segment %d, read) flipped: ReadAt = %v, want ErrCorrupted", n, name, bit, w, w/segWords, err)
+				case segs[w/segWords] && (!errors.Is(err, ErrCorrupted) || !errors.Is(err, ErrChecksum)):
+					t.Fatalf("len %d, %s: bit %d of word %d (segment %d, read) flipped: ReadAt = %v, want ErrChecksum, an ErrCorrupted", n, name, bit, w, w/segWords, err)
 				case !segs[w/segWords] && err != nil:
 					t.Fatalf("len %d, %s: bit %d of word %d (segment %d, not read) flipped: ReadAt = %v, want the words", n, name, bit, w, w/segWords, err)
 				case err == nil && !sameBits(dst, want):
@@ -129,8 +129,8 @@ func TestReadAtChecksTheFlagFirst(t *testing.T) {
 		s.Corrupt(1, 0)
 		dst := []float64{-1, -2}
 		err := s.Slot(1).ReadAt(0, dst, Run{Off: n - 2, Stride: 1, N: 2})
-		if !errors.Is(err, ErrCorrupted) {
-			t.Fatalf("verify=%v: ReadAt of the last segment of a Corrupted version = %v, want ErrCorrupted", verify, err)
+		if !errors.Is(err, ErrCorrupted) || errors.Is(err, ErrChecksum) {
+			t.Fatalf("verify=%v: ReadAt of the last segment of a Corrupted version = %v, want ErrCorrupted and not ErrChecksum", verify, err)
 		}
 		if dst[0] != -1 || dst[1] != -2 {
 			t.Fatalf("verify=%v: a ReadAt of a Corrupted version copied %v into dst", verify, dst)

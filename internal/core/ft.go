@@ -48,9 +48,9 @@ type Config struct {
 	SpanCtx trace.SpanContext
 	// SpanJob is the service-assigned job ID stamped on executor spans.
 	SpanJob int64
-	// Instruments, when non-nil, is the shared metrics bundle
-	// (NewInstruments) this run aggregates into. Nil disables metric
-	// collection at a cost of one pointer check per instrumentation site.
+	// Instruments, when non-nil, holds the shared latency histograms
+	// (Observe) this run records into. Nil disables them at a cost of one
+	// pointer check per site.
 	Instruments *Instruments
 	// Replicate selects the tasks to execute twice on distinct workers
 	// with digest comparison at the join (internal/replica). Nil (or an
@@ -71,9 +71,6 @@ func (c Config) newStore() *block.Store {
 	var opts []block.Option
 	if c.VerifyChecksums {
 		opts = append(opts, block.WithVerification())
-	}
-	if c.Instruments != nil {
-		opts = append(opts, block.WithInstruments(c.Instruments.Block))
 	}
 	return block.NewStore(c.Retention, opts...)
 }
@@ -148,6 +145,9 @@ func (e *exec[S]) Store() *block.Store { return e.store }
 // concurrently with the execution (the counters are atomics, summed over the
 // workers' blocks); serves the live-introspection endpoints.
 func (e *exec[S]) LiveMetrics() Metrics { return e.met.snapshot() }
+
+// LiveStore is LiveMetrics of the block accesses: Result.Store as it stands.
+func (e *exec[S]) LiveStore() block.Stats { return e.met.storeStats(e.store) }
 
 // TasksDiscovered returns the number of task descriptors inserted so far —
 // a live progress indicator that converges on the graph's task count.
@@ -330,11 +330,6 @@ func (e *exec[S]) notifyOnce(w *sched.Worker, t *task[S], ind int) {
 		return
 	}
 	e.met.at(w).notifications.Add(1)
-	if t.shaded() {
-		if ins := e.cfg.Instruments; ins != nil {
-			ins.Notifications.Inc()
-		}
-	}
 	if last {
 		e.computeAndNotify(w, t)
 	}
@@ -404,9 +399,6 @@ func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 		// happened — that is the point of the SDC model.
 		e.injectSDC(w, t)
 		e.met.at(w).sdcMissed.Add(1)
-		if ins := e.cfg.Instruments; ins != nil {
-			ins.SDCMissed.Inc()
-		}
 	}
 	e.finishAndNotify(w, t)
 	return nil
@@ -434,7 +426,6 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 	}
 	var computeStart time.Time
 	if ins != nil {
-		ins.TasksComputed.Inc()
 		computeStart = time.Now()
 	}
 	var spanStart time.Time
@@ -454,9 +445,6 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 	switch {
 	case err != nil:
 		e.met.at(w).computeErrors.Add(1)
-		if ins != nil {
-			ins.ComputeErrors.Inc()
-		}
 	case !wrote:
 		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
 	default:
@@ -574,9 +562,6 @@ func (e *exec[S]) inject(w *sched.Worker, t *task[S], withBlock bool) {
 		e.store.Corrupt(t.out.Block, t.out.Version)
 	}
 	e.met.at(w).injections.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.InjectionsFired.Inc()
-	}
 }
 
 // recoverFromError routes a caught *fault.Error to recovery of the task it
@@ -678,9 +663,6 @@ func (e *exec[S]) replaceTask(w *sched.Worker, key graph.Key) *task[S] {
 		return nt
 	})
 	e.met.at(w).recoveries.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.Recoveries.Inc()
-	}
 	return nt
 }
 
@@ -726,9 +708,6 @@ func (e *exec[S]) reinitNotifyEntry(w *sched.Worker, t *task[S], s *task[S]) err
 // failed.
 func (e *exec[S]) resetNode(w *sched.Worker, t *task[S]) {
 	e.met.at(w).resets.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.Resets.Inc()
-	}
 	if h := e.cfg.Hooks.OnReset; h != nil {
 		h(t.key, t.Life())
 	}

@@ -35,7 +35,7 @@ type counters struct {
 	sdcMissed       atomic.Int64
 
 	// Block accesses (Result.Store), counted from what Slot.Read and Write return.
-	blockWrites, blockReads, evictions, corruptReads, missingReads atomic.Int64
+	blockWrites, blockReads, evictions, corruptReads, checksumFailures, missingReads atomic.Int64
 }
 
 // countRead counts one Slot.Read that returned err.
@@ -43,6 +43,9 @@ func (c *counters) countRead(err error) {
 	c.blockReads.Add(1)
 	if errors.Is(err, block.ErrCorrupted) {
 		c.corruptReads.Add(1)
+		if errors.Is(err, block.ErrChecksum) {
+			c.checksumFailures.Add(1)
+		}
 	} else if err != nil {
 		c.missingReads.Add(1)
 	}
@@ -61,7 +64,7 @@ func (c *counters) countWrite(evicted bool) {
 // pairs them (TestCounterBlocksArePadded holds size and addresses to that).
 type workerCounters struct {
 	counters
-	_ [96]byte
+	_ [88]byte
 }
 
 // metrics is the counters of an executor that runs tasks on pool workers: one
@@ -105,6 +108,7 @@ func (m *metrics) storeStats(s *block.Store) block.Stats {
 		st.Reads += c.blockReads.Load()
 		st.Evictions += c.evictions.Load()
 		st.CorruptReads += c.corruptReads.Load()
+		st.ChecksumFailures += c.checksumFailures.Load()
 		st.MissingReads += c.missingReads.Load()
 	}
 	return st
@@ -171,6 +175,25 @@ func (c *counters) addTo(m *Metrics) {
 	m.SDCInjected += c.sdcInjected.Load()
 	m.SDCDetected += c.sdcDetected.Load()
 	m.SDCMissed += c.sdcMissed.Load()
+}
+
+// Add adds b's counts to m, field by field.
+func (m *Metrics) Add(b Metrics) {
+	m.Computes += b.Computes
+	m.ComputeErrors += b.ComputeErrors
+	m.Recoveries += b.Recoveries
+	m.Resets += b.Resets
+	m.Registrations += b.Registrations
+	m.ReinitEnqueues += b.ReinitEnqueues
+	m.Notifications += b.Notifications
+	m.InjectionsFired += b.InjectionsFired
+	m.OverwriteMarks += b.OverwriteMarks
+	m.ReplicatedTasks += b.ReplicatedTasks
+	m.ShadowComputes += b.ShadowComputes
+	m.ShadowFailures += b.ShadowFailures
+	m.SDCInjected += b.SDCInjected
+	m.SDCDetected += b.SDCDetected
+	m.SDCMissed += b.SDCMissed
 }
 
 func (m Metrics) String() string {

@@ -54,10 +54,6 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 	rj := &replicaJoin{}
 	rj.remaining.Store(2)
 	e.met.at(w).replicatedTasks.Add(1)
-	ins := e.cfg.Instruments
-	if ins != nil {
-		ins.ReplicatedTasks.Inc()
-	}
 	e.spawnAvoiding(w, func(w2 *sched.Worker) {
 		e.runShadow(w2, t, rj)
 	})
@@ -123,9 +119,6 @@ func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inpu
 		return 0, err
 	}
 	e.met.at(w).shadowComputes.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.ShadowComputes.Inc()
-	}
 	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
@@ -167,7 +160,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 	if rj.aborted.Load() {
 		return // the primary's catch already dispatched recovery
 	}
-	ins := e.cfg.Instruments
 	if e.cfg.Spans != nil {
 		// The replica digest join, as a trace span: Arg 1 when the digests
 		// disagreed (an SDC was caught), 0 on agreement.
@@ -185,9 +177,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 				// the one mechanism that could have caught it: a miss.
 				if rj.sdcFired {
 					e.met.at(w).sdcMissed.Add(1)
-					if ins != nil {
-						ins.SDCMissed.Inc()
-					}
 				}
 				e.finishAndNotify(w, t)
 				return nil
@@ -195,9 +184,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 		}
 		if rj.primaryDigest != rj.shadowDigest {
 			e.met.at(w).sdcDetected.Add(1)
-			if ins != nil {
-				ins.SDCDetected.Inc()
-			}
 			// Invalidate the task and its output so any concurrent
 			// reader observes the failure, then hand the incarnation
 			// to recovery. Successors are un-notified at this point,
@@ -231,9 +217,6 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 func (e *exec[S]) injectSDC(w *sched.Worker, t *task[S]) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.met.at(w).sdcInjected.Add(1)
-	if ins := e.cfg.Instruments; ins != nil {
-		ins.SDCInjected.Inc()
-	}
 	return sum, ok
 }
 

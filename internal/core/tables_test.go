@@ -49,6 +49,48 @@ func metricFields(m Metrics) map[string]int64 {
 	return out
 }
 
+// TestEveryCounterReachesEverySum sets every atomic of a counters block to its
+// own bit. Each Metrics and Stats field then reads exactly one of them and
+// every atomic is read, so a counter added later cannot miss the snapshot,
+// Result.Store or the registry's families over them; and Metrics.Add and
+// Stats.Add sum every field but the BytesRetained peak.
+func TestEveryCounterReachesEverySum(t *testing.T) {
+	m := newMetrics(1)
+	c := reflect.ValueOf(&m.blocks[0].counters).Elem()
+	want := map[int64]bool{}
+	for i := 0; i < c.NumField(); i++ {
+		(*atomic.Int64)(unsafe.Pointer(c.Field(i).UnsafeAddr())).Store(1 << i)
+		want[1<<i] = true
+	}
+	var sum Metrics
+	m.blocks[0].addTo(&sum)
+	st := m.storeStats(block.NewStore(0))
+	twice, stTwice := sum, st
+	twice.Add(sum)
+	stTwice.Add(st)
+	for _, f := range []struct{ one, two reflect.Value }{
+		{reflect.ValueOf(sum), reflect.ValueOf(twice)},
+		{reflect.ValueOf(st), reflect.ValueOf(stTwice)},
+	} {
+		for i := 0; i < f.one.NumField(); i++ {
+			name, v := f.one.Type().Field(i).Name, f.one.Field(i).Int()
+			if name == "BytesRetained" {
+				continue
+			}
+			if !want[v] {
+				t.Errorf("%s = %#x reads no counter of its own", name, v)
+			}
+			delete(want, v)
+			if got := f.two.Field(i).Int(); got != 2*v {
+				t.Errorf("Add sums %s to %#x, want %#x", name, got, 2*v)
+			}
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("%d counters reach no field: %v", len(want), want)
+	}
+}
+
 // TestLiveMetricsMonotoneAndExact: LiveMetrics sums the workers' blocks while
 // they count. Polled during a run, no counter ever goes down; at the end of a
 // fault-free run the sums are exact — one compute per task, one notification

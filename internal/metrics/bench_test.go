@@ -11,9 +11,10 @@ import (
 )
 
 // instrumented mirrors the bundle-of-instruments pattern the runtime layers
-// use (core.Instruments, journal/sched observer structs): a struct of
-// instrument pointers built once, nil when the registry is nil, with hot
-// paths guarded by a single bundle nil check. The disabled case is therefore
+// use for what they write on the hot path (core.Instruments' histograms, the
+// journal/sched observer structs): a struct of instrument pointers built
+// once, nil when the registry is nil, with hot paths guarded by a single
+// bundle nil check. The disabled case is therefore
 // one predicted-not-taken pointer test per instrumentation site;
 // TestDisabledInstrumentsCostNothing requires it to cost ≤ 2 ns/op.
 type instrumented struct {

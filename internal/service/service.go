@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftdag/internal/block"
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
@@ -176,8 +177,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Registry, when non-nil, enables observability: New registers
 	// scheduler, executor, block-store, journal, and service-lifecycle
-	// metrics on it, and every job's execution aggregates into the shared
-	// instrument bundles. Nil (the default) disables metric collection —
+	// metrics on it. The counter families read the counts the layers keep
+	// anyway at scrape time; every job's execution records into the shared
+	// latency histograms. Nil (the default) disables metric collection —
 	// the hot paths then cost one pointer check per site.
 	Registry *metrics.Registry
 	// Tracer, when non-nil, is the process-wide distributed-trace span
@@ -266,7 +268,19 @@ type svcObs struct {
 	failed         *metrics.Counter
 	cancelled      *metrics.Counter
 	deadlineMisses *metrics.Counter
-	running        *metrics.Gauge
+}
+
+// tally is what executors counted: the registry's executor and block-store
+// families are the tally of the jobs a server ran.
+type tally struct {
+	m core.Metrics
+	b block.Stats
+}
+
+// add adds e's counts as they stand.
+func (t *tally) add(e *core.FT) {
+	t.m.Add(e.LiveMetrics())
+	t.b.Add(e.LiveStore())
 }
 
 // Server is a multi-job execution service over one shared pool.
@@ -275,7 +289,7 @@ type Server struct {
 	pool  *sched.Pool
 	queue chan *job
 	wg    sync.WaitGroup
-	ins   *core.Instruments // shared executor bundle (nil when unobserved)
+	ins   *core.Instruments // the executors' latency histograms (nil when unobserved)
 	obs   *svcObs           // lifecycle bundle (nil when unobserved)
 	// submitWG tracks Submits between admission and enqueue so Close can
 	// wait for them before closing the queue channel.
@@ -292,6 +306,10 @@ type Server struct {
 	order    []int64 // submission order, for listings
 	rejected int64
 	inQueue  int // jobs admitted but not yet picked up by a runner
+	// running maps each job now executing to its executor; ran is the tally
+	// of the jobs that ended, taken when finish learned their outcome.
+	running map[*job]*core.FT
+	ran     tally
 }
 
 // New starts a server: one pool of cfg.Workers workers plus
@@ -302,9 +320,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:  cfg,
-		pool: sched.NewPool(cfg.Workers),
-		jobs: make(map[int64]*job),
+		cfg:     cfg,
+		pool:    sched.NewPool(cfg.Workers),
+		jobs:    make(map[int64]*job),
+		running: make(map[*job]*core.FT),
 	}
 	// Steals of any job's tasks land in that job's distributed trace.
 	s.pool.ObserveSpans(cfg.Tracer)
@@ -334,12 +353,12 @@ func New(cfg Config) *Server {
 }
 
 // observe wires every layer's metrics into the registry: the shared pool,
-// the executor bundle all jobs aggregate into, the journal (if configured),
-// and the service's own lifecycle counters. Called from New before the
-// runners start, so no job can race the registration.
+// the executor and block-store families over the jobs' tally (totals), the
+// journal (if configured), and the service's own lifecycle counters. Called
+// from New before the runners start, so no job can race the registration.
 func (s *Server) observe(r *metrics.Registry) {
 	s.pool.Observe(r)
-	s.ins = core.NewInstruments(r)
+	s.ins = core.Observe(r, s.totals)
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.Observe(r)
 	}
@@ -349,8 +368,14 @@ func (s *Server) observe(r *metrics.Registry) {
 		failed:         r.Counter("ftdag_jobs_failed_total", "Jobs that ended in failure."),
 		cancelled:      r.Counter("ftdag_jobs_cancelled_total", "Jobs cancelled by callers, deadlines, or shutdown."),
 		deadlineMisses: r.Counter("ftdag_deadline_misses_total", "Jobs aborted because their per-job deadline expired."),
-		running:        r.Gauge("ftdag_jobs_running", "Jobs currently executing on the shared pool."),
 	}
+	r.GaugeFunc("ftdag_jobs_running", "Jobs currently executing on the shared pool.",
+		func() float64 {
+			s.mu.Lock()
+			n := len(s.running)
+			s.mu.Unlock()
+			return float64(n)
+		})
 	r.GaugeFunc("ftdag_queue_depth", "Jobs admitted but not yet picked up by a runner.",
 		func() float64 {
 			s.mu.Lock()
@@ -365,6 +390,20 @@ func (s *Server) observe(r *metrics.Registry) {
 			s.mu.Unlock()
 			return float64(n)
 		})
+}
+
+// totals is the tally of the jobs this process ran: those that ended, and
+// those running as their counts stand. A job moves from one to the other in
+// one critical section with counts that only grow, so no family a scrape
+// reads from it ever goes down.
+func (s *Server) totals() (core.Metrics, block.Stats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.ran
+	for _, e := range s.running {
+		t.add(e)
+	}
+	return t.m, t.b
 }
 
 // replay folds the journal's state into the server: terminal jobs become
@@ -771,13 +810,10 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.exec = exec
 	j.mu.Unlock()
-	if o := s.obs; o != nil {
-		o.running.Add(1)
-	}
+	s.mu.Lock()
+	s.running[j] = exec
+	s.mu.Unlock()
 	res, err := exec.RunOn(s.pool)
-	if o := s.obs; o != nil {
-		o.running.Add(-1)
-	}
 	if timer != nil {
 		timer.Stop()
 	}
@@ -809,6 +845,12 @@ func (s *Server) runJob(j *job) {
 // execution time.
 func (s *Server) finish(j *job, res *core.Result, err error) {
 	finished := time.Now()
+	s.mu.Lock()
+	if e, ok := s.running[j]; ok {
+		s.ran.add(e)
+		delete(s.running, j)
+	}
+	s.mu.Unlock()
 	state := Succeeded
 	j.mu.Lock()
 	if err != nil {
@@ -957,54 +999,21 @@ func (s *Server) Close() sched.Stats {
 	return stats
 }
 
-// Shutdown stops the server gracefully: admission stops immediately, then
-// queued and running jobs get up to grace to finish before anything still
-// in flight is aborted WITHOUT a terminal journal record — such jobs stay
-// incomplete in the write-ahead log and re-run on the next boot. grace <= 0
-// waits indefinitely (full drain). Like Close, call it once; Close and
-// Shutdown are mutually exclusive.
+// Shutdown stops the server gracefully: it is Drain with admission closed
+// for good, then Close's teardown. Queued and running jobs get up to grace
+// to finish before anything still in flight is aborted WITHOUT a terminal
+// journal record — such jobs stay incomplete in the write-ahead log and
+// re-run on the next boot. grace <= 0 waits indefinitely (full drain). Like
+// Close, call it once; Close and Shutdown are mutually exclusive.
 func (s *Server) Shutdown(grace time.Duration) sched.Stats {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.submitWG.Wait()
+	if n := len(s.Drain(grace).Incomplete); n > 0 {
+		s.cfg.Logf("service: shutdown grace %v expired; %d job(s) aborted, left incomplete for re-run after restart", grace, n)
+	}
 	close(s.queue)
-
-	drained := make(chan struct{})
-	go func() { s.wg.Wait(); close(drained) }()
-	var expire <-chan time.Time
-	if grace > 0 {
-		t := time.NewTimer(grace)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case <-drained:
-	case <-expire:
-		s.mu.Lock()
-		js := make([]*job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			js = append(js, j)
-		}
-		s.mu.Unlock()
-		aborted := 0
-		for _, j := range js {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			if !terminal {
-				j.shutdownAbort = true
-				aborted++
-			}
-			j.mu.Unlock()
-			if !terminal {
-				j.cancelNow()
-			}
-		}
-		if aborted > 0 {
-			s.cfg.Logf("service: shutdown grace %v expired; %d job(s) aborted, left incomplete for re-run after restart", grace, aborted)
-		}
-		<-drained
-	}
+	s.wg.Wait()
 	stats := s.pool.Close()
 	s.closeJournal()
 	return stats
@@ -1071,32 +1080,13 @@ func (s *Server) Snapshot() Snapshot {
 			snap.Cancelled++
 		}
 		if j.res != nil {
-			addMetrics(&snap.Totals, j.res.Metrics)
+			snap.Totals.Add(j.res.Metrics)
 			snap.ReexecutedTasks += j.res.ReexecutedTasks
 		}
 		j.mu.Unlock()
 	}
 	snap.Sched = s.pool.StatsSnapshot()
 	return snap
-}
-
-// addMetrics accumulates b into a, field by field.
-func addMetrics(a *core.Metrics, b core.Metrics) {
-	a.Computes += b.Computes
-	a.ComputeErrors += b.ComputeErrors
-	a.Recoveries += b.Recoveries
-	a.Resets += b.Resets
-	a.Registrations += b.Registrations
-	a.ReinitEnqueues += b.ReinitEnqueues
-	a.Notifications += b.Notifications
-	a.InjectionsFired += b.InjectionsFired
-	a.OverwriteMarks += b.OverwriteMarks
-	a.ReplicatedTasks += b.ReplicatedTasks
-	a.ShadowComputes += b.ShadowComputes
-	a.ShadowFailures += b.ShadowFailures
-	a.SDCInjected += b.SDCInjected
-	a.SDCDetected += b.SDCDetected
-	a.SDCMissed += b.SDCMissed
 }
 
 // Status is an immutable snapshot of one job.
