@@ -30,7 +30,9 @@ benchbuild:
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
-# replaced, over 16 rotating inputs at the BenchSizes tile, and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# replaced, over 16 rotating inputs at the BenchSizes tile (LU, Cholesky and
+# FW's two, in internal/apps/tile, also at n = 16, through the AVX2 body and
+# the Go body), and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads (a tile's row, column and corner) of the same 32 KiB. Last,
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
@@ -49,8 +51,12 @@ graphsmoke:
 test:
 	$(GO) test ./...
 
+# Again for arm64: internal/apps/tile has amd64 assembly (checked against its
+# Go declarations by asmdecl above) and Go-only files for every other
+# architecture, which only a second GOARCH compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # The repository's own analyzer suite, all five analyzers: sync/atomic
 # function calls (the typed API only), blocking ops under a mutex,
@@ -75,7 +81,8 @@ lint-json:
 # the two commands with tests of their own — ftserve's run a real
 # service.Server behind the mux it serves, ftsoak's a child supervisor.
 # The block data path — store, executors, replica join, the kernels and the
-# harness that drives them — and the structures the task descriptor is built
+# harness that drives them; the tile kernels take their Go bodies under
+# -race, which does not see assembly — and the structures the task descriptor is built
 # from (key table, bit vector, graph) are then swept at one, two, four and
 # eight Ps, five runs each: the interleavings (steal between notify and
 # inject, a shadow racing an evicting writer, a reader of the key table beside

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/apps/tile"
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
@@ -222,52 +223,19 @@ func trsmRightT(c, d []float64, b int) {
 	}
 }
 
-// gemmSubT computes C -= L·Rᵀ. Each element starts from its value in c and
-// subtracts its products l[row][p]·r[col][p] in ascending p, as the textbook
-// dot-product loop does, so the result is bit-identical to it (no FMA is
-// fused at GOAMD64=v1). That loop is one dependent chain of subtractions per
-// element; the bulk runs a 2×2 register block instead, four independent
-// chains whose accumulators stay in registers across the p loop, fed by two
-// elements of l and two of r per p. (A 2×4 block spills: measured slower.) An
-// odd b takes the plain loop.
+// gemmSubT computes C -= L·Rᵀ through tile.MulSub: Rᵀ is written into a
+// tile from the free list, so each element subtracts l[row][p]·r[col][p] in
+// ascending p, as the textbook dot-product loop does, and the result is
+// bit-identical to it.
 func gemmSubT(c, l, r []float64, b int) {
-	if b%2 != 0 {
-		for row := 0; row < b; row++ {
-			for col := 0; col < b; col++ {
-				s := c[row*b+col]
-				for p := 0; p < b; p++ {
-					s -= l[row*b+p] * r[col*b+p]
-				}
-				c[row*b+col] = s
-			}
-		}
-		return
-	}
-	for row := 0; row < b; row += 2 {
-		l0 := l[row*b : row*b+b]
-		l1 := l[row*b+b : row*b+2*b]
-		l1 = l1[:len(l0)] // equal lengths: no bounds checks in the p loop
-		c0 := c[row*b : row*b+b]
-		c1 := c[row*b+b : row*b+2*b]
-		for col := 0; col < b; col += 2 {
-			r0 := r[col*b : col*b+b]
-			r1 := r[col*b+b : col*b+2*b]
-			r0, r1 = r0[:len(l0)], r1[:len(l0)]
-			x0, x1 := c0[col:col+2:col+2], c1[col:col+2:col+2]
-			s00, s01 := x0[0], x0[1]
-			s10, s11 := x1[0], x1[1]
-			for p, a0 := range l0 {
-				a1 := l1[p]
-				y0, y1 := r0[p], r1[p]
-				s00 -= a0 * y0
-				s01 -= a0 * y1
-				s10 -= a1 * y0
-				s11 -= a1 * y1
-			}
-			x0[0], x0[1] = s00, s01
-			x1[0], x1[1] = s10, s11
+	rt := block.Alloc(b * b)
+	for col := 0; col < b; col++ {
+		for p, v := range r[col*b : col*b+b] {
+			rt[p*b+col] = v
 		}
 	}
+	tile.MulSub(c, l, rt, b)
+	block.Free(rt)
 }
 
 // reference computes the unblocked lower Cholesky factor of the input.

@@ -19,13 +19,13 @@ func gemmSubTNaive(c, l, r []float64, b int) {
 	}
 }
 
-// kernelSizes cover the register-blocked bulk (even sizes) and the plain loop
-// odd ones take.
+// kernelSizes cover tile.MulSub's AVX2 block (multiples of 8), its Go 2×4
+// block (multiples of 4) and its plain loop.
 var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32}
 
-// TestGemmSubT: the blocked kernel reproduces the textbook loop bit for bit
-// on random tiles of every size, for two panels and for the diagonal
-// update's one panel passed twice.
+// TestGemmSubT: the transpose and tile.MulSub reproduce the textbook loop
+// bit for bit on random tiles of every size, for two panels and for the
+// diagonal update's one panel passed twice.
 func TestGemmSubT(t *testing.T) {
 	for _, b := range kernelSizes {
 		for seed := uint64(1); seed <= 8; seed++ {
@@ -42,32 +42,5 @@ func TestGemmSubT(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkKernels prices one 32×32 trailing update, the BenchSizes tile,
-// blocked and with the textbook loop it replaced. It rotates over 16 seeded
-// inputs, as the apps feed it many.
-func BenchmarkKernels(b *testing.B) {
-	const n, inputs = 32, 16
-	type input struct{ c, l, r []float64 }
-	in := make([]input, inputs)
-	for i := range in {
-		s := 3 * uint64(i+1)
-		in[i] = input{randTile(n, s), randTile(n, s+1), randTile(n, s+2)}
-	}
-	c := make([]float64, n*n)
-	for _, k := range []struct {
-		name string
-		f    func(c, l, r []float64, b int)
-	}{{"gemmSubT/blocked", gemmSubT}, {"gemmSubT/naive", gemmSubTNaive}} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				x := &in[i%inputs]
-				copy(c, x.c)
-				k.f(c, x.l, x.r, n)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
-		})
 	}
 }

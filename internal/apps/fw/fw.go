@@ -23,13 +23,14 @@
 // that sums all shortest-path distances. Edge weights are small integers, so
 // every distance and every sum is an integer below 2⁵³ and exact in float64:
 // min-plus updates may be reordered without changing a bit, which lets the
-// pivot row and column tiles run through the interior's blocked kernel.
+// pivot row and column tiles run through the interior's kernel, tile.MinPlus.
 package fw
 
 import (
 	"fmt"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/apps/tile"
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
@@ -287,15 +288,20 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		closure(c, b)
 	case j == k || i == k:
 		// Phase 2: a column tile becomes c ⊗ pv, a row tile pv ⊗ c, in place
-		// through the updated pivot (minPlus says why that is exact).
+		// through the updated pivot. tile.MinPlus reads words of c it has
+		// already updated, in an order of its own; that is still exact: with
+		// P the pivot tile after closure (P ⊗ P = P, zero diagonal) and every
+		// value an exact integer, any tile X between C ⊗ P and C
+		// (elementwise) has min(X, X ⊗ P) = C ⊗ P, so the result is the
+		// textbook loop's bit for bit; likewise for P ⊗ C.
 		pv, err := ctx.ReadPred(a.task(k, k, k))
 		if err != nil {
 			return err
 		}
 		if j == k {
-			minPlus(c, c, pv, b)
+			tile.MinPlus(c, c, pv, b)
 		} else {
-			minPlus(c, pv, c, b)
+			tile.MinPlus(c, pv, c, b)
 		}
 	default:
 		// Phase 3 (interior): plain min-plus product with the updated
@@ -308,7 +314,7 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		if err != nil {
 			return err
 		}
-		minPlus(c, av, bv, b)
+		tile.MinPlus(c, av, bv, b)
 	}
 	ctx.Write(c)
 	return nil
@@ -325,77 +331,6 @@ func closure(c []float64, b int) {
 					c[r*b+cc] = v
 				}
 			}
-		}
-	}
-}
-
-// minPlus computes C = min(C, A ⊗ B), the min-plus product of the interior
-// phase: c[r][q] = min(c[r][q], min over p of a[r][p] + b[p][q]). Each sum is
-// rounded as in the textbook loop and min is exact, so the order of the p
-// loop does not change a bit of the result. The bulk runs a 2×4 register
-// block: eight running minima stay in registers across the p loop, fed by two
-// elements of A and four of B per p. A b that is not a multiple of 4 takes the
-// plain loop.
-//
-// The pivot row and column tiles pass c as A or as B. With P the pivot tile
-// after closure (P ⊗ P = P, zero diagonal) and every value an exact integer,
-// any tile X between C ⊗ P and C (elementwise) has min(X, X ⊗ P) = C ⊗ P, so
-// reading words of c that are already updated, in any order, gives the
-// textbook loop's result bit for bit; likewise for P ⊗ C.
-func minPlus(c, av, bv []float64, b int) {
-	if b%4 != 0 {
-		for p := 0; p < b; p++ {
-			for r := 0; r < b; r++ {
-				arp := av[r*b+p]
-				for cc := 0; cc < b; cc++ {
-					if v := arp + bv[p*b+cc]; v < c[r*b+cc] {
-						c[r*b+cc] = v
-					}
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < b; r += 2 {
-		a0s := av[r*b : r*b+b]
-		a1s := av[r*b+b : r*b+2*b]
-		a1s = a1s[:len(a0s)] // equal lengths: no bounds check on a1s[p]
-		c0 := c[r*b : r*b+b]
-		c1 := c[r*b+b : r*b+2*b]
-		for q := 0; q < b; q += 4 {
-			x0, x1 := c0[q:q+4:q+4], c1[q:q+4:q+4]
-			s00, s01, s02, s03 := x0[0], x0[1], x0[2], x0[3]
-			s10, s11, s12, s13 := x1[0], x1[1], x1[2], x1[3]
-			for p, a0 := range a0s {
-				a1 := a1s[p]
-				y := bv[p*b+q : p*b+q+4 : p*b+q+4]
-				if v := a0 + y[0]; v < s00 {
-					s00 = v
-				}
-				if v := a0 + y[1]; v < s01 {
-					s01 = v
-				}
-				if v := a0 + y[2]; v < s02 {
-					s02 = v
-				}
-				if v := a0 + y[3]; v < s03 {
-					s03 = v
-				}
-				if v := a1 + y[0]; v < s10 {
-					s10 = v
-				}
-				if v := a1 + y[1]; v < s11 {
-					s11 = v
-				}
-				if v := a1 + y[2]; v < s12 {
-					s12 = v
-				}
-				if v := a1 + y[3]; v < s13 {
-					s13 = v
-				}
-			}
-			x0[0], x0[1], x0[2], x0[3] = s00, s01, s02, s03
-			x1[0], x1[1], x1[2], x1[3] = s10, s11, s12, s13
 		}
 	}
 }

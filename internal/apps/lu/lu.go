@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/apps/tile"
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
@@ -178,7 +179,7 @@ func (a *LU) Compute(ctx graph.Context, key graph.Key) error {
 		if err != nil {
 			return err
 		}
-		gemmSub(c, l, u, b)
+		tile.MulSub(c, l, u, b)
 	}
 	ctx.Write(c)
 	return nil
@@ -221,56 +222,6 @@ func trsmLeft(c, d []float64, b int) {
 				s -= d[r*b+p] * c[p*b+q]
 			}
 			c[r*b+q] = s
-		}
-	}
-}
-
-// gemmSub computes C -= L·U. Each element starts from its value in c and
-// subtracts its products l[r][p]·u[p][q] in ascending p, as the textbook loop
-// does, so the result is bit-identical to it (no FMA is fused at GOAMD64=v1).
-// The bulk runs a 2×4 register block: eight accumulators stay in registers
-// across the p loop, and each p loads two elements of l and four of u for
-// eight multiply-subtracts. A b that is not a multiple of 4 takes the plain
-// loop.
-func gemmSub(c, l, u []float64, b int) {
-	if b%4 != 0 {
-		for r := 0; r < b; r++ {
-			for p := 0; p < b; p++ {
-				lrp := l[r*b+p]
-				if lrp == 0 {
-					continue
-				}
-				for q := 0; q < b; q++ {
-					c[r*b+q] -= lrp * u[p*b+q]
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < b; r += 2 {
-		l0 := l[r*b : r*b+b]
-		l1 := l[r*b+b : r*b+2*b]
-		l1 = l1[:len(l0)] // equal lengths: no bounds check on l1[p]
-		c0 := c[r*b : r*b+b]
-		c1 := c[r*b+b : r*b+2*b]
-		for q := 0; q < b; q += 4 {
-			x0, x1 := c0[q:q+4:q+4], c1[q:q+4:q+4]
-			s00, s01, s02, s03 := x0[0], x0[1], x0[2], x0[3]
-			s10, s11, s12, s13 := x1[0], x1[1], x1[2], x1[3]
-			for p, a0 := range l0 {
-				a1 := l1[p]
-				y := u[p*b+q : p*b+q+4 : p*b+q+4]
-				s00 -= a0 * y[0]
-				s01 -= a0 * y[1]
-				s02 -= a0 * y[2]
-				s03 -= a0 * y[3]
-				s10 -= a1 * y[0]
-				s11 -= a1 * y[1]
-				s12 -= a1 * y[2]
-				s13 -= a1 * y[3]
-			}
-			x0[0], x0[1], x0[2], x0[3] = s00, s01, s02, s03
-			x1[0], x1[1], x1[2], x1[3] = s10, s11, s12, s13
 		}
 	}
 }

@@ -465,12 +465,13 @@ func (rt *Router) status(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	cached := j.terminal
 	owner := rt.backends[j.backend]
+	up := owner != nil && owner.healthy
 	rt.mu.Unlock()
 	if cached != nil {
 		writeJSON(w, http.StatusOK, cached)
 		return
 	}
-	if owner == nil || !owner.healthy {
+	if !up {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("job %d: backend unavailable, failover pending", j.id))
 		return
 	}
@@ -489,13 +490,14 @@ func (rt *Router) cancel(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Lock()
 	owner := rt.backends[j.backend]
+	up := owner != nil && owner.healthy
 	cached := j.terminal
 	rt.mu.Unlock()
 	if cached != nil {
 		writeJSON(w, http.StatusOK, cached)
 		return
 	}
-	if owner == nil || !owner.healthy {
+	if !up {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("job %d: backend unavailable", j.id))
 		return
 	}
@@ -527,16 +529,18 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 		j := rt.jobs[id]
 		var cached *RoutedStatus
 		var owner *backendState
+		up := false
 		if j != nil {
 			cached = j.terminal
 			owner = rt.backends[j.backend]
+			up = owner != nil && owner.healthy
 		}
 		rt.mu.Unlock()
 		switch {
 		case j == nil:
 		case cached != nil:
 			out = append(out, *cached)
-		case owner != nil && owner.healthy:
+		case up:
 			if rs, err := rt.fetchStatus(j, owner); err == nil {
 				out = append(out, rs)
 			} else {
