@@ -55,3 +55,32 @@ func (c Config) Validate() error {
 
 // Maker constructs an app instance from a config.
 type Maker func(Config) (App, error)
+
+// Rand is xorshift64*, the generator of every app's input. A pinned digest
+// fixes an app's seed and salt: the same pair gives the same input.
+type Rand struct{ s uint64 }
+
+// NewRand returns a generator whose state is seed·2685821657736338717 + salt.
+func NewRand(seed int64, salt uint64) *Rand {
+	return &Rand{s: uint64(seed)*2685821657736338717 + salt}
+}
+
+// Next returns the next 64-bit output.
+func (r *Rand) Next() uint64 {
+	r.s ^= r.s >> 12
+	r.s ^= r.s << 25
+	r.s ^= r.s >> 27
+	return r.s * 0x2545F4914F6CDD1D
+}
+
+// Float returns the next output as a float64 in [-1, 1).
+func (r *Rand) Float() float64 { return float64(r.Next()>>11)/float64(1<<53)*2 - 1 }
+
+// Seq returns n symbols in [0, alphabet): a sequence input of LCS or SW.
+func (r *Rand) Seq(n int, alphabet uint64) []byte {
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = byte(r.Next() % alphabet)
+	}
+	return s
+}

@@ -43,13 +43,10 @@ func New(cfg apps.Config) (apps.App, error) {
 	}
 	a := &Chol{n: cfg.N, b: cfg.B, nb: cfg.Tiles()}
 	a.a = make([]float64, cfg.N*cfg.N)
-	rng := uint64(cfg.Seed)*2685821657736338717 + 43
+	rng := apps.NewRand(cfg.Seed, 43)
 	for i := 0; i < cfg.N; i++ {
 		for j := 0; j <= i; j++ {
-			rng ^= rng >> 12
-			rng ^= rng << 25
-			rng ^= rng >> 27
-			v := float64(rng*0x2545F4914F6CDD1D>>11)/float64(1<<53)*2 - 1
+			v := rng.Float()
 			if i == j {
 				v = math.Abs(v) + float64(cfg.N)
 			}

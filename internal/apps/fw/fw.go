@@ -53,13 +53,10 @@ func New(cfg apps.Config) (apps.App, error) {
 	}
 	a := &FW{n: cfg.N, b: cfg.B, nb: cfg.Tiles()}
 	a.dist = make([]float64, cfg.N*cfg.N)
-	rng := uint64(cfg.Seed)*2685821657736338717 + 19
+	rng := apps.NewRand(cfg.Seed, 19)
 	for i := 0; i < cfg.N; i++ {
 		for j := 0; j < cfg.N; j++ {
-			rng ^= rng >> 12
-			rng ^= rng << 25
-			rng ^= rng >> 27
-			w := float64((rng*0x2545F4914F6CDD1D)%maxEdge + 1)
+			w := float64(rng.Next()%maxEdge + 1)
 			if i == j {
 				w = 0
 			}

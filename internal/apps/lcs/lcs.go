@@ -41,24 +41,12 @@ func New(cfg apps.Config) (apps.App, error) {
 	}
 	b := cfg.B
 	a := &LCS{n: cfg.N, b: b, nb: cfg.Tiles()}
-	a.x = randomSeq(cfg.N, cfg.Seed)
-	a.y = randomSeq(cfg.N, cfg.Seed+1)
+	a.x = apps.NewRand(cfg.Seed, 1).Seq(cfg.N, alphabet)
+	a.y = apps.NewRand(cfg.Seed+1, 1).Seq(cfg.N, alphabet)
 	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}}
 	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}}
 	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 1}}
 	return a, nil
-}
-
-func randomSeq(n int, seed int64) []byte {
-	rng := uint64(seed)*2685821657736338717 + 1
-	s := make([]byte, n)
-	for i := range s {
-		rng ^= rng >> 12
-		rng ^= rng << 25
-		rng ^= rng >> 27
-		s[i] = byte((rng * 0x2545F4914F6CDD1D) % alphabet)
-	}
-	return s
 }
 
 func (a *LCS) Name() string     { return "LCS" }

@@ -3,6 +3,8 @@ package sw
 import (
 	"math"
 	"testing"
+
+	"ftdag/internal/apps"
 )
 
 // fillNaive is the textbook per-cell loop fill replaced, kept as its oracle:
@@ -67,8 +69,8 @@ const tableMax = match * 2048
 // left and a corner, each base or base+1, and the symbols of its rows and
 // columns. At base 0 a mismatch below and beside zeros takes the floor.
 func boundary(b int, seed int64, base float64) (top, left []float64, corner float64, xs, ys []byte) {
-	xs, ys = randomSeq(b, seed), randomSeq(b, seed+1)
-	s := randomSeq(2*b+1, seed+2)
+	xs, ys = apps.NewRand(seed, 1).Seq(b, alphabet), apps.NewRand(seed+1, 1).Seq(b, alphabet)
+	s := apps.NewRand(seed+2, 1).Seq(2*b+1, alphabet)
 	top, left = make([]float64, b), make([]float64, b)
 	for i := range top {
 		top[i], left[i] = base+float64(s[i]%2), base+float64(s[b+i]%2)

@@ -60,25 +60,13 @@ func New(cfg apps.Config) (apps.App, error) {
 	}
 	b := cfg.B
 	a := &SW{n: cfg.N, b: b, nb: cfg.Tiles()}
-	a.x = randomSeq(cfg.N, cfg.Seed+7)
-	a.y = randomSeq(cfg.N, cfg.Seed+11)
+	a.x = apps.NewRand(cfg.Seed+7, 1).Seq(cfg.N, alphabet)
+	a.y = apps.NewRand(cfg.Seed+11, 1).Seq(cfg.N, alphabet)
 	runMax := block.Run{Off: b * b, Stride: 1, N: 1}
 	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}, runMax}
 	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}, runMax}
 	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 2}} // the last cell and the running maximum after it
 	return a, nil
-}
-
-func randomSeq(n int, seed int64) []byte {
-	rng := uint64(seed)*2685821657736338717 + 1
-	s := make([]byte, n)
-	for i := range s {
-		rng ^= rng >> 12
-		rng ^= rng << 25
-		rng ^= rng >> 27
-		s[i] = byte((rng * 0x2545F4914F6CDD1D) % alphabet)
-	}
-	return s
 }
 
 func (a *SW) Name() string     { return "SW" }

@@ -99,16 +99,6 @@ func (v *Vector) SetAll() {
 	}
 }
 
-// ClearAll clears every bit.
-func (v *Vector) ClearAll() {
-	for w, n := 0, v.words(); w < n; w++ {
-		v.word(w).Store(0)
-	}
-	if v.rest != nil {
-		v.rest.live.Store(0)
-	}
-}
-
 // Clear atomically clears bit i. won reports that the bit was set — it is
 // the ATOMICBITUNSET of the paper: at most one caller per set-round wins a
 // given bit — and last that this clear left the vector empty: exactly one

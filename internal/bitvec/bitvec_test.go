@@ -61,7 +61,9 @@ func TestSetAllAfterClear(t *testing.T) {
 
 func TestSetIndividual(t *testing.T) {
 	v := New(70)
-	v.ClearAll()
+	for i := 0; i < v.Len(); i++ {
+		v.Clear(i)
+	}
 	v.Set(0)
 	v.Set(69)
 	v.Set(69) // idempotent

@@ -199,9 +199,6 @@ func NewStore(retention int, opts ...Option) *Store {
 	return s
 }
 
-// Retention returns the configured K.
-func (s *Store) Retention() int { return s.retention }
-
 // Slot returns the handle of block b, creating the (empty) block on first
 // use. Every later call for b is a lock-free hit on the slot table.
 func (s *Store) Slot(b ID) *Slot {
@@ -515,28 +512,6 @@ func touches(runs []Run, from, to int) bool {
 	return false
 }
 
-// Producer returns the task key recorded as producer of the given retained
-// version, if present.
-func (s *Store) Producer(b ID, version int) (int64, bool) {
-	sl := s.Slot(b)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if e := sl.find(version); e != nil {
-		return e.producer, true
-	}
-	return 0, false
-}
-
-// Retained reports whether the given version is currently retained and not
-// poisoned. It is a lookup: it copies nothing and counts no read.
-func (s *Store) Retained(b ID, version int) bool {
-	sl := s.Slot(b)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	e := sl.find(version)
-	return e != nil && !e.corrupted
-}
-
 // Corrupt poisons the given version if it is retained, returning whether it
 // was. Used by the fault injector; every subsequent Read observes the error
 // (the paper's detection model). The stored payload is also scrambled in
@@ -577,37 +552,6 @@ func (s *Store) CorruptSilently(b ID, version int) (sum uint64, ok bool) {
 	}
 	e.checksum = checksumSnaps(e.data, e.snapshots())
 	return e.checksum, true
-}
-
-// Versions returns the retained version numbers of a block, oldest written
-// first. Diagnostic use.
-func (s *Store) Versions(b ID) []int {
-	sl := s.Slot(b)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	out := make([]int, len(sl.entries))
-	for i, e := range sl.entries {
-		out[i] = e.version
-	}
-	return out
-}
-
-// Latest returns the highest retained, uncorrupted version of a block and a
-// copy of its data. Used when extracting final results.
-func (s *Store) Latest(b ID) (int, []float64, bool) {
-	sl := s.Slot(b)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	var best *entry
-	for i := range sl.entries {
-		if e := &sl.entries[i]; !e.corrupted && (best == nil || e.version > best.version) {
-			best = e
-		}
-	}
-	if best == nil {
-		return -1, nil, false
-	}
-	return best.version, clone(best.data, nil), true
 }
 
 // BytesRetained returns the high-water mark of retained payload bytes.

@@ -120,15 +120,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Owner returns the member owning key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	c := r.Candidates(key, 1)
-	if len(c) == 0 {
-		return ""
-	}
-	return c[0]
-}
-
 // Candidates returns up to n distinct members in ring order starting at
 // key's owner. The router walks this list on backpressure or backend
 // failure: the first candidate is the shard's home, the rest are the

@@ -405,26 +405,59 @@ func (rt *Router) recordJob(key string, body []byte, backend string, accepted ma
 	}
 }
 
-// fetchStatus proxies one job's status from its owner, rewriting the
-// identity to the router's. Terminal statuses are cached — after that the
-// owner can die without the job's digest becoming unreachable.
-func (rt *Router) fetchStatus(j *routedJob, owner *backendState) (RoutedStatus, error) {
-	resp, err := rt.client.Get(fmt.Sprintf("%s/jobs/%d", owner.url, j.remoteID))
+// placement is one read, under rt.mu, of where a job runs: its owner and the
+// job's ID there, which rerouteJobs rewrites together, with what the handlers
+// decide on — the cached terminal status and whether the owner is up.
+type placement struct {
+	backend  string // the owner's name, "" while orphaned
+	url      string // the owner's base URL
+	remoteID int64
+	up       bool
+	terminal *RoutedStatus
+}
+
+func (rt *Router) placementOf(j *routedJob) placement {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	p := placement{backend: j.backend, remoteID: j.remoteID, terminal: j.terminal}
+	if b := rt.backends[j.backend]; b != nil {
+		p.url, p.up = b.url, b.healthy
+	}
+	return p
+}
+
+// row is the job's last-known identity with no state detail, for an owner
+// that cannot be asked.
+func (p placement) row(j *routedJob) RoutedStatus {
+	return RoutedStatus{Status: service.Status{ID: j.id}, Backend: p.backend, BackendID: p.remoteID}
+}
+
+// fetchStatus proxies one job's status from its owner at placement p,
+// rewriting the identity to the router's. A terminal status is cached — after
+// that the owner can die without the job's digest becoming unreachable — but
+// only while the job is still at p: a job moved during the fetch is no longer
+// the one its old owner reported on.
+func (rt *Router) fetchStatus(j *routedJob, p placement) (RoutedStatus, error) {
+	resp, err := rt.client.Get(fmt.Sprintf("%s/jobs/%d", p.url, p.remoteID))
 	if err != nil {
 		return RoutedStatus{}, err
 	}
 	defer func() { _ = resp.Body.Close() }() // decodeJSON drains it
 	if resp.StatusCode != http.StatusOK {
-		return RoutedStatus{}, fmt.Errorf("%s: %s", owner.name, resp.Status)
+		return RoutedStatus{}, fmt.Errorf("%s: %s", p.backend, resp.Status)
 	}
 	var st service.Status
 	if err := decodeJSON(resp.Body, &st); err != nil {
 		return RoutedStatus{}, err
 	}
-	rs := RoutedStatus{Status: st, Backend: owner.name, BackendID: st.ID}
+	rs := RoutedStatus{Status: st, Backend: p.backend, BackendID: st.ID}
 	rs.ID = j.id
 	if st.State.Terminal() {
 		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if j.backend != p.backend || j.remoteID != p.remoteID {
+			return RoutedStatus{}, fmt.Errorf("job %d moved off %s during the status fetch", j.id, p.backend)
+		}
 		j.terminal = &rs
 		if st.State == service.Succeeded && st.ElapsedMS > 0 {
 			// EWMA (alpha 1/4) of completed-job latency: the saturation
@@ -436,7 +469,6 @@ func (rt *Router) fetchStatus(j *routedJob, owner *backendState) (RoutedStatus, 
 				rt.ewmaMS += (st.ElapsedMS - rt.ewmaMS) / 4
 			}
 		}
-		rt.mu.Unlock()
 	}
 	return rs, nil
 }
@@ -462,20 +494,16 @@ func (rt *Router) status(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.mu.Lock()
-	cached := j.terminal
-	owner := rt.backends[j.backend]
-	up := owner != nil && owner.healthy
-	rt.mu.Unlock()
-	if cached != nil {
-		writeJSON(w, http.StatusOK, cached)
+	p := rt.placementOf(j)
+	if p.terminal != nil {
+		writeJSON(w, http.StatusOK, p.terminal)
 		return
 	}
-	if !up {
+	if !p.up {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("job %d: backend unavailable, failover pending", j.id))
 		return
 	}
-	rs, err := rt.fetchStatus(j, owner)
+	rs, err := rt.fetchStatus(j, p)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, err)
 		return
@@ -488,26 +516,22 @@ func (rt *Router) cancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.mu.Lock()
-	owner := rt.backends[j.backend]
-	up := owner != nil && owner.healthy
-	cached := j.terminal
-	rt.mu.Unlock()
-	if cached != nil {
-		writeJSON(w, http.StatusOK, cached)
+	p := rt.placementOf(j)
+	if p.terminal != nil {
+		writeJSON(w, http.StatusOK, p.terminal)
 		return
 	}
-	if !up {
+	if !p.up {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("job %d: backend unavailable", j.id))
 		return
 	}
-	resp, err := rt.client.Post(fmt.Sprintf("%s/jobs/%d/cancel", owner.url, j.remoteID), "application/json", nil)
+	resp, err := rt.client.Post(fmt.Sprintf("%s/jobs/%d/cancel", p.url, p.remoteID), "application/json", nil)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, err)
 		return
 	}
 	_ = resp.Body.Close() // response body unused; status refetched below
-	rs, err := rt.fetchStatus(j, owner)
+	rs, err := rt.fetchStatus(j, p)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, err)
 		return
@@ -520,34 +544,25 @@ func (rt *Router) cancel(w http.ResponseWriter, r *http.Request) {
 // the last-known identity with no state detail).
 func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
-	ids := make([]int64, len(rt.order))
-	copy(ids, rt.order)
+	jobs := make([]*routedJob, 0, len(rt.order))
+	for _, id := range rt.order {
+		jobs = append(jobs, rt.jobs[id])
+	}
 	rt.mu.Unlock()
-	out := make([]RoutedStatus, 0, len(ids))
-	for _, id := range ids {
-		rt.mu.Lock()
-		j := rt.jobs[id]
-		var cached *RoutedStatus
-		var owner *backendState
-		up := false
-		if j != nil {
-			cached = j.terminal
-			owner = rt.backends[j.backend]
-			up = owner != nil && owner.healthy
-		}
-		rt.mu.Unlock()
+	out := make([]RoutedStatus, 0, len(jobs))
+	for _, j := range jobs {
+		p := rt.placementOf(j)
 		switch {
-		case j == nil:
-		case cached != nil:
-			out = append(out, *cached)
-		case up:
-			if rs, err := rt.fetchStatus(j, owner); err == nil {
-				out = append(out, rs)
-			} else {
-				out = append(out, RoutedStatus{Status: service.Status{ID: j.id}, Backend: j.backend, BackendID: j.remoteID})
+		case p.terminal != nil:
+			out = append(out, *p.terminal)
+		case p.up:
+			rs, err := rt.fetchStatus(j, p)
+			if err != nil {
+				rs = p.row(j)
 			}
+			out = append(out, rs)
 		default:
-			out = append(out, RoutedStatus{Status: service.Status{ID: j.id}, Backend: j.backend, BackendID: j.remoteID})
+			out = append(out, p.row(j))
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -441,3 +441,64 @@ func TestRouterReplacesOrphans(t *testing.T) {
 		t.Fatalf("%d orphans after re-placement", n)
 	}
 }
+
+// TestRouterStatusReadsOnePlacement: a status poll that reaches a job's old
+// owner while the job moves must not cache the old owner's answer as the
+// job's. The old owner's GET blocks until the test has re-routed the job and
+// then reports its own job terminal with its own digest; the router must go on
+// to report the new owner's.
+func TestRouterStatusReadsOnePlacement(t *testing.T) {
+	fake := func(id int64, digest string, asked chan<- struct{}, release <-chan struct{}) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusAccepted, service.Status{ID: id, State: service.Queued})
+		})
+		mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+			if asked != nil {
+				asked <- struct{}{}
+				<-release
+			}
+			writeJSON(w, http.StatusOK, service.Status{ID: id, State: service.Succeeded, SinkDigest: digest})
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	asked, release := make(chan struct{}), make(chan struct{})
+	oldTS := fake(1, "old-digest", asked, release)
+	newTS := fake(7, "new-digest", nil, nil)
+	rt := NewRouter(RouterConfig{Client: &http.Client{Timeout: 5 * time.Second}})
+	for name, url := range map[string]string{"old": oldTS.URL, "new": newTS.URL} {
+		if err := rt.AddBackend(name, url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(rt.Mux())
+	t.Cleanup(ts.Close)
+
+	resp, rs := submitViaRouter(t, ts.URL, keyOwnedBy("old", "old", "new"), `{"name":"moving"}`)
+	if resp.StatusCode != http.StatusAccepted || rs.Backend != "old" {
+		t.Fatalf("submit: %s onto %q, want 202 onto old", resp.Status, rs.Backend)
+	}
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		if resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, rs.ID)); err == nil {
+			_ = resp.Body.Close() // whatever it says, the job was moving
+		}
+	}()
+	<-asked // the poll is at the old owner
+	rt.mu.Lock()
+	j := rt.jobs[rs.ID]
+	rt.backends["old"].draining = true
+	rt.mu.Unlock()
+	rt.rerouteJobs([]*routedJob{j}, "drain-migrate")
+	close(release)
+	<-polled
+
+	final := waitTerminal(t, ts.URL, rs.ID, 5*time.Second)
+	if final.Backend != "new" || final.BackendID != 7 || final.SinkDigest != "new-digest" {
+		t.Fatalf("moved job reports %s job %d with digest %q, want new job 7 with new-digest",
+			final.Backend, final.BackendID, final.SinkDigest)
+	}
+}

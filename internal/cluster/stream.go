@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"ftdag/internal/journal"
 )
@@ -35,12 +34,10 @@ type FollowerStats struct {
 	// dropped connection — after which the follower re-fetched from its
 	// last durable offset.
 	Resumes int64 `json:"resumes"`
-	// Errors counts failed rounds (primary unreachable, bad manifest).
-	Errors int64 `json:"errors"`
 }
 
 // Follower mirrors one primary's journal into a local directory.
-// Safe for use by one Run loop plus concurrent Stats/Stop callers.
+// Safe for use by one Sync caller plus concurrent Stats callers.
 type Follower struct {
 	base   string // primary base URL, e.g. http://127.0.0.1:8080
 	dir    string
@@ -48,10 +45,6 @@ type Follower struct {
 
 	mu    sync.Mutex
 	stats FollowerStats
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{} // nil until Run starts the loop
 }
 
 // NewFollower tails the primary at baseURL into dir (created if absent).
@@ -70,12 +63,8 @@ func NewFollower(baseURL, dir string, client *http.Client) (*Follower, error) {
 		base:   baseURL,
 		dir:    dir,
 		client: client,
-		stop:   make(chan struct{}),
 	}, nil
 }
-
-// Dir returns the mirror directory.
-func (f *Follower) Dir() string { return f.dir }
 
 // Stats returns a snapshot of the replication counters.
 func (f *Follower) Stats() FollowerStats {
@@ -84,48 +73,11 @@ func (f *Follower) Stats() FollowerStats {
 	return f.stats
 }
 
-// Run polls Sync every interval until Stop. Errors are counted and
-// logged, not fatal: a primary mid-restart or a dropped connection is
-// survivable — the next round resumes from the last durable offset.
-// Run, Stop, and Promote must be sequenced by one owner goroutine.
-func (f *Follower) Run(interval time.Duration) {
-	f.done = make(chan struct{})
-	go func() {
-		defer close(f.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.stop:
-				return
-			case <-t.C:
-				if _, err := f.Sync(); err != nil {
-					f.mu.Lock()
-					f.stats.Errors++
-					f.mu.Unlock()
-					log.Printf("cluster: follower sync: %v", err)
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the Run loop and waits for it to exit; a no-op when Run was
-// never started. Safe to call more than once.
-func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	if f.done != nil {
-		<-f.done
-	}
-}
-
-// Promote stops replication and opens the mirror as a live journal —
-// the crash-restart path: snapshot restore, segment replay, torn-tail
-// truncation. The caller owns the returned journal (typically feeding it
-// to service.New so incomplete jobs re-run). opts.Dir is overridden with
-// the mirror directory.
+// Promote opens the mirror as a live journal — the crash-restart path:
+// snapshot restore, segment replay, torn-tail truncation. The caller owns the
+// returned journal (typically feeding it to service.New so incomplete jobs
+// re-run). opts.Dir is overridden with the mirror directory.
 func (f *Follower) Promote(opts journal.Options) (*journal.Journal, error) {
-	f.Stop()
 	opts.Dir = f.dir
 	return journal.Open(opts)
 }

@@ -136,7 +136,8 @@ const streamHeaderLen = 24
 
 func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 	t.Helper()
-	j, err := journal.Open(journal.Options{Dir: t.TempDir(), NoSync: true})
+	dir := t.TempDir()
+	j, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 		t.Fatal(err)
 	}
 	for _, seg := range m.Segments {
-		want, err := os.ReadFile(filepath.Join(j.Dir(), journal.SegmentFileName(seg.Seq)))
+		want, err := os.ReadFile(filepath.Join(dir, journal.SegmentFileName(seg.Seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(f.Dir(), journal.SegmentFileName(seg.Seq)))
+		got, err := os.ReadFile(filepath.Join(f.dir, journal.SegmentFileName(seg.Seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,12 +221,12 @@ func TestPromotionAbsorbsTornTail(t *testing.T) {
 
 	// Simulate the stream dying mid-record: append half a record frame to
 	// the mirror's newest segment.
-	local, err := journal.ScanTailDir(f.Dir())
+	local, err := journal.ScanTailDir(f.dir)
 	if err != nil || len(local.Segments) == 0 {
 		t.Fatalf("mirror scan: %v (%d segments)", err, len(local.Segments))
 	}
 	last := local.Segments[len(local.Segments)-1]
-	seg := filepath.Join(f.Dir(), journal.SegmentFileName(last.Seq))
+	seg := filepath.Join(f.dir, journal.SegmentFileName(last.Seq))
 	fh, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -72,33 +72,19 @@ func TestBaselineWithReuse(t *testing.T) {
 func TestExecutorAccessors(t *testing.T) {
 	g := graph.Diamond(nil)
 	ft := NewFT(g, Config{Timeout: testTimeout})
-	if ft.Store() == nil {
-		t.Fatal("FT.Store nil")
-	}
 	if _, err := ft.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := ft.TaskStatus(3); !ok || st != Completed {
-		t.Fatalf("TaskStatus(3) = %v,%v", st, ok)
+	if task, ok := ft.tasks.Load(3); !ok || task.Status() != Completed {
+		t.Fatalf("task 3 after the run: found %v", ok)
 	}
-	bl := NewBaseline(graph.Diamond(nil), Config{Timeout: testTimeout})
-	if bl.Store() == nil {
-		t.Fatal("Baseline.Store nil")
-	}
-	if _, err := bl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	seq := NewSequential(graph.Diamond(nil), 0)
-	if _, err := seq.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Store() == nil {
-		t.Fatal("Sequential.Store nil")
+	if ft.TasksDiscovered() != 4 {
+		t.Fatalf("TasksDiscovered = %d, want the diamond's 4", ft.TasksDiscovered())
 	}
 	// Task accessors.
 	task := ft.newTask(2, 3) // a descriptor needs a key the spec declares
-	if task.Key() != 2 || task.Life() != 3 {
-		t.Fatalf("accessors: key=%d life=%d", task.Key(), task.Life())
+	if task.key != 2 || task.Life() != 3 {
+		t.Fatalf("accessors: key=%d life=%d", task.key, task.Life())
 	}
 	if ft.DumpStuck(4) == "" {
 		t.Fatal("DumpStuck empty")

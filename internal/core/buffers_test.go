@@ -103,13 +103,14 @@ func TestBufferRecyclingUnderFaults(t *testing.T) {
 func TestBufferRecyclingReplicated(t *testing.T) {
 	for name, g := range wideGraphs() {
 		set := replicateAll(g.spec)
-		plan := fault.NewPlan()
-		for _, k := range fault.SelectTasks(g.spec, fault.AnyTask, 4, 3) {
-			plan.Add(k, fault.SDC, 1)
-		}
+		victims := fault.SelectTasks(g.spec, fault.AnyTask, 4, 3)
 		for _, p := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/P=%d", name, p), func(t *testing.T) {
-				res := verifyFT(t, g.spec, Config{Workers: p, Retention: g.retention, Plan: plan.Clone(), Replicate: set})
+				plan := fault.NewPlan() // a plan fires once: one per run
+				for _, k := range victims {
+					plan.Add(k, fault.SDC, 1)
+				}
+				res := verifyFT(t, g.spec, Config{Workers: p, Retention: g.retention, Plan: plan, Replicate: set})
 				if m := res.Metrics; m.SDCDetected != m.SDCInjected || m.SDCMissed != 0 {
 					t.Fatalf("SDC accounting = injected %d detected %d missed %d", m.SDCInjected, m.SDCDetected, m.SDCMissed)
 				}

@@ -137,10 +137,6 @@ func NewBaseline(spec graph.Spec, cfg Config) *Baseline {
 	return &Baseline{spec: spec, cfg: cfg, store: cfg.newStore(), met: newMetrics(cfg.workers())}
 }
 
-// Store exposes the block store. A run empties it when it ends
-// (block.Store.Release): what the run computed is Result.Sink.
-func (e *exec[S]) Store() *block.Store { return e.store }
-
 // LiveMetrics snapshots the executor's counters mid-run. Safe to call
 // concurrently with the execution (the counters are atomics, summed over the
 // workers' blocks); serves the live-introspection endpoints.
@@ -152,15 +148,6 @@ func (e *exec[S]) LiveStore() block.Stats { return e.met.storeStats(e.store) }
 // TasksDiscovered returns the number of task descriptors inserted so far —
 // a live progress indicator that converges on the graph's task count.
 func (e *exec[S]) TasksDiscovered() int { return e.tasks.Len() }
-
-// TaskStatus returns the status of the current incarnation of key.
-func (e *exec[S]) TaskStatus(key graph.Key) (Status, bool) {
-	t, ok := e.tasks.Load(key)
-	if !ok {
-		return 0, false
-	}
-	return t.Status(), true
-}
 
 // Run executes the task graph to completion on a private pool of
 // cfg.Workers workers and returns the result.

@@ -367,8 +367,8 @@ func TestFTResultFields(t *testing.T) {
 	if res.String() == "" || res.Metrics.String() == "" {
 		t.Fatal("empty result strings")
 	}
-	if st, ok := NewFT(g, Config{}).TaskStatus(0); ok || st != 0 {
-		t.Fatal("TaskStatus on fresh executor should report absence")
+	if _, ok := NewFT(g, Config{}).tasks.Load(0); ok {
+		t.Fatal("a fresh executor holds a task descriptor")
 	}
 }
 

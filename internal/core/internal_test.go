@@ -139,8 +139,12 @@ func TestConfigDefaults(t *testing.T) {
 	if (Config{}).workers() != 1 || (Config{Workers: 7}).workers() != 7 {
 		t.Fatal("workers default wrong")
 	}
-	if (Config{}).newStore().Retention() != 0 {
-		t.Fatal("store retention default wrong")
+	st := (Config{}).newStore()
+	for v := 0; v < 3; v++ {
+		st.Write(0, v, 0, []float64{1})
+	}
+	if _, err := st.Read(0, 0); err != nil {
+		t.Fatalf("store retention default is not unlimited: %v", err)
 	}
 	if (Config{VerifyChecksums: true}).newStore() == nil {
 		t.Fatal("verified store nil")

@@ -12,8 +12,9 @@ import (
 func withWorker(t *testing.T, f func(w *sched.Worker)) {
 	t.Helper()
 	pool := sched.NewPool(1)
-	pool.Submit(func(w *sched.Worker) { f(w) })
-	if !pool.WaitTimeout(testTimeout) {
+	g := pool.NewGroup()
+	g.Submit(func(w *sched.Worker) { f(w) })
+	if !g.WaitTimeout(testTimeout) {
 		t.Fatal("worker did not quiesce")
 	}
 	pool.Close()

@@ -41,7 +41,7 @@ func TestRunReleasesItsStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSink(t, res.Sink)
-		released(t, e.Store())
+		released(t, e.store)
 	})
 	t.Run("NABBIT", func(t *testing.T) {
 		e := NewBaseline(g, cfg)
@@ -50,7 +50,7 @@ func TestRunReleasesItsStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSink(t, res.Sink)
-		released(t, e.Store())
+		released(t, e.store)
 	})
 	t.Run("Sequential", func(t *testing.T) {
 		e := NewSequential(g, 0)
@@ -59,7 +59,7 @@ func TestRunReleasesItsStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSink(t, res.Sink)
-		released(t, e.Store())
+		released(t, e.store)
 	})
 	t.Run("FT/unreadable-sink", func(t *testing.T) {
 		cfg := cfg
@@ -68,7 +68,7 @@ func TestRunReleasesItsStore(t *testing.T) {
 		if _, err := e.Run(); err == nil {
 			t.Fatal("a run whose sink was corrupted after notify returned no error")
 		}
-		released(t, e.Store())
+		released(t, e.store)
 	})
 }
 

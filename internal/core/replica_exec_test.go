@@ -51,13 +51,13 @@ func TestSDCDetectedAndRecovered(t *testing.T) {
 	g := graph.Layered(6, 8, 3, 11, nil)
 	set := replicateAll(g)
 	victims := fault.SelectTasks(g, fault.AnyTask, 3, 7)
-	plan := fault.NewPlan()
-	for _, k := range victims {
-		plan.Add(k, fault.SDC, 1)
-	}
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			res := verifyFT(t, g, Config{Workers: p, Plan: plan.Clone(), Replicate: set})
+			plan := fault.NewPlan() // a plan fires once: one per run
+			for _, k := range victims {
+				plan.Add(k, fault.SDC, 1)
+			}
+			res := verifyFT(t, g, Config{Workers: p, Plan: plan, Replicate: set})
 			m := res.Metrics
 			if m.SDCInjected != int64(len(victims)) {
 				t.Fatalf("SDCInjected = %d, want %d", m.SDCInjected, len(victims))

@@ -24,9 +24,6 @@ func NewSequential(spec graph.Spec, retention int) *Sequential {
 	return &Sequential{spec: spec, store: block.NewStore(retention), met: newMetrics(1)}
 }
 
-// Store exposes the block store, which Run empties when it ends.
-func (e *Sequential) Store() *block.Store { return e.store }
-
 // Run executes every task once, in topological order, and returns the
 // result. A read failure means the spec's dependences do not protect its
 // block reuse and is reported as an error. The store's buffers go to the

@@ -354,12 +354,12 @@ func (c farCtx) ReadPred(pred graph.Key) ([]float64, error) { return c.Context.R
 // itself, so Static's own table takes them too.
 func farStatic(g *graph.Static) *graph.Static {
 	out := graph.NewStatic(nil)
-	for _, k := range g.Keys() {
+	for _, k := range graph.Enumerate(g) {
 		ref := g.Output(k)
 		ref.Block = block.ID(farKey(graph.Key(ref.Block)))
 		out.AddTask(farKey(k), ref)
 	}
-	for _, k := range g.Keys() {
+	for _, k := range graph.Enumerate(g) {
 		for _, p := range g.Predecessors(k) {
 			out.AddEdge(farKey(p), farKey(k))
 		}

@@ -209,9 +209,6 @@ func (t *task[S]) Join(ind int) (won, last bool) {
 	return true, t.nabbit().join.Add(-1) == 0
 }
 
-// Key returns the task's key.
-func (t *task[S]) Key() graph.Key { return t.key }
-
 // Life returns the incarnation number (0 for the original execution, and
 // always under NABBIT).
 func (t *task[S]) Life() int {

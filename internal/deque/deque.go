@@ -123,14 +123,3 @@ func (d *Deque[T]) Steal() *T {
 	}
 	return v
 }
-
-// Len returns a point-in-time estimate of the number of elements. It is
-// exact when no concurrent operations are in flight and is used only for
-// statistics and victim-selection heuristics, never for correctness.
-func (d *Deque[T]) Len() int {
-	n := d.bottom.Load() - d.top.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}

@@ -129,20 +129,6 @@ func (p *Plan) Add(key graph.Key, point Point, lives int) *Plan {
 	return p
 }
 
-// Clone returns a copy of the plan with all injections unfired, so one
-// planned scenario can be replayed across repeated runs. A nil plan clones
-// to nil.
-func (p *Plan) Clone() *Plan {
-	if p == nil {
-		return nil
-	}
-	c := NewPlan()
-	for k, inj := range p.m {
-		c.m[k] = &Injection{Point: inj.Point, Lives: inj.Lives}
-	}
-	return c
-}
-
 // Len returns the number of planned injections.
 func (p *Plan) Len() int {
 	if p == nil {
@@ -189,22 +175,6 @@ func (p *Plan) fire(key graph.Key, life int, point Point) bool {
 			return true
 		}
 	}
-}
-
-// Fired returns the total number of injections that have fired.
-func (p *Plan) Fired() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, inj := range p.m {
-		m := inj.fired.Load()
-		for m != 0 {
-			n += int(m & 1)
-			m >>= 1
-		}
-	}
-	return n
 }
 
 // versionInfo captures, for every task, the version it produces and the

@@ -203,8 +203,8 @@ func (c *mapCtx) Write(d []float64)                 { c.out = d }
 // TestStaticArbitraryKeys: Static keeps its nodes in a table that
 // direct-indexes small non-negative keys and hashes the rest. A graph whose
 // keys are sparse, negative and beyond the direct-indexed range is the same
-// graph: Keys is sorted, the structure validates, an undeclared key has no
-// predecessors, no successors and no output.
+// graph: its keys are all there, the structure validates, an undeclared key
+// has no predecessors, no successors and no output.
 func TestStaticArbitraryKeys(t *testing.T) {
 	keys := []Key{math.MaxInt64, 5, -1, cmap.TableCap, 0, math.MinInt64, 1 << 20, cmap.TableCap - 1, -77, 4096}
 	g := NewStatic(nil)
@@ -218,8 +218,8 @@ func TestStaticArbitraryKeys(t *testing.T) {
 	}
 	g.AddEdge(sorted[0], sorted[len(sorted)-1])
 	g.SetSink(sorted[len(sorted)-1])
-	if got := g.Keys(); !slices.Equal(got, sorted) {
-		t.Fatalf("Keys = %v, want %v", got, sorted)
+	if got := sortedKeys(g); !slices.Equal(got, sorted) {
+		t.Fatalf("keys = %v, want %v", got, sorted)
 	}
 	if err := Validate(g); err != nil {
 		t.Fatal(err)
@@ -236,18 +236,31 @@ func TestStaticArbitraryKeys(t *testing.T) {
 		if g.Predecessors(k) != nil || g.Successors(k) != nil {
 			t.Fatalf("undeclared key %d has edges", k)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Output(%d) of an undeclared key did not panic", k)
-				}
-			}()
-			g.Output(k)
-		}()
+		outputPanics(t, g, k)
 	}
 	// An edge alone declares nothing.
 	g.AddEdge(-5, 9)
-	if got := g.Keys(); !slices.Equal(got, sorted) {
-		t.Fatalf("Keys after an edge between undeclared tasks = %v, want %v", got, sorted)
+	outputPanics(t, g, -5)
+	outputPanics(t, g, 9)
+	if got := sortedKeys(g); !slices.Equal(got, sorted) {
+		t.Fatalf("keys after an edge between undeclared tasks = %v, want %v", got, sorted)
 	}
+}
+
+// sortedKeys returns the tasks of g in ascending key order.
+func sortedKeys(g Spec) []Key {
+	ks := Enumerate(g)
+	slices.Sort(ks)
+	return ks
+}
+
+// outputPanics fails t unless Output(k) of g, an undeclared key, panics.
+func outputPanics(t *testing.T, g Spec, k Key) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Output(%d) of an undeclared key did not panic", k)
+		}
+	}()
+	g.Output(k)
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"ftdag/internal/block"
@@ -83,19 +82,6 @@ func (g *Static) AddEdge(from, to Key) *Static {
 
 // SetSink designates the sink task.
 func (g *Static) SetSink(k Key) *Static { g.sink = k; return g }
-
-// Keys returns all declared task keys in sorted order.
-func (g *Static) Keys() []Key {
-	ks := make([]Key, 0, g.nodes.Len())
-	g.nodes.Range(func(k Key, n *staticNode) bool {
-		if n.declared {
-			ks = append(ks, k)
-		}
-		return true
-	})
-	slices.Sort(ks)
-	return ks
-}
 
 // Spec interface.
 

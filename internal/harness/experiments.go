@@ -5,6 +5,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/stats"
 	"ftdag/internal/trace"
@@ -63,7 +64,7 @@ func (h *Harness) Fig4() ([]Fig4Row, error) {
 					return nil, err
 				}
 				bt = append(bt, bres.Elapsed.Seconds())
-				fres, err := h.RunFT(name, p, nil, h.opts.Verify && r == 0)
+				fres, err := h.RunFT(name, core.Config{Workers: p}, h.opts.Verify && r == 0)
 				if err != nil {
 					return nil, err
 				}
@@ -104,12 +105,12 @@ type OverheadRow struct {
 func (h *Harness) measureOverhead(name string, workers int, point fault.Point, typ fault.TaskType, count int) (mean, std, reexec float64, err error) {
 	var overs, reex []float64
 	for r := 0; r < h.opts.Runs; r++ {
-		baseRes, err := h.RunFT(name, workers, nil, false)
+		baseRes, err := h.RunFT(name, core.Config{Workers: workers}, false)
 		if err != nil {
 			return 0, 0, 0, err
 		}
 		plan := fault.PlanCount(h.App(name).Spec(), typ, point, count, h.opts.Seed+int64(r))
-		res, err := h.RunFT(name, workers, plan, h.opts.Verify && r == 0)
+		res, err := h.RunFT(name, core.Config{Workers: workers, Plan: plan}, h.opts.Verify && r == 0)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -218,7 +219,7 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 			var reex []int64
 			for r := 0; r < h.opts.Runs; r++ {
 				plan := fault.PlanCount(h.App(name).Spec(), ty, fault.AfterNotify, count, h.opts.Seed+int64(r))
-				res, err := h.RunFT(name, h.opts.Workers, plan, h.opts.Verify && r == 0)
+				res, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Plan: plan}, h.opts.Verify && r == 0)
 				if err != nil {
 					return nil, err
 				}
@@ -273,7 +274,7 @@ func (h *Harness) CriticalPaths() ([]CriticalPathRow, error) {
 		ctx := trace.SpanContext{Trace: trace.NewTraceID(), Span: sp.NextID()}
 		//lint:ignore detrand span timings are observability output only; they never enter a result digest
 		start := time.Now()
-		if _, err := h.RunFTTraced(name, h.opts.Workers, plan, sp, ctx); err != nil {
+		if _, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Plan: plan, Spans: sp, SpanCtx: ctx, SpanJob: -1}, false); err != nil {
 			return nil, err
 		}
 		//lint:ignore detrand span timings are observability output only; they never enter a result digest

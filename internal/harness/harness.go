@@ -29,8 +29,6 @@ import (
 	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/replica"
-	"ftdag/internal/trace"
 )
 
 // AppNames is the fixed presentation order used by the paper's tables.
@@ -157,9 +155,6 @@ func New(opts Options) *Harness {
 	}
 }
 
-// Options returns the effective options.
-func (h *Harness) Options() Options { return h.opts }
-
 // App returns (constructing if needed) the named benchmark instance.
 func (h *Harness) App(name string) apps.App {
 	if a, ok := h.insts[name]; ok {
@@ -198,67 +193,21 @@ func gomaxprocs(p int) func() {
 	return func() {}
 }
 
-// RunFT executes the named app once under the FT scheduler.
-func (h *Harness) RunFT(name string, workers int, plan *fault.Plan, verify bool) (*core.Result, error) {
+// RunFT executes the named app once under the FT scheduler with cfg, its
+// Retention taken from the app and GOMAXPROCS raised to cfg.Workers; the
+// caller sets the Plan, the Replicate set or the Spans.
+func (h *Harness) RunFT(name string, cfg core.Config, verify bool) (*core.Result, error) {
 	a := h.App(name)
-	restore := gomaxprocs(workers)
+	restore := gomaxprocs(cfg.Workers)
 	defer restore()
-	res, err := core.NewFT(a.Spec(), core.Config{
-		Workers:   workers,
-		Retention: a.Retention(),
-		Plan:      plan,
-	}).Run()
+	cfg.Retention = a.Retention()
+	res, err := core.NewFT(a.Spec(), cfg).Run()
 	if err != nil {
-		return nil, fmt.Errorf("%s (P=%d): %w", name, workers, err)
+		return nil, fmt.Errorf("%s (P=%d): %w", name, cfg.Workers, err)
 	}
 	if verify {
 		if err := a.VerifySink(res.Sink); err != nil {
-			return nil, fmt.Errorf("%s (P=%d): %w", name, workers, err)
-		}
-	}
-	return res, nil
-}
-
-// RunFTTraced executes the named app once under the FT scheduler with
-// executor spans (compute, inject, recover) recorded into sp under ctx —
-// the run's root span, which the caller emits once the run's duration is
-// known. Used by the Table II critical-path report.
-func (h *Harness) RunFTTraced(name string, workers int, plan *fault.Plan, sp *trace.Spans, ctx trace.SpanContext) (*core.Result, error) {
-	a := h.App(name)
-	restore := gomaxprocs(workers)
-	defer restore()
-	res, err := core.NewFT(a.Spec(), core.Config{
-		Workers:   workers,
-		Retention: a.Retention(),
-		Plan:      plan,
-		Spans:     sp,
-		SpanCtx:   ctx,
-		SpanJob:   -1,
-	}).Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s traced (P=%d): %w", name, workers, err)
-	}
-	return res, nil
-}
-
-// RunFTReplicated executes the named app once under the FT scheduler with
-// the given replica set (nil degrades to a plain FT run).
-func (h *Harness) RunFTReplicated(name string, workers int, plan *fault.Plan, set *replica.Set, verify bool) (*core.Result, error) {
-	a := h.App(name)
-	restore := gomaxprocs(workers)
-	defer restore()
-	res, err := core.NewFT(a.Spec(), core.Config{
-		Workers:   workers,
-		Retention: a.Retention(),
-		Plan:      plan,
-		Replicate: set,
-	}).Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s replicated (P=%d): %w", name, workers, err)
-	}
-	if verify {
-		if err := a.VerifySink(res.Sink); err != nil {
-			return nil, fmt.Errorf("%s replicated (P=%d): %w", name, workers, err)
+			return nil, fmt.Errorf("%s (P=%d): %w", name, cfg.Workers, err)
 		}
 	}
 	return res, nil
@@ -356,7 +305,7 @@ func (h *Harness) CalibrateCount(name string, point fault.Point, typ fault.TaskT
 	const pilotRuns = 2
 	for r := 0; r < pilotRuns; r++ {
 		plan := fault.PlanCount(h.App(name).Spec(), typ, point, pilot, h.opts.Seed+1000+int64(r))
-		res, err := h.RunFT(name, h.opts.Workers, plan, false)
+		res, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Plan: plan}, false)
 		if err != nil {
 			return 0, fmt.Errorf("calibrating %s: %w", key, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"ftdag/internal/core"
 	"ftdag/internal/fault"
 	"ftdag/internal/replica"
 	"ftdag/internal/stats"
@@ -60,11 +61,11 @@ func (h *Harness) Replication() ([]ReplicationRow, error) {
 			var overs, clean, shadows []float64
 			var injected, detected int64
 			for r := 0; r < h.opts.Runs; r++ {
-				base, err := h.RunFT(name, h.opts.Workers, nil, false)
+				base, err := h.RunFT(name, core.Config{Workers: h.opts.Workers}, false)
 				if err != nil {
 					return nil, err
 				}
-				res, err := h.RunFTReplicated(name, h.opts.Workers, nil, set, h.opts.Verify && r == 0)
+				res, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Replicate: set}, h.opts.Verify && r == 0)
 				if err != nil {
 					return nil, err
 				}
@@ -79,7 +80,7 @@ func (h *Harness) Replication() ([]ReplicationRow, error) {
 				for _, k := range fault.SelectTasks(a.Spec(), fault.AnyTask, nv, h.opts.Seed+int64(r)) {
 					plan.Add(k, fault.SDC, 1)
 				}
-				sres, err := h.RunFTReplicated(name, h.opts.Workers, plan, set, false)
+				sres, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Plan: plan, Replicate: set}, false)
 				if err != nil {
 					return nil, err
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"ftdag/internal/core"
 	"ftdag/internal/graph"
 )
 
@@ -43,7 +44,7 @@ func (h *Harness) Theory() ([]TheoryRow, error) {
 		for _, p := range h.sortedCores() {
 			var ts []float64
 			for r := 0; r < h.opts.Runs; r++ {
-				res, err := h.RunFT(name, p, nil, false)
+				res, err := h.RunFT(name, core.Config{Workers: p}, false)
 				if err != nil {
 					return nil, err
 				}

@@ -622,6 +622,3 @@ func (j *Journal) Truncated() (bytes int64, truncated bool) {
 	s := j.Stats()
 	return s.TruncatedBytes, s.TruncatedBytes > 0
 }
-
-// Dir returns the journal's data directory.
-func (j *Journal) Dir() string { return j.dir }

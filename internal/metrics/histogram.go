@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
-
-	"ftdag/internal/stats"
 )
 
 // numBuckets bounds the histogram at 2^39 ns ≈ 550 s for seconds
@@ -16,10 +14,7 @@ const numBuckets = 40
 // observations (nanoseconds for latency histograms): bucket i counts values
 // v with 2^(i−1) ≤ v < 2^i (bucket 0 counts v = 0), so Observe is a
 // bits.Len64 plus three uncontended atomic adds — cheap enough for the
-// scheduler's per-task paths. Quantiles interpolate linearly inside the
-// containing bucket using the same rank convention as the exact sample
-// percentiles in internal/stats, so `p95` means the same thing in a live
-// scrape and in a harness report.
+// scheduler's per-task paths.
 type Histogram struct {
 	counts  [numBuckets]atomic.Int64
 	sum     atomic.Int64
@@ -99,56 +94,10 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed values (0 on a nil histogram).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // bucketBounds returns the half-open value range [lo, hi) of bucket i.
 func bucketBounds(i int) (lo, hi float64) {
 	if i == 0 {
 		return 0, 1
 	}
 	return float64(uint64(1) << (i - 1)), float64(uint64(1) << i)
-}
-
-// Quantile returns an estimate of the q-quantile of the observed values (in
-// raw units, i.e. nanoseconds for a seconds histogram; 0 with no
-// observations). The rank is stats.Rank — the same convention as the exact
-// percentiles in stats.Summarize — located in the cumulative bucket counts
-// and interpolated linearly inside the containing bucket, so the estimate is
-// within one log-bucket of the exact value.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var counts [numBuckets]int64
-	total := int64(0)
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := stats.Rank(int(total), q)
-	cum := float64(0)
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if rank < cum+float64(c) || i == numBuckets-1 {
-			lo, hi := bucketBounds(i)
-			frac := (rank - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += float64(c)
-	}
-	return 0 // unreachable: total > 0 places the rank in some bucket
 }

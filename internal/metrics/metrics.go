@@ -18,7 +18,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,22 +38,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n. No-op on a nil counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a settable int64 level (queue depth, running jobs).
 type Gauge struct {
 	v atomic.Int64
@@ -66,22 +49,6 @@ func (g *Gauge) Set(n int64) {
 		return
 	}
 	g.v.Store(n)
-}
-
-// Add adds n (may be negative). No-op on a nil gauge.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current level (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // series is one rendered time series within a family.
@@ -311,15 +278,3 @@ func escapeLabelValue(v string) string {
 // formatFloat renders a value the way Prometheus clients do: shortest
 // round-trip representation.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// sortedCopy is a test/diagnostic helper: Gather sorted by name+labels.
-func (r *Registry) sortedCopy() []Sample {
-	out := r.Gather()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Labels < out[j].Labels
-	})
-	return out
-}

@@ -55,7 +55,6 @@ type Score struct {
 type Set struct {
 	members map[graph.Key]bool
 	keys    []graph.Key // sorted
-	total   int         // tasks in the graph at selection time
 }
 
 // Contains reports whether the task is selected for replication. Safe on a
@@ -73,23 +72,6 @@ func (s *Set) Len() int {
 		return 0
 	}
 	return len(s.keys)
-}
-
-// Total returns the number of tasks in the graph the set was selected from.
-func (s *Set) Total() int {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
-
-// Fraction returns the selected fraction of the graph's tasks — the
-// realized replication overhead in task counts.
-func (s *Set) Fraction() float64 {
-	if s == nil || s.total == 0 {
-		return 0
-	}
-	return float64(len(s.keys)) / float64(s.total)
 }
 
 // Keys returns the selected task keys in ascending order. The caller must
@@ -125,7 +107,7 @@ func Select(s graph.Spec, p Policy) *Set {
 	if n > total {
 		n = total
 	}
-	set := &Set{members: make(map[graph.Key]bool, n), total: total}
+	set := &Set{members: make(map[graph.Key]bool, n)}
 	for _, sc := range scores[:n] {
 		set.members[sc.Key] = true
 		set.keys = append(set.keys, sc.Key)

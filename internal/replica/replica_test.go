@@ -37,15 +37,11 @@ func TestSelectDeterministic(t *testing.T) {
 func TestSelectBudgetExtremes(t *testing.T) {
 	g := graph.Layered(5, 6, 3, 7, nil)
 	total := graph.Analyze(g).Tasks
-	if s := Select(g, Policy{Budget: 0}); s.Len() != 0 || s.Fraction() != 0 {
+	if s := Select(g, Policy{Budget: 0}); s.Len() != 0 {
 		t.Fatalf("budget 0 selected %d tasks", s.Len())
 	}
-	s := Select(g, Policy{Budget: 1})
-	if s.Len() != total || s.Fraction() != 1 {
+	if s := Select(g, Policy{Budget: 1}); s.Len() != total {
 		t.Fatalf("budget 1 selected %d/%d tasks", s.Len(), total)
-	}
-	if s.Total() != total {
-		t.Fatalf("Total = %d, want %d", s.Total(), total)
 	}
 }
 
@@ -95,7 +91,7 @@ func TestRankPrefersFanOutAndCriticalPath(t *testing.T) {
 
 func TestNilSetIsEmpty(t *testing.T) {
 	var s *Set
-	if s.Contains(0) || s.Len() != 0 || s.Fraction() != 0 || s.Keys() != nil {
+	if s.Contains(0) || s.Len() != 0 || s.Keys() != nil {
 		t.Fatal("nil set is not empty")
 	}
 }

@@ -11,11 +11,12 @@ import (
 // Group tracks one logical job's work on a shared Pool: a subset of the
 // pool's jobs with its own tally, quiescence condition, and abort flag. It is
 // what lets a long-lived pool serve many concurrent task-graph executions —
-// each execution waits on (and cancels) only its own group, while
-// Pool.Wait/Pool.Abort retain their whole-pool semantics.
+// each execution waits on (and cancels) only its own group, while Pool.Wait
+// keeps its whole-pool semantics. A group's Abort is the only way to cancel
+// work.
 //
-// Every function routed through Submit/Spawn carries the group in its job
-// record (not a wrapper closure — the spawn path stays allocation-free);
+// Every function routed through Submit/SpawnRunner carries the group in its
+// job record (not a wrapper closure — the spawn path stays allocation-free);
 // the worker loop applies the group contract: (a) an aborted group's queued
 // work becomes a no-op instead of being discarded — it is still counted
 // done, so other groups' progress and the pool's own quiescence are
@@ -73,9 +74,6 @@ func (p *Pool) NewGroup() *Group {
 	return g
 }
 
-// Pool returns the pool the group schedules onto.
-func (g *Group) Pool() *Pool { return g.pool }
-
 // Submit schedules f from outside the pool as part of this group. The first
 // Submit after the group was idle takes the group's hold on the pool.
 func (g *Group) Submit(f Func) {
@@ -117,13 +115,10 @@ func (g *Group) release() {
 	g.mu.Unlock()
 }
 
-// Spawn schedules f from a job running on w as part of this group. Like
-// Worker.Spawn it must be called from a job executing on w; f lands on w's
-// own deque.
-func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
-
-// SpawnRunner is Spawn for a Runner (see Worker.SpawnRunner). On a nil group
-// it is Worker.SpawnRunner.
+// SpawnRunner schedules r.Run(w', arg) from a job running on w as part of
+// this group. Like Worker.SpawnRunner it must be called from a job executing
+// on w; the job lands on w's own deque. On a nil group it is
+// Worker.SpawnRunner.
 func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
 	w.spawnJob(job{run: r, arg: arg, g: g})
 }
@@ -135,12 +130,6 @@ func (g *Group) SpawnAvoiding(w *Worker, f Func) int {
 	g.tally.external().added.Add(1)
 	return g.pool.submitAvoidingJob(w.ID(), job{run: f, g: g})
 }
-
-// Pending returns the group's outstanding job count (scheduled but not yet
-// finished or skipped). Mid-run it may count a job that finished during the
-// call; it is zero once Wait has returned from quiescence, and once Pool.Wait
-// has returned.
-func (g *Group) Pending() int64 { return g.tally.pending() }
 
 // Abort cancels the group cooperatively: functions of this group that have
 // not started yet run as no-ops, currently running ones finish normally, and

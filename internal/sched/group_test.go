@@ -48,43 +48,64 @@ func TestGroupIsolatedQuiescence(t *testing.T) {
 	}
 }
 
-// TestGroupAbortIsLocalized: aborting one group skips its queued work but
-// leaves the other group (and the pool's own quiescence) intact.
+// TestGroupAbortIsLocalized: aborting a group returns its Wait while its
+// root job still runs, and turns its queued jobs into no-ops that are still
+// counted done; a sibling group on the same pool runs to completion, and the
+// pool still drains and closes. On one worker every queued job of the aborted
+// group is skipped; on two a thief may run some of them before the abort.
 func TestGroupAbortIsLocalized(t *testing.T) {
-	pool := NewPool(2)
-	var aborted, survivor atomic.Int64
+	for _, workers := range []int{1, 2} {
+		pool := NewPool(workers)
+		var aborted, survivor atomic.Int64
 
-	gA := pool.NewGroup()
-	gB := pool.NewGroup()
-	gate := make(chan struct{})
-	gA.Submit(func(w *Worker) {
-		for i := 0; i < 64; i++ {
-			gA.Spawn(w, func(w *Worker) { aborted.Add(1) })
+		gA := pool.NewGroup()
+		gB := pool.NewGroup()
+		spawned, gate := make(chan struct{}), make(chan struct{})
+		gA.Submit(func(w *Worker) {
+			for i := 0; i < 64; i++ {
+				gA.Spawn(w, func(w *Worker) { aborted.Add(1) })
+			}
+			close(spawned)
+			<-gate // hold the worker so the spawns sit in the deque
+		})
+		<-spawned
+		for i := 0; i < 32; i++ {
+			gB.Submit(func(w *Worker) { survivor.Add(1) })
 		}
-		<-gate // hold the worker so the spawns sit in the deque
-	})
-	for i := 0; i < 32; i++ {
-		gB.Submit(func(w *Worker) { survivor.Add(1) })
-	}
-	gA.Abort()
-	close(gate)
-	if !gB.WaitTimeout(groupTestTimeout) {
-		t.Fatal("survivor group did not quiesce after sibling abort")
-	}
-	if got := survivor.Load(); got != 32 {
-		t.Fatalf("survivor group ran %d jobs, want 32", got)
-	}
-	// The pool itself must still drain: aborted-group functions no-op but
-	// are still accounted, so Close must not hang.
-	done := make(chan Stats, 1)
-	go func() { done <- pool.Close() }()
-	select {
-	case <-done:
-	case <-time.After(groupTestTimeout):
-		t.Fatal("pool did not drain after group abort")
-	}
-	if !gA.Aborted() {
-		t.Fatal("Aborted() = false after Abort")
+		gA.Abort()
+		if !gA.WaitTimeout(groupTestTimeout) {
+			t.Fatalf("P=%d: aborted group's Wait did not return while its root job ran", workers)
+		}
+		close(gate)
+		if !gB.WaitTimeout(groupTestTimeout) {
+			t.Fatalf("P=%d: survivor group did not quiesce after sibling abort", workers)
+		}
+		if got := survivor.Load(); got != 32 {
+			t.Fatalf("P=%d: survivor group ran %d jobs, want 32", workers, got)
+		}
+		// The pool itself must still drain: aborted-group functions no-op but
+		// are still accounted, so Close must not hang.
+		done := make(chan Stats, 1)
+		go func() { done <- pool.Close() }()
+		select {
+		case <-done:
+		case <-time.After(groupTestTimeout):
+			t.Fatalf("P=%d: pool did not drain after group abort", workers)
+		}
+		waitDrained(t, gA)
+		var counted int64
+		for i := range gA.tally {
+			counted += gA.tally[i].done.Load()
+		}
+		if counted != 65 {
+			t.Fatalf("P=%d: aborted group counted %d jobs done, want its root and 64 spawns", workers, counted)
+		}
+		if ran := aborted.Load(); workers == 1 && ran != 0 {
+			t.Fatalf("P=1: %d queued jobs of the aborted group ran", ran)
+		}
+		if !gA.Aborted() {
+			t.Fatal("Aborted() = false after Abort")
+		}
 	}
 }
 
@@ -135,12 +156,14 @@ func TestPoolReuseSubmitWaitCycles(t *testing.T) {
 	}
 }
 
-// TestAbortRacesSubmitAndSpawn hammers Abort against concurrent external
-// Submits and in-pool Spawns: no deadlock, no panic, and Wait returns
-// promptly regardless of who wins the race.
+// TestAbortRacesSubmitAndSpawn hammers a group's Abort against concurrent
+// external Submits to it and Spawns from its running jobs: no deadlock, no
+// panic, and the group's Wait and the pool's Close return promptly whoever
+// wins the race.
 func TestAbortRacesSubmitAndSpawn(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		pool := NewPool(4)
+		g := pool.NewGroup()
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		// Submitters race the abort from outside.
@@ -154,26 +177,26 @@ func TestAbortRacesSubmitAndSpawn(t *testing.T) {
 						return
 					default:
 					}
-					pool.Submit(func(w *Worker) {
+					g.Submit(func(w *Worker) {
 						// Spawners race the abort from inside.
-						w.Spawn(func(w *Worker) {})
+						g.Spawn(w, func(w *Worker) {})
 					})
 				}
 			}()
 		}
 		time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
-		pool.Abort()
-		waited := make(chan struct{})
-		go func() { pool.Wait(); close(waited) }()
-		select {
-		case <-waited:
-		case <-time.After(groupTestTimeout):
-			t.Fatal("Wait hung after Abort racing Submit/Spawn")
+		g.Abort()
+		if !g.WaitTimeout(groupTestTimeout) {
+			t.Fatal("group Wait hung after Abort racing Submit/Spawn")
 		}
 		close(stop)
 		wg.Wait()
-		if !pool.Aborted() {
-			t.Fatal("pool not marked aborted")
+		done := make(chan Stats, 1)
+		go func() { done <- pool.Close() }()
+		select {
+		case <-done:
+		case <-time.After(groupTestTimeout):
+			t.Fatal("pool close hung after a group abort raced Submit/Spawn")
 		}
 	}
 }

@@ -104,10 +104,3 @@ func (r *injRing) dequeue() (job, bool) {
 		}
 	}
 }
-
-// empty reports whether the ring has no published jobs. Advisory only.
-func (r *injRing) empty() bool {
-	h := r.head.Load()
-	s := &r.slots[h&r.mask]
-	return s.seq.Load() != h+1
-}

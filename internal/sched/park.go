@@ -109,9 +109,8 @@ func (p *Pool) wakeWorker(w *Worker) {
 	}
 }
 
-// wakeAll drains the parked stack, waking every worker. Used on Abort and
-// Close, after the stop flag is set, so blocked workers observe it and
-// exit.
+// wakeAll drains the parked stack, waking every worker. Used by Close, after
+// the stop flag is set, so blocked workers observe it and exit.
 func (p *Pool) wakeAll() {
 	for {
 		w := p.popParked()

@@ -137,9 +137,9 @@ type Worker struct {
 	onStack  atomic.Bool
 	parkCh   chan struct{}
 
-	// Directed queue: jobs pinned to this worker by SubmitTo. Unlike deque
-	// jobs these are never stolen — replica placement relies on the pinned
-	// job actually running on this worker.
+	// Directed queue: jobs pinned to this worker by SubmitAvoiding. Unlike
+	// deque jobs these are never stolen — replica placement relies on the
+	// pinned job actually running on this worker.
 	dirMu  sync.Mutex
 	dir    []job
 	dirLen atomic.Int64 // lock-free emptiness peek
@@ -224,14 +224,13 @@ type Pool struct {
 
 	// What every spawn and every turn of the worker loop reads — the head
 	// of the parked-worker stack (park.go), with its count for
-	// observability, and the stop flags — is written only when a worker
+	// observability, and the stop flag — is written only when a worker
 	// parks or wakes or the pool stops. The pad keeps it off the line of the
 	// submission cursors below, which every external submission writes
 	// (TestSchedLayout).
 	parkHead    atomic.Uint64
 	parkedCount atomic.Int64
 	stop        atomic.Bool
-	aborted     atomic.Bool
 	_           [128]byte
 
 	// shards is the sharded external submission queue (injector.go), one
@@ -282,9 +281,6 @@ func NewPool(p int) *Pool {
 	}
 	return pool
 }
-
-// Size returns the number of workers.
-func (p *Pool) Size() int { return len(p.workers) }
 
 // Submit schedules f from outside the pool (e.g. the root of a task-graph
 // traversal). Jobs submitted here are picked up by idle workers.
@@ -342,13 +338,10 @@ func (p *Pool) takeOverflow() (job, bool) {
 	return j, true
 }
 
-// SubmitTo schedules f to run on the specific worker id. The job goes onto
-// the worker's directed queue, which is never stolen: it is the placement
-// primitive behind distinct-worker replica execution (a replica that
-// migrated onto the same core as its twin could share the corruption it is
-// meant to catch).
-func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{run: f}) }
-
+// submitToJob puts j on worker id's directed queue, which is never stolen:
+// it is the placement primitive behind distinct-worker replica execution (a
+// replica that migrated onto the same core as its twin could share the
+// corruption it is meant to catch).
 func (p *Pool) submitToJob(id int, j job) {
 	w := p.workers[id]
 	if j.g == nil {
@@ -406,50 +399,16 @@ func (w *Worker) takeDirected() (job, bool) {
 	return j, true
 }
 
-// Wait blocks until every submitted and spawned job has finished, or until
-// the pool is aborted.
+// Wait blocks until every submitted and spawned job has finished.
 func (p *Pool) Wait() {
 	if p.tally.quiescent() {
 		return
 	}
 	p.quiesceMu.Lock()
-	for !p.tally.quiescent() && !p.aborted.Load() {
+	for !p.tally.quiescent() {
 		p.quiesceCond.Wait()
 	}
 	p.quiesceMu.Unlock()
-}
-
-// Abort stops the pool without waiting for queued work: workers exit after
-// their current job, queued jobs are discarded, and Wait returns. Used for
-// cooperative cancellation; the pool cannot be reused afterwards.
-func (p *Pool) Abort() {
-	p.aborted.Store(true)
-	p.stop.Store(true)
-	p.wakeAll()
-	p.quiesceMu.Lock()
-	p.quiesceCond.Broadcast()
-	p.quiesceMu.Unlock()
-}
-
-// Aborted reports whether Abort was called.
-func (p *Pool) Aborted() bool { return p.aborted.Load() }
-
-// WaitTimeout is Wait with a deadline; it reports whether quiescence was
-// reached. Used by tests as a hang watchdog (a correct FT executor must
-// always drain — Lemma 3).
-func (p *Pool) WaitTimeout(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	done := make(chan struct{})
-	go func() {
-		p.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(time.Until(deadline)):
-		return false
-	}
 }
 
 // Close stops all workers after the pool is quiescent and returns the
@@ -482,21 +441,9 @@ func (p *Pool) StatsSnapshot() Stats {
 	return s
 }
 
-// Run is a convenience: execute root on a fresh pool of p workers, wait for
-// quiescence, and return the stats.
-func Run(p int, root Func) Stats {
-	pool := NewPool(p)
-	pool.Submit(root)
-	return pool.Close()
-}
-
 func (w *Worker) run() {
 	defer w.pool.wg.Done()
 	for {
-		if w.pool.aborted.Load() {
-			w.leaveGroup()
-			return // abandon queued work on abort
-		}
 		j, ok := w.takeAny()
 		if !ok {
 			w.leaveGroup()

@@ -14,7 +14,7 @@ type pair struct {
 
 // tally is a count of outstanding jobs spread over its writers: pair i
 // belongs to worker i, the last to every goroutine that is no worker (Submit,
-// SubmitTo, SpawnAvoiding). A spawn adds to the spawning worker's pair before
+// SpawnAvoiding). A spawn adds to the spawning worker's pair before
 // the job becomes visible, a finished or abort-skipped job is counted done in
 // the executing worker's after it has run, so Σadded − Σdone never falls
 // below the number of jobs outstanding.

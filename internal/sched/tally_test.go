@@ -361,7 +361,6 @@ func TestSchedLayout(t *testing.T) {
 	read := map[string]uintptr{
 		"parkHead": unsafe.Offsetof(p.parkHead),
 		"stop":     unsafe.Offsetof(p.stop),
-		"aborted":  unsafe.Offsetof(p.aborted),
 	}
 	written := map[string]uintptr{
 		"injLen": unsafe.Offsetof(p.injLen),

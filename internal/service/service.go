@@ -1165,9 +1165,6 @@ func (h *Handle) ID() int64 { return h.j.id }
 // is skipped, the shared pool and all other jobs continue unaffected.
 func (h *Handle) Cancel() { h.j.cancelNow() }
 
-// Done returns a channel closed when the job reaches a terminal state.
-func (h *Handle) Done() <-chan struct{} { return h.j.done }
-
 // Wait blocks until the job is terminal and returns its result and error.
 // The Result may be non-nil alongside an error (e.g. unreadable sink).
 func (h *Handle) Wait() (*core.Result, error) {

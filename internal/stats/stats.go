@@ -18,8 +18,7 @@ type Summary struct {
 	Min  float64
 	Max  float64
 	// P50/P95/P99 are exact sample percentiles (linear interpolation
-	// between order statistics, the R-7 convention shared with
-	// metrics.Histogram.Quantile via Rank).
+	// between order statistics, the R-7 convention of Rank).
 	P50 float64
 	P95 float64
 	P99 float64
