@@ -10,7 +10,7 @@
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
-#   make loc     — non-test Go lines per package and in total (bench/ and testdata/ excluded)
+#   make loc     — non-test Go lines per package and in total, then assembly lines per directory and in total (bench/ and testdata/ excluded)
 
 GO ?= go
 
@@ -30,9 +30,9 @@ benchbuild:
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
-# replaced, over 16 rotating inputs at the BenchSizes tile (LU, Cholesky and
-# FW's two, in internal/apps/tile, also at n = 16, through the AVX2 body and
-# the Go body), and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# replaced, over 16 rotating inputs at the BenchSizes tile and at n = 16 (LU,
+# Cholesky and FW's two and SW's fill, in internal/apps/tile, through the
+# AVX2 body and the Go body; LCS's bit-parallel and scalar fills), and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads (a tile's row, column and corner) of the same 32 KiB. Last,
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
@@ -154,7 +154,11 @@ fuzz:
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeStreamFrame -fuzztime 10s
 	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzSlotReadAt -fuzztime 10s
 
-# Non-test Go lines per package directory and in total: the size that
-# ROADMAP item 2 asks every cut to report before and after.
+# Non-test Go lines per package directory and in total, then assembly lines
+# per directory and in total: the sizes that ROADMAP item 2 asks every cut to
+# report before and after.
+LOC = awk -v what="$(1)" '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d %s%s\n", n[d], d, what; printf "%6d total%s\n", t, what }' | sort -k2
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC,)
+	@find . -name '*.s' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC, assembly)

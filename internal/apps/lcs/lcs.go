@@ -14,6 +14,7 @@ package lcs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ftdag/internal/apps"
 	"ftdag/internal/block"
@@ -137,17 +138,112 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 
 // fill computes a tile's cells from its boundary: top is the row above the
 // tile, left the column to its left, corner the cell above-left of both, and
-// xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
-// row the cell to the left and the diagonal one are the values just computed
-// and just read, so they are carried in locals; the row above is top for the
-// first row and the tile's previous row after it. top may be the tile's own
-// last row: fill reads it only for the first row, and reads each cell of it
-// before writing that cell when the first row is the last (b = 1).
+// xs and ys the symbols of the tile's rows and columns (len(ys) = b). top may
+// be the tile's own last row, which both bodies read only for the first row.
+// The bit-parallel body runs where it gives the scalar body's bits (fillBits
+// says when); every other input takes the scalar body.
+func fill(tile, top, left []float64, corner float64, xs, ys []byte) {
+	if !fillBits(tile, top, left, corner, xs, ys) {
+		fillScalar(tile, top, left, corner, xs, ys)
+	}
+}
+
+// exact bounds the corner fillBits takes: every cell of the tile is then an
+// integer within 2·64 of it, below 2⁵³, which float64 holds exactly.
+const exact = 1 << 52
+
+// steps holds, for each 4-bit slice of a row's vertical steps, the four
+// cells' increments over the row above: steps[v][i] is bit i of v, as 0 or 1.
+var steps = func() (t [16][4]float64) {
+	for v := range t {
+		for i := range t[v] {
+			t[v][i] = float64(v >> i & 1)
+		}
+	}
+	return t
+}()
+
+// fillBits is the bit-parallel body (Allison & Dix 1986; Hyyrö 2004). In an
+// LCS table adjacent cells differ by 0 or 1, so a row of b ≤ 64 cells is one
+// word of steps. With S the columns whose step from the left, in the row
+// above, is 0, and M the columns whose symbol matches the row's, one addition
+//
+//	S' = (S + (S & M) + cin) | (S &^ M)
+//
+// advances S a row, cin being the row's step down the left column; the
+// addition's carry into column c+1 is the row's step down from the row above
+// at column c, and a cell is its upper neighbour plus that step. The
+// recurrence holds in steps whenever every step into the tile, along top from
+// corner and down left from corner, is 0 or 1, and then its cells are the
+// scalar body's: integers, so the table's float64 adds are exact. fillBits
+// checks that, on an integer corner within ±exact, and returns false without
+// writing the tile otherwise (b > 64, or any word NaN, infinite, fractional,
+// or off by a flipped bit).
+func fillBits(tile, top, left []float64, corner float64, xs, ys []byte) bool {
+	b := len(ys)
+	if b == 0 || b > 64 || float64(int64(corner)) != corner || corner < -exact || corner > exact {
+		return false
+	}
+	var s, cin uint64 // bit c: top's step into column c is 0; bit r: left's step into row r is 1
+	prev := corner
+	for c, u := range top[:b] {
+		switch u {
+		case prev:
+			s |= 1 << c
+		case prev + 1:
+		default:
+			return false
+		}
+		prev = u
+	}
+	prev = corner
+	for r, l := range left[:b] {
+		switch l {
+		case prev:
+		case prev + 1:
+			cin |= 1 << r
+		default:
+			return false
+		}
+		prev = l
+	}
+	var peq [256]uint64 // the columns each symbol matches
+	for c, y := range ys {
+		peq[y] |= 1 << c
+	}
+	cols := ^uint64(0) >> (64 - b)
+	up := top[:b]
+	for r, x := range xs[:b] {
+		m := peq[x]
+		u := s & m
+		sum, carry := bits.Add64(s, u, cin>>r&1)
+		v := (sum^s^u)>>1 | carry<<63 // bit c: the step down into column c
+		s = (sum | s&^m) & cols
+		row := tile[r*b : r*b+b]
+		row = row[:len(up)]
+		c := 0
+		for ; c+4 <= len(row); c += 4 {
+			d, w, y := &steps[v>>c&15], row[c:c+4:c+4], up[c:c+4:c+4]
+			w[0], w[1], w[2], w[3] = y[0]+d[0], y[1]+d[1], y[2]+d[2], y[3]+d[3]
+		}
+		for ; c < len(row); c++ {
+			row[c] = up[c] + steps[v>>c&1][0]
+		}
+		up = row
+	}
+	return true
+}
+
+// fillScalar is the scalar body. Along a row the cell to the left and the
+// diagonal one are the values just computed and just read, so they are
+// carried in locals; the row above is top for the first row and the tile's
+// previous row after it, and when the first row is the last (b = 1) each cell
+// of top is read before it is written.
 //
 // The cells are computed in int64 (package doc), where max and the match
 // select compile to conditional moves: no cell's control flow depends on its
 // data, so an unpredictable sequence costs no mispredicted branches.
-func fill(tile, top, left []float64, corner float64, xs, ys []byte) {
+func fillScalar(tile, top, left []float64, corner float64, xs, ys []byte) {
 	b := len(ys)
 	up, dg0 := top, int64(corner)
 	for r, x := range xs {

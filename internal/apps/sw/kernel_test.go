@@ -106,33 +106,3 @@ func TestFillMatchesOracle(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkKernels prices one 64×64 tile, the BenchSizes tile, row-carried
-// and with the per-cell loop it replaced. It rotates over 16 seeded inputs,
-// so the branch predictor cannot learn one.
-func BenchmarkKernels(b *testing.B) {
-	const n, inputs = 64, 16
-	type input struct {
-		top, left []float64
-		corner    float64
-		xs, ys    []byte
-	}
-	in := make([]input, inputs)
-	for i := range in {
-		x := &in[i]
-		x.top, x.left, x.corner, x.xs, x.ys = boundary(n, int64(3*i+1), 0)
-	}
-	tile := make([]float64, n*n)
-	for _, k := range []struct {
-		name string
-		f    func(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64
-	}{{"fill/blocked", fill}, {"fill/naive", fillNaive}} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				x := &in[i%inputs]
-				k.f(tile, x.top, x.left, x.corner, 0, x.xs, x.ys)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
-		})
-	}
-}

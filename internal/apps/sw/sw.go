@@ -17,22 +17,24 @@
 // output carries a running maximum in an extra trailing element, so the sink
 // tile's trailing element is the alignment score.
 //
-// The tile kernel works in int64 and stores float64: every cell is an integer
-// score of at most match·N, below 2⁵³, which float64 holds exactly.
+// The tile kernel, tile.SmithWaterman, works in integers and stores float64:
+// every cell is an integer score of at most match·N, below 2⁵³, which float64
+// holds exactly.
 package sw
 
 import (
 	"fmt"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/apps/tile"
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
 const (
 	alphabet = 4
-	// The scores are untyped integer constants: fill computes in int64, so a
-	// score that is not an integer does not compile.
+	// The scores are untyped integer constants: fill computes in integers, so
+	// a score that is not an integer does not compile.
 	match    = 2
 	mismatch = -1
 	gap      = 1
@@ -180,37 +182,11 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 // fill computes a tile's b×b score cells from its boundary and returns the
 // running maximum, runMax raised by every cell: top is the row above the
 // tile, left the column to its left, corner the cell above-left of both, and
-// xs and ys the symbols of the tile's rows and columns (len(ys) = b). Along a
-// row the cell to the left and the diagonal one are the values just computed
-// and just read, so they are carried in locals; the row above is top for the
-// first row and the tile's previous row after it. top may be the tile's own
-// last row: fill reads it only for the first row, and reads each cell of it
-// before writing that cell when the first row is the last (b = 1).
-//
-// The cells are computed in int64 (package doc), where max and the score
-// select compile to conditional moves: no cell's control flow depends on its
-// data, so an unpredictable sequence costs no mispredicted branches.
-func fill(tile, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
-	b := len(ys)
-	up, dg0, best := top, int64(corner), int64(runMax)
-	for r, x := range xs {
-		row := tile[r*b : r*b+b]
-		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
-		dg, lf := dg0, int64(left[r])
-		for c, y := range ys {
-			u := int64(up[c])
-			s := int64(mismatch)
-			if x == y {
-				s = match
-			}
-			v := max(dg+s, u-gap, lf-gap, 0)
-			row[c] = float64(v)
-			best = max(best, v)
-			dg, lf = u, v
-		}
-		up, dg0 = row, int64(left[r])
-	}
-	return float64(best)
+// xs and ys the symbols of the tile's rows and columns (len(ys) = b). top may
+// be the tile's own last row. The kernel and its two bodies are
+// tile.SmithWaterman's.
+func fill(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	return tile.SmithWaterman(h, top, left, corner, runMax, xs, ys, match, mismatch, gap)
 }
 
 // Reference computes the maximum local alignment score with the plain O(N²)

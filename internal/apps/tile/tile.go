@@ -1,6 +1,6 @@
 // Package tile holds the two dense kernels under LU, Cholesky and
 // Floyd-Warshall, on n×n row-major tiles: MulSub (C −= A·B) and MinPlus
-// (C = min(C, A ⊗ B)).
+// (C = min(C, A ⊗ B)); and Smith-Waterman's tile fill, SmithWaterman.
 //
 // Each kernel has two bodies. Where the CPU has AVX2 with the YMM state
 // enabled by the OS (checked once, at init) and n is a multiple of 8, an
@@ -11,7 +11,11 @@
 // detector does not see memory accesses made in assembly — the Go body runs:
 // a 2×4 register block, or the plain loop when n is not a multiple of 4.
 //
-// Every body computes each element with the textbook loop's operations in
+// SmithWaterman's AVX2 body works on the same CPUs, builds and multiples of 8,
+// in int32 lanes, a row at a time (its doc says how); its Go body is the
+// scalar int64 fill. Both compute integers, exactly.
+//
+// Every dense body computes each element with the textbook loop's operations in
 // its order: the element starts from c and takes its p terms in ascending p,
 // one IEEE operation per step, no FMA (MulSub: a product, then a difference;
 // MinPlus: a sum, then `if v < s { s = v }`). Outputs are bit-identical
@@ -154,4 +158,81 @@ func minPlusGo(c, a, b []float64, n int) {
 			x1[0], x1[1], x1[2], x1[3] = s10, s11, s12, s13
 		}
 	}
+}
+
+// swBound bounds the boundary words SmithWaterman's AVX2 body takes: integers
+// within ±swBound, with scores and gap within ±swScore and n ≤ swSide, keep
+// every int32 lane of the body, a score plus gap·c, within ±2³⁰.
+const (
+	swBound = 1 << 29
+	swScore = 1 << 8
+	swSide  = 1 << 12
+)
+
+// SmithWaterman fills an n×n tile h (n = len(ys)) of local-alignment scores,
+// h[r][c] = max(dg + s, up − gap, left − gap, 0), s being match where xs[r] ==
+// ys[c] and mismatch elsewhere, from its boundary: top is the row above the
+// tile, left the column to its left, corner the cell above-left of both. It
+// returns runMax raised by every cell. Scores, boundary words and cells are
+// computed as int64 (the words truncated), which the app's integer scores
+// below 2⁵³ keep exact; top may be h's own last row, which is read only for
+// the first row.
+//
+// The AVX2 body runs where the dense kernels' does, when n is a multiple of
+// 8, gap ≥ 0 and every boundary word is an integer within its int32 range
+// (swBound); the Go body, with the same bits, everywhere else.
+func SmithWaterman(h, top, left []float64, corner, runMax float64, xs, ys []byte, match, mismatch, gap int) float64 {
+	n := len(ys)
+	if swSIMD(n, match, mismatch, gap) && swWord(corner) {
+		_, _, _, _ = h[n*n-1], top[n-1], left[n-1], xs[n-1] // the assembly checks no bounds
+		if best, ok := swAVX2(&h[0], &top[0], &left[0], &xs[0], &ys[0], n, int(corner), match, mismatch, gap); ok {
+			return float64(max(int64(runMax), int64(best)))
+		}
+	}
+	return smithWatermanGo(h, top, left, corner, runMax, xs, ys, int64(match), int64(mismatch), int64(gap))
+}
+
+// swSIMD reports whether SmithWaterman tries the AVX2 body for a tile of side
+// n and these scores; the body then checks the boundary words itself.
+func swSIMD(n, match, mismatch, gap int) bool {
+	return simd && n > 0 && n%8 == 0 && n <= swSide &&
+		gap >= 0 && gap <= swScore && min(match, mismatch) >= -swScore && max(match, mismatch) <= swScore
+}
+
+// swWord reports whether w is an integer within ±swBound. Adding and taking
+// away 1.5·2⁵² rounds w to an integer in float64 (the sum has unit spacing),
+// so only an integer survives both; NaN fails every comparison.
+func swWord(w float64) bool {
+	const round = 0x1.8p52
+	return w >= -swBound && w <= swBound && w+round-round == w
+}
+
+// smithWatermanGo is SmithWaterman's Go body. Along a row the cell to the
+// left and the diagonal one are the values just computed and just read, so
+// they are carried in locals; the row above is top for the first row and the
+// tile's previous row after it, and when the first row is the last (n = 1)
+// each cell of top is read before it is written. max and the score select
+// compile to conditional moves: no cell's control flow depends on its data,
+// so an unpredictable sequence costs no mispredicted branches.
+func smithWatermanGo(h, top, left []float64, corner, runMax float64, xs, ys []byte, match, mismatch, gap int64) float64 {
+	n := len(ys)
+	up, dg0, best := top, int64(corner), int64(runMax)
+	for r, x := range xs {
+		row := h[r*n : r*n+n]
+		row, up = row[:len(ys)], up[:len(ys)] // no bounds checks in the c loop
+		dg, lf := dg0, int64(left[r])
+		for c, y := range ys {
+			u := int64(up[c])
+			s := mismatch
+			if x == y {
+				s = match
+			}
+			v := max(dg+s, u-gap, lf-gap, 0)
+			row[c] = float64(v)
+			best = max(best, v)
+			dg, lf = u, v
+		}
+		up, dg0 = row, int64(left[r])
+	}
+	return float64(best)
 }

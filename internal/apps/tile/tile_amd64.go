@@ -13,6 +13,14 @@ func mulSubAVX2(c, a, b *float64, n int)
 //go:noescape
 func minPlusAVX2(c, a, b *float64, n int)
 
+// swAVX2 is SmithWaterman's AVX2 body (tile_amd64.s), for n and scores
+// swSIMD takes and a corner swWord takes. It returns the largest cell, at
+// least 0, or ok = false, having left h's cells unwritten, when a word of
+// top or left is not an integer within ±swBound.
+//
+//go:noescape
+func swAVX2(h, top, left *float64, xs, ys *byte, n, corner, match, mismatch, gap int) (best int, ok bool)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

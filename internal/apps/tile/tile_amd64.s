@@ -138,6 +138,219 @@ minplusP:
 	VZEROUPPER
 	RET
 
+// SmithWaterman's body runs a row at a time, eight int32 lanes per step:
+//
+//	for r := 0; r < n; r++          // DI: &h[r][0]; DX: &left[r]; R8: &xs[r]; R10 rows left
+//	  m = left[r] − gap             // Y6, in every lane
+//	  for c := 0; c < n; c += 8     // R11: c
+//	    U = up[c..c+7]; D = up[c−1..c+6], up[−1] being corner or left[r−1]
+//	    E = max(D + s, U − gap, 0)  // s: match where ys[c+i] == xs[r], else mismatch
+//	    P = max(m, prefix max of E + gap·(c+i)); m = P[7]
+//	    h[r][c..c+7] = P − gap·(c+i); best = max(best, h[r][c..c+7])
+//
+// The left term: h[c] = max(E[c], h[c−1] − gap) unrolls to h[c] + gap·c =
+// max over k ≤ c of E[k] + gap·k, and over left[r] − gap, a prefix max. E ≥ 0
+// and gap ≥ 0, so the in-register scan may shift in zeros.
+//
+// The row above is kept as int32 in the second half of row r's own float64
+// words (SI = DI + 4n), with up[−1] in the word before it; row r stores its
+// cells there for row r+1 (R13 = SI + 8n) before that row's float64s exist,
+// and the prologue stores top there for row 0 (top may be the last row).
+// A row's float64 stores reach an int32 word of its own only after the step
+// that reads it. Cells leave as float64 through VCVTDQ2PD, exact on integers.
+//
+// Before any row, every word of top and left must be an integer within
+// ±swBound: it must survive VCVTTPD2DQ and VCVTDQ2PD, and its magnitude must
+// not exceed the bound, or the body returns ok = false having written nothing
+// but row 0's second half.
+//
+// Y15 0, Y14 match − mismatch, Y13 mismatch, Y12 gap, Y11 best, Y10 gap·(c+i),
+// Y9 8·gap, Y8 gap·i, Y7 xs[r], Y4 and Y3 the VPERMD indices; Y0..Y2 scratch.
+
+DATA swLanes<>+0(SB)/8, $0x0000000100000000
+DATA swLanes<>+8(SB)/8, $0x0000000300000002
+DATA swLanes<>+16(SB)/8, $0x0000000500000004
+DATA swLanes<>+24(SB)/8, $0x0000000700000006
+GLOBL swLanes<>(SB), RODATA|NOPTR, $32
+
+// VPERMD by swHalf carries lane 3 into lanes 4..7.
+DATA swHalf<>+0(SB)/8, $0x0000000100000000
+DATA swHalf<>+8(SB)/8, $0x0000000300000002
+DATA swHalf<>+16(SB)/8, $0x0000000300000003
+DATA swHalf<>+24(SB)/8, $0x0000000300000003
+GLOBL swHalf<>(SB), RODATA|NOPTR, $32
+
+DATA swAbs<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL swAbs<>(SB), RODATA|NOPTR, $8
+
+// swBound as a float64: 2²⁹.
+DATA swLimit<>+0(SB)/8, $0x41c0000000000000
+GLOBL swLimit<>(SB), RODATA|NOPTR, $8
+
+// Check four boundary words at src, their int32 truncations in X1: Y5 gathers
+// the lanes that are no integer within ±swBound. Y2 holds swAbs, Y3 swLimit.
+#define SW_CHECK(src) \
+	VMOVUPD     src, Y0; \
+	VCVTTPD2DQY Y0, X1; \
+	VCVTDQ2PD   X1, Y4; \
+	VCMPPD      $4, Y4, Y0, Y4; \
+	VANDPD      Y2, Y0, Y0; \
+	VCMPPD      $0x1e, Y3, Y0, Y0; \
+	VORPD       Y4, Y5, Y5; \
+	VORPD       Y0, Y5, Y5
+
+// One step's eight cells, left in Y0 and raised into best.
+#define SW_CELLS \
+	VMOVDQU   (SI)(R11*4), Y0; \
+	VMOVDQU   -4(SI)(R11*4), Y2; \
+	VPSUBD    Y12, Y0, Y0; \
+	VPMOVZXBD (R9)(R11*1), Y1; \
+	VPCMPEQD  Y7, Y1, Y1; \
+	VPAND     Y14, Y1, Y1; \
+	VPADDD    Y13, Y1, Y1; \
+	VPADDD    Y1, Y2, Y2; \
+	VPMAXSD   Y2, Y0, Y0; \
+	VPMAXSD   Y15, Y0, Y0; \
+	VPADDD    Y10, Y0, Y0; \
+	VPSLLQ    $32, Y0, Y1; \
+	VPMAXSD   Y1, Y0, Y0; \
+	VPSHUFD   $0x54, Y0, Y1; \
+	VPMAXSD   Y1, Y0, Y0; \
+	VPERMD    Y0, Y4, Y1; \
+	VPMAXSD   Y1, Y0, Y0; \
+	VPMAXSD   Y6, Y0, Y0; \
+	VPERMD    Y0, Y3, Y6; \
+	VPSUBD    Y10, Y0, Y0; \
+	VPMAXSD   Y0, Y11, Y11
+
+// Store the step's cells as float64 and move to the next step.
+#define SW_STORE \
+	VCVTDQ2PD    X0, Y1; \
+	VMOVUPD      Y1, (DI)(R11*8); \
+	VEXTRACTI128 $1, Y0, X2; \
+	VCVTDQ2PD    X2, Y2; \
+	VMOVUPD      Y2, 32(DI)(R11*8); \
+	VPADDD       Y9, Y10, Y10; \
+	ADDQ         $8, R11; \
+	CMPQ         R11, CX
+
+// Row r's setup: xs[r] in Y7, up[−1] = AX, then AX = left[r] and m.
+#define SW_ROW \
+	MOVBLZX      (R8), BX; \
+	VMOVD        BX, X7; \
+	VPBROADCASTD X7, Y7; \
+	MOVL         AX, -4(SI); \
+	VCVTTSD2SI   (DX), AX; \
+	VMOVD        AX, X6; \
+	VPBROADCASTD X6, Y6; \
+	VPSUBD       Y12, Y6, Y6; \
+	VMOVDQU      Y8, Y10; \
+	XORQ         R11, R11
+
+// func swAVX2(h, top, left *float64, xs, ys *byte, n, corner, match, mismatch, gap int) (best int, ok bool)
+TEXT ·swAVX2(SB), NOSPLIT, $0-89
+	MOVQ h+0(FP), DI
+	MOVQ top+8(FP), SI
+	MOVQ left+16(FP), DX
+	MOVQ xs+24(FP), R8
+	MOVQ ys+32(FP), R9
+	MOVQ n+40(FP), CX
+
+	// top, checked and as int32 into row 0's second half; then left, checked.
+	VBROADCASTSD swAbs<>(SB), Y2
+	VBROADCASTSD swLimit<>(SB), Y3
+	VXORPD       Y5, Y5, Y5
+	LEAQ         (DI)(CX*4), R13
+	XORQ         R11, R11
+
+swTop:
+	SW_CHECK((SI)(R11*8))
+	VMOVDQU X1, (R13)(R11*4)
+	SW_CHECK(32(SI)(R11*8))
+	VMOVDQU X1, 16(R13)(R11*4)
+	ADDQ    $8, R11
+	CMPQ    R11, CX
+	JLT     swTop
+
+	XORQ R11, R11
+
+swLeft:
+	SW_CHECK((DX)(R11*8))
+	SW_CHECK(32(DX)(R11*8))
+	ADDQ $8, R11
+	CMPQ R11, CX
+	JLT  swLeft
+
+	VPTEST Y5, Y5
+	JZ     swFits
+	MOVQ   $0, best+80(FP)
+	MOVB   $0, ok+88(FP)
+	VZEROUPPER
+	RET
+
+swFits:
+	MOVQ corner+48(FP), AX
+
+	MOVQ         gap+72(FP), BX
+	VMOVD        BX, X12
+	VPBROADCASTD X12, Y12
+	MOVQ         mismatch+64(FP), BX
+	VMOVD        BX, X13
+	VPBROADCASTD X13, Y13
+	MOVQ         match+56(FP), R12
+	SUBQ         BX, R12
+	VMOVD        R12, X14
+	VPBROADCASTD X14, Y14
+	VPXOR        Y15, Y15, Y15
+	VPXOR        Y11, Y11, Y11
+	VMOVDQU      swLanes<>(SB), Y8
+	VPMULLD      Y12, Y8, Y8
+	VPSLLD       $3, Y12, Y9
+	VMOVDQU      swHalf<>(SB), Y4
+	MOVL         $7, BX
+	VMOVD        BX, X3
+	VPBROADCASTD X3, Y3
+	MOVQ         CX, R10
+	LEAQ         (CX*8), R12
+	MOVQ         R13, SI
+	ADDQ         R12, R13
+
+swRows:
+	SW_ROW
+	CMPQ R10, $1
+	JEQ  swLast
+
+swCols:
+	SW_CELLS
+	VMOVDQU Y0, (R13)(R11*4)
+	SW_STORE
+	JLT     swCols
+
+	ADDQ R12, DI
+	ADDQ R12, SI
+	ADDQ R12, R13
+	ADDQ $8, DX
+	INCQ R8
+	DECQ R10
+	JMP  swRows
+
+swLast:
+	SW_CELLS
+	SW_STORE
+	JLT swLast
+
+	VEXTRACTI128 $1, Y11, X0
+	VPMAXSD      X0, X11, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPMAXSD      X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPMAXSD      X1, X0, X0
+	VMOVD        X0, AX
+	MOVQ         AX, best+80(FP)
+	MOVB         $1, ok+88(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

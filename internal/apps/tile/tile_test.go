@@ -175,6 +175,9 @@ func TestBodyPerBuild(t *testing.T) {
 	if !raceEnabled && simd != hasAVX2 {
 		t.Fatalf("simd = %v, CPU AVX2 = %v", simd, hasAVX2)
 	}
+	if got := swTakes(swBoundary(8, 1, 0)); got != simd {
+		t.Fatalf("SmithWaterman takes the AVX2 body at n = 8: %v, AVX2 bodies: %v", got, simd)
+	}
 	t.Logf("AVX2 on this CPU: %v; race build: %v; AVX2 bodies: %v", hasAVX2, raceEnabled, simd)
 }
 
@@ -264,11 +267,187 @@ func TestMinPlusPivotRowAndColumn(t *testing.T) {
 	})
 }
 
+// The Smith-Waterman app's scores.
+const swMatch, swMismatch, swGap = 2, -1, 1
+
+// swTextbook is SmithWaterman's oracle: the per-cell loop in float64, every
+// cell picking its up, left and diagonal neighbours through a switch on
+// whether it sits in the tile's first row or column.
+func swTextbook(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	n := len(ys)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			var up, lf, dg float64
+			if r == 0 {
+				up = top[c]
+			} else {
+				up = h[(r-1)*n+c]
+			}
+			if c == 0 {
+				lf = left[r]
+			} else {
+				lf = h[r*n+c-1]
+			}
+			switch {
+			case r == 0 && c == 0:
+				dg = corner
+			case r == 0:
+				dg = top[c-1]
+			case c == 0:
+				dg = left[r-1]
+			default:
+				dg = h[(r-1)*n+c-1]
+			}
+			s := float64(swMismatch)
+			if xs[r] == ys[c] {
+				s = swMatch
+			}
+			v := max(dg+s, up-swGap, lf-swGap, 0)
+			h[r*n+c] = v
+			runMax = max(runMax, v)
+		}
+	}
+	return runMax
+}
+
+// swTakes reports whether SmithWaterman runs the AVX2 body to the end on in.
+func swTakes(in swInput) bool {
+	n := len(in.ys)
+	if !swSIMD(n, swMatch, swMismatch, swGap) || !swWord(in.corner) {
+		return false
+	}
+	h := make([]float64, n*n)
+	_, ok := swAVX2(&h[0], &in.top[0], &in.left[0], &in.xs[0], &in.ys[0], n, int(in.corner), swMatch, swMismatch, swGap)
+	return ok
+}
+
+// swKernel is SmithWaterman at the app's scores.
+func swKernel(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	return SmithWaterman(h, top, left, corner, runMax, xs, ys, swMatch, swMismatch, swGap)
+}
+
+// swGo is SmithWaterman's Go body at the app's scores.
+func swGo(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64 {
+	return smithWatermanGo(h, top, left, corner, runMax, xs, ys, swMatch, swMismatch, swGap)
+}
+
+// swTableMax is the largest score a BenchSizes Smith-Waterman table reaches:
+// match·N.
+const swTableMax = swMatch * 2048
+
+// swInput is one Smith-Waterman tile's boundary and symbols (alphabet 4).
+type swInput struct {
+	top, left   []float64
+	corner, max float64
+	xs, ys      []byte
+}
+
+// swBoundary returns a random boundary whose words are base or base+1: at
+// base 0 a mismatch below and beside zeros takes the floor.
+func swBoundary(n int, seed uint64, base float64) swInput {
+	g := rng(seed*0x9E3779B97F4A7C15 + 5)
+	in := swInput{top: make([]float64, n), left: make([]float64, n), xs: make([]byte, n), ys: make([]byte, n)}
+	for i := range n {
+		in.top[i], in.left[i] = base+float64(g.next()%2), base+float64(g.next()%2)
+		in.xs[i], in.ys[i] = byte(g.next()%4), byte(g.next()%4)
+	}
+	in.corner, in.max = base+float64(g.next()%2), base+float64(seed)
+	return in
+}
+
+// swCheck runs kernel and oracle on one input and compares cells and running
+// maximum, also with the row above read from the tile's own last row, as the
+// app reads it.
+func swCheck(t *testing.T, what string, kernel, oracle func(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64, in swInput) {
+	t.Helper()
+	n := len(in.ys)
+	got, want, inPlace := make([]float64, n*n+1), make([]float64, n*n+1), make([]float64, n*n+1)
+	want[n*n] = oracle(want[:n*n], in.top, in.left, in.corner, in.max, in.xs, in.ys)
+	got[n*n] = kernel(got[:n*n], in.top, in.left, in.corner, in.max, in.xs, in.ys)
+	sameBits(t, what, got, want)
+	last := inPlace[(n-1)*n : n*n]
+	copy(last, in.top)
+	inPlace[n*n] = kernel(inPlace[:n*n], last, in.left, in.corner, in.max, in.xs, in.ys)
+	sameBits(t, what+" top in the last row", inPlace, want)
+}
+
+// TestSmithWatermanMatchesTextbook: SmithWaterman reproduces the per-cell loop
+// bit for bit, cells and running maximum, on random integer boundaries and
+// sequences of every size, near zero and near the largest score of a
+// BenchSizes table.
+func TestSmithWatermanMatchesTextbook(t *testing.T) {
+	forEachBody(t, func(t *testing.T) {
+		for _, n := range kernelSizes {
+			for seed := uint64(1); seed <= 2*seeds; seed++ {
+				base := 0.0
+				if seed%2 == 0 {
+					base = swTableMax - 1 - swMatch*float64(n)
+				}
+				swCheck(t, fmt.Sprintf("n=%d seed=%d", n, seed), swKernel, swTextbook, swBoundary(n, seed, base))
+			}
+		}
+	})
+}
+
+// TestSmithWatermanSpecials: a boundary word that is NaN, infinite,
+// fractional, outside the AVX2 body's int32 range or off by one flipped bit,
+// and a running maximum that is not an integer, give the Go body's bits; and
+// the AVX2 body declines every such word but a flipped one that is still an
+// integer in its range.
+func TestSmithWatermanSpecials(t *testing.T) {
+	forEachBody(t, func(t *testing.T) {
+		for _, n := range kernelSizes {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				in := swBoundary(n, seed, 3)
+				g := rng(seed*31 + uint64(n))
+				for _, special := range []float64{nan, math.Inf(1), math.Inf(-1), 3.5, swBound + 1, -swBound - 1, 1 << 40, 0} {
+					// The boundary's 2n+1 words: the corner, then top, then left.
+					w := int(g.next() % uint64(2*n+1))
+					word := &in.corner
+					switch {
+					case w > n:
+						word = &in.left[w-n-1]
+					case w > 0:
+						word = &in.top[w-1]
+					}
+					saved := *word
+					if special == 0 {
+						special = math.Float64frombits(math.Float64bits(saved) ^ 1<<(g.next()%64))
+					}
+					*word = special
+					integral := special >= -swBound && special <= swBound && special == math.Trunc(special)
+					if swTakes(in) && !integral {
+						t.Fatalf("n=%d seed=%d: the AVX2 body took word %d = %v", n, seed, w, special)
+					}
+					swCheck(t, fmt.Sprintf("n=%d seed=%d word %d = %v", n, seed, w, special), swKernel, swGo, in)
+					*word = saved
+				}
+				in.max = 2.5
+				swCheck(t, fmt.Sprintf("n=%d seed=%d running maximum 2.5", n, seed), swKernel, swGo, in)
+			}
+		}
+	})
+}
+
 // BenchmarkKernels prices one tile of each kernel at the QuickSizes and
-// BenchSizes tile sides (16, 32) through the AVX2 body, the Go body and the
-// textbook loop, rotating over 16 seeded inputs as the apps feed it many.
+// BenchSizes tile sides (16, 32; 16, 64 for SmithWaterman) through the AVX2
+// body, the Go body and the textbook loop, rotating over 16 seeded inputs as
+// the apps feed it many.
 func BenchmarkKernels(b *testing.B) {
 	const inputs = 16
+	// run times f over the inputs on the body named by on.
+	run := func(b *testing.B, on bool, f func(i int)) {
+		saved := simd
+		defer func() { simd = saved }()
+		if on && !saved {
+			b.Skip("no AVX2 bodies in this build")
+		}
+		simd = on
+		for i := 0; i < b.N; i++ {
+			f(i % inputs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
+	}
 	for _, n := range []int{16, 32} {
 		type input struct{ c, a, b []float64 }
 		mul, mp := make([]input, inputs), make([]input, inputs)
@@ -292,18 +471,34 @@ func BenchmarkKernels(b *testing.B) {
 			{"MinPlus/textbook", mp, minPlusTextbook, false},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
-				saved := simd
-				defer func() { simd = saved }()
-				if k.simd && !saved {
-					b.Skip("no AVX2 bodies in this build")
-				}
-				simd = k.simd
-				for i := 0; i < b.N; i++ {
-					x := &k.in[i%inputs]
+				run(b, k.simd, func(i int) {
+					x := &k.in[i]
 					copy(c, x.c)
 					k.f(c, x.a, x.b, n)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tile")
+				})
+			})
+		}
+	}
+	for _, n := range []int{16, 64} {
+		in := make([]swInput, inputs)
+		for i := range in {
+			in[i] = swBoundary(n, uint64(3*i+1), 0)
+		}
+		h := make([]float64, n*n)
+		for _, k := range []struct {
+			name string
+			f    func(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64
+			simd bool
+		}{
+			{"SmithWaterman/avx2", swKernel, true},
+			{"SmithWaterman/go", swKernel, false},
+			{"SmithWaterman/textbook", swTextbook, false},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				run(b, k.simd, func(i int) {
+					x := &in[i]
+					k.f(h, x.top, x.left, x.corner, 0, x.xs, x.ys)
+				})
 			})
 		}
 	}

@@ -87,10 +87,12 @@ var (
 
 // AccessError is the concrete error returned by Read; it records which
 // reference failed so the executor can attribute the failure to the
-// producing task.
+// producing task — with ErrCorrupted or ErrChecksum, to the incarnation Life
+// that wrote the version read, not to whichever runs now.
 type AccessError struct {
-	Ref Ref
-	Err error // ErrNotRetained, ErrCorrupted or ErrChecksum
+	Ref  Ref
+	Life int
+	Err  error // ErrNotRetained, ErrCorrupted or ErrChecksum
 }
 
 func (e *AccessError) Error() string { return fmt.Sprintf("%v: %v", e.Ref, e.Err) }
@@ -108,6 +110,7 @@ type entry struct {
 	// pointer rather than a slice keeps the Slot in its 112-byte size class.
 	snaps     *lanes
 	corrupted bool
+	life      int32 // the producer's incarnation that wrote this version
 }
 
 // snapshots returns the entry's lane snapshots, one per segment but the last.
@@ -210,31 +213,32 @@ func (s *Store) Slot(b ID) *Slot {
 	return sl
 }
 
-// Write is Slot(b).Write of a copy of data: the caller keeps its slice.
+// Write is Slot(b).Write of a copy of data, by producer's first incarnation:
+// the caller keeps its slice.
 func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
-	return s.Slot(b).Write(version, producer, clone(data, nil))
+	return s.Slot(b).Write(version, producer, 0, clone(data, nil))
 }
 
-// Write stores data as the given version of the block, produced by task
-// producer. The store adopts the buffer: it keeps data itself, which the
-// caller must not touch afterwards, and hands it to the free list when the
-// version is evicted or replaced. It returns the checksum stored with the
-// version, Checksum(data), taken while the writer's output is still in cache,
-// and — when the write pushed the oldest-written version out of a full
+// Write stores data as the given version of the block, produced by incarnation
+// life of task producer. The store adopts the buffer: it keeps data itself,
+// which the caller must not touch afterwards, and hands it to the free list
+// when the version is evicted or replaced. It returns the checksum stored with
+// the version, Checksum(data), taken while the writer's output is still in
+// cache, and — when the write pushed the oldest-written version out of a full
 // retention ring — that version's producer task key, which the executor marks
-// overwritten (paper §IV: "Our algorithm tracks such overwrites"). Rewriting
-// a version that is still retained replaces it in place (this is how recovery
+// overwritten (paper §IV: "Our algorithm tracks such overwrites"). Rewriting a
+// version that is still retained replaces it in place (this is how recovery
 // repairs a corrupted version) and evicts nothing. The buffer of an evicted or
 // replaced version goes back to the free list — unless it is data's own, which
 // a second Write of one slice displaces — and its ring entry is reused, so a
 // store in steady state writes without allocating. On a verifying store a
-// payload longer than one segment also keeps the lane snapshots ReadAt
-// verifies by; they are recorded in the same pass as the checksum.
-func (sl *Slot) Write(version int, producer int64, data []float64) (sum uint64, victim int64, evicted bool) {
+// payload longer than one segment also keeps the lane snapshots ReadAt verifies
+// by; they are recorded in the same pass as the checksum.
+func (sl *Slot) Write(version int, producer int64, life int, data []float64) (sum uint64, victim int64, evicted bool) {
 	if k := snapCount(len(data)); k > 0 && sl.store.verify {
-		return sl.writeSnaps(version, producer, data, k)
+		return sl.writeSnaps(version, producer, life, data, k)
 	}
-	return sl.put(version, producer, data, Checksum(data), nil, nil)
+	return sl.put(version, producer, life, data, Checksum(data), nil, nil)
 }
 
 // stackSnaps is how many lane snapshots a write records on its stack: a
@@ -246,20 +250,20 @@ const stackSnaps = 16
 // payload of more than stackSnaps+1 segments hash into an array the version
 // keeps; any other write records on its stack, and put moves the record into
 // the array of the entry the write displaces.
-func (sl *Slot) writeSnaps(version int, producer int64, data []float64, k int) (uint64, int64, bool) {
+func (sl *Slot) writeSnaps(version int, producer int64, life int, data []float64, k int) (uint64, int64, bool) {
 	if sl.store.retention == 0 || k > stackSnaps {
 		kept := make([]lanes, k)
-		return sl.put(version, producer, data, checksumSnaps(data, kept), &kept[0], nil)
+		return sl.put(version, producer, life, data, checksumSnaps(data, kept), &kept[0], nil)
 	}
 	var rec [stackSnaps]lanes
-	return sl.put(version, producer, data, checksumSnaps(data, rec[:k]), nil, rec[:k])
+	return sl.put(version, producer, life, data, checksumSnaps(data, rec[:k]), nil, rec[:k])
 }
 
 // put stores data, whose checksum is sum, as the given version (Write). Its
 // lane snapshots are kept, an array the version keeps, or rec, which put
 // copies into the array of the entry the write displaces when that holds as
 // many — every write of a store in steady state — and into a new one when not.
-func (sl *Slot) put(version int, producer int64, data []float64, sum uint64, kept *lanes, rec []lanes) (_ uint64, victim int64, evicted bool) {
+func (sl *Slot) put(version int, producer int64, life int, data []float64, sum uint64, kept *lanes, rec []lanes) (_ uint64, victim int64, evicted bool) {
 	s := sl.store
 	sl.mu.Lock()
 	// Whichever entry the write displaces moves out of the ring, the rest
@@ -283,7 +287,7 @@ func (sl *Slot) put(version int, producer int64, data []float64, sum uint64, kep
 		}
 		copy(unsafe.Slice(kept, len(rec)), rec)
 	}
-	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum, snaps: kept}
+	sl.entries[len(sl.entries)-1] = entry{version: version, producer: producer, data: data, checksum: sum, snaps: kept, life: int32(life)}
 	sl.mu.Unlock()
 	if len(data) >= PoolMin && !s.pooled.Load() {
 		s.pooled.Store(true)
@@ -360,8 +364,9 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
 	}
 	if e.corrupted {
+		life := int(e.life)
 		sl.mu.Unlock()
-		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Life: life, Err: ErrCorrupted}
 	}
 	if !s.verify {
 		out := clone(e.data, a)
@@ -373,11 +378,11 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 		out = make([]float64, len(e.data))
 	}
 	sum := copySum(out, e.data)
-	want := e.checksum
+	want, life := e.checksum, e.life
 	sl.mu.Unlock()
 	if sum != want {
 		Free(out)
-		return nil, &AccessError{Ref: Ref{sl.id, version}, Err: ErrChecksum}
+		return nil, &AccessError{Ref: Ref{sl.id, version}, Life: int(life), Err: ErrChecksum}
 	}
 	return out, nil
 }
@@ -442,8 +447,9 @@ func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrNotRetained}
 	}
 	if e.corrupted {
+		life := int(e.life)
 		sl.mu.Unlock()
-		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrCorrupted}
+		return &AccessError{Ref: Ref{sl.id, version}, Life: life, Err: ErrCorrupted}
 	}
 	if n := len(e.data); !fits(runs, n, len(dst)) {
 		sl.mu.Unlock()
@@ -453,9 +459,10 @@ func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 	if ok {
 		Gather(dst, e.data, runs...)
 	}
+	life := e.life
 	sl.mu.Unlock()
 	if !ok {
-		return &AccessError{Ref: Ref{sl.id, version}, Err: ErrChecksum}
+		return &AccessError{Ref: Ref{sl.id, version}, Life: int(life), Err: ErrChecksum}
 	}
 	return nil
 }
@@ -512,17 +519,20 @@ func touches(runs []Run, from, to int) bool {
 	return false
 }
 
-// Corrupt poisons the given version if it is retained, returning whether it
-// was. Used by the fault injector; every subsequent Read observes the error
-// (the paper's detection model). The stored payload is also scrambled in
-// place so that checksum verification independently detects the corruption;
-// slices returned by earlier Reads are copies and do not change.
-func (s *Store) Corrupt(b ID, version int) bool {
+// Corrupt poisons the given version if it is retained and incarnation life
+// of its producer wrote it, returning whether it was. Used by the fault
+// injector, which names the incarnation it strikes: a version a recovered
+// incarnation has rewritten since is left alone. Every subsequent Read
+// observes the error (the paper's detection model). The stored payload is
+// also scrambled in place so that checksum verification independently
+// detects the corruption; slices returned by earlier Reads are copies and do
+// not change.
+func (s *Store) Corrupt(b ID, version, life int) bool {
 	sl := s.Slot(b)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	e := sl.find(version)
-	if e == nil {
+	if e == nil || int(e.life) != life {
 		return false
 	}
 	e.corrupted = true

@@ -109,13 +109,13 @@ func TestRewriteRetainedVersionInPlace(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	s := NewStore(0)
 	s.Write(1, 0, 100, []float64{1, 2})
-	if !s.Corrupt(1, 0) {
+	if !s.Corrupt(1, 0, 0) {
 		t.Fatal("Corrupt returned false for a retained version")
 	}
 	if _, err := s.Read(1, 0); !errors.Is(err, ErrCorrupted) || errors.Is(err, ErrChecksum) {
 		t.Fatalf("Read corrupted = %v, want ErrCorrupted and not ErrChecksum", err)
 	}
-	if s.Corrupt(1, 5) {
+	if s.Corrupt(1, 5, 0) {
 		t.Fatal("Corrupt of missing version returned true")
 	}
 	// A rewrite (recovery recompute) repairs the version.
@@ -234,7 +234,7 @@ func TestReadCopyOutlivesStoreChanges(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 200; round++ {
-		s.Corrupt(1, 0)
+		s.Corrupt(1, 0, 0)
 		s.Write(1, 0, 100, payload(1)) // recovery repairs the version
 		s.CorruptSilently(1, 0)
 		s.Write(1, 1, 101, payload(2)) // evicts version 0; its buffer is recycled …
@@ -270,7 +270,7 @@ func TestLatestSkipsCorrupted(t *testing.T) {
 	s := NewStore(0)
 	s.Write(3, 0, 10, []float64{0})
 	s.Write(3, 1, 11, []float64{1})
-	s.Corrupt(3, 1)
+	s.Corrupt(3, 1, 0)
 	v, data, ok := s.Latest(3)
 	if !ok || v != 0 || data[0] != 0 {
 		t.Fatalf("Latest = %d,%v,%v", v, data, ok)
@@ -294,7 +294,7 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := s.Read(1, 0); !errors.Is(err, ErrNotRetained) {
 		t.Fatalf("read of the evicted version: %v, want ErrNotRetained", err)
 	}
-	s.Corrupt(1, 1)
+	s.Corrupt(1, 1, 0)
 	if _, err := s.Read(1, 1); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("read of the corrupted version: %v, want ErrCorrupted", err)
 	}
@@ -309,7 +309,7 @@ func TestRetainedIsALookup(t *testing.T) {
 	if !s.Retained(1, 0) || s.Retained(1, 1) {
 		t.Fatal("Retained mismatch")
 	}
-	s.Corrupt(1, 0)
+	s.Corrupt(1, 0, 0)
 	if s.Retained(1, 0) {
 		t.Fatal("a poisoned version reported retained")
 	}
@@ -531,7 +531,7 @@ func TestSlotWriteAdopts(t *testing.T) {
 	for _, n := range []int{3, PoolMin, 4 * PoolMin} {
 		data := make([]float64, n)
 		sl := s.Slot(1)
-		sl.Write(n, 1, data)
+		sl.Write(n, 1, 0, data)
 		sl.mu.Lock()
 		kept := sl.find(n).data
 		sl.mu.Unlock()
@@ -562,12 +562,12 @@ func TestRewriteOfTheSameSlice(t *testing.T) {
 		data[i] = float64(i)
 	}
 	sl := s.Slot(1)
-	sl.Write(0, 1, data)
-	sl.Write(0, 1, data) // replaces version 0 in place
+	sl.Write(0, 1, 0, data)
+	sl.Write(0, 1, 0, data) // replaces version 0 in place
 	if got, err := sl.Read(0, nil); err != nil || got[1] != 1 {
 		t.Fatalf("after a rewrite of one slice in place: Read = %v, %v", got, err)
 	}
-	if _, _, evicted := sl.Write(1, 2, data); !evicted {
+	if _, _, evicted := sl.Write(1, 2, 0, data); !evicted {
 		t.Fatal("the K=1 write did not evict version 0")
 	}
 	if got, err := sl.Read(1, nil); err != nil || got[1] != 1 {
@@ -671,7 +671,7 @@ func TestSlotHandle(t *testing.T) {
 	if s.Slot(7) != sl {
 		t.Fatal("Slot returned a second handle for the same block")
 	}
-	sum, _, evicted := sl.Write(0, 70, []float64{1, 2})
+	sum, _, evicted := sl.Write(0, 70, 0, []float64{1, 2})
 	if evicted || sum != Checksum([]float64{1, 2}) {
 		t.Fatalf("first slot write: sum=%#x evicted=%v", sum, evicted)
 	}
@@ -690,7 +690,7 @@ func TestSlotHandle(t *testing.T) {
 	if !errors.As(err, &ae) || !errors.Is(err, ErrNotRetained) || ae.Ref != (Ref{7, 0}) {
 		t.Fatalf("slot read of the evicted version: %v", err)
 	}
-	s.Corrupt(7, 1)
+	s.Corrupt(7, 1, 0)
 	if _, err := sl.Read(1, nil); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("slot read of a corrupted version: %v", err)
 	}
@@ -698,7 +698,7 @@ func TestSlotHandle(t *testing.T) {
 	single := NewStore(0)
 	block := ID(0)
 	if allocs := testing.AllocsPerRun(100, func() {
-		single.Slot(block).Write(0, 1, []float64{1})
+		single.Slot(block).Write(0, 1, 0, []float64{1})
 		block++
 	}); allocs > 3 { // slot, payload copy, and the slot table's amortized growth
 		t.Fatalf("a new single-version block cost %v allocations, want <= 3", allocs)
@@ -711,8 +711,8 @@ func TestSlotHandle(t *testing.T) {
 func TestArena(t *testing.T) {
 	s := NewStore(0)
 	small, large := s.Slot(1), s.Slot(2)
-	small.Write(0, 1, []float64{1, 2, 3})
-	large.Write(0, 2, make([]float64, PoolMin))
+	small.Write(0, 1, 0, []float64{1, 2, 3})
+	large.Write(0, 2, 0, make([]float64, PoolMin))
 
 	var a Arena
 	first, err := small.Read(0, &a)
@@ -723,11 +723,11 @@ func TestArena(t *testing.T) {
 	if &first[0] == &second[0] {
 		t.Fatal("two arena reads share memory")
 	}
-	s.Corrupt(1, 0)
+	s.Corrupt(1, 0, 0)
 	if first[0] != 1 || second[0] != 1 {
 		t.Fatal("arena copy changed when the stored version was corrupted")
 	}
-	small.Write(0, 1, []float64{1, 2, 3})
+	small.Write(0, 1, 0, []float64{1, 2, 3})
 	if big, _ := large.Read(0, &a); a.used != 6 {
 		t.Fatalf("a %d-float read took arena space (used %d)", len(big), a.used)
 	}
@@ -892,7 +892,7 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 				case 2:
 					if i%97 == 0 {
-						s.Corrupt(b, v)
+						s.Corrupt(b, v, 0)
 					} else {
 						s.Latest(b)
 					}

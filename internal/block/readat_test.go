@@ -126,7 +126,7 @@ func TestReadAtChecksTheFlagFirst(t *testing.T) {
 		s := NewStore(0, opts...)
 		n := 3 * segWords
 		s.Write(1, 0, 1, randomBits(rand.New(rand.NewPCG(11, 12)), n))
-		s.Corrupt(1, 0)
+		s.Corrupt(1, 0, 0)
 		dst := []float64{-1, -2}
 		err := s.Slot(1).ReadAt(0, dst, Run{Off: n - 2, Stride: 1, N: 2})
 		if !errors.Is(err, ErrCorrupted) || errors.Is(err, ErrChecksum) {
@@ -143,8 +143,8 @@ func TestReadAtChecksTheFlagFirst(t *testing.T) {
 func TestReadAtEvicted(t *testing.T) {
 	s := NewStore(1, WithVerification())
 	sl := s.Slot(4)
-	sl.Write(0, 40, make([]float64, 2*segWords))
-	sl.Write(1, 41, make([]float64, 2*segWords))
+	sl.Write(0, 40, 0, make([]float64, 2*segWords))
+	sl.Write(1, 41, 0, make([]float64, 2*segWords))
 	dst := make([]float64, 1)
 	for _, v := range []int{0, 2} {
 		err := sl.ReadAt(v, dst, Run{Off: 0, Stride: 1, N: 1})
@@ -174,8 +174,8 @@ func TestReadAtGathers(t *testing.T) {
 			sl := s.Slot(1)
 			for v, n := range []int{1, 5, segWords, segWords + 1, 4096, 4097, 4096, 17*segWords + 9, 3 * segWords} {
 				data := randomBits(r, n)
-				sl.Write(v, 1, slices.Clone(data))
-				sl.Write(v, 1, slices.Clone(data)) // in place
+				sl.Write(v, 1, 0, slices.Clone(data))
+				sl.Write(v, 1, 0, slices.Clone(data)) // in place
 				whole, err := sl.Read(v, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -223,7 +223,7 @@ func TestReadAtAfterSilentCorruption(t *testing.T) {
 func TestReadAtRejectsRunsOutside(t *testing.T) {
 	s := NewStore(0, WithVerification())
 	sl := s.Slot(1)
-	sl.Write(0, 1, make([]float64, 10))
+	sl.Write(0, 1, 0, make([]float64, 10))
 	for _, c := range []struct {
 		dst  int
 		runs []Run
@@ -268,7 +268,7 @@ func TestSnapshotsReused(t *testing.T) {
 		sl := s.Slot(1)
 		v := 0
 		write := func() {
-			sl.Write(v, 1, Alloc(4097))
+			sl.Write(v, 1, 0, Alloc(4097))
 			v++
 		}
 		for range 2 * k {

@@ -18,8 +18,8 @@ import (
 
 // TestBoundaryReadOfCorruptedPredecessor: a ReadPredAt of a poisoned version
 // fails on the flag — the column read misses word 0, the only word Corrupt
-// scrambles — counts as one corrupt read, and names the producer's current
-// incarnation, so the consumer's catch recovers the right task.
+// scrambles — counts as one corrupt read, and names the incarnation that
+// wrote the version, so the consumer's catch recovers the right task.
 func TestBoundaryReadOfCorruptedPredecessor(t *testing.T) {
 	a, err := lcs.New(apps.Config{N: 32, B: 16, Seed: 1}) // 2×2 tiles of 256 words
 	if err != nil {
@@ -30,8 +30,8 @@ func TestBoundaryReadOfCorruptedPredecessor(t *testing.T) {
 	e.insertIfAbsent(0)
 	e.replaceTask(nil, 0) // the producer is in its second incarnation
 	ref := spec.Output(0)
-	e.store.Write(ref.Block, ref.Version, 0, make([]float64, 256))
-	e.store.Corrupt(ref.Block, ref.Version)
+	e.store.Slot(ref.Block).Write(ref.Version, 0, 1, make([]float64, 256))
+	e.store.Corrupt(ref.Block, ref.Version, 1)
 	ctx := &taskCtx[ftState]{e: e, t: e.newTask(1, 0)} // tile (0, 1) reads tile 0's last column
 	dst := make([]float64, 16)
 	err = graph.ReadPredAt(ctx, 0, dst, block.Run{Off: 15, Stride: 16, N: 16})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -32,19 +33,19 @@ type heldBufs struct {
 	small block.Arena
 }
 
-// write stores data, whose ownership the compute passed with it, as version
-// of slot. The store adopts the slice itself unless the context may still
-// give it back: a payload below block.PoolMin may be a piece of the arena,
-// and one inside a held read copy goes back with that copy (graph.Context
-// lets a compute write a piece of what ReadPred returned). Those two are
-// copied.
-func (h *heldBufs) write(slot *block.Slot, version int, producer graph.Key, data []float64) (sum uint64, victim int64, evicted bool) {
+// write stores data, whose ownership the compute passed with it, as version of
+// slot written by incarnation life of producer. The store adopts the slice
+// itself unless the context may still give it back: a payload below
+// block.PoolMin may be a piece of the arena, and one inside a held read copy
+// goes back with that copy (graph.Context lets a compute write a piece of what
+// ReadPred returned). Those two are copied.
+func (h *heldBufs) write(slot *block.Slot, version int, producer graph.Key, life int, data []float64) (sum uint64, victim int64, evicted bool) {
 	if len(data) < block.PoolMin || h.holds(data) {
 		own := block.Alloc(len(data))
 		copy(own, data)
 		data = own
 	}
-	return slot.Write(version, producer, data)
+	return slot.Write(version, int64(producer), life, data)
 }
 
 // holds reports whether data lies inside one of the listed read copies.
@@ -154,7 +155,7 @@ var (
 
 // ReadPred returns a private copy of the block version produced by the given
 // predecessor. On corruption or eviction the error names the predecessor's
-// current incarnation, so the consumer's catch recovers the right task.
+// incarnation to recover (taskCtx.failed), which the consumer's catch does.
 func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	slot, version := c.output(pred)
 	data, err := c.read(c.e.met.at(c.w), pred, slot, version, c.capture)
@@ -187,16 +188,24 @@ func (c *taskCtx[S]) output(pred graph.Key) (*block.Slot, int) {
 }
 
 // failed turns a failed read of pred's output into the error the compute
-// returns: a fault naming pred's current incarnation, which the consumer's
-// catch recovers. Under NABBIT no read can fail but by a spec bug — or in a
-// compute an aborted run left running, whose store has been released; the
-// error then goes back to the compute as it is, and the catch drops it.
+// returns: a fault naming the incarnation of pred that wrote the corrupted
+// version read — not pred's current one, which may be the recovery of that very
+// incarnation, still running or done — or, for a version no longer retained,
+// pred's current incarnation. The consumer's catch recovers the incarnation
+// named, unless its recovery is already claimed. Under NABBIT no read can fail
+// but by a spec bug — or in a compute an aborted run left running, whose store
+// has been released; the error then goes back to the compute as it is, and the
+// catch drops it.
 func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 	if !c.t.shaded() {
 		if c.e.aborted() {
 			return err
 		}
 		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
+	}
+	var ae *block.AccessError
+	if errors.As(err, &ae) && errors.Is(ae.Err, block.ErrCorrupted) {
+		return fault.Errorf(pred, ae.Life)
 	}
 	life := 0
 	if pt, ok := c.e.tasks.Load(pred); ok {
@@ -210,7 +219,7 @@ func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 // overwritten: any task still needing that version will observe the failure
 // and re-execute the producer (paper §IV, cascading re-execution).
 func (c *taskCtx[S]) Write(data []float64) {
-	sum, victim, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, data)
+	sum, victim, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, c.t.Life(), data)
 	met := c.e.met.at(c.w)
 	met.countWrite(evicted)
 	if c.t.shaded() && evicted && victim != c.t.key {

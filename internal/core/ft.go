@@ -539,17 +539,28 @@ func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 }
 
 // inject poisons the task descriptor (and, when withBlock is set, the output
-// block version the incarnation has written).
+// block version the incarnation has written). Once the descriptor is
+// poisoned another thread may recover the incarnation, and its recovery may
+// rewrite the version before Corrupt runs: Corrupt names the incarnation, so
+// the recovery's clean version is left alone.
 func (e *exec[S]) inject(w *sched.Worker, t *task[S], withBlock bool) {
 	if e.cfg.Spans != nil {
 		e.emitSpan("inject", time.Now(), 0, t.key, t.Life(), boolArg(withBlock))
 	}
 	t.mark(poisoned)
 	if withBlock {
-		e.store.Corrupt(t.out.Block, t.out.Version)
+		if injectWindow != nil {
+			injectWindow(w, t.key, t.Life())
+		}
+		e.store.Corrupt(t.out.Block, t.out.Version, t.Life())
 	}
 	e.met.at(w).injections.Add(1)
 }
+
+// injectWindow, set only by tests, runs in inject between poisoning the
+// descriptor and corrupting the output: it holds open the window in which
+// another thread recovers the poisoned incarnation.
+var injectWindow func(w *sched.Worker, key graph.Key, life int)
 
 // recoverFromError routes a caught *fault.Error to recovery of the task it
 // names. Non-fault errors indicate executor bugs and panic.

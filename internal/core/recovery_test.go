@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
+	"ftdag/internal/fault"
 	"ftdag/internal/graph"
 	"ftdag/internal/sched"
 )
@@ -142,5 +145,74 @@ func TestResetNodePoisonedSelf(t *testing.T) {
 	cur, _ := e.tasks.Load(2)
 	if cur.Life() != 1 {
 		t.Fatalf("poisoned reset target not recovered: life=%d", cur.Life())
+	}
+}
+
+// TestInjectionSparesTheRecoveredVersion: an after-compute fault poisons task
+// 0's descriptor, and before the injector corrupts its output the window
+// stays open until the recovery of that incarnation — claimed as a successor
+// that saw the poisoned descriptor would claim it — has computed and written
+// a clean version on the other worker. The successor that recovery notifies
+// starts only once the injection is done, so it reads whatever the injector
+// left. The injector flags only the version its own incarnation wrote — none
+// is left — so the successor reads a clean version and the one fault costs
+// one recovery.
+func TestInjectionSparesTheRecoveredVersion(t *testing.T) {
+	g := graph.Chain(3, nil)
+	e := NewFT(g, Config{Workers: 2, Plan: fault.NewPlan().Add(0, fault.AfterCompute, 1), Timeout: testTimeout})
+	recovered := make(chan struct{})
+	e.cfg.Hooks.OnComputed = func(key graph.Key, life int) {
+		if key == 0 && life == 1 {
+			close(recovered)
+		}
+	}
+	e.cfg.Hooks.OnCompute = func(key graph.Key, life int) {
+		for deadline := time.Now().Add(testTimeout); key == 1 && e.met.snapshot().InjectionsFired == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the injection did not finish")
+				return
+			}
+		}
+	}
+	injectWindow = func(w *sched.Worker, key graph.Key, life int) {
+		if key == 0 && life == 0 {
+			e.recoverTaskOnce(w, key, life)
+			select {
+			case <-recovered:
+			case <-time.After(testTimeout):
+				t.Error("the recovered incarnation did not compute")
+			}
+		}
+	}
+	defer func() { injectWindow = nil }()
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Recoveries != 1 || res.Store.CorruptReads != 0 {
+		t.Fatalf("one injection: %d recoveries, %d corrupt reads; want 1 and 0", res.Metrics.Recoveries, res.Store.CorruptReads)
+	}
+}
+
+// TestCorruptReadNamesTheWriter: a read of a corrupted version names the
+// incarnation that wrote it, even when the producer has been recovered
+// since: the consumer's error must not start a recovery of the healthy
+// recovered incarnation.
+func TestCorruptReadNamesTheWriter(t *testing.T) {
+	g := graph.Chain(2, nil)
+	e := NewFT(g, Config{})
+	e.insertIfAbsent(0)
+	ref := g.Output(0)
+	e.store.Write(ref.Block, ref.Version, 0, []float64{1}) // by life 0
+	e.store.Corrupt(ref.Block, ref.Version, 0)
+	if e.store.Corrupt(ref.Block, ref.Version, 1) {
+		t.Fatal("Corrupt flagged a version another incarnation wrote")
+	}
+	e.replaceTask(nil, 0) // the producer's recovery is under way
+	ctx := &taskCtx[ftState]{e: e, t: e.newTask(1, 0)}
+	_, err := ctx.ReadPred(0)
+	var fe *fault.Error
+	if !errors.As(err, &fe) || fe.Key != 0 || fe.Life != 0 {
+		t.Fatalf("read of life 0's corrupted version: %v, want a fault naming task 0, life 0", err)
 	}
 }

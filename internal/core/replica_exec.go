@@ -188,9 +188,11 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 			// reader observes the failure, then hand the incarnation
 			// to recovery. Successors are un-notified at this point,
 			// so the downstream notify closure re-attaches to the
-			// fresh incarnation via the recovery scan.
+			// fresh incarnation via the recovery scan. Corrupt names
+			// this incarnation: a recovery claimed in between keeps
+			// the version it rewrites.
 			t.mark(poisoned)
-			e.store.Corrupt(t.out.Block, t.out.Version)
+			e.store.Corrupt(t.out.Block, t.out.Version, t.Life())
 			return fault.Errorf(t.key, t.Life())
 		}
 		e.finishAndNotify(w, t)

@@ -82,7 +82,7 @@ func (c *seqCtx) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) er
 
 func (c *seqCtx) Write(data []float64) {
 	slot, version := specOutput(c.e.spec, c.e.store, c.key)
-	_, _, evicted := c.write(slot, version, c.key, data)
+	_, _, evicted := c.write(slot, version, c.key, 0, data)
 	c.e.met.at(nil).countWrite(evicted)
 	c.wrote = true
 }
