@@ -5,7 +5,7 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), then a warm LCS rerun (B/op, allocs/op); no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), a warm LCS rerun (B/op, allocs/op), then the black box's flush and a span's emit; no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -14,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: ci build benchbuild graphsmoke benchsmoke test vet lint lint-json race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
+.PHONY: ci build benchbuild graphsmoke benchsmoke test vet lint race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint lint-json race graphsmoke benchsmoke sdcsoak crashsoak clustersoak blackbox
+ci: build benchbuild test vet lint race graphsmoke benchsmoke sdcsoak crashsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -38,12 +38,17 @@ benchbuild:
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
 # the free list and the next run takes them, so it stays below the 512 KiB
 # table (≈ 210 KB); a change that stops the recycling shows here as the table
-# added back. No threshold: timing gates do not survive this host.
+# added back. And what the durable daemon's black box costs: a flush's time
+# and the bytes it writes (an append of the new events, or now and then a
+# rewrite of the box), and a span's emit with the recorders wired beside the
+# emit into a bare ring — a span is written to its ring only, so the two rows
+# should read the same. No threshold: timing gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
 	$(GO) test -run '^$$' -bench SlotRead -benchtime 20000x ./internal/block
 	$(GO) test -run '^$$' -bench RerunLCS -benchtime 20x ./internal/core
+	$(GO) test -run '^$$' -bench 'FlightSnapshot|SpanEmit' -benchtime 200x ./internal/trace
 
 graphsmoke:
 	$(GO) run ./cmd/ftgraph -app LU -n 64 -b 16 -p 2 -faults 2 -trace 64 > /dev/null
@@ -65,12 +70,6 @@ vet:
 # //lint:ignore <analyzer> <reason>; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/ftlint ./...
-
-# JSON-output smoke: the structured report the scenario-matrix triage
-# consumes must parse and schema-validate against live ftlint output —
-# -json output is piped straight back into ftlint's own reader.
-lint-json:
-	$(GO) run ./cmd/ftlint -json ./... | $(GO) run ./cmd/ftlint -validate
 
 # The concurrency-critical packages run under the race detector on every PR:
 # the work-stealing runtime, the sharded map backing the task/recovery

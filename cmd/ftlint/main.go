@@ -4,16 +4,11 @@
 //
 // Usage:
 //
-//	ftlint [-list] [-json] [packages]
+//	ftlint [-list] [packages]
 //
 // With no packages, ./... is analyzed. Findings print as
 // "file:line:col: [analyzer] message"; the exit status is 1 when there are
 // findings (including load failures of any package) and 0 on a clean tree.
-// With -json a structured report goes to stdout instead — every finding with
-// its witness chain, suppressed findings included and marked — and the exit
-// status considers only active (unsuppressed) findings. -validate reads a
-// report back from stdin and schema-validates it (the `make lint-json`
-// round-trip smoke).
 // Per-line suppressions: //lint:ignore <analyzer> <reason> — see the
 // README's "Static analysis" section.
 package main
@@ -28,22 +23,11 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit a structured JSON report (suppressed findings included)")
-	validate := flag.Bool("validate", false, "schema-validate a JSON report from stdin and exit")
 	flag.Parse()
 	if *list {
 		for _, a := range lint.All {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		return
-	}
-	if *validate {
-		r, err := lint.ReadJSON(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ftlint: report valid: %d analyzer(s), %d finding(s), %d active\n",
-			len(r.Analyzers), len(r.Findings), r.Active)
 		return
 	}
 	patterns := flag.Args()
@@ -63,17 +47,6 @@ func main() {
 	pkgs, err := ld.Load(patterns...)
 	if err != nil {
 		fatal(err)
-	}
-	if *jsonOut {
-		report := lint.NewReport(lint.All, lint.CheckVerbose(ld.Fset, pkgs, lint.All))
-		if err := report.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		if report.Active > 0 {
-			fmt.Fprintf(os.Stderr, "ftlint: %d active finding(s)\n", report.Active)
-			os.Exit(1)
-		}
-		return
 	}
 
 	diags := lint.Check(ld.Fset, pkgs, lint.All)

@@ -61,7 +61,7 @@ func main() {
 	if proc == "" {
 		proc = "ftrouter-" + strings.Trim(strings.ReplaceAll(*addr, ":", "-"), "-")
 	}
-	tracer, flight, err := trace.NewRecorders(proc, *spansCap, *flightCap, *dataDir, 0)
+	tracer, flight, err := trace.NewRecorders(proc, *spansCap, *flightCap, *dataDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftrouter: %v\n", err)
 		os.Exit(1)

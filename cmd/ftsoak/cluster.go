@@ -35,8 +35,8 @@ import (
 // service replays whatever the journal holds — for a child started over the
 // promoted standby mirror, that is the killed victim's WAL, so its
 // incomplete jobs re-run here automatically. Every child flies with the
-// black box flushed every 20ms, so a SIGKILL — the soak's weapon — leaves a
-// parseable box at most one flush behind for the parent to collect.
+// black box, appended to every 50ms, so a SIGKILL — the soak's weapon —
+// leaves a parseable box at most one flush behind for the parent to collect.
 func runClusterChild(dataDir string, workers int, timeout time.Duration) error {
 	be, err := cluster.OpenBackend(cluster.BackendConfig{
 		Name:       filepath.Base(dataDir),
@@ -45,7 +45,6 @@ func runClusterChild(dataDir string, workers int, timeout time.Duration) error {
 		Build:      crashRebuild(timeout),
 		Spans:      8192,
 		Flight:     4096,
-		Flush:      20 * time.Millisecond,
 		DrainGrace: 2 * time.Second,
 	})
 	if err != nil {
@@ -110,7 +109,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	// The router runs in-process so the soak can reconcile its metrics
 	// registry directly at the end.
 	reg := metrics.NewRegistry()
-	routerSpans, routerFlight, err := trace.NewRecorders("router", 8192, 2048, root, 20*time.Millisecond)
+	routerSpans, routerFlight, err := trace.NewRecorders("router", 8192, 2048, root)
 	if err != nil {
 		fatalf("router black box: %v", err)
 	}
@@ -203,7 +202,7 @@ func runClusterSoak(seed int64, njobs, workers int, timeout time.Duration, verbo
 	}
 
 	if blackbox {
-		// Give the children's write-behind flushers (20ms interval) a few
+		// Give the children's write-behind flushers (50ms interval) three
 		// ticks so every submission-time event is on disk: the
 		// box-vs-placement reconciliation tolerates losing only the final
 		// flush window, which this sleep moves past the submissions.

@@ -25,10 +25,8 @@ type BackendConfig struct {
 	// Build is the vocabulary: submission body or journaled payload in,
 	// JobSpec out (NodeConfig.Build and service.Config.Rebuild at once).
 	Build func(body []byte) (service.JobSpec, error)
-	// Spans and Flight are the recorder ring capacities (< 1: off); Flush
-	// is the black box's write-behind interval (<= 0: the default).
+	// Spans and Flight are the recorder ring capacities (< 1: off).
 	Spans, Flight int
-	Flush         time.Duration
 	// DrainGrace is POST /drain's default grace.
 	DrainGrace time.Duration
 }
@@ -73,7 +71,7 @@ func OpenBackend(cfg BackendConfig) (*Backend, error) {
 		crashed = torn || incomplete > 0
 		sc.Journal, sc.Rebuild = jr, cfg.Build
 	}
-	tracer, flight, err := trace.NewRecorders(cfg.Name, cfg.Spans, cfg.Flight, cfg.DataDir, cfg.Flush)
+	tracer, flight, err := trace.NewRecorders(cfg.Name, cfg.Spans, cfg.Flight, cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}

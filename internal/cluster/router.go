@@ -321,8 +321,8 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 					Start: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
 					Job: rs.ID, Task: -1, Arg: int64(i),
 				})
-				rt.flight.Emit("cluster-submit", b.name, rs.ID, -1, int64(i), ctx)
 			}
+			rt.flight.Emit("cluster-submit", b.name, rs.ID, -1, int64(i), ctx)
 			writeJSON(w, http.StatusAccepted, rs)
 			return
 		case resp == http.StatusTooManyRequests || resp == http.StatusServiceUnavailable:
@@ -725,8 +725,8 @@ func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 					Start: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
 					Job: j.id, Task: -1,
 				})
-				rt.flight.Emit(spanName, b.name, j.id, -1, 0, ctx)
 			}
+			rt.flight.Emit(spanName, b.name, j.id, -1, 0, ctx)
 			moved = true
 			break
 		}

@@ -251,6 +251,63 @@ func TestFailoverResubmitKeepsTraceID(t *testing.T) {
 	}
 }
 
+// TestRouterBoxWithoutTracing: the router's black box records placements and
+// reroutes whether or not it has a span recorder — with tracing off it is
+// the only record of them.
+func TestRouterBoxWithoutTracing(t *testing.T) {
+	victim := newTestBackend(t, "victim", true)
+	survivor := newTestBackend(t, "survivor", true)
+	dir := t.TempDir()
+	fl := trace.NewFlight("router", 64)
+	if err := fl.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(RouterConfig{
+		HealthInterval: 20 * time.Millisecond,
+		FailThreshold:  2,
+		Client:         &http.Client{Timeout: 5 * time.Second},
+		Flight:         fl,
+	})
+	for _, b := range []*testBackend{victim, survivor} {
+		if err := rt.AddBackend(b.name, b.ts.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Start()
+	ts := httptest.NewServer(rt.Mux())
+	defer func() {
+		ts.Close()
+		rt.Stop()
+	}()
+
+	vKey := keyOwnedBy("victim", "victim", "survivor")
+	resp, rs := submitViaRouter(t, ts.URL, vKey, `{"name":"fo-box","tasks":8,"sleep_ms":50}`)
+	if resp.StatusCode != http.StatusAccepted || rs.Backend != "victim" {
+		t.Fatalf("submit: %s on %q, want 202 on victim", resp.Status, rs.Backend)
+	}
+	victim.ts.CloseClientConnections()
+	victim.ts.Close()
+	if final := waitTerminal(t, ts.URL, rs.ID, 20*time.Second); final.Backend != "survivor" {
+		t.Fatalf("failed-over job: %+v", final)
+	}
+	if err := fl.Close("test"); err != nil {
+		t.Fatal(err)
+	}
+	box, err := trace.ReadBlackBox(trace.BoxPath(dir, "router"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]int)
+	for _, e := range box.Events {
+		if e.Job == rs.ID {
+			kinds[e.Kind]++
+		}
+	}
+	if kinds["cluster-submit"] != 1 || kinds["failover-resubmit"] != 1 {
+		t.Fatalf("router box events for job %d: %v, want one cluster-submit and one failover-resubmit", rs.ID, kinds)
+	}
+}
+
 // TestClusterTraceEndpoint: the merged document is valid Perfetto-style
 // JSON spanning router and backend processes, job IDs and raw trace IDs
 // both resolve, and junk IDs are rejected.

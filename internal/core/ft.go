@@ -412,12 +412,8 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 		ins, sp, pool = e.cfg.Instruments, e.cfg.Spans, &ftCtxPool
 	}
 	var computeStart time.Time
-	if ins != nil {
+	if ins != nil || sp != nil {
 		computeStart = time.Now()
-	}
-	var spanStart time.Time
-	if sp != nil {
-		spanStart = time.Now()
 	}
 	ctx := pool.Get().(*taskCtx[S])
 	ctx.e, ctx.t, ctx.w, ctx.capture = e, t, w, rj != nil
@@ -445,7 +441,7 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 		}
 	}
 	if sp != nil {
-		e.emitSpan("compute", spanStart, time.Since(spanStart), t.key, t.Life(), boolArg(err != nil))
+		e.emitSpan("compute", computeStart, time.Since(computeStart), t.key, t.Life(), boolArg(err != nil))
 	}
 	return err
 }

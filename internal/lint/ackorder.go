@@ -25,7 +25,7 @@ import (
 // locally dominate exposes that obligation to its callers — the check moves
 // one frame up, so "helper acks, caller fsyncs" layouts are proven, not
 // rejected. An obligation that survives to a function nothing in the module
-// calls is reported there with the witness chain down to the annotated ack.
+// calls is reported at the call of the annotated ack it started from.
 //
 // Directive sanity is checked too: a `//lint:durable fsync` function whose
 // expanded call graph can never reach an (*os.File).Sync or another fsync
@@ -59,13 +59,11 @@ type pkgDiag struct {
 // enclosing function. origin stays pinned to the direct call of the
 // annotated ack as the obligation climbs the call graph — that is where the
 // diagnostic lands (so a reasoned //lint:ignore sits next to the ack, not at
-// some distant root), while chain accumulates the climb for the witness.
+// some distant root).
 type ackObligation struct {
-	pos       token.Pos // the undominated call in the current function
 	origin    token.Pos // the direct call to the annotated ack
 	originPkg *Package
-	ackName   string        // name of the annotated ack at the bottom of the chain
-	chain     []WitnessStep // path from this call down to the annotated ack
+	ackName   string // name of the annotated ack
 }
 
 // ackSummary is the durability behavior of one function.
@@ -141,14 +139,10 @@ func computeAckOrder(fset *token.FileSet, g *Graph) []pkgDiag {
 				continue
 			}
 			reported[rk] = true
-			witness := append([]WitnessStep{
-				{Pos: fset.Position(ob.pos), Note: fmt.Sprintf("ack reached in %s without a preceding fsync barrier", n.Name)},
-			}, ob.chain...)
 			out = append(out, pkgDiag{pkg: ob.originPkg, diag: Diagnostic{
 				Pos:      fset.Position(ob.origin),
 				Analyzer: "ackorder",
 				Message:  fmt.Sprintf("ack %q is not dominated by a durable fsync on every path to it", ob.ackName),
-				Witness:  witness,
 			}})
 		}
 	})
@@ -202,12 +196,9 @@ func (w *ackWalk) call(key string, pos token.Pos, st *ackState) {
 	// functions are never also barriers) cannot excuse its own ack.
 	if target.Durable == "ack" && !st.synced {
 		w.addObligation(ackObligation{
-			pos:       pos,
 			origin:    pos,
 			originPkg: w.node.Pkg,
 			ackName:   target.Name,
-			chain: []WitnessStep{{Pos: w.fset.Position(target.DurablePos),
-				Note: fmt.Sprintf("%s is the //lint:durable ack", target.Name)}},
 		})
 		return
 	}
@@ -215,14 +206,7 @@ func (w *ackWalk) call(key string, pos token.Pos, st *ackState) {
 		// The callee exposes an undominated ack; unsynced here, the
 		// obligation climbs to this function's own summary.
 		for _, ob := range s.obligations {
-			chain := append([]WitnessStep{
-				{Pos: w.fset.Position(pos), Note: fmt.Sprintf("call to %s, which acks without a local barrier", target.Name)},
-				{Pos: w.fset.Position(ob.pos), Note: fmt.Sprintf("ack reached in %s", target.Name)},
-			}, ob.chain...)
-			w.addObligation(ackObligation{
-				pos: pos, origin: ob.origin, originPkg: ob.originPkg,
-				ackName: ob.ackName, chain: chain,
-			})
+			w.addObligation(ob)
 		}
 	}
 	if target.Durable == "fsync" || (s != nil && s.barrier) {

@@ -9,7 +9,6 @@ import (
 type ignoreDirective struct {
 	pos      token.Position
 	analyzer string
-	reason   string
 	used     bool
 }
 
@@ -43,11 +42,7 @@ func collectIgnores(fset *token.FileSet, pkgs []*Package) (*ignoreSet, []Diagnos
 						})
 						continue
 					}
-					set.directives = append(set.directives, &ignoreDirective{
-						pos:      pos,
-						analyzer: fields[0],
-						reason:   strings.Join(fields[1:], " "),
-					})
+					set.directives = append(set.directives, &ignoreDirective{pos: pos, analyzer: fields[0]})
 				}
 			}
 		}
@@ -57,23 +52,19 @@ func collectIgnores(fset *token.FileSet, pkgs []*Package) (*ignoreSet, []Diagnos
 
 // suppresses reports whether some directive covers d: same file, matching
 // analyzer, and the directive sits on the finding's line (trailing comment)
-// or on the line directly above it. The written reason of the first covering
-// directive is returned for the verbose (JSON) view.
-func (s *ignoreSet) suppresses(d Diagnostic) (string, bool) {
-	reason, hit := "", false
+// or on the line directly above it.
+func (s *ignoreSet) suppresses(d Diagnostic) bool {
+	hit := false
 	for _, dir := range s.directives {
 		if dir.analyzer != d.Analyzer || dir.pos.Filename != d.Pos.Filename {
 			continue
 		}
 		if dir.pos.Line == d.Pos.Line || dir.pos.Line == d.Pos.Line-1 {
 			dir.used = true
-			if !hit {
-				reason = dir.reason
-			}
 			hit = true // keep scanning so stacked directives all count as used
 		}
 	}
-	return reason, hit
+	return hit
 }
 
 // unused reports every directive that suppressed nothing — stale

@@ -9,24 +9,11 @@ import (
 )
 
 // Diagnostic is one finding: a position, the analyzer that raised it, and a
-// message. The String form is the CI-facing output format. The
-// interprocedural ackorder attaches a Witness chain — the path of positions
-// that makes the finding checkable by a human. Suppressed findings are
-// normally filtered out; the verbose (JSON) path keeps them, marked.
+// message. The String form is the CI-facing output format.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Witness  []WitnessStep
-
-	Suppressed   bool
-	SuppressedBy string // the //lint:ignore reason that excused it
-}
-
-// WitnessStep is one hop of an interprocedural witness chain.
-type WitnessStep struct {
-	Pos  token.Position
-	Note string
 }
 
 func (d Diagnostic) String() string {
@@ -101,21 +88,6 @@ var All = []*Analyzer{RawAtomic, LockScope, DetRand, ErrSink, AckOrder}
 // findings sorted by position: load errors first-class, //lint:ignore
 // suppressions applied, unused suppressions reported.
 func Check(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	all := CheckVerbose(fset, pkgs, analyzers)
-	out := make([]Diagnostic, 0, len(all))
-	for _, d := range all {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// CheckVerbose is Check without the suppression filter: suppressed findings
-// stay in the result, marked with the reason that excused them. This is the
-// -json view — a triage consumer needs to see what was waived, not just what
-// fired.
-func CheckVerbose(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	var healthy []*Package
 	for _, pkg := range pkgs {
@@ -152,11 +124,9 @@ func CheckVerbose(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	sup, supDiags := collectIgnores(fset, healthy)
 	diags = append(diags, supDiags...)
 	for _, d := range found {
-		if reason, ok := sup.suppresses(d); ok {
-			d.Suppressed = true
-			d.SuppressedBy = reason
+		if !sup.suppresses(d) {
+			diags = append(diags, d)
 		}
-		diags = append(diags, d)
 	}
 	diags = append(diags, sup.unused()...)
 

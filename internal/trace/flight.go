@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,48 +13,52 @@ import (
 )
 
 // Flight is the black-box flight recorder: an always-on, bounded,
-// allocation-free ring of structured events that survives the death of
-// its process. Emit writes into preallocated slots under a mutex (no
-// allocation, no I/O); a background flusher snapshots the ring to
-// <dir>/blackbox/<proc>.json every interval via atomic rename, so even a
-// SIGKILL — which no handler can observe — leaves a parseable box at most
-// one flush interval stale. Explicit snapshots (panic, SIGTERM,
-// journal-replay-after-crash) write immediately with the reason recorded.
-// A flush encodes only the events emitted since the previous one — the
-// encoding of those still in the ring is kept (see encode) — into storage the
-// recorder reuses, so a steady-state flush costs the new events plus one file
-// write, and allocates nothing but what the os package needs to create and
-// rename the file.
+// allocation-free ring of a process's job lifecycle events that survives the
+// death of the process. Emit writes into preallocated slots under a mutex (no
+// allocation, no I/O); a background flusher appends the events emitted since
+// its previous write to <dir>/blackbox/<proc>.json every flushEvery, one JSON
+// line each, so even a SIGKILL — which no handler can observe — leaves a box
+// at most one flush stale, and at worst a torn last line that the reader
+// drops. Explicit snapshots (panic, SIGTERM, journal-replay-after-crash)
+// append at once, followed by a line with the reason.
+//
+// The box file is line 1 a header {"proc","pid"}, then event lines in the
+// order emitted with no seq missing between them, and reason lines
+// {"reason","when_us"}. Once it holds twice the ring's lines, or the ring
+// overwrote events no write had reached, it is rewritten from the ring through
+// a temp file and a rename; every other write is one append of the new lines
+// from storage the recorder reuses, and allocates nothing.
 //
 // A nil *Flight discards everything: the disabled path is one inlined nil
 // check, the same contract as the nil metrics registry and nil *Spans.
 type Flight struct {
-	proc string
-	ring ring[FlightEvent]
+	proc  string
+	ring  ring[FlightEvent]
+	limit int // the lines the box may hold after its header: twice the ring
 
 	path string // the box file; "" until Persist
-	tmp  string // staging name, renamed over path
 	stop chan struct{}
 	done chan struct{}
 
-	// snapMu serializes snapshots (the flusher and an explicit Snapshot
-	// share the staging file) and guards the encoder state they reuse:
-	// from out[lo] on lie the encodings of events encFirst …
-	// encFirst+len(ends)-1, each followed by a comma, ends[i] the offset
-	// just past the i-th of them; out[:lo] is dead (overwritten events),
-	// and lo is 0 only before the first document.
-	snapMu   sync.Mutex
-	fresh    []FlightEvent // staging for the events a flush has to encode
-	out      []byte
-	lo       int
-	ends     []int
-	encFirst uint64
+	// mu serializes writes to the box (the flusher's and explicit
+	// snapshots) and guards the state they share.
+	mu      sync.Mutex
+	file    *os.File      // the box, its offset at the end; nil before the first write and after a failed one
+	lines   int           // lines in the file after the header
+	written uint64        // the events numbered below this are written, or were overwritten unwritten
+	reason  []byte        // the newest reason line, carried over a rewrite so that the box's reason does not depend on when it was rewritten
+	fresh   []FlightEvent // staging for the events a write copies out of the ring
+	buf     []byte        // staging for the lines a write appends
 }
+
+// flushEvery is the write-behind interval: what a SIGKILL can cost the box.
+// A variable only so that a test can stop the ticks.
+var flushEvery = 50 * time.Millisecond
 
 // FlightEvent is one recorded occurrence. Fields are fixed-size or
 // pre-existing strings so Emit never allocates.
 type FlightEvent struct {
-	Seq    uint64  `json:"seq"`     // the event's position in the ring, filled in by the encoder
+	Seq    uint64  `json:"seq"`     // the event's position in the ring, filled in when it is written
 	WhenUS int64   `json:"when_us"` // unix microseconds
 	Kind   string  `json:"kind"`
 	Name   string  `json:"name,omitempty"`
@@ -65,15 +69,15 @@ type FlightEvent struct {
 	Span   SpanID  `json:"span,omitempty"`
 }
 
-// BlackBox is the on-disk snapshot format.
+// BlackBox is a box as ReadBlackBox returns it.
 type BlackBox struct {
 	Proc    string        `json:"proc"`
 	PID     int           `json:"pid"`
-	Reason  string        `json:"reason"`
-	WhenUS  int64         `json:"when_us"`
-	Seq     uint64        `json:"seq"`     // total events emitted
-	Dropped uint64        `json:"dropped"` // events lost to ring overwrite
-	Events  []FlightEvent `json:"events"`  // retained events, oldest first
+	Reason  string        `json:"reason"`  // the newest snapshot's reason; "flush" if none
+	WhenUS  int64         `json:"when_us"` // the newest snapshot's time, or else the newest event's
+	Seq     uint64        `json:"seq"`     // events emitted up to the newest in the box
+	Dropped uint64        `json:"dropped"` // events emitted before the oldest in the box
+	Events  []FlightEvent `json:"events"`  // the events in the box, oldest first
 }
 
 // NewFlight returns a recorder labelled with the process name, retaining
@@ -83,7 +87,7 @@ func NewFlight(proc string, capacity int) *Flight {
 	if capacity < 1 {
 		return nil
 	}
-	return &Flight{proc: proc, ring: ring[FlightEvent]{buf: make([]FlightEvent, 0, capacity)}}
+	return &Flight{proc: proc, ring: ring[FlightEvent]{buf: make([]FlightEvent, 0, capacity)}, limit: 2 * capacity}
 }
 
 // Emit records an event. Safe for concurrent use; allocation-free; no-op
@@ -102,86 +106,6 @@ func (f *Flight) emit(kind, name string, job, task, arg int64, ctx SpanContext) 
 		Job: job, Task: task, Arg: arg, Trace: ctx.Trace, Span: ctx.Span}
 	f.ring.mu.Unlock()
 }
-
-// boxPrefix opens the document. The events come first and the box's own
-// fields after them, so that everything in front of a still-retained event's
-// encoding is constant and the encoding can stay where it is.
-const boxPrefix = `{"events":[`
-
-// encode returns the box as the JSON document encoding/json would decode into
-// the same BlackBox — same keys, same omitted-when-zero fields, IDs as
-// fixed-width hex strings. It is hand-rolled and incremental because the
-// flusher runs every interval on a ring that mostly has not changed: through
-// json.MarshalIndent of the whole ring it was two fifths of a busy daemon's
-// CPU. Only the events emitted since the previous call are copied out of the
-// ring (under the lock) and encoded; the encodings of events the ring has
-// since overwritten are left behind as dead bytes in front of the document.
-// The caller holds snapMu, and the result is valid until the next call.
-func (f *Flight) encode(reason string) []byte {
-	fresh, first, seq := f.ring.since(f.fresh[:0], f.encoded())
-	f.fresh = fresh
-
-	if f.lo == 0 {
-		f.out, f.lo = append(f.out, boxPrefix...), len(boxPrefix)
-	}
-	out := f.out[:f.lo]
-	if n := len(f.ends); n > 0 {
-		out = f.out[:f.ends[n-1]]
-		out[len(out)-1] = ',' // where the previous document closed the array
-	}
-	// first only grows, and every call leaves encFirst == first.
-	switch gone := first - f.encFirst; {
-	case gone >= uint64(len(f.ends)):
-		out, f.ends, f.lo = out[:len(boxPrefix)], f.ends[:0], len(boxPrefix)
-	case gone > 0:
-		f.lo = f.ends[gone-1]
-		f.ends = f.ends[:copy(f.ends, f.ends[gone:])]
-		if dead := f.lo - len(boxPrefix); dead > len(out)-f.lo {
-			// More dead bytes in front than live ones: move the live ones
-			// down. The buffer stays within two documents, and the bytes
-			// moved within the bytes dropped.
-			out = out[:len(boxPrefix)+copy(out[len(boxPrefix):], out[f.lo:])]
-			for i := range f.ends {
-				f.ends[i] -= dead
-			}
-			f.lo = len(boxPrefix)
-		}
-	}
-	f.encFirst = first
-	for i := range fresh {
-		fresh[i].Seq = seq - uint64(len(fresh)-i)
-		out = append(appendEvent(out, &fresh[i]), ',')
-		f.ends = append(f.ends, len(out))
-	}
-
-	if len(f.ends) > 0 {
-		out[len(out)-1] = ']'
-	} else {
-		out = append(out, ']')
-	}
-	out = append(out, `,"proc":`...)
-	out = appendJSONString(out, f.proc)
-	out = append(out, `,"pid":`...)
-	out = strconv.AppendInt(out, int64(os.Getpid()), 10)
-	out = append(out, `,"reason":`...)
-	out = appendJSONString(out, reason)
-	out = append(out, `,"when_us":`...)
-	out = strconv.AppendInt(out, time.Now().UnixMicro(), 10)
-	out = append(out, `,"seq":`...)
-	out = strconv.AppendUint(out, seq, 10)
-	out = append(out, `,"dropped":`...)
-	out = strconv.AppendUint(out, first, 10) // every event before the oldest retained one
-	f.out = append(out, '}')
-	// The prefix goes over the dead bytes in front of the first live event
-	// (an event's encoding is longer than the prefix, so they are there).
-	doc := f.out[f.lo-len(boxPrefix):]
-	copy(doc, boxPrefix)
-	return doc
-}
-
-// encoded returns the number of events the encoder has seen: every one up to
-// the newest it encoded. The caller holds snapMu.
-func (f *Flight) encoded() uint64 { return f.encFirst + uint64(len(f.ends)) }
 
 func appendEvent(b []byte, e *FlightEvent) []byte {
 	b = append(b, `{"seq":`...)
@@ -279,12 +203,11 @@ func BoxPath(dataDir, proc string) string {
 }
 
 // Persist starts write-behind persistence under dataDir: the box lands at
-// BoxPath(dataDir, proc) every interval (only when new events arrived),
-// written to a temp file and renamed so readers never see a torn box. An
-// existing box from a previous incarnation of the same process is
-// preserved as <proc>-prev.json — it is crash evidence, not ours to
-// clobber. Call Close to stop the flusher and write a final snapshot.
-func (f *Flight) Persist(dataDir string, interval time.Duration) error {
+// BoxPath(dataDir, proc), and every flushEvery the events emitted since are
+// appended to it. An existing box from a previous incarnation of the same
+// process is preserved as <proc>-prev.json — it is crash evidence, not ours
+// to clobber. Call Close to stop the flusher and write a final snapshot.
+func (f *Flight) Persist(dataDir string) error {
 	if f == nil {
 		return nil
 	}
@@ -299,14 +222,11 @@ func (f *Flight) Persist(dataDir string, interval time.Duration) error {
 			return fmt.Errorf("trace: preserving previous black box: %w", err)
 		}
 	}
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	f.path, f.tmp = path, path+".tmp"
-	f.fresh = make([]FlightEvent, 0, cap(f.ring.buf))
+	f.path = path
+	f.fresh = make([]FlightEvent, 0, f.limit/2)
 	f.stop = make(chan struct{})
 	f.done = make(chan struct{})
-	go f.flushLoop(interval)
+	go f.flushLoop(flushEvery)
 	return nil
 }
 
@@ -319,15 +239,20 @@ func (f *Flight) flushLoop(interval time.Duration) {
 		case <-f.stop:
 			return
 		case <-t.C:
-			f.snapMu.Lock()
-			dirty := f.ring.count() != f.encoded()
-			f.snapMu.Unlock()
-			if dirty {
-				// Flush failures must not kill the recorder: the next tick
-				// retries, and the final Close snapshot reports the error.
-				_, _ = f.Snapshot("flush")
-			}
+			f.flush()
 		}
+	}
+}
+
+// flush is the flusher's write: the events emitted since the previous
+// write, if there are any, and no reason line.
+func (f *Flight) flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ring.count() != f.written {
+		// A failed write must not kill the recorder: the next one
+		// rewrites the box, and Close reports the error.
+		_ = f.write("")
 	}
 }
 
@@ -339,15 +264,86 @@ func (f *Flight) Snapshot(reason string) (string, error) {
 	if f == nil || f.path == "" {
 		return "", nil
 	}
-	f.snapMu.Lock()
-	defer f.snapMu.Unlock()
-	if err := os.WriteFile(f.tmp, f.encode(reason), 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(f.tmp, f.path); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.write(reason); err != nil {
 		return "", err
 	}
 	return f.path, nil
+}
+
+// write appends the events emitted since the previous write, and a reason
+// line unless reason is "", or rewrites the box when its turn has come. The
+// caller holds mu.
+func (f *Flight) write(reason string) error {
+	fresh, oldest, total := f.ring.since(f.fresh[:0], f.written)
+	// One line more than the events, for a reason line.
+	rewrite := f.file == nil || oldest > f.written || f.lines+len(fresh)+1 > f.limit
+	if rewrite && oldest < f.written {
+		// Not only the new events: every one the ring retains.
+		fresh, _, total = f.ring.since(fresh[:0], 0)
+	}
+	f.fresh = fresh
+	b := f.buf[:0]
+	if rewrite {
+		b = append(b, `{"proc":`...)
+		b = appendJSONString(b, f.proc)
+		b = append(b, `,"pid":`...)
+		b = append(strconv.AppendInt(b, int64(os.Getpid()), 10), "}\n"...)
+	}
+	for i := range fresh {
+		fresh[i].Seq = total - uint64(len(fresh)-i)
+		b = append(appendEvent(b, &fresh[i]), '\n')
+	}
+	lines := len(fresh)
+	if reason != "" {
+		line := len(b)
+		b = append(b, `{"reason":`...)
+		b = appendJSONString(b, reason)
+		b = append(b, `,"when_us":`...)
+		b = append(strconv.AppendInt(b, time.Now().UnixMicro(), 10), "}\n"...)
+		f.reason = append(f.reason[:0], b[line:]...)
+		lines++
+	} else if rewrite && len(f.reason) > 0 {
+		b = append(b, f.reason...)
+		lines++
+	}
+	f.buf = b
+	if rewrite {
+		return f.replace(b, total, lines)
+	}
+	if _, err := f.file.Write(b); err != nil {
+		// The file may end in part of a line now: start it over.
+		_ = f.file.Close()
+		f.file = nil
+		return err
+	}
+	f.written, f.lines = total, f.lines+lines
+	return nil
+}
+
+// replace makes data, which holds the events up to total and lines lines
+// after its header, the whole box: through a temp file renamed over the box,
+// so a reader sees the old box or the new one and never part of either. The
+// temp file stays open as the box the next writes append to. The caller holds
+// mu.
+func (f *Flight) replace(data []byte, total uint64, lines int) error {
+	tmp, err := os.Create(f.path + ".tmp")
+	if err != nil {
+		return err
+	}
+	if _, err = tmp.Write(data); err == nil {
+		err = os.Rename(tmp.Name(), f.path)
+	}
+	if err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if f.file != nil {
+		_ = f.file.Close() // the replaced box: nothing of it is still to be written
+	}
+	f.file, f.written, f.lines = tmp, total, lines
+	return nil
 }
 
 // Close stops the flusher and writes a final snapshot with the given
@@ -363,21 +359,65 @@ func (f *Flight) Close(reason string) error {
 		f.stop = nil
 	}
 	_, err := f.Snapshot(reason)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.file != nil {
+		if cerr := f.file.Close(); err == nil {
+			err = cerr
+		}
+		f.file = nil
+	}
 	return err
 }
 
-// ReadBlackBox parses a box written by Persist/Snapshot.
+// ReadBlackBox parses a box written by Persist/Snapshot. A last line without
+// its newline is what a SIGKILL mid-append leaves, and is dropped — the rule
+// journal replay applies to a torn tail; any other line that does not parse,
+// a missing or incomplete header, and a seq missing between two events make
+// the box an error.
 func ReadBlackBox(path string) (*BlackBox, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var box BlackBox
-	if err := json.Unmarshal(data, &box); err != nil {
-		return nil, fmt.Errorf("trace: black box %s: %w", path, err)
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	header, rest, _ := bytes.Cut(data, []byte{'\n'})
+	var h struct {
+		Proc string `json:"proc"`
+		PID  int    `json:"pid"`
 	}
-	if box.Proc == "" {
-		return nil, errors.New("trace: black box missing proc label")
+	if err := json.Unmarshal(header, &h); err != nil {
+		return nil, fmt.Errorf("trace: black box %s: header: %w", path, err)
 	}
-	return &box, nil
+	if h.Proc == "" || h.PID == 0 {
+		return nil, fmt.Errorf("trace: black box %s: header without proc and pid", path)
+	}
+	box := &BlackBox{Proc: h.Proc, PID: h.PID, Reason: "flush"}
+	reasoned := false
+	for n := 2; len(rest) > 0; n++ {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		var l struct {
+			FlightEvent
+			Reason *string `json:"reason"`
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			return nil, fmt.Errorf("trace: black box %s: line %d: %w", path, n, err)
+		}
+		if l.Reason != nil {
+			box.Reason, box.WhenUS, reasoned = *l.Reason, l.WhenUS, true
+			continue
+		}
+		if k := len(box.Events); k > 0 && l.Seq != box.Events[k-1].Seq+1 {
+			return nil, fmt.Errorf("trace: black box %s: line %d: seq %d follows %d", path, n, l.Seq, box.Events[k-1].Seq)
+		}
+		box.Events = append(box.Events, l.FlightEvent)
+	}
+	if k := len(box.Events); k > 0 {
+		box.Dropped, box.Seq = box.Events[0].Seq, box.Events[k-1].Seq+1
+		if !reasoned {
+			box.WhenUS = box.Events[k-1].WhenUS
+		}
+	}
+	return box, nil
 }

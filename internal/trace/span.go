@@ -3,7 +3,8 @@
 // queue wait and run, and under the run every executor event — computes,
 // injected faults, recoveries, replica digest joins — so one job's spans are
 // its lifecycle, and one trace's spans across processes (MergeSpans) are a
-// cluster-wide timeline. Flight is the black box that survives the process.
+// cluster-wide timeline. Flight is the black box of job lifecycle events that
+// survives the process.
 //
 // A span context (128-bit trace ID + 64-bit span ID) is minted by whichever
 // process first sees a submission — normally the shard router — and rides the
@@ -192,11 +193,10 @@ func (s Span) End() int64 { return s.Start + s.Dur }
 // when disabled (the same contract as the nil metrics registry — held by
 // internal/metrics' TestDisabledInstrumentsCostNothing).
 type Spans struct {
-	proc   string
-	base   uint64
-	ctr    atomic.Uint64
-	flight *Flight // optional mirror: spans also land in the black box
-	ring   ring[Span]
+	proc string
+	base uint64
+	ctr  atomic.Uint64
+	ring ring[Span]
 }
 
 // NewSpans returns a recorder labelled with the process name, retaining
@@ -213,23 +213,19 @@ func NewSpans(proc string, capacity int) *Spans {
 	return &Spans{proc: proc, base: binary.BigEndian.Uint64(b[:]), ring: ring[Span]{buf: make([]Span, 0, capacity)}}
 }
 
-// NewRecorders wires a process's two recorders in the one order that works:
-// the span ring (spans < 1: nil, tracing off), then — only with a dataDir to
-// persist under — the flight recorder (flight < 1: nil), persisting every
-// flush (<= 0: Persist's default) before the first span can reach it, and
-// last the tee: every emitted span also lands in the flight ring as a "span"
-// event, so a crash-surviving black box holds the process's last spans.
-func NewRecorders(proc string, spans, flight int, dataDir string, flush time.Duration) (*Spans, *Flight, error) {
+// NewRecorders builds a process's two recorders: the span ring (spans < 1:
+// nil, tracing off) and — only with a dataDir to persist under — the flight
+// recorder (flight < 1: nil), persisting. They are not connected: spans stay
+// in the span ring, and the box holds only the lifecycle events emitted to it,
+// the same whether tracing is on or off.
+func NewRecorders(proc string, spans, flight int, dataDir string) (*Spans, *Flight, error) {
 	s := NewSpans(proc, spans)
 	if dataDir == "" {
 		return s, nil, nil
 	}
 	f := NewFlight(proc, flight)
-	if err := f.Persist(dataDir, flush); err != nil {
+	if err := f.Persist(dataDir); err != nil {
 		return nil, nil, err
-	}
-	if s != nil {
-		s.flight = f
 	}
 	return s, f, nil
 }
@@ -267,9 +263,6 @@ func (s *Spans) emit(sp Span) {
 	s.ring.mu.Lock()
 	*s.ring.next() = sp
 	s.ring.mu.Unlock()
-	if f := s.flight; f != nil {
-		f.Emit("span", sp.Name, sp.Job, sp.Task, sp.Dur, SpanContext{Trace: sp.Trace, Span: sp.ID})
-	}
 }
 
 // Snapshot returns the retained spans, oldest first.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -162,42 +163,76 @@ func TestNextIDUniqueUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestNewRecordersTeesSpansIntoTheBox: the one wiring constructor persists
-// before the first span and tees every span into the flight ring; without a
-// data dir there is no flight recorder, and with tracing off the box still
-// records plain events.
-func TestNewRecordersTeesSpansIntoTheBox(t *testing.T) {
-	if sp, fl, err := NewRecorders("mem", 8, 8, "", 0); err != nil || sp == nil || fl != nil {
+// TestNewRecordersBoxIgnoresTracing: without a data dir there is no flight
+// recorder; with one, recorder pairs with tracing on and off write the same
+// box for the same lifecycle events, and no emitted span lands in it.
+func TestNewRecordersBoxIgnoresTracing(t *testing.T) {
+	setFlushEvery(t, time.Hour)
+	if sp, fl, err := NewRecorders("mem", 8, 8, ""); err != nil || sp == nil || fl != nil {
 		t.Fatalf("no data dir: spans %v, flight %v, err %v; want spans only", sp, fl, err)
 	}
-	dir := t.TempDir()
-	sp, fl, err := NewRecorders("p", 8, 8, dir, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tid := NewTraceID()
-	sp.Emit(Span{Trace: tid, Name: "submit", Job: 3, Task: -1, Dur: 7})
-	if err := fl.Close("test"); err != nil {
-		t.Fatal(err)
+	box := func(spans int) *BlackBox {
+		dir := t.TempDir()
+		sp, fl, err := NewRecorders("p", spans, 8, dir)
+		if err != nil || fl == nil || (sp == nil) != (spans == 0) {
+			t.Fatalf("spans %d: recorders %v, %v, %v", spans, sp, fl, err)
+		}
+		for i := int64(1); i <= 3; i++ {
+			ctx := SpanContext{Trace: tid, Span: SpanID(i)}
+			sp.Emit(Span{Trace: tid, ID: ctx.Span, Name: "submit", Job: i, Task: -1, Dur: 7})
+			fl.Emit("job-submit", "j", i, -1, 0, ctx)
+			sp.Emit(Span{Trace: tid, Name: "compute", Job: i, Task: 4, Dur: 9})
+			fl.Emit("job-finish", "succeeded", i, -1, 2, ctx)
+		}
+		if err := fl.Close("test"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadBlackBox(BoxPath(dir, "p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WhenUS = 0
+		for i := range b.Events {
+			if k := b.Events[i].Kind; k != "job-submit" && k != "job-finish" {
+				t.Fatalf("spans %d: the box holds a %q event: %+v", spans, k, b.Events[i])
+			}
+			b.Events[i].WhenUS = 0
+		}
+		return b
 	}
-	box, err := ReadBlackBox(BoxPath(dir, "p"))
-	if err != nil {
-		t.Fatal(err)
+	on, off := box(8), box(0)
+	if len(on.Events) != 6 || !reflect.DeepEqual(on, off) {
+		t.Fatalf("tracing on and off write different boxes:\n on %+v\noff %+v", on, off)
 	}
-	if len(box.Events) != 1 || box.Events[0].Kind != "span" || box.Events[0].Name != "submit" ||
-		box.Events[0].Trace != tid || box.Events[0].Job != 3 || box.Events[0].Arg != 7 {
-		t.Fatalf("box events = %+v, want the one teed span", box.Events)
-	}
+}
 
-	off, fl2, err := NewRecorders("q", 0, 8, dir, time.Hour)
-	if err != nil || off != nil || fl2 == nil {
-		t.Fatalf("tracing off: spans %v, flight %v, err %v; want flight only", off, fl2, err)
+// BenchmarkSpanEmit is one span's emit into a full bare span ring and into
+// the ring NewRecorders builds beside a persisting flight recorder: the two
+// must cost the same, since a span is written to its ring only.
+func BenchmarkSpanEmit(b *testing.B) {
+	span := Span{Trace: NewTraceID(), Name: "compute", Job: 1}
+	run := func(b *testing.B, sp *Spans) {
+		for i := 0; i < 8192; i++ {
+			sp.Emit(span)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			span.Task = int64(i)
+			sp.Emit(span)
+		}
 	}
-	fl2.Emit("job-submit", "j", 1, -1, 0, SpanContext{})
-	if err := fl2.Close("test"); err != nil {
-		t.Fatal(err)
-	}
-	if box, err := ReadBlackBox(BoxPath(dir, "q")); err != nil || len(box.Events) != 1 {
-		t.Fatalf("tracing-off box: %+v, %v", box, err)
-	}
+	b.Run("bare", func(b *testing.B) { run(b, NewSpans("bench", 8192)) })
+	b.Run("recorders", func(b *testing.B) {
+		sp, fl, err := NewRecorders("bench", 8192, 4096, b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, sp)
+		b.StopTimer()
+		if err := fl.Close("bench"); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
