@@ -34,7 +34,9 @@ benchbuild:
 # Cholesky and FW's two and SW's fill, in internal/apps/tile, through the
 # AVX2 body and the Go body; LCS's bit-parallel and scalar fills), and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
-# boundary reads (a tile's row, column and corner) of the same 32 KiB. Last,
+# boundary reads of the same 32 KiB: a tile's row, corner, and last column
+# both in place (b words b apart: every segment re-hashed) and exported as LCS
+# and SW store it (a copy after the cells: one segment). Last,
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
 # the free list and the next run takes them, so it stays below the 512 KiB
 # table (≈ 210 KB); a change that stops the recycling shows here as the table

@@ -423,3 +423,49 @@ func BenchmarkAblationFTTax(b *testing.B) {
 	}
 	row("measured/quick-lcs-sw-2workers", 0, whole(quick, 2, false), whole(quick, 2, true))
 }
+
+// BenchmarkAppsVerifySplit splits FT's cost on each app at
+// harness.BenchSizes, two workers, into the paper's part and verification's:
+// every iteration runs the app under NABBIT, under FT with the paper's
+// detection model alone (a fault is seen through the injector's flag: no
+// checksum is verified) and under FT + VerifyChecksums, as bench/'s FT legs
+// run, starting each iteration at the next of the three so that a slow spell
+// of the host lands on all of them. nabbit_ms is NABBIT's time per run,
+// paper_ratio flag-only FT ÷ NABBIT (Fig. 4's ratio) and verify_ms FT + verify
+// − flag-only FT per run: what hashing the reads costs. bench/ reports no
+// such split, and its traced runs read whole tiles, so they do not show a
+// change to what a boundary read hashes.
+func BenchmarkAppsVerifySplit(b *testing.B) {
+	sizes := harness.BenchSizes()
+	for _, name := range benchOrder {
+		a, err := harness.MakeApp(name, sizes[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := core.Config{Workers: 2, Retention: a.Retention()}
+		v := c
+		v.VerifyChecksums = true
+		legs := [3]func() (*core.Result, error){
+			func() (*core.Result, error) { return core.NewBaseline(a.Spec(), c).Run() },
+			func() (*core.Result, error) { return core.NewFT(a.Spec(), c).Run() },
+			func() (*core.Result, error) { return core.NewFT(a.Spec(), v).Run() },
+		}
+		b.Run(name, func(b *testing.B) {
+			var spent [3]time.Duration // NABBIT, flag-only FT, FT + verify
+			for i := 0; i < b.N; i++ {
+				for j := range legs {
+					leg := (i + j) % len(legs)
+					start := time.Now()
+					if _, err := legs[leg](); err != nil {
+						b.Fatal(err)
+					}
+					spent[leg] += time.Since(start)
+				}
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+			b.ReportMetric(ms(spent[0]), "nabbit_ms")
+			b.ReportMetric(float64(spent[1])/float64(spent[0]), "paper_ratio")
+			b.ReportMetric(ms(spent[2]-spent[1]), "verify_ms")
+		})
+	}
+}

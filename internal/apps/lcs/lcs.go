@@ -7,6 +7,12 @@
 // table, so LCS cannot reuse block memory (paper §VI) and uses
 // single-assignment storage (retention 0, one version per block).
 //
+// A tile's output is its b·b cells, row by row, then a copy of its last
+// column: b·b + b words. The right-hand neighbour reads the copy, b words in a
+// row, where the column itself is b words b apart; a verifying store re-hashes
+// every segment that holds a word a read returns, so the column would cost it
+// the whole tile and the copy costs one segment.
+//
 // The tile kernel works in int64 and stores float64: every cell is an LCS
 // length, an integer no larger than N and so below 2⁵³, which float64 holds
 // exactly.
@@ -29,7 +35,8 @@ type LCS struct {
 	n, b, nb int
 	x, y     []byte
 	// row, col and corner are the runs a tile reads of its upper, left and
-	// upper-left neighbour: that tile's last row, last column, last cell.
+	// upper-left neighbour: that tile's last row, the copy of its last column
+	// and the copy's last word, its last cell.
 	row, col, corner []block.Run
 }
 
@@ -45,8 +52,8 @@ func New(cfg apps.Config) (apps.App, error) {
 	a.x = apps.NewRand(cfg.Seed, 1).Seq(cfg.N, alphabet)
 	a.y = apps.NewRand(cfg.Seed+1, 1).Seq(cfg.N, alphabet)
 	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}}
-	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}}
-	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 1}}
+	a.col = []block.Run{{Off: b * b, Stride: 1, N: b}}
+	a.corner = []block.Run{{Off: b*b + b - 1, Stride: 1, N: 1}}
 	return a, nil
 }
 
@@ -101,37 +108,47 @@ func (a *LCS) Output(k graph.Key) block.Ref {
 	return block.Ref{Block: block.ID(k), Version: 0}
 }
 
-// Compute fills the tile's B×B region of the DP table.
+// Compute fills the tile's B×B region of the DP table and appends a copy of
+// its last column (package doc).
 func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 	bi, bj := a.coords(k)
 	b, nb := a.b, a.nb
 	// Boundary values D[bi*b-1+r][bj*b-1+c] come from neighbour tiles, read
 	// for just those words; row -1 / column -1 of the global table are zero.
-	// The row above lands in the tile's own last row, which fill reads only
-	// for the first row and overwrites last, so the column and the corner
-	// are the compute's one allocation besides the tile. A recycled tile is
-	// not zero: the top row of the table clears its row above.
-	tile := block.Alloc(b * b)
-	edge := make([]float64, b+1)
-	top := tile[(b-1)*b:]              // D[bi*b-1][bj*b + c]
-	left, corner := edge[:b], edge[b:] // D[bi*b + r][bj*b-1], D[bi*b-1][bj*b-1]
+	// Each lands in the tile itself, so the tile is the compute's one
+	// allocation: the corner first, in the first cell, from where it is taken
+	// before anything else can land there; the row above in the last row,
+	// which fill reads only for the first row and overwrites last; the column
+	// to the left in the copy of the tile's own last column, which is written
+	// after fill. A recycled tile is not zero: the top row of the table clears
+	// its row above, the left column its column to the left.
+	tile := block.Alloc(b*b + b)
+	top := tile[(b-1)*b : b*b] // D[bi*b-1][bj*b + c]
+	left := tile[b*b:]         // D[bi*b + r][bj*b-1]
+	var corner float64         // D[bi*b-1][bj*b-1]
 	var err error
-	if bi > 0 {
-		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), top, a.row...)
-	} else {
+	if bi > 0 && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), tile[:1], a.corner...)
+		corner = tile[0]
+	}
+	if bi == 0 {
 		clear(top)
+	} else if err == nil {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), top, a.row...)
 	}
-	if err == nil && bj > 0 {
+	if bj == 0 {
+		clear(left)
+	} else if err == nil {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), left, a.col...)
-	}
-	if err == nil && bi > 0 && bj > 0 {
-		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), corner, a.corner...)
 	}
 	if err != nil {
 		block.Free(tile)
 		return err
 	}
-	fill(tile, top, left, corner[0], a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	fill(tile[:b*b], top, left, corner, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	for r := range left {
+		left[r] = tile[r*b+b-1]
+	}
 	ctx.Write(tile)
 	return nil
 }
@@ -285,8 +302,8 @@ func (a *LCS) Reference() int {
 // VerifySink checks that the bottom-right element of the sink tile equals
 // the reference LCS length.
 func (a *LCS) VerifySink(sink []float64) error {
-	if len(sink) != a.b*a.b {
-		return fmt.Errorf("lcs: sink tile has %d elements, want %d", len(sink), a.b*a.b)
+	if want := a.b*a.b + a.b; len(sink) != want {
+		return fmt.Errorf("lcs: sink tile has %d elements, want %d", len(sink), want)
 	}
 	got := int(sink[a.b*a.b-1])
 	want := a.Reference()

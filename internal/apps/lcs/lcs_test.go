@@ -1,6 +1,7 @@
 package lcs
 
 import (
+	"math"
 	"testing"
 
 	"ftdag/internal/apps"
@@ -45,11 +46,11 @@ func TestSequenceGeneration(t *testing.T) {
 // tile is big enough for the free list, Compute takes it from there holding
 // the poison of a freed buffer, as a recycled tile does under the executors'
 // tests: a word Compute reads before writing it — the row above the table's
-// top row — shows as a wrong cell.
+// top row, the column left of its left column — shows as a wrong cell.
 func TestBlockedMatchesReference(t *testing.T) {
 	block.PoisonFreed(true)
 	defer block.PoisonFreed(false)
-	for _, size := range []struct{ n, b int }{{16, 4}, {32, 8}, {48, 8}, {60, 4}} {
+	for _, size := range []struct{ n, b int }{{16, 4}, {32, 8}, {48, 8}, {60, 4}, {5, 1}} {
 		a := newLCS(t, size.n, size.b)
 		outs := map[graph.Key][]float64{}
 		order, err := graph.TopoOrder(a)
@@ -57,7 +58,7 @@ func TestBlockedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range order {
-			block.Free(make([]float64, size.b*size.b)) // Alloc's next tile
+			block.Free(make([]float64, size.b*size.b+size.b)) // Alloc's next tile
 			ctx := &fakeCtx{outs: outs}
 			if err := a.Compute(ctx, k); err != nil {
 				t.Fatal(err)
@@ -102,6 +103,49 @@ func TestBlockedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBoundaryLayout: a tile reads each neighbour with one ReadPredAt, whose
+// runs name one word or words in a row, all in that tile's last row or in the
+// copy of its last column after its cells — at most two of a verifying
+// store's segments — and the copy is the tile's last column bit for bit. The
+// tile sizes are harness.QuickSizes' and BenchSizes' (harness imports this
+// package), on 3×3 tiles: every kind of neighbour.
+func TestBoundaryLayout(t *testing.T) {
+	for _, b := range []int{16, 64} {
+		a := newLCS(t, 3*b, b)
+		order, err := graph.TopoOrder(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := map[graph.Key][]float64{}
+		for _, k := range order {
+			ctx := &fakeCtx{outs: outs}
+			if err := a.Compute(ctx, k); err != nil {
+				t.Fatal(err)
+			}
+			out := ctx.out
+			if len(out) != b*b+b {
+				t.Fatalf("b=%d: tile %d has %d words, want %d", b, k, len(out), b*b+b)
+			}
+			for r, w := range out[b*b:] {
+				if c := out[r*b+b-1]; math.Float64bits(w) != math.Float64bits(c) {
+					t.Fatalf("b=%d: tile %d exports %v in row %d, its last column holds %v", b, k, w, r, c)
+				}
+			}
+			if len(ctx.reads) != len(a.Predecessors(k)) {
+				t.Fatalf("b=%d: tile %d made %d reads of %d neighbours", b, k, len(ctx.reads), len(a.Predecessors(k)))
+			}
+			for _, runs := range ctx.reads {
+				for _, r := range runs {
+					if r.N > 1 && r.Stride != 1 || r.Off < (b-1)*b || r.Off+(r.N-1)*r.Stride >= b*b+b {
+						t.Fatalf("b=%d: tile %d reads %+v, outside the last row and the exported column", b, k, r)
+					}
+				}
+			}
+			outs[k] = out
+		}
+	}
+}
+
 func TestWavefrontStructure(t *testing.T) {
 	a := newLCS(t, 32, 8) // nb = 4
 	// Corner tiles.
@@ -138,15 +182,23 @@ func TestVerifySinkRejectsWrongLength(t *testing.T) {
 	if err := a.VerifySink(make([]float64, 3)); err == nil {
 		t.Fatal("accepted wrong-size sink tile")
 	}
-	if err := a.VerifySink(make([]float64, 16)); err == nil {
+	if err := a.VerifySink(make([]float64, 16+4)); err == nil {
 		t.Fatal("accepted wrong LCS value")
 	}
 }
 
+// fakeCtx serves reads from the outputs of the tiles already computed and
+// records the runs of every ReadPredAt.
 type fakeCtx struct {
-	outs map[graph.Key][]float64
-	out  []float64
+	outs  map[graph.Key][]float64
+	reads [][]block.Run
+	out   []float64
 }
 
 func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], nil }
-func (c *fakeCtx) Write(d []float64)                       { c.out = d }
+func (c *fakeCtx) ReadPredAt(p graph.Key, dst []float64, runs ...block.Run) error {
+	c.reads = append(c.reads, runs)
+	block.Gather(dst, c.outs[p], runs...)
+	return nil
+}
+func (c *fakeCtx) Write(d []float64) { c.out = d }

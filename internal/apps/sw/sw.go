@@ -14,8 +14,10 @@
 // re-execution chain.
 //
 // The global maximum score is threaded through the wavefront: each tile's
-// output carries a running maximum in an extra trailing element, so the sink
-// tile's trailing element is the alignment score.
+// output carries a running maximum in the element after its cells, so the
+// sink tile's element b·b is the alignment score. A copy of the tile's last
+// column follows it, for the right-hand neighbour to read b words in a row
+// rather than b words b apart (see package lcs): b·b + 1 + b words.
 //
 // The tile kernel, tile.SmithWaterman, works in integers and stores float64:
 // every cell is an integer score of at most match·N, below 2⁵³, which float64
@@ -48,8 +50,9 @@ type SW struct {
 	n, b, nb int
 	x, y     []byte
 	// row, col and corner are the runs a tile reads of its upper, left and
-	// upper-left neighbour: that tile's last row, last column or last cell,
-	// each followed by its running maximum.
+	// upper-left neighbour: that tile's last row and then its running
+	// maximum; its running maximum and then the copy of its last column; the
+	// copy's last word, its last cell, and then its running maximum.
 	row, col, corner []block.Run
 }
 
@@ -64,10 +67,9 @@ func New(cfg apps.Config) (apps.App, error) {
 	a := &SW{n: cfg.N, b: b, nb: cfg.Tiles()}
 	a.x = apps.NewRand(cfg.Seed+7, 1).Seq(cfg.N, alphabet)
 	a.y = apps.NewRand(cfg.Seed+11, 1).Seq(cfg.N, alphabet)
-	runMax := block.Run{Off: b * b, Stride: 1, N: 1}
-	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b}, runMax}
-	a.col = []block.Run{{Off: b - 1, Stride: b, N: b}, runMax}
-	a.corner = []block.Run{{Off: b*b - 1, Stride: 1, N: 2}} // the last cell and the running maximum after it
+	a.row = []block.Run{{Off: (b - 1) * b, Stride: 1, N: b + 1}}
+	a.col = []block.Run{{Off: b * b, Stride: 1, N: b + 1}}
+	a.corner = []block.Run{{Off: b*b + b, Stride: 1, N: 1}, {Off: b * b, Stride: 1, N: 1}}
 	return a, nil
 }
 
@@ -141,40 +143,53 @@ func (a *SW) Output(k graph.Key) block.Ref {
 	}
 }
 
-// Compute fills the tile and threads the running maximum. The output layout
-// is b*b score cells followed by one running-max element.
+// Compute fills the tile, threads the running maximum and appends a copy of
+// the tile's last column: b*b score cells, one running-max element, then b
+// words of the column.
 func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 	bi, bj := a.coords(k)
 	b, nb := a.b, a.nb
 	// Each neighbour is read for its boundary and its running maximum only; a
 	// missing neighbour leaves zeros, the boundary of the global table and
-	// the score floor. The row above and its maximum land in the tile's own
-	// last row and maximum slot, which fill reads only for the first row and
-	// overwrites last, so the column and the corner are the compute's one
-	// allocation besides the tile. A recycled tile is not zero: the top row
-	// of the table clears its row above and that row's maximum.
-	tile := block.Alloc(b*b + 1)
-	edge := make([]float64, b+3)
-	up := tile[(b-1)*b:]             // the row above, then its tile's running maximum
-	lf, dg := edge[:b+1], edge[b+1:] // the column to the left, the corner: each then its tile's maximum
+	// the score floor. Each lands in the tile itself, so the tile is the
+	// compute's one allocation, and each maximum is taken into a local before
+	// the next read can land on it: the corner and its maximum first, in the
+	// first two words; the row above and its maximum in the tile's own last
+	// row and maximum slot — fill reads the row only for the first row and
+	// overwrites it last; the column to the left, after its maximum, in the
+	// maximum slot and the copy of the tile's own last column, which is
+	// written after fill. A recycled tile is not zero: the top row of the
+	// table clears its row above, the left column its column to the left.
+	tile := block.Alloc(b*b + 1 + b)
+	up := tile[(b-1)*b : b*b+1] // the row above, then its tile's running maximum
+	lf := tile[b*b:]            // the column to the left's tile's running maximum, then the column
+	var corner, dgMax float64   // the cell above-left, its tile's running maximum
 	var err error
-	if bi > 0 {
-		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), up, a.row...)
-	} else {
+	if bi > 0 && bj > 0 {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), tile[:2], a.corner...)
+		corner, dgMax = tile[0], tile[1]
+	}
+	if bi == 0 {
 		clear(up)
+	} else if err == nil {
+		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+bj), up, a.row...)
 	}
-	if err == nil && bj > 0 {
+	upMax := up[b]
+	if bj == 0 {
+		clear(lf)
+	} else if err == nil {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), lf, a.col...)
-	}
-	if err == nil && bi > 0 && bj > 0 {
-		err = graph.ReadPredAt(ctx, graph.Key((bi-1)*nb+(bj-1)), dg, a.corner...)
 	}
 	if err != nil {
 		block.Free(tile)
 		return err
 	}
-	runMax := max(0, up[b], lf[b], dg[1])
-	tile[b*b] = fill(tile[:b*b], up[:b], lf[:b], dg[0], runMax, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	left := lf[1:]
+	runMax := max(0, upMax, lf[0], dgMax)
+	tile[b*b] = fill(tile[:b*b], up[:b], left, corner, runMax, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])
+	for r := range left {
+		left[r] = tile[r*b+b-1]
+	}
 	ctx.Write(tile)
 	return nil
 }
@@ -212,8 +227,8 @@ func (a *SW) Reference() float64 {
 
 // VerifySink checks the threaded running maximum against the reference.
 func (a *SW) VerifySink(sink []float64) error {
-	if len(sink) != a.b*a.b+1 {
-		return fmt.Errorf("sw: sink tile has %d elements, want %d", len(sink), a.b*a.b+1)
+	if want := a.b*a.b + 1 + a.b; len(sink) != want {
+		return fmt.Errorf("sw: sink tile has %d elements, want %d", len(sink), want)
 	}
 	got := sink[a.b*a.b]
 	want := a.Reference()

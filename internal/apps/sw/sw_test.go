@@ -1,9 +1,11 @@
 package sw
 
 import (
+	"math"
 	"testing"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -20,7 +22,7 @@ func newSW(t *testing.T, n, b int) *SW {
 // with the plain recurrence; scores are small integers, so equality is
 // exact.
 func TestBlockedMatchesReference(t *testing.T) {
-	for _, size := range []struct{ n, b int }{{16, 4}, {32, 8}, {48, 8}} {
+	for _, size := range []struct{ n, b int }{{16, 4}, {32, 8}, {48, 8}, {5, 1}} {
 		a := newSW(t, size.n, size.b)
 		outs := map[graph.Key][]float64{}
 		order, err := graph.TopoOrder(a)
@@ -36,6 +38,56 @@ func TestBlockedMatchesReference(t *testing.T) {
 		}
 		if err := a.VerifySink(outs[a.Sink()]); err != nil {
 			t.Fatalf("n=%d: %v", size.n, err)
+		}
+	}
+}
+
+// TestBoundaryLayout: a tile reads each neighbour with one ReadPredAt, whose
+// runs name one word or words in a row, all in that tile's last row, its
+// running maximum or the copy of its last column after them — at most two of
+// a verifying store's segments — and the copy is the tile's last column bit
+// for bit. The tile sizes are harness.QuickSizes' and BenchSizes' (harness
+// imports this package), on 3×3 tiles: every kind of neighbour.
+func TestBoundaryLayout(t *testing.T) {
+	for _, b := range []int{16, 64} {
+		a := newSW(t, 3*b, b)
+		order, err := graph.TopoOrder(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := map[graph.Key][]float64{}
+		for _, k := range order {
+			ctx := &fakeCtx{outs: outs}
+			if err := a.Compute(ctx, k); err != nil {
+				t.Fatal(err)
+			}
+			out := ctx.out
+			if len(out) != b*b+1+b {
+				t.Fatalf("b=%d: tile %d has %d words, want %d", b, k, len(out), b*b+1+b)
+			}
+			for r, w := range out[b*b+1:] {
+				if c := out[r*b+b-1]; math.Float64bits(w) != math.Float64bits(c) {
+					t.Fatalf("b=%d: tile %d exports %v in row %d, its last column holds %v", b, k, w, r, c)
+				}
+			}
+			_, bj := a.coords(k)
+			natural := 0 // the anti-dependence edges, to the right, order a rewrite and carry no read
+			for _, p := range a.Predecessors(k) {
+				if _, pj := a.coords(p); pj <= bj {
+					natural++
+				}
+			}
+			if len(ctx.reads) != natural {
+				t.Fatalf("b=%d: tile %d made %d reads of %d neighbours", b, k, len(ctx.reads), natural)
+			}
+			for _, runs := range ctx.reads {
+				for _, r := range runs {
+					if r.N > 1 && r.Stride != 1 || r.Off < (b-1)*b || r.Off+(r.N-1)*r.Stride >= b*b+1+b {
+						t.Fatalf("b=%d: tile %d reads %+v, outside the last row, the running maximum and the exported column", b, k, r)
+					}
+				}
+			}
+			outs[k] = out
 		}
 	}
 }
@@ -162,10 +214,18 @@ func TestScoringScheme(t *testing.T) {
 	}
 }
 
+// fakeCtx serves reads from the outputs of the tiles already computed and
+// records the runs of every ReadPredAt.
 type fakeCtx struct {
-	outs map[graph.Key][]float64
-	out  []float64
+	outs  map[graph.Key][]float64
+	reads [][]block.Run
+	out   []float64
 }
 
 func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], nil }
-func (c *fakeCtx) Write(d []float64)                       { c.out = d }
+func (c *fakeCtx) ReadPredAt(p graph.Key, dst []float64, runs ...block.Run) error {
+	c.reads = append(c.reads, runs)
+	block.Gather(dst, c.outs[p], runs...)
+	return nil
+}
+func (c *fakeCtx) Write(d []float64) { c.out = d }

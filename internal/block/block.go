@@ -39,7 +39,10 @@
 // checksum's lane states at every segment boundary (segWords), and ReadAt
 // re-hashes only the segments that hold a word it returns, each against the
 // states recorded at its two ends: what was checked is still what is
-// returned.
+// returned. So what a verified read costs is set by where its words lie, not
+// by how many there are: a tile's last column, b words b apart, lies in every
+// segment of the tile. LCS and SW therefore append a copy of it to their
+// tiles, and their readers read the copy, one segment at the tail.
 //
 // A block is reached through its Slot. An executor resolves the Slot of a
 // task's output once, when it creates the task's descriptor, and reads and
@@ -389,7 +392,8 @@ func (sl *Slot) Read(version int, a *Arena) ([]float64, error) {
 
 // Run names N words of a payload, Stride apart from word Off: Off,
 // Off+Stride, …, Off+(N-1)·Stride. Stride must be positive when N > 1. A
-// tile's last row of b words is {(b-1)·b, 1, b}, its last column {b-1, b, b}.
+// tile's last row of b words is {(b-1)·b, 1, b}, its last column {b-1, b, b},
+// and a copy of that column appended to the tile's b·b words {b·b, 1, b}.
 type Run struct{ Off, Stride, N int }
 
 // Words returns how many words the runs name.

@@ -325,8 +325,11 @@ func FuzzSlotReadAt(f *testing.F) {
 
 // BenchmarkSlotReadAt is a boundary read of a 32 KiB tile of b = 64: its last
 // row, its last column and its last cell, gathered out of the store and,
-// when verified, checked segment by segment. The ns/KiB column is per KiB of
-// the tile read from, beside BenchmarkSlotRead's copy of the whole tile.
+// when verified, checked segment by segment. The column is read twice: in
+// place, b words b apart in every segment of the tile, and exported, as LCS
+// and SW store it — a copy of the column after the b·b cells, read as one run
+// out of the segment at the tail. The ns/KiB column is per KiB of the payload
+// read from, beside BenchmarkSlotRead's copy of the whole tile.
 func BenchmarkSlotReadAt(b *testing.B) {
 	const tile = 64
 	for _, verify := range []bool{true, false} {
@@ -336,16 +339,18 @@ func BenchmarkSlotReadAt(b *testing.B) {
 			opts, name = []Option{WithVerification()}, "verified"
 		}
 		for _, c := range []struct {
-			name string
-			run  Run
+			name    string
+			payload int
+			run     Run
 		}{
-			{"row", Run{Off: (tile - 1) * tile, Stride: 1, N: tile}},
-			{"column", Run{Off: tile - 1, Stride: tile, N: tile}},
-			{"corner", Run{Off: tile*tile - 1, Stride: 1, N: 1}},
+			{"row", tile * tile, Run{Off: (tile - 1) * tile, Stride: 1, N: tile}},
+			{"column", tile * tile, Run{Off: tile - 1, Stride: tile, N: tile}},
+			{"exported-column", tile*tile + tile, Run{Off: tile * tile, Stride: 1, N: tile}},
+			{"corner", tile * tile, Run{Off: tile*tile - 1, Stride: 1, N: 1}},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", name, c.name), func(b *testing.B) {
 				s := NewStore(0, opts...)
-				s.Write(0, 0, 0, randomBits(rand.New(rand.NewPCG(5, 6)), tile*tile))
+				s.Write(0, 0, 0, randomBits(rand.New(rand.NewPCG(5, 6)), c.payload))
 				sl := s.Slot(0)
 				runs := []Run{c.run}
 				dst := make([]float64, c.run.N)
@@ -356,7 +361,7 @@ func BenchmarkSlotReadAt(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(tile*tile*8/1024), "ns/KiB")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.payload*8)*1024, "ns/KiB")
 			})
 		}
 	}
