@@ -1,7 +1,7 @@
 # CI gate for the FT-NABBIT reproduction.
 #
 #   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, soaks
-#   make lint    — run the ftlint static-analysis suite (internal/lint)
+#   make lint    — run the ftlint static-analysis suite (internal/lint) over the root and bench/ modules
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
@@ -65,13 +65,14 @@ vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 
-# The repository's own analyzer suite, all five analyzers: sync/atomic
-# function calls (the typed API only), blocking ops under a mutex,
-# determinism-manifest violations, discarded durability-path errors, plus the
-# interprocedural fsync-before-ack proof. Suppressions are
+# The repository's own analyzer suite, two analyzers: discarded
+# durability-path errors (errsink) and the interprocedural fsync-before-ack
+# proof (ackorder). Run over the root module, then over the nested bench/
+# module, which imports the journal too. Suppressions are
 # //lint:ignore <analyzer> <reason>; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/ftlint ./...
+	cd bench && $(GO) run ftdag/cmd/ftlint ./...
 
 # The concurrency-critical packages run under the race detector on every PR:
 # the work-stealing runtime, the sharded map backing the task/recovery

@@ -1,6 +1,6 @@
 // Command ftlint runs the repository's static-analysis suite (internal/lint)
-// over the module: stdlib-only analyzers that machine-check the concurrency
-// and determinism invariants the fault-tolerant scheduler depends on.
+// over the module: two stdlib-only analyzers that machine-check the journal's
+// durability path, errsink and ackorder.
 //
 // Usage:
 //
@@ -49,7 +49,7 @@ func main() {
 		fatal(err)
 	}
 
-	diags := lint.Check(ld.Fset, pkgs, lint.All)
+	diags := lint.Check(ld.Fset, pkgs)
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -20,8 +20,6 @@
 // one IEEE operation per step, no FMA (MulSub: a product, then a difference;
 // MinPlus: a sum, then `if v < s { s = v }`). Outputs are bit-identical
 // across bodies and hosts, ±0, infinities and NaN included.
-//
-//lint:deterministic kernel outputs: every body on every host must give the same bits, or the apps' pinned digests and the executors' match with the sequential reference stop holding
 package tile
 
 // simd selects the AVX2 bodies for sizes they take. It is fixed at init;

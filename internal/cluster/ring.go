@@ -13,8 +13,6 @@
 // re-run on two nodes folds to the same sink digest.
 package cluster
 
-//lint:deterministic shard placement: the same key and member set must route to the same backend in every process, or a router restart (or a second router) would scatter a shard's jobs
-
 import (
 	"fmt"
 	"hash/fnv"

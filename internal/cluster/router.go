@@ -279,7 +279,6 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	// trace ID.
 	var ctx trace.SpanContext
 	var clientSpan trace.SpanID
-	//lint:ignore detrand span timestamps are wall-clock by design: spans from different processes must merge on one timeline; they never influence placement
 	start := time.Now()
 	if tr := rt.tracer; tr != nil {
 		parent, err := trace.ParseHeader(r.Header.Get(trace.HeaderName))
@@ -317,7 +316,6 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 				rt.tracer.Emit(trace.Span{
 					Trace: ctx.Trace, ID: ctx.Span, Parent: clientSpan,
 					Name: "cluster-submit", Note: b.name,
-					//lint:ignore detrand span timestamps are wall-clock by design: spans from different processes must merge on one timeline; they never influence placement
 					Start: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
 					Job: rs.ID, Task: -1, Arg: int64(i),
 				})
@@ -701,7 +699,6 @@ func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 		}
 		moved := false
 		for _, b := range cands {
-			//lint:ignore detrand span timestamps are wall-clock by design: spans from different processes must merge on one timeline; they never influence placement
 			start := time.Now()
 			st, code, _, err := rt.postJob(b, j.body, ctx)
 			if err != nil || code != http.StatusAccepted {
@@ -721,7 +718,6 @@ func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 				rt.tracer.Emit(trace.Span{
 					Trace: ctx.Trace, ID: ctx.Span, Parent: origin.Span,
 					Name: spanName, Note: b.name,
-					//lint:ignore detrand span timestamps are wall-clock by design: spans from different processes must merge on one timeline; they never influence placement
 					Start: start.UnixMicro(), Dur: time.Since(start).Microseconds(),
 					Job: j.id, Task: -1,
 				})

@@ -702,9 +702,6 @@ func (e *exec[S]) reinitNotifyEntry(w *sched.Worker, t *task[S], s *task[S]) err
 // failed.
 func (e *exec[S]) resetNode(w *sched.Worker, t *task[S]) {
 	e.met.at(w).resets.Add(1)
-	if h := e.cfg.Hooks.OnReset; h != nil {
-		h(t.key, t.Life())
-	}
 	err := func() error { // try
 		if err := t.check(); err != nil {
 			return err

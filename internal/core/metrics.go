@@ -238,6 +238,4 @@ type Hooks struct {
 	OnComputed func(key graph.Key, life int)
 	// OnRecover fires when a recovery is initiated (after replaceTask).
 	OnRecover func(key graph.Key, newLife int)
-	// OnReset fires on each resetNode.
-	OnReset func(key graph.Key, life int)
 }

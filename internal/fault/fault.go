@@ -10,8 +10,6 @@
 // selection follows the paper's task-type taxonomy: v=0 (producers of the
 // first version of a data block), v=last (producers of the last version),
 // and v=rand (producers of a uniformly random version).
-//
-//lint:deterministic seeded fault plans: the same seed must select the same victim tasks in every run, or experiments stop being reproducible
 package fault
 
 import (

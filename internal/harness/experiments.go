@@ -272,12 +272,10 @@ func (h *Harness) CriticalPaths() ([]CriticalPathRow, error) {
 		// the most recent spans can sit on the path's tail.
 		sp := trace.NewSpans("harness", 1<<16)
 		ctx := trace.SpanContext{Trace: trace.NewTraceID(), Span: sp.NextID()}
-		//lint:ignore detrand span timings are observability output only; they never enter a result digest
 		start := time.Now()
 		if _, err := h.RunFT(name, core.Config{Workers: h.opts.Workers, Plan: plan, Spans: sp, SpanCtx: ctx, SpanJob: -1}, false); err != nil {
 			return nil, err
 		}
-		//lint:ignore detrand span timings are observability output only; they never enter a result digest
 		run := time.Since(start)
 		spans := sp.ForTrace(ctx.Trace)
 		recoveries := 0
@@ -433,7 +431,6 @@ var Experiments = []string{"table1", "fig4", "fig5a", "fig5b", "table2", "fig6",
 
 // Run executes the named experiment ("all" for the full suite).
 func (h *Harness) Run(name string) error {
-	//lint:ignore detrand wall-clock experiment duration is progress reporting only; it never enters a result digest
 	start := time.Now()
 	var err error
 	switch name {
@@ -507,7 +504,6 @@ func (h *Harness) Run(name string) error {
 		return fmt.Errorf("harness: unknown experiment %q (have %v, or \"all\")", name, Experiments)
 	}
 	if err == nil {
-		//lint:ignore detrand elapsed wall time is progress reporting only; it never enters a result digest
 		fmt.Fprintf(h.opts.Out, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	return err

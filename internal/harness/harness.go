@@ -9,8 +9,6 @@
 // sizes keep a full suite run in minutes, and -paper selects the original
 // problem sizes. Fixed fault counts are expressed both literally (1, 8, 64,
 // 512) and as the paper-equivalent fraction of the scaled task count.
-//
-//lint:deterministic reference runs: a (seed, sizes) pair must produce identical result digests across runs so faulty executions can be checked against them
 package harness
 
 import (

@@ -19,8 +19,6 @@
 // threshold; each rotation snapshots the folded state and deletes the
 // segments it covers, so recovery replays one snapshot plus at most one
 // segment's worth of records.
-//
-//lint:deterministic crash-replay digests: replaying the same records must fold to the same state in every process incarnation
 package journal
 
 import (
@@ -422,7 +420,6 @@ func (j *Journal) Write(rec Record) (Ticket, error) {
 		t.start = o.appendLat.Start()
 	}
 	if rec.Time.IsZero() {
-		//lint:ignore detrand record timestamps are observability metadata; replay folds state from record kinds and payloads, never from Time
 		rec.Time = time.Now()
 	}
 	frame, err := EncodeRecord(&rec)
@@ -502,7 +499,8 @@ func (j *Journal) syncTo(ticket uint64) error {
 	batch := int64(cur - j.syncedSeq)
 	err := j.syncFault
 	if err == nil {
-		//lint:ignore lockscope group commit by design: the fsync under syncMu is the batching point every concurrent appender shares
+		// Group commit by design: the fsync under syncMu is the batching
+		// point every concurrent appender shares.
 		err = f.Sync()
 	}
 	j.syncedSeq, j.syncErr = cur, err
@@ -528,7 +526,8 @@ func (j *Journal) rotate() {
 	}
 	old := j.f
 	if !j.opts.NoSync {
-		//lint:ignore lockscope rotation must drain the old segment under syncMu so no appender can share a sync with a file about to be swapped out
+		// Rotation drains the old segment under syncMu so no appender can
+		// share a sync with a file about to be swapped out.
 		if err := old.Sync(); err != nil {
 			j.mu.Unlock()
 			j.opts.Logf("journal: rotation aborted, cannot sync %s: %v", segName(j.seg), err)
@@ -579,7 +578,8 @@ func (j *Journal) Close() error {
 
 	var firstErr error
 	if !j.opts.NoSync {
-		//lint:ignore lockscope the final sync holds syncMu so in-flight group-commit waiters are covered by it before the file closes
+		// The final sync holds syncMu so in-flight group-commit waiters are
+		// covered by it before the file closes.
 		if err := f.Sync(); err != nil {
 			firstErr = err
 		}

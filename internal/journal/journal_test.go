@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -574,5 +575,55 @@ func TestUnsyncedStartedTail(t *testing.T) {
 				t.Fatalf("job 2 after the re-run = %+v", got)
 			}
 		})
+	}
+}
+
+// TestReplayFoldsIdentically: the same data dir — terminal and incomplete
+// jobs on both sides of a rotated snapshot — folds to the same State in
+// every process incarnation, submission order included, and so to the same
+// snapshot bytes. Crash-replay digests and a standby's promoted journal
+// rest on this.
+func TestReplayFoldsIdentically(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, NoSync: true})
+	for id := int64(1); id <= 40; id++ {
+		switch id % 4 {
+		case 0:
+			appendAll(t, j, lifecycle(id, fmt.Sprintf("%02x", id))...)
+		case 1:
+			appendAll(t, j, Record{Kind: Submitted, ID: id, Name: "incomplete", Payload: []byte("p")})
+		case 2:
+			appendAll(t, j, Record{Kind: Submitted, ID: id, Name: "started"}, Record{Kind: Started, ID: id})
+		case 3:
+			appendAll(t, j, Record{Kind: Submitted, ID: id, Name: "failed"}, Record{Kind: Failed, ID: id, Error: "boom"})
+		}
+	}
+	if s := j.Stats(); s.Snapshots == 0 {
+		t.Fatalf("no rotated snapshot to replay from: %+v", s)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replay := func() (*State, []byte) {
+		j := mustOpen(t, Options{Dir: dir})
+		defer j.Close()
+		st := j.State()
+		snap, err := st.marshalSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, snap
+	}
+	st1, snap1 := replay()
+	st2, snap2 := replay()
+	if len(st1.Jobs) != 40 || len(st1.Order) != 40 {
+		t.Fatalf("replayed %d jobs, order %v; want 40", len(st1.Jobs), st1.Order)
+	}
+	if !reflect.DeepEqual(st1, st2) {
+		t.Errorf("two replays of one data dir fold differently:\n%+v\n%+v", st1, st2)
+	}
+	if !bytes.Equal(snap1, snap2) {
+		t.Errorf("two replays of one data dir snapshot differently:\n%s\n%s", snap1, snap2)
 	}
 }

@@ -34,25 +34,6 @@ import (
 var AckOrder = &Analyzer{
 	Name: "ackorder",
 	Doc:  "calls to //lint:durable ack functions must be dominated by a //lint:durable fsync barrier on every path",
-	Run:  ackOrderRun,
-}
-
-func ackOrderRun(pass *Pass) {
-	facts := pass.Facts
-	if facts.ackDiags == nil {
-		facts.ackDiags = computeAckOrder(pass.Fset, facts.Graph)
-	}
-	for _, d := range facts.ackDiags {
-		if d.pkg == pass.Pkg {
-			pass.report(d.diag)
-		}
-	}
-}
-
-// pkgDiag routes a precomputed module-wide diagnostic to its package's pass.
-type pkgDiag struct {
-	pkg  *Package
-	diag Diagnostic
 }
 
 // ackObligation is one ack-class call not dominated by a barrier inside its
@@ -61,9 +42,8 @@ type pkgDiag struct {
 // diagnostic lands (so a reasoned //lint:ignore sits next to the ack, not at
 // some distant root).
 type ackObligation struct {
-	origin    token.Pos // the direct call to the annotated ack
-	originPkg *Package
-	ackName   string // name of the annotated ack
+	origin  token.Pos // the direct call to the annotated ack
+	ackName string    // name of the annotated ack
 }
 
 // ackSummary is the durability behavior of one function.
@@ -72,11 +52,10 @@ type ackSummary struct {
 	obligations []ackObligation
 }
 
-func computeAckOrder(fset *token.FileSet, g *Graph) []pkgDiag {
-	if g == nil {
-		return []pkgDiag{}
-	}
-	var out []pkgDiag
+// computeAckOrder runs the whole proof over the module's call graph and
+// returns its findings.
+func computeAckOrder(fset *token.FileSet, g *Graph) []Diagnostic {
+	var out []Diagnostic
 
 	// Directive sanity: an fsync function must be able to reach a real
 	// fsync. (Reachability, not path-sensitivity: a NoSync test knob does
@@ -94,11 +73,11 @@ func computeAckOrder(fset *token.FileSet, g *Graph) []pkgDiag {
 			return true
 		})
 		if !reaches {
-			out = append(out, pkgDiag{pkg: n.Pkg, diag: Diagnostic{
+			out = append(out, Diagnostic{
 				Pos:      fset.Position(n.DurablePos),
 				Analyzer: "ackorder",
 				Message:  fmt.Sprintf("//lint:durable fsync on %s is unverifiable: no (*os.File).Sync or fsync-annotated call is reachable from it", n.Name),
-			}})
+			})
 		}
 	})
 
@@ -139,11 +118,11 @@ func computeAckOrder(fset *token.FileSet, g *Graph) []pkgDiag {
 				continue
 			}
 			reported[rk] = true
-			out = append(out, pkgDiag{pkg: ob.originPkg, diag: Diagnostic{
+			out = append(out, Diagnostic{
 				Pos:      fset.Position(ob.origin),
 				Analyzer: "ackorder",
 				Message:  fmt.Sprintf("ack %q is not dominated by a durable fsync on every path to it", ob.ackName),
-			}})
+			})
 		}
 	})
 	return out
@@ -195,11 +174,7 @@ func (w *ackWalk) call(key string, pos token.Pos, st *ackState) {
 	// Ack check first: a function that both acks and syncs (ack annotated
 	// functions are never also barriers) cannot excuse its own ack.
 	if target.Durable == "ack" && !st.synced {
-		w.addObligation(ackObligation{
-			origin:    pos,
-			originPkg: w.node.Pkg,
-			ackName:   target.Name,
-		})
+		w.addObligation(ackObligation{origin: pos, ackName: target.Name})
 		return
 	}
 	if s != nil && len(s.obligations) > 0 && !st.synced && target.Durable == "" {

@@ -5,13 +5,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the interprocedural foundation of the ackorder analyzer: a
 // call graph over every function and function literal of the analyzed
 // packages, with per-function primitive facts gathered in one AST walk. It is
-// built once per Check call and handed to the analyzer through Facts.
+// built once per Check call.
 //
 // Functions are keyed by types.Func.FullName() — e.g.
 // "(*ftdag/internal/journal.Journal).Append" — which is stable across
@@ -180,11 +179,11 @@ func (g *Graph) add(n *FuncNode) {
 // parseDurable parses a //lint:durable comment, returning its argument and
 // whether the comment is a durable directive at all.
 func parseDurable(c *ast.Comment) (string, bool) {
-	text := strings.TrimPrefix(c.Text, "//")
-	if !strings.HasPrefix(text, "lint:durable") {
+	word, arg, ok := parseDirective(c)
+	if !ok || word != "durable" {
 		return "", false
 	}
-	return strings.TrimSpace(strings.TrimPrefix(text, "lint:durable")), true
+	return arg, true
 }
 
 // collectBody records the call edges and primitive facts of one function

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -14,9 +16,9 @@ import (
 // error voids a durability or integrity guarantee:
 //
 //   - (*os.File).Sync and (*os.File).Close
-//   - (*journal.Journal).Append and Close
-//   - journal.DecodeRecord (a checksum verifier: ignoring its error means
-//     accepting a corrupt frame)
+//   - (*journal.Journal).Append, Write, Sync and Close
+//   - journal.DecodeRecord and journal.DecodeStreamFrame (checksum
+//     verifiers: ignoring their error means accepting a corrupt frame)
 //
 // A call is flagged when its error is discarded structurally: used as a
 // bare statement, or deferred (defer discards return values). Assigning the
@@ -25,7 +27,6 @@ import (
 var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc:  "errors from durability-path calls (fsync, close, journal append, checksum decode) must not be discarded",
-	Run:  errSinkRun,
 }
 
 const journalPkg = "ftdag/internal/journal"
@@ -40,28 +41,39 @@ func durabilityCall(info *types.Info, call *ast.CallExpr) string {
 		return "(*os.File).Close"
 	case isMethodOn(info, call, journalPkg, "Journal", "Append"):
 		return "(*journal.Journal).Append"
+	case isMethodOn(info, call, journalPkg, "Journal", "Write"):
+		return "(*journal.Journal).Write"
+	case isMethodOn(info, call, journalPkg, "Journal", "Sync"):
+		return "(*journal.Journal).Sync"
 	case isMethodOn(info, call, journalPkg, "Journal", "Close"):
 		return "(*journal.Journal).Close"
 	case isPkgFunc(info, call, journalPkg, "DecodeRecord"):
 		return "journal.DecodeRecord"
+	case isPkgFunc(info, call, journalPkg, "DecodeStreamFrame"):
+		return "journal.DecodeStreamFrame"
 	}
 	return ""
 }
 
-func errSinkRun(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
+// errSink reports every durability-path call of pkg whose error is
+// discarded.
+func errSink(fset *token.FileSet, pkg *Package, report func(Diagnostic)) {
+	reportf := func(pos token.Pos, format string, args ...any) {
+		report(Diagnostic{Pos: fset.Position(pos), Analyzer: ErrSink.Name, Message: fmt.Sprintf(format, args...)})
+	}
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := s.X.(*ast.CallExpr); ok {
 					if what := durabilityCall(info, call); what != "" {
-						pass.Reportf(call.Pos(), "error from %s is discarded on the durability path; handle it or assign it to _ explicitly", what)
+						reportf(call.Pos(), "error from %s is discarded on the durability path; handle it or assign it to _ explicitly", what)
 					}
 				}
 			case *ast.DeferStmt:
 				if what := durabilityCall(info, s.Call); what != "" {
-					pass.Reportf(s.Call.Pos(), "defer discards the error from %s; check it in a deferred closure or call it explicitly before returning", what)
+					reportf(s.Call.Pos(), "defer discards the error from %s; check it in a deferred closure or call it explicitly before returning", what)
 				}
 			}
 			return true

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -16,11 +17,24 @@ type ignoreSet struct {
 	directives []*ignoreDirective
 }
 
-// collectIgnores scans every comment of every healthy package for
-// lint directives. Malformed //lint:ignore comments (missing analyzer name
-// or missing reason) are reported immediately: a suppression without a
+// parseDirective splits a //lint:<word> <arg> comment into its word and
+// its trimmed argument; ok is false for every other comment.
+func parseDirective(c *ast.Comment) (word, arg string, ok bool) {
+	text, ok := strings.CutPrefix(c.Text, "//lint:")
+	if !ok {
+		return "", "", false
+	}
+	word, arg, _ = strings.Cut(text, " ")
+	return word, strings.TrimSpace(arg), true
+}
+
+// collectIgnores scans every comment of every healthy package for lint
+// directives. Malformed //lint:ignore comments (missing analyzer name or
+// missing reason) are reported immediately: a suppression without a
 // written-down reason is exactly the silent invariant-voiding this suite
-// exists to prevent.
+// exists to prevent. So is a directive whose word no analyzer reads — only
+// ignore and durable (callgraph.go) have a reader — so a directive cannot
+// outlive the analyzer that read it.
 func collectIgnores(fset *token.FileSet, pkgs []*Package) (*ignoreSet, []Diagnostic) {
 	set := &ignoreSet{}
 	var diags []Diagnostic
@@ -28,12 +42,20 @@ func collectIgnores(fset *token.FileSet, pkgs []*Package) (*ignoreSet, []Diagnos
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					if !strings.HasPrefix(text, "lint:ignore") {
+					word, arg, ok := parseDirective(c)
+					if !ok || word == "durable" {
 						continue
 					}
 					pos := fset.Position(c.Pos())
-					fields := strings.Fields(strings.TrimPrefix(text, "lint:ignore"))
+					if word != "ignore" {
+						diags = append(diags, Diagnostic{
+							Pos:      pos,
+							Analyzer: "ignore",
+							Message:  "unknown directive //lint:" + word + " (only ignore and durable have a reader; delete it)",
+						})
+						continue
+					}
+					fields := strings.Fields(arg)
 					if len(fields) < 2 {
 						diags = append(diags, Diagnostic{
 							Pos:      pos,

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -24,70 +22,21 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", pos, d.Analyzer, d.Message)
 }
 
-// Facts carries cross-package knowledge gathered during the collect phase
-// and consumed during the run phase. All analyzers of one Check call share
-// one Facts value.
-type Facts struct {
-	// Deterministic records packages carrying a //lint:deterministic
-	// directive: the determinism manifest for the detrand analyzer.
-	Deterministic map[string]bool
-
-	// Graph is the module-wide call graph built once per Check, for the
-	// interprocedural ackorder analyzer.
-	Graph *Graph
-
-	// ackDiags caches ackorder's module-wide result: computed by its first
-	// Run and replayed into every later pass for routing.
-	ackDiags []pkgDiag
-}
-
-func newFacts() *Facts {
-	return &Facts{Deterministic: make(map[string]bool)}
-}
-
-// Pass is one analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkg      *Package
-	Facts    *Facts
-
-	report func(Diagnostic)
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// TypeOf returns the type of an expression, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// Analyzer is one static check. Collect (optional) gathers cross-package
-// facts; the driver runs every Collect over every package before any Run.
+// Analyzer names one static check: its Name is the key a //lint:ignore
+// names, its Doc the one-line contract ftlint -list prints.
 type Analyzer struct {
-	Name    string
-	Doc     string
-	Collect func(*Pass)
-	Run     func(*Pass)
+	Name string
+	Doc  string
 }
 
 // All is the full analyzer suite, in reporting order.
-var All = []*Analyzer{RawAtomic, LockScope, DetRand, ErrSink, AckOrder}
+var All = []*Analyzer{ErrSink, AckOrder}
 
-// Check runs the analyzers over the packages and returns the surviving
-// findings sorted by position: load errors first-class, //lint:ignore
-// suppressions applied, unused suppressions reported.
-func Check(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// Check runs errsink over every package and ackorder once over their call
+// graph, and returns the surviving findings sorted by position: load errors
+// first-class, //lint:ignore suppressions applied, unused suppressions and
+// unknown directives reported.
+func Check(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	var healthy []*Package
 	for _, pkg := range pkgs {
@@ -98,28 +47,14 @@ func Check(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagno
 		healthy = append(healthy, pkg)
 	}
 
-	facts := newFacts()
-	for _, a := range analyzers {
-		if a.Collect == nil {
-			continue
-		}
-		for _, pkg := range healthy {
-			a.Collect(&Pass{Analyzer: a, Fset: fset, Pkg: pkg, Facts: facts, report: func(Diagnostic) {}})
-		}
-	}
-
 	var found []Diagnostic
-	// The interprocedural foundation: one call graph per Check, for
-	// ackorder. Malformed //lint:durable directives are findings of their
-	// own, suppressible like any other.
-	facts.Graph = buildGraph(fset, healthy, func(d Diagnostic) { found = append(found, d) })
-	for _, a := range analyzers {
-		for _, pkg := range healthy {
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, Facts: facts,
-				report: func(d Diagnostic) { found = append(found, d) }}
-			a.Run(pass)
-		}
+	report := func(d Diagnostic) { found = append(found, d) }
+	for _, pkg := range healthy {
+		errSink(fset, pkg, report)
 	}
+	// Malformed //lint:durable directives are findings of their own,
+	// suppressible like any other.
+	found = append(found, computeAckOrder(fset, buildGraph(fset, healthy, report))...)
 
 	sup, supDiags := collectIgnores(fset, healthy)
 	diags = append(diags, supDiags...)

@@ -90,7 +90,7 @@ func TestGolden(t *testing.T) {
 			if len(pkg.LoadErrors) > 0 {
 				t.Fatalf("case package failed to load: %v", pkg.LoadErrors)
 			}
-			diags := Check(ld.Fset, []*Package{pkg}, All)
+			diags := Check(ld.Fset, []*Package{pkg})
 			wants := loadExpectations(t, dir)
 			for _, d := range diags {
 				matched := false
@@ -132,7 +132,7 @@ func TestModuleClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("no packages loaded")
 	}
-	for _, d := range Check(ld.Fset, pkgs, All) {
+	for _, d := range Check(ld.Fset, pkgs) {
 		t.Errorf("module not lint-clean: %s", d)
 	}
 }
@@ -141,13 +141,13 @@ func TestModuleClean(t *testing.T) {
 // non-empty names (they are the suppression keys) and one-line docs for
 // ftlint -list.
 func TestAnalyzerMetadata(t *testing.T) {
-	if len(All) != 5 {
-		t.Errorf("suite has %d analyzers, want 5 (rawatomic, lockscope, detrand, errsink, ackorder)", len(All))
+	if len(All) != 2 {
+		t.Errorf("suite has %d analyzers, want 2 (errsink, ackorder)", len(All))
 	}
 	seen := make(map[string]bool)
 	for _, a := range All {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %+v missing name, doc, or run", a)
+		if a.Name == "" || a.Doc == "" {
+			t.Errorf("analyzer %+v missing name or doc", a)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

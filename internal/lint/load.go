@@ -1,20 +1,23 @@
 // Package lint is the repository's static-analysis suite: a stdlib-only
-// driver (go/ast, go/parser, go/types, package metadata via `go list`) plus
-// analyzers that machine-check the concurrency and determinism invariants
-// the fault-tolerant scheduler's theorems rest on. cmd/ftlint is the CLI;
-// `make lint` wires it into the CI gate.
+// loader (go/ast, go/parser, go/types, package metadata via `go list`) plus
+// two analyzers that machine-check the durability path the service's
+// at-most-once recovery rests on — errsink (no discarded fsync, close,
+// journal or checksum error) and ackorder (no acknowledgement before its
+// fsync). cmd/ftlint is the CLI; `make lint` wires it into the CI gate.
 //
-// The driver loads every package in the module, type-checks it from source
-// against compiled export data of its dependencies (so a whole-module run
-// stays well under the CI time budget), runs each analyzer over the typed
-// ASTs, and reports findings as "file:line:col: [analyzer] message". A
-// finding can be suppressed for one line with a reasoned comment:
+// The loader type-checks every package of the module from source against
+// compiled export data of its dependencies (so a whole-module run stays
+// well under the CI time budget); Check runs errsink over each package and
+// ackorder once over their call graph, and reports findings as
+// "file:line:col: [analyzer] message". A finding can be suppressed for one
+// line with a reasoned comment:
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // either trailing on the offending line or alone on the line above. An
 // unused or malformed suppression is itself a finding, so suppressions
-// cannot rot silently.
+// cannot rot silently; so is a //lint: directive other than ignore and
+// durable, which nothing reads.
 package lint
 
 import (

@@ -23,7 +23,7 @@ func TestHostileTypeError(t *testing.T) {
 	if len(pkg.LoadErrors) == 0 {
 		t.Fatal("broken package loaded without errors")
 	}
-	diags := Check(ld.Fset, []*Package{pkg}, All)
+	diags := Check(ld.Fset, []*Package{pkg})
 	if len(diags) == 0 {
 		t.Fatal("load errors did not surface as diagnostics")
 	}
@@ -60,7 +60,7 @@ func TestHostileParseError(t *testing.T) {
 	if len(pkg.LoadErrors) == 0 {
 		t.Fatal("unparsable package loaded without errors")
 	}
-	for _, d := range Check(ld.Fset, []*Package{pkg}, All) {
+	for _, d := range Check(ld.Fset, []*Package{pkg}) {
 		if d.Analyzer != "load" {
 			t.Errorf("analyzer %s ran on an unparsable package: %s", d.Analyzer, d)
 		}

@@ -31,6 +31,28 @@ func unverified(payload []byte) {
 	journal.DecodeRecord(payload) // want:errsink: error from journal.DecodeRecord is discarded
 }
 
+func lostWrite(j *journal.Journal, rec journal.Record) {
+	j.Write(rec) // want:errsink: error from (*journal.Journal).Write is discarded
+}
+
+func lostSync(j *journal.Journal, t journal.Ticket) {
+	j.Sync(t) // want:errsink: error from (*journal.Journal).Sync is discarded
+}
+
+func deferredJournalSync(j *journal.Journal, rec journal.Record) error {
+	t, err := j.Write(rec)
+	defer j.Sync(t) // want:errsink: defer discards the error from (*journal.Journal).Sync
+	return err
+}
+
+func unverifiedStream(b []byte) {
+	journal.DecodeStreamFrame(b) // want:errsink: error from journal.DecodeStreamFrame is discarded
+}
+
+func deferredStream(b []byte) {
+	defer journal.DecodeStreamFrame(b) // want:errsink: defer discards the error from journal.DecodeStreamFrame
+}
+
 func deliberate(f *os.File) {
 	_ = f.Close() // explicit discard: allowed
 }

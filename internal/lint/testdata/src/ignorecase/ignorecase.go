@@ -1,6 +1,7 @@
 // Golden case for the suppression machinery: a reasoned //lint:ignore on
 // the line above (or trailing on) a finding suppresses it; an unused or
-// malformed directive is itself a finding.
+// malformed directive is itself a finding, and so is a //lint: word that no
+// analyzer reads.
 package ignorecase
 
 import "os"
@@ -23,3 +24,8 @@ func stale(f *os.File) error {
 //
 //lint:ignore
 func alsoFine() {}
+
+// want+2:ignore: unknown directive //lint:pure
+//
+//lint:pure a directive no analyzer reads
+func unread() {}

@@ -63,14 +63,3 @@ func isMethodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name st
 	}
 	return typeIs(sig.Recv().Type(), pkgPath, typeName)
 }
-
-// forEachFunc invokes f for every function or method declaration with a body.
-func forEachFunc(pkg *Package, f func(decl *ast.FuncDecl)) {
-	for _, file := range pkg.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				f(fd)
-			}
-		}
-	}
-}

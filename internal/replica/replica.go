@@ -16,8 +16,6 @@
 // to many consumers), critical-path tasks (re-execution delays the whole
 // run), and user-pinned tasks — under a configurable budget, yielding the
 // overhead-vs-coverage tradeoff the experiments sweep.
-//
-//lint:deterministic replica-set selection: the same DAG and policy must pick the same replication set in every run, or SDC-coverage experiments and the soak harness stop being reproducible
 package replica
 
 import (
