@@ -30,9 +30,11 @@ benchbuild:
 # The work-inflation row of EXPERIMENTS.md "The second worker" — cpu-ns/task
 # at two Ps over one P, FT and baseline — must keep printing, and so must
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
-# replaced, over 16 rotating inputs at the BenchSizes tile and at n = 16 (LU,
-# Cholesky and FW's two and SW's fill, in internal/apps/tile, through the
-# AVX2 body and the Go body; LCS's bit-parallel and scalar fills), and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# replaced, over 16 rotating inputs at the BenchSizes tile and at n = 16
+# (internal/apps/tile's MulSub, MinPlus, SolveLower, Transpose and SW's fill
+# through the AVX2 body and the Go body; LU's trsmRight and trsmLeft and Cholesky's
+# trsmRightT, transposes included, and getrf and potrf, which are still the
+# textbook loops; LCS's bit-parallel and scalar fills), and ns/KiB of a verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads of the same 32 KiB: a tile's row, corner, and last column
 # both in place (b words b apart: every segment re-hashed) and exported as LCS

@@ -140,11 +140,25 @@ func (a *Chol) inputTile(t []float64, i, j int) {
 	}
 }
 
-// Compute performs the stage-k kernel on tile (i,j).
+// Compute performs the stage-k kernel on tile (i,j). A compute whose read
+// fails hands its tile back to the free list: the task runs again (a
+// recovery, or a shadow replica's re-run from the primary's inputs), and
+// that run takes a tile of its own.
 func (a *Chol) Compute(ctx graph.Context, key graph.Key) error {
+	c := block.Alloc(a.b * a.b)
+	if err := a.kernel(ctx, key, c); err != nil {
+		block.Free(c)
+		return err
+	}
+	ctx.Write(c)
+	return nil
+}
+
+// kernel writes into c the version T(k,i,j) produces: the tile's previous
+// version, or its input at stage 0, through the stage's kernel.
+func (a *Chol) kernel(ctx graph.Context, key graph.Key, c []float64) error {
 	b := a.b
 	k, i, j := a.coords(key)
-	c := block.Alloc(b * b)
 	if k == 0 {
 		a.inputTile(c, i, j)
 	} else {
@@ -181,7 +195,6 @@ func (a *Chol) Compute(ctx graph.Context, key graph.Key) error {
 		}
 		gemmSubT(c, l, r, b)
 	}
-	ctx.Write(c)
 	return nil
 }
 
@@ -207,17 +220,14 @@ func potrf(c []float64, b int) {
 	}
 }
 
-// trsmRightT solves X·Lᵀ = A in place against the lower factor d.
+// trsmRightT solves X·Lᵀ = A in place against the lower factor d as
+// L·Xᵀ = Aᵀ: tile.SolveLower on c transposed in place. Each element of X
+// takes the textbook loop's products in ascending p, then its division, so
+// the result is bit-identical to it (kernel_test.go).
 func trsmRightT(c, d []float64, b int) {
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := c[r*b+q]
-			for p := 0; p < q; p++ {
-				s -= c[r*b+p] * d[q*b+p]
-			}
-			c[r*b+q] = s / d[q*b+q]
-		}
-	}
+	tile.Transpose(c, c, b)
+	tile.SolveLower(c, d, b, false)
+	tile.Transpose(c, c, b)
 }
 
 // gemmSubT computes C -= L·Rᵀ through tile.MulSub: Rᵀ is written into a
@@ -226,11 +236,7 @@ func trsmRightT(c, d []float64, b int) {
 // bit-identical to it.
 func gemmSubT(c, l, r []float64, b int) {
 	rt := block.Alloc(b * b)
-	for col := 0; col < b; col++ {
-		for p, v := range r[col*b : col*b+b] {
-			rt[p*b+col] = v
-		}
-	}
+	tile.Transpose(rt, r, b)
 	tile.MulSub(c, l, rt, b)
 	block.Free(rt)
 }

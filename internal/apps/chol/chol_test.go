@@ -1,10 +1,12 @@
 package chol
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -58,22 +60,25 @@ func TestPotrfReconstruct(t *testing.T) {
 	}
 }
 
-// TestTrsmRightT: X·Lᵀ = A must hold after solving.
+// TestTrsmRightT: X·Lᵀ = A must hold after solving, on tile.SolveLower's Go
+// body (b = 6) and its AVX2 body where the build has one (8, and the
+// BenchSizes tile, 32).
 func TestTrsmRightT(t *testing.T) {
-	const b = 6
-	d := spdTile(b, 2)
-	potrf(d, b)
-	a := randTile(b, 3)
-	x := append([]float64(nil), a...)
-	trsmRightT(x, d, b)
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := 0.0
-			for p := 0; p <= q; p++ {
-				s += x[r*b+p] * d[q*b+p] // (Lᵀ)[p][q] = L[q][p]
-			}
-			if math.Abs(s-a[r*b+q]) > 1e-8 {
-				t.Fatalf("X·Lᵀ[%d][%d] = %v, want %v", r, q, s, a[r*b+q])
+	for _, b := range []int{6, 8, 32} {
+		d := spdTile(b, 2)
+		potrf(d, b)
+		a := randTile(b, 3)
+		x := append([]float64(nil), a...)
+		trsmRightT(x, d, b)
+		for r := 0; r < b; r++ {
+			for q := 0; q < b; q++ {
+				s := 0.0
+				for p := 0; p <= q; p++ {
+					s += x[r*b+p] * d[q*b+p] // (Lᵀ)[p][q] = L[q][p]
+				}
+				if math.Abs(s-a[r*b+q]) > 1e-8 {
+					t.Fatalf("b=%d: X·Lᵀ[%d][%d] = %v, want %v", b, r, q, s, a[r*b+q])
+				}
 			}
 		}
 	}
@@ -158,12 +163,35 @@ func TestDiagonalUpdateSinglePanelPred(t *testing.T) {
 	}
 }
 
+// TestComputeFreesItsTileOnReadError: a compute whose read fails hands the
+// tile it took back to the free list, where the next Alloc finds it still
+// holding the input the compute copied in before the read. (A failed shadow
+// replica used to drop its tile to the collector.)
+func TestComputeFreesItsTileOnReadError(t *testing.T) {
+	a := newChol(t, 40, 20) // a tile size no other test here frees
+	ctx := &fakeCtx{err: errors.New("read failed")}
+	if err := a.Compute(ctx, a.task(0, 1, 0)); err == nil || ctx.out != nil {
+		t.Fatalf("the panel solve of a failed read: err %v, wrote %v", err, ctx.out != nil)
+	}
+	want := make([]float64, a.b*a.b)
+	a.inputTile(want, 1, 0)
+	got := block.Alloc(a.b * a.b)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("the next Alloc's word %d is %v, the failed compute's input %v", i, got[i], want[i])
+		}
+	}
+}
+
+// fakeCtx implements graph.Context over a plain map; every read fails with
+// err when it is set.
 type fakeCtx struct {
 	outs map[graph.Key][]float64
 	out  []float64
+	err  error
 }
 
-func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], nil }
+func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], c.err }
 func (c *fakeCtx) Write(d []float64)                       { c.out = d }
 
 func randTile(b int, seed uint64) []float64 {

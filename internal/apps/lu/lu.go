@@ -134,11 +134,25 @@ func (a *LU) inputTile(t []float64, i, j int) {
 	}
 }
 
-// Compute performs the stage-k kernel on tile (i,j).
+// Compute performs the stage-k kernel on tile (i,j). A compute whose read
+// fails hands its tile back to the free list: the task runs again (a
+// recovery, or a shadow replica's re-run from the primary's inputs), and
+// that run takes a tile of its own.
 func (a *LU) Compute(ctx graph.Context, key graph.Key) error {
+	c := block.Alloc(a.b * a.b)
+	if err := a.kernel(ctx, key, c); err != nil {
+		block.Free(c)
+		return err
+	}
+	ctx.Write(c)
+	return nil
+}
+
+// kernel writes into c the version T(k,i,j) produces: the tile's previous
+// version, or its input at stage 0, through the stage's kernel.
+func (a *LU) kernel(ctx graph.Context, key graph.Key, c []float64) error {
 	b := a.b
 	k, i, j := a.coords(key)
-	c := block.Alloc(b * b)
 	if k == 0 {
 		a.inputTile(c, i, j)
 	} else {
@@ -178,7 +192,6 @@ func (a *LU) Compute(ctx graph.Context, key graph.Key) error {
 		}
 		tile.MulSub(c, l, u, b)
 	}
-	ctx.Write(c)
 	return nil
 }
 
@@ -197,30 +210,22 @@ func getrf(c []float64, b int) {
 }
 
 // trsmRight solves X·U = A in place (U = upper triangle of the packed
-// diagonal tile d).
+// diagonal tile d) as Uᵀ·Xᵀ = Aᵀ: tile.SolveLower on c transposed in place,
+// against Uᵀ in a tile from the free list. Each element of X takes the
+// textbook loop's products in ascending p, then its division, so the result
+// is bit-identical to it (kernel_test.go).
 func trsmRight(c, d []float64, b int) {
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := c[r*b+q]
-			for p := 0; p < q; p++ {
-				s -= c[r*b+p] * d[p*b+q]
-			}
-			c[r*b+q] = s / d[q*b+q]
-		}
-	}
+	ut := block.Alloc(b * b)
+	tile.Transpose(ut, d, b)
+	tile.Transpose(c, c, b)
+	tile.SolveLower(c, ut, b, false)
+	tile.Transpose(c, c, b)
+	block.Free(ut)
 }
 
 // trsmLeft solves L·X = A in place (L = unit lower triangle of d).
 func trsmLeft(c, d []float64, b int) {
-	for q := 0; q < b; q++ {
-		for r := 0; r < b; r++ {
-			s := c[r*b+q]
-			for p := 0; p < r; p++ {
-				s -= d[r*b+p] * c[p*b+q]
-			}
-			c[r*b+q] = s
-		}
-	}
+	tile.SolveLower(c, d, b, true)
 }
 
 // reference computes the unblocked in-place LU factorisation of the input.

@@ -1,10 +1,12 @@
 package lu
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -70,22 +72,27 @@ func TestGetrfReconstruct(t *testing.T) {
 	}
 }
 
+// residualSizes take tile.SolveLower's Go body (6) and its AVX2 body where
+// the build has one (8, and the BenchSizes tile, 32).
+var residualSizes = []int{6, 8, 32}
+
 // TestTrsmRight: X·U = A must hold after solving.
 func TestTrsmRight(t *testing.T) {
-	const b = 6
-	d := randTile(b, 2)
-	getrf(d, b) // packed L\U; trsmRight uses the upper part
-	a := randTile(b, 3)
-	x := append([]float64(nil), a...)
-	trsmRight(x, d, b)
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := 0.0
-			for p := 0; p <= q; p++ {
-				s += x[r*b+p] * d[p*b+q]
-			}
-			if math.Abs(s-a[r*b+q]) > 1e-8 {
-				t.Fatalf("X·U[%d][%d] = %v, want %v", r, q, s, a[r*b+q])
+	for _, b := range residualSizes {
+		d := randTile(b, 2)
+		getrf(d, b) // packed L\U; trsmRight uses the upper part
+		a := randTile(b, 3)
+		x := append([]float64(nil), a...)
+		trsmRight(x, d, b)
+		for r := 0; r < b; r++ {
+			for q := 0; q < b; q++ {
+				s := 0.0
+				for p := 0; p <= q; p++ {
+					s += x[r*b+p] * d[p*b+q]
+				}
+				if math.Abs(s-a[r*b+q]) > 1e-8 {
+					t.Fatalf("b=%d: X·U[%d][%d] = %v, want %v", b, r, q, s, a[r*b+q])
+				}
 			}
 		}
 	}
@@ -93,20 +100,21 @@ func TestTrsmRight(t *testing.T) {
 
 // TestTrsmLeft: L·X = A with unit lower L.
 func TestTrsmLeft(t *testing.T) {
-	const b = 6
-	d := randTile(b, 4)
-	getrf(d, b)
-	a := randTile(b, 5)
-	x := append([]float64(nil), a...)
-	trsmLeft(x, d, b)
-	for r := 0; r < b; r++ {
-		for q := 0; q < b; q++ {
-			s := x[r*b+q] // L[r][r] = 1
-			for p := 0; p < r; p++ {
-				s += d[r*b+p] * x[p*b+q]
-			}
-			if math.Abs(s-a[r*b+q]) > 1e-8 {
-				t.Fatalf("L·X[%d][%d] = %v, want %v", r, q, s, a[r*b+q])
+	for _, b := range residualSizes {
+		d := randTile(b, 4)
+		getrf(d, b)
+		a := randTile(b, 5)
+		x := append([]float64(nil), a...)
+		trsmLeft(x, d, b)
+		for r := 0; r < b; r++ {
+			for q := 0; q < b; q++ {
+				s := x[r*b+q] // L[r][r] = 1
+				for p := 0; p < r; p++ {
+					s += d[r*b+p] * x[p*b+q]
+				}
+				if math.Abs(s-a[r*b+q]) > 1e-8 {
+					t.Fatalf("b=%d: L·X[%d][%d] = %v, want %v", b, r, q, s, a[r*b+q])
+				}
 			}
 		}
 	}
@@ -191,13 +199,35 @@ func TestOutputVersions(t *testing.T) {
 	}
 }
 
-// fakeCtx implements graph.Context over a plain map.
+// TestComputeFreesItsTileOnReadError: a compute whose read fails hands the
+// tile it took back to the free list, where the next Alloc finds it still
+// holding the input the compute copied in before the read. (A failed shadow
+// replica used to drop its tile to the collector.)
+func TestComputeFreesItsTileOnReadError(t *testing.T) {
+	a := newLU(t, 40, 20) // a tile size no other test here frees
+	ctx := &fakeCtx{err: errors.New("read failed")}
+	if err := a.Compute(ctx, a.task(0, 1, 0)); err == nil || ctx.out != nil {
+		t.Fatalf("the panel solve of a failed read: err %v, wrote %v", err, ctx.out != nil)
+	}
+	want := make([]float64, a.b*a.b)
+	a.inputTile(want, 1, 0)
+	got := block.Alloc(a.b * a.b)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("the next Alloc's word %d is %v, the failed compute's input %v", i, got[i], want[i])
+		}
+	}
+}
+
+// fakeCtx implements graph.Context over a plain map; every read fails with
+// err when it is set.
 type fakeCtx struct {
 	outs map[graph.Key][]float64
 	out  []float64
+	err  error
 }
 
-func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], nil }
+func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], c.err }
 func (c *fakeCtx) Write(d []float64)                       { c.out = d }
 
 func randTile(b int, seed uint64) []float64 {

@@ -1,35 +1,44 @@
-// Package tile holds the two dense kernels under LU, Cholesky and
-// Floyd-Warshall, on n×n row-major tiles: MulSub (C −= A·B) and MinPlus
-// (C = min(C, A ⊗ B)); and Smith-Waterman's tile fill, SmithWaterman.
+// Package tile holds the three dense kernels under LU, Cholesky and
+// Floyd-Warshall, on n×n row-major tiles: MulSub (C −= A·B), MinPlus
+// (C = min(C, A ⊗ B)) and SolveLower (L·X = C, the panel solves), with the
+// Transpose that LU's and Cholesky's other shapes take them through; and
+// Smith-Waterman's tile fill, SmithWaterman.
 //
 // Each kernel has two bodies. Where the CPU has AVX2 with the YMM state
 // enabled by the OS (checked once, at init) and n is a multiple of 8, an
 // assembly body runs a 4×8 register block: eight ymm accumulators hold a
 // 4-row, 8-column block of C across the p loop, and each p loads two ymm of
-// B's row p and broadcasts one element of A per row. Elsewhere — other CPUs,
-// other architectures, other sizes, and every race-detector build, whose
-// detector does not see memory accesses made in assembly — the Go body runs:
-// a 2×4 register block, or the plain loop when n is not a multiple of 4.
+// B's row p and broadcasts one element of A per row (SolveLower: of L, with
+// B the rows of C above the block, then the block's own triangle). Elsewhere
+// — other CPUs, other architectures, other sizes, and every race-detector
+// build, whose detector does not see memory accesses made in assembly — the
+// Go body runs: a 2×4 register block, or the plain loop when n is not a
+// multiple of 4.
 //
 // SmithWaterman's AVX2 body works on the same CPUs, builds and multiples of 8,
 // in int32 lanes, a row at a time (its doc says how); its Go body is the
 // scalar int64 fill. Both compute integers, exactly.
 //
-// Every dense body computes each element with the textbook loop's operations in
-// its order: the element starts from c and takes its p terms in ascending p,
-// one IEEE operation per step, no FMA (MulSub: a product, then a difference;
-// MinPlus: a sum, then `if v < s { s = v }`). Outputs are bit-identical
-// across bodies and hosts, ±0, infinities and NaN included.
+// Every dense body computes each element with the textbook loop's operations
+// in its order: the element starts from c and takes its p terms in ascending
+// p, one IEEE operation per step, no FMA (MulSub: a product, then a
+// difference; MinPlus: a sum, then `if v < s { s = v }`; SolveLower: MulSub's,
+// then one division). Outputs are bit-identical across bodies and hosts, ±0,
+// infinities and NaN included.
 package tile
 
 // simd selects the AVX2 bodies for sizes they take. It is fixed at init;
 // tests clear it to run the Go bodies on the same inputs.
 var simd = hasAVX2 && !raceEnabled
 
+// dense reports whether the dense kernels take their AVX2 bodies for n×n
+// tiles.
+func dense(n int) bool { return simd && n > 0 && n%8 == 0 }
+
 // MulSub computes C −= A·B: c[r][q] −= a[r][p]·b[p][q] for p = 0, 1, …, n−1
 // in turn, each product rounded before it is subtracted.
 func MulSub(c, a, b []float64, n int) {
-	if simd && n > 0 && n%8 == 0 {
+	if dense(n) {
 		_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
 		mulSubAVX2(&c[0], &a[0], &b[0], n)
 		return
@@ -45,12 +54,112 @@ func MulSub(c, a, b []float64, n int) {
 // Floyd-Warshall pivot row and column do that (internal/apps/fw says why the
 // result is still the textbook loop's); with other inputs it is not.
 func MinPlus(c, a, b []float64, n int) {
-	if simd && n > 0 && n%8 == 0 {
+	if dense(n) {
 		_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
 		minPlusAVX2(&c[0], &a[0], &b[0], n)
 		return
 	}
 	minPlusGo(c, a, b, n)
+}
+
+// SolveLower solves L·X = C in place, L being the lower triangle of l: row r
+// of X is c[r] − Σ l[r][p]·x[p] over p < r, each product rounded before it
+// is subtracted, in ascending p, then divided by l[r][r] — or not, when unit
+// is set and L's diagonal is taken as ones (l's own is not read). c and l
+// must not overlap.
+//
+// Every element thus takes the textbook forward substitution's operations in
+// its order, which is what makes the rows an AXPY: row r subtracts
+// l[r][p]·c[p] for each finished row p above it, then divides. A right-hand
+// solve X·U = C is this one on the transposes, Uᵀ·Xᵀ = Cᵀ.
+func SolveLower(c, l []float64, n int, unit bool) {
+	if dense(n) {
+		_, _ = c[n*n-1], l[n*n-1] // the assembly checks no bounds
+		solveLowerAVX2(&c[0], &l[0], n, unit)
+		return
+	}
+	solveLowerGo(c, l, n, unit)
+}
+
+// solveLowerGo is SolveLower's Go body: mulSubGo's 2×4 register block over
+// the rows above each pair of rows, then the pair's own 2×2 triangle in
+// registers. An n that is not a multiple of 4 takes the plain AXPY loop, a
+// row at a time.
+func solveLowerGo(c, l []float64, n int, unit bool) {
+	if n%4 != 0 {
+		for r := 0; r < n; r++ {
+			row := c[r*n : r*n+n]
+			for p, lrp := range l[r*n : r*n+r] {
+				x := c[p*n : p*n+n]
+				x = x[:len(row)] // equal lengths: no bounds check on x[q]
+				for q := range row {
+					row[q] -= lrp * x[q]
+				}
+			}
+			if !unit {
+				d := l[r*n+r]
+				for q := range row {
+					row[q] /= d
+				}
+			}
+		}
+		return
+	}
+	for r := 0; r < n; r += 2 {
+		l0s := l[r*n : r*n+r]
+		l1s := l[r*n+n : r*n+n+r]
+		l1s = l1s[:len(l0s)] // equal lengths: no bounds check on l1s[p]
+		l10, d0, d1 := l[r*n+n+r], l[r*n+r], l[r*n+n+r+1]
+		c0 := c[r*n : r*n+n]
+		c1 := c[r*n+n : r*n+2*n]
+		for q := 0; q < n; q += 4 {
+			x0, x1 := c0[q:q+4:q+4], c1[q:q+4:q+4]
+			s00, s01, s02, s03 := x0[0], x0[1], x0[2], x0[3]
+			s10, s11, s12, s13 := x1[0], x1[1], x1[2], x1[3]
+			for p, a0 := range l0s {
+				a1 := l1s[p]
+				y := c[p*n+q : p*n+q+4 : p*n+q+4]
+				s00 -= a0 * y[0]
+				s01 -= a0 * y[1]
+				s02 -= a0 * y[2]
+				s03 -= a0 * y[3]
+				s10 -= a1 * y[0]
+				s11 -= a1 * y[1]
+				s12 -= a1 * y[2]
+				s13 -= a1 * y[3]
+			}
+			if !unit {
+				s00, s01, s02, s03 = s00/d0, s01/d0, s02/d0, s03/d0
+			}
+			s10 -= l10 * s00
+			s11 -= l10 * s01
+			s12 -= l10 * s02
+			s13 -= l10 * s03
+			if !unit {
+				s10, s11, s12, s13 = s10/d1, s11/d1, s12/d1, s13/d1
+			}
+			x0[0], x0[1], x0[2], x0[3] = s00, s01, s02, s03
+			x1[0], x1[1], x1[2], x1[3] = s10, s11, s12, s13
+		}
+	}
+}
+
+// Transpose writes the transpose of the n×n tile src into dst. dst may be
+// src, which is then transposed in place; otherwise the two must not
+// overlap. Both bodies swap the words (AVX2: the 4×4 blocks) of src in pairs
+// across the diagonal, each pair read before it is written.
+func Transpose(dst, src []float64, n int) {
+	if dense(n) {
+		_, _ = dst[n*n-1], src[n*n-1] // the assembly checks no bounds
+		transposeAVX2(&dst[0], &src[0], n)
+		return
+	}
+	for r := 0; r < n; r++ {
+		for q := r; q < n; q++ {
+			a, b := src[r*n+q], src[q*n+r]
+			dst[q*n+r], dst[r*n+q] = a, b
+		}
+	}
 }
 
 // mulSubGo is MulSub's Go body. The bulk runs a 2×4 register block: eight

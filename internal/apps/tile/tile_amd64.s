@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// The two kernels share one loop nest over an n×n tile, n > 0 a multiple
-// of 8:
+// MulSub and MinPlus share one loop nest over an n×n tile, n > 0 a multiple
+// of 8 (SolveLower's, below, is the same nest with fewer p):
 //
 //	for r := 0; r < n; r += 4      // DI, SI: rows r of c and a; R10 rows left
 //	  for q := 0; q < n; q += 8    // BX: q in bytes
@@ -13,13 +13,17 @@
 //
 // R8 is a row's stride in bytes, R9 three of them. BP is left alone.
 
-// Row i of MulSub: s −= a·b, the product rounded first (no FMA).
-#define MULSUB_ROW(arow, s0, s1) \
+// s −= a·x over the two ymm halves of a row: Y10 = a in every lane, each
+// product rounded before it is subtracted (no FMA).
+#define AXPY(arow, x0, x1, s0, s1) \
 	VBROADCASTSD arow, Y10; \
-	VMULPD       Y8, Y10, Y11; \
-	VMULPD       Y9, Y10, Y12; \
+	VMULPD       x0, Y10, Y11; \
+	VMULPD       x1, Y10, Y12; \
 	VSUBPD       Y11, s0, s0; \
 	VSUBPD       Y12, s1, s1
+
+// Row i of MulSub: s −= a·b.
+#define MULSUB_ROW(arow, s0, s1) AXPY(arow, Y8, Y9, s0, s1)
 
 // Row i of MinPlus: v = a + b, then VMINPD with v as the first source and s
 // as the second, which yields v only when v < s (else s: NaN and ±0 too),
@@ -134,6 +138,176 @@ minplusP:
 
 	NEXT_ROWS
 	JNZ minplusRows
+
+	VZEROUPPER
+	RET
+
+// SolveLower's body runs MulSub's loop nest with b = c itself, over the
+// rows above the block only, then the block's own 4×4 triangle in register:
+//
+//	for r := 0; r < n; r += 4      // DI, SI: rows r of c and l; R14 = r
+//	  for q := 0; q < n; q += 8
+//	    Y0..Y7 = c[r..r+3][q..q+7]
+//	    for p := 0; p < r; p++     // rows p of c are finished
+//	      row i: Y(2i), Y(2i+1) −= l[r+i][p]·c[p][q..q+7]
+//	    row i, in turn: divide by l[r+i][r+i] (unless unit), then rows
+//	      j > i: Y(2j), Y(2j+1) −= l[r+j][r+i]·Y(2i), Y(2i+1)
+//	    c[r..r+3][q..q+7] = Y0..Y7
+//
+// which gives each element its textbook terms in ascending p, then its
+// division. After the p loop R12 is &l[r][r], the triangle's corner.
+
+// Row i of the block: divide by l[r+i][r+i], rounded once.
+#define DIV_ROW(diag, s0, s1) \
+	VBROADCASTSD diag, Y10; \
+	VDIVPD       Y10, s0, s0; \
+	VDIVPD       Y10, s1, s1
+
+// Rows 1, 2 and 3 of the triangle take the terms of the rows above them.
+#define TRI_ROW1 \
+	AXPY((R12)(R8*1), Y0, Y1, Y2, Y3)
+
+#define TRI_ROW2 \
+	AXPY((R12)(R8*2), Y0, Y1, Y4, Y5); \
+	AXPY(8(R12)(R8*2), Y2, Y3, Y4, Y5)
+
+#define TRI_ROW3 \
+	AXPY((R12)(R9*1), Y0, Y1, Y6, Y7); \
+	AXPY(8(R12)(R9*1), Y2, Y3, Y6, Y7); \
+	AXPY(16(R12)(R9*1), Y4, Y5, Y6, Y7)
+
+// func solveLowerAVX2(c, l *float64, n int, unit bool)
+TEXT ·solveLowerAVX2(SB), NOSPLIT, $0-25
+	MOVQ c+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ DI, DX
+	MOVQ CX, R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	MOVQ CX, R10
+	XORQ R14, R14
+
+solveRows:
+	XORQ BX, BX
+
+solveCols:
+	LOAD_BLOCK
+	MOVQ  R14, AX
+	TESTQ AX, AX
+	JZ    solveTri
+
+solveP:
+	LOAD_B
+	MULSUB_ROW((R12), Y0, Y1)
+	MULSUB_ROW((R12)(R8*1), Y2, Y3)
+	MULSUB_ROW((R12)(R8*2), Y4, Y5)
+	MULSUB_ROW((R12)(R9*1), Y6, Y7)
+	NEXT_P
+	JNZ solveP
+
+solveTri:
+	CMPB unit+24(FP), $0
+	JNE  solveUnit
+	DIV_ROW((R12), Y0, Y1)
+	TRI_ROW1
+	DIV_ROW(8(R12)(R8*1), Y2, Y3)
+	TRI_ROW2
+	DIV_ROW(16(R12)(R8*2), Y4, Y5)
+	TRI_ROW3
+	DIV_ROW(24(R12)(R9*1), Y6, Y7)
+	JMP  solveStore
+
+solveUnit:
+	TRI_ROW1
+	TRI_ROW2
+	TRI_ROW3
+
+solveStore:
+	STORE_BLOCK
+	CMPQ BX, R8
+	JLT  solveCols
+
+	ADDQ $4, R14
+	NEXT_ROWS
+	JNZ solveRows
+
+	VZEROUPPER
+	RET
+
+// Transpose's body swaps 4×4 blocks in pairs across the diagonal, each
+// block transposed in register by two unpacks and two lane permutes per pair
+// of rows. Both blocks of a pair are loaded before either is stored, so dst
+// may be src; a diagonal block is its own pair.
+//
+//	for r := 0; r < n; r += 4      // SI, DI: &src[r][r], &dst[r][r]; R10 rows left
+//	  for q := r; q < n; q += 4    // AX blocks left
+//	    A = src[r..r+3][q..q+3]    // R11
+//	    B = src[q..q+3][r..r+3]    // R12
+//	    dst[q..q+3][r..r+3] = Aᵀ   // R13
+//	    dst[r..r+3][q..q+3] = Bᵀ   // R14
+
+// Load the four rows of a block at src into a0..a3.
+#define LOAD4(src, a0, a1, a2, a3) \
+	VMOVUPD (src), a0; \
+	VMOVUPD (src)(R8*1), a1; \
+	VMOVUPD (src)(R8*2), a2; \
+	VMOVUPD (src)(R9*1), a3
+
+// Transpose the 4×4 block in a0..a3 through t0..t3.
+#define TRANSPOSE4(a0, a1, a2, a3, t0, t1, t2, t3) \
+	VUNPCKLPD  a1, a0, t0; \
+	VUNPCKHPD  a1, a0, t1; \
+	VUNPCKLPD  a3, a2, t2; \
+	VUNPCKHPD  a3, a2, t3; \
+	VPERM2F128 $0x20, t2, t0, a0; \
+	VPERM2F128 $0x20, t3, t1, a1; \
+	VPERM2F128 $0x31, t2, t0, a2; \
+	VPERM2F128 $0x31, t3, t1, a3
+
+// Store a0..a3 as the four rows of a block at dst.
+#define STORE4(dst, a0, a1, a2, a3) \
+	VMOVUPD a0, (dst); \
+	VMOVUPD a1, (dst)(R8*1); \
+	VMOVUPD a2, (dst)(R8*2); \
+	VMOVUPD a3, (dst)(R9*1)
+
+// func transposeAVX2(dst, src *float64, n int)
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	MOVQ CX, R10
+
+transposeRows:
+	MOVQ SI, R11
+	MOVQ SI, R12
+	MOVQ DI, R13
+	MOVQ DI, R14
+	MOVQ R10, AX
+	SHRQ $2, AX
+
+transposeBlocks:
+	LOAD4(R11, Y0, Y1, Y2, Y3)
+	LOAD4(R12, Y4, Y5, Y6, Y7)
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	STORE4(R13, Y0, Y1, Y2, Y3)
+	STORE4(R14, Y4, Y5, Y6, Y7)
+	ADDQ $32, R11
+	LEAQ (R12)(R8*4), R12
+	LEAQ (R13)(R8*4), R13
+	ADDQ $32, R14
+	DECQ AX
+	JNZ  transposeBlocks
+
+	LEAQ 32(SI)(R8*4), SI
+	LEAQ 32(DI)(R8*4), DI
+	SUBQ $4, R10
+	JNZ  transposeRows
 
 	VZEROUPPER
 	RET

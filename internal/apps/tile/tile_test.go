@@ -3,6 +3,9 @@ package tile
 import (
 	"fmt"
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -65,6 +68,24 @@ func rowTextbook(c, pv []float64, n int) {
 	}
 }
 
+// solveLowerTextbook is SolveLower's oracle, forward substitution a column
+// at a time, as LU's left panel solve was written: one chain per element, its
+// rounded products subtracted in ascending p, then the division.
+func solveLowerTextbook(c, l []float64, n int, unit bool) {
+	for q := 0; q < n; q++ {
+		for r := 0; r < n; r++ {
+			s := c[r*n+q]
+			for p := 0; p < r; p++ {
+				s -= l[r*n+p] * c[p*n+q]
+			}
+			if !unit {
+				s /= l[r*n+r]
+			}
+			c[r*n+q] = s
+		}
+	}
+}
+
 // kernelSizes cover the AVX2 block (multiples of 8), the Go 2×4 block
 // (multiples of 4) and the plain loop.
 var kernelSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 31, 32, 40, 64}
@@ -116,8 +137,12 @@ func sprinkle(t []float64, specials []float64, seed uint64) {
 
 // One NaN payload: with two, which one an operation on both returns depends
 // on operand order, which the Go compiler is free to pick for a product.
+// SolveLower multiplies rows it has computed, which may hold the NaN an
+// invalid operation (0·∞, ∞ − ∞, 0/0) returns, so its specials hold that one.
 var (
 	nan       = math.NaN()
+	zero      = 0.0
+	madeNaN   = zero / zero
 	subnormal = math.Float64frombits(1)
 	// mulSubSpecials makes products and differences overflow, cancel to ±0,
 	// turn invalid (0·∞, ∞ − ∞) and go subnormal.
@@ -126,6 +151,11 @@ var (
 	// minPlusSpecials are the unreachable distance and zero, plus what tests
 	// VMINPD's operand order: ties between +0 and −0, and NaN.
 	minPlusSpecials = []float64{math.Inf(1), 0, math.Copysign(0, -1), nan}
+	// solveSpecials are mulSubSpecials with the NaN invalid operations make;
+	// on a diagonal, ±0 and the subnormals make divisions overflow to ±∞ and
+	// turn invalid (0/0, ∞/∞).
+	solveSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), madeNaN,
+		subnormal, -subnormal, math.SmallestNonzeroFloat64 * 3, 0x1p-1060, 0x1p1000, -0x1p1000}
 )
 
 // forEachBody runs f once on the AVX2 bodies, where this build takes them,
@@ -175,6 +205,11 @@ func TestBodyPerBuild(t *testing.T) {
 	if !raceEnabled && simd != hasAVX2 {
 		t.Fatalf("simd = %v, CPU AVX2 = %v", simd, hasAVX2)
 	}
+	for _, n := range kernelSizes {
+		if got, want := dense(n), simd && n%8 == 0; got != want {
+			t.Fatalf("MulSub, MinPlus, SolveLower and Transpose take the AVX2 body at n = %d: %v, want %v", n, got, want)
+		}
+	}
 	if got := swTakes(swBoundary(8, 1, 0)); got != simd {
 		t.Fatalf("SmithWaterman takes the AVX2 body at n = 8: %v, AVX2 bodies: %v", got, simd)
 	}
@@ -215,6 +250,83 @@ func TestMinPlusMatchesTextbook(t *testing.T) {
 			}
 		}
 	})
+}
+
+// triangle returns an n×n tile for SolveLower's l: uniform, its diagonal
+// raised by n so a solve's rows stay of the order of its input's.
+func triangle(n int, seed uint64) []float64 {
+	l := uniform(n, seed)
+	for r := 0; r < n; r++ {
+		l[r*n+r] += float64(n)
+	}
+	return l
+}
+
+// TestSolveLowerMatchesTextbook: SolveLower reproduces forward substitution
+// bit for bit, with L's diagonal read and taken as ones, on random tiles of
+// every size, on tiles sprinkled with ±0, ±∞, NaN, subnormals and
+// overflowing magnitudes, and with such words forced onto the diagonal.
+func TestSolveLowerMatchesTextbook(t *testing.T) {
+	forEachBody(t, func(t *testing.T) {
+		for _, n := range kernelSizes {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				for _, unit := range []bool{false, true} {
+					c, l := uniform(n, 2*seed), triangle(n, 2*seed+1)
+					solve := func(c, l, _ []float64, n int) { SolveLower(c, l, n, unit) }
+					oracle := func(c, l, _ []float64, n int) { solveLowerTextbook(c, l, n, unit) }
+					what := fmt.Sprintf("unit=%v n=%d seed=%d", unit, n, seed)
+					check(t, what, solve, oracle, c, l, nil, n)
+					sprinkle(c, solveSpecials, 2*seed)
+					sprinkle(l, solveSpecials, 2*seed+1)
+					check(t, "specials "+what, solve, oracle, c, l, nil, n)
+					for r := 0; r < n; r++ {
+						l[r*n+r] = solveSpecials[(r+int(seed))%len(solveSpecials)]
+					}
+					check(t, "special diagonal "+what, solve, oracle, c, l, nil, n)
+				}
+			}
+		}
+	})
+}
+
+// TestTranspose: Transpose moves every word of a tile, bits and all, to its
+// mirror position, into another tile and in place.
+func TestTranspose(t *testing.T) {
+	forEachBody(t, func(t *testing.T) {
+		for _, n := range kernelSizes {
+			src := uniform(n, uint64(n))
+			sprinkle(src, solveSpecials, uint64(n))
+			dst, inPlace := make([]float64, n*n), append([]float64(nil), src...)
+			Transpose(dst, src, n)
+			Transpose(inPlace, inPlace, n)
+			for r := 0; r < n; r++ {
+				for q := 0; q < n; q++ {
+					want := math.Float64bits(src[r*n+q])
+					if math.Float64bits(dst[q*n+r]) != want || math.Float64bits(inPlace[q*n+r]) != want {
+						t.Fatalf("n=%d: dst[%d][%d] = %v, in place %v, src[%d][%d] = %v", n, q, r, dst[q*n+r], inPlace[q*n+r], r, q, src[r*n+q])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAssemblyHasNoFMA: no instruction of tile_amd64.s fuses a multiply and
+// an add. A fused multiply-subtract rounds once where the textbook loops, as
+// Go compiles them on amd64, round twice, so it would change the bits every
+// dense kernel and the pinned digests promise.
+func TestAssemblyHasNoFMA(t *testing.T) {
+	src, err := os.ReadFile("tile_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fma := regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)`)
+	for i, line := range strings.Split(string(src), "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		if fma.MatchString(code) {
+			t.Errorf("tile_amd64.s:%d: %s: fused multiply-add", i+1, strings.TrimSpace(code))
+		}
+	}
 }
 
 // pivot returns an n×n pivot tile as Floyd-Warshall's phase 1 leaves it:
@@ -432,7 +544,10 @@ func TestSmithWatermanSpecials(t *testing.T) {
 // BenchmarkKernels prices one tile of each kernel at the QuickSizes and
 // BenchSizes tile sides (16, 32; 16, 64 for SmithWaterman) through the AVX2
 // body, the Go body and the textbook loop, rotating over 16 seeded inputs as
-// the apps feed it many.
+// the apps feed it many. SolveLower's rows solve against a diagonal that is
+// read; the call shapes LU and Cholesky make of it, transposes included, are
+// priced beside their textbook loops in those packages. Transpose only
+// moves words and has no textbook row.
 func BenchmarkKernels(b *testing.B) {
 	const inputs = 16
 	// run times f over the inputs on the body named by on.
@@ -450,12 +565,16 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	for _, n := range []int{16, 32} {
 		type input struct{ c, a, b []float64 }
-		mul, mp := make([]input, inputs), make([]input, inputs)
+		mul, mp, tri := make([]input, inputs), make([]input, inputs), make([]input, inputs)
 		for i := range mul {
 			s := 3 * uint64(i+1)
 			mul[i] = input{uniform(n, s), uniform(n, s+1), uniform(n, s+2)}
 			mp[i] = input{dist(n, 48, s), dist(n, 16, s+1), dist(n, 16, s+2)}
+			tri[i] = input{uniform(n, s), triangle(n, s+1), nil}
 		}
+		transpose := func(c, a, _ []float64, n int) { Transpose(c, a, n) }
+		solve := func(c, l, _ []float64, n int) { SolveLower(c, l, n, false) }
+		solveTextbook := func(c, l, _ []float64, n int) { solveLowerTextbook(c, l, n, false) }
 		c := make([]float64, n*n)
 		for _, k := range []struct {
 			name string
@@ -469,6 +588,11 @@ func BenchmarkKernels(b *testing.B) {
 			{"MinPlus/avx2", mp, MinPlus, true},
 			{"MinPlus/go", mp, MinPlus, false},
 			{"MinPlus/textbook", mp, minPlusTextbook, false},
+			{"SolveLower/avx2", tri, solve, true},
+			{"SolveLower/go", tri, solve, false},
+			{"SolveLower/textbook", tri, solveTextbook, false},
+			{"Transpose/avx2", mul, transpose, true},
+			{"Transpose/go", mul, transpose, false},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
 				run(b, k.simd, func(i int) {
