@@ -34,7 +34,9 @@ benchbuild:
 # (internal/apps/tile's MulSub, MinPlus, SolveLower, Transpose and SW's fill
 # through the AVX2 body and the Go body; LU's trsmRight and trsmLeft and Cholesky's
 # trsmRightT, transposes included, and getrf and potrf, which are still the
-# textbook loops; LCS's bit-parallel and scalar fills), and ns/KiB of a verified and a plain Slot.Read, whose one pass
+# textbook loops; LCS's bit-parallel and scalar fills), the checksum's
+# throughput on each body the CPU has (Go, AVX2, AVX-512), and ns/KiB of a
+# verified and a plain Slot.Read, whose one pass
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads of the same 32 KiB: a tile's row, corner, and last column
 # both in place (b words b apart: every segment re-hashed) and exported as LCS
@@ -50,7 +52,7 @@ benchbuild:
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
-	$(GO) test -run '^$$' -bench SlotRead -benchtime 20000x ./internal/block
+	$(GO) test -run '^$$' -bench 'Checksum|SlotRead' -benchtime 20000x ./internal/block
 	$(GO) test -run '^$$' -bench RerunLCS -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'FlightSnapshot|SpanEmit' -benchtime 200x ./internal/trace
 
@@ -60,9 +62,10 @@ graphsmoke:
 test:
 	$(GO) test ./...
 
-# Again for arm64: internal/apps/tile has amd64 assembly (checked against its
-# Go declarations by asmdecl above) and Go-only files for every other
-# architecture, which only a second GOARCH compiles.
+# Again for arm64: internal/apps/tile, internal/block and internal/cpuid have
+# amd64 assembly (checked against its Go declarations by asmdecl above) and
+# Go-only files for every other architecture, which only a second GOARCH
+# compiles.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -85,8 +88,8 @@ lint:
 # the two commands with tests of their own — ftserve's run a real
 # service.Server behind the mux it serves, ftsoak's a child supervisor.
 # The block data path — store, executors, replica join, the kernels and the
-# harness that drives them; the tile kernels take their Go bodies under
-# -race, which does not see assembly — and the structures the task descriptor is built
+# harness that drives them; the tile kernels and the checksum take their Go
+# bodies under -race, which does not see assembly — and the structures the task descriptor is built
 # from (key table, bit vector, graph) are then swept at one, two, four and
 # eight Ps, five runs each: the interleavings (steal between notify and
 # inject, a shadow racing an evicting writer, a reader of the key table beside
@@ -149,14 +152,16 @@ sdcsoak:
 	$(GO) run ./cmd/ftsoak -sdc -sdciters 24 -seed 2
 
 # Short fuzz passes over the journal's record/segment decoders (seed corpus
-# in internal/journal/fuzz_test.go) and the block store's verified boundary
-# read (internal/block/readat_test.go).
+# in internal/journal/fuzz_test.go), the block store's verified boundary
+# read (internal/block/readat_test.go) and the checksum's bodies against its
+# textbook definition (internal/block/checksum_test.go).
 fuzz:
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzReplaySegment -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeStreamFrame -fuzztime 10s
 	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzSlotReadAt -fuzztime 10s
+	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzChecksumBodies -fuzztime 10s
 
 # Non-test Go lines per package directory and in total, then assembly lines
 # per directory and in total: the sizes that ROADMAP item 2 asks every cut to

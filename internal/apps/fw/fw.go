@@ -274,6 +274,7 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 	} else {
 		prev, err := ctx.ReadPred(a.task(k-1, i, j))
 		if err != nil {
+			block.Free(c)
 			return err
 		}
 		copy(c, prev)
@@ -293,6 +294,7 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		// textbook loop's bit for bit; likewise for P ⊗ C.
 		pv, err := ctx.ReadPred(a.task(k, k, k))
 		if err != nil {
+			block.Free(c)
 			return err
 		}
 		if j == k {
@@ -305,10 +307,12 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		// column and row tiles.
 		av, err := ctx.ReadPred(a.task(k, i, k))
 		if err != nil {
+			block.Free(c)
 			return err
 		}
 		bv, err := ctx.ReadPred(a.task(k, k, j))
 		if err != nil {
+			block.Free(c)
 			return err
 		}
 		tile.MinPlus(c, av, bv, b)

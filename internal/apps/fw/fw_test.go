@@ -1,9 +1,11 @@
 package fw
 
 import (
+	"errors"
 	"testing"
 
 	"ftdag/internal/apps"
+	"ftdag/internal/block"
 	"ftdag/internal/graph"
 )
 
@@ -234,10 +236,48 @@ func TestReductionStructure(t *testing.T) {
 	}
 }
 
+// fakeCtx implements graph.Context over a plain map; a read of a key in errs
+// fails with its error.
 type fakeCtx struct {
 	outs map[graph.Key][]float64
 	out  []float64
+	errs map[graph.Key]error
 }
 
-func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], nil }
+func (c *fakeCtx) ReadPred(p graph.Key) ([]float64, error) { return c.outs[p], c.errs[p] }
 func (c *fakeCtx) Write(d []float64)                       { c.out = d }
+
+// TestComputeFreesItsTileOnReadError: a compute whose read fails hands the
+// tile it took back to the free list, on each of its four reads — its own
+// previous version, the pivot, and an interior tile's column and row — so
+// the next Alloc of the size is that very buffer.
+func TestComputeFreesItsTileOnReadError(t *testing.T) {
+	a := newFW(t, 60, 20) // nb = 3, a tile size no other test here frees
+	fail := errors.New("read failed")
+	for _, c := range []struct {
+		name string
+		task graph.Key
+		ok   []graph.Key // reads that succeed; every other fails
+	}{
+		{"previous version", a.task(1, 0, 0), nil},
+		{"pivot", a.task(0, 1, 0), nil},
+		{"column", a.task(0, 1, 1), nil},
+		{"row", a.task(0, 1, 1), []graph.Key{a.task(0, 1, 0)}},
+	} {
+		ctx := &fakeCtx{outs: map[graph.Key][]float64{}, errs: map[graph.Key]error{}}
+		for k := graph.Key(0); k <= a.Sink(); k++ {
+			ctx.errs[k] = fail
+		}
+		for _, k := range c.ok {
+			ctx.outs[k], ctx.errs[k] = make([]float64, a.b*a.b), nil
+		}
+		tile := make([]float64, a.b*a.b)
+		block.Free(tile) // the compute's Alloc takes it
+		if err := a.Compute(ctx, c.task); !errors.Is(err, fail) || ctx.out != nil {
+			t.Fatalf("%s: a compute whose read failed: err %v, wrote %v", c.name, err, ctx.out != nil)
+		}
+		if got := block.Alloc(a.b * a.b); &got[0] != &tile[0] {
+			t.Fatalf("%s: the next Alloc is not the tile the failed compute took", c.name)
+		}
+	}
+}

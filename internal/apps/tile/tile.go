@@ -5,7 +5,7 @@
 // Smith-Waterman's tile fill, SmithWaterman.
 //
 // Each kernel has two bodies. Where the CPU has AVX2 with the YMM state
-// enabled by the OS (checked once, at init) and n is a multiple of 8, an
+// enabled by the OS (internal/cpuid, checked once, at init) and n is a multiple of 8, an
 // assembly body runs a 4×8 register block: eight ymm accumulators hold a
 // 4-row, 8-column block of C across the p loop, and each p loads two ymm of
 // B's row p and broadcasts one element of A per row (SolveLower: of L, with
@@ -27,9 +27,11 @@
 // infinities and NaN included.
 package tile
 
+import "ftdag/internal/cpuid"
+
 // simd selects the AVX2 bodies for sizes they take. It is fixed at init;
 // tests clear it to run the Go bodies on the same inputs.
-var simd = hasAVX2 && !raceEnabled
+var simd = cpuid.AVX2 && !raceEnabled
 
 // dense reports whether the dense kernels take their AVX2 bodies for n×n
 // tiles.

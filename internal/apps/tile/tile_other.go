@@ -2,8 +2,6 @@
 
 package tile
 
-const hasAVX2 = false
-
 func mulSubAVX2(c, a, b *float64, n int)  { panic("tile: no AVX2 body on this architecture") }
 func minPlusAVX2(c, a, b *float64, n int) { panic("tile: no AVX2 body on this architecture") }
 func solveLowerAVX2(c, l *float64, n int, unit bool) {

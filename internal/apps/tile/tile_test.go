@@ -2,11 +2,15 @@ package tile
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"ftdag/internal/cpuid"
 )
 
 // mulSubTextbook is MulSub's oracle: one dot product per element, a single
@@ -202,8 +206,8 @@ func TestBodyPerBuild(t *testing.T) {
 	if raceEnabled && simd {
 		t.Fatal("a race build takes the AVX2 bodies, whose memory accesses the detector does not see")
 	}
-	if !raceEnabled && simd != hasAVX2 {
-		t.Fatalf("simd = %v, CPU AVX2 = %v", simd, hasAVX2)
+	if !raceEnabled && simd != cpuid.AVX2 {
+		t.Fatalf("simd = %v, CPU AVX2 = %v", simd, cpuid.AVX2)
 	}
 	for _, n := range kernelSizes {
 		if got, want := dense(n), simd && n%8 == 0; got != want {
@@ -213,7 +217,7 @@ func TestBodyPerBuild(t *testing.T) {
 	if got := swTakes(swBoundary(8, 1, 0)); got != simd {
 		t.Fatalf("SmithWaterman takes the AVX2 body at n = 8: %v, AVX2 bodies: %v", got, simd)
 	}
-	t.Logf("AVX2 on this CPU: %v; race build: %v; AVX2 bodies: %v", hasAVX2, raceEnabled, simd)
+	t.Logf("AVX2 on this CPU: %v; race build: %v; AVX2 bodies: %v", cpuid.AVX2, raceEnabled, simd)
 }
 
 // TestMulSubMatchesTextbook: MulSub reproduces the textbook loop bit for bit
@@ -326,6 +330,60 @@ func TestAssemblyHasNoFMA(t *testing.T) {
 		if fma.MatchString(code) {
 			t.Errorf("tile_amd64.s:%d: %s: fused multiply-add", i+1, strings.TrimSpace(code))
 		}
+	}
+}
+
+// TestAssemblyIsVEXOnly: no instruction of any *_amd64.s in the module is a
+// legacy-SSE one that names an X register. After a VEX or EVEX instruction
+// has written the upper half of a YMM or ZMM register, a legacy-SSE write of
+// an X register waits for that state to be saved or merged: on an AVX-512
+// Xeon, one MOVQ AX, X15 after a checksum body's YMM work made a 16-word hash
+// take ≈ 200 ns instead of 8. Every body must use the V forms (VMOVQ, VPXOR,
+// …).
+func TestAssemblyIsVEXOnly(t *testing.T) {
+	root, err := filepath.Abs("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found: %v", err)
+	}
+	xreg := regexp.MustCompile(`\bX([0-9]|1[0-5])\b`)
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, the benchmark's build cache
+		case d.IsDir() || !strings.HasSuffix(path, "_amd64.s"):
+			return nil
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			for _, stmt := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), "\\"), ";") {
+				fields := strings.Fields(stmt)
+				if len(fields) < 2 || strings.HasPrefix(fields[0], "#") || strings.HasPrefix(fields[0], "V") {
+					continue
+				}
+				if xreg.MatchString(strings.Join(fields[1:], " ")) {
+					rel, _ := filepath.Rel(root, path)
+					t.Errorf("%s:%d: %s: legacy-SSE instruction on an X register", rel, i+1, strings.TrimSpace(stmt))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no *_amd64.s file found")
 	}
 }
 

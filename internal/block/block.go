@@ -36,12 +36,12 @@
 // A reader that needs only part of a payload — a tile's last row, last
 // column and last cell — names the words as strided runs and calls ReadAt,
 // which copies just those. On a verifying store a write also records the
-// checksum's lane states at every segment boundary (segWords), and ReadAt
-// re-hashes only the segments that hold a word it returns, each against the
-// states recorded at its two ends: what was checked is still what is
-// returned. So what a verified read costs is set by where its words lie, not
-// by how many there are: a tile's last column, b words b apart, lies in every
-// segment of the tile. LCS and SW therefore append a copy of it to their
+// digest of every segment (segWords) the checksum is combined from, and
+// ReadAt re-hashes only the segments that hold a word it returns, each
+// against its own digest: what was checked is still what is returned. So
+// what a verified read costs is set by where its words lie, not by how many
+// there are: a tile's last column, b words b apart, lies in every segment of
+// the tile. LCS and SW therefore append a copy of it to their
 // tiles, and their readers read the copy, one segment at the tail.
 //
 // A block is reached through its Slot. An executor resolves the Slot of a
@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -108,16 +107,16 @@ type entry struct {
 	producer int64 // task key that produced this version
 	data     []float64
 	checksum uint64
-	// snaps is the first of the snapCount(len(data)) lane snapshots of
+	// snaps is the first of the snapCount(len(data)) segment digests of
 	// checksum (checksumSnaps) on a verifying store, nil elsewhere. One
 	// pointer rather than a slice keeps the Slot in its 112-byte size class.
-	snaps     *lanes
+	snaps     *uint64
 	corrupted bool
 	life      int32 // the producer's incarnation that wrote this version
 }
 
-// snapshots returns the entry's lane snapshots, one per segment but the last.
-func (e *entry) snapshots() []lanes {
+// snapshots returns the entry's segment digests, one per segment.
+func (e *entry) snapshots() []uint64 {
 	if e.snaps == nil {
 		return nil
 	}
@@ -235,8 +234,8 @@ func (s *Store) Write(b ID, version int, producer int64, data []float64) (sum ui
 // replaced version goes back to the free list — unless it is data's own, which
 // a second Write of one slice displaces — and its ring entry is reused, so a
 // store in steady state writes without allocating. On a verifying store a
-// payload longer than one segment also keeps the lane snapshots ReadAt verifies
-// by; they are recorded in the same pass as the checksum.
+// payload longer than one segment also keeps the segment digests ReadAt
+// verifies by; they are the ones the checksum is combined from.
 func (sl *Slot) Write(version int, producer int64, life int, data []float64) (sum uint64, victim int64, evicted bool) {
 	if k := snapCount(len(data)); k > 0 && sl.store.verify {
 		return sl.writeSnaps(version, producer, life, data, k)
@@ -244,29 +243,25 @@ func (sl *Slot) Write(version int, producer int64, life int, data []float64) (su
 	return sl.put(version, producer, life, data, Checksum(data), nil, nil)
 }
 
-// stackSnaps is how many lane snapshots a write records on its stack: a
-// 32 KiB tile and one word more.
-const stackSnaps = 16
-
-// writeSnaps is Write of a payload of k+1 segments on a verifying store. A
+// writeSnaps is Write of a payload of k segments on a verifying store. A
 // single-assignment store, which displaces an entry only on a rewrite, and a
-// payload of more than stackSnaps+1 segments hash into an array the version
+// payload of more than stackSegs segments hash into an array the version
 // keeps; any other write records on its stack, and put moves the record into
 // the array of the entry the write displaces.
 func (sl *Slot) writeSnaps(version int, producer int64, life int, data []float64, k int) (uint64, int64, bool) {
-	if sl.store.retention == 0 || k > stackSnaps {
-		kept := make([]lanes, k)
+	if sl.store.retention == 0 || k > stackSegs {
+		kept := make([]uint64, k)
 		return sl.put(version, producer, life, data, checksumSnaps(data, kept), &kept[0], nil)
 	}
-	var rec [stackSnaps]lanes
+	var rec [stackSegs]uint64
 	return sl.put(version, producer, life, data, checksumSnaps(data, rec[:k]), nil, rec[:k])
 }
 
 // put stores data, whose checksum is sum, as the given version (Write). Its
-// lane snapshots are kept, an array the version keeps, or rec, which put
+// segment digests are kept, an array the version keeps, or rec, which put
 // copies into the array of the entry the write displaces when that holds as
 // many — every write of a store in steady state — and into a new one when not.
-func (sl *Slot) put(version int, producer int64, life int, data []float64, sum uint64, kept *lanes, rec []lanes) (_ uint64, victim int64, evicted bool) {
+func (sl *Slot) put(version int, producer int64, life int, data []float64, sum uint64, kept *uint64, rec []uint64) (_ uint64, victim int64, evicted bool) {
 	s := sl.store
 	sl.mu.Lock()
 	// Whichever entry the write displaces moves out of the ring, the rest
@@ -286,7 +281,7 @@ func (sl *Slot) put(version int, producer int64, life int, data []float64, sum u
 	}
 	if len(rec) > 0 {
 		if kept = old.snaps; kept == nil || snapCount(len(old.data)) < len(rec) {
-			kept = &make([]lanes, len(rec))[0]
+			kept = &make([]uint64, len(rec))[0]
 		}
 		copy(unsafe.Slice(kept, len(rec)), rec)
 	}
@@ -436,12 +431,12 @@ func fits(runs []Run, n, dst int) bool {
 // dst, run after run — Slot.Read of just those words, with its errors, under
 // one acquisition of the slot lock. The poisoned flag is checked before
 // anything is copied. A verifying store then re-hashes every segment that
-// holds a word the runs name, from the lane states recorded at its start, and
-// compares the result with those recorded at its end (the last segment: with
-// the version's checksum); any difference is ErrChecksum and leaves dst
-// unchanged. So what was checked is what is returned, and the single-word
-// argument of Checksum holds segment by segment. A run outside the payload,
-// or a dst too short for the runs, panics.
+// holds a word the runs name and compares its digest with the one recorded
+// at Write (a payload of one segment: its checksum with the version's); any
+// difference is ErrChecksum and leaves dst unchanged. So what was checked is
+// what is returned, and the single-word argument of Checksum holds segment by
+// segment. A run outside the payload, or a dst too short for the runs,
+// panics.
 func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 	s := sl.store
 	sl.mu.Lock()
@@ -471,34 +466,25 @@ func (sl *Slot) ReadAt(version int, dst []float64, runs ...Run) error {
 	return nil
 }
 
-// verify reports whether every segment holding a word the runs name hashes
-// from the lane states recorded at its start to those recorded at its end —
-// for the last segment, to the checksum. The caller holds the slot lock and
-// has checked that the runs fit.
+// verify reports whether every segment holding a word the runs name still
+// has the digest recorded at Write — a payload of one segment, the checksum.
+// The caller holds the slot lock and has checked that the runs fit.
 func (e *entry) verify(runs []Run) bool {
 	n := len(e.data)
-	snaps := e.snapshots()
 	lo, hi := n, -1 // the first and last word named
 	for _, r := range runs {
 		if r.N > 0 {
 			lo, hi = min(lo, r.Off), max(hi, r.Off+(r.N-1)*r.Stride)
 		}
 	}
+	snaps := e.snapshots()
+	if snaps == nil {
+		return lo > hi || Checksum(e.data) == e.checksum
+	}
+	var d [1]uint64
 	for seg := lo / segWords; seg <= hi/segWords; seg++ {
 		from, to := seg*segWords, min(seg*segWords+segWords, n)
-		if !touches(runs, from, to) {
-			continue
-		}
-		h := lanes{seed0, seed1, seed2, seed3}
-		if seg > 0 {
-			h = snaps[seg-1]
-		}
-		h0, h1, h2, h3 := stepLanes(e.data[from:to], h[0], h[1], h[2], h[3])
-		if seg < len(snaps) {
-			if (lanes{h0, h1, h2, h3}) != snaps[seg] {
-				return false
-			}
-		} else if finish(n, h0, h1, h2, h3) != e.checksum {
+		if touches(runs, from, to) && digests(nil, e.data[from:to], d[:])[0] != snaps[seg] {
 			return false
 		}
 	}
@@ -548,7 +534,7 @@ func (s *Store) Corrupt(b ID, version, life int) bool {
 
 // CorruptSilently models silent data corruption: it flips bits in the
 // stored payload of the given version and then recomputes the stored
-// checksum (and lane snapshots) over the corrupted data, so neither the
+// checksum (and segment digests) over the corrupted data, so neither the
 // poisoned-flag check nor checksum verification detects it. Later reads
 // succeed and return wrong data — the failure mode only replica comparison
 // (internal/replica) can catch. It returns the recomputed checksum — the digest of what a consumer
@@ -612,163 +598,6 @@ func (s *Store) release() (visited int) {
 
 func flipBits(f float64) float64 {
 	return math.Float64frombits(math.Float64bits(f) ^ 0xDEADBEEFCAFEF00D)
-}
-
-// Checksum constants: an odd multiplier for the lane steps, a second one for
-// the finish, and four distinct lane seeds (so an all-zero payload does not
-// leave the lanes at a fixed point and equal words in different lanes hash
-// differently).
-const (
-	sumMul  = 0x9E3779B97F4A7C15
-	sumMul2 = 0xC2B2AE3D27D4EB4F
-	seed0   = 0x243F6A8885A308D3
-	seed1   = 0x13198A2E03707344
-	seed2   = 0xA4093822299F31D0
-	seed3   = 0x082EFA98EC4E6C89
-)
-
-// Checksum is the one integrity function of the data path: the store's
-// per-version checksum (Write, Read verification, CorruptSilently) and the
-// digest replicas are compared by (replica.Digest). It consumes the float64
-// bit patterns a word at a time in four independent lanes, word i going to
-// lane i mod 4 with the step
-//
-//	h = (rotl(h, 29) ^ w) * sumMul
-//
-// and folds the length and the four lanes together at the end.
-//
-// Detection argument. Rotation, xor with a constant and multiplication by an
-// odd constant are each bijections of the 64-bit words, so a lane step is a
-// bijection of h for a fixed w and of w for a fixed h. Take two payloads of
-// equal length that differ in exactly one word, at index i. Lane i mod 4
-// holds different states right after that word, the remaining steps of the
-// lane apply the same bijections to both, so the lane ends different; the
-// other three lanes end equal. The finish folds each lane in with another
-// such step and closes with xor-shifts and an odd multiplication, all
-// bijections of the running value, so the two checksums differ — for every
-// single-word change (any single bit flip, the injector's flipBits pattern),
-// not merely with high probability. Changes to several words, a swap of
-// unequal words across lanes (the lanes are seeded differently and folded in
-// order, so they are not interchangeable) and a length change (the length is
-// folded in, and a zero word still moves a lane) are detected up to 64-bit
-// hash collisions.
-func Checksum(data []float64) uint64 {
-	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
-	n := len(data)
-	for len(data) >= 4 {
-		h0 = step(h0, data[0])
-		h1 = step(h1, data[1])
-		h2 = step(h2, data[2])
-		h3 = step(h3, data[3])
-		data = data[4:]
-	}
-	h0, h1, h2 = stepTail(data, h0, h1, h2)
-	return finish(n, h0, h1, h2, h3)
-}
-
-// segWords is the length, in words, of the segments by which a verifying
-// store checks a ReadAt. A multiple of four, so every segment starts on lane
-// 0 and the lane states at its ends are Checksum's own.
-const segWords = 256
-
-// lanes is the four lane states of Checksum part way through a payload.
-type lanes [4]uint64
-
-// snapCount returns how many lane snapshots a verifying store keeps for an
-// n-word payload: one at the end of every segment but the last.
-func snapCount(n int) int {
-	if n <= segWords {
-		return 0
-	}
-	return (n - 1) / segWords
-}
-
-// checksumSnaps returns Checksum(data) and records in snaps — none, or
-// snapCount(len(data)) — the lane states at the end of each segment of data
-// but the last.
-func checksumSnaps(data []float64, snaps []lanes) uint64 {
-	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
-	for i := range snaps {
-		h0, h1, h2, h3 = stepLanes(data[i*segWords:(i+1)*segWords], h0, h1, h2, h3)
-		snaps[i] = lanes{h0, h1, h2, h3}
-	}
-	h0, h1, h2, h3 = stepLanes(data[len(snaps)*segWords:], h0, h1, h2, h3)
-	return finish(len(data), h0, h1, h2, h3)
-}
-
-// stepLanes steps the four lane states over data, whose first word goes to
-// lane 0: Checksum's loop from any point of a payload. The states travel as
-// four words, which the register ABI passes in registers (an array it passes
-// in memory). Checksum keeps a loop of its own: the call costs a one-word
-// hash — every write of a fine-grain graph — a sixth more.
-func stepLanes(data []float64, h0, h1, h2, h3 uint64) (uint64, uint64, uint64, uint64) {
-	for len(data) >= 4 {
-		h0 = step(h0, data[0])
-		h1 = step(h1, data[1])
-		h2 = step(h2, data[2])
-		h3 = step(h3, data[3])
-		data = data[4:]
-	}
-	h0, h1, h2 = stepTail(data, h0, h1, h2)
-	return h0, h1, h2, h3
-}
-
-// copySum copies src into dst, which must be as long, and returns
-// Checksum(src) computed in the same pass: each word is loaded once, stored
-// and hashed, so the checksum is that of what dst holds.
-func copySum(dst, src []float64) uint64 {
-	h0, h1, h2, h3 := uint64(seed0), uint64(seed1), uint64(seed2), uint64(seed3)
-	n := len(src)
-	dst = dst[:n]
-	// An index loop: advancing both slices instead costs more instructions
-	// per stripe than the lanes' latency hides (≈ 1.3× Checksum's time).
-	i := 0
-	for ; i+3 < n; i += 4 {
-		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
-		w0, w1, w2, w3 := s[0], s[1], s[2], s[3]
-		d[0], d[1], d[2], d[3] = w0, w1, w2, w3
-		h0 = step(h0, w0)
-		h1 = step(h1, w1)
-		h2 = step(h2, w2)
-		h3 = step(h3, w3)
-	}
-	copy(dst[i:], src[i:])
-	h0, h1, h2 = stepTail(dst[i:], h0, h1, h2)
-	return finish(n, h0, h1, h2, h3)
-}
-
-// step is one lane step of Checksum.
-func step(h uint64, w float64) uint64 {
-	return (bits.RotateLeft64(h, 29) ^ math.Float64bits(w)) * sumMul
-}
-
-// stepTail steps the lanes of the last len(t) < 4 words of a payload.
-func stepTail(t []float64, h0, h1, h2 uint64) (uint64, uint64, uint64) {
-	switch len(t) {
-	case 3:
-		h2 = step(h2, t[2])
-		fallthrough
-	case 2:
-		h1 = step(h1, t[1])
-		fallthrough
-	case 1:
-		h0 = step(h0, t[0])
-	}
-	return h0, h1, h2
-}
-
-// finish folds the length and the four lanes of an n-word payload into its
-// checksum.
-func finish(n int, h0, h1, h2, h3 uint64) uint64 {
-	h := uint64(n) * sumMul2
-	h = (bits.RotateLeft64(h, 31) ^ h0) * sumMul
-	h = (bits.RotateLeft64(h, 31) ^ h1) * sumMul
-	h = (bits.RotateLeft64(h, 31) ^ h2) * sumMul
-	h = (bits.RotateLeft64(h, 31) ^ h3) * sumMul
-	h ^= h >> 32
-	h *= sumMul2
-	h ^= h >> 29
-	return h
 }
 
 // PoolMin is the smallest payload, in float64s, that goes through the free

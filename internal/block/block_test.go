@@ -426,9 +426,21 @@ func TestQuickChecksumDetects(t *testing.T) {
 }
 
 // TestChecksumEverySingleBit walks every bit of every word of payloads whose
-// lengths cover each tail case of the four-lane loop.
+// lengths cover each tail case of the four-lane hash, one stripe on either
+// side of the 32-lane hash's threshold, a segment and a word on either side,
+// partial stripes in a partial segment, and an LCS tile of b = 64 with its
+// appended column. It hashes on the widest body the CPU has, which is the
+// default one but in a race build, whose Go body would take half a minute
+// over the 266 240 flips of the 4 160 words; FuzzChecksumBodies holds every
+// body to the same values.
 func TestChecksumEverySingleBit(t *testing.T) {
+	all := bodies()
+	defer useBody(all[len(all)-1])()
+	lengths := []int{31, 32, 33, 255, 256, 257, 543, 4160}
 	for n := 1; n <= 13; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = float64(i) * 0.37
@@ -447,7 +459,7 @@ func TestChecksumEverySingleBit(t *testing.T) {
 	}
 	// Lengths alone: all-zero payloads of different lengths differ.
 	seen := map[uint64]int{}
-	for n := 0; n <= 64; n++ {
+	for n := 0; n <= 600; n++ {
 		c := Checksum(make([]float64, n))
 		if m, dup := seen[c]; dup {
 			t.Fatalf("all-zero payloads of length %d and %d share a checksum", m, n)
@@ -473,8 +485,13 @@ func randomBits(r *rand.Rand, n int) []float64 {
 
 // TestCopySumIsChecksum: the verified read's fused loop returns exactly
 // Checksum of its source and leaves an exact copy, bit for bit (NaN payloads
-// included), at every tail length and at a tile's size and one word over.
+// included), at every tail length and at a tile's size and one word over, on
+// every body.
 func TestCopySumIsChecksum(t *testing.T) {
+	forEachBody(t, testCopySumIsChecksum)
+}
+
+func testCopySumIsChecksum(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	lengths := []int{4096, 4097}
 	for n := 0; n <= 70; n++ {
@@ -782,21 +799,34 @@ var payloadSizes = []struct {
 }{{"8B", 1}, {"64B", 8}, {"1KiB", 128}, {"8KiB", 1024}, {"32KiB", 4096}}
 
 // BenchmarkChecksum is the integrity function's throughput at the payload
-// sizes.
+// sizes: on the body this CPU runs (rows named by size alone), then on each
+// other body it has (rows named by body, then size).
 func BenchmarkChecksum(b *testing.B) {
-	for _, size := range payloadSizes {
-		b.Run(size.name, func(b *testing.B) {
-			data := make([]float64, size.floats)
-			for i := range data {
-				data[i] = float64(i) * 1.5
-			}
-			b.SetBytes(int64(len(data) * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink += Checksum(data)
-			}
-		})
+	for _, bd := range bodies() {
+		prefix := bodyNames[bd] + "/"
+		if bd == body {
+			prefix = ""
+		}
+		for _, size := range payloadSizes {
+			b.Run(prefix+size.name, func(b *testing.B) { benchChecksum(b, bd, size.floats) })
+		}
 	}
+}
+
+// benchChecksum is one row of BenchmarkChecksum: n words on body bd.
+func benchChecksum(b *testing.B, bd, n int) {
+	restore := useBody(bd)
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(i) * 1.5
+	}
+	b.SetBytes(int64(len(data) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += Checksum(data)
+	}
+	b.StopTimer()
+	restore()
 }
 
 // BenchmarkSlotRead is an executor's read path: a copy out of the store into

@@ -30,28 +30,33 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// TestChecksumSnapsIsChecksum: the hash a verifying write records its lane
-// snapshots with is Checksum, at every length from one word to three
-// segments and three words, and each snapshot is the lane states of
-// Checksum's own loop at that segment's end.
+// TestChecksumSnapsIsChecksum: the hash a verifying write records its
+// segment digests with is Checksum, at every length from one word to three
+// segments and three words, on every body; it records one digest per segment
+// when there are two or more and none otherwise, and each is the digest of
+// its segment's words alone, hashed from the seeds — all a ReadAt of the
+// segment needs.
 func TestChecksumSnapsIsChecksum(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 8))
-	for n := 1; n <= 3*segWords+3; n++ {
-		data := randomBits(r, n)
-		snaps := make([]lanes, snapCount(n))
-		if got, want := checksumSnaps(data, snaps), Checksum(data); got != want {
-			t.Fatalf("len %d: checksumSnaps = %#x, Checksum = %#x", n, got, want)
-		}
-		for i, h := range snaps {
-			h0, h1, h2, h3 := stepLanes(data[:(i+1)*segWords], seed0, seed1, seed2, seed3)
-			if h != (lanes{h0, h1, h2, h3}) {
-				t.Fatalf("len %d: snapshot %d is not the lane states after word %d", n, i, (i+1)*segWords)
+	forEachBody(t, func(t *testing.T) {
+		r := rand.New(rand.NewPCG(7, 8))
+		var d [1]uint64
+		for n := 1; n <= 3*segWords+3; n++ {
+			data := randomBits(r, n)
+			snaps := make([]uint64, snapCount(n))
+			if got, want := checksumSnaps(data, snaps), Checksum(data); got != want {
+				t.Fatalf("len %d: checksumSnaps = %#x, Checksum = %#x", n, got, want)
+			}
+			if want := (n + segWords - 1) / segWords; n > segWords && len(snaps) != want || n <= segWords && len(snaps) != 0 {
+				t.Fatalf("len %d: %d digests, want one per segment of a payload of two or more (%d)", n, len(snaps), want)
+			}
+			for k, h := range snaps {
+				seg := slices.Clone(data[k*segWords : min(k*segWords+segWords, n)])
+				if got := digests(nil, seg, d[:])[0]; got != h {
+					t.Fatalf("len %d: digest %d is %#x, its segment's words alone hash to %#x", n, k, h, got)
+				}
 			}
 		}
-		if want := (n - 1) / segWords; len(snaps) != want {
-			t.Fatalf("len %d: %d snapshots, want one per segment but the last (%d)", n, len(snaps), want)
-		}
-	}
+	})
 }
 
 // readAtPatterns are the runs the segment tests read a payload of n words
@@ -160,7 +165,7 @@ func TestReadAtEvicted(t *testing.T) {
 
 // TestReadAtGathers: on stores with and without verification, at lengths on
 // both sides of a segment and with payloads rewritten in place and evicted
-// (the snapshot arrays are reused), ReadAt returns what Gather takes from a
+// (the digest arrays are reused), ReadAt returns what Gather takes from a
 // whole-payload Read, and that is the words the runs name.
 func TestReadAtGathers(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 14))
@@ -200,8 +205,8 @@ func TestReadAtGathers(t *testing.T) {
 	}
 }
 
-// TestReadAtAfterSilentCorruption: CorruptSilently re-derives the lane
-// snapshots with the checksum, so a boundary read of any segment passes and
+// TestReadAtAfterSilentCorruption: CorruptSilently re-derives the segment
+// digests with the checksum, so a boundary read of any segment passes and
 // returns the flipped word — the failure mode only replicas catch.
 func TestReadAtAfterSilentCorruption(t *testing.T) {
 	s := NewStore(1, WithVerification())
@@ -251,14 +256,14 @@ func TestReadAtRejectsRunsOutside(t *testing.T) {
 // TestSlotSize: a Slot stays in the 112-byte size class. Every block of every
 // run has one — 102 401 on the fine-grain benchmark graph — and each field
 // added to an entry is added to the Slot through its first entry, so the
-// lane snapshots sit behind one pointer.
+// segment digests sit behind one pointer.
 func TestSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(Slot{}); got > 112 {
 		t.Fatalf("Slot is %d bytes, want at most 112", got)
 	}
 }
 
-// TestSnapshotsReused: in a store that retains K versions the lane snapshots
+// TestSnapshotsReused: in a store that retains K versions the segment digests
 // of a version move into the array of the entry it displaces, so the
 // steady-state write of a verifying store allocates nothing; a store that
 // does not verify keeps no snapshots at all.
@@ -281,7 +286,7 @@ func TestSnapshotsReused(t *testing.T) {
 	s := NewStore(0)
 	s.Write(1, 0, 1, make([]float64, 4*segWords))
 	if sl := s.Slot(1); sl.entries[0].snaps != nil {
-		t.Fatal("a store that does not verify kept lane snapshots")
+		t.Fatal("a store that does not verify kept segment digests")
 	}
 }
 
