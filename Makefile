@@ -152,14 +152,15 @@ sdcsoak:
 	$(GO) run ./cmd/ftsoak -sdc -sdciters 24 -seed 2
 
 # Short fuzz passes over the journal's record/segment decoders (seed corpus
-# in internal/journal/fuzz_test.go), the block store's verified boundary
+# in internal/journal/fuzz_test.go) and a standby's apply step over them
+# (internal/journal/tail_test.go), the block store's verified boundary
 # read (internal/block/readat_test.go) and the checksum's bodies against its
 # textbook definition (internal/block/checksum_test.go).
 fuzz:
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/journal/ -fuzz FuzzReplaySegment -fuzztime 10s
-	$(GO) test ./internal/journal/ -fuzz FuzzDecodeStreamFrame -fuzztime 10s
+	$(GO) test ./internal/journal/ -fuzz FuzzApplyReply -fuzztime 10s
 	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzSlotReadAt -fuzztime 10s
 	$(GO) test ./internal/block/ -run '^$$' -fuzz FuzzChecksumBodies -fuzztime 10s
 

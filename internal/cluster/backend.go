@@ -23,7 +23,8 @@ type BackendConfig struct {
 	// Journal, Rebuild, Registry, Tracer and Flight.
 	Service service.Config
 	// Build is the vocabulary: submission body or journaled payload in,
-	// JobSpec out (NodeConfig.Build and service.Config.Rebuild at once).
+	// JobSpec out: the service's Config.Rebuild, which its Node also builds
+	// live submissions with.
 	Build func(body []byte) (service.JobSpec, error)
 	// Spans and Flight are the recorder ring capacities (< 1: off).
 	Spans, Flight int
@@ -48,6 +49,7 @@ type Backend struct {
 // journaled payload — is boxed before it propagates.
 func OpenBackend(cfg BackendConfig) (*Backend, error) {
 	sc := cfg.Service
+	sc.Rebuild = cfg.Build
 	crashed := false
 	if cfg.DataDir != "" {
 		jr, err := journal.Open(journal.Options{Dir: cfg.DataDir})
@@ -69,7 +71,7 @@ func OpenBackend(cfg BackendConfig) (*Backend, error) {
 		log.Printf("%s: journal %s replayed: %d finished job(s) restored, %d incomplete job(s) to re-run",
 			cfg.Name, cfg.DataDir, terminal, incomplete)
 		crashed = torn || incomplete > 0
-		sc.Journal, sc.Rebuild = jr, cfg.Build
+		sc.Journal = jr
 	}
 	tracer, flight, err := trace.NewRecorders(cfg.Name, cfg.Spans, cfg.Flight, cfg.DataDir)
 	if err != nil {
@@ -91,7 +93,6 @@ func OpenBackend(cfg BackendConfig) (*Backend, error) {
 			log.Printf("%s: crash replay boxed at %s", cfg.Name, p)
 		}
 	}
-	node := NewNode(NodeConfig{Name: cfg.Name, Service: srv, Journal: sc.Journal, Build: cfg.Build,
-		DrainGrace: cfg.DrainGrace, Tracer: tracer, Registry: sc.Registry})
+	node := NewNode(NodeConfig{Name: cfg.Name, Service: srv, DrainGrace: cfg.DrainGrace})
 	return &Backend{Node: node, Service: srv, Flight: flight}, nil
 }

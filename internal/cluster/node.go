@@ -3,7 +3,8 @@ package cluster
 // Backend-side HTTP surface. Node is the one jobs API in the tree: ftserve,
 // the ftsoak -cluster children and the cluster tests all serve Node.Mux(),
 // each over its own Build vocabulary, so the soaks kill the handlers
-// production serves.
+// production serves. Its /journal/stream serves the journal's files as raw
+// bytes; the standby checks them record by record (stream.go).
 
 import (
 	"encoding/json"
@@ -22,11 +23,9 @@ import (
 )
 
 const (
-	// streamChunkBytes is the span of segment bytes per stream frame.
-	streamChunkBytes = 64 << 10
-	// streamMaxResponse caps the framed bytes one /journal/stream request
-	// returns; a follower behind by more than this catches up over
-	// successive requests, each resuming at its new local offset.
+	// streamMaxResponse caps the bytes one /journal/stream request returns;
+	// a follower behind by more than this catches up over successive
+	// requests, each resuming where the last one's bytes ended.
 	streamMaxResponse = 1 << 20
 	// maxSubmitBody bounds a submission body; a larger one answers 413.
 	maxSubmitBody = 1 << 20
@@ -35,10 +34,9 @@ const (
 // streamHandler serves a journal's tailing protocol:
 //
 //	GET /journal/stream              the TailManifest (JSON)
-//	GET /journal/stream?seg=N&off=M  segment N's bytes from offset M, as
-//	                                 CRC-framed chunks (octet-stream)
-//	GET /journal/stream?snap=N       snapshot N's raw bytes (the snapshot
-//	                                 frame is self-validating at Open)
+//	GET /journal/stream?seg=N&off=M  up to streamMaxResponse raw bytes of
+//	                                 segment N from offset M (octet-stream)
+//	GET /journal/stream?snap=N       snapshot N's raw bytes
 //
 // A missing segment or snapshot answers 404: it was compacted away and the
 // follower must refetch the manifest. A nil journal (server started
@@ -77,25 +75,14 @@ func streamHandler(j *journal.Journal) http.HandlerFunc {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("bad off %q", q.Get("off")))
 				return
 			}
-			var out []byte
-			for len(out) < streamMaxResponse {
-				data, err := j.ReadSegmentAt(seq, off, streamChunkBytes)
-				if err != nil {
-					if len(out) == 0 {
-						httpError(w, http.StatusNotFound, fmt.Errorf("segment %d: %v", seq, err))
-						return
-					}
-					break // rotated/compacted mid-read: ship what we have
-				}
-				if len(data) == 0 {
-					break // caught up
-				}
-				out = journal.AppendStreamFrame(out, journal.StreamChunk{Seq: seq, Off: off, Data: data})
-				off += int64(len(data))
+			data, err := j.ReadSegmentAt(seq, off, streamMaxResponse)
+			if err != nil {
+				httpError(w, http.StatusNotFound, fmt.Errorf("segment %d: %v", seq, err))
+				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
-			if _, err := w.Write(out); err != nil {
-				log.Printf("cluster: writing stream frames: %v", err)
+			if _, err := w.Write(data); err != nil {
+				log.Printf("cluster: writing segment %d: %v", seq, err)
 			}
 		default:
 			m, err := j.TailManifest()
@@ -125,31 +112,21 @@ func (n *Node) drain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.cfg.Service.Drain(grace))
 }
 
-// NodeConfig configures a backend's HTTP surface.
+// NodeConfig configures a backend's HTTP surface. The rest of what the node
+// serves comes from the Service's Config: its Journal at /journal/stream;
+// its Rebuild, which turns a submission body into a JobSpec (the node
+// journals the body itself as the job's payload, so live submission and
+// crash replay run the same function over the same bytes); its Tracer at
+// GET /debug/spans and GET /jobs/{id}/trace; its Registry at GET /metrics,
+// with the node's uptime gauge added.
 type NodeConfig struct {
 	// Name labels the node in healthz responses and logs.
 	Name string
 	// Service executes the jobs.
 	Service *service.Server
-	// Journal, when non-nil, is served at /journal/stream. It should be
-	// the same journal the Service writes.
-	Journal *journal.Journal
-	// Build turns a submission body into a JobSpec. It should be the
-	// Service's Config.Rebuild: the node journals the body itself as the
-	// job's payload, so live submission and crash replay run the same
-	// function over the same bytes.
-	Build func(body []byte) (service.JobSpec, error)
 	// DrainGrace is the default /drain grace when the request carries no
 	// grace_ms parameter.
 	DrainGrace time.Duration
-	// Tracer, when non-nil, is served at GET /debug/spans so the router
-	// can assemble cluster-wide traces, and one job's share of it at
-	// GET /jobs/{id}/trace. It should be the same recorder the Service's
-	// Config.Tracer points at.
-	Tracer *trace.Spans
-	// Registry, when non-nil, is served at GET /metrics and gains the
-	// node's uptime gauge. It should be the Service's Config.Registry.
-	Registry *metrics.Registry
 }
 
 // Node serves a backend's whole HTTP API — jobs, traces, metrics, debug
@@ -157,12 +134,14 @@ type NodeConfig struct {
 // against any Build vocabulary.
 type Node struct {
 	cfg    NodeConfig
+	sc     service.Config // the Service's
 	uptime func() float64 // seconds; the registry's clock (this package keeps none)
 }
 
 // NewNode wires a backend node around a running service.
 func NewNode(cfg NodeConfig) *Node {
-	return &Node{cfg: cfg, uptime: cfg.Registry.Uptime("Seconds since the node started.")}
+	sc := cfg.Service.Config()
+	return &Node{cfg: cfg, sc: sc, uptime: sc.Registry.Uptime("Seconds since the node started.")}
 }
 
 // Mux builds the node's route table:
@@ -198,7 +177,7 @@ func (n *Node) Mux() *http.ServeMux {
 	mux.HandleFunc("GET /debug/jobs", n.debugJobs)
 	mux.HandleFunc("GET /debug/spans", n.spans)
 	mux.HandleFunc("GET /healthz", n.healthz)
-	mux.HandleFunc("GET /journal/stream", streamHandler(n.cfg.Journal))
+	mux.HandleFunc("GET /journal/stream", streamHandler(n.sc.Journal))
 	mux.HandleFunc("POST /drain", n.drain)
 	return mux
 }
@@ -225,7 +204,7 @@ func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := n.cfg.Build(body)
+	spec, err := n.sc.Rebuild(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -236,7 +215,7 @@ func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
 	if ctx, err := trace.ParseHeader(r.Header.Get(trace.HeaderName)); err == nil && ctx.Valid() {
 		spec.Span = ctx
 	}
-	if n.cfg.Journal != nil {
+	if n.sc.Journal != nil {
 		spec.Payload = body
 	}
 	h, err := n.cfg.Service.Submit(spec)
@@ -288,7 +267,7 @@ func (n *Node) jobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spans []trace.Span
-	for _, sp := range n.cfg.Tracer.ForTrace(h.Span().Trace) {
+	for _, sp := range n.sc.Tracer.ForTrace(h.Span().Trace) {
 		if sp.Job == h.ID() {
 			spans = append(spans, sp)
 		}
@@ -307,17 +286,17 @@ func (n *Node) jobTrace(w http.ResponseWriter, r *http.Request) {
 // without one).
 func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.TextContentType)
-	if err := n.cfg.Registry.WritePrometheus(w); err != nil {
+	if err := n.sc.Registry.WritePrometheus(w); err != nil {
 		log.Printf("cluster: writing metrics: %v", err)
 	}
 }
 
 // journalStats is the journal's counters, nil on a memory-only node.
 func (n *Node) journalStats() *journal.Stats {
-	if n.cfg.Journal == nil {
+	if n.sc.Journal == nil {
 		return nil
 	}
-	s := n.cfg.Journal.Stats()
+	s := n.sc.Journal.Stats()
 	return &s
 }
 
@@ -362,9 +341,9 @@ func (n *Node) spans(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		out = n.cfg.Tracer.ForTrace(tid)
+		out = n.sc.Tracer.ForTrace(tid)
 	} else {
-		out = n.cfg.Tracer.Snapshot()
+		out = n.sc.Tracer.Snapshot()
 	}
 	if out == nil {
 		out = []trace.Span{}
@@ -388,8 +367,8 @@ func (n *Node) healthz(w http.ResponseWriter, r *http.Request) {
 		Status:    "ok",
 		Name:      n.cfg.Name,
 		UptimeSec: n.uptime(),
-		Workers:   n.cfg.Service.Config().Workers,
-		Durable:   n.cfg.Journal != nil,
+		Workers:   n.sc.Workers,
+		Durable:   n.sc.Journal != nil,
 		Journal:   n.journalStats(),
 	}
 	if n.cfg.Service.Draining() {
@@ -441,12 +420,14 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeJSON decodes one JSON value and drains the reader so HTTP
-// keep-alive connections are reusable.
+// decodeJSON decodes one JSON value and drains the newline writeJSON ends
+// it with, so HTTP keep-alive connections are reusable. The drain is
+// bounded: a reply that runs on past its value costs its connection, not an
+// endless read.
 func decodeJSON(r io.Reader, v any) error {
 	if err := json.NewDecoder(r).Decode(v); err != nil {
 		return err
 	}
-	_, _ = io.Copy(io.Discard, r) // best-effort drain for connection reuse
+	_, _ = io.CopyN(io.Discard, r, 512) // best-effort drain for connection reuse
 	return nil
 }

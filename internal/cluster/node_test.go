@@ -19,9 +19,9 @@ import (
 // is tested where the vocabulary lives (cmd/ftserve).
 func TestNodeContract(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1, Registry: reg})
+	srv := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1, Rebuild: buildTestJob, Registry: reg})
 	t.Cleanup(func() { srv.Close() })
-	mux := NewNode(NodeConfig{Name: "contract", Service: srv, Build: buildTestJob, Registry: reg}).Mux()
+	mux := NewNode(NodeConfig{Name: "contract", Service: srv}).Mux()
 
 	state := func(want string) func([]byte) bool {
 		return func(body []byte) bool {

@@ -61,7 +61,7 @@ type testBackend struct {
 
 func newTestBackend(t *testing.T, name string, durable bool) *testBackend {
 	t.Helper()
-	cfg := service.Config{Workers: 2, MaxConcurrentJobs: 2, MaxQueuedJobs: 8}
+	cfg := service.Config{Workers: 2, MaxConcurrentJobs: 2, MaxQueuedJobs: 8, Rebuild: buildTestJob}
 	var jr *journal.Journal
 	if durable {
 		var err error
@@ -70,10 +70,9 @@ func newTestBackend(t *testing.T, name string, durable bool) *testBackend {
 			t.Fatal(err)
 		}
 		cfg.Journal = jr
-		cfg.Rebuild = buildTestJob
 	}
 	srv := service.New(cfg)
-	node := NewNode(NodeConfig{Name: name, Service: srv, Journal: jr, Build: buildTestJob, DrainGrace: time.Second})
+	node := NewNode(NodeConfig{Name: name, Service: srv, DrainGrace: time.Second})
 	ts := httptest.NewServer(node.Mux())
 	t.Cleanup(func() {
 		ts.Close()

@@ -2,14 +2,18 @@ package cluster
 
 // Follower: the standby half of journal-streaming replication. It tails a
 // primary's /journal/stream endpoint, mirroring WAL segments and
-// snapshots byte-for-byte into a local directory; promotion opens that
-// directory with journal.Open exactly like a crash restart, so the
-// torn-tail machinery absorbs whatever suffix had not yet streamed. The
+// snapshots byte-for-byte into a local directory. The primary sends raw
+// file bytes; the follower writes only what passes the checks journal.Open
+// applies — a segment's whole records (journal.ScanSegment), a snapshot
+// whole (journal.DecodeSnapshot) — so the mirror is always a valid journal
+// and promotion opens it with journal.Open exactly like a crash restart. The
 // loss bound is the replication lag: with the primary fsyncing in group
 // commits and the follower polling continuously, a promotion loses at
 // most the un-streamed tail — about one group-commit batch.
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -18,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"ftdag/internal/journal"
 )
@@ -26,11 +31,12 @@ import (
 type FollowerStats struct {
 	// Rounds is the number of completed Sync calls.
 	Rounds int64 `json:"rounds"`
-	// Bytes is the total payload bytes applied to the mirror.
+	// Bytes is the total bytes applied to the mirror.
 	Bytes int64 `json:"bytes"`
-	// Frames is the number of CRC-validated stream frames applied.
-	Frames int64 `json:"frames"`
-	// Resumes counts interrupted transfers — a torn or corrupt frame, a
+	// Records is the number of checked journal records applied.
+	Records int64 `json:"records"`
+	// Resumes counts interrupted transfers — a corrupt record or snapshot,
+	// a record still incomplete when the primary had no more bytes, a
 	// dropped connection — after which the follower re-fetched from its
 	// last durable offset.
 	Resumes int64 `json:"resumes"`
@@ -48,16 +54,35 @@ type Follower struct {
 }
 
 // NewFollower tails the primary at baseURL into dir (created if absent).
-// client may be nil for http.DefaultClient.
+// A nil client gets the router's default, one with a 10 s timeout. A
+// follower killed mid-write can leave a torn record at the end of a mirrored
+// segment, and a resume from inside a record never passes the check, so
+// each mirrored segment is first cut back to its whole records.
 func NewFollower(baseURL, dir string, client *http.Client) (*Follower, error) {
 	if err := parseURL(baseURL); err != nil {
 		return nil, err
 	}
 	if client == nil {
-		client = http.DefaultClient
+		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	local, err := journal.ScanTailDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range local.Segments {
+		path := filepath.Join(dir, journal.SegmentFileName(s.Seq))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if _, n, _ := journal.ScanSegment(data, 0); n < len(data) {
+			if err := os.Truncate(path, int64(n)); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &Follower{
 		base:   baseURL,
@@ -86,9 +111,10 @@ func (f *Follower) Promote(opts journal.Options) (*journal.Journal, error) {
 // missing snapshots, extend each segment from the local offset (looping
 // until a fetch comes back empty, so a round catches up past the
 // manifest's point-in-time sizes), and delete local files the primary has
-// compacted away. Returns the payload bytes applied. A torn or corrupt
-// frame ends the affected segment's copy for this round — already-applied
-// frames are kept, and the next round resumes from the durable offset.
+// compacted away. Returns the bytes applied. A snapshot that fails its
+// check is not installed, and a corrupt record ends the affected segment's
+// copy for this round — the records before it are kept — so the next round
+// fetches both again from what the mirror holds.
 func (f *Follower) Sync() (int64, error) {
 	remote, err := f.fetchManifest()
 	if err != nil {
@@ -143,42 +169,43 @@ func (f *Follower) addResume() {
 	f.mu.Unlock()
 }
 
-func (f *Follower) get(query string) (*http.Response, error) {
+// get fetches one /journal/stream reply and reads at most limit bytes of
+// its body: a primary that sends more, or never stops, costs the follower
+// limit bytes. A body cut short returns the bytes read with the error.
+func (f *Follower) get(query string, limit int) ([]byte, error) {
 	resp, err := f.client.Get(f.base + "/journal/stream" + query)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { _ = resp.Body.Close() }() // read-only reply
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		_ = resp.Body.Close() // error body already consumed
 		return nil, fmt.Errorf("cluster: %s%s: %s (%s)", f.base, query, resp.Status, body)
 	}
-	return resp, nil
+	return io.ReadAll(io.LimitReader(resp.Body, int64(limit)))
 }
 
 func (f *Follower) fetchManifest() (journal.TailManifest, error) {
-	resp, err := f.get("")
+	body, err := f.get("", streamMaxResponse)
 	if err != nil {
 		return journal.TailManifest{}, err
 	}
-	defer func() { _ = resp.Body.Close() }() // fully read below
 	var m journal.TailManifest
-	if err := decodeJSON(resp.Body, &m); err != nil {
+	if err := json.Unmarshal(body, &m); err != nil {
 		return journal.TailManifest{}, fmt.Errorf("cluster: decoding manifest: %w", err)
 	}
 	return m, nil
 }
 
-// copySnapshot fetches one immutable snapshot atomically (tmp + rename).
-// The snapshot's own magic/CRC frame is validated by Open at promotion.
+// copySnapshot fetches one immutable snapshot and installs it atomically
+// (tmp + rename) once it passes journal.DecodeSnapshot; a snapshot that
+// fails is not installed, so the next round fetches it again.
 func (f *Follower) copySnapshot(seq uint64) (int64, error) {
-	resp, err := f.get("?snap=" + fmt.Sprint(seq))
+	raw, err := f.get("?snap="+fmt.Sprint(seq), journal.MaxSnapshotBytes)
 	if err != nil {
 		return 0, err
 	}
-	defer func() { _ = resp.Body.Close() }() // drained by ReadAll
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if _, err := journal.DecodeSnapshot(raw); err != nil {
 		return 0, err
 	}
 	name := filepath.Join(f.dir, journal.SnapshotFileName(seq))
@@ -192,13 +219,16 @@ func (f *Follower) copySnapshot(seq uint64) (int64, error) {
 	return int64(len(raw)), nil
 }
 
-// tailSegment extends the local copy of segment seq from offset off,
-// fetching framed chunks until the primary reports no more bytes. Frames
-// must be contiguous from the requested offset; any CRC failure, torn
-// frame, or offset gap stops the copy with the durable prefix intact.
+// tailSegment extends the local copy of segment seq from offset off until
+// the primary reports no more bytes, writing only the whole records that
+// pass journal.ScanSegment. Bytes that end inside a record are carried into
+// the next request, which asks for what follows them, so a record larger
+// than one reply still arrives whole; a corrupt record stops the copy with
+// the checked prefix in place.
 func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
 	var file *os.File
 	var copied int64
+	var carry []byte // bytes from off on that end inside a record
 	defer func() {
 		if file != nil {
 			if err := file.Sync(); err != nil {
@@ -208,50 +238,41 @@ func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
 		}
 	}()
 	for {
-		resp, err := f.get(fmt.Sprintf("?seg=%d&off=%d", seq, off))
-		if err != nil {
-			return copied, err
-		}
-		body, readErr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close() // ReadAll consumed it (or failed; either way done)
+		body, readErr := f.get(fmt.Sprintf("?seg=%d&off=%d", seq, off+int64(len(carry))), streamMaxResponse)
 		if len(body) == 0 {
-			if readErr != nil {
-				return copied, readErr
+			if readErr == nil && len(carry) > 0 {
+				readErr = fmt.Errorf("cluster: segment %d at %d: %d bytes of an incomplete record", seq, off, len(carry))
 			}
-			return copied, nil // caught up
+			return copied, readErr // nil: caught up
 		}
-		if file == nil {
-			file, err = os.OpenFile(filepath.Join(f.dir, journal.SegmentFileName(seq)), os.O_CREATE|os.O_WRONLY, 0o644)
-			if err != nil {
+		data := append(carry, body...)
+		recs, n, scanErr := journal.ScanSegment(data, off)
+		if n > 0 {
+			if file == nil {
+				var err error
+				file, err = os.OpenFile(filepath.Join(f.dir, journal.SegmentFileName(seq)), os.O_CREATE|os.O_WRONLY, 0o644)
+				if err != nil {
+					return copied, err
+				}
+			}
+			if _, err := file.WriteAt(data[:n], off); err != nil {
 				return copied, err
 			}
-		}
-		// Decode every complete frame in the response; a torn tail (from a
-		// dropped connection) or a corrupt frame stops the segment here and
-		// the next round resumes from the offset reached so far.
-		for len(body) > 0 {
-			c, n, err := journal.DecodeStreamFrame(body)
-			if err != nil {
-				return copied, fmt.Errorf("cluster: segment %d at %d: %w", seq, off, err)
-			}
-			if c.Seq != seq || c.Off != off {
-				return copied, fmt.Errorf("cluster: segment %d at %d: frame addressed %d@%d", seq, off, c.Seq, c.Off)
-			}
-			if _, err := file.WriteAt(c.Data, c.Off); err != nil {
-				return copied, err
-			}
-			off += int64(len(c.Data))
-			copied += int64(len(c.Data))
-			body = body[n:]
+			off += int64(n)
+			copied += int64(n)
 			f.mu.Lock()
-			f.stats.Frames++
+			f.stats.Records += int64(len(recs))
 			f.mu.Unlock()
 		}
+		if scanErr != nil && !errors.Is(scanErr, journal.ErrTorn) {
+			return copied, fmt.Errorf("cluster: segment %d at %d: %w", seq, off, scanErr)
+		}
 		if readErr != nil {
-			// The connection dropped after a clean frame boundary; resume
-			// next round rather than hammering a failing primary.
+			// The connection dropped; resume next round rather than
+			// hammering a failing primary.
 			return copied, readErr
 		}
+		carry = data[n:]
 	}
 }
 

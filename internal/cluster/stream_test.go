@@ -6,22 +6,36 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ftdag/internal/journal"
 )
 
 // newPrimary opens a journal and serves its tailing endpoint.
 func newPrimary(t *testing.T) (*journal.Journal, *httptest.Server) {
+	return servePrimary(t, journal.Options{Dir: t.TempDir()}, nil)
+}
+
+// servePrimary opens a journal with opts (NoSync) and serves its tailing
+// endpoint, through p when p is non-nil.
+func servePrimary(t *testing.T, opts journal.Options, p *flakyProxy) (*journal.Journal, *httptest.Server) {
 	t.Helper()
-	j, err := journal.Open(journal.Options{Dir: t.TempDir(), NoSync: true})
+	opts.NoSync = true
+	j, err := journal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /journal/stream", streamHandler(j))
-	ts := httptest.NewServer(mux)
+	var h http.Handler = mux
+	if p != nil {
+		p.inner, h = mux, p
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return j, ts
 }
@@ -94,31 +108,35 @@ func TestFollowerMirrorsAndPromotes(t *testing.T) {
 		t.Fatalf("incomplete job after promotion = %+v, want non-terminal", js)
 	}
 	st := f.Stats()
-	if st.Rounds != 3 || st.Frames == 0 || st.Bytes == 0 {
-		t.Fatalf("stats = %+v, want 3 rounds with frames and bytes", st)
+	if st.Rounds != 3 || st.Records != 11 || st.Bytes == 0 {
+		t.Fatalf("stats = %+v, want 3 rounds with 11 records and bytes", st)
 	}
 }
 
-// flakyProxy wraps a handler and mutates the first segment response:
-// either truncating it mid-frame (a dropped connection) or flipping a bit
-// (corruption in transit). Subsequent requests pass through untouched.
+// flakyProxy wraps a handler and mutates the first non-trivial response
+// to a request carrying the query parameter param ("seg" or "snap"):
+// truncating it (a dropped connection: the reply still declares its whole
+// length) or flipping a bit (corruption in transit). Other requests pass
+// through untouched.
 type flakyProxy struct {
 	inner   http.Handler
+	param   string
 	mutate  func([]byte) []byte
 	mu      sync.Mutex
 	tripped bool
 }
 
 func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("seg") == "" {
+	if r.URL.Query().Get(p.param) == "" {
 		p.inner.ServeHTTP(w, r)
 		return
 	}
 	rec := httptest.NewRecorder()
 	p.inner.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
+	size := len(body)
 	p.mu.Lock()
-	if !p.tripped && len(body) > streamHeaderLen+4 {
+	if !p.tripped && len(body) > 64 {
 		body = p.mutate(bytes.Clone(body))
 		p.tripped = true
 	}
@@ -126,36 +144,54 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for k, vs := range rec.Header() {
 		w.Header()[k] = vs
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.WriteHeader(rec.Code)
 	_, _ = w.Write(body)
 }
 
-// streamHeaderLen mirrors the journal's frame header size for test
-// arithmetic (kept in sync by TestStreamFrameRoundTrip over in journal).
-const streamHeaderLen = 24
+// sameFiles fails unless every segment and snapshot in the primary's
+// directory has a byte-identical copy in the mirror.
+func sameFiles(t *testing.T, j *journal.Journal, primary, mirror string) {
+	t.Helper()
+	m, err := j.TailManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, seg := range m.Segments {
+		names = append(names, journal.SegmentFileName(seg.Seq))
+	}
+	for _, snap := range m.Snapshots {
+		names = append(names, journal.SnapshotFileName(snap.Seq))
+	}
+	for _, name := range names {
+		want, err := os.ReadFile(filepath.Join(primary, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(mirror, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: mirror differs (%d vs %d bytes)", name, len(got), len(want))
+		}
+	}
+}
 
 func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, ts := servePrimary(t, journal.Options{Dir: dir}, &flakyProxy{param: "seg", mutate: mutate})
 	defer j.Close()
 	appendJobs(t, j, 1, 20, true)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /journal/stream", streamHandler(j))
-	proxy := &flakyProxy{inner: mux, mutate: mutate}
-	ts := httptest.NewServer(proxy)
-	defer ts.Close()
 
 	f, err := NewFollower(ts.URL, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round 1 hits the mutated response: some prefix may apply, the bad
-	// frame must not. Round 2 resumes from the durable offset and
+	// Round 1 hits the mutated response: some prefix may apply, the
+	// damaged record must not. Round 2 resumes from the durable offset and
 	// converges.
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
@@ -166,34 +202,19 @@ func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 	if st := f.Stats(); st.Resumes == 0 {
 		t.Fatalf("stats = %+v, want at least one resume", st)
 	}
-	m, err := j.TailManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range m.Segments {
-		want, err := os.ReadFile(filepath.Join(dir, journal.SegmentFileName(seg.Seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(f.dir, journal.SegmentFileName(seg.Seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("segment %d mirror differs after recovery (%d vs %d bytes)", seg.Seq, len(got), len(want))
-		}
-	}
+	sameFiles(t, j, dir, f.dir)
 }
 
-// TestFollowerResumesAfterDroppedConnection: a response cut mid-frame
-// applies its clean prefix; the next round resumes at the durable offset.
+// TestFollowerResumesAfterDroppedConnection: a connection dropped mid-record
+// applies the whole records before the cut; the next round resumes at the
+// durable offset.
 func TestFollowerResumesAfterDroppedConnection(t *testing.T) {
 	testFollowerRecovers(t, func(b []byte) []byte { return b[:len(b)-7] })
 }
 
-// TestFollowerRejectsCorruptFrame: a bit flipped in transit fails the
-// frame CRC; nothing corrupt lands in the mirror and the retry converges.
-func TestFollowerRejectsCorruptFrame(t *testing.T) {
+// TestFollowerRejectsCorruptRecord: a bit flipped in transit fails the
+// record's CRC; nothing corrupt lands in the mirror and the retry converges.
+func TestFollowerRejectsCorruptRecord(t *testing.T) {
 	testFollowerRecovers(t, func(b []byte) []byte {
 		b[len(b)/2] ^= 0x20
 		return b
@@ -254,5 +275,153 @@ func TestPromotionAbsorbsTornTail(t *testing.T) {
 		if gj := got.Jobs[id]; gj == nil || gj.State != wj.State {
 			t.Fatalf("job %d: want %+v, got %+v", id, wj, gj)
 		}
+	}
+}
+
+// TestFollowerRestartsPastATornTail: a follower restarted on a mirror whose
+// last record was cut mid-write resumes from the record boundary before it
+// and converges on the primary's bytes.
+func TestFollowerRestartsPastATornTail(t *testing.T) {
+	dir, mirror := t.TempDir(), t.TempDir()
+	j, ts := servePrimary(t, journal.Options{Dir: dir}, nil)
+	defer j.Close()
+	appendJobs(t, j, 1, 3, true)
+	f, err := NewFollower(ts.URL, mirror, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Killed while writing job 4's records, the follower left the first
+	// bytes of them at the end of its copy.
+	appendJobs(t, j, 4, 4, true)
+	name := journal.SegmentFileName(1)
+	want, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(mirror, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mirror, name), want[:len(got)+5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = NewFollower(ts.URL, mirror, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, j, dir, mirror)
+}
+
+// TestFollowerReplicatesARecordLargerThanOneResponse: a submission of the
+// largest body a node accepts journals as one record longer than a
+// /journal/stream reply; the follower carries its first reply's bytes into
+// the next request and mirrors the record whole.
+func TestFollowerReplicatesARecordLargerThanOneResponse(t *testing.T) {
+	dir := t.TempDir()
+	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 8 << 20}, nil)
+	defer j.Close()
+	appendJobs(t, j, 1, 2, true)
+	big := bytes.Repeat([]byte{0xA5}, maxSubmitBody)
+	if err := j.Append(journal.Record{Kind: journal.Submitted, ID: 3, Name: "big", Payload: big}); err != nil {
+		t.Fatal(err)
+	}
+	appendJobs(t, j, 4, 4, false)
+	if m, err := j.TailManifest(); err != nil || len(m.Segments) != 1 || m.Segments[0].Size <= streamMaxResponse {
+		t.Fatalf("manifest %+v (err %v): want one segment holding a record longer than one reply", m, err)
+	}
+	f, err := NewFollower(ts.URL, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Resumes != 0 {
+		t.Fatalf("stats = %+v, want the segment copied in one round without a resume", st)
+	}
+	sameFiles(t, j, dir, f.dir)
+	promoted, err := f.Promote(journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	sameStates(t, j, promoted)
+	if js := promoted.State().Jobs[3]; js == nil || !bytes.Equal(js.Payload, big) {
+		t.Fatal("promoted journal lost the large submission's payload")
+	}
+}
+
+// TestFollowerRefetchesCorruptSnapshot: a snapshot flipped in transit
+// fails the check Open applies, so it is not installed and the next round
+// fetches it again. Installed, it would be skipped forever, and promotion
+// would fall back past segments the primary had already compacted.
+func TestFollowerRefetchesCorruptSnapshot(t *testing.T) {
+	// One snapshot kept: the mirror has no older one to fall back on.
+	dir := t.TempDir()
+	flip := func(b []byte) []byte {
+		b[len(b)/2] ^= 0x08
+		return b
+	}
+	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10, KeepSnapshots: 1},
+		&flakyProxy{param: "snap", mutate: flip})
+	defer j.Close()
+	appendJobs(t, j, 1, 40, true)
+	appendJobs(t, j, 41, 41, false)
+	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 1 || m.Segments[0].Seq == 1 {
+		t.Fatalf("manifest %+v (err %v): want a snapshot covering compacted segments", m, err)
+	}
+
+	f, err := NewFollower(ts.URL, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameFiles(t, j, dir, f.dir)
+	promoted, err := f.Promote(journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	sameStates(t, j, promoted)
+	if st := f.Stats(); st.Resumes == 0 {
+		t.Fatalf("stats = %+v, want the corrupt snapshot counted as a resume", st)
+	}
+}
+
+// TestFollowerBoundsEndlessReplies: a primary whose manifest never ends
+// costs the follower one bounded read and an error, not a hang or its
+// memory.
+func TestFollowerBoundsEndlessReplies(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"segments":[{"seq":1,"size":"`))
+		chunk := []byte(strings.Repeat("9", 64<<10))
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+
+	f, err := NewFollower(ts.URL, t.TempDir(), &http.Client{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := f.Sync(); err == nil {
+		t.Fatal("Sync against an endless manifest returned no error")
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("Sync took %v: the read was not bounded", d)
 	}
 }

@@ -21,7 +21,7 @@ import (
 func newTracedBackend(t *testing.T, name string, durable bool) (*testBackend, *trace.Spans) {
 	t.Helper()
 	sp := trace.NewSpans(name, 4096)
-	cfg := service.Config{Workers: 2, MaxConcurrentJobs: 2, MaxQueuedJobs: 8, Tracer: sp}
+	cfg := service.Config{Workers: 2, MaxConcurrentJobs: 2, MaxQueuedJobs: 8, Rebuild: buildTestJob, Tracer: sp}
 	var jr *journal.Journal
 	if durable {
 		var err error
@@ -30,11 +30,9 @@ func newTracedBackend(t *testing.T, name string, durable bool) (*testBackend, *t
 			t.Fatal(err)
 		}
 		cfg.Journal = jr
-		cfg.Rebuild = buildTestJob
 	}
 	srv := service.New(cfg)
-	node := NewNode(NodeConfig{Name: name, Service: srv, Journal: jr, Build: buildTestJob,
-		DrainGrace: time.Second, Tracer: sp})
+	node := NewNode(NodeConfig{Name: name, Service: srv, DrainGrace: time.Second})
 	ts := httptest.NewServer(node.Mux())
 	t.Cleanup(func() {
 		ts.Close()

@@ -280,8 +280,8 @@ func (j *Journal) syncDir() {
 	_ = d.Close() // read-only directory handle; nothing left to flush
 }
 
-// readSegment parses one segment, returning the decodable records, the
-// length of the valid prefix (magic included), and the framing error that
+// readSegment parses one segment file, returning the decodable records,
+// the length of the valid prefix (magic included), and the error that
 // stopped the scan (nil on a clean end).
 func readSegment(path string) ([]*Record, int64, error) {
 	data, err := os.ReadFile(path)
@@ -290,26 +290,46 @@ func readSegment(path string) ([]*Record, int64, error) {
 		// tail; fail the open rather than truncate good data.
 		return nil, 0, fmt.Errorf("%w: %v", errSegmentIO, err)
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return nil, 0, fmt.Errorf("journal: bad segment magic")
+	recs, n, err := ScanSegment(data, 0)
+	return recs, int64(n), err
+}
+
+// ScanSegment checks data, the bytes of a segment from offset off on, the
+// way Open checks a segment: the magic where it covers offsets below 8,
+// then each record's frame length, CRC-32C and DecodeRecord. It returns the
+// records that pass, the length of the prefix of data they (and the magic)
+// span, and the error that stopped the scan — nil when data ends on a
+// record boundary, ErrTorn when it ends inside the magic or a record, so
+// that more bytes may complete it. Replay and replication both scan with
+// it: a standby's mirror holds exactly what the primary's Open would keep.
+func ScanSegment(data []byte, off int64) ([]*Record, int, error) {
+	if off < 0 {
+		return nil, 0, fmt.Errorf("journal: negative segment offset %d", off)
+	}
+	n := 0
+	if off < int64(len(segMagic)) {
+		n = len(segMagic) - int(off)
+		if len(data) < n {
+			return nil, 0, ErrTorn
+		}
+		if string(data[:n]) != segMagic[off:] {
+			return nil, 0, errors.New("journal: bad segment magic")
+		}
 	}
 	var recs []*Record
-	off := int64(len(segMagic))
-	rest := data[off:]
-	for len(rest) > 0 {
-		payload, n, err := decodeFrame(rest)
+	for n < len(data) {
+		payload, size, err := decodeFrame(data[n:])
 		if err != nil {
-			return recs, off, err
+			return recs, n, err
 		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			return recs, off, fmt.Errorf("%w: %v", errFrameDecodes, err)
+			return recs, n, fmt.Errorf("%w: %v", errFrameDecodes, err)
 		}
 		recs = append(recs, rec)
-		off += int64(n)
-		rest = rest[n:]
+		n += size
 	}
-	return recs, off, nil
+	return recs, n, nil
 }
 
 // readSnapshot loads and validates one snapshot file.
@@ -318,6 +338,14 @@ func (j *Journal) readSnapshot(seq uint64) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DecodeSnapshot(data)
+}
+
+// DecodeSnapshot checks a snapshot file's bytes the way Open does — magic,
+// one frame whose CRC-32C verifies and nothing after it, a payload that
+// unmarshals — and returns the state it holds. A standby installs a
+// snapshot only once it passes.
+func DecodeSnapshot(data []byte) (*State, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("bad snapshot magic")
 	}
@@ -332,6 +360,10 @@ func (j *Journal) readSnapshot(seq uint64) (*State, error) {
 }
 
 const snapMagic = "FTSNAP01"
+
+// MaxSnapshotBytes is the largest snapshot file DecodeSnapshot accepts: the
+// magic and one frame of the largest size.
+const MaxSnapshotBytes = len(snapMagic) + frameHeader + maxFrameSize
 
 // writeSnapshot durably writes the state as snapshot seq (covering all
 // segments with sequence < seq) via tmp-file + rename, then compacts: the

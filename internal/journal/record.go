@@ -129,10 +129,13 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Framing errors classified by readSegment. All three mean "the segment is
-// valid up to this record"; they differ only in the log message.
+// ErrTorn reports bytes that end inside a frame (or a segment's magic):
+// the frame may yet be completed by bytes that follow.
+var ErrTorn = fmt.Errorf("journal: torn frame (short read)")
+
+// Framing errors classified by ScanSegment. Each, like ErrTorn, means "the
+// segment is valid up to this record"; they differ only in the log message.
 var (
-	errFrameTorn    = fmt.Errorf("journal: torn frame (short read)")
 	errFrameCRC     = fmt.Errorf("journal: frame checksum mismatch")
 	errFrameTooBig  = fmt.Errorf("journal: frame length exceeds %d bytes", maxFrameSize)
 	errFrameDecodes = fmt.Errorf("journal: frame payload does not decode")
@@ -151,7 +154,7 @@ func encodeFrame(buf, payload []byte) []byte {
 // is torn (b too short) or corrupted (CRC/length).
 func decodeFrame(b []byte) (payload []byte, n int, err error) {
 	if len(b) < frameHeader {
-		return nil, 0, errFrameTorn
+		return nil, 0, ErrTorn
 	}
 	size := binary.LittleEndian.Uint32(b[0:4])
 	if size > maxFrameSize {
@@ -160,7 +163,7 @@ func decodeFrame(b []byte) (payload []byte, n int, err error) {
 	want := binary.LittleEndian.Uint32(b[4:8])
 	end := frameHeader + int(size)
 	if len(b) < end {
-		return nil, 0, errFrameTorn
+		return nil, 0, ErrTorn
 	}
 	payload = b[frameHeader:end]
 	if crc32.Checksum(payload, crcTable) != want {

@@ -2,22 +2,19 @@ package journal
 
 // Segment tailing: the read-side API a standby uses to replicate a live
 // journal byte-for-byte over a network hop. The primary exposes its durable
-// files (WAL segments and snapshots) as offset-addressable byte ranges; a
+// files (WAL segments and snapshots) as raw offset-addressable byte ranges; a
 // follower copies them into its own directory and, on promotion, replays
-// that directory with Open exactly like a crash restart — the torn-tail
-// machinery absorbs whatever suffix the stream had not yet carried.
+// that directory with Open exactly like a crash restart.
 //
-// Transport integrity uses its own framing (AppendStreamFrame /
-// DecodeStreamFrame): each chunk of segment bytes travels under a CRC-32C
-// that covers the header (segment, offset, length) as well as the payload,
-// so a bit flip in flight is detected at the frame it struck and the
-// follower resumes from its last good offset — the paper's
-// detect-and-localize model applied to the replication link.
+// The link adds no framing of its own. Every segment byte after the magic
+// already sits under a record's CRC-32C, and a snapshot under its frame's, so
+// the follower checks what it receives with the functions Open checks files
+// with (ScanSegment, DecodeSnapshot) and keeps only what passes: a bit
+// flipped in flight is detected at the record it struck, and the follower
+// resumes from its last good offset.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -85,8 +82,7 @@ func SnapshotFileName(seq uint64) string { return snapName(seq) }
 // off. An offset at or past the current end returns an empty slice (the
 // follower is caught up); a missing segment returns an error (compacted
 // away — refetch the manifest). The bytes are raw file content, magic
-// included at offset 0; transport integrity is the caller's concern (see
-// AppendStreamFrame).
+// included at offset 0, and need not end on a record boundary.
 func (j *Journal) ReadSegmentAt(seq uint64, off int64, max int) ([]byte, error) {
 	if off < 0 || max <= 0 {
 		return nil, fmt.Errorf("journal: bad tail read (off %d, max %d)", off, max)
@@ -114,80 +110,8 @@ func (j *Journal) ReadSegmentAt(seq uint64, off int64, max int) ([]byte, error) 
 	return buf[:n], nil
 }
 
-// SnapshotBytes returns the raw content of snapshot seq (its own magic and
-// CRC frame included, so the receiver's Open validates it end to end).
+// SnapshotBytes returns the raw content of snapshot seq, its own magic and
+// CRC frame included, for the receiver to check with DecodeSnapshot.
 func (j *Journal) SnapshotBytes(seq uint64) ([]byte, error) {
 	return os.ReadFile(filepath.Join(j.dir, snapName(seq)))
-}
-
-// Stream framing: each chunk of replicated segment bytes travels as
-//
-//	[u64 seg][u64 off][u32 len][u32 crc][payload]
-//
-// with the CRC-32C computed over the first 20 header bytes plus the
-// payload, so corruption of the addressing fields is as detectable as
-// corruption of the data. maxStreamChunk bounds a frame the same way
-// maxFrameSize bounds a record frame: a torn length field cannot make a
-// reader attempt an absurd allocation.
-const (
-	streamHeader   = 24
-	maxStreamChunk = 1 << 20
-)
-
-// StreamChunk is one framed span of segment bytes: Data belongs at byte
-// offset Off of segment Seq.
-type StreamChunk struct {
-	Seq  uint64
-	Off  int64
-	Data []byte
-}
-
-// Stream framing errors. Both mean "stop decoding here and resume from the
-// last applied offset"; they differ only in diagnosis.
-var (
-	errStreamTorn = fmt.Errorf("journal: torn stream frame (short read)")
-	errStreamCRC  = fmt.Errorf("journal: stream frame checksum mismatch")
-	errStreamSize = fmt.Errorf("journal: stream frame exceeds %d bytes", maxStreamChunk)
-)
-
-// AppendStreamFrame appends the framed chunk to buf and returns the
-// extended slice.
-func AppendStreamFrame(buf []byte, c StreamChunk) []byte {
-	var hdr [streamHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], c.Seq)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(c.Off))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(c.Data)))
-	crc := crc32.Checksum(hdr[:20], crcTable)
-	crc = crc32.Update(crc, crcTable, c.Data)
-	binary.LittleEndian.PutUint32(hdr[20:24], crc)
-	return append(append(buf, hdr[:]...), c.Data...)
-}
-
-// DecodeStreamFrame extracts the first stream frame of b, returning the
-// chunk and the bytes consumed, or an error when the frame is torn,
-// oversized, or fails its checksum. The returned Data aliases b.
-func DecodeStreamFrame(b []byte) (StreamChunk, int, error) {
-	if len(b) < streamHeader {
-		return StreamChunk{}, 0, errStreamTorn
-	}
-	size := binary.LittleEndian.Uint32(b[16:20])
-	if size > maxStreamChunk {
-		return StreamChunk{}, 0, errStreamSize
-	}
-	end := streamHeader + int(size)
-	if len(b) < end {
-		return StreamChunk{}, 0, errStreamTorn
-	}
-	want := binary.LittleEndian.Uint32(b[20:24])
-	crc := crc32.Checksum(b[:20], crcTable)
-	crc = crc32.Update(crc, crcTable, b[streamHeader:end])
-	if crc != want {
-		return StreamChunk{}, 0, errStreamCRC
-	}
-	c := StreamChunk{
-		Seq:  binary.LittleEndian.Uint64(b[0:8]),
-		Off:  int64(binary.LittleEndian.Uint64(b[8:16])),
-		Data: b[streamHeader:end],
-	}
-	return c, end, nil
 }

@@ -2,9 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // openTail is a test helper: a journal with a few appended records.
@@ -129,92 +132,128 @@ func TestSnapshotBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamFrameRoundTrip(t *testing.T) {
-	chunks := []StreamChunk{
-		{Seq: 1, Off: 0, Data: []byte(segMagic)},
-		{Seq: 1, Off: 8, Data: []byte("hello world")},
-		{Seq: 2, Off: 0, Data: nil}, // empty payload is a valid frame
-		{Seq: 7, Off: 1 << 40, Data: bytes.Repeat([]byte{0xAB}, 3000)},
-	}
-	var wire []byte
-	for _, c := range chunks {
-		wire = AppendStreamFrame(wire, c)
-	}
-	var got []StreamChunk
-	rest := wire
-	for len(rest) > 0 {
-		c, n, err := DecodeStreamFrame(rest)
+// scanFixture is a segment's bytes — magic and three records — and the
+// offsets where its records start, its length last.
+func scanFixture(t testing.TB) ([]byte, []int) {
+	seg := []byte(segMagic)
+	bounds := []int{len(seg)}
+	for _, rec := range []Record{
+		{Kind: Submitted, ID: 1, Name: "scan", Payload: []byte(`{"x":1}`), Time: time.Unix(1, 0)},
+		{Kind: Started, ID: 1, Time: time.Unix(2, 0)},
+		{Kind: Succeeded, ID: 1, SinkDigest: "ab", Time: time.Unix(3, 0)},
+	} {
+		frame, err := EncodeRecord(&rec)
 		if err != nil {
-			t.Fatalf("decode: %v", err)
+			t.Fatal(err)
 		}
-		got = append(got, c)
-		rest = rest[n:]
+		seg = append(seg, frame...)
+		bounds = append(bounds, len(seg))
 	}
-	if len(got) != len(chunks) {
-		t.Fatalf("decoded %d frames, want %d", len(got), len(chunks))
-	}
-	for i, c := range chunks {
-		if got[i].Seq != c.Seq || got[i].Off != c.Off || !bytes.Equal(got[i].Data, c.Data) {
-			t.Fatalf("frame %d mismatch: %+v vs %+v", i, got[i], c)
+	return seg, bounds
+}
+
+// TestScanSegmentDetectsTornAndCorrupt: the check a standby applies to the
+// raw bytes it receives accepts exactly the whole records, from any
+// offset; a cut anywhere is torn at the last record boundary before it,
+// and a bit flipped anywhere — magic, length, CRC or payload — stops the
+// scan at or before the record it struck.
+func TestScanSegmentDetectsTornAndCorrupt(t *testing.T) {
+	seg, bounds := scanFixture(t)
+	for _, from := range append([]int{0, 1, 7}, bounds...) {
+		recs, n, err := ScanSegment(seg[from:], int64(from))
+		if err != nil || n != len(seg)-from {
+			t.Fatalf("whole segment from %d: n=%d err=%v, want %d, nil", from, n, err, len(seg)-from)
 		}
+		want := 0
+		for _, b := range bounds[:len(bounds)-1] {
+			if b >= from {
+				want++
+			}
+		}
+		if len(recs) != want {
+			t.Fatalf("whole segment from %d: %d records, want %d", from, len(recs), want)
+		}
+	}
+
+	lastBound := func(i int) int { // the last record start at or before i
+		b := 0
+		for _, s := range bounds {
+			if s <= i {
+				b = s
+			}
+		}
+		return b
+	}
+	for cut := 0; cut < len(seg); cut++ {
+		_, n, err := ScanSegment(seg[:cut], 0)
+		if cut == lastBound(cut) && cut >= len(segMagic) {
+			if err != nil || n != cut {
+				t.Fatalf("cut at boundary %d: n=%d err=%v", cut, n, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrTorn) || n != lastBound(cut) {
+			t.Fatalf("cut at %d: n=%d err=%v, want %d, ErrTorn", cut, n, err, lastBound(cut))
+		}
+	}
+	for i := range seg {
+		for bit := range 8 {
+			mut := bytes.Clone(seg)
+			mut[i] ^= 1 << bit
+			if _, n, err := ScanSegment(mut, 0); err == nil || n > lastBound(i) {
+				t.Fatalf("flip of bit %d at %d: n=%d err=%v, want a stop at or before %d", bit, i, n, err, lastBound(i))
+			}
+		}
+	}
+
+	// An absurd length is corrupt, not torn: a standby must not wait for it.
+	huge := append(bytes.Clone(seg), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0)
+	if _, n, err := ScanSegment(huge, 0); !errors.Is(err, errFrameTooBig) || n != len(seg) {
+		t.Fatalf("oversized frame: n=%d err=%v, want %d, %v", n, err, len(seg), errFrameTooBig)
 	}
 }
 
-func TestStreamFrameDetectsTornAndCorrupt(t *testing.T) {
-	frame := AppendStreamFrame(nil, StreamChunk{Seq: 3, Off: 42, Data: []byte("payload bytes")})
-
-	// Torn mid-stream: every strict prefix must fail with a torn error, not
-	// decode garbage.
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := DecodeStreamFrame(frame[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded successfully", cut, len(frame))
+// FuzzApplyReply: the standby's apply step — scan a reply at the mirror's
+// offset, keep the prefix that passes — never panics and never keeps more
+// than the reply, and a mirror extended by what it keeps re-scans through
+// readSegment to the same records with nothing torn.
+func FuzzApplyReply(f *testing.F) {
+	seg, bounds := scanFixture(f)
+	f.Add(seg, int64(0))
+	f.Add(seg[bounds[1]:], int64(1))
+	f.Add(seg[bounds[1]:bounds[2]+5], int64(1)) // a record and a torn one
+	flipped := bytes.Clone(seg[bounds[2]:])
+	flipped[frameHeader] ^= 0xFF
+	f.Add(flipped, int64(2))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}, int64(3))
+	f.Add([]byte(segMagic[3:]), int64(3))
+	f.Add(seg, int64(-70))
+	f.Fuzz(func(t *testing.T, reply []byte, off int64) {
+		if _, n, err := ScanSegment(reply, off); n < 0 || n > len(reply) || (err == nil && n != len(reply)) {
+			t.Fatalf("at offset %d: kept %d of %d bytes, err %v", off, n, len(reply), err)
 		}
-	}
-	// A flipped bit anywhere (header or payload) must fail the checksum.
-	for i := range frame {
-		mut := bytes.Clone(frame)
-		mut[i] ^= 0x40
-		if c, _, err := DecodeStreamFrame(mut); err == nil {
-			// The length field can mutate into a larger torn frame — that
-			// still errors above. A clean decode of mutated bytes is the
-			// only failure.
-			t.Fatalf("bit flip at %d decoded cleanly: %+v", i, c)
+		// The same reply at a record boundary of the fixture, as the
+		// follower's mirror always ends on one (or is empty).
+		at, before := 0, 0 // the offset, and the records before it
+		if off != 0 {
+			before = int(uint64(off) % uint64(len(bounds)))
+			at = bounds[before]
 		}
-	}
-	// Absurd length field: rejected before any allocation.
-	var huge [streamHeader]byte
-	huge[16], huge[17], huge[18], huge[19] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, err := DecodeStreamFrame(huge[:]); err != errStreamSize {
-		t.Fatalf("oversized frame error = %v, want %v", err, errStreamSize)
-	}
-}
-
-// FuzzDecodeStreamFrame: the stream framing decoder never panics, never
-// over-reads, and everything it accepts re-encodes to the identical bytes.
-func FuzzDecodeStreamFrame(f *testing.F) {
-	f.Add(AppendStreamFrame(nil, StreamChunk{Seq: 1, Off: 0, Data: []byte(segMagic)}))
-	f.Add(AppendStreamFrame(nil, StreamChunk{Seq: 5, Off: 4096, Data: []byte("wal bytes")}))
-	f.Add(AppendStreamFrame(AppendStreamFrame(nil, StreamChunk{Seq: 1, Off: 0, Data: []byte("a")}),
-		StreamChunk{Seq: 1, Off: 1, Data: []byte("b")})) // two frames
-	torn := AppendStreamFrame(nil, StreamChunk{Seq: 2, Off: 9, Data: []byte("torn")})
-	f.Add(torn[:len(torn)-2])
-	flipped := bytes.Clone(torn)
-	flipped[streamHeader] ^= 0xFF
-	f.Add(flipped)
-	f.Add([]byte{0, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, n, err := DecodeStreamFrame(data)
-		if err != nil {
+		recs, n, _ := ScanSegment(reply, int64(at))
+		mirror := append(bytes.Clone(seg[:at]), reply[:n]...)
+		if len(mirror) == 0 {
 			return
 		}
-		if n < streamHeader || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		path := filepath.Join(t.TempDir(), segName(1))
+		if err := os.WriteFile(path, mirror, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if len(c.Data) != n-streamHeader {
-			t.Fatalf("payload %d bytes for frame of %d", len(c.Data), n)
+		all, validLen, err := readSegment(path)
+		if err != nil || validLen != int64(len(mirror)) {
+			t.Fatalf("mirror of %d bytes re-scans to %d, err %v", len(mirror), validLen, err)
 		}
-		if got := AppendStreamFrame(nil, c); !bytes.Equal(got, data[:n]) {
-			t.Fatal("re-encode mismatch")
+		if len(all) != before+len(recs) || (len(recs) > 0 && !reflect.DeepEqual(all[before:], recs)) {
+			t.Fatalf("mirror re-scans to %d records, not the %d before it and the %d kept", len(all), before, len(recs))
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 //
 //   - (*os.File).Sync and (*os.File).Close
 //   - (*journal.Journal).Append, Write, Sync and Close
-//   - journal.DecodeRecord and journal.DecodeStreamFrame (checksum
-//     verifiers: ignoring their error means accepting a corrupt frame)
+//   - journal.DecodeRecord and journal.ScanSegment (checksum verifiers:
+//     ignoring their error means accepting a corrupt record)
 //
 // A call is flagged when its error is discarded structurally: used as a
 // bare statement, or deferred (defer discards return values). Assigning the
@@ -49,8 +49,8 @@ func durabilityCall(info *types.Info, call *ast.CallExpr) string {
 		return "(*journal.Journal).Close"
 	case isPkgFunc(info, call, journalPkg, "DecodeRecord"):
 		return "journal.DecodeRecord"
-	case isPkgFunc(info, call, journalPkg, "DecodeStreamFrame"):
-		return "journal.DecodeStreamFrame"
+	case isPkgFunc(info, call, journalPkg, "ScanSegment"):
+		return "journal.ScanSegment"
 	}
 	return ""
 }

@@ -45,12 +45,12 @@ func deferredJournalSync(j *journal.Journal, rec journal.Record) error {
 	return err
 }
 
-func unverifiedStream(b []byte) {
-	journal.DecodeStreamFrame(b) // want:errsink: error from journal.DecodeStreamFrame is discarded
+func unverifiedScan(b []byte) {
+	journal.ScanSegment(b, 0) // want:errsink: error from journal.ScanSegment is discarded
 }
 
-func deferredStream(b []byte) {
-	defer journal.DecodeStreamFrame(b) // want:errsink: defer discards the error from journal.DecodeStreamFrame
+func deferredScan(b []byte) {
+	defer journal.ScanSegment(b, 0) // want:errsink: defer discards the error from journal.ScanSegment
 }
 
 func deliberate(f *os.File) {
