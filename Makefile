@@ -5,7 +5,7 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), a warm LCS rerun (B/op, allocs/op), then the black box's flush and a span's emit; no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), the free list at one and two Ps, a warm LCS rerun (B/op, allocs/op), the black box's flush and a span's emit, then the registry's cost per service job; no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -40,7 +40,10 @@ benchbuild:
 # over the payload is the FT − NABBIT gap on the apps, beside Slot.ReadAt's
 # boundary reads of the same 32 KiB: a tile's row, corner, and last column
 # both in place (b words b apart: every segment re-hashed) and exported as LCS
-# and SW store it (a copy after the cells: one segment). Last,
+# and SW store it (a copy after the cells: one segment). Then a tile's take
+# and give-back through the shared free list and through a worker's cache, at
+# one P and at two, where the shared list's one lock is contended and the
+# caches are not. Then
 # the B/op of a warm rerun of the quick LCS: a finished run hands its tiles to
 # the free list and the next run takes them, so it stays below the 512 KiB
 # table (≈ 210 KB); a change that stops the recycling shows here as the table
@@ -48,13 +51,17 @@ benchbuild:
 # and the bytes it writes (an append of the new events, or now and then a
 # rewrite of the box), and a span's emit with the recorders wired beside the
 # emit into a bare ring — a span is written to its ring only, so the two rows
-# should read the same. No threshold: timing gates do not survive this host.
+# should read the same. Last, the enabled cost of the registry: exec_ms p50
+# of the service mix at the daemon's 80 jobs/s, without a registry and with
+# one. No threshold: timing gates do not survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
 	$(GO) test -run '^$$' -bench 'Checksum|SlotRead' -benchtime 20000x ./internal/block
+	$(GO) test -run '^$$' -bench AllocFree -benchtime 1000000x -cpu 1,2 ./internal/block
 	$(GO) test -run '^$$' -bench RerunLCS -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'FlightSnapshot|SpanEmit' -benchtime 200x ./internal/trace
+	$(GO) test -run '^$$' -bench RegistryTax -benchtime 40x ./internal/service
 
 graphsmoke:
 	$(GO) run ./cmd/ftgraph -app LU -n 64 -b 16 -p 2 -faults 2 -trace 64 > /dev/null

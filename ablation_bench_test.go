@@ -348,7 +348,7 @@ func BenchmarkAblationFTTax(b *testing.B) {
 			var arena block.Arena
 			return func(n int) {
 				for i := 0; i < n; i++ {
-					d, err := sl.Read(0, &arena)
+					d, err := sl.Read(0, &arena, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

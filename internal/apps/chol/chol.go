@@ -145,9 +145,9 @@ func (a *Chol) inputTile(t []float64, i, j int) {
 // recovery, or a shadow replica's re-run from the primary's inputs), and
 // that run takes a tile of its own.
 func (a *Chol) Compute(ctx graph.Context, key graph.Key) error {
-	c := block.Alloc(a.b * a.b)
+	c := graph.Alloc(ctx, a.b*a.b)
 	if err := a.kernel(ctx, key, c); err != nil {
-		block.Free(c)
+		graph.Free(ctx, c)
 		return err
 	}
 	ctx.Write(c)
@@ -193,7 +193,9 @@ func (a *Chol) kernel(ctx graph.Context, key graph.Key, c []float64) error {
 			}
 			r = r2
 		}
-		gemmSubT(c, l, r, b)
+		rt := graph.Alloc(ctx, b*b)
+		gemmSubT(c, l, r, rt, b)
+		graph.Free(ctx, rt)
 	}
 	return nil
 }
@@ -230,15 +232,13 @@ func trsmRightT(c, d []float64, b int) {
 	tile.Transpose(c, c, b)
 }
 
-// gemmSubT computes C -= L·Rᵀ through tile.MulSub: Rᵀ is written into a
-// tile from the free list, so each element subtracts l[row][p]·r[col][p] in
+// gemmSubT computes C -= L·Rᵀ through tile.MulSub: Rᵀ is written into the
+// scratch tile rt, so each element subtracts l[row][p]·r[col][p] in
 // ascending p, as the textbook dot-product loop does, and the result is
 // bit-identical to it.
-func gemmSubT(c, l, r []float64, b int) {
-	rt := block.Alloc(b * b)
+func gemmSubT(c, l, r, rt []float64, b int) {
 	tile.Transpose(rt, r, b)
 	tile.MulSub(c, l, rt, b)
-	block.Free(rt)
 }
 
 // reference computes the unblocked lower Cholesky factor of the input.

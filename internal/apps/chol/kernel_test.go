@@ -76,7 +76,7 @@ func TestGemmSubT(t *testing.T) {
 			}
 			want := append([]float64(nil), c...)
 			gemmSubTNaive(want, l, r, b)
-			gemmSubT(c, l, r, b)
+			gemmSubT(c, l, r, make([]float64, b*b), b)
 			for i := range want {
 				if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("b=%d seed=%d: gemmSubT[%d] = %v, textbook loop %v", b, seed, i, c[i], want[i])

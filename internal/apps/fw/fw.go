@@ -268,13 +268,13 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 	}
 
 	k, i, j := a.coords(key)
-	c := block.Alloc(b * b)
+	c := graph.Alloc(ctx, b*b)
 	if k == 0 {
 		a.inputTile(c, i, j)
 	} else {
 		prev, err := ctx.ReadPred(a.task(k-1, i, j))
 		if err != nil {
-			block.Free(c)
+			graph.Free(ctx, c)
 			return err
 		}
 		copy(c, prev)
@@ -294,7 +294,7 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		// textbook loop's bit for bit; likewise for P ⊗ C.
 		pv, err := ctx.ReadPred(a.task(k, k, k))
 		if err != nil {
-			block.Free(c)
+			graph.Free(ctx, c)
 			return err
 		}
 		if j == k {
@@ -307,12 +307,12 @@ func (a *FW) Compute(ctx graph.Context, key graph.Key) error {
 		// column and row tiles.
 		av, err := ctx.ReadPred(a.task(k, i, k))
 		if err != nil {
-			block.Free(c)
+			graph.Free(ctx, c)
 			return err
 		}
 		bv, err := ctx.ReadPred(a.task(k, k, j))
 		if err != nil {
-			block.Free(c)
+			graph.Free(ctx, c)
 			return err
 		}
 		tile.MinPlus(c, av, bv, b)

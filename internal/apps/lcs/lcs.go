@@ -122,7 +122,7 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 	// to the left in the copy of the tile's own last column, which is written
 	// after fill. A recycled tile is not zero: the top row of the table clears
 	// its row above, the left column its column to the left.
-	tile := block.Alloc(b*b + b)
+	tile := graph.Alloc(ctx, b*b+b)
 	top := tile[(b-1)*b : b*b] // D[bi*b-1][bj*b + c]
 	left := tile[b*b:]         // D[bi*b + r][bj*b-1]
 	var corner float64         // D[bi*b-1][bj*b-1]
@@ -142,7 +142,7 @@ func (a *LCS) Compute(ctx graph.Context, k graph.Key) error {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), left, a.col...)
 	}
 	if err != nil {
-		block.Free(tile)
+		graph.Free(ctx, tile)
 		return err
 	}
 	fill(tile[:b*b], top, left, corner, a.x[bi*b:bi*b+b], a.y[bj*b:bj*b+b])

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"ftdag/internal/block"
 )
 
 // trsmRightTextbook and trsmLeftTextbook are the loops trsmRight and trsmLeft
@@ -53,7 +55,7 @@ func TestTrsmMatchesTextbook(t *testing.T) {
 				name           string
 				kernel, oracle func(c, d []float64, b int)
 			}{
-				{"trsmRight", trsmRight, trsmRightTextbook},
+				{"trsmRight", func(c, d []float64, b int) { trsmRight(c, d, make([]float64, b*b), b) }, trsmRightTextbook},
 				{"trsmLeft", trsmLeft, trsmLeftTextbook},
 			} {
 				got := randTile(b, 2*seed+1)
@@ -87,7 +89,12 @@ func BenchmarkKernels(b *testing.B) {
 			f    func(i int)
 		}{
 			{"getrf/textbook", func(i int) { copy(c, cs[i]); getrf(c, n) }},
-			{"trsmRight/kernel", func(i int) { copy(c, cs[i]); trsmRight(c, ds[i], n) }},
+			{"trsmRight/kernel", func(i int) {
+				copy(c, cs[i])
+				ut := block.Alloc(n * n)
+				trsmRight(c, ds[i], ut, n)
+				block.Free(ut)
+			}},
 			{"trsmRight/textbook", func(i int) { copy(c, cs[i]); trsmRightTextbook(c, ds[i], n) }},
 			{"trsmLeft/kernel", func(i int) { copy(c, cs[i]); trsmLeft(c, ds[i], n) }},
 			{"trsmLeft/textbook", func(i int) { copy(c, cs[i]); trsmLeftTextbook(c, ds[i], n) }},

@@ -139,9 +139,9 @@ func (a *LU) inputTile(t []float64, i, j int) {
 // recovery, or a shadow replica's re-run from the primary's inputs), and
 // that run takes a tile of its own.
 func (a *LU) Compute(ctx graph.Context, key graph.Key) error {
-	c := block.Alloc(a.b * a.b)
+	c := graph.Alloc(ctx, a.b*a.b)
 	if err := a.kernel(ctx, key, c); err != nil {
-		block.Free(c)
+		graph.Free(ctx, c)
 		return err
 	}
 	ctx.Write(c)
@@ -172,7 +172,9 @@ func (a *LU) kernel(ctx graph.Context, key graph.Key, c []float64) error {
 		if err != nil {
 			return err
 		}
-		trsmRight(c, d, b)
+		ut := graph.Alloc(ctx, b*b)
+		trsmRight(c, d, ut, b)
+		graph.Free(ctx, ut)
 	case i == k:
 		// U(k,j) = L(k,k)⁻¹ · A(k,j) — solve L·X = A, L unit lower.
 		d, err := ctx.ReadPred(a.task(k, k, k))
@@ -211,16 +213,14 @@ func getrf(c []float64, b int) {
 
 // trsmRight solves X·U = A in place (U = upper triangle of the packed
 // diagonal tile d) as Uᵀ·Xᵀ = Aᵀ: tile.SolveLower on c transposed in place,
-// against Uᵀ in a tile from the free list. Each element of X takes the
+// against Uᵀ written into the scratch tile ut. Each element of X takes the
 // textbook loop's products in ascending p, then its division, so the result
 // is bit-identical to it (kernel_test.go).
-func trsmRight(c, d []float64, b int) {
-	ut := block.Alloc(b * b)
+func trsmRight(c, d, ut []float64, b int) {
 	tile.Transpose(ut, d, b)
 	tile.Transpose(c, c, b)
 	tile.SolveLower(c, ut, b, false)
 	tile.Transpose(c, c, b)
-	block.Free(ut)
 }
 
 // trsmLeft solves L·X = A in place (L = unit lower triangle of d).

@@ -83,7 +83,7 @@ func TestTrsmRight(t *testing.T) {
 		getrf(d, b) // packed L\U; trsmRight uses the upper part
 		a := randTile(b, 3)
 		x := append([]float64(nil), a...)
-		trsmRight(x, d, b)
+		trsmRight(x, d, make([]float64, b*b), b)
 		for r := 0; r < b; r++ {
 			for q := 0; q < b; q++ {
 				s := 0.0

@@ -160,7 +160,7 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 	// maximum slot and the copy of the tile's own last column, which is
 	// written after fill. A recycled tile is not zero: the top row of the
 	// table clears its row above, the left column its column to the left.
-	tile := block.Alloc(b*b + 1 + b)
+	tile := graph.Alloc(ctx, b*b+1+b)
 	up := tile[(b-1)*b : b*b+1] // the row above, then its tile's running maximum
 	lf := tile[b*b:]            // the column to the left's tile's running maximum, then the column
 	var corner, dgMax float64   // the cell above-left, its tile's running maximum
@@ -181,7 +181,7 @@ func (a *SW) Compute(ctx graph.Context, k graph.Key) error {
 		err = graph.ReadPredAt(ctx, graph.Key(bi*nb+(bj-1)), lf, a.col...)
 	}
 	if err != nil {
-		block.Free(tile)
+		graph.Free(ctx, tile)
 		return err
 	}
 	left := lf[1:]

@@ -527,11 +527,11 @@ func TestVerifiedReadDetectsOneFlippedBit(t *testing.T) {
 			s.Write(1, 0, 1, data)
 			bit := r.IntN(64)
 			scribble(s, 1, 0, i, math.Float64frombits(math.Float64bits(data[i])^1<<bit))
-			if _, err := s.Slot(1).Read(0, &a); !errors.Is(err, ErrCorrupted) || !errors.Is(err, ErrChecksum) {
+			if _, err := s.Slot(1).Read(0, &a, nil); !errors.Is(err, ErrCorrupted) || !errors.Is(err, ErrChecksum) {
 				t.Fatalf("len %d: bit %d of word %d flipped: Read = %v, want ErrChecksum, an ErrCorrupted", n, bit, i, err)
 			}
 			scribble(s, 1, 0, i, data[i])
-			got, err := s.Slot(1).Read(0, &a)
+			got, err := s.Slot(1).Read(0, &a, nil)
 			if err != nil || len(got) != n {
 				t.Fatalf("len %d: Read after the bit was restored = %d words, %v", n, len(got), err)
 			}
@@ -548,7 +548,7 @@ func TestSlotWriteAdopts(t *testing.T) {
 	for _, n := range []int{3, PoolMin, 4 * PoolMin} {
 		data := make([]float64, n)
 		sl := s.Slot(1)
-		sl.Write(n, 1, 0, data)
+		sl.Write(n, 1, 0, data, nil)
 		sl.mu.Lock()
 		kept := sl.find(n).data
 		sl.mu.Unlock()
@@ -579,15 +579,15 @@ func TestRewriteOfTheSameSlice(t *testing.T) {
 		data[i] = float64(i)
 	}
 	sl := s.Slot(1)
-	sl.Write(0, 1, 0, data)
-	sl.Write(0, 1, 0, data) // replaces version 0 in place
-	if got, err := sl.Read(0, nil); err != nil || got[1] != 1 {
+	sl.Write(0, 1, 0, data, nil)
+	sl.Write(0, 1, 0, data, nil) // replaces version 0 in place
+	if got, err := sl.Read(0, nil, nil); err != nil || got[1] != 1 {
 		t.Fatalf("after a rewrite of one slice in place: Read = %v, %v", got, err)
 	}
-	if _, _, evicted := sl.Write(1, 2, 0, data); !evicted {
+	if _, _, evicted := sl.Write(1, 2, 0, data, nil); !evicted {
 		t.Fatal("the K=1 write did not evict version 0")
 	}
-	if got, err := sl.Read(1, nil); err != nil || got[1] != 1 {
+	if got, err := sl.Read(1, nil, nil); err != nil || got[1] != 1 {
 		t.Fatalf("after an evicting write of the evicted version's slice: Read = %v, %v", got, err)
 	}
 	if again := Alloc(PoolMin); sameArray(again, data) {
@@ -688,7 +688,7 @@ func TestSlotHandle(t *testing.T) {
 	if s.Slot(7) != sl {
 		t.Fatal("Slot returned a second handle for the same block")
 	}
-	sum, _, evicted := sl.Write(0, 70, 0, []float64{1, 2})
+	sum, _, evicted := sl.Write(0, 70, 0, []float64{1, 2}, nil)
 	if evicted || sum != Checksum([]float64{1, 2}) {
 		t.Fatalf("first slot write: sum=%#x evicted=%v", sum, evicted)
 	}
@@ -699,23 +699,23 @@ func TestSlotHandle(t *testing.T) {
 	if !evicted || victim != 70 {
 		t.Fatalf("store write into the slot's ring: victim=%d evicted=%v, want 70 true", victim, evicted)
 	}
-	if got, err := sl.Read(1, nil); err != nil || got[0] != 3 {
+	if got, err := sl.Read(1, nil, nil); err != nil || got[0] != 3 {
 		t.Fatalf("slot read of a store write = %v, %v", got, err)
 	}
-	_, err := sl.Read(0, nil)
+	_, err := sl.Read(0, nil, nil)
 	var ae *AccessError
 	if !errors.As(err, &ae) || !errors.Is(err, ErrNotRetained) || ae.Ref != (Ref{7, 0}) {
 		t.Fatalf("slot read of the evicted version: %v", err)
 	}
 	s.Corrupt(7, 1, 0)
-	if _, err := sl.Read(1, nil); !errors.Is(err, ErrCorrupted) {
+	if _, err := sl.Read(1, nil, nil); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("slot read of a corrupted version: %v", err)
 	}
 
 	single := NewStore(0)
 	block := ID(0)
 	if allocs := testing.AllocsPerRun(100, func() {
-		single.Slot(block).Write(0, 1, 0, []float64{1})
+		single.Slot(block).Write(0, 1, 0, []float64{1}, nil)
 		block++
 	}); allocs > 3 { // slot, payload copy, and the slot table's amortized growth
 		t.Fatalf("a new single-version block cost %v allocations, want <= 3", allocs)
@@ -728,15 +728,15 @@ func TestSlotHandle(t *testing.T) {
 func TestArena(t *testing.T) {
 	s := NewStore(0)
 	small, large := s.Slot(1), s.Slot(2)
-	small.Write(0, 1, 0, []float64{1, 2, 3})
-	large.Write(0, 2, 0, make([]float64, PoolMin))
+	small.Write(0, 1, 0, []float64{1, 2, 3}, nil)
+	large.Write(0, 2, 0, make([]float64, PoolMin), nil)
 
 	var a Arena
-	first, err := small.Read(0, &a)
+	first, err := small.Read(0, &a, nil)
 	if err != nil || len(first) != 3 || cap(first) != 3 || first[2] != 3 {
 		t.Fatalf("arena read = %v (cap %d), %v", first, cap(first), err)
 	}
-	second, _ := small.Read(0, &a)
+	second, _ := small.Read(0, &a, nil)
 	if &first[0] == &second[0] {
 		t.Fatal("two arena reads share memory")
 	}
@@ -744,20 +744,20 @@ func TestArena(t *testing.T) {
 	if first[0] != 1 || second[0] != 1 {
 		t.Fatal("arena copy changed when the stored version was corrupted")
 	}
-	small.Write(0, 1, 0, []float64{1, 2, 3})
-	if big, _ := large.Read(0, &a); a.used != 6 {
+	small.Write(0, 1, 0, []float64{1, 2, 3}, nil)
+	if big, _ := large.Read(0, &a, nil); a.used != 6 {
 		t.Fatalf("a %d-float read took arena space (used %d)", len(big), a.used)
 	}
 
 	a.Reset()
-	reused, _ := small.Read(0, &a)
+	reused, _ := small.Read(0, &a, nil)
 	if &reused[0] != &first[0] {
 		t.Fatal("Reset did not make the chunk available again")
 	}
 	a.Reset()
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
-			if _, err := small.Read(0, &a); err != nil {
+			if _, err := small.Read(0, &a, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -768,7 +768,7 @@ func TestArena(t *testing.T) {
 	// More than a chunk between Resets: earlier copies stay intact.
 	var held [][]float64
 	for i := 0; i < 2*arenaChunk; i++ {
-		c, _ := small.Read(0, &a)
+		c, _ := small.Read(0, &a, nil)
 		held = append(held, c)
 	}
 	for i, c := range held {
@@ -780,7 +780,7 @@ func TestArena(t *testing.T) {
 	PoisonFreed(true)
 	defer PoisonFreed(false)
 	a.Reset()
-	stale, _ := small.Read(0, &a)
+	stale, _ := small.Read(0, &a, nil)
 	a.Reset()
 	if !math.IsNaN(stale[0]) {
 		t.Fatalf("copy used after Reset reads %v under PoisonFreed, want the NaN pattern", stale[0])
@@ -849,7 +849,7 @@ func BenchmarkSlotRead(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					d, err := sl.Read(0, &a)
+					d, err := sl.Read(0, &a, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

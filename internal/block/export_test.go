@@ -50,5 +50,5 @@ func (s *Store) Latest(b ID) (int, []float64, bool) {
 	if best == nil {
 		return -1, nil, false
 	}
-	return best.version, clone(best.data, nil), true
+	return best.version, clone(best.data, nil, nil), true
 }

@@ -148,8 +148,8 @@ func TestReadAtChecksTheFlagFirst(t *testing.T) {
 func TestReadAtEvicted(t *testing.T) {
 	s := NewStore(1, WithVerification())
 	sl := s.Slot(4)
-	sl.Write(0, 40, 0, make([]float64, 2*segWords))
-	sl.Write(1, 41, 0, make([]float64, 2*segWords))
+	sl.Write(0, 40, 0, make([]float64, 2*segWords), nil)
+	sl.Write(1, 41, 0, make([]float64, 2*segWords), nil)
 	dst := make([]float64, 1)
 	for _, v := range []int{0, 2} {
 		err := sl.ReadAt(v, dst, Run{Off: 0, Stride: 1, N: 1})
@@ -179,9 +179,9 @@ func TestReadAtGathers(t *testing.T) {
 			sl := s.Slot(1)
 			for v, n := range []int{1, 5, segWords, segWords + 1, 4096, 4097, 4096, 17*segWords + 9, 3 * segWords} {
 				data := randomBits(r, n)
-				sl.Write(v, 1, 0, slices.Clone(data))
-				sl.Write(v, 1, 0, slices.Clone(data)) // in place
-				whole, err := sl.Read(v, nil)
+				sl.Write(v, 1, 0, slices.Clone(data), nil)
+				sl.Write(v, 1, 0, slices.Clone(data), nil) // in place
+				whole, err := sl.Read(v, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func TestReadAtAfterSilentCorruption(t *testing.T) {
 func TestReadAtRejectsRunsOutside(t *testing.T) {
 	s := NewStore(0, WithVerification())
 	sl := s.Slot(1)
-	sl.Write(0, 1, 0, make([]float64, 10))
+	sl.Write(0, 1, 0, make([]float64, 10), nil)
 	for _, c := range []struct {
 		dst  int
 		runs []Run
@@ -273,7 +273,7 @@ func TestSnapshotsReused(t *testing.T) {
 		sl := s.Slot(1)
 		v := 0
 		write := func() {
-			sl.Write(v, 1, 0, Alloc(4097))
+			sl.Write(v, 1, 0, Alloc(4097), nil)
 			v++
 		}
 		for range 2 * k {

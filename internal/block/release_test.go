@@ -35,7 +35,7 @@ func TestReleaseEmptiesTheStore(t *testing.T) {
 			s := tc.s
 			for b := ID(0); b < 4; b++ {
 				for v := 0; v < 3; v++ {
-					s.Slot(b).Write(v, int64(b), 0, wide(n, float64(b)))
+					s.Slot(b).Write(v, int64(b), 0, wide(n, float64(b)), nil)
 				}
 			}
 			s.Write(9, 0, 9, []float64{9}) // below PoolMin, emptied all the same
@@ -78,7 +78,7 @@ func TestReleaseEmptiesTheStore(t *testing.T) {
 				t.Fatalf("Alloc after Release = %v…, want a released buffer, poisoned", got[0])
 			}
 			// The store stays usable: a version written after Release is kept.
-			s.Slot(1).Write(7, 1, 0, wide(n, 7))
+			s.Slot(1).Write(7, 1, 0, wide(n, 7), nil)
 			if got, err := s.Read(1, 7); err != nil || got[n-1] != 7 {
 				t.Fatalf("Read after a write past Release = %v, %v", got[n-1], err)
 			}
@@ -93,8 +93,8 @@ func TestReleaseEmptiesTheStore(t *testing.T) {
 func TestReleaseOfSmallPayloadsVisitsNoSlot(t *testing.T) {
 	s := NewStore(1)
 	for b := ID(0); b < 10_000; b++ {
-		s.Slot(b).Write(0, int64(b), 0, []float64{float64(b)})
-		s.Slot(b).Write(1, int64(b), 0, wide(PoolMin-1, 1))
+		s.Slot(b).Write(0, int64(b), 0, []float64{float64(b)}, nil)
+		s.Slot(b).Write(1, int64(b), 0, wide(PoolMin-1, 1), nil)
 	}
 	if visited := s.release(); visited != 0 {
 		t.Fatalf("release of a store of small payloads visited %d slots, want 0", visited)
@@ -122,7 +122,7 @@ func TestReleaseRacesAccess(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := NewStore(1, WithVerification())
 		for b := ID(0); b < blocks; b++ {
-			s.Slot(b).Write(0, int64(b), 0, wide(n, float64(b)))
+			s.Slot(b).Write(0, int64(b), 0, wide(n, float64(b)), nil)
 		}
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -134,7 +134,7 @@ func TestReleaseRacesAccess(t *testing.T) {
 				sl := s.Slot(b)
 				<-start
 				for i := 0; i < 50; i++ {
-					if got, err := sl.Read(0, nil); err == nil {
+					if got, err := sl.Read(0, nil, nil); err == nil {
 						if got[0] != float64(b) || got[n-1] != float64(b) {
 							errs <- errors.New("Read returned a released buffer")
 							return
@@ -153,7 +153,7 @@ func TestReleaseRacesAccess(t *testing.T) {
 						return
 					}
 				}
-				sl.Write(1, int64(b), 0, wide(n, float64(b)))
+				sl.Write(1, int64(b), 0, wide(n, float64(b)), nil)
 			}()
 		}
 		close(start)

@@ -420,14 +420,18 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeJSON decodes one JSON value and drains the newline writeJSON ends
-// it with, so HTTP keep-alive connections are reusable. The drain is
-// bounded: a reply that runs on past its value costs its connection, not an
-// endless read.
+// decodeJSON decodes a reply that holds one JSON value, as writeJSON writes
+// it. The body is read to its end, so the keep-alive connection is reusable,
+// and at most journal.MaxSnapshotBytes of it, the largest reply a follower
+// takes: a peer that sends more, or streams without end, costs that many
+// bytes and an error, not memory without bound or the whole client timeout.
 func decodeJSON(r io.Reader, v any) error {
-	if err := json.NewDecoder(r).Decode(v); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r, int64(journal.MaxSnapshotBytes)+1))
+	if err != nil {
 		return err
 	}
-	_, _ = io.CopyN(io.Discard, r, 512) // best-effort drain for connection reuse
-	return nil
+	if len(body) > journal.MaxSnapshotBytes {
+		return fmt.Errorf("cluster: reply longer than %d bytes", journal.MaxSnapshotBytes)
+	}
+	return json.Unmarshal(body, v)
 }

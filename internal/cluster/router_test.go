@@ -15,6 +15,7 @@ import (
 	"ftdag/internal/journal"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
+	"ftdag/internal/trace"
 )
 
 // testReq is the cluster test backends' submission vocabulary: a chain of
@@ -499,5 +500,35 @@ func TestRouterStatusReadsOnePlacement(t *testing.T) {
 	if final.Backend != "new" || final.BackendID != 7 || final.SinkDigest != "new-digest" {
 		t.Fatalf("moved job reports %s job %d with digest %q, want new job 7 with new-digest",
 			final.Backend, final.BackendID, final.SinkDigest)
+	}
+}
+
+// TestRouterBoundsBackendReplies: a backend that answers a submission with a
+// JSON string that never ends costs the router journal.MaxSnapshotBytes of
+// reading and an error, well inside the client's 10 s timeout — not memory
+// without bound, and not the whole timeout.
+func TestRouterBoundsBackendReplies(t *testing.T) {
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		chunk := bytes.Repeat([]byte{'a'}, 64<<10)
+		if _, err := io.WriteString(w, `{"id":"`); err != nil {
+			return
+		}
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer endless.Close()
+	rt := NewRouter(RouterConfig{Client: &http.Client{Timeout: 10 * time.Second}})
+	if err := rt.AddBackend("endless", endless.URL); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, _, err := rt.postJob(rt.backends["endless"], []byte(`{"name":"x","tasks":1}`), trace.SpanContext{})
+	if took := time.Since(start); err == nil || took > 5*time.Second {
+		t.Fatalf("postJob against an endless reply: err %v after %v, want an error well inside the 10 s timeout", err, took)
 	}
 }

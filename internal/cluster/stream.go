@@ -114,7 +114,9 @@ func (f *Follower) Promote(opts journal.Options) (*journal.Journal, error) {
 // compacted away. Returns the bytes applied. A snapshot that fails its
 // check is not installed, and a corrupt record ends the affected segment's
 // copy for this round — the records before it are kept — so the next round
-// fetches both again from what the mirror holds.
+// fetches both again from what the mirror holds. Either failure is in the
+// error returned, joined with the others of the round: a nil error means the
+// mirror holds every record the manifest listed.
 func (f *Follower) Sync() (int64, error) {
 	remote, err := f.fetchManifest()
 	if err != nil {
@@ -134,6 +136,7 @@ func (f *Follower) Sync() (int64, error) {
 	}
 
 	var copied int64
+	var errs []error
 	for _, s := range remote.Snapshots {
 		if localSnap[s.Seq] {
 			continue // snapshots are immutable once written
@@ -141,7 +144,7 @@ func (f *Follower) Sync() (int64, error) {
 		n, err := f.copySnapshot(s.Seq)
 		if err != nil {
 			f.addResume()
-			log.Printf("cluster: follower snapshot %d: %v", s.Seq, err)
+			errs = append(errs, fmt.Errorf("cluster: follower snapshot %d: %w", s.Seq, err))
 			continue
 		}
 		copied += n
@@ -151,7 +154,7 @@ func (f *Follower) Sync() (int64, error) {
 		copied += n
 		if err != nil {
 			f.addResume()
-			log.Printf("cluster: follower segment %d: %v", s.Seq, err)
+			errs = append(errs, fmt.Errorf("cluster: follower segment %d: %w", s.Seq, err))
 		}
 	}
 	f.mirrorDeletions(remote, local)
@@ -160,7 +163,7 @@ func (f *Follower) Sync() (int64, error) {
 	f.stats.Rounds++
 	f.stats.Bytes += copied
 	f.mu.Unlock()
-	return copied, nil
+	return copied, errors.Join(errs...)
 }
 
 func (f *Follower) addResume() {

@@ -191,10 +191,10 @@ func testFollowerRecovers(t *testing.T, mutate func([]byte) []byte) {
 		t.Fatal(err)
 	}
 	// Round 1 hits the mutated response: some prefix may apply, the
-	// damaged record must not. Round 2 resumes from the durable offset and
-	// converges.
-	if _, err := f.Sync(); err != nil {
-		t.Fatal(err)
+	// damaged record must not, and the round says so. Round 2 resumes from
+	// the durable offset and converges.
+	if _, err := f.Sync(); err == nil {
+		t.Fatal("the round that met the damaged reply returned nil")
 	}
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
@@ -381,10 +381,11 @@ func TestFollowerRefetchesCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range 2 {
-		if _, err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.Sync(); err == nil {
+		t.Fatal("the round that met the flipped snapshot returned nil")
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	sameFiles(t, j, dir, f.dir)
 	promoted, err := f.Promote(journal.Options{NoSync: true})

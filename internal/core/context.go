@@ -24,13 +24,15 @@ type predRead struct {
 // heldBufs is what an executor context owns on behalf of one compute — the
 // read copies the store handed out — so that it can give them back when the
 // compute ends, which is as long as graph.Context promises them to the
-// compute. Read copies of block.PoolMin float64s or more are listed and go
-// back to the block free list; smaller ones come out of the small arena, at
-// no allocation per read, and go back with its Reset. A slice the compute
-// passes to Write is not held: write hands it to the store, which adopts it.
+// compute. Read copies of block.PoolMin float64s or more are taken from and
+// listed to go back to cache, the free list of the worker the compute runs
+// on; smaller ones come out of the small arena, at no allocation per read,
+// and go back with its Reset. A slice the compute passes to Write is not
+// held: write hands it to the store, which adopts it.
 type heldBufs struct {
 	reads []predRead
 	small block.Arena
+	cache *block.Cache // nil: the shared list
 }
 
 // write stores data, whose ownership the compute passed with it, as version of
@@ -41,11 +43,11 @@ type heldBufs struct {
 // ReadPred returned). Those two are copied.
 func (h *heldBufs) write(slot *block.Slot, version int, producer graph.Key, life int, data []float64) (sum uint64, victim int64, evicted bool) {
 	if len(data) < block.PoolMin || h.holds(data) {
-		own := block.Alloc(len(data))
+		own := h.cache.Alloc(len(data))
 		copy(own, data)
 		data = own
 	}
-	return slot.Write(version, int64(producer), life, data)
+	return slot.Write(version, int64(producer), life, data, h.cache)
 }
 
 // holds reports whether data lies inside one of the listed read copies.
@@ -66,7 +68,7 @@ func (h *heldBufs) read(c *counters, pred graph.Key, slot *block.Slot, version i
 	if keep {
 		arena = nil
 	}
-	data, err := slot.Read(version, arena)
+	data, err := slot.Read(version, arena, h.cache)
 	c.countRead(err)
 	if err == nil && (keep || len(data) >= block.PoolMin) {
 		h.reads = append(h.reads, predRead{pred: pred, data: data})
@@ -95,7 +97,7 @@ func (h *heldBufs) readAt(c *counters, pred graph.Key, slot *block.Slot, version
 func (h *heldBufs) release(freeReads bool) {
 	if freeReads {
 		for _, r := range h.reads {
-			block.Free(r.data)
+			h.cache.Free(r.data)
 		}
 		clear(h.reads) // the list is reused; do not pin freed buffers
 		h.reads = h.reads[:0]
@@ -103,7 +105,16 @@ func (h *heldBufs) release(freeReads bool) {
 		h.reads = nil
 	}
 	h.small.Reset()
+	h.cache = nil
 }
+
+// Alloc is graph.Alloc from the free list of the worker the compute runs on
+// (graph.Allocator).
+func (h *heldBufs) Alloc(n int) []float64 { return h.cache.Alloc(n) }
+
+// Free is graph.Free into the free list of the worker the compute runs on
+// (graph.Allocator).
+func (h *heldBufs) Free(buf []float64) { h.cache.Free(buf) }
 
 // specOutput resolves the output of task key the long way — spec, then slot
 // table — for a compute that reads a task it has no descriptor of.
@@ -142,6 +153,7 @@ type taskCtx[S state] struct {
 var (
 	_ graph.Context   = (*taskCtx[ftState])(nil)
 	_ graph.RunReader = (*taskCtx[ftState])(nil)
+	_ graph.Allocator = (*taskCtx[ftState])(nil)
 )
 
 // The pools recycle the contexts of finished computes, each with its arena
@@ -249,6 +261,7 @@ type shadowCtx[S state] struct {
 var (
 	_ graph.Context   = (*shadowCtx[ftState])(nil)
 	_ graph.RunReader = (*shadowCtx[ftState])(nil)
+	_ graph.Allocator = (*shadowCtx[ftState])(nil)
 )
 
 func (c *shadowCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {

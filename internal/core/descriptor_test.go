@@ -49,7 +49,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if s3.Status() != Completed {
 		t.Fatalf("task 3 is %v, want Completed", s3.Status())
 	}
-	got, err := s3.slot.Read(s3.out.Version, nil)
+	got, err := s3.slot.Read(s3.out.Version, nil, nil)
 	if err != nil || len(got) != 1 || got[0] != wantSink[0] {
 		t.Fatalf("task 3 wrote %v (err %v), want %v", got, err, wantSink)
 	}

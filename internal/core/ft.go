@@ -48,10 +48,10 @@ type Config struct {
 	SpanCtx trace.SpanContext
 	// SpanJob is the service-assigned job ID stamped on executor spans.
 	SpanJob int64
-	// Instruments, when non-nil, holds the shared latency histograms
-	// (Observe) this run records into. Nil disables them at a cost of one
-	// pointer check per site.
-	Instruments *Instruments
+	// TimeLatency makes the run time each FT compute and recovery into its
+	// per-worker shards of the two latency histograms (LiveTally's Latency,
+	// which Observe's families read). Off, it costs one branch per site.
+	TimeLatency bool
 	// Replicate selects the tasks to execute twice on distinct workers
 	// with digest comparison at the join (internal/replica). Nil (or an
 	// empty set) disables replication; a full set is dual modular
@@ -142,8 +142,12 @@ func NewBaseline(spec graph.Spec, cfg Config) *Baseline {
 // workers' blocks); serves the live-introspection endpoints.
 func (e *exec[S]) LiveMetrics() Metrics { return e.met.snapshot() }
 
-// LiveStore is LiveMetrics of the block accesses: Result.Store as it stands.
-func (e *exec[S]) LiveStore() block.Stats { return e.met.storeStats(e.store) }
+// LiveTally is every count of the run as it stands — LiveMetrics, Result.Store
+// and the latency histograms — for a registry's families (Observe). Safe to
+// call concurrently with the execution; no count it reads ever goes down.
+func (e *exec[S]) LiveTally() Tally {
+	return Tally{Metrics: e.met.snapshot(), Store: e.met.storeStats(e.store), Latency: e.met.latency()}
+}
 
 // TasksDiscovered returns the number of task descriptors inserted so far —
 // a live progress indicator that converges on the graph's task count.
@@ -174,11 +178,13 @@ func (e *exec[S]) Run() (*Result, error) {
 // only this execution — the pool stays healthy and reusable. The caller
 // keeps responsibility for closing the pool; Result.Sched is left zero here
 // because a shared pool's counters are not attributable to one run (Run
-// fills it for the single-run case). However the run ends, its store hands
-// its buffers to the block free list on the way out (block.Store.Release),
-// once the sink has been copied out; a compute that a cancel or a timeout
-// leaves running then reads ErrNotRetained.
+// fills it for the single-run case). However the run ends, its store and its
+// workers' caches hand their buffers to the shared free list on the way out
+// (block.Store.Release, block.Cache.Release), once the sink has been copied
+// out; a compute that a cancel or a timeout leaves running then reads
+// ErrNotRetained, and takes and frees its buffers through the shared list.
 func (e *exec[S]) RunOn(pool *sched.Pool) (*Result, error) {
+	defer e.met.release()
 	defer e.store.Release()
 	start := time.Now()
 	g := pool.NewGroup()
@@ -224,7 +230,7 @@ func (e *exec[S]) RunOn(pool *sched.Pool) (*Result, error) {
 		Store:   e.met.storeStats(e.store),
 	}
 	res.ReexecutedTasks = res.Metrics.Computes - int64(res.Tasks)
-	data, err := st.slot.Read(st.out.Version, nil)
+	data, err := st.slot.Read(st.out.Version, nil, nil)
 	if err != nil {
 		// Only possible when a fault was injected on the sink's
 		// after-notify phase: nothing consumes the sink, so nothing
@@ -398,32 +404,39 @@ func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 // which receives the digest of the written output — the checksum the store
 // just computed for it — and the snapshot of the inputs the compute read. The
 // compute span covers the injection, and its arg is 1 when the compute failed
-// either way. NABBIT's computes are seen by the hooks and counted, but not
-// timed or spanned.
+// either way. The clock is read once before the compute and once after it,
+// and the histogram and the span share the pair. NABBIT's computes are seen
+// by the hooks and counted, but not timed or spanned.
 func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error {
 	if h := e.cfg.Hooks.OnCompute; h != nil {
 		h(t.key, t.Life())
 	}
-	e.met.at(w).computes.Add(1)
-	var ins *Instruments
+	blk := e.met.block(w)
+	blk.computes.Add(1)
+	var timed bool
 	var sp *trace.Spans
 	pool := &nabbitCtxPool
 	if t.shaded() {
-		ins, sp, pool = e.cfg.Instruments, e.cfg.Spans, &ftCtxPool
+		timed, sp, pool = e.cfg.TimeLatency, e.cfg.Spans, &ftCtxPool
 	}
-	var computeStart time.Time
-	if ins != nil || sp != nil {
-		computeStart = time.Now()
+	var start time.Time
+	if timed || sp != nil {
+		start = time.Now()
 	}
 	ctx := pool.Get().(*taskCtx[S])
 	ctx.e, ctx.t, ctx.w, ctx.capture = e, t, w, rj != nil
+	ctx.cache = e.met.cache(w)
 	err := e.spec.Compute(ctx, t.key)
 	wrote, sum, reads := ctx.wrote, ctx.sum, ctx.reads
 	ctx.release(rj == nil)
 	*ctx = taskCtx[S]{heldBufs: ctx.heldBufs}
 	pool.Put(ctx)
-	if ins != nil {
-		ins.ComputeLatency.ObserveSince(computeStart)
+	var took time.Duration
+	if timed || sp != nil {
+		took = time.Since(start)
+	}
+	if timed {
+		blk.computeLat.Observe(int64(took))
 	}
 	switch {
 	case err != nil:
@@ -441,7 +454,7 @@ func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error
 		}
 	}
 	if sp != nil {
-		e.emitSpan("compute", computeStart, time.Since(computeStart), t.key, t.Life(), boolArg(err != nil))
+		e.emitSpan("compute", start, took, t.key, t.Life(), boolArg(err != nil))
 	}
 	return err
 }
@@ -605,10 +618,9 @@ func (e *exec[S]) recoverTask(w *sched.Worker, key graph.Key) {
 		if h := e.cfg.Hooks.OnRecover; h != nil {
 			h(key, t.Life())
 		}
-		ins := e.cfg.Instruments
-		sp := e.cfg.Spans
+		timed, sp := e.cfg.TimeLatency, e.cfg.Spans
 		var recStart time.Time
-		if ins != nil || sp != nil {
+		if timed || sp != nil {
 			recStart = time.Now()
 		}
 		err := func() error { // try
@@ -624,11 +636,15 @@ func (e *exec[S]) recoverTask(w *sched.Worker, key graph.Key) {
 			e.spawn(w, (*exploreJob[S])(t), 0)
 			return nil
 		}()
-		if ins != nil {
-			ins.RecoveryLatency.ObserveSince(recStart)
+		var took time.Duration
+		if timed || sp != nil {
+			took = time.Since(recStart)
+		}
+		if timed {
+			e.met.block(w).recoveryLat.Observe(int64(took))
 		}
 		if sp != nil {
-			e.emitSpan("recover", recStart, time.Since(recStart), key, t.Life(), 0)
+			e.emitSpan("recover", recStart, took, key, t.Life(), 0)
 		}
 		if err == nil {
 			return

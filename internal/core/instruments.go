@@ -5,35 +5,49 @@ import (
 	obs "ftdag/internal/metrics" // aliased: core's own run-snapshot struct is named metrics
 )
 
-// Instruments is what an executor writes into a metrics registry as it runs:
-// the two latency histograms. Every counter family is a scrape-time function
-// over the counts the executors keep anyway (Observe), so the hot path writes
-// nothing else. One bundle is shared by every execution wired to the same
-// registry (the service passes one to all jobs).
-//
-// Hot paths guard each histogram with a single nil check on the bundle — the
-// disabled configuration (nil registry → nil bundle) costs ≤ 2 ns per task,
-// enforced by the internal/metrics benchmark gate.
-type Instruments struct {
-	// ComputeLatency is the latency distribution of the user compute
-	// function itself.
-	ComputeLatency *obs.Histogram
-	// RecoveryLatency is the duration of each incarnation's recovery
+// Latency is the executors' two latency distributions, as they stand: each
+// run keeps them per worker (Config.TimeLatency) and a registry's histogram
+// families read the sum at scrape time (Observe), so timing a compute writes
+// no line another worker writes.
+type Latency struct {
+	// Compute is the latency of the user compute function itself.
+	Compute obs.HistogramCounts
+	// Recovery is the duration of each incarnation's recovery
 	// (REPLACETASK through notify-array reconstruction and re-spawn).
-	RecoveryLatency *obs.Histogram
+	Recovery obs.HistogramCounts
 }
 
-// Observe registers the executor and block-store metric families on r and
-// returns the histogram bundle to place in Config.Instruments. The counter
-// families, and the replication-overhead gauge, are functions over totals:
-// the summed Metrics and Store of every execution the caller exports, as
-// Result reports them or LiveMetrics and LiveStore read them mid-run. A scrape
-// calls totals once per family, so it must never return less than it did
-// before. Returns nil on a nil registry (the disabled configuration). Call
-// once per registry.
-func Observe(r *obs.Registry, totals func() (Metrics, block.Stats)) *Instruments {
+// Add adds b's counts to l.
+func (l *Latency) Add(b Latency) {
+	l.Compute.Add(b.Compute)
+	l.Recovery.Add(b.Recovery)
+}
+
+// Tally is what executors counted, summed over a set of runs: what a
+// registry's executor and block-store families read (Observe).
+type Tally struct {
+	Metrics Metrics
+	Store   block.Stats
+	Latency Latency
+}
+
+// Add adds b's counts to t.
+func (t *Tally) Add(b Tally) {
+	t.Metrics.Add(b.Metrics)
+	t.Store.Add(b.Store)
+	t.Latency.Add(b.Latency)
+}
+
+// Observe registers the executor and block-store metric families on r. Every
+// family is a function over totals — the summed Tally of every execution the
+// caller exports, as LiveTally reads it, mid-run or after — so the hot path
+// writes nothing for the registry but the latency shards of the runs whose
+// Config sets TimeLatency. A scrape calls totals once per family, so it must
+// never return less than it did before. No-op on a nil registry (the
+// disabled configuration). Call once per registry.
+func Observe(r *obs.Registry, totals func() Tally) {
 	if r == nil {
-		return nil
+		return
 	}
 	for _, f := range []struct {
 		name, help string
@@ -68,20 +82,23 @@ func Observe(r *obs.Registry, totals func() (Metrics, block.Stats)) *Instruments
 		{"ftdag_block_checksum_failures_total", "Reads that failed checksum verification.",
 			func(_ Metrics, b block.Stats) int64 { return b.ChecksumFailures }},
 	} {
-		r.CounterFunc(f.name, f.help, func() float64 { return float64(f.count(totals())) })
+		r.CounterFunc(f.name, f.help, func() float64 {
+			t := totals()
+			return float64(f.count(t.Metrics, t.Store))
+		})
 	}
 	r.GaugeFunc("ftdag_replication_overhead_ratio",
 		"Shadow (redundant) computes as a fraction of primary computes.",
 		func() float64 {
-			m, _ := totals()
+			m := totals().Metrics
 			if m.Computes == 0 {
 				return 0
 			}
 			return float64(m.ShadowComputes) / float64(m.Computes)
 		})
-	return &Instruments{
-		ComputeLatency: r.Histogram("ftdag_compute_latency_seconds", "Latency of the user compute function."),
-		RecoveryLatency: r.Histogram("ftdag_recovery_latency_seconds",
-			"Duration of one incarnation's recovery: descriptor replacement, notify-array reconstruction, re-spawn."),
-	}
+	r.HistogramFunc("ftdag_compute_latency_seconds", "Latency of the user compute function.",
+		func() obs.HistogramCounts { return totals().Latency.Compute })
+	r.HistogramFunc("ftdag_recovery_latency_seconds",
+		"Duration of one incarnation's recovery: descriptor replacement, notify-array reconstruction, re-spawn.",
+		func() obs.HistogramCounts { return totals().Latency.Recovery })
 }

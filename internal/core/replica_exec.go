@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ftdag/internal/block"
 	"ftdag/internal/fault"
 	"ftdag/internal/replica"
 	"ftdag/internal/sched"
@@ -119,7 +118,7 @@ func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inpu
 		return 0, err
 	}
 	e.met.at(w).shadowComputes.Add(1)
-	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs}}, snapshot: snapshot}
+	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs, cache: e.met.cache(w)}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
 		err = fault.Errorf(t.key, t.Life())
@@ -131,7 +130,7 @@ func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inpu
 	// The captured output is the shadow's to free, once: a piece of a read
 	// copy goes back with the copy.
 	if !ctx.holds(ctx.out) {
-		block.Free(ctx.out)
+		ctx.cache.Free(ctx.out)
 	}
 	ctx.release(!snapshot)
 	return digest, err
@@ -202,7 +201,7 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 		// A gather's copy is a tile's boundary: listed, it would sit on the
 		// free list under a length no Alloc asks for, up to the list's cap.
 		if in.runs == nil {
-			block.Free(in.data)
+			e.met.cache(w).Free(in.data)
 		}
 	}
 	rj.inputs = nil

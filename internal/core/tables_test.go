@@ -18,18 +18,27 @@ import (
 // per-worker counter blocks, and the block accesses counted in them.
 
 // TestCounterBlocksArePadded: a block is a multiple of 128 bytes, and in a
-// live metrics the first and last counter of one worker's block share no
-// 128-byte block with another worker's.
+// live metrics the first and last word of one worker's counters, of each of
+// its latency shards and of its buffer cache share no 128-byte block with
+// another worker's.
 func TestCounterBlocksArePadded(t *testing.T) {
 	if sz := unsafe.Sizeof(workerCounters{}); sz%128 != 0 {
 		t.Fatalf("workerCounters is %d bytes, want a multiple of 128: adjust its padding", sz)
+	}
+	ends := func(p unsafe.Pointer, size uintptr) []uintptr {
+		return []uintptr{uintptr(p), uintptr(p) + size - 8}
 	}
 	for _, p := range []int{2, 3, 4, 8} {
 		m := newMetrics(p)
 		owner := map[uintptr]int{}
 		for i := range m.blocks {
-			c := &m.blocks[i].counters
-			for _, addr := range []uintptr{uintptr(unsafe.Pointer(&c.computes)), uintptr(unsafe.Pointer(&c.missingReads))} {
+			b := &m.blocks[i]
+			c := &b.counters
+			addrs := []uintptr{uintptr(unsafe.Pointer(&c.computes)), uintptr(unsafe.Pointer(&c.missingReads))}
+			addrs = append(addrs, ends(unsafe.Pointer(&b.computeLat), unsafe.Sizeof(b.computeLat))...)
+			addrs = append(addrs, ends(unsafe.Pointer(&b.recoveryLat), unsafe.Sizeof(b.recoveryLat))...)
+			addrs = append(addrs, ends(unsafe.Pointer(&b.cache), unsafe.Sizeof(b.cache))...)
+			for _, addr := range addrs {
 				if prev, ok := owner[addr>>7]; ok && prev != i {
 					t.Errorf("P=%d: a counter of worker %d (%#x) is in one 128-byte block with worker %d's", p, i, addr, prev)
 				}

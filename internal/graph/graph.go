@@ -40,9 +40,9 @@ type Context interface {
 	// itself as the version (a small one, or a piece of a ReadPred slice,
 	// it copies) until a later version evicts or replaces it or the run
 	// ends, and then recycles it. Compute must not keep it, change it or
-	// write it anywhere else. block.Alloc is the matching way to get an
-	// output buffer; its contents are unspecified, so Compute writes every
-	// word before passing it here.
+	// write it anywhere else. Alloc is the matching way to get an output
+	// buffer; its contents are unspecified, so Compute writes every word
+	// before passing it here.
 	Write(data []float64)
 }
 
@@ -73,6 +73,38 @@ func ReadPredAt(ctx Context, pred Key, dst []float64, runs ...block.Run) error {
 	}
 	block.Gather(dst, data, runs...)
 	return nil
+}
+
+// Allocator is what a Context implements to hand a compute its buffers from
+// the free list of the worker it runs on (block.Cache): the executors'
+// contexts do. A Context without it still serves Alloc and Free, through
+// block.Alloc and block.Free.
+type Allocator interface {
+	// Alloc is block.Alloc from the worker's own free list.
+	Alloc(n int) []float64
+	// Free is block.Free into the worker's own free list.
+	Free(buf []float64)
+}
+
+// Alloc returns a buffer of n float64s whose contents are unspecified — an
+// output for Write, or scratch — through ctx's Allocator when it is one, and
+// otherwise block.Alloc.
+func Alloc(ctx Context, n int) []float64 {
+	if a, ok := ctx.(Allocator); ok {
+		return a.Alloc(n)
+	}
+	return block.Alloc(n)
+}
+
+// Free gives back a buffer the compute owns and has not passed to Write —
+// scratch, or an output it will not write after all — through ctx's
+// Allocator when it is one, and otherwise block.Free.
+func Free(ctx Context, buf []float64) {
+	if a, ok := ctx.(Allocator); ok {
+		a.Free(buf)
+		return
+	}
+	block.Free(buf)
 }
 
 // Spec describes a dynamic task graph (paper §III: task key, sink task,

@@ -12,8 +12,8 @@ import (
 )
 
 // instrumented mirrors the bundle-of-instruments pattern the runtime layers
-// use for what they write on the hot path (core.Instruments' histograms, the
-// journal/sched observer structs): a struct of instrument pointers built
+// use for what they write on the hot path (the journal/sched observer
+// structs): a struct of instrument pointers built
 // once, nil when the registry is nil, with hot paths guarded by a single
 // bundle nil check. The disabled case is therefore
 // one predicted-not-taken pointer test per instrumentation site;

@@ -50,6 +50,15 @@ func (r *Registry) sortedCopy() []Sample {
 	return out
 }
 
+// Count returns the number of observations (0 on a nil histogram).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	c := h.read()
+	return c.Count()
+}
+
 // Sum returns the sum of observed values (0 on a nil histogram).
 func (h *Histogram) Sum() int64 {
 	if h == nil {

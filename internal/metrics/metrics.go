@@ -53,9 +53,10 @@ func (g *Gauge) Set(n int64) {
 
 // series is one rendered time series within a family.
 type series struct {
-	labels string // pre-rendered `{k="v",...}` or ""
-	value  func() float64
-	hist   *Histogram // non-nil for histogram families
+	labels  string // pre-rendered `{k="v",...}` or ""
+	value   func() float64
+	hist    func() HistogramCounts // non-nil for histogram families
+	seconds bool                   // a histogram's bounds and sum render as seconds
 }
 
 // family groups the series sharing one metric name.
@@ -181,7 +182,8 @@ func (r *Registry) Gather() []Sample {
 	for _, f := range r.families {
 		for _, s := range f.series {
 			if s.hist != nil {
-				out = append(out, Sample{Name: f.name + "_count", Labels: s.labels, Value: float64(s.hist.Count())})
+				c := s.hist()
+				out = append(out, Sample{Name: f.name + "_count", Labels: s.labels, Value: float64(c.Count())})
 				continue
 			}
 			out = append(out, Sample{Name: f.name, Labels: s.labels, Value: s.value()})
@@ -214,7 +216,8 @@ func (r *Registry) Value(name string) (float64, bool) {
 	for _, s := range f.series {
 		if s.labels == "" {
 			if s.hist != nil {
-				return float64(s.hist.Count()), true
+				c := s.hist()
+				return float64(c.Count()), true
 			}
 			return s.value(), true
 		}

@@ -33,7 +33,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteByte('\n')
 		for _, s := range f.series {
 			if s.hist != nil {
-				writeHistogram(&b, f.name, s.labels, s.hist)
+				writeHistogram(&b, f.name, s.labels, s.hist(), s.seconds)
 				continue
 			}
 			b.WriteString(f.name)
@@ -49,15 +49,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeHistogram renders one histogram series: cumulative buckets with `le`
-// upper bounds, the +Inf catch-all, then _sum and _count.
-func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
+// upper bounds, the +Inf catch-all, then _sum and _count — the +Inf bucket's
+// count, so the two always agree.
+func writeHistogram(b *strings.Builder, name, labels string, h HistogramCounts, seconds bool) {
 	var cum int64
 	scale := 1.0
-	if h.seconds {
+	if seconds {
 		scale = 1e-9
 	}
 	for i := 0; i < numBuckets; i++ {
-		c := h.counts[i].Load()
+		c := h.Buckets[i]
 		cum += c
 		if c == 0 && i < numBuckets-1 {
 			// Sparse rendering: skip empty buckets (cumulative counts
@@ -80,13 +81,13 @@ func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 	b.WriteString("_sum")
 	b.WriteString(labels)
 	b.WriteByte(' ')
-	b.WriteString(formatFloat(float64(h.sum.Load()) * scale))
+	b.WriteString(formatFloat(float64(h.Sum) * scale))
 	b.WriteByte('\n')
 	b.WriteString(name)
 	b.WriteString("_count")
 	b.WriteString(labels)
 	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(h.count.Load(), 10))
+	b.WriteString(strconv.FormatInt(cum, 10))
 	b.WriteByte('\n')
 }
 
