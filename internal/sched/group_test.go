@@ -253,3 +253,42 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 		t.Fatalf("jobs = %d, want >= 400", s.Jobs)
 	}
 }
+
+// TestBusyTimeIsCurrent: a worker held in one long job never parks, yet a
+// snapshot taken during the job counts the time it has run so far, and
+// successive snapshots never go down — across the park that follows too.
+func TestBusyTimeIsCurrent(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	pool.Submit(func(*Worker) {
+		close(started)
+		<-gate
+	})
+	<-started
+	const held = 20 * time.Millisecond
+	time.Sleep(held)
+	last := pool.StatsSnapshot().BusyTime
+	if last < held {
+		t.Fatalf("busy time %v while the worker has run one job for %v", last, held)
+	}
+	close(gate)
+	for deadline := time.Now().Add(groupTestTimeout); pool.StatsSnapshot().Parks == 0; time.Sleep(time.Millisecond) {
+		if now := pool.StatsSnapshot().BusyTime; now < last {
+			t.Fatalf("busy time went down from %v to %v", last, now)
+		} else {
+			last = now
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never parked")
+		}
+	}
+	for range 3 {
+		if now := pool.StatsSnapshot().BusyTime; now < last {
+			t.Fatalf("busy time went down from %v to %v across a park", last, now)
+		} else {
+			last = now
+		}
+	}
+}
