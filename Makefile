@@ -32,7 +32,9 @@ benchbuild:
 # what bounds the apps: ns/tile of each kernel beside the textbook loop it
 # replaced, over 16 rotating inputs at the BenchSizes tile and at n = 16
 # (internal/apps/tile's MulSub, MinPlus, SolveLower, Transpose and SW's fill
-# through the AVX2 body and the Go body; LU's trsmRight and trsmLeft and Cholesky's
+# through the AVX2 body and the Go body, and MulSub and MinPlus also through
+# the AVX-512 one, rows MulSub/avx512 and MinPlus/avx512 at n = 16 and 32,
+# skipped where the CPU has no AVX-512; LU's trsmRight and trsmLeft and Cholesky's
 # trsmRightT, transposes included, and getrf and potrf, which are still the
 # textbook loops; LCS's bit-parallel and scalar fills), the checksum's
 # throughput on each body the CPU has (Go, AVX2, AVX-512), and ns/KiB of a

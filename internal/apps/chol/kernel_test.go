@@ -35,9 +35,9 @@ func trsmRightTTextbook(c, d []float64, b int) {
 	}
 }
 
-// kernelSizes cover tile.MulSub's AVX2 block (multiples of 8), its Go 2×4
-// block (multiples of 4) and its plain loop, and tile.SolveLower's AVX2 and
-// Go bodies.
+// kernelSizes cover tile.MulSub's AVX-512 block (multiples of 16), its AVX2
+// block (the other multiples of 8), its Go 2×4 block (multiples of 4) and its
+// plain loop, and tile.SolveLower's AVX2 and Go bodies.
 var kernelSizes = []int{1, 2, 3, 4, 5, 8, 16, 17, 32}
 
 // TestTrsmRightTMatchesTextbook: the transposed solve reproduces the textbook

@@ -14,9 +14,9 @@ import (
 // EXPERIMENTS.md "What bounds the apps"). A kernel rewritten for speed must
 // reproduce every output bit for bit; a changed digest here means the
 // arithmetic changed. QuickSizes run LU, Cholesky and FW on 16×16 tiles,
-// BenchSizes on 32×32 ones, both through tile's AVX2 bodies where the CPU
-// has them and through its Go bodies in race builds (tile's
-// TestBodyPerBuild).
+// BenchSizes on 32×32 ones, both through tile's widest assembly bodies
+// where the CPU has them (MulSub and MinPlus in zmm on AVX-512) and through
+// its Go bodies in race builds (tile's TestBodyPerBuild).
 // LCS, SW and FW only add and compare integers, so theirs hold on every
 // build. LU's and Cholesky's hold where a multiply and a subtract round twice,
 // as on amd64 (Go 1.24 fuses only an explicit math.FMA there, at every GOAMD64

@@ -4,13 +4,16 @@
 // Transpose that LU's and Cholesky's other shapes take them through; and
 // Smith-Waterman's tile fill, SmithWaterman.
 //
-// Each kernel has two bodies. Where the CPU has AVX2 with the YMM state
-// enabled by the OS (internal/cpuid, checked once, at init) and n is a multiple of 8, an
-// assembly body runs a 4×8 register block: eight ymm accumulators hold a
-// 4-row, 8-column block of C across the p loop, and each p loads two ymm of
-// B's row p and broadcasts one element of A per row (SolveLower: of L, with
-// B the rows of C above the block, then the block's own triangle). Elsewhere
-// — other CPUs, other architectures, other sizes, and every race-detector
+// Each kernel has a Go body and an AVX2 one, and MulSub and MinPlus an
+// AVX-512 one too; which runs is fixed once, at init, by what the CPU has and
+// the OS saves the registers of (internal/cpuid), and then by n. Where the
+// CPU has AVX-512 and n is a multiple of 16, MulSub and MinPlus run a 4×16
+// register block in zmm; where it has AVX2 and n is a multiple of 8, every
+// dense kernel runs a 4×8 block in ymm. Either way eight accumulators hold a
+// 4-row block of C across the p loop, and each p loads two vectors of B's
+// row p and broadcasts one element of A per row (SolveLower: of L, with B the
+// rows of C above the block, then the block's own triangle). Elsewhere —
+// other CPUs, other architectures, other sizes, and every race-detector
 // build, whose detector does not see memory accesses made in assembly — the
 // Go body runs: a 2×4 register block, or the plain loop when n is not a
 // multiple of 4.
@@ -29,23 +32,44 @@ package tile
 
 import "ftdag/internal/cpuid"
 
-// simd selects the AVX2 bodies for sizes they take. It is fixed at init;
-// tests clear it to run the Go bodies on the same inputs.
-var simd = cpuid.AVX2 && !raceEnabled
+// The bodies of the kernels.
+const (
+	bodyGo = iota
+	bodyAVX2
+	bodyAVX512
+)
 
-// dense reports whether the dense kernels take their AVX2 bodies for n×n
-// tiles.
-func dense(n int) bool { return simd && n > 0 && n%8 == 0 }
+// body is the widest body the kernels run, fixed at init: the widest the CPU
+// has, and the Go one off amd64 and in a race build. Tests set it to run
+// every body on the same inputs.
+var body = func() int {
+	switch {
+	case raceEnabled || !cpuid.AVX2:
+		return bodyGo
+	case cpuid.AVX512:
+		return bodyAVX512
+	}
+	return bodyAVX2
+}()
+
+// dense reports whether the dense kernels take an assembly body for n×n
+// tiles; wide whether MulSub and MinPlus take their AVX-512 one.
+func dense(n int) bool { return body != bodyGo && n > 0 && n%8 == 0 }
+func wide(n int) bool  { return body == bodyAVX512 && n > 0 && n%16 == 0 }
 
 // MulSub computes C −= A·B: c[r][q] −= a[r][p]·b[p][q] for p = 0, 1, …, n−1
 // in turn, each product rounded before it is subtracted.
 func MulSub(c, a, b []float64, n int) {
-	if dense(n) {
-		_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
-		mulSubAVX2(&c[0], &a[0], &b[0], n)
+	if !dense(n) {
+		mulSubGo(c, a, b, n)
 		return
 	}
-	mulSubGo(c, a, b, n)
+	_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
+	if wide(n) {
+		mulSubAVX512(&c[0], &a[0], &b[0], n)
+	} else {
+		mulSubAVX2(&c[0], &a[0], &b[0], n)
+	}
 }
 
 // MinPlus computes C = min(C, A ⊗ B): for p = 0, 1, …, n−1 in turn,
@@ -56,12 +80,16 @@ func MulSub(c, a, b []float64, n int) {
 // Floyd-Warshall pivot row and column do that (internal/apps/fw says why the
 // result is still the textbook loop's); with other inputs it is not.
 func MinPlus(c, a, b []float64, n int) {
-	if dense(n) {
-		_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
-		minPlusAVX2(&c[0], &a[0], &b[0], n)
+	if !dense(n) {
+		minPlusGo(c, a, b, n)
 		return
 	}
-	minPlusGo(c, a, b, n)
+	_, _, _ = c[n*n-1], a[n*n-1], b[n*n-1] // the assembly checks no bounds
+	if wide(n) {
+		minPlusAVX512(&c[0], &a[0], &b[0], n)
+	} else {
+		minPlusAVX2(&c[0], &a[0], &b[0], n)
+	}
 }
 
 // SolveLower solves L·X = C in place, L being the lower triangle of l: row r
@@ -287,9 +315,10 @@ const (
 // below 2⁵³ keep exact; top may be h's own last row, which is read only for
 // the first row.
 //
-// The AVX2 body runs where the dense kernels' does, when n is a multiple of
-// 8, gap ≥ 0 and every boundary word is an integer within its int32 range
-// (swBound); the Go body, with the same bits, everywhere else.
+// The AVX2 body runs where the dense kernels take an assembly body (n a
+// multiple of 8), when gap ≥ 0 and every boundary word is an integer within
+// its int32 range (swBound); the Go body, with the same bits, everywhere
+// else.
 func SmithWaterman(h, top, left []float64, corner, runMax float64, xs, ys []byte, match, mismatch, gap int) float64 {
 	n := len(ys)
 	if swSIMD(n, match, mismatch, gap) && swWord(corner) {
@@ -304,7 +333,7 @@ func SmithWaterman(h, top, left []float64, corner, runMax float64, xs, ys []byte
 // swSIMD reports whether SmithWaterman tries the AVX2 body for a tile of side
 // n and these scores; the body then checks the boundary words itself.
 func swSIMD(n, match, mismatch, gap int) bool {
-	return simd && n > 0 && n%8 == 0 && n <= swSide &&
+	return dense(n) && n <= swSide &&
 		gap >= 0 && gap <= swScore && min(match, mismatch) >= -swScore && max(match, mismatch) <= swScore
 }
 

@@ -9,6 +9,15 @@ func mulSubAVX2(c, a, b *float64, n int)
 //go:noescape
 func minPlusAVX2(c, a, b *float64, n int)
 
+// mulSubAVX512 and minPlusAVX512 are their AVX-512 bodies, for n > 0 a
+// multiple of 16.
+//
+//go:noescape
+func mulSubAVX512(c, a, b *float64, n int)
+
+//go:noescape
+func minPlusAVX512(c, a, b *float64, n int)
+
 // solveLowerAVX2 is SolveLower's AVX2 body (tile_amd64.s), for n > 0 a
 // multiple of 8.
 //

@@ -1,17 +1,22 @@
 #include "textflag.h"
 
-// MulSub and MinPlus share one loop nest over an n×n tile, n > 0 a multiple
-// of 8 (SolveLower's, below, is the same nest with fewer p):
+// MulSub and MinPlus share one loop nest over an n×n tile, at two widths: the
+// AVX2 bodies run it in ymm (w = 4 words a vector) for n > 0 a multiple of 8,
+// the AVX-512 ones in zmm (w = 8) for multiples of 16. SolveLower's, below,
+// is the ymm nest with fewer p.
 //
 //	for r := 0; r < n; r += 4      // DI, SI: rows r of c and a; R10 rows left
-//	  for q := 0; q < n; q += 8    // BX: q in bytes
-//	    Y0..Y7 = c[r..r+3][q..q+7]
+//	  for q := 0; q < n; q += 2w   // BX: q in bytes
+//	    V0..V7 = c[r..r+3][q..q+2w−1]
 //	    for p := 0; p < n; p++     // R12: &a[r][p]; R13: &b[p][q]; AX p left
-//	      Y8, Y9 = b[p][q..q+7]
-//	      each row i: Y10 = a[r+i][p] in every lane, then two ops into Y(2i), Y(2i+1)
-//	    c[r..r+3][q..q+7] = Y0..Y7
+//	      V8, V9 = b[p][q..q+2w−1]
+//	      each row i: V10 = a[r+i][p] in every lane, then two ops into V(2i), V(2i+1)
+//	    c[r..r+3][q..q+2w−1] = V0..V7
 //
-// R8 is a row's stride in bytes, R9 three of them. BP is left alone.
+// V being Y or Z. R8 is a row's stride in bytes, R9 three of them. BP is left
+// alone. PROLOGUE, START_P, NEXT_P and NEXT_ROWS are the nest's at either
+// width; the macros that name vector registers have a zmm twin, suffixed Z,
+// with the same operations in the same operand order.
 
 // s −= a·x over the two ymm halves of a row: Y10 = a in every lane, each
 // product rounded before it is subtracted (no FMA).
@@ -45,6 +50,12 @@
 	LEAQ (R8)(R8*2), R9; \
 	MOVQ CX, R10
 
+// R12, R13 and AX for the p loop of the block at rows r, column BX.
+#define START_P \
+	MOVQ SI, R12; \
+	LEAQ (DX)(BX*1), R13; \
+	MOVQ CX, AX
+
 #define LOAD_BLOCK \
 	LEAQ    (DI)(BX*1), R11; \
 	VMOVUPD (R11), Y0; \
@@ -55,9 +66,7 @@
 	VMOVUPD 32(R11)(R8*2), Y5; \
 	VMOVUPD (R11)(R9*1), Y6; \
 	VMOVUPD 32(R11)(R9*1), Y7; \
-	MOVQ    SI, R12; \
-	LEAQ    (DX)(BX*1), R13; \
-	MOVQ    CX, AX
+	START_P
 
 #define LOAD_B \
 	VMOVUPD (R13), Y8; \
@@ -83,6 +92,48 @@
 	LEAQ (DI)(R8*4), DI; \
 	LEAQ (SI)(R8*4), SI; \
 	SUBQ $4, R10
+
+// The zmm twins.
+#define MULSUB_ROWZ(arow, s0, s1) \
+	VBROADCASTSD arow, Z10; \
+	VMULPD       Z8, Z10, Z11; \
+	VMULPD       Z9, Z10, Z12; \
+	VSUBPD       Z11, s0, s0; \
+	VSUBPD       Z12, s1, s1
+
+#define MINPLUS_ROWZ(arow, s0, s1) \
+	VBROADCASTSD arow, Z10; \
+	VADDPD       Z8, Z10, Z11; \
+	VADDPD       Z9, Z10, Z12; \
+	VMINPD       s0, Z11, s0; \
+	VMINPD       s1, Z12, s1
+
+#define LOAD_BLOCKZ \
+	LEAQ    (DI)(BX*1), R11; \
+	VMOVUPD (R11), Z0; \
+	VMOVUPD 64(R11), Z1; \
+	VMOVUPD (R11)(R8*1), Z2; \
+	VMOVUPD 64(R11)(R8*1), Z3; \
+	VMOVUPD (R11)(R8*2), Z4; \
+	VMOVUPD 64(R11)(R8*2), Z5; \
+	VMOVUPD (R11)(R9*1), Z6; \
+	VMOVUPD 64(R11)(R9*1), Z7; \
+	START_P
+
+#define LOAD_BZ \
+	VMOVUPD (R13), Z8; \
+	VMOVUPD 64(R13), Z9
+
+#define STORE_BLOCKZ \
+	VMOVUPD Z0, (R11); \
+	VMOVUPD Z1, 64(R11); \
+	VMOVUPD Z2, (R11)(R8*1); \
+	VMOVUPD Z3, 64(R11)(R8*1); \
+	VMOVUPD Z4, (R11)(R8*2); \
+	VMOVUPD Z5, 64(R11)(R8*2); \
+	VMOVUPD Z6, (R11)(R9*1); \
+	VMOVUPD Z7, 64(R11)(R9*1); \
+	ADDQ    $128, BX
 
 // func mulSubAVX2(c, a, b *float64, n int)
 TEXT ·mulSubAVX2(SB), NOSPLIT, $0-32
@@ -133,6 +184,64 @@ minplusP:
 	JNZ minplusP
 
 	STORE_BLOCK
+	CMPQ BX, R8
+	JLT  minplusCols
+
+	NEXT_ROWS
+	JNZ minplusRows
+
+	VZEROUPPER
+	RET
+
+// func mulSubAVX512(c, a, b *float64, n int)
+TEXT ·mulSubAVX512(SB), NOSPLIT, $0-32
+	PROLOGUE
+
+mulsubRows:
+	XORQ BX, BX
+
+mulsubCols:
+	LOAD_BLOCKZ
+
+mulsubP:
+	LOAD_BZ
+	MULSUB_ROWZ((R12), Z0, Z1)
+	MULSUB_ROWZ((R12)(R8*1), Z2, Z3)
+	MULSUB_ROWZ((R12)(R8*2), Z4, Z5)
+	MULSUB_ROWZ((R12)(R9*1), Z6, Z7)
+	NEXT_P
+	JNZ mulsubP
+
+	STORE_BLOCKZ
+	CMPQ BX, R8
+	JLT  mulsubCols
+
+	NEXT_ROWS
+	JNZ mulsubRows
+
+	VZEROUPPER
+	RET
+
+// func minPlusAVX512(c, a, b *float64, n int)
+TEXT ·minPlusAVX512(SB), NOSPLIT, $0-32
+	PROLOGUE
+
+minplusRows:
+	XORQ BX, BX
+
+minplusCols:
+	LOAD_BLOCKZ
+
+minplusP:
+	LOAD_BZ
+	MINPLUS_ROWZ((R12), Z0, Z1)
+	MINPLUS_ROWZ((R12)(R8*1), Z2, Z3)
+	MINPLUS_ROWZ((R12)(R8*2), Z4, Z5)
+	MINPLUS_ROWZ((R12)(R9*1), Z6, Z7)
+	NEXT_P
+	JNZ minplusP
+
+	STORE_BLOCKZ
 	CMPQ BX, R8
 	JLT  minplusCols
 

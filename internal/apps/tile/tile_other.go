@@ -2,8 +2,10 @@
 
 package tile
 
-func mulSubAVX2(c, a, b *float64, n int)  { panic("tile: no AVX2 body on this architecture") }
-func minPlusAVX2(c, a, b *float64, n int) { panic("tile: no AVX2 body on this architecture") }
+func mulSubAVX2(c, a, b *float64, n int)    { panic("tile: no AVX2 body on this architecture") }
+func minPlusAVX2(c, a, b *float64, n int)   { panic("tile: no AVX2 body on this architecture") }
+func mulSubAVX512(c, a, b *float64, n int)  { panic("tile: no AVX-512 body on this architecture") }
+func minPlusAVX512(c, a, b *float64, n int) { panic("tile: no AVX-512 body on this architecture") }
 func solveLowerAVX2(c, l *float64, n int, unit bool) {
 	panic("tile: no AVX2 body on this architecture")
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,8 +91,9 @@ func solveLowerTextbook(c, l []float64, n int, unit bool) {
 	}
 }
 
-// kernelSizes cover the AVX2 block (multiples of 8), the Go 2×4 block
-// (multiples of 4) and the plain loop.
+// kernelSizes cover the AVX-512 block (multiples of 16), the AVX2 block
+// (the other multiples of 8), the Go 2×4 block (multiples of 4) and the
+// plain loop.
 var kernelSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 31, 32, 40, 64}
 
 const seeds = 4
@@ -162,21 +164,38 @@ var (
 		subnormal, -subnormal, math.SmallestNonzeroFloat64 * 3, 0x1p-1060, 0x1p1000, -0x1p1000}
 )
 
-// forEachBody runs f once on the AVX2 bodies, where this build takes them,
-// and once with them switched off.
-func forEachBody(t *testing.T, f func(t *testing.T)) {
-	saved := simd
-	defer func() { simd = saved }()
-	for _, on := range []bool{true, false} {
-		if on && !saved {
-			continue
-		}
-		simd = on
-		name := "go"
-		if on {
-			name = "avx2"
-		}
-		t.Run(name, f)
+// bodyNames names the kernels' bodies.
+var bodyNames = map[int]string{bodyGo: "go", bodyAVX2: "avx2", bodyAVX512: "avx512"}
+
+// bodies returns the bodies this CPU runs up to widest, the Go one first. A
+// race build runs the assembly ones only in tests, which ask for them by
+// name.
+func bodies(widest int) []int {
+	b := []int{bodyGo}
+	if cpuid.AVX2 {
+		b = append(b, bodyAVX2)
+	}
+	if cpuid.AVX512 && widest == bodyAVX512 {
+		b = append(b, bodyAVX512)
+	}
+	return b
+}
+
+// useBody makes the kernels run the given body, where they have it, until
+// the returned func is called.
+func useBody(b int) (restore func()) {
+	saved := body
+	body = b
+	return func() { body = saved }
+}
+
+// forEachBody runs f as one subtest per body up to widest, the widest body
+// of the kernels f tests.
+func forEachBody(t *testing.T, widest int, f func(t *testing.T)) {
+	for _, b := range bodies(widest) {
+		restore := useBody(b)
+		t.Run(bodyNames[b], f)
+		restore()
 	}
 }
 
@@ -201,30 +220,30 @@ func check(t *testing.T, what string, kernel, oracle func(c, a, b []float64, n i
 }
 
 // TestBodyPerBuild: the race detector's builds run the Go bodies, and every
-// other build the AVX2 ones exactly where the CPU has them.
+// other build the widest assembly ones the CPU has: MulSub and MinPlus take
+// zmm exactly where n is a multiple of 16, and every dense kernel and
+// SmithWaterman take ymm on the other multiples of 8.
 func TestBodyPerBuild(t *testing.T) {
-	if raceEnabled && simd {
-		t.Fatal("a race build takes the AVX2 bodies, whose memory accesses the detector does not see")
-	}
-	if !raceEnabled && simd != cpuid.AVX2 {
-		t.Fatalf("simd = %v, CPU AVX2 = %v", simd, cpuid.AVX2)
-	}
+	asm := !raceEnabled && cpuid.AVX2
 	for _, n := range kernelSizes {
-		if got, want := dense(n), simd && n%8 == 0; got != want {
-			t.Fatalf("MulSub, MinPlus, SolveLower and Transpose take the AVX2 body at n = %d: %v, want %v", n, got, want)
+		if got, want := wide(n), asm && cpuid.AVX512 && n%16 == 0; got != want {
+			t.Fatalf("MulSub and MinPlus take the AVX-512 body at n = %d: %v, want %v", n, got, want)
+		}
+		if got, want := dense(n), asm && n%8 == 0; got != want {
+			t.Fatalf("the dense kernels take an assembly body at n = %d: %v, want %v", n, got, want)
 		}
 	}
-	if got := swTakes(swBoundary(8, 1, 0)); got != simd {
-		t.Fatalf("SmithWaterman takes the AVX2 body at n = 8: %v, AVX2 bodies: %v", got, simd)
+	if got := swTakes(swBoundary(8, 1, 0)); got != asm {
+		t.Fatalf("SmithWaterman takes the AVX2 body at n = 8: %v, want %v", got, asm)
 	}
-	t.Logf("AVX2 on this CPU: %v; race build: %v; AVX2 bodies: %v", cpuid.AVX2, raceEnabled, simd)
+	t.Logf("AVX2: %v; AVX-512 F+DQ: %v; race build: %v; body: %s", cpuid.AVX2, cpuid.AVX512, raceEnabled, bodyNames[body])
 }
 
 // TestMulSubMatchesTextbook: MulSub reproduces the textbook loop bit for bit
 // on random tiles of every size, and on tiles sprinkled with ±0, ±∞, NaN,
 // subnormals and overflowing magnitudes.
 func TestMulSubMatchesTextbook(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX512, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				c, a, b := uniform(n, 3*seed), uniform(n, 3*seed+1), uniform(n, 3*seed+2)
@@ -242,7 +261,7 @@ func TestMulSubMatchesTextbook(t *testing.T) {
 // bit on random distance tiles of every size, and on tiles sprinkled with
 // +∞, ±0 and NaN.
 func TestMinPlusMatchesTextbook(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX512, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				c, a, b := dist(n, 48, 3*seed), dist(n, 16, 3*seed+1), dist(n, 16, 3*seed+2)
@@ -271,7 +290,7 @@ func triangle(n int, seed uint64) []float64 {
 // every size, on tiles sprinkled with ±0, ±∞, NaN, subnormals and
 // overflowing magnitudes, and with such words forced onto the diagonal.
 func TestSolveLowerMatchesTextbook(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX2, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				for _, unit := range []bool{false, true} {
@@ -296,7 +315,7 @@ func TestSolveLowerMatchesTextbook(t *testing.T) {
 // TestTranspose: Transpose moves every word of a tile, bits and all, to its
 // mirror position, into another tile and in place.
 func TestTranspose(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX2, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			src := uniform(n, uint64(n))
 			sprinkle(src, solveSpecials, uint64(n))
@@ -413,7 +432,7 @@ func pivot(n int, seed uint64) []float64 {
 // already updated, and still reproduces Floyd-Warshall's in-place phase-2
 // loops bit for bit.
 func TestMinPlusPivotRowAndColumn(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX512, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				pv := pivot(n, 3*seed)
@@ -546,7 +565,7 @@ func swCheck(t *testing.T, what string, kernel, oracle func(h, top, left []float
 // sequences of every size, near zero and near the largest score of a
 // BenchSizes table.
 func TestSmithWatermanMatchesTextbook(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX2, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= 2*seeds; seed++ {
 				base := 0.0
@@ -565,7 +584,7 @@ func TestSmithWatermanMatchesTextbook(t *testing.T) {
 // the AVX2 body declines every such word but a flipped one that is still an
 // integer in its range.
 func TestSmithWatermanSpecials(t *testing.T) {
-	forEachBody(t, func(t *testing.T) {
+	forEachBody(t, bodyAVX2, func(t *testing.T) {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				in := swBoundary(n, seed, 3)
@@ -600,22 +619,21 @@ func TestSmithWatermanSpecials(t *testing.T) {
 }
 
 // BenchmarkKernels prices one tile of each kernel at the QuickSizes and
-// BenchSizes tile sides (16, 32; 16, 64 for SmithWaterman) through the AVX2
-// body, the Go body and the textbook loop, rotating over 16 seeded inputs as
-// the apps feed it many. SolveLower's rows solve against a diagonal that is
-// read; the call shapes LU and Cholesky make of it, transposes included, are
-// priced beside their textbook loops in those packages. Transpose only
-// moves words and has no textbook row.
+// BenchSizes tile sides (16, 32; 16, 64 for SmithWaterman) through each of
+// its bodies this CPU has (AVX-512 for MulSub and MinPlus, AVX2, Go) and the
+// textbook loop, rotating over 16 seeded inputs as the apps feed it many.
+// SolveLower's rows solve against a diagonal that is read; the call shapes
+// LU and Cholesky make of it, transposes included, are priced beside their
+// textbook loops in those packages. Transpose only moves words and has no
+// textbook row.
 func BenchmarkKernels(b *testing.B) {
 	const inputs = 16
-	// run times f over the inputs on the body named by on.
-	run := func(b *testing.B, on bool, f func(i int)) {
-		saved := simd
-		defer func() { simd = saved }()
-		if on && !saved {
-			b.Skip("no AVX2 bodies in this build")
+	// run times f over the inputs on body bd.
+	run := func(b *testing.B, bd int, f func(i int)) {
+		if !slices.Contains(bodies(bodyAVX512), bd) {
+			b.Skipf("no %s body on this CPU", bodyNames[bd])
 		}
-		simd = on
+		defer useBody(bd)()
 		for i := 0; i < b.N; i++ {
 			f(i % inputs)
 		}
@@ -638,22 +656,24 @@ func BenchmarkKernels(b *testing.B) {
 			name string
 			in   []input
 			f    func(c, a, b []float64, n int)
-			simd bool
+			body int
 		}{
-			{"MulSub/avx2", mul, MulSub, true},
-			{"MulSub/go", mul, MulSub, false},
-			{"MulSub/textbook", mul, mulSubTextbook, false},
-			{"MinPlus/avx2", mp, MinPlus, true},
-			{"MinPlus/go", mp, MinPlus, false},
-			{"MinPlus/textbook", mp, minPlusTextbook, false},
-			{"SolveLower/avx2", tri, solve, true},
-			{"SolveLower/go", tri, solve, false},
-			{"SolveLower/textbook", tri, solveTextbook, false},
-			{"Transpose/avx2", mul, transpose, true},
-			{"Transpose/go", mul, transpose, false},
+			{"MulSub/avx512", mul, MulSub, bodyAVX512},
+			{"MulSub/avx2", mul, MulSub, bodyAVX2},
+			{"MulSub/go", mul, MulSub, bodyGo},
+			{"MulSub/textbook", mul, mulSubTextbook, bodyGo},
+			{"MinPlus/avx512", mp, MinPlus, bodyAVX512},
+			{"MinPlus/avx2", mp, MinPlus, bodyAVX2},
+			{"MinPlus/go", mp, MinPlus, bodyGo},
+			{"MinPlus/textbook", mp, minPlusTextbook, bodyGo},
+			{"SolveLower/avx2", tri, solve, bodyAVX2},
+			{"SolveLower/go", tri, solve, bodyGo},
+			{"SolveLower/textbook", tri, solveTextbook, bodyGo},
+			{"Transpose/avx2", mul, transpose, bodyAVX2},
+			{"Transpose/go", mul, transpose, bodyGo},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
-				run(b, k.simd, func(i int) {
+				run(b, k.body, func(i int) {
 					x := &k.in[i]
 					copy(c, x.c)
 					k.f(c, x.a, x.b, n)
@@ -670,14 +690,14 @@ func BenchmarkKernels(b *testing.B) {
 		for _, k := range []struct {
 			name string
 			f    func(h, top, left []float64, corner, runMax float64, xs, ys []byte) float64
-			simd bool
+			body int
 		}{
-			{"SmithWaterman/avx2", swKernel, true},
-			{"SmithWaterman/go", swKernel, false},
-			{"SmithWaterman/textbook", swTextbook, false},
+			{"SmithWaterman/avx2", swKernel, bodyAVX2},
+			{"SmithWaterman/go", swKernel, bodyGo},
+			{"SmithWaterman/textbook", swTextbook, bodyGo},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
-				run(b, k.simd, func(i int) {
+				run(b, k.body, func(i int) {
 					x := &in[i]
 					k.f(h, x.top, x.left, x.corner, 0, x.xs, x.ys)
 				})

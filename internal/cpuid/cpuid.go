@@ -1,7 +1,8 @@
 // Package cpuid probes, once at init, which vector instruction sets the CPU
 // has and the operating system saves the registers of. It is the one source
 // of the choice between the Go bodies and the assembly ones in
-// internal/apps/tile (the kernels) and internal/block (the checksum).
+// internal/apps/tile (the kernels: AVX2, and AVX-512 for MulSub and MinPlus)
+// and internal/block (the checksum: AVX2 and AVX-512).
 package cpuid
 
 // AVX2 reports whether the CPU has AVX2 and the OS saves the YMM registers
