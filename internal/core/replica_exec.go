@@ -11,8 +11,8 @@ import (
 
 // This file is the executor half of selective task replication
 // (internal/replica): tasks in Config.Replicate run twice — the primary on
-// the spawning worker, a shadow pinned to a *different* worker (core-local
-// corruption would hit both copies of a co-located pair) — and their output
+// the spawning worker, a shadow on any *other* worker (core-local corruption
+// would hit both copies of a co-located pair) — and their output
 // digests are compared at a continuation-passing join. Neither replica ever
 // blocks a worker, so the busy-leaves property and Lemma 3 (a correct
 // execution always drains) are preserved. On digest disagreement the task
@@ -53,7 +53,7 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 	rj := &replicaJoin{}
 	rj.remaining.Store(2)
 	e.met.at(w).replicatedTasks.Add(1)
-	e.spawnAvoiding(w, func(w2 *sched.Worker) {
+	e.group.SpawnAvoiding(w, func(w2 *sched.Worker) {
 		e.runShadow(w2, t, rj)
 	})
 	err := func() error { // try (primary)
@@ -91,13 +91,13 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 	}
 }
 
-// runShadow executes the shadow replica on its pinned worker. The shadow
-// reads predecessors through the store like the primary but captures its
-// write locally; only the digest matters. A shadow failure (poisoned
-// descriptor, evicted predecessor version, compute error) does not trigger
-// recovery — the resolver re-verifies the primary from its input snapshot
-// instead, so a shadow losing a store read to an anti-dependent writer
-// never costs detection coverage.
+// runShadow executes the shadow replica on a worker other than the
+// primary's. The shadow reads predecessors through the store like the
+// primary but captures its write locally; only the digest matters. A shadow
+// failure (poisoned descriptor, evicted predecessor version, compute error)
+// does not trigger recovery — the resolver re-verifies the primary from its
+// input snapshot instead, so a shadow losing a store read to an
+// anti-dependent writer never costs detection coverage.
 func (e *exec[S]) runShadow(w *sched.Worker, t *task[S], rj *replicaJoin) {
 	digest, err := e.shadowCompute(w, t, false, nil)
 	if err != nil {
@@ -219,14 +219,4 @@ func (e *exec[S]) injectSDC(w *sched.Worker, t *task[S]) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.met.at(w).sdcInjected.Add(1)
 	return sum, ok
-}
-
-// spawnAvoiding schedules f on a worker other than w (round-robin; worker 0
-// on a single-worker pool), through this run's group when present so abort
-// and quiescence semantics match spawn. Returns the chosen worker id.
-func (e *exec[S]) spawnAvoiding(w *sched.Worker, f sched.Func) int {
-	if e.group != nil {
-		return e.group.SpawnAvoiding(w, f)
-	}
-	return w.Pool().SubmitAvoiding(w.ID(), f)
 }

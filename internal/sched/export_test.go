@@ -22,9 +22,6 @@ func (g *Group) Spawn(w *Worker, f Func) { g.SpawnRunner(w, f, 0) }
 // has returned.
 func (g *Group) Pending() int64 { return g.tally.pending() }
 
-// SubmitTo schedules f on the directed queue of worker id.
-func (p *Pool) SubmitTo(id int, f Func) { p.submitToJob(id, job{run: f}) }
-
 // Run executes root on a fresh pool of p workers, waits for quiescence, and
 // returns the stats.
 func Run(p int, root Func) Stats {

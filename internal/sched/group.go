@@ -123,12 +123,17 @@ func (g *Group) SpawnRunner(w *Worker, r Runner, arg int) {
 	w.spawnJob(job{run: r, arg: arg, g: g})
 }
 
-// SpawnAvoiding schedules f as part of this group on some worker other than
-// w (round-robin; on a single-worker pool it degrades to worker 0) and
-// returns the chosen worker id. Used for distinct-worker replica placement.
-func (g *Group) SpawnAvoiding(w *Worker, f Func) int {
-	g.tally.external().added.Add(1)
-	return g.pool.submitAvoidingJob(w.ID(), job{run: f, g: g})
+// SpawnAvoiding schedules f, from a job running on w, as part of this group
+// on any worker but w, so that a fault local to one core cannot hit both; on
+// a single-worker pool f runs on worker 0. It is counted on the tally's
+// external pair, so Stats.Spawns leaves it out. On a nil group f is ungrouped.
+func (g *Group) SpawnAvoiding(w *Worker, f Func) {
+	t := w.pool.tally
+	if g != nil {
+		t = g.tally
+	}
+	t.external().added.Add(1)
+	w.pool.place(placement{j: job{run: f, g: g}, avoid: w.id})
 }
 
 // Abort cancels the group cooperatively: functions of this group that have

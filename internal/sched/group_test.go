@@ -51,22 +51,32 @@ func TestGroupIsolatedQuiescence(t *testing.T) {
 // TestGroupAbortIsLocalized: aborting a group returns its Wait while its
 // root job still runs, and turns its queued jobs into no-ops that are still
 // counted done; a sibling group on the same pool runs to completion, and the
-// pool still drains and closes. On one worker every queued job of the aborted
-// group is skipped; on two a thief may run some of them before the abort.
+// pool still drains and closes. The queued jobs are spawned to the root's
+// deque, or placed on the pool's placement list (SpawnAvoiding), as shadow
+// replicas are. On one worker every queued job of the aborted group is
+// skipped; on two another worker may run some of them before the abort.
 func TestGroupAbortIsLocalized(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, c := range []struct {
+		workers int
+		placed  bool
+	}{{1, false}, {2, false}, {1, true}, {2, true}} {
+		workers := c.workers
 		pool := NewPool(workers)
 		var aborted, survivor atomic.Int64
 
 		gA := pool.NewGroup()
 		gB := pool.NewGroup()
 		spawned, gate := make(chan struct{}), make(chan struct{})
+		spawn := gA.Spawn
+		if c.placed {
+			spawn = gA.SpawnAvoiding
+		}
 		gA.Submit(func(w *Worker) {
 			for i := 0; i < 64; i++ {
-				gA.Spawn(w, func(w *Worker) { aborted.Add(1) })
+				spawn(w, func(w *Worker) { aborted.Add(1) })
 			}
 			close(spawned)
-			<-gate // hold the worker so the spawns sit in the deque
+			<-gate // hold the worker so the spawns sit in the deque or the list
 		})
 		<-spawned
 		for i := 0; i < 32; i++ {
@@ -74,14 +84,14 @@ func TestGroupAbortIsLocalized(t *testing.T) {
 		}
 		gA.Abort()
 		if !gA.WaitTimeout(groupTestTimeout) {
-			t.Fatalf("P=%d: aborted group's Wait did not return while its root job ran", workers)
+			t.Fatalf("P=%d placed=%v: aborted group's Wait did not return while its root job ran", workers, c.placed)
 		}
 		close(gate)
 		if !gB.WaitTimeout(groupTestTimeout) {
-			t.Fatalf("P=%d: survivor group did not quiesce after sibling abort", workers)
+			t.Fatalf("P=%d placed=%v: survivor group did not quiesce after sibling abort", workers, c.placed)
 		}
 		if got := survivor.Load(); got != 32 {
-			t.Fatalf("P=%d: survivor group ran %d jobs, want 32", workers, got)
+			t.Fatalf("P=%d placed=%v: survivor group ran %d jobs, want 32", workers, c.placed, got)
 		}
 		// The pool itself must still drain: aborted-group functions no-op but
 		// are still accounted, so Close must not hang.
@@ -90,7 +100,7 @@ func TestGroupAbortIsLocalized(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(groupTestTimeout):
-			t.Fatalf("P=%d: pool did not drain after group abort", workers)
+			t.Fatalf("P=%d placed=%v: pool did not drain after group abort", workers, c.placed)
 		}
 		waitDrained(t, gA)
 		var counted int64
@@ -98,10 +108,10 @@ func TestGroupAbortIsLocalized(t *testing.T) {
 			counted += gA.tally[i].done.Load()
 		}
 		if counted != 65 {
-			t.Fatalf("P=%d: aborted group counted %d jobs done, want its root and 64 spawns", workers, counted)
+			t.Fatalf("P=%d placed=%v: aborted group counted %d jobs done, want its root and 64 spawns", workers, c.placed, counted)
 		}
 		if ran := aborted.Load(); workers == 1 && ran != 0 {
-			t.Fatalf("P=1: %d queued jobs of the aborted group ran", ran)
+			t.Fatalf("P=1 placed=%v: %d queued jobs of the aborted group ran", c.placed, ran)
 		}
 		if !gA.Aborted() {
 			t.Fatal("Aborted() = false after Abort")

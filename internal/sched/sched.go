@@ -20,6 +20,10 @@
 //     group membership travels as a field of the job record rather than a
 //     wrapper closure, so the spawn→execute cycle performs zero heap
 //     allocations in steady state.
+//   - A job that must run off its spawner's worker (a shadow replica,
+//     Group.SpawnAvoiding) goes on one pool-wide placement list, which every
+//     other worker takes from ahead of its own deque: no job waits for one
+//     particular worker.
 //   - Outstanding jobs are counted in one {added, done} pair per worker
 //     (tally.go), and quiescence is found by summing them: there is no
 //     counter that two workers write. An ungrouped job is counted in the
@@ -137,9 +141,9 @@ type Worker struct {
 	stats counters
 
 	// rng, cur and free are the words of the Worker that its goroutine writes
-	// per steal attempt and per job. They are kept together: 40 bytes of an
-	// object allocated 176 bytes from the next Worker cannot share a 128-byte
-	// block with the next one's 40 (TestWorkerLayout).
+	// per steal attempt and per job. The Worker is 128 bytes, a size class
+	// the allocator lays out on 128-byte boundaries, so they share a block
+	// with no other Worker's words (TestWorkerLayout).
 	rng uint64
 
 	// cur is the group of the job the worker ran last, nil when that job
@@ -160,20 +164,10 @@ type Worker struct {
 	parkNext atomic.Int32
 	onStack  atomic.Bool
 	parkCh   chan struct{}
-
-	// Directed queue: jobs pinned to this worker by SubmitAvoiding. Unlike
-	// deque jobs these are never stolen — replica placement relies on the
-	// pinned job actually running on this worker.
-	dirMu  sync.Mutex
-	dir    []job
-	dirLen atomic.Int64 // lock-free emptiness peek
 }
 
 // ID returns the worker's index in [0, P).
 func (w *Worker) ID() int { return w.id }
-
-// Pool returns the owning pool.
-func (w *Worker) Pool() *Pool { return w.pool }
 
 // Spawn schedules f for execution: it is pushed onto this worker's own deque
 // (LIFO, stealable FIFO). Must be called from a job running on w.
@@ -264,11 +258,16 @@ type Pool struct {
 	shards []*injRing
 	injLen atomic.Int64
 	injRR  atomic.Uint64 // round-robin shard cursor for external Submit
-	rr     atomic.Int64  // round-robin cursor for SubmitAvoiding
 
 	// ovf is the overload relief valve: jobs that found every shard full.
 	ovfMu sync.Mutex
 	ovf   []job
+
+	// placed is the placement list (Group.SpawnAvoiding), oldest first;
+	// placedLen is its length, the workers' lock-free emptiness peek.
+	placedMu  sync.Mutex
+	placed    []placement
+	placedLen atomic.Int64
 
 	obs   atomic.Pointer[poolObs]     // instrument bundle; nil until Observe
 	spans atomic.Pointer[trace.Spans] // steal-span recorder; nil until ObserveSpans
@@ -367,65 +366,49 @@ func (p *Pool) takeOverflow() (job, bool) {
 	return j, true
 }
 
-// submitToJob puts j on worker id's directed queue, which is never stolen:
-// it is the placement primitive behind distinct-worker replica execution (a
-// replica that migrated onto the same core as its twin could share the
-// corruption it is meant to catch).
-func (p *Pool) submitToJob(id int, j job) {
-	w := p.workers[id]
-	if j.g == nil {
-		p.tally.external().added.Add(1)
-	}
-	w.dirMu.Lock()
-	w.dir = append(w.dir, j)
-	w.dirLen.Store(int64(len(w.dir)))
-	w.dirMu.Unlock()
-	// The target may be parked; a pinned job cannot be handed to anyone
-	// else, so deliver the token directly (harmless if it is running — the
-	// token is consumed as a spurious wake at its next park).
-	p.wakeWorker(w)
+// placement is an entry of the placement list: a job any worker but avoid
+// may run (Group.SpawnAvoiding).
+type placement struct {
+	j     job
+	avoid int
 }
 
-// SubmitAvoiding schedules f on some worker other than avoid, chosen round-
-// robin, and returns the chosen worker id. On a single-worker pool there is
-// no other worker; the job runs on worker 0 (degraded placement — callers
-// that need true physical separation must provision P >= 2).
-func (p *Pool) SubmitAvoiding(avoid int, f Func) int {
-	return p.submitAvoidingJob(avoid, job{run: f})
-}
-
-func (p *Pool) submitAvoidingJob(avoid int, j job) int {
-	n := len(p.workers)
-	id := 0
-	if n > 1 {
-		id = int((p.rr.Add(1) - 1) % int64(n))
-		if id == avoid {
-			id = (id + 1) % n
+// place appends e to the placement list and wakes a parked worker other than
+// e.avoid. The avoided worker runs the caller, but park leaves a worker on the
+// stack when its recheck finds work, so it may be popped: it gets no token,
+// which another worker needs.
+func (p *Pool) place(e placement) {
+	p.placedMu.Lock()
+	p.placed = append(p.placed, e)
+	p.placedLen.Store(int64(len(p.placed)))
+	p.placedMu.Unlock()
+	for w := p.popParked(); w != nil; w = p.popParked() {
+		if w.id != e.avoid {
+			p.wakeWorker(w)
+			return
 		}
 	}
-	p.submitToJob(id, j)
-	return id
 }
 
-// takeDirected pops the oldest job pinned to this worker, if any.
-func (w *Worker) takeDirected() (job, bool) {
-	if w.dirLen.Load() == 0 {
-		return job{}, false
+// takePlaced takes the oldest entry of the placement list that does not avoid
+// w; on a single-worker pool, the oldest. w wakes no one for the entries that
+// avoid it, so a worker left with only those parks.
+func (w *Worker) takePlaced() (job, bool) {
+	p := w.pool
+	p.placedMu.Lock()
+	defer p.placedMu.Unlock()
+	for i, e := range p.placed {
+		if e.avoid == w.id && len(p.workers) > 1 {
+			continue
+		}
+		n := len(p.placed) - 1
+		copy(p.placed[i:], p.placed[i+1:])
+		p.placed[n] = placement{}
+		p.placed = p.placed[:n]
+		p.placedLen.Store(int64(n))
+		return e.j, true
 	}
-	w.dirMu.Lock()
-	if len(w.dir) == 0 {
-		w.dirMu.Unlock()
-		return job{}, false
-	}
-	j := w.dir[0]
-	w.dir[0] = job{}
-	w.dir = w.dir[1:]
-	if len(w.dir) == 0 {
-		w.dir = nil
-	}
-	w.dirLen.Store(int64(len(w.dir)))
-	w.dirMu.Unlock()
-	return j, true
+	return job{}, false
 }
 
 // Wait blocks until every submitted and spawned job has finished.
@@ -525,13 +508,15 @@ func (p *Pool) settle() {
 	}
 }
 
-// takeAny finds the next job: directed queue, then the worker's own deque,
-// then the injector shards and other workers' deques. Directed jobs run
-// ahead of local deque work: a pinned replica gates another worker's join,
+// takeAny finds the next job: the placement list, then the worker's own
+// deque, then the injector shards and other workers' deques. Placed jobs run
+// ahead of local deque work: a shadow replica gates another worker's join,
 // so its latency matters more than preserving strict LIFO order here.
 func (w *Worker) takeAny() (job, bool) {
-	if j, ok := w.takeDirected(); ok {
-		return j, true
+	if w.pool.placedLen.Load() != 0 {
+		if j, ok := w.takePlaced(); ok {
+			return j, true
+		}
 	}
 	if s := w.dq.PopBottom(); s != nil {
 		j := *s

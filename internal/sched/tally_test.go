@@ -363,9 +363,9 @@ func TestSchedLayout(t *testing.T) {
 		"stop":     unsafe.Offsetof(p.stop),
 	}
 	written := map[string]uintptr{
-		"injLen": unsafe.Offsetof(p.injLen),
-		"injRR":  unsafe.Offsetof(p.injRR),
-		"rr":     unsafe.Offsetof(p.rr),
+		"injLen":    unsafe.Offsetof(p.injLen),
+		"injRR":     unsafe.Offsetof(p.injRR),
+		"placedLen": unsafe.Offsetof(p.placedLen),
 	}
 	for rn, ro := range read {
 		for wn, wo := range written {
@@ -417,8 +417,8 @@ func TestWorkerLayout(t *testing.T) {
 
 // TestStatsAreThePairs: Stats.Jobs and Stats.Spawns keep their meaning now
 // that they are read off the tallies — Jobs is every job executed, Spawns the
-// jobs pushed by running jobs, with the root Submit and the directed
-// placements (SubmitTo, SpawnAvoiding) left out. A grouped job is counted in
+// jobs pushed by running jobs, with the root Submit and the placed jobs
+// (SpawnAvoiding, grouped and ungrouped) left out. A grouped job is counted in
 // the group's pairs alone, the pool's see the group's one hold on the
 // external pair, and the group's counts reach Stats when it releases the
 // hold, before its Wait returns.
@@ -449,8 +449,10 @@ func TestStatsAreThePairs(t *testing.T) {
 	if s := pool.StatsSnapshot(); s.Jobs != 22 || s.Spawns != 20 {
 		t.Fatalf("after the group's Wait: Jobs = %d, Spawns = %d, want 22 and 20", s.Jobs, s.Spawns)
 	}
-	pool.Submit(func(w *Worker) { w.Spawn(func(*Worker) {}) })
-	pool.SubmitTo(0, func(*Worker) {})
+	pool.Submit(func(w *Worker) {
+		w.Spawn(func(*Worker) {})
+		(*Group)(nil).SpawnAvoiding(w, func(*Worker) {})
+	})
 	s := pool.Close()
 	if s.Jobs != 25 || s.Spawns != 21 {
 		t.Fatalf("Jobs = %d, Spawns = %d, want 25 and 21", s.Jobs, s.Spawns)
