@@ -1,15 +1,17 @@
 // Command ftrouter fronts a fleet of ftserve backends as one
 // fault-tolerant service (internal/cluster): job keys are
 // consistent-hashed across the fleet, the jobs API is proxied
-// transparently, every backend's /healthz is polled, and a dead backend's
-// incomplete jobs are resubmitted to survivors from their journaled
-// request payloads — finished jobs keep serving their durable digests
-// from the router's terminal cache.
+// transparently, every backend's /healthz is polled, and a dead or
+// drained backend's incomplete jobs are resubmitted to survivors from the
+// router's copy of each request body — the bytes the backend journaled —
+// while finished jobs keep serving their durable digests from the
+// router's terminal cache.
 //
 //	ftrouter -addr :8090 -backends a=http://10.0.0.1:8080,b=http://10.0.0.2:8080
 //
 // Endpoints mirror ftserve's jobs vocabulary (POST /jobs, GET /jobs,
-// GET /jobs/{id}, POST /jobs/{id}/cancel, GET /healthz, GET /metrics)
+// GET /jobs/{id}, POST /jobs/{id}/cancel, GET /metrics; GET /healthz
+// answers "ok" or "no-backends" with the live-backend and job counts)
 // plus POST /drain/{name} to migrate a named backend's shard away for
 // maintenance, GET /debug/backends (ring + health + per-backend
 // placement), and GET /debug/cluster-trace/{id} — one merged

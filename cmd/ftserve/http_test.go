@@ -138,7 +138,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestDebugJobsLiveProgress(t *testing.T) {
+// TestJobsLiveProgress: GET /jobs shows a running job's live progress, and
+// once it is done its final counts and elapsed time, the two a client divides
+// for its throughput.
+func TestJobsLiveProgress(t *testing.T) {
 	d, mux := newTestDaemon(t, "")
 	gate := make(chan struct{})
 	spec := graph.Chain(3, func(key graph.Key, vals [][]float64) []float64 {
@@ -151,7 +154,7 @@ func TestDebugJobsLiveProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poll /debug/jobs until the running job shows live mid-run progress:
+	// Poll /jobs until the running job shows live mid-run progress:
 	// discovered tasks and a live metrics snapshot with the first compute.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -162,7 +165,7 @@ func TestDebugJobsLiveProgress(t *testing.T) {
 				Computes int64
 			} `json:"metrics"`
 		}
-		rr := get(t, mux, "/debug/jobs")
+		rr := get(t, mux, "/jobs")
 		if err := json.Unmarshal(rr.Body.Bytes(), &jobs); err != nil {
 			t.Fatal(err)
 		}
@@ -180,19 +183,19 @@ func TestDebugJobsLiveProgress(t *testing.T) {
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// Terminal state keeps the final result and gains derived throughput.
+	// Terminal state keeps the final result.
 	var jobs []struct {
-		Tasks       int     `json:"tasks"`
-		TasksPerSec float64 `json:"tasks_per_sec"`
+		Tasks     int     `json:"tasks"`
+		ElapsedMS float64 `json:"elapsed_ms"`
+		Metrics   *struct {
+			Computes int64
+		} `json:"metrics"`
 	}
-	if err := json.Unmarshal(get(t, mux, "/debug/jobs").Body.Bytes(), &jobs); err != nil {
+	if err := json.Unmarshal(get(t, mux, "/jobs").Body.Bytes(), &jobs); err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 1 || jobs[0].Tasks != 3 {
-		t.Fatalf("final /debug/jobs = %+v", jobs)
-	}
-	if jobs[0].TasksPerSec <= 0 {
-		t.Fatalf("tasks_per_sec = %v, want > 0", jobs[0].TasksPerSec)
+	if len(jobs) != 1 || jobs[0].Tasks != 3 || jobs[0].ElapsedMS <= 0 || jobs[0].Metrics == nil || jobs[0].Metrics.Computes != 3 {
+		t.Fatalf("final /jobs = %+v", jobs)
 	}
 }
 

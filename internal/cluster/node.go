@@ -97,8 +97,8 @@ func streamHandler(j *journal.Journal) http.HandlerFunc {
 
 // drain serves POST /drain: stop admission, give in-flight jobs ?grace_ms
 // (default NodeConfig.DrainGrace) to finish, checkpoint the rest as
-// incomplete, and return the service.DrainResult — the migration manifest
-// whose payloads the router resubmits elsewhere.
+// incomplete, and return the service.DrainResult — the IDs of the jobs the
+// router resubmits elsewhere.
 func (n *Node) drain(w http.ResponseWriter, r *http.Request) {
 	grace := n.cfg.DrainGrace
 	if v := r.URL.Query().Get("grace_ms"); v != "" {
@@ -155,7 +155,6 @@ func NewNode(cfg NodeConfig) *Node {
 //	                        block store, journal, and service families)
 //	GET  /debug/state       the full JSON state snapshot (queue depths,
 //	                        scheduler stats, recovery totals, journal counters)
-//	GET  /debug/jobs        live per-job progress with derived throughput
 //	GET  /debug/spans       the process's distributed-tracing spans
 //	                        (?trace=<32 hex> filters to one trace)
 //	GET  /healthz           liveness: the Health body
@@ -172,9 +171,8 @@ func (n *Node) Mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}", n.status)
 	mux.HandleFunc("POST /jobs/{id}/cancel", n.cancel)
 	mux.HandleFunc("GET /jobs/{id}/trace", n.jobTrace)
-	mux.HandleFunc("GET /metrics", n.metrics)
+	mux.HandleFunc("GET /metrics", metricsHandler(n.sc.Registry))
 	mux.HandleFunc("GET /debug/state", n.debugState)
-	mux.HandleFunc("GET /debug/jobs", n.debugJobs)
 	mux.HandleFunc("GET /debug/spans", n.spans)
 	mux.HandleFunc("GET /healthz", n.healthz)
 	mux.HandleFunc("GET /journal/stream", streamHandler(n.sc.Journal))
@@ -230,10 +228,19 @@ func (n *Node) list(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.cfg.Service.Jobs())
 }
 
-func (n *Node) job(w http.ResponseWriter, r *http.Request) (*service.Handle, bool) {
+// pathID parses the {id} of a job route, answering 400 when it is no number.
+func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
+		return 0, false
+	}
+	return id, true
+}
+
+func (n *Node) job(w http.ResponseWriter, r *http.Request) (*service.Handle, bool) {
+	id, ok := pathID(w, r)
+	if !ok {
 		return nil, false
 	}
 	h, ok := n.cfg.Service.Job(id)
@@ -282,12 +289,14 @@ func (n *Node) jobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metrics serves the registry in Prometheus text exposition format (empty
-// without one).
-func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metrics.TextContentType)
-	if err := n.sc.Registry.WritePrometheus(w); err != nil {
-		log.Printf("cluster: writing metrics: %v", err)
+// metricsHandler serves reg in Prometheus text exposition format (empty for
+// a nil registry): a node's GET /metrics and a router's.
+func metricsHandler(reg *metrics.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", metrics.TextContentType)
+		if err := reg.WritePrometheus(w); err != nil {
+			log.Printf("cluster: writing metrics: %v", err)
+		}
 	}
 }
 
@@ -308,24 +317,6 @@ func (n *Node) debugState(w http.ResponseWriter, r *http.Request) {
 		service.Snapshot
 		Journal *journal.Stats `json:"journal,omitempty"`
 	}{n.uptime(), n.cfg.Service.Snapshot(), n.journalStats()})
-}
-
-// debugJobs decorates every job status with throughput derived from its
-// metrics — live mid-run numbers for running jobs, final ones once terminal.
-func (n *Node) debugJobs(w http.ResponseWriter, r *http.Request) {
-	type debugJob struct {
-		service.Status
-		TasksPerSec float64 `json:"tasks_per_sec,omitempty"`
-	}
-	sts := n.cfg.Service.Jobs()
-	out := make([]debugJob, len(sts))
-	for i, st := range sts {
-		out[i].Status = st
-		if st.Metrics != nil && st.ElapsedMS > 0 {
-			out[i].TasksPerSec = float64(st.Metrics.Computes) / (st.ElapsedMS / 1000)
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // spans serves GET /debug/spans: the process's retained spans as a JSON
@@ -421,17 +412,27 @@ func httpError(w http.ResponseWriter, code int, err error) {
 }
 
 // decodeJSON decodes a reply that holds one JSON value, as writeJSON writes
-// it. The body is read to its end, so the keep-alive connection is reusable,
-// and at most journal.MaxSnapshotBytes of it, the largest reply a follower
-// takes: a peer that sends more, or streams without end, costs that many
-// bytes and an error, not memory without bound or the whole client timeout.
+// it, read by readReply.
 func decodeJSON(r io.Reader, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r, int64(journal.MaxSnapshotBytes)+1))
+	body, err := readReply(r)
 	if err != nil {
 		return err
 	}
-	if len(body) > journal.MaxSnapshotBytes {
-		return fmt.Errorf("cluster: reply longer than %d bytes", journal.MaxSnapshotBytes)
-	}
 	return json.Unmarshal(body, v)
+}
+
+// readReply reads a peer's reply to its end, so the keep-alive connection is
+// reusable, and at most journal.MaxSnapshotBytes of it, the largest reply a
+// follower takes: a peer that sends more, or streams without end, costs that
+// many bytes and an error, not memory without bound or the whole client
+// timeout.
+func readReply(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, int64(journal.MaxSnapshotBytes)+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > journal.MaxSnapshotBytes {
+		return nil, fmt.Errorf("cluster: reply longer than %d bytes", journal.MaxSnapshotBytes)
+	}
+	return body, nil
 }

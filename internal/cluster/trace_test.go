@@ -249,6 +249,70 @@ func TestFailoverResubmitKeepsTraceID(t *testing.T) {
 	}
 }
 
+// TestDrainMigrateKeepsTraceID: a job drained off its backend continues its
+// trace on the target, though the drain reports no more than the job's ID:
+// the router re-sends its own copy of the request under the span it kept. The
+// drain-migrate span parents to the original cluster-submit span, and the
+// target's spans for the job carry the same trace ID.
+func TestDrainMigrateKeepsTraceID(t *testing.T) {
+	source, _ := newTracedBackend(t, "source", true)
+	target, tsp := newTracedBackend(t, "target", true)
+	_, rsp, ts := newTracedRouter(t, nil, source, target)
+
+	key := keyOwnedBy("source", "source", "target")
+	resp, rs := submitViaRouter(t, ts.URL, key, `{"name":"mig-trace","tasks":8,"sleep_ms":150}`)
+	if resp.StatusCode != http.StatusAccepted || rs.Backend != "source" {
+		t.Fatalf("submit: %s on %q, want 202 on source", resp.Status, rs.Backend)
+	}
+	dresp, err := http.Post(ts.URL+"/drain/source?grace_ms=50", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dr struct {
+		Migrated int `json:"migrated"`
+	}
+	decErr := json.NewDecoder(dresp.Body).Decode(&dr)
+	_ = dresp.Body.Close() // decoded above
+	if dresp.StatusCode != http.StatusOK || decErr != nil || dr.Migrated != 1 {
+		t.Fatalf("drain: %s %+v (decode %v), want 1 migrated", dresp.Status, dr, decErr)
+	}
+	final := waitTerminal(t, ts.URL, rs.ID, 20*time.Second)
+	if final.State != service.Succeeded || final.Backend != "target" {
+		t.Fatalf("migrated job: %+v, want succeeded on target", final)
+	}
+
+	submit, ok := findSpan(rsp, "cluster-submit", rs.ID)
+	if !ok {
+		t.Fatalf("no cluster-submit span for job %d", rs.ID)
+	}
+	migrate, ok := findSpan(rsp, "drain-migrate", rs.ID)
+	if !ok {
+		t.Fatalf("no drain-migrate span for job %d", rs.ID)
+	}
+	if migrate.Trace != submit.Trace || migrate.Parent != submit.ID || migrate.Note != "target" {
+		t.Fatalf("drain-migrate span %+v, want trace %s, parent %s (the cluster-submit span), note target",
+			migrate, submit.Trace, submit.ID)
+	}
+
+	var spans []trace.Span
+	for _, s := range tsp.Snapshot() {
+		if s.Job == final.BackendID {
+			spans = append(spans, s)
+		}
+	}
+	if len(spans) == 0 {
+		t.Fatalf("target holds no span of its job %d", final.BackendID)
+	}
+	for _, s := range spans {
+		if s.Trace != submit.Trace {
+			t.Fatalf("target span %q of the job is in trace %s, want the original %s", s.Name, s.Trace, submit.Trace)
+		}
+		if s.Name == "submit" && s.Parent != migrate.ID {
+			t.Fatalf("target submit span parents to %s, want drain-migrate %s", s.Parent, migrate.ID)
+		}
+	}
+}
+
 // TestRouterBoxWithoutTracing: the router's black box records placements and
 // reroutes whether or not it has a span recorder — with tracing off it is
 // the only record of them.

@@ -277,3 +277,52 @@ func TestChecksumFailureIsCountedOnce(t *testing.T) {
 			got["ftdag_block_checksum_failures_total"], got["ftdag_block_corrupt_reads_total"])
 	}
 }
+
+// TestSnapshotMatchesRegistry: with k jobs running and n queued, Snapshot and
+// the registry's gauges read the same queue depth and the same running jobs,
+// and both read zero once the jobs are done.
+func TestSnapshotMatchesRegistry(t *testing.T) {
+	const k, n = 2, 3
+	reg := metrics.NewRegistry()
+	s := service.New(service.Config{Workers: 2, MaxConcurrentJobs: k, MaxQueuedJobs: 8, Registry: reg})
+	defer s.Close()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+
+	var hs []*service.Handle
+	for i := 0; i < k+n; i++ {
+		h, err := s.Submit(service.JobSpec{Spec: graph.Chain(1, func(graph.Key, [][]float64) []float64 {
+			<-gate
+			return []float64{1}
+		})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	check := func(running, queued int) {
+		t.Helper()
+		snap := s.Snapshot()
+		gr, _ := reg.Value("ftdag_jobs_running")
+		gq, _ := reg.Value("ftdag_queue_depth")
+		if snap.Running != running || snap.Queued != queued || snap.QueueDepth != queued ||
+			gr != float64(running) || gq != float64(queued) {
+			t.Fatalf("Snapshot running %d, queued %d, queue depth %d; registry running %v, queue depth %v; want %d running and %d queued",
+				snap.Running, snap.Queued, snap.QueueDepth, gr, gq, running, queued)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().Running != k; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs never ran: %+v", k, s.Snapshot())
+		}
+	}
+	check(k, n)
+	release()
+	for _, h := range hs {
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(0, 0)
+}
