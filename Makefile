@@ -5,7 +5,7 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), the free list at one and two Ps, a warm LCS rerun (B/op, allocs/op), the black box's flush and a span's emit, then the registry's cost per service job; no threshold
+#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), the free list at one and two Ps, a warm LCS rerun (B/op, allocs/op), the black box's flush and a span's emit, the registry's cost per service job, then the pool's submit (BenchmarkSubmitThroughput) and spawn→execute (BenchmarkSpawnExecute) cycles; no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
@@ -53,9 +53,13 @@ benchbuild:
 # and the bytes it writes (an append of the new events, or now and then a
 # rewrite of the box), and a span's emit with the recorders wired beside the
 # emit into a bare ring — a span is written to its ring only, so the two rows
-# should read the same. Last, the enabled cost of the registry: exec_ms p50
+# should read the same. Then the enabled cost of the registry: exec_ms p50
 # of the service mix at the daemon's 80 jobs/s, without a registry and with
-# one. No threshold: timing gates do not survive this host.
+# one. Last, the pool's two paths a job enters by, ns/op and allocs/op: an
+# external Submit onto the placement list and a worker's take of it
+# (SubmitThroughput), and a spawn onto the worker's own deque and its
+# execution (SpawnExecute, 0 allocs/op). No threshold: timing gates do not
+# survive this host.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Layered -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 200x ./internal/apps/...
@@ -64,6 +68,7 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench RerunLCS -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'FlightSnapshot|SpanEmit' -benchtime 200x ./internal/trace
 	$(GO) test -run '^$$' -bench RegistryTax -benchtime 40x ./internal/service
+	$(GO) test -run '^$$' -bench 'SubmitThroughput|SpawnExecute' ./internal/sched
 
 graphsmoke:
 	$(GO) run ./cmd/ftgraph -app LU -n 64 -b 16 -p 2 -faults 2 -trace 64 > /dev/null

@@ -14,11 +14,11 @@ import (
 // predicted pointer check.
 type poolObs struct {
 	stealLat  *metrics.Histogram // successful-steal latency (findWork entry → steal)
-	queueWait *metrics.Histogram // injector queue wait (enqueue → pickup)
+	queueWait *metrics.Histogram // a submission's wait on the placement list (Submit → pickup)
 }
 
-// pickedUp records how long j waited in the injector, if the pool was observed
-// when it was enqueued.
+// pickedUp records how long j waited on the placement list, if it is a
+// submission and the pool was observed when it was submitted.
 func (o *poolObs) pickedUp(j job) {
 	if o != nil && j.at != 0 {
 		o.queueWait.ObserveSince(time.Unix(0, j.at))
@@ -27,10 +27,11 @@ func (o *poolObs) pickedUp(j job) {
 
 // Observe registers the pool's scheduler metrics on r and enables latency
 // sampling on the hot paths. Totals the workers already count (jobs, steals,
-// failed steals, injector hits, idle and busy time) are exported as scrape-time
-// functions over the existing per-worker atomics — zero added hot-path cost —
-// while steal latency and injector queue wait gain histograms. Call at most
-// once per pool; a nil registry leaves the pool unobserved.
+// failed steals, placement-list takes, idle and busy time) are exported as
+// scrape-time functions over the existing per-worker atomics — zero added
+// hot-path cost — while steal latency and a submission's queue wait gain
+// histograms. Call at most once per pool; a nil registry leaves the pool
+// unobserved.
 func (p *Pool) Observe(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -43,7 +44,7 @@ func (p *Pool) Observe(r *metrics.Registry) {
 		func() float64 { return float64(p.StatsSnapshot().Steals) })
 	r.CounterFunc("ftdag_failed_steals_total", "Steal attempts that found nothing or lost a race.",
 		func() float64 { return float64(p.StatsSnapshot().FailedSteals) })
-	r.CounterFunc("ftdag_injector_hits_total", "Jobs taken from the external submission shards.",
+	r.CounterFunc("ftdag_injector_hits_total", "Jobs taken from the placement list: submissions and placed jobs.",
 		func() float64 { return float64(p.StatsSnapshot().InjectorHits) })
 	r.CounterFunc("ftdag_sched_parks_total", "Times a worker parked waiting for a wake token.",
 		func() float64 { return float64(p.StatsSnapshot().Parks) })
@@ -51,8 +52,8 @@ func (p *Pool) Observe(r *metrics.Registry) {
 		func() float64 { return float64(len(p.workers)) })
 	r.GaugeFunc("ftdag_sched_parked_workers", "Workers currently on the parked stack.",
 		func() float64 { return float64(p.parkedCount.Load()) })
-	r.GaugeFunc("ftdag_injector_depth", "Jobs waiting across the external submission shards and overflow.",
-		func() float64 { return float64(p.injLen.Load()) })
+	r.GaugeFunc("ftdag_injector_depth", "Jobs waiting on the placement list: submissions and placed jobs.",
+		func() float64 { return float64(p.placedLen.Load()) })
 	for _, w := range p.workers {
 		w := w
 		id := strconv.Itoa(w.id)
@@ -63,7 +64,7 @@ func (p *Pool) Observe(r *metrics.Registry) {
 	}
 	o := &poolObs{
 		stealLat:  r.Histogram("ftdag_steal_latency_seconds", "Latency of successful steals (work search start to steal)."),
-		queueWait: r.Histogram("ftdag_queue_wait_seconds", "Wait of externally submitted jobs in the injector queue."),
+		queueWait: r.Histogram("ftdag_queue_wait_seconds", "Wait of submitted jobs on the placement list, submit to pickup."),
 	}
 	p.obs.Store(o)
 }

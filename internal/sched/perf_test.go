@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-// TestInjectorFIFOOrder pins the injector's fairness contract: externally
-// submitted jobs are served in submission order under saturation. The old
-// mutex-slice injector popped p.inj[n-1] — LIFO — so under a backlog the
-// newest submission always jumped the queue and the oldest starved; the
-// sharded rings serve each shard strictly FIFO. A single-worker pool keeps
-// the test deterministic: one shard, one consumer, so the global execution
-// order must equal the submission order exactly.
+// TestInjectorFIFOOrder pins the fairness contract of external submission:
+// submitted jobs are served in submission order under saturation, so under a
+// backlog the newest submission never jumps the queue and the oldest never
+// starves. A single-worker pool keeps the test deterministic: one consumer of
+// the placement list, so the execution order must equal the submission order
+// exactly.
 func TestInjectorFIFOOrder(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
@@ -28,7 +27,7 @@ func TestInjectorFIFOOrder(t *testing.T) {
 	})
 	<-started
 
-	const n = 64 // comfortably below injRingCap: no overflow path
+	const n = 64
 	var mu sync.Mutex
 	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
@@ -119,9 +118,9 @@ func TestSubmitWakesParkedWorkers(t *testing.T) {
 	}
 }
 
-// TestInjectorOverflow drives more submissions than the shards can hold and
-// checks none are lost: the overflow valve must preserve every job.
-func TestInjectorOverflow(t *testing.T) {
+// TestInjectorBacklog queues a backlog of submissions behind a held worker and
+// checks none are lost.
+func TestInjectorBacklog(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	gate := make(chan struct{})
@@ -131,9 +130,7 @@ func TestInjectorOverflow(t *testing.T) {
 		<-gate
 	})
 	<-started
-	// One worker => one shard of injRingCap slots; triple it to force the
-	// overflow path hard.
-	n := injRingCap * 3
+	const n = 1536
 	var c atomic.Int64
 	for i := 0; i < n; i++ {
 		p.Submit(func(w *Worker) { c.Add(1) })
@@ -141,7 +138,7 @@ func TestInjectorOverflow(t *testing.T) {
 	close(gate)
 	p.Wait()
 	if got := c.Load(); got != int64(n) {
-		t.Fatalf("ran %d jobs, want %d (overflow lost work)", got, n)
+		t.Fatalf("ran %d jobs, want %d (the backlog lost work)", got, n)
 	}
 }
 
@@ -172,8 +169,9 @@ func BenchmarkSpawnExecute(b *testing.B) {
 	p.Wait()
 }
 
-// BenchmarkSubmitThroughput measures the external submission path (ring
-// shard enqueue + wake check) under a single producer.
+// BenchmarkSubmitThroughput measures the external submission path (an append
+// to the placement list under its lock, a wake check, a worker's take) under a
+// single producer.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	p := NewPool(4)
 	defer p.Close()

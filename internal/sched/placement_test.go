@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ftdag/internal/metrics"
 )
 
 // TestSpawnAvoidingNeverRunsOnAvoided: a placed job runs on some worker other
@@ -209,5 +211,74 @@ func TestSpawnAvoidingWakesPastTheAvoided(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		p.wakeAll() // so that Close can drain the stranded job
 		t.Fatal("the placed job waited for the worker it avoids while the other was parked")
+	}
+}
+
+// TestSubmitBehindASkippedEntry: a submission queued behind an entry its taker
+// must skip still runs. With one of two workers held, the free worker places
+// a job that avoids itself at the head of the list and submits one behind it:
+// it must take the submission past the head, not park until the held worker
+// clears the head.
+func TestSubmitBehindASkippedEntry(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	heldID, gate := holdWorker(p)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	ranOn := make(chan int, 1)
+	p.Submit(func(w *Worker) {
+		(*Group)(nil).SpawnAvoiding(w, func(*Worker) {})
+		p.Submit(func(w2 *Worker) { ranOn <- w2.ID() })
+	})
+	select {
+	case id := <-ranOn:
+		if id != 1-heldID {
+			t.Fatalf("the submission ran on worker %d, want the free worker %d", id, 1-heldID)
+		}
+	case <-time.After(2 * time.Second):
+		release()
+		t.Fatal("the submission behind an entry that avoids the free worker did not run while the other was held")
+	}
+	release()
+	if !p.WaitTimeout(groupTestTimeout) {
+		t.Fatal("pool did not drain")
+	}
+}
+
+// TestPlacementListInstruments: the instruments read the one list. Every take
+// from it is a hit, submissions and placed jobs alike; its depth is zero once
+// the pool is idle; and the queue-wait histogram samples the submissions
+// alone, which are the entries stamped.
+func TestPlacementListInstruments(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	reg := metrics.NewRegistry()
+	p.Observe(reg)
+	g := p.NewGroup()
+	const n, m = 16, 10 // submissions, placed jobs
+	for i := 0; i < n; i++ {
+		submit := p.Submit
+		if i%2 == 1 {
+			submit = g.Submit
+		}
+		place := i < m
+		submit(func(w *Worker) {
+			if place {
+				g.SpawnAvoiding(w, func(*Worker) {})
+			}
+		})
+	}
+	p.Wait()
+	if hits := p.StatsSnapshot().InjectorHits; hits != n+m {
+		t.Errorf("Stats.InjectorHits = %d, want %d submissions + %d placed jobs", hits, n, m)
+	}
+	for name, want := range map[string]float64{
+		"ftdag_injector_hits_total":      n + m,
+		"ftdag_injector_depth":           0,
+		"ftdag_queue_wait_seconds_count": n,
+	} {
+		if got, ok := reg.Value(name); !ok || got != want {
+			t.Errorf("%s = %v (registered %v), want %v", name, got, ok, want)
+		}
 	}
 }

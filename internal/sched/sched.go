@@ -8,22 +8,21 @@
 // scheduling discipline assumed by the paper's completion-time bounds
 // (Arora–Blumofe–Plaxton / Blumofe–Leiserson: T_P = O(T1/P + T∞) w.h.p.).
 //
-// The hot path is engineered to stay lock-free and allocation-free:
+// The spawn→execute→steal path is lock-free and allocation-free:
 //
-//   - External submission goes through per-worker bounded MPMC ring shards
-//     (injector.go) instead of a global mutex — Submit round-robins across
-//     shards, workers drain their own shard first, FIFO within a shard.
 //   - Idle workers park on a Treiber stack and are woken by submit/spawn in
-//     microseconds (park.go) instead of polling with exponential sleep
-//     backoff, so IdleTime measures genuine starvation, not sleep quanta.
+//     microseconds (park.go), so IdleTime measures genuine starvation.
 //   - Spawn recycles fixed job slots through per-worker free-lists, and
 //     group membership travels as a field of the job record rather than a
 //     wrapper closure, so the spawn→execute cycle performs zero heap
 //     allocations in steady state.
-//   - A job that must run off its spawner's worker (a shadow replica,
-//     Group.SpawnAvoiding) goes on one pool-wide placement list, which every
-//     other worker takes from ahead of its own deque: no job waits for one
-//     particular worker.
+//   - The pool has one shared queue besides the deques: the placement list,
+//     a mutex-guarded slice served oldest first. Only a submission from
+//     outside the pool (Submit, Group.Submit: a run's root) and a job that
+//     must run off its spawner's worker (a shadow replica,
+//     Group.SpawnAvoiding) go on it, so a spawn never takes its lock. Every
+//     worker the entry does not avoid takes from it ahead of its own deque:
+//     no job waits for one particular worker.
 //   - Outstanding jobs are counted in one {added, done} pair per worker
 //     (tally.go), and quiescence is found by summing them: there is no
 //     counter that two workers write. An ungrouped job is counted in the
@@ -65,16 +64,16 @@ type Runner interface {
 func (f Func) Run(w *Worker, _ int) { f(w) }
 
 // job is the scheduler's internal unit of work: the Runner and its argument
-// plus the group it is accounted to (nil for ungrouped work) and, on observed
-// pools, the injector enqueue time. Groups used to wrap every function in a
-// closure to attach abort/quiescence bookkeeping; carrying the group as a
-// field instead keeps the spawn path allocation-free and the bookkeeping
-// inline in the worker loop.
+// plus the group it is accounted to (nil for ungrouped work) and, for a
+// submission to an observed pool, the time it was submitted. Carrying the
+// group as a field rather than wrapping the function in a closure keeps the
+// spawn path allocation-free and the group's bookkeeping inline in the worker
+// loop.
 type job struct {
 	run Runner
 	arg int
 	g   *Group
-	at  int64 // injector enqueue time, Unix nanoseconds; 0 unless the pool is observed
+	at  int64 // Submit time, Unix nanoseconds; 0 for spawned and placed jobs and on unobserved pools
 }
 
 // Stats aggregates scheduler counters across all workers of a Pool run.
@@ -83,7 +82,7 @@ type Stats struct {
 	Spawns       int64         // jobs pushed by running jobs
 	Steals       int64         // successful steals
 	FailedSteals int64         // steal attempts that found nothing or lost a race
-	InjectorHits int64         // jobs taken from the external submission shards
+	InjectorHits int64         // jobs taken from the placement list: submissions and placed jobs
 	Parks        int64         // times a worker parked (blocked waiting for a wake token)
 	IdleTime     time.Duration // total time workers spent parked
 	// BusyTime is the total time workers spent awake: running jobs and
@@ -244,27 +243,16 @@ type Pool struct {
 	// of the parked-worker stack (park.go), with its count for
 	// observability, and the stop flag — is written only when a worker
 	// parks or wakes or the pool stops. The pad keeps it off the line of the
-	// submission cursors below, which every external submission writes
+	// placement list below, which every submission and placement writes
 	// (TestSchedLayout).
 	parkHead    atomic.Uint64
 	parkedCount atomic.Int64
 	stop        atomic.Bool
 	_           [128]byte
 
-	// shards is the sharded external submission queue (injector.go), one
-	// bounded MPMC ring per worker. injLen counts jobs across all shards
-	// plus the overflow queue — the idle workers' emptiness peek and the
-	// observability depth gauge.
-	shards []*injRing
-	injLen atomic.Int64
-	injRR  atomic.Uint64 // round-robin shard cursor for external Submit
-
-	// ovf is the overload relief valve: jobs that found every shard full.
-	ovfMu sync.Mutex
-	ovf   []job
-
-	// placed is the placement list (Group.SpawnAvoiding), oldest first;
-	// placedLen is its length, the workers' lock-free emptiness peek.
+	// placed is the placement list (Submit, Group.Submit,
+	// Group.SpawnAvoiding), oldest first; placedLen is its length, the
+	// workers' lock-free emptiness peek and the depth gauge.
 	placedMu  sync.Mutex
 	placed    []placement
 	placedLen atomic.Int64
@@ -291,9 +279,7 @@ func NewPool(p int) *Pool {
 	pool := &Pool{tally: newTally(p), epoch: time.Now()}
 	pool.quiesceCond = sync.NewCond(&pool.quiesceMu)
 	pool.workers = make([]*Worker, p)
-	pool.shards = make([]*injRing, p)
 	for i := 0; i < p; i++ {
-		pool.shards[i] = newInjRing()
 		pool.workers[i] = &Worker{
 			pool:   pool,
 			id:     i,
@@ -311,63 +297,26 @@ func NewPool(p int) *Pool {
 }
 
 // Submit schedules f from outside the pool (e.g. the root of a task-graph
-// traversal). Jobs submitted here are picked up by idle workers.
+// traversal). f joins the placement list, which every worker takes from, in
+// submission order, ahead of its own deque.
 func (p *Pool) Submit(f Func) { p.submitJob(job{run: f}) }
 
 // submitJob counts an ungrouped job in the pool's tally — a grouped one is
-// counted by Group.Submit — and injects it.
+// counted by Group.Submit — stamps it when the pool is observed (queue-wait
+// histogram) and places it for any worker.
 func (p *Pool) submitJob(j job) {
 	if j.g == nil {
 		p.tally.external().added.Add(1)
 	}
-	p.injectJob(j)
-	p.wakeOne()
-}
-
-// injectJob places a job into the sharded submission queue, stamping the
-// enqueue time when the pool is observed (queue-wait histogram). Submissions
-// round-robin across shards.
-func (p *Pool) injectJob(j job) {
 	if p.obs.Load() != nil {
 		j.at = time.Now().UnixNano()
 	}
-	n := len(p.shards)
-	start := 0
-	if n > 1 {
-		start = int(p.injRR.Add(1)-1) % n
-	}
-	for i := 0; i < n; i++ {
-		if p.shards[(start+i)%n].enqueue(j) {
-			p.injLen.Add(1)
-			return
-		}
-	}
-	p.ovfMu.Lock()
-	p.ovf = append(p.ovf, j)
-	p.ovfMu.Unlock()
-	p.injLen.Add(1)
-}
-
-// takeOverflow pops the oldest overflow job, if any.
-func (p *Pool) takeOverflow() (job, bool) {
-	p.ovfMu.Lock()
-	if len(p.ovf) == 0 {
-		p.ovfMu.Unlock()
-		return job{}, false
-	}
-	j := p.ovf[0]
-	p.ovf[0] = job{}
-	p.ovf = p.ovf[1:]
-	if len(p.ovf) == 0 {
-		p.ovf = nil // let the spilled backing array go
-	}
-	p.ovfMu.Unlock()
-	p.injLen.Add(-1)
-	return j, true
+	p.place(placement{j: j, avoid: -1})
 }
 
 // placement is an entry of the placement list: a job any worker but avoid
-// may run (Group.SpawnAvoiding).
+// may run (Group.SpawnAvoiding), or any worker at all when avoid is -1 (a
+// submission).
 type placement struct {
 	j     job
 	avoid int
@@ -392,22 +341,30 @@ func (p *Pool) place(e placement) {
 
 // takePlaced takes the oldest entry of the placement list that does not avoid
 // w; on a single-worker pool, the oldest. w wakes no one for the entries that
-// avoid it, so a worker left with only those parks.
+// avoid it, so a worker left with only those parks. The entries it skipped
+// move up one place over the taken one, so a take costs the skipped prefix,
+// not the length of the list.
 func (w *Worker) takePlaced() (job, bool) {
 	p := w.pool
 	p.placedMu.Lock()
-	defer p.placedMu.Unlock()
 	for i, e := range p.placed {
 		if e.avoid == w.id && len(p.workers) > 1 {
 			continue
 		}
-		n := len(p.placed) - 1
-		copy(p.placed[i:], p.placed[i+1:])
-		p.placed[n] = placement{}
-		p.placed = p.placed[:n]
-		p.placedLen.Store(int64(n))
+		copy(p.placed[1:i+1], p.placed[:i])
+		p.placed[0] = placement{}
+		if len(p.placed) == 1 {
+			p.placed = p.placed[:0] // keep the array for the next append
+		} else {
+			p.placed = p.placed[1:]
+		}
+		p.placedLen.Store(int64(len(p.placed)))
+		p.placedMu.Unlock()
+		w.stats.injectorHits.Add(1)
+		p.obs.Load().pickedUp(e.j) // a clock read and a histogram add: outside the lock
 		return e.j, true
 	}
+	p.placedMu.Unlock()
 	return job{}, false
 }
 
@@ -509,9 +466,10 @@ func (p *Pool) settle() {
 }
 
 // takeAny finds the next job: the placement list, then the worker's own
-// deque, then the injector shards and other workers' deques. Placed jobs run
-// ahead of local deque work: a shadow replica gates another worker's join,
-// so its latency matters more than preserving strict LIFO order here.
+// deque, then other workers' deques. Placed jobs and submissions run ahead of
+// local deque work: a shadow replica gates another worker's join, and a
+// submission is a run's root, so their latency matters more than preserving
+// strict LIFO order here.
 func (w *Worker) takeAny() (job, bool) {
 	if w.pool.placedLen.Load() != 0 {
 		if j, ok := w.takePlaced(); ok {
@@ -572,72 +530,47 @@ func (w *Worker) invoke(j job) {
 	j.g.tally[w.id].done.Add(1)
 }
 
-// findWork tries this worker's own injector shard, then one steal attempt on
-// each other worker's deque from a random start, then the remaining shards
-// and the overflow queue.
+// findWork makes one steal attempt on each other worker's deque, from a
+// random start.
 func (w *Worker) findWork() (job, bool) {
 	p := w.pool
-	o := p.obs.Load()
-	// Own shard first: sharded admission means the common case is an
-	// uncontended ring pop with no lock and no cross-shard traffic.
-	if j, ok := p.shards[w.id].dequeue(); ok {
-		p.injLen.Add(-1)
-		w.stats.injectorHits.Add(1)
-		o.pickedUp(j)
-		return j, true
-	}
 	n := len(p.workers)
+	if n == 1 {
+		return job{}, false
+	}
 	var searchStart time.Time
+	o := p.obs.Load()
 	if o != nil {
 		searchStart = time.Now()
 	}
-	if n > 1 {
-		// One pass over every other worker per call, starting at a random
-		// one; the caller's park loop provides repetition. Every worker, not
-		// n random draws: a thief that parks is not woken again for work
-		// already queued, so a pass that skips the one busy deque strands
-		// its work until the owner gets back to it.
-		start := int(w.nextRand() % uint64(n))
-		for k := 0; k < n; k++ {
-			victim := p.workers[(start+k)%n]
-			if victim == w {
-				continue
-			}
-			if s := victim.dq.Steal(); s != nil {
-				j := *s
-				w.putSlot(s) // thief recycles into its own free-list
-				w.stats.steals.Add(1)
-				if o != nil {
-					o.stealLat.ObserveSince(searchStart)
-				}
-				if sp := p.spans.Load(); sp != nil && j.g != nil && j.g.span.Valid() {
-					sp.Emit(trace.Span{
-						Trace: j.g.span.Trace, Parent: j.g.span.Span,
-						Name: "steal", Start: time.Now().UnixMicro(),
-						Job: j.g.spanJob, Task: -1, Arg: int64(victim.id),
-					})
-				}
-				return j, true
-			}
-			w.stats.failedSteals.Add(1)
+	// One pass over every other worker per call, starting at a random one;
+	// the caller's park loop provides repetition. Every worker, not n random
+	// draws: a thief that parks is not woken again for work already queued,
+	// so a pass that skips the one busy deque strands its work until the
+	// owner gets back to it.
+	start := int(w.nextRand() % uint64(n))
+	for k := 0; k < n; k++ {
+		victim := p.workers[(start+k)%n]
+		if victim == w {
+			continue
 		}
-	}
-	// Other workers' shards and the overflow queue: only worth scanning
-	// when the injector is known non-empty.
-	if p.injLen.Load() > 0 {
-		for i := 1; i < n; i++ {
-			if j, ok := p.shards[(w.id+i)%n].dequeue(); ok {
-				p.injLen.Add(-1)
-				w.stats.injectorHits.Add(1)
-				o.pickedUp(j)
-				return j, true
+		if s := victim.dq.Steal(); s != nil {
+			j := *s
+			w.putSlot(s) // thief recycles into its own free-list
+			w.stats.steals.Add(1)
+			if o != nil {
+				o.stealLat.ObserveSince(searchStart)
 			}
-		}
-		if j, ok := p.takeOverflow(); ok {
-			w.stats.injectorHits.Add(1)
-			o.pickedUp(j)
+			if sp := p.spans.Load(); sp != nil && j.g != nil && j.g.span.Valid() {
+				sp.Emit(trace.Span{
+					Trace: j.g.span.Trace, Parent: j.g.span.Span,
+					Name: "steal", Start: time.Now().UnixMicro(),
+					Job: j.g.spanJob, Task: -1, Arg: int64(victim.id),
+				})
+			}
 			return j, true
 		}
+		w.stats.failedSteals.Add(1)
 	}
 	return job{}, false
 }

@@ -330,9 +330,9 @@ func waitDrained(t *testing.T, g *Group) {
 }
 
 // TestSchedLayout: a pair fills two cache lines, the counts a job writes live
-// in pair arrays outside Pool and Group, and what Pool still has written per
-// external submission is two lines away from what every spawn and every turn
-// of the worker loop reads.
+// in pair arrays outside Pool and Group, and what Pool has written per
+// submission and placement is two lines away from what every spawn and every
+// turn of the worker loop reads.
 func TestSchedLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(pair{}); sz != 128 {
 		t.Fatalf("pair is %d bytes, want 128: adjust its padding", sz)
@@ -363,8 +363,6 @@ func TestSchedLayout(t *testing.T) {
 		"stop":     unsafe.Offsetof(p.stop),
 	}
 	written := map[string]uintptr{
-		"injLen":    unsafe.Offsetof(p.injLen),
-		"injRR":     unsafe.Offsetof(p.injRR),
 		"placedLen": unsafe.Offsetof(p.placedLen),
 	}
 	for rn, ro := range read {
