@@ -10,7 +10,7 @@
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
-#   make loc     — non-test Go lines per package and in total, the five largest non-test Go files, then assembly lines per directory and in total (bench/ and testdata/ excluded)
+#   make loc     — non-test Go lines per package and in total, the five largest non-test Go files, then assembly lines per directory and in total (bench/ and testdata/ excluded), then the bytes of README.md, DESIGN.md and EXPERIMENTS.md, each held to ≤ 25 KB by ROADMAP item 2's Cut F
 
 GO ?= go
 
@@ -181,10 +181,12 @@ fuzz:
 # Non-test Go lines per package directory and in total, the five largest
 # non-test Go files (a cut that names its targets by file reports them), then
 # assembly lines per directory and in total: the sizes that ROADMAP item 2 asks
-# every cut to report before and after.
+# every cut to report before and after. Last, the bytes of the three large
+# docs, Cut F's budget.
 LOC = awk -v what="$(1)" '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d %s%s\n", n[d], d, what; printf "%6d total%s\n", t, what }' | sort -k2
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC,)
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | awk '$$2 != "total" { printf "%6d %s (file)\n", $$1, $$2 }' | sort -rn | head -5
 	@find . -name '*.s' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC, assembly)
+	@wc -c README.md DESIGN.md EXPERIMENTS.md | awk '{ printf "%6d %s (bytes)\n", $$1, $$2 }'

@@ -17,7 +17,6 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"time"
 
@@ -201,10 +200,12 @@ func corruptJournalTail(dataDir string) (string, error) {
 	if _, err := rand.Read(garbage); err != nil {
 		return "", err
 	}
-	// Sequence numbers are fixed-width hex, so the greatest name is the
-	// newest file.
-	if segs, _ := filepath.Glob(filepath.Join(dataDir, "wal-*.log")); len(segs) > 0 {
-		path := slices.Max(segs)
+	files, err := journal.ScanTailDir(dataDir)
+	if err != nil {
+		return "", err
+	}
+	if n := len(files.Segments); n > 0 {
+		path := filepath.Join(dataDir, journal.SegmentFileName(files.Segments[n-1].Seq))
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			return "", err
@@ -215,18 +216,13 @@ func corruptJournalTail(dataDir string) (string, error) {
 		}
 		return path, werr
 	}
-	// Clean shutdown compacted every segment away: plant a next-seq
-	// segment that is pure garbage past the magic.
-	snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*.snap"))
-	if len(snaps) == 0 {
+	// Clean shutdown compacted every segment away: plant a segment, named
+	// after the newest snapshot, that is pure garbage past the magic.
+	n := len(files.Snapshots)
+	if n == 0 {
 		return "", fmt.Errorf("nothing to corrupt in %s", dataDir)
 	}
-	var seq uint64
-	newest := filepath.Base(slices.Max(snaps))
-	if _, err := fmt.Sscanf(newest, "snap-%016x.snap", &seq); err != nil {
-		return "", fmt.Errorf("parsing %s: %w", newest, err)
-	}
-	path := filepath.Join(dataDir, fmt.Sprintf("wal-%016x.log", seq))
+	path := filepath.Join(dataDir, journal.SegmentFileName(files.Snapshots[n-1].Seq))
 	return path, os.WriteFile(path, append([]byte("FTJRNL01"), garbage...), 0o644)
 }
 

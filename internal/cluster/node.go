@@ -48,49 +48,42 @@ func streamHandler(j *journal.Journal) http.HandlerFunc {
 			return
 		}
 		q := r.URL.Query()
-		switch {
-		case q.Get("snap") != "":
-			seq, err := strconv.ParseUint(q.Get("snap"), 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad snap %q", q.Get("snap")))
-				return
-			}
-			raw, err := j.SnapshotBytes(seq)
-			if err != nil {
-				httpError(w, http.StatusNotFound, fmt.Errorf("snapshot %d: %v", seq, err))
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if _, err := w.Write(raw); err != nil {
-				log.Printf("cluster: writing snapshot %d: %v", seq, err)
-			}
-		case q.Get("seg") != "":
-			seq, err := strconv.ParseUint(q.Get("seg"), 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad seg %q", q.Get("seg")))
-				return
-			}
-			off, err := strconv.ParseInt(q.Get("off"), 10, 64)
-			if err != nil || off < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad off %q", q.Get("off")))
-				return
-			}
-			data, err := j.ReadSegmentAt(seq, off, streamMaxResponse)
-			if err != nil {
-				httpError(w, http.StatusNotFound, fmt.Errorf("segment %d: %v", seq, err))
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if _, err := w.Write(data); err != nil {
-				log.Printf("cluster: writing segment %d: %v", seq, err)
-			}
-		default:
+		key := "snap"
+		if q.Get(key) == "" {
+			key = "seg"
+		}
+		if q.Get(key) == "" {
 			m, err := j.TailManifest()
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, m)
+			return
+		}
+		seq, err := strconv.ParseUint(q.Get(key), 10, 64)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s %q", key, q.Get(key)))
+			return
+		}
+		var data []byte
+		if key == "snap" {
+			data, err = j.SnapshotBytes(seq)
+		} else {
+			off, perr := strconv.ParseInt(q.Get("off"), 10, 64)
+			if perr != nil || off < 0 {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("bad off %q", q.Get("off")))
+				return
+			}
+			data, err = j.ReadSegmentAt(seq, off, streamMaxResponse)
+		}
+		if err != nil {
+			httpError(w, http.StatusNotFound, fmt.Errorf("%s %d: %v", key, seq, err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if _, err := w.Write(data); err != nil {
+			log.Printf("cluster: writing %s %d: %v", key, seq, err)
 		}
 	}
 }

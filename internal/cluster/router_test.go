@@ -67,7 +67,7 @@ func newTestBackend(t *testing.T, name string, durable bool) *testBackend {
 	var jr *journal.Journal
 	if durable {
 		var err error
-		jr, err = journal.Open(journal.Options{Dir: t.TempDir(), NoSync: true})
+		jr, err = journal.Open(journal.Options{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,26 +1,20 @@
 package cluster
 
-// Follower: the standby half of journal-streaming replication. It tails a
-// primary's /journal/stream endpoint, mirroring WAL segments and
-// snapshots byte-for-byte into a local directory. The primary sends raw
-// file bytes; the follower writes only what passes the checks journal.Open
-// applies — a segment's whole records (journal.ScanSegment), a snapshot
-// whole (journal.DecodeSnapshot) — so the mirror is always a valid journal
-// and promotion opens it with journal.Open exactly like a crash restart. The
-// loss bound is the replication lag: with the primary fsyncing in group
-// commits and the follower polling continuously, a promotion loses at
-// most the un-streamed tail — about one group-commit batch.
+// Follower: the standby half of journal-streaming replication. It fetches a
+// primary's /journal/stream replies into a journal.Mirror, the file side
+// (internal/journal/tail.go). The loss bound is the replication lag: with
+// the primary fsyncing in group commits and the follower polling
+// continuously, a promotion loses at most the un-streamed tail — about one
+// group-commit batch.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,6 +41,7 @@ type FollowerStats struct {
 type Follower struct {
 	base   string // primary base URL, e.g. http://127.0.0.1:8080
 	dir    string
+	mirror *journal.Mirror
 	client *http.Client
 
 	mu    sync.Mutex
@@ -54,10 +49,9 @@ type Follower struct {
 }
 
 // NewFollower tails the primary at baseURL into dir (created if absent).
-// A nil client gets the router's default, one with a 10 s timeout. A
-// follower killed mid-write can leave a torn record at the end of a mirrored
-// segment, and a resume from inside a record never passes the check, so
-// each mirrored segment is first cut back to its whole records.
+// A nil client gets the router's default, one with a 10 s timeout. The
+// mirror's segments are first cut back to their whole records
+// (journal.OpenMirror).
 func NewFollower(baseURL, dir string, client *http.Client) (*Follower, error) {
 	if err := parseURL(baseURL); err != nil {
 		return nil, err
@@ -65,30 +59,11 @@ func NewFollower(baseURL, dir string, client *http.Client) (*Follower, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	local, err := journal.ScanTailDir(dir)
+	m, err := journal.OpenMirror(dir, journal.OS)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range local.Segments {
-		path := filepath.Join(dir, journal.SegmentFileName(s.Seq))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if _, n, _ := journal.ScanSegment(data, 0); n < len(data) {
-			if err := os.Truncate(path, int64(n)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &Follower{
-		base:   baseURL,
-		dir:    dir,
-		client: client,
-	}, nil
+	return &Follower{base: baseURL, dir: dir, mirror: m, client: client}, nil
 }
 
 // Stats returns a snapshot of the replication counters.
@@ -110,25 +85,22 @@ func (f *Follower) Promote(opts journal.Options) (*journal.Journal, error) {
 // Sync runs one replication round: fetch the primary's manifest, copy
 // missing snapshots, extend each segment from the local offset (looping
 // until a fetch comes back empty, so a round catches up past the
-// manifest's point-in-time sizes), and delete local files the primary has
-// compacted away. Returns the bytes applied. A snapshot that fails its
-// check is not installed, and a corrupt record ends the affected segment's
-// copy for this round — the records before it are kept — so the next round
-// fetches both again from what the mirror holds. Either failure is in the
-// error returned, joined with the others of the round: a nil error means the
+// manifest's point-in-time sizes), and, once every snapshot is installed,
+// delete local files the primary has compacted away. Returns the bytes
+// applied. A snapshot that fails its check is not installed, and a corrupt
+// record ends the affected segment's copy for this round — the records
+// before it are kept — so the next round fetches both again from what the
+// mirror holds. Either failure, or a failed fsync, is in the error
+// returned, joined with the others of the round: a nil error means the
 // mirror holds every record the manifest listed.
 func (f *Follower) Sync() (int64, error) {
 	remote, err := f.fetchManifest()
 	if err != nil {
 		return 0, err
 	}
-	local, err := journal.ScanTailDir(f.dir)
+	local, err := f.mirror.Manifest()
 	if err != nil {
 		return 0, err
-	}
-	localSnap := make(map[uint64]bool, len(local.Snapshots))
-	for _, s := range local.Snapshots {
-		localSnap[s.Seq] = true
 	}
 	localSeg := make(map[uint64]int64, len(local.Segments))
 	for _, s := range local.Segments {
@@ -138,16 +110,25 @@ func (f *Follower) Sync() (int64, error) {
 	var copied int64
 	var errs []error
 	for _, s := range remote.Snapshots {
-		if localSnap[s.Seq] {
+		if slices.Contains(local.Snapshots, s) {
 			continue // snapshots are immutable once written
 		}
-		n, err := f.copySnapshot(s.Seq)
+		// The mirror checks a snapshot before it installs it, so one that
+		// fails is fetched again next round.
+		raw, err := f.get("?snap="+fmt.Sprint(s.Seq), journal.MaxSnapshotBytes)
+		if err == nil {
+			err = f.mirror.InstallSnapshot(s.Seq, raw)
+		}
 		if err != nil {
 			f.addResume()
 			errs = append(errs, fmt.Errorf("cluster: follower snapshot %d: %w", s.Seq, err))
 			continue
 		}
-		copied += n
+		copied += int64(len(raw))
+	}
+	if len(errs) == 0 {
+		// The snapshots cover the segments the primary compacted away.
+		f.mirror.Prune(remote)
 	}
 	for _, s := range remote.Segments {
 		n, err := f.tailSegment(s.Seq, localSeg[s.Seq])
@@ -157,7 +138,6 @@ func (f *Follower) Sync() (int64, error) {
 			errs = append(errs, fmt.Errorf("cluster: follower segment %d: %w", s.Seq, err))
 		}
 	}
-	f.mirrorDeletions(remote, local)
 
 	f.mu.Lock()
 	f.stats.Rounds++
@@ -200,44 +180,19 @@ func (f *Follower) fetchManifest() (journal.TailManifest, error) {
 	return m, nil
 }
 
-// copySnapshot fetches one immutable snapshot and installs it atomically
-// (tmp + rename) once it passes journal.DecodeSnapshot; a snapshot that
-// fails is not installed, so the next round fetches it again.
-func (f *Follower) copySnapshot(seq uint64) (int64, error) {
-	raw, err := f.get("?snap="+fmt.Sprint(seq), journal.MaxSnapshotBytes)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := journal.DecodeSnapshot(raw); err != nil {
-		return 0, err
-	}
-	name := filepath.Join(f.dir, journal.SnapshotFileName(seq))
-	tmp := name + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, name); err != nil {
-		return 0, err
-	}
-	return int64(len(raw)), nil
-}
-
 // tailSegment extends the local copy of segment seq from offset off until
 // the primary reports no more bytes, writing only the whole records that
 // pass journal.ScanSegment. Bytes that end inside a record are carried into
 // the next request, which asks for what follows them, so a record larger
 // than one reply still arrives whole; a corrupt record stops the copy with
-// the checked prefix in place.
-func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
-	var file *os.File
-	var copied int64
+// the checked prefix in place. The copy's fsync and close errors are
+// joined to the one returned.
+func (f *Follower) tailSegment(seq uint64, off int64) (copied int64, err error) {
+	var file journal.File
 	var carry []byte // bytes from off on that end inside a record
 	defer func() {
 		if file != nil {
-			if err := file.Sync(); err != nil {
-				log.Printf("cluster: syncing segment mirror %d: %v", seq, err)
-			}
-			_ = file.Close() // fsync above is the durability point
+			err = errors.Join(err, file.Sync(), file.Close())
 		}
 	}()
 	for {
@@ -252,13 +207,11 @@ func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
 		recs, n, scanErr := journal.ScanSegment(data, off)
 		if n > 0 {
 			if file == nil {
-				var err error
-				file, err = os.OpenFile(filepath.Join(f.dir, journal.SegmentFileName(seq)), os.O_CREATE|os.O_WRONLY, 0o644)
-				if err != nil {
+				if file, err = f.mirror.AppendSegment(seq); err != nil {
 					return copied, err
 				}
 			}
-			if _, err := file.WriteAt(data[:n], off); err != nil {
+			if _, err := file.Write(data[:n]); err != nil {
 				return copied, err
 			}
 			off += int64(n)
@@ -276,29 +229,6 @@ func (f *Follower) tailSegment(seq uint64, off int64) (int64, error) {
 			return copied, readErr
 		}
 		carry = data[n:]
-	}
-}
-
-// mirrorDeletions removes local files the primary's compaction deleted,
-// so the mirror's Open sees the same segment horizon as the primary's.
-func (f *Follower) mirrorDeletions(remote, local journal.TailManifest) {
-	remoteSeg := make(map[uint64]bool, len(remote.Segments))
-	for _, s := range remote.Segments {
-		remoteSeg[s.Seq] = true
-	}
-	remoteSnap := make(map[uint64]bool, len(remote.Snapshots))
-	for _, s := range remote.Snapshots {
-		remoteSnap[s.Seq] = true
-	}
-	for _, s := range local.Segments {
-		if !remoteSeg[s.Seq] {
-			_ = os.Remove(filepath.Join(f.dir, journal.SegmentFileName(s.Seq))) // best-effort mirror
-		}
-	}
-	for _, s := range local.Snapshots {
-		if !remoteSnap[s.Seq] {
-			_ = os.Remove(filepath.Join(f.dir, journal.SnapshotFileName(s.Seq))) // best-effort mirror
-		}
 	}
 }
 

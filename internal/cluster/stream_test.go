@@ -2,10 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,11 +21,10 @@ func newPrimary(t *testing.T) (*journal.Journal, *httptest.Server) {
 	return servePrimary(t, journal.Options{Dir: t.TempDir()}, nil)
 }
 
-// servePrimary opens a journal with opts (NoSync) and serves its tailing
-// endpoint, through p when p is non-nil.
+// servePrimary opens a journal with opts and serves its tailing endpoint,
+// through p when p is non-nil.
 func servePrimary(t *testing.T, opts journal.Options, p *flakyProxy) (*journal.Journal, *httptest.Server) {
 	t.Helper()
-	opts.NoSync = true
 	j, err := journal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestFollowerMirrorsAndPromotes(t *testing.T) {
 		t.Fatalf("idle sync = %d bytes, err %v; want 0, nil", extra, err)
 	}
 
-	promoted, err := f.Promote(journal.Options{NoSync: true})
+	promoted, err := f.Promote(journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func sameFiles(t *testing.T, j *journal.Journal, primary, mirror string) {
 		names = append(names, journal.SnapshotFileName(snap.Seq))
 	}
 	for _, name := range names {
-		want, err := os.ReadFile(filepath.Join(primary, name))
+		want, err := journal.OS.ReadFile(filepath.Join(primary, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(mirror, name))
+		got, err := journal.OS.ReadFile(filepath.Join(mirror, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestPromotionAbsorbsTornTail(t *testing.T) {
 	}
 	last := local.Segments[len(local.Segments)-1]
 	seg := filepath.Join(f.dir, journal.SegmentFileName(last.Seq))
-	fh, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	fh, err := journal.OS.Append(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPromotionAbsorbsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	promoted, err := f.Promote(journal.Options{NoSync: true})
+	promoted, err := f.Promote(journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,15 +298,22 @@ func TestFollowerRestartsPastATornTail(t *testing.T) {
 	// bytes of them at the end of its copy.
 	appendJobs(t, j, 4, 4, true)
 	name := journal.SegmentFileName(1)
-	want, err := os.ReadFile(filepath.Join(dir, name))
+	want, err := journal.OS.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(mirror, name))
+	got, err := journal.OS.ReadFile(filepath.Join(mirror, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(mirror, name), want[:len(got)+5], 0o644); err != nil {
+	fh, err := journal.OS.Create(filepath.Join(mirror, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.Write(want[:len(got)+5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if f, err = NewFollower(ts.URL, mirror, nil); err != nil {
@@ -346,7 +353,7 @@ func TestFollowerReplicatesARecordLargerThanOneResponse(t *testing.T) {
 		t.Fatalf("stats = %+v, want the segment copied in one round without a resume", st)
 	}
 	sameFiles(t, j, dir, f.dir)
-	promoted, err := f.Promote(journal.Options{NoSync: true})
+	promoted, err := f.Promote(journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +395,7 @@ func TestFollowerRefetchesCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFiles(t, j, dir, f.dir)
-	promoted, err := f.Promote(journal.Options{NoSync: true})
+	promoted, err := f.Promote(journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,4 +432,160 @@ func TestFollowerBoundsEndlessReplies(t *testing.T) {
 	if d := time.Since(start); d > 30*time.Second {
 		t.Fatalf("Sync took %v: the read was not bounded", d)
 	}
+}
+
+// opsFS is the OS file layer with the operations of a follower round
+// recorded by base name — syncs, renames, directory syncs, removals — and
+// with every file sync failing while fail is set.
+type opsFS struct {
+	journal.FS
+	mu   sync.Mutex
+	fail error
+	ops  []string
+}
+
+// do records op on name and returns the injected failure of a file sync.
+func (o *opsFS) do(op, name string) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.ops = append(o.ops, op+" "+filepath.Base(name))
+	if op == "sync" {
+		return o.fail
+	}
+	return nil
+}
+
+// take returns the operations recorded since the last take and sets fail.
+func (o *opsFS) take(fail error) []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ops := o.ops
+	o.ops, o.fail = nil, fail
+	return ops
+}
+
+func (o *opsFS) Create(name string) (journal.File, error) { return o.wrap(name, o.FS.Create) }
+func (o *opsFS) Append(name string) (journal.File, error) { return o.wrap(name, o.FS.Append) }
+
+func (o *opsFS) wrap(name string, open func(string) (journal.File, error)) (journal.File, error) {
+	f, err := open(name)
+	if err != nil {
+		return nil, err
+	}
+	return opsFile{f, o, name}, nil
+}
+
+func (o *opsFS) Rename(from, to string) error {
+	_ = o.do("rename", from)
+	return o.FS.Rename(from, to)
+}
+
+func (o *opsFS) Remove(name string) error {
+	_ = o.do("remove", name)
+	return o.FS.Remove(name)
+}
+
+func (o *opsFS) SyncDir(dir string) error {
+	_ = o.do("syncdir", dir)
+	return o.FS.SyncDir(dir)
+}
+
+type opsFile struct {
+	journal.File
+	fs   *opsFS
+	name string
+}
+
+func (f opsFile) Sync() error {
+	if err := f.fs.do("sync", f.name); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestFollowerReturnsSyncFailure: a mirrored segment whose fsync fails fails
+// the round, so a nil error still means the mirror holds every record; once
+// the fault heals, the next round converges.
+func TestFollowerReturnsSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	j, ts := servePrimary(t, journal.Options{Dir: dir}, nil)
+	defer j.Close()
+	appendJobs(t, j, 1, 3, true)
+	f, err := NewFollower(ts.URL, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &opsFS{FS: journal.OS}
+	if f.mirror, err = journal.OpenMirror(f.dir, fsys); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected fsync failure")
+	fsys.take(boom)
+	if _, err := f.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync = %v, want the injected fsync failure", err)
+	}
+	fsys.take(nil)
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, j, dir, f.dir)
+}
+
+// TestFollowerPrunesAfterInstall: a round removes the segments a new
+// snapshot covers only after that snapshot's install — temp file synced,
+// renamed, directory synced — and a round whose install fails removes
+// nothing, so a power loss never leaves the mirror with neither.
+func TestFollowerPrunesAfterInstall(t *testing.T) {
+	dir := t.TempDir()
+	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10, KeepSnapshots: 1}, nil)
+	defer j.Close()
+	appendJobs(t, j, 1, 4, true)
+	f, err := NewFollower(ts.URL, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &opsFS{FS: journal.OS}
+	if f.mirror, err = journal.OpenMirror(f.dir, fsys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendJobs(t, j, 5, 40, true)
+	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 1 || m.Segments[0].Seq == 1 {
+		t.Fatalf("manifest %+v (err %v): want a snapshot covering compacted segments", m, err)
+	}
+
+	boom := errors.New("injected fsync failure")
+	fsys.take(boom)
+	if _, err := f.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync = %v, want the injected fsync failure", err)
+	}
+	for _, op := range fsys.take(nil) {
+		if strings.HasPrefix(op, "remove") || strings.HasPrefix(op, "rename") {
+			t.Fatalf("a round whose snapshot did not sync did %q", op)
+		}
+	}
+	if _, err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ops := fsys.take(nil)
+	synced := -1
+	for i, op := range ops {
+		switch {
+		case strings.HasPrefix(op, "syncdir"):
+			if i < 2 || !strings.HasPrefix(ops[i-1], "rename snap-") || !strings.HasPrefix(ops[i-2], "sync snap-") {
+				t.Fatalf("operations %q: the directory sync does not follow a snapshot's sync and rename", ops)
+			}
+			synced = i
+		case strings.HasPrefix(op, "remove wal-"):
+			if synced < 0 {
+				t.Fatalf("operations %q: %q before the covering snapshot's directory sync", ops, op)
+			}
+		}
+	}
+	if !slices.ContainsFunc(ops, func(op string) bool { return strings.HasPrefix(op, "remove wal-") }) {
+		t.Fatalf("operations %q: no covered segment removed", ops)
+	}
+	sameFiles(t, j, dir, f.dir)
 }

@@ -25,7 +25,7 @@ func newTracedBackend(t *testing.T, name string, durable bool) (*testBackend, *t
 	var jr *journal.Journal
 	if durable {
 		var err error
-		jr, err = journal.Open(journal.Options{Dir: t.TempDir(), NoSync: true})
+		jr, err = journal.Open(journal.Options{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func FuzzReplaySegment(f *testing.F) {
 		if err := os.WriteFile(path, append([]byte(segMagic), tail...), 0o644); err != nil {
 			t.Skip()
 		}
-		recs, validLen, _ := readSegment(path)
+		recs, validLen, _, _ := readSegment(OS, path)
 		if validLen < int64(len(segMagic)) || validLen > int64(len(segMagic)+len(tail)) {
 			t.Fatalf("validLen %d out of range", validLen)
 		}

@@ -25,9 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,8 +50,9 @@ type Options struct {
 	// (default 2; the extra generation survives corruption of the
 	// newest).
 	KeepSnapshots int
-	// NoSync skips fsync (tests only; crash durability is lost).
-	NoSync bool
+	// FS is the file layer the journal's files are read and written
+	// through (default OS).
+	FS FS
 	// Logf receives recovery and compaction warnings (default
 	// log.Printf).
 	Logf func(format string, args ...any)
@@ -68,6 +67,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
+	}
+	if o.FS == nil {
+		o.FS = OS
 	}
 	return o
 }
@@ -94,10 +96,9 @@ type Stats struct {
 // Journal is an open write-ahead log. Safe for concurrent use.
 type Journal struct {
 	opts Options
-	dir  string
 
 	mu        sync.Mutex // guards f, seg, size, state, appendSeq, closed
-	f         *os.File
+	f         File
 	seg       uint64
 	size      int64
 	state     *State
@@ -107,7 +108,6 @@ type Journal struct {
 	syncMu    sync.Mutex // serializes fsync batches; held across rotation
 	syncedSeq uint64
 	syncErr   error
-	syncFault error // injected by FailSyncs
 
 	obs atomic.Pointer[journalObs] // instrument bundle; nil until Observe
 
@@ -117,8 +117,9 @@ type Journal struct {
 	}
 }
 
-func segName(seq uint64) string  { return fmt.Sprintf("wal-%016x.log", seq) }
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
+// SegmentFileName and SnapshotFileName are the journal's file names.
+func SegmentFileName(seq uint64) string  { return fmt.Sprintf("wal-%016x.log", seq) }
+func SnapshotFileName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
 
 // parseSeq extracts the sequence number of a journal file name.
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
@@ -139,125 +140,93 @@ func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("journal: Options.Dir is required")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	fsys := opts.FS
+	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
-	j := &Journal{opts: opts, dir: opts.Dir}
-
-	entries, err := os.ReadDir(opts.Dir)
+	j := &Journal{opts: opts}
+	files, err := scanDir(fsys, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs, snaps []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
-			segs = append(segs, seq)
-		}
-		if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
-			snaps = append(snaps, seq)
-		}
-	}
-	sort.Slice(segs, func(i, k int) bool { return segs[i] < segs[k] })
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i] < snaps[k] })
+	segs, snaps := files.Segments, files.Snapshots
 
 	// Seed from the newest loadable snapshot, falling back on corruption.
 	state, snapSeq := newState(), uint64(0)
 	for i := len(snaps) - 1; i >= 0; i-- {
-		st, err := j.readSnapshot(snaps[i])
+		data, err := j.SnapshotBytes(snaps[i].Seq)
+		var st *State
+		if err == nil {
+			st, err = DecodeSnapshot(data)
+		}
 		if err != nil {
-			opts.Logf("journal: snapshot %s unreadable (%v); falling back", snapName(snaps[i]), err)
+			opts.Logf("journal: snapshot %s unreadable (%v); falling back", SnapshotFileName(snaps[i].Seq), err)
 			continue
 		}
-		state, snapSeq = st, snaps[i]
+		state, snapSeq = st, snaps[i].Seq
 		break
 	}
 	j.state = state
 
-	// Replay segments the snapshot does not cover, truncating torn tails.
+	// Replay segments the snapshot does not cover, cutting torn tails.
 	var lastLen int64
-	for _, seq := range segs {
-		if seq < snapSeq {
+	for _, s := range segs {
+		if s.Seq < snapSeq {
 			continue // covered by the snapshot; compaction leftovers
 		}
-		path := filepath.Join(opts.Dir, segName(seq))
-		recs, validLen, tornErr := readSegment(path)
-		if errors.Is(tornErr, errSegmentIO) {
-			return nil, tornErr
+		recs, validLen, torn, err := readSegment(fsys, filepath.Join(opts.Dir, SegmentFileName(s.Seq)))
+		if errors.Is(err, errSegmentIO) {
+			return nil, err
 		}
 		for _, rec := range recs {
 			j.state.apply(rec)
 		}
 		j.stats.ReplayedRecords += int64(len(recs))
-		if tornErr != nil {
-			fi, statErr := os.Stat(path)
-			if statErr == nil && fi.Size() > validLen {
-				torn := fi.Size() - validLen
-				j.stats.TruncatedBytes += torn
-				if seq != segs[len(segs)-1] {
-					opts.Logf("journal: corruption inside non-final segment %s (%v); records after offset %d in that segment are lost", segName(seq), tornErr, validLen)
-				}
-				opts.Logf("journal: truncating %d bytes of torn tail from %s at offset %d (%v)", torn, segName(seq), validLen, tornErr)
-				if err := os.Truncate(path, validLen); err != nil {
-					return nil, fmt.Errorf("journal: truncating %s: %w", path, err)
-				}
+		if torn > 0 {
+			j.stats.TruncatedBytes += torn
+			if s.Seq != segs[len(segs)-1].Seq {
+				opts.Logf("journal: corruption inside non-final segment %s (%v); records after offset %d in that segment are lost", SegmentFileName(s.Seq), err, validLen)
 			}
+			opts.Logf("journal: truncated %d bytes of torn tail from %s at offset %d (%v)", torn, SegmentFileName(s.Seq), validLen, err)
 		}
 		lastLen = validLen
 	}
 
-	// Open the newest segment for appends, or start a fresh one.
-	if n := len(segs); n > 0 && segs[n-1] >= snapSeq {
-		j.seg = segs[n-1]
-		path := filepath.Join(opts.Dir, segName(j.seg))
-		if lastLen < int64(len(segMagic)) {
-			// The tail segment lost even its header; rewrite it.
-			if err := os.Truncate(path, 0); err != nil {
-				return nil, err
-			}
-			f, err := j.createSegmentFile(path)
-			if err != nil {
-				return nil, err
-			}
-			j.f, j.size = f, int64(len(segMagic))
-		} else {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			j.f, j.size = f, lastLen
-		}
+	// Open the newest segment for appends, or start a fresh one after the
+	// snapshot. A tail segment that lost even its header is rewritten.
+	j.seg, j.size = max(snapSeq, 1), int64(len(segMagic))
+	if n := len(segs); n > 0 && segs[n-1].Seq >= snapSeq {
+		j.seg = segs[n-1].Seq
+	}
+	path := filepath.Join(opts.Dir, SegmentFileName(j.seg))
+	if lastLen >= j.size {
+		j.size = lastLen
+		j.f, err = fsys.Append(path)
 	} else {
-		j.seg = snapSeq
-		if j.seg == 0 {
-			j.seg = 1
-		}
-		f, err := j.createSegmentFile(filepath.Join(opts.Dir, segName(j.seg)))
-		if err != nil {
-			return nil, err
-		}
-		j.f, j.size = f, int64(len(segMagic))
+		j.f, err = create(fsys, path, []byte(segMagic))
+	}
+	if err != nil {
+		return nil, err
 	}
 	j.stats.Segment = j.seg
 	j.syncDir()
 	return j, nil
 }
 
-// createSegmentFile creates a segment with its magic header written and
-// (unless NoSync) synced.
-func (j *Journal) createSegmentFile(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// create writes data to a new or emptied file at path, syncs it and returns
+// it open.
+func create(fsys FS, path string, data []byte) (File, error) {
+	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
-		_ = f.Close() // already failing; the write error is the one to surface
-		return nil, err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if !j.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close() // already failing; the sync error is the one to surface
-			return nil, err
-		}
+	if err != nil {
+		_ = f.Close() // already failing; that error is the one to surface
+		return nil, err
 	}
 	return f, nil
 }
@@ -266,32 +235,29 @@ func (j *Journal) createSegmentFile(path string) (*os.File, error) {
 // Failures are logged rather than fatal — the caller's own data writes are
 // already synced; only the direntry metadata's durability is in doubt.
 func (j *Journal) syncDir() {
-	if j.opts.NoSync {
-		return
+	if err := j.opts.FS.SyncDir(j.opts.Dir); err != nil {
+		j.opts.Logf("journal: directory sync of %s failed (recent renames/creations may not be durable): %v", j.opts.Dir, err)
 	}
-	d, err := os.Open(j.dir)
-	if err != nil {
-		j.opts.Logf("journal: cannot open %s to sync directory metadata: %v", j.dir, err)
-		return
-	}
-	if err := d.Sync(); err != nil {
-		j.opts.Logf("journal: directory sync of %s failed (recent renames/creations may not be durable): %v", j.dir, err)
-	}
-	_ = d.Close() // read-only directory handle; nothing left to flush
 }
 
-// readSegment parses one segment file, returning the decodable records,
-// the length of the valid prefix (magic included), and the error that
-// stopped the scan (nil on a clean end).
-func readSegment(path string) ([]*Record, int64, error) {
-	data, err := os.ReadFile(path)
+// readSegment reads a segment file and cuts it back to its valid prefix,
+// the magic and the whole records ScanSegment accepts: the torn-tail cut of
+// Open and of a Mirror. It returns the prefix's records and length, the
+// bytes cut after it, and the error that stopped the scan (nil on a clean
+// end) — or, wrapping errSegmentIO, the failure to read or cut the file: an
+// I/O problem, not a torn tail, on which Open fails rather than cut more.
+func readSegment(fsys FS, path string) (recs []*Record, valid, cut int64, err error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
-		// A file we cannot even read is an I/O problem, not a torn
-		// tail; fail the open rather than truncate good data.
-		return nil, 0, fmt.Errorf("%w: %v", errSegmentIO, err)
+		return nil, 0, 0, fmt.Errorf("%w: %v", errSegmentIO, err)
 	}
 	recs, n, err := ScanSegment(data, 0)
-	return recs, int64(n), err
+	if n < len(data) {
+		if terr := fsys.Truncate(path, int64(n)); terr != nil {
+			return nil, 0, 0, fmt.Errorf("%w: truncating %s: %v", errSegmentIO, path, terr)
+		}
+	}
+	return recs, int64(n), int64(len(data) - n), err
 }
 
 // ScanSegment checks data, the bytes of a segment from offset off on, the
@@ -332,15 +298,6 @@ func ScanSegment(data []byte, off int64) ([]*Record, int, error) {
 	return recs, n, nil
 }
 
-// readSnapshot loads and validates one snapshot file.
-func (j *Journal) readSnapshot(seq uint64) (*State, error) {
-	data, err := os.ReadFile(filepath.Join(j.dir, snapName(seq)))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSnapshot(data)
-}
-
 // DecodeSnapshot checks a snapshot file's bytes the way Open does — magic,
 // one frame whose CRC-32C verifies and nothing after it, a payload that
 // unmarshals — and returns the state it holds. A standby installs a
@@ -366,61 +323,54 @@ const snapMagic = "FTSNAP01"
 const MaxSnapshotBytes = len(snapMagic) + frameHeader + maxFrameSize
 
 // writeSnapshot durably writes the state as snapshot seq (covering all
-// segments with sequence < seq) via tmp-file + rename, then compacts: the
-// covered segments and all but the newest KeepSnapshots snapshots are
-// deleted.
+// segments with sequence < seq) with install, then compacts: the covered
+// segments and all but the newest KeepSnapshots snapshots are deleted.
 func (j *Journal) writeSnapshot(st *State, seq uint64) error {
 	payload, err := st.marshalSnapshot()
 	if err != nil {
 		return err
 	}
-	data := encodeFrame([]byte(snapMagic), payload)
-	path := filepath.Join(j.dir, snapName(seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	fsys := j.opts.FS
+	if err := install(fsys, j.opts.Dir, SnapshotFileName(seq), encodeFrame([]byte(snapMagic), payload)); err != nil {
 		return err
 	}
-	if !j.opts.NoSync {
-		f, err := os.OpenFile(tmp, os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		serr := f.Sync()
-		if cerr := f.Close(); serr == nil {
-			serr = cerr
-		}
-		if serr != nil {
-			return serr
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	j.syncDir()
 	j.stats.Lock()
 	j.stats.Snapshots++
 	j.stats.Unlock()
 
 	// Compact: covered segments and superseded snapshots.
-	entries, err := os.ReadDir(j.dir)
+	files, err := scanDir(fsys, j.opts.Dir)
 	if err != nil {
 		return nil // the snapshot itself is durable; compaction is best-effort
 	}
-	var snaps []uint64
-	for _, e := range entries {
-		if s, ok := parseSeq(e.Name(), "wal-", ".log"); ok && s < seq {
-			os.Remove(filepath.Join(j.dir, e.Name()))
-		}
-		if s, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
-			snaps = append(snaps, s)
+	for _, s := range files.Segments {
+		if s.Seq < seq {
+			_ = fsys.Remove(filepath.Join(j.opts.Dir, SegmentFileName(s.Seq)))
 		}
 	}
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i] < snaps[k] })
-	for len(snaps) > j.opts.KeepSnapshots {
-		os.Remove(filepath.Join(j.dir, snapName(snaps[0])))
-		snaps = snaps[1:]
+	for _, s := range files.Snapshots[:max(0, len(files.Snapshots)-j.opts.KeepSnapshots)] {
+		_ = fsys.Remove(filepath.Join(j.opts.Dir, SnapshotFileName(s.Seq)))
 	}
 	return nil
+}
+
+// install durably writes data as file name of dir: a temp file written and
+// synced, renamed over name, then the directory synced. The journal's
+// snapshots and a Mirror's are written with it, and a file it returned nil
+// for survives a crash whole.
+func install(fsys FS, dir, name string, data []byte) error {
+	path := filepath.Join(dir, name)
+	f, err := create(fsys, path+".tmp", data)
+	if err == nil {
+		err = f.Close()
+	}
+	if err == nil {
+		err = fsys.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
 }
 
 // Ticket names a written record for Sync.
@@ -498,24 +448,11 @@ func (j *Journal) Sync(t Ticket) error {
 	return nil
 }
 
-// FailSyncs makes every group-commit fsync from now on report err without
-// touching the disk (nil heals). It is fault injection for the callers' error
-// paths — a Sync that fails after its Write succeeded — which no real file
-// can be made to produce on demand.
-func (j *Journal) FailSyncs(err error) {
-	j.syncMu.Lock()
-	j.syncFault = err
-	j.syncMu.Unlock()
-}
-
 // syncTo blocks until every record up to ticket is fsynced. The first
 // caller into the critical section syncs everything written so far; callers
 // whose ticket is already covered return immediately — batched group
 // commit.
 func (j *Journal) syncTo(ticket uint64) error {
-	if j.opts.NoSync {
-		return nil
-	}
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
 	if j.syncedSeq >= ticket {
@@ -529,12 +466,9 @@ func (j *Journal) syncTo(ticket uint64) error {
 		return ErrClosed
 	}
 	batch := int64(cur - j.syncedSeq)
-	err := j.syncFault
-	if err == nil {
-		// Group commit by design: the fsync under syncMu is the batching
-		// point every concurrent appender shares.
-		err = f.Sync()
-	}
+	// Group commit by design: the fsync under syncMu is the batching point
+	// every concurrent appender shares.
+	err := f.Sync()
 	j.syncedSeq, j.syncErr = cur, err
 	j.stats.Lock()
 	j.stats.Fsyncs++
@@ -557,20 +491,18 @@ func (j *Journal) rotate() {
 		return
 	}
 	old := j.f
-	if !j.opts.NoSync {
-		// Rotation drains the old segment under syncMu so no appender can
-		// share a sync with a file about to be swapped out.
-		if err := old.Sync(); err != nil {
-			j.mu.Unlock()
-			j.opts.Logf("journal: rotation aborted, cannot sync %s: %v", segName(j.seg), err)
-			return
-		}
+	// Rotation drains the old segment under syncMu so no appender can share
+	// a sync with a file about to be swapped out.
+	if err := old.Sync(); err != nil {
+		j.mu.Unlock()
+		j.opts.Logf("journal: rotation aborted, cannot sync %s: %v", SegmentFileName(j.seg), err)
+		return
 	}
 	newSeq := j.seg + 1
-	f, err := j.createSegmentFile(filepath.Join(j.dir, segName(newSeq)))
+	f, err := create(j.opts.FS, filepath.Join(j.opts.Dir, SegmentFileName(newSeq)), []byte(segMagic))
 	if err != nil {
 		j.mu.Unlock()
-		j.opts.Logf("journal: rotation aborted, cannot create %s: %v", segName(newSeq), err)
+		j.opts.Logf("journal: rotation aborted, cannot create %s: %v", SegmentFileName(newSeq), err)
 		return
 	}
 	j.f, j.seg, j.size = f, newSeq, int64(len(segMagic))
@@ -581,7 +513,7 @@ func (j *Journal) rotate() {
 	if err := old.Close(); err != nil {
 		// The old segment was synced above; a close failure loses no
 		// data but is worth a trace in the log.
-		j.opts.Logf("journal: closing rotated segment %s: %v", segName(newSeq-1), err)
+		j.opts.Logf("journal: closing rotated segment %s: %v", SegmentFileName(newSeq-1), err)
 	}
 
 	j.stats.Lock()
@@ -589,7 +521,7 @@ func (j *Journal) rotate() {
 	j.stats.Segment = newSeq
 	j.stats.Unlock()
 	if err := j.writeSnapshot(snap, newSeq); err != nil {
-		j.opts.Logf("journal: snapshot %s failed (recovery will replay segments instead): %v", snapName(newSeq), err)
+		j.opts.Logf("journal: snapshot %s failed (recovery will replay segments instead): %v", SnapshotFileName(newSeq), err)
 	}
 }
 
@@ -608,14 +540,9 @@ func (j *Journal) Close() error {
 	snap := j.state.clone()
 	j.mu.Unlock()
 
-	var firstErr error
-	if !j.opts.NoSync {
-		// The final sync holds syncMu so in-flight group-commit waiters are
-		// covered by it before the file closes.
-		if err := f.Sync(); err != nil {
-			firstErr = err
-		}
-	}
+	// The final sync holds syncMu so in-flight group-commit waiters are
+	// covered by it before the file closes.
+	firstErr := f.Sync()
 	if firstErr == nil {
 		// Appenders that wrote before closed was set and are waiting
 		// on the sync section are covered by the final sync above.

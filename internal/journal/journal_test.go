@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -487,28 +486,6 @@ func TestWriteThenSync(t *testing.T) {
 	}
 }
 
-// TestSyncFailureAfterWrite: an fsync that fails after the write succeeded
-// fails the Sync (and an Append) but not the journal — once the fault heals,
-// a later ticket syncs.
-func TestSyncFailureAfterWrite(t *testing.T) {
-	j := mustOpen(t, Options{Dir: t.TempDir()})
-	defer j.Close()
-	boom := errors.New("injected fsync failure")
-	j.FailSyncs(boom)
-	tk, err := j.Write(Record{Kind: Submitted, ID: 1, Name: "one"})
-	if err != nil {
-		t.Fatalf("Write must not see the sync fault: %v", err)
-	}
-	if err := j.Sync(tk); !errors.Is(err, boom) {
-		t.Fatalf("Sync = %v, want the injected failure", err)
-	}
-	if err := j.Append(Record{Kind: Started, ID: 1}); !errors.Is(err, boom) {
-		t.Fatalf("Append = %v, want the injected failure", err)
-	}
-	j.FailSyncs(nil)
-	appendAll(t, j, Record{Kind: Succeeded, ID: 1, SinkDigest: "aa"})
-}
-
 // TestUnsyncedStartedTail: the service writes Started and waits for no
 // fsync, so a crash can leave it as the tail of the log — whole, torn, or
 // missing. Every variant replays to an incomplete job (to be re-run), the
@@ -585,7 +562,7 @@ func TestUnsyncedStartedTail(t *testing.T) {
 // rest on this.
 func TestReplayFoldsIdentically(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, NoSync: true})
+	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512})
 	for id := int64(1); id <= 40; id++ {
 		switch id % 4 {
 		case 0:

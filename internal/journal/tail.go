@@ -1,23 +1,24 @@
 package journal
 
-// Segment tailing: the read-side API a standby uses to replicate a live
-// journal byte-for-byte over a network hop. The primary exposes its durable
-// files (WAL segments and snapshots) as raw offset-addressable byte ranges; a
-// follower copies them into its own directory and, on promotion, replays
-// that directory with Open exactly like a crash restart.
+// Segment tailing: what a standby uses to replicate a live journal
+// byte-for-byte over a network hop. The primary exposes its durable files
+// (WAL segments and snapshots) as raw offset-addressable byte ranges; a
+// follower copies them into a Mirror and, on promotion, replays that
+// directory with Open exactly like a crash restart.
 //
 // The link adds no framing of its own. Every segment byte after the magic
 // already sits under a record's CRC-32C, and a snapshot under its frame's, so
 // the follower checks what it receives with the functions Open checks files
 // with (ScanSegment, DecodeSnapshot) and keeps only what passes: a bit
 // flipped in flight is detected at the record it struck, and the follower
-// resumes from its last good offset.
+// resumes from its last good offset. The Mirror writes through the same FS,
+// torn-tail cut (readSegment) and snapshot install (install) as the journal.
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -41,14 +42,17 @@ type TailManifest struct {
 // it rotates), and compaction may delete a listed file before it is fetched
 // — followers must treat a missing segment as "re-list and retry".
 func (j *Journal) TailManifest() (TailManifest, error) {
-	return ScanTailDir(j.dir)
+	return scanDir(j.opts.FS, j.opts.Dir)
 }
 
-// ScanTailDir builds a TailManifest from any directory using the
-// journal's naming rules — a follower points it at its own mirror to diff
-// local files against a primary's manifest.
-func ScanTailDir(dir string) (TailManifest, error) {
-	entries, err := os.ReadDir(dir)
+// ScanTailDir builds a TailManifest from any directory of the operating
+// system using the journal's naming rules.
+func ScanTailDir(dir string) (TailManifest, error) { return scanDir(OS, dir) }
+
+// scanDir lists the journal files of dir: the one reading of a journal
+// directory, for Open, the compaction, a manifest and a Mirror.
+func scanDir(fsys FS, dir string) (TailManifest, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return TailManifest{}, err
 	}
@@ -70,14 +74,6 @@ func ScanTailDir(dir string) (TailManifest, error) {
 	return m, nil
 }
 
-// SegmentFileName and SnapshotFileName expose the journal's naming scheme
-// so a replication follower mirrors files under the exact names Open
-// expects at promotion.
-func SegmentFileName(seq uint64) string { return segName(seq) }
-
-// SnapshotFileName is the snapshot analogue of SegmentFileName.
-func SnapshotFileName(seq uint64) string { return snapName(seq) }
-
 // ReadSegmentAt returns up to max bytes of segment seq starting at offset
 // off. An offset at or past the current end returns an empty slice (the
 // follower is caught up); a missing segment returns an error (compacted
@@ -87,31 +83,87 @@ func (j *Journal) ReadSegmentAt(seq uint64, off int64, max int) ([]byte, error) 
 	if off < 0 || max <= 0 {
 		return nil, fmt.Errorf("journal: bad tail read (off %d, max %d)", off, max)
 	}
-	f, err := os.Open(filepath.Join(j.dir, segName(seq)))
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only handle; nothing to flush
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if off >= fi.Size() {
-		return nil, nil
-	}
-	if rest := fi.Size() - off; int64(max) > rest {
-		max = int(rest)
-	}
-	buf := make([]byte, max)
-	n, err := f.ReadAt(buf, off)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf[:n], nil
+	return j.opts.FS.ReadAt(filepath.Join(j.opts.Dir, SegmentFileName(seq)), off, max)
 }
 
 // SnapshotBytes returns the raw content of snapshot seq, its own magic and
 // CRC frame included, for the receiver to check with DecodeSnapshot.
 func (j *Journal) SnapshotBytes(seq uint64) ([]byte, error) {
-	return os.ReadFile(filepath.Join(j.dir, snapName(seq)))
+	return j.opts.FS.ReadFile(filepath.Join(j.opts.Dir, SnapshotFileName(seq)))
+}
+
+// Mirror is the file side of a standby: a directory holding a copy of a
+// primary journal's files, written only with what passes the checks Open
+// applies, so that Open of it is a crash restart.
+type Mirror struct {
+	dir  string
+	fsys FS
+}
+
+// OpenMirror prepares dir (created if absent) as a mirror through fsys. A
+// standby killed mid-write can leave a torn record at the end of a mirrored
+// segment, and a resume from inside a record never passes the check, so
+// each segment is first cut back to its whole records, as Open cuts it.
+func OpenMirror(dir string, fsys FS) (*Mirror, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
+		return nil, err
+	}
+	m := &Mirror{dir: dir, fsys: fsys}
+	local, err := m.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range local.Segments {
+		if _, _, _, err := readSegment(fsys, filepath.Join(dir, SegmentFileName(s.Seq))); errors.Is(err, errSegmentIO) {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// Manifest lists the mirror's files.
+func (m *Mirror) Manifest() (TailManifest, error) { return scanDir(m.fsys, m.dir) }
+
+// InstallSnapshot installs data as snapshot seq the way the journal writes
+// its own, once it passes DecodeSnapshot; one that fails is not installed.
+func (m *Mirror) InstallSnapshot(seq uint64, data []byte) error {
+	if _, err := DecodeSnapshot(data); err != nil {
+		return err
+	}
+	return install(m.fsys, m.dir, SnapshotFileName(seq), data)
+}
+
+// AppendSegment opens segment seq for appends, creating it if absent: the
+// caller writes to it only the whole records ScanSegment accepts.
+func (m *Mirror) AppendSegment(seq uint64) (File, error) {
+	return m.fsys.Append(filepath.Join(m.dir, SegmentFileName(seq)))
+}
+
+// Prune removes, best-effort, the mirror's files that the primary's
+// manifest no longer lists: what its compaction deleted. Call it only once
+// the mirror holds every snapshot the manifest lists, as those cover the
+// segments it removes.
+func (m *Mirror) Prune(remote TailManifest) {
+	local, err := m.Manifest()
+	if err != nil {
+		return
+	}
+	listed := remote.names()
+	for _, name := range local.names() {
+		if !slices.Contains(listed, name) {
+			_ = m.fsys.Remove(filepath.Join(m.dir, name))
+		}
+	}
+}
+
+// names lists the file names of the manifest's segments and snapshots.
+func (t TailManifest) names() []string {
+	var out []string
+	for _, s := range t.Segments {
+		out = append(out, SegmentFileName(s.Seq))
+	}
+	for _, s := range t.Snapshots {
+		out = append(out, SnapshotFileName(s.Seq))
+	}
+	return out
 }

@@ -13,7 +13,7 @@ import (
 // openTail is a test helper: a journal with a few appended records.
 func openTail(t *testing.T, dir string, jobs int) *Journal {
 	t.Helper()
-	j, err := Open(Options{Dir: dir, NoSync: true})
+	j, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTailManifestAndReadSegmentAt(t *testing.T) {
 	// Whole-file read equals the on-disk bytes, chunked reads reassemble to
 	// the same content (resume-from-offset), and a caught-up offset returns
 	// empty without error.
-	want, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	want, err := os.ReadFile(filepath.Join(dir, SegmentFileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSnapshotBytesRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil { // Close writes a covering snapshot
 		t.Fatal(err)
 	}
-	j2, err := Open(Options{Dir: dir, NoSync: true})
+	j2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSnapshotBytesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join(dir, snapName(seq)))
+	want, err := os.ReadFile(filepath.Join(dir, SnapshotFileName(seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +244,11 @@ func FuzzApplyReply(f *testing.F) {
 		if len(mirror) == 0 {
 			return
 		}
-		path := filepath.Join(t.TempDir(), segName(1))
+		path := filepath.Join(t.TempDir(), SegmentFileName(1))
 		if err := os.WriteFile(path, mirror, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		all, validLen, err := readSegment(path)
+		all, validLen, _, err := readSegment(OS, path)
 		if err != nil || validLen != int64(len(mirror)) {
 			t.Fatalf("mirror of %d bytes re-scans to %d, err %v", len(mirror), validLen, err)
 		}

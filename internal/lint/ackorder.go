@@ -58,8 +58,8 @@ func computeAckOrder(fset *token.FileSet, g *Graph) []Diagnostic {
 	var out []Diagnostic
 
 	// Directive sanity: an fsync function must be able to reach a real
-	// fsync. (Reachability, not path-sensitivity: a NoSync test knob does
-	// not invalidate the annotation.)
+	// fsync, through an interface call's implementations too.
+	// (Reachability, not path-sensitivity.)
 	g.Nodes(func(n *FuncNode) {
 		if n.Durable != "fsync" {
 			return
@@ -164,29 +164,45 @@ type ackWalk struct {
 	exits []bool // synced-ness at each return (and fall-off end)
 }
 
-// call processes one resolvable call site against the current state.
+// call processes one resolvable call site against the current state. A call
+// of an interface method runs one of its implementations: it is a barrier
+// only if each of them is, and the obligations of each climb.
 func (w *ackWalk) call(key string, pos token.Pos, st *ackState) {
+	keys, ok := w.g.impls[key]
+	if !ok {
+		keys = []string{key}
+	}
+	barrier := len(keys) > 0
+	for _, k := range keys {
+		barrier = w.callee(k, pos, st.synced) && barrier
+	}
+	if barrier {
+		st.synced = true
+	}
+}
+
+// callee judges a call of key in state synced and reports whether the
+// callee is a barrier.
+func (w *ackWalk) callee(key string, pos token.Pos, synced bool) bool {
 	target := w.g.Funcs[key]
 	if target == nil {
-		return
+		return false
 	}
 	s := w.sums[key]
 	// Ack check first: a function that both acks and syncs (ack annotated
 	// functions are never also barriers) cannot excuse its own ack.
-	if target.Durable == "ack" && !st.synced {
+	if target.Durable == "ack" && !synced {
 		w.addObligation(ackObligation{origin: pos, ackName: target.Name})
-		return
+		return false
 	}
-	if s != nil && len(s.obligations) > 0 && !st.synced && target.Durable == "" {
+	if s != nil && len(s.obligations) > 0 && !synced && target.Durable == "" {
 		// The callee exposes an undominated ack; unsynced here, the
 		// obligation climbs to this function's own summary.
 		for _, ob := range s.obligations {
 			w.addObligation(ob)
 		}
 	}
-	if target.Durable == "fsync" || (s != nil && s.barrier) {
-		st.synced = true
-	}
+	return target.Durable == "fsync" || (s != nil && s.barrier)
 }
 
 // addObligation records an obligation, dedup'd by its origin — without the

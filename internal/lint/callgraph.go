@@ -21,7 +21,9 @@ import (
 // statement, or one that escapes into a variable or parameter, is a node with
 // no incoming edge: the launcher does not wait for it, and calls through
 // function values are indirect, so the graph deliberately under-approximates
-// them.
+// them. A call of an interface method declared in the module has an edge to
+// that method of every loaded package-level type that implements the
+// interface (Graph.impls): it runs one of them.
 
 // CallSite is one static call edge out of a function.
 type CallSite struct {
@@ -67,6 +69,11 @@ type Graph struct {
 	// order holds the keys in insertion (position) order so summary
 	// fixpoints and reports do not depend on map iteration.
 	order []string
+	// types are the loaded packages' package-level named non-interface
+	// types; impls maps the key of each interface method they call to the
+	// keys of its implementations among those types.
+	types []*types.Named
+	impls map[string][]string
 }
 
 // Nodes invokes f over every function node in deterministic order.
@@ -95,12 +102,21 @@ func funcKey(f *types.Func) string {
 // function declaration and function literal and one edge per resolvable
 // call. Malformed //lint:durable directives are reported through report.
 func buildGraph(fset *token.FileSet, pkgs []*Package, report func(Diagnostic)) *Graph {
-	g := &Graph{Funcs: make(map[string]*FuncNode)}
+	g := &Graph{Funcs: make(map[string]*FuncNode), impls: make(map[string][]string)}
 	loaded := make(map[string]bool, len(pkgs))
 	for _, pkg := range pkgs {
 		loaded[pkg.Path] = true
-		if pkg.Types != nil {
-			loaded[pkg.Types.Path()] = true
+		if pkg.Types == nil {
+			continue
+		}
+		loaded[pkg.Types.Path()] = true
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					g.types = append(g.types, n)
+				}
+			}
 		}
 	}
 
@@ -233,6 +249,9 @@ func collectBody(g *Graph, pkg *Package, node *FuncNode, body ast.Node, loaded m
 				if f := calleeFunc(info, x); f != nil {
 					if key := funcKey(f); loaded[pkgPathOf(f)] {
 						node.Calls = append(node.Calls, CallSite{Callee: key, Pos: x.Pos()})
+						for _, impl := range g.implementations(f) {
+							node.Calls = append(node.Calls, CallSite{Callee: impl, Pos: x.Pos()})
+						}
 					}
 				}
 			case *ast.FuncLit:
@@ -245,6 +264,44 @@ func collectBody(g *Graph, pkg *Package, node *FuncNode, body ast.Node, loaded m
 		})
 	}
 	walk(body)
+}
+
+// implementations returns the keys of the loaded types' methods that a
+// call of f may run when f is an interface method, and nil otherwise. The
+// packages are type-checked one by one, each against the others' export
+// data, so a type can appear as two objects: a method matches by name and
+// by its signature's text.
+func (g *Graph) implementations(f *types.Func) []string {
+	sig := f.Type().(*types.Signature)
+	if sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
+		return nil
+	}
+	key := funcKey(f)
+	if impls, ok := g.impls[key]; ok {
+		return impls
+	}
+	iface := sig.Recv().Type().Underlying().(*types.Interface)
+	impls := []string{}
+	for _, n := range g.types {
+		ms := types.NewMethodSet(types.NewPointer(n))
+		var found *types.Func
+		for i := 0; i < iface.NumMethods(); i++ {
+			m := iface.Method(i)
+			sel := ms.Lookup(m.Pkg(), m.Name())
+			if sel == nil || types.TypeString(sel.Type(), nil) != types.TypeString(m.Type(), nil) {
+				found = nil
+				break
+			}
+			if m.Name() == f.Name() {
+				found = sel.Obj().(*types.Func)
+			}
+		}
+		if found != nil && !types.IsInterface(found.Type().(*types.Signature).Recv().Type()) {
+			impls = append(impls, funcKey(found))
+		}
+	}
+	g.impls[key] = impls
+	return impls
 }
 
 // pkgPathOf returns the package path of a function's defining package, ""

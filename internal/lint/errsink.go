@@ -15,7 +15,8 @@ import (
 // Scope is deliberately narrow to stay high-signal — only calls whose lost
 // error voids a durability or integrity guarantee:
 //
-//   - (*os.File).Sync and (*os.File).Close
+//   - (*os.File).Sync and (*os.File).Close, and the same two methods of
+//     journal.File, the journal's file layer
 //   - (*journal.Journal).Append, Write, Sync and Close
 //   - journal.DecodeRecord and journal.ScanSegment (checksum verifiers:
 //     ignoring their error means accepting a corrupt record)
@@ -39,6 +40,10 @@ func durabilityCall(info *types.Info, call *ast.CallExpr) string {
 		return "(*os.File).Sync"
 	case isMethodOn(info, call, "os", "File", "Close"):
 		return "(*os.File).Close"
+	case isMethodOn(info, call, journalPkg, "File", "Sync"):
+		return "(journal.File).Sync"
+	case isMethodOn(info, call, journalPkg, "File", "Close"):
+		return "(journal.File).Close"
 	case isMethodOn(info, call, journalPkg, "Journal", "Append"):
 		return "(*journal.Journal).Append"
 	case isMethodOn(info, call, journalPkg, "Journal", "Write"):

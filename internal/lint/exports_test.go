@@ -12,14 +12,13 @@ import (
 // testSeams are the exports of internal/... that only tests call, kept on
 // purpose because tests of other packages share them.
 var testSeams = map[string]string{
-	"ftdag/internal/leakcheck.Main":               "the leak check the TestMain of every package that starts goroutines ends with",
-	"ftdag/internal/graph.Chain":                  "fixture graph of the core, fault, comparators, service and cluster tests",
-	"ftdag/internal/graph.PaperExample":           "the paper's example graph, fixture of the core and comparators tests",
-	"ftdag/internal/graph.Tree":                   "fixture graph of the core and comparators tests",
-	"ftdag/internal/graph.VersionChain":           "fixture graph of the core, fault and comparators tests",
-	"ftdag/internal/block.PoisonFreed":            "use-after-free tripwire the core, harness and apps tests switch on",
-	"(*ftdag/internal/journal.Journal).FailSyncs": "file-system fault seam of the journal and service durability tests",
-	"(*ftdag/internal/lint.Loader).LoadDir":       "loads the analyzers' golden testdata packages",
+	"ftdag/internal/leakcheck.Main":         "the leak check the TestMain of every package that starts goroutines ends with",
+	"ftdag/internal/graph.Chain":            "fixture graph of the core, fault, comparators, service and cluster tests",
+	"ftdag/internal/graph.PaperExample":     "the paper's example graph, fixture of the core and comparators tests",
+	"ftdag/internal/graph.Tree":             "fixture graph of the core and comparators tests",
+	"ftdag/internal/graph.VersionChain":     "fixture graph of the core, fault and comparators tests",
+	"ftdag/internal/block.PoisonFreed":      "use-after-free tripwire the core, harness and apps tests switch on",
+	"(*ftdag/internal/lint.Loader).LoadDir": "loads the analyzers' golden testdata packages",
 }
 
 // TestExportsHaveCallers fails for an exported function or method in

@@ -78,6 +78,65 @@ func (w *wal) ackInGoroutine() {
 	}()
 }
 
+// file is a seam over the file that commit syncs: a call of its Sync runs
+// one of the implementations below.
+type file interface{ Sync() error }
+
+type osFile struct{ f *os.File }
+
+// Sync really fsyncs.
+//
+//lint:durable fsync
+func (o osFile) Sync() error { return o.f.Sync() }
+
+type memFile struct{}
+
+func (memFile) Sync() error { return nil }
+
+// Negative: the fsync is reachable through the interface, via osFile.
+//
+//lint:durable fsync
+func commitVia(f file) error {
+	return f.Sync()
+}
+
+// Positive: one implementation, memFile, is no barrier, so a call through
+// the interface is none.
+func (w *wal) submitViaSeam(f file) {
+	_ = f.Sync()
+	w.ack() // want:ackorder: ack "ack" is not dominated by a durable fsync
+}
+
+type flusher interface{ Flush() error }
+
+type diskFlusher struct{ f *os.File }
+
+// Flush really fsyncs.
+//
+//lint:durable fsync
+func (d diskFlusher) Flush() error { return d.f.Sync() }
+
+// Negative: every implementation of flusher is a barrier, so a call through
+// it is one.
+func (w *wal) submitFlushed(fl flusher) {
+	if err := fl.Flush(); err != nil {
+		return
+	}
+	w.ack()
+}
+
+type store interface{ Put() error }
+
+type memStore struct{}
+
+func (memStore) Put() error { return nil }
+
+// want+1:ackorder: unverifiable
+//lint:durable fsync
+func putVia(s store) error {
+	return s.Put()
+}
+
 // want+1:ackorder: malformed //lint:durable directive
 //lint:durable flush
 func (w *wal) badDirective() {}

@@ -53,6 +53,14 @@ func deferredScan(b []byte) {
 	defer journal.ScanSegment(b, 0) // want:errsink: defer discards the error from journal.ScanSegment
 }
 
+func lostFileSync(f journal.File) {
+	f.Sync() // want:errsink: error from (journal.File).Sync is discarded
+}
+
+func deferredFileClose(f journal.File) {
+	defer f.Close() // want:errsink: defer discards the error from (journal.File).Close
+}
+
 func deliberate(f *os.File) {
 	_ = f.Close() // explicit discard: allowed
 }

@@ -251,11 +251,13 @@ type Pool struct {
 	_           [128]byte
 
 	// placed is the placement list (Submit, Group.Submit,
-	// Group.SpawnAvoiding), oldest first; placedLen is its length, the
+	// Group.SpawnAvoiding): a ring of a power-of-two length, oldest entry
+	// at placedHead. placedLen is its length, written under placedMu: the
 	// workers' lock-free emptiness peek and the depth gauge.
-	placedMu  sync.Mutex
-	placed    []placement
-	placedLen atomic.Int64
+	placedMu   sync.Mutex
+	placed     []placement
+	placedHead int
+	placedLen  atomic.Int64
 
 	obs   atomic.Pointer[poolObs]     // instrument bundle; nil until Observe
 	spans atomic.Pointer[trace.Spans] // steal-span recorder; nil until ObserveSpans
@@ -328,8 +330,18 @@ type placement struct {
 // which another worker needs.
 func (p *Pool) place(e placement) {
 	p.placedMu.Lock()
-	p.placed = append(p.placed, e)
-	p.placedLen.Store(int64(len(p.placed)))
+	n := int(p.placedLen.Load())
+	if n == len(p.placed) {
+		// Full: unroll the ring into one twice as long. An emptied ring
+		// keeps its array, so steady state allocates nothing.
+		ring := make([]placement, max(8, 2*n))
+		for i := range n {
+			ring[i] = p.placed[(p.placedHead+i)&(n-1)]
+		}
+		p.placed, p.placedHead = ring, 0
+	}
+	p.placed[(p.placedHead+n)&(len(p.placed)-1)] = e
+	p.placedLen.Store(int64(n + 1))
 	p.placedMu.Unlock()
 	for w := p.popParked(); w != nil; w = p.popParked() {
 		if w.id != e.avoid {
@@ -347,18 +359,18 @@ func (p *Pool) place(e placement) {
 func (w *Worker) takePlaced() (job, bool) {
 	p := w.pool
 	p.placedMu.Lock()
-	for i, e := range p.placed {
+	n, mask := int(p.placedLen.Load()), len(p.placed)-1
+	for i := range n {
+		e := p.placed[(p.placedHead+i)&mask]
 		if e.avoid == w.id && len(p.workers) > 1 {
 			continue
 		}
-		copy(p.placed[1:i+1], p.placed[:i])
-		p.placed[0] = placement{}
-		if len(p.placed) == 1 {
-			p.placed = p.placed[:0] // keep the array for the next append
-		} else {
-			p.placed = p.placed[1:]
+		for k := i; k > 0; k-- {
+			p.placed[(p.placedHead+k)&mask] = p.placed[(p.placedHead+k-1)&mask]
 		}
-		p.placedLen.Store(int64(len(p.placed)))
+		p.placed[p.placedHead] = placement{}
+		p.placedHead = (p.placedHead + 1) & mask
+		p.placedLen.Store(int64(n - 1))
 		p.placedMu.Unlock()
 		w.stats.injectorHits.Add(1)
 		p.obs.Load().pickedUp(e.j) // a clock read and a histogram add: outside the lock

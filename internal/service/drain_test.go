@@ -15,7 +15,7 @@ import (
 // keeping status queries live.
 func TestDrainMigratesIncompleteJobs(t *testing.T) {
 	dir := t.TempDir()
-	jr, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
+	jr, err := journal.Open(journal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +16,45 @@ import (
 )
 
 // syncingServer is a durable server whose journal really fsyncs, so the
-// orderings around the fsync are the production ones.
-func syncingServer(t *testing.T, cfg service.Config) (*service.Server, *journal.Journal) {
+// orderings around the fsync are the production ones, through a file layer
+// whose fsyncs a test can make fail.
+func syncingServer(t *testing.T, cfg service.Config) (*service.Server, *journal.Journal, *failFS) {
 	t.Helper()
-	jr, err := journal.Open(journal.Options{Dir: t.TempDir(), Logf: t.Logf})
+	fsys := &failFS{FS: journal.OS}
+	jr, err := journal.Open(journal.Options{Dir: t.TempDir(), Logf: t.Logf, FS: fsys})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
 	cfg.Journal, cfg.Rebuild, cfg.Logf = jr, rebuildTestJob, t.Logf
-	return service.New(cfg), jr
+	return service.New(cfg), jr, fsys
+}
+
+// failFS is the OS file layer with every file sync failing while err is set.
+type failFS struct {
+	journal.FS
+	err atomic.Pointer[error]
+}
+
+func (f *failFS) Create(name string) (journal.File, error) { return f.wrap(f.FS.Create(name)) }
+func (f *failFS) Append(name string) (journal.File, error) { return f.wrap(f.FS.Append(name)) }
+
+func (f *failFS) wrap(file journal.File, err error) (journal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return failFile{file, f}, nil
+}
+
+type failFile struct {
+	journal.File
+	fs *failFS
+}
+
+func (f failFile) Sync() error {
+	if err := f.fs.err.Load(); err != nil {
+		return *err
+	}
+	return f.File.Sync()
 }
 
 // TestTerminalStatusIsDurable: Status is what every HTTP client polls. The
@@ -31,7 +62,7 @@ func syncingServer(t *testing.T, cfg service.Config) (*service.Server, *journal.
 // the journal already — an outcome a crash would take back (and re-run) must
 // never have been visible.
 func TestTerminalStatusIsDurable(t *testing.T) {
-	s, jr := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 2})
+	s, jr, _ := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 2})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
@@ -65,7 +96,7 @@ func TestTerminalStatusIsDurable(t *testing.T) {
 // waited for; the terminal record's is the second and last — three appends,
 // two fsyncs, none between the started and finished stamps.
 func TestSubmitWaitsForItsFsync(t *testing.T) {
-	s, jr := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1})
+	s, jr, _ := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	spec := durableJob(t, "FW", 0, 1)
@@ -104,7 +135,7 @@ func TestSubmitWaitsForItsFsync(t *testing.T) {
 // two fsyncs each (one, when the job's terminal record rode the fsync its
 // own Submit was still waiting for).
 func TestJournalTrafficPerJob(t *testing.T) {
-	s, jr := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1})
+	s, jr, _ := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1})
 	defer s.Close()
 	const jobs = 16
 	before := jr.Stats()
@@ -206,9 +237,9 @@ func TestFinishedJobsAreReleased(t *testing.T) {
 // reaches the journal's state) and gone from the listing, its queue slot
 // comes back, and neither a later Submit nor Close hangs.
 func TestSubmitSyncFailure(t *testing.T) {
-	s, jr := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
+	s, jr, fsys := syncingServer(t, service.Config{Workers: 2, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
 	boom := errors.New("injected fsync failure")
-	jr.FailSyncs(boom)
+	fsys.err.Store(&boom)
 	h, err := s.Submit(service.JobSpec{Name: "doomed", Spec: slowGraph(5 * time.Millisecond), Payload: []byte(`{}`)})
 	if !errors.Is(err, boom) || h != nil {
 		t.Fatalf("Submit = (%v, %v), want the injected failure and no handle", h, err)
@@ -229,7 +260,7 @@ func TestSubmitSyncFailure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	jr.FailSyncs(nil)
+	fsys.err.Store(nil)
 	// The one queue slot is free again once the runner has taken the doomed
 	// job off the queue, which it had to do to cancel it.
 	h, err = s.Submit(durableJob(t, "FW", 0, 1))

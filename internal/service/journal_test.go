@@ -65,7 +65,7 @@ func durableJob(t *testing.T, app string, faults int, seed int64) service.JobSpe
 
 func openTestJournal(t *testing.T, dir string) *journal.Journal {
 	t.Helper()
-	jr, err := journal.Open(journal.Options{Dir: dir, NoSync: true, Logf: t.Logf})
+	jr, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
