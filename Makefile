@@ -1,12 +1,12 @@
 # CI gate for the FT-NABBIT reproduction.
 #
 #   make ci      — everything a PR must pass: tier-1 gate, vet, lint, race tests, soaks
-#   make lint    — run the ftlint static-analysis suite (internal/lint) over the root and bench/ modules
+#   make lint    — run ftlint's one analyzer, errsink (internal/lint), over the root and bench/ modules
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
 #   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), the free list at one and two Ps, a warm LCS rerun (B/op, allocs/op), the black box's flush and a span's emit, the registry's cost per service job, then the pool's submit (BenchmarkSubmitThroughput) and spawn→execute (BenchmarkSpawnExecute) cycles; no threshold
-#   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: the only gate over torn-tail replay)
+#   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: a smoke test of the crash-point enumeration)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
@@ -84,11 +84,10 @@ vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 
-# The repository's own analyzer suite, two analyzers: discarded
-# durability-path errors (errsink) and the interprocedural fsync-before-ack
-# proof (ackorder). Run over the root module, then over the nested bench/
-# module, which imports the journal too. Suppressions are
-# //lint:ignore <analyzer> <reason>; see README "Static analysis".
+# errsink, the analyzer left: discarded durability-path errors. Run over the
+# root module, then over the nested bench/ module, which imports the journal
+# too. The fsync-before-ack order is checked at run time instead, by the
+# crash-point enumeration in `go test ./internal/service`.
 lint:
 	$(GO) run ./cmd/ftlint ./...
 	cd bench && $(GO) run ftdag/cmd/ftlint ./...
@@ -133,7 +132,9 @@ soak:
 # server at random points (-cycles kills, or until a run finishes early),
 # restart it from the same journal (corrupting the tail once along the
 # way), verify every job across restarts against its sequential reference
-# digest.
+# digest. The gate over crash points is TestCrashPoints in
+# internal/service, which replays every prefix of a scripted workload's file
+# operations; this soak is its smoke test on real processes and files.
 crashsoak:
 	$(GO) run ./cmd/ftsoak -crash -cycles 8 -crashjobs 12 -v
 

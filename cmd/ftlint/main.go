@@ -1,6 +1,6 @@
 // Command ftlint runs the repository's static-analysis suite (internal/lint)
-// over the module: two stdlib-only analyzers that machine-check the journal's
-// durability path, errsink and ackorder.
+// over the module: errsink, a stdlib-only analyzer that machine-checks the
+// journal's durability path for discarded errors.
 //
 // Usage:
 //
@@ -9,8 +9,6 @@
 // With no packages, ./... is analyzed. Findings print as
 // "file:line:col: [analyzer] message"; the exit status is 1 when there are
 // findings (including load failures of any package) and 0 on a clean tree.
-// Per-line suppressions: //lint:ignore <analyzer> <reason> — see the
-// README's "Static analysis" section.
 package main
 
 import (

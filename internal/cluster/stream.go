@@ -92,7 +92,8 @@ func (f *Follower) Promote(opts journal.Options) (*journal.Journal, error) {
 // before it are kept — so the next round fetches both again from what the
 // mirror holds. Either failure, or a failed fsync, is in the error
 // returned, joined with the others of the round: a nil error means the
-// mirror holds every record the manifest listed.
+// mirror holds every record the manifest listed, fsynced, in segments whose
+// names are durable.
 func (f *Follower) Sync() (int64, error) {
 	remote, err := f.fetchManifest()
 	if err != nil {
@@ -137,6 +138,10 @@ func (f *Follower) Sync() (int64, error) {
 			f.addResume()
 			errs = append(errs, fmt.Errorf("cluster: follower segment %d: %w", s.Seq, err))
 		}
+	}
+	// This round's bytes and any a failed fsync of an earlier round left.
+	if err := f.mirror.Sync(); err != nil {
+		errs = append(errs, fmt.Errorf("cluster: follower: %w", err))
 	}
 
 	f.mu.Lock()
@@ -185,16 +190,9 @@ func (f *Follower) fetchManifest() (journal.TailManifest, error) {
 // pass journal.ScanSegment. Bytes that end inside a record are carried into
 // the next request, which asks for what follows them, so a record larger
 // than one reply still arrives whole; a corrupt record stops the copy with
-// the checked prefix in place. The copy's fsync and close errors are
-// joined to the one returned.
-func (f *Follower) tailSegment(seq uint64, off int64) (copied int64, err error) {
-	var file journal.File
+// the checked prefix in place. The caller fsyncs the copy (Mirror.Sync).
+func (f *Follower) tailSegment(seq uint64, off int64) (copied int64, _ error) {
 	var carry []byte // bytes from off on that end inside a record
-	defer func() {
-		if file != nil {
-			err = errors.Join(err, file.Sync(), file.Close())
-		}
-	}()
 	for {
 		body, readErr := f.get(fmt.Sprintf("?seg=%d&off=%d", seq, off+int64(len(carry))), streamMaxResponse)
 		if len(body) == 0 {
@@ -206,12 +204,7 @@ func (f *Follower) tailSegment(seq uint64, off int64) (copied int64, err error) 
 		data := append(carry, body...)
 		recs, n, scanErr := journal.ScanSegment(data, off)
 		if n > 0 {
-			if file == nil {
-				if file, err = f.mirror.AppendSegment(seq); err != nil {
-					return copied, err
-				}
-			}
-			if _, err := file.Write(data[:n]); err != nil {
+			if err := f.mirror.AppendSegment(seq, off, data[:n]); err != nil {
 				return copied, err
 			}
 			off += int64(n)

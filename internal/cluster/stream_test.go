@@ -280,7 +280,8 @@ func TestPromotionAbsorbsTornTail(t *testing.T) {
 
 // TestFollowerRestartsPastATornTail: a follower restarted on a mirror whose
 // last record was cut mid-write resumes from the record boundary before it
-// and converges on the primary's bytes.
+// and converges on the primary's bytes, and reopening a mirror fsyncs what
+// the killed follower wrote.
 func TestFollowerRestartsPastATornTail(t *testing.T) {
 	dir, mirror := t.TempDir(), t.TempDir()
 	j, ts := servePrimary(t, journal.Options{Dir: dir}, nil)
@@ -323,6 +324,16 @@ func TestFollowerRestartsPastATornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFiles(t, j, dir, mirror)
+
+	// A restarted follower cannot know what the killed one fsynced: its
+	// mirror fsyncs every segment before a round may return nil over it.
+	fsys := &opsFS{FS: journal.OS}
+	if _, err := journal.OpenMirror(mirror, fsys); err != nil {
+		t.Fatal(err)
+	}
+	if ops := fsys.take(nil); !slices.Contains(ops, "sync "+name) {
+		t.Fatalf("reopening the mirror did operations %q, no fsync of %s", ops, name)
+	}
 }
 
 // TestFollowerReplicatesARecordLargerThanOneResponse: a submission of the
@@ -435,8 +446,8 @@ func TestFollowerBoundsEndlessReplies(t *testing.T) {
 }
 
 // opsFS is the OS file layer with the operations of a follower round
-// recorded by base name — syncs, renames, directory syncs, removals — and
-// with every file sync failing while fail is set.
+// recorded by base name — opens for appends, syncs, renames, directory
+// syncs, removals — and with every file sync failing while fail is set.
 type opsFS struct {
 	journal.FS
 	mu   sync.Mutex
@@ -465,7 +476,10 @@ func (o *opsFS) take(fail error) []string {
 }
 
 func (o *opsFS) Create(name string) (journal.File, error) { return o.wrap(name, o.FS.Create) }
-func (o *opsFS) Append(name string) (journal.File, error) { return o.wrap(name, o.FS.Append) }
+func (o *opsFS) Append(name string) (journal.File, error) {
+	_ = o.do("append", name)
+	return o.wrap(name, o.FS.Append)
+}
 
 func (o *opsFS) wrap(name string, open func(string) (journal.File, error)) (journal.File, error) {
 	f, err := open(name)
@@ -505,7 +519,11 @@ func (f opsFile) Sync() error {
 
 // TestFollowerReturnsSyncFailure: a mirrored segment whose fsync fails fails
 // the round, so a nil error still means the mirror holds every record; once
-// the fault heals, the next round converges.
+// the fault heals, the next round converges. A round returns nil only over
+// bytes it fsynced, in segments whose names are durable: a segment the
+// mirror creates is followed by a directory sync, and the healed round
+// fsyncs the segment the failed round wrote, though it has no new bytes for
+// it.
 func TestFollowerReturnsSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	j, ts := servePrimary(t, journal.Options{Dir: dir}, nil)
@@ -524,9 +542,16 @@ func TestFollowerReturnsSyncFailure(t *testing.T) {
 	if _, err := f.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("Sync = %v, want the injected fsync failure", err)
 	}
-	fsys.take(nil)
+	seg := journal.SegmentFileName(1)
+	ops := fsys.take(nil)
+	if i := slices.Index(ops, "append "+seg); i < 0 || !slices.Contains(ops[i:], "syncdir "+filepath.Base(f.dir)) {
+		t.Fatalf("operations %q: no directory sync after %s was created", ops, seg)
+	}
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if ops := fsys.take(nil); !slices.Contains(ops, "sync "+seg) {
+		t.Fatalf("the healed round returned nil with operations %q: %s, which the failed round wrote, was never fsynced", ops, seg)
 	}
 	sameFiles(t, j, dir, f.dir)
 }

@@ -42,14 +42,6 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-// osFile declares File's methods itself: ackorder follows a Sync through
-// File to the loaded implementations, and so on to (*os.File).Sync.
-type osFile struct{ f *os.File }
-
-func (o osFile) Write(p []byte) (int, error) { return o.f.Write(p) }
-func (o osFile) Sync() error                 { return o.f.Sync() }
-func (o osFile) Close() error                { return o.f.Close() }
-
 func (osFS) MkdirAll(dir string) error                 { return os.MkdirAll(dir, 0o755) }
 func (osFS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
@@ -60,12 +52,13 @@ func (osFS) Remove(name string) error                  { return os.Remove(name) 
 func (osFS) Create(name string) (File, error) { return openFile(name, os.O_TRUNC) }
 func (osFS) Append(name string) (File, error) { return openFile(name, os.O_APPEND) }
 
+// openFile returns an *os.File, which is a File, or a nil File on error.
 func openFile(name string, flag int) (File, error) {
 	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return f, nil
 }
 
 func (osFS) ReadAt(name string, off int64, max int) ([]byte, error) {

@@ -10,12 +10,13 @@ import (
 )
 
 // testFS is the OS file layer with its writes, syncs, renames and removals
-// recorded by base name, and with every file sync failing while fail is set.
+// recorded by base name, with every file sync failing while fail is set and
+// every directory sync while failDir is.
 type testFS struct {
 	FS
-	mu   sync.Mutex
-	fail error
-	ops  []string
+	mu            sync.Mutex
+	fail, failDir error
+	ops           []string
 }
 
 func (t *testFS) failSyncs(err error) {
@@ -24,13 +25,22 @@ func (t *testFS) failSyncs(err error) {
 	t.mu.Unlock()
 }
 
-// do records op on name and returns the injected failure of a file sync.
+func (t *testFS) failDirSyncs(err error) {
+	t.mu.Lock()
+	t.failDir = err
+	t.mu.Unlock()
+}
+
+// do records op on name and returns the injected failure of a sync.
 func (t *testFS) do(op, name string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ops = append(t.ops, op+" "+filepath.Base(name))
-	if op == "sync" {
+	switch op {
+	case "sync":
 		return t.fail
+	case "syncdir":
+		return t.failDir
 	}
 	return nil
 }
@@ -70,7 +80,9 @@ func (t *testFS) Remove(name string) error {
 }
 
 func (t *testFS) SyncDir(dir string) error {
-	_ = t.do("syncdir", dir)
+	if err := t.do("syncdir", dir); err != nil {
+		return err
+	}
 	return t.FS.SyncDir(dir)
 }
 
@@ -155,4 +167,24 @@ func TestSyncFailureAfterWrite(t *testing.T) {
 	}
 	fsys.failSyncs(nil)
 	appendAll(t, j, Record{Kind: Succeeded, ID: 1, SinkDigest: "aa"})
+}
+
+// TestRotationAbortsOnDirSyncFailure: a rotation whose directory sync fails
+// is aborted, as one whose create fails is: records go on into the old
+// segment, whose name is durable, not into one a crash may unlink. The next
+// threshold crossing rotates.
+func TestRotationAbortsOnDirSyncFailure(t *testing.T) {
+	fsys := &testFS{FS: OS}
+	j := mustOpen(t, Options{Dir: t.TempDir(), FS: fsys, SegmentBytes: 1, Logf: func(string, ...any) {}})
+	defer j.Close()
+	fsys.failDirSyncs(errors.New("injected directory sync failure"))
+	appendAll(t, j, Record{Kind: Submitted, ID: 1, Name: "one"})
+	if seg := j.Stats().Segment; seg != 1 {
+		t.Fatalf("a rotation whose directory sync failed switched to segment %d", seg)
+	}
+	fsys.failDirSyncs(nil)
+	appendAll(t, j, Record{Kind: Submitted, ID: 2, Name: "two"})
+	if seg := j.Stats().Segment; seg != 2 {
+		t.Fatalf("the next rotation left the journal on segment %d, want 2", seg)
+	}
 }

@@ -208,8 +208,12 @@ func Open(opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The segment's name is durable before a record in it is acknowledged.
+	if err := fsys.SyncDir(opts.Dir); err != nil {
+		_ = j.f.Close() // Open fails with the sync error
+		return nil, err
+	}
 	j.stats.Segment = j.seg
-	j.syncDir()
 	return j, nil
 }
 
@@ -229,15 +233,6 @@ func create(fsys FS, path string, data []byte) (File, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// syncDir fsyncs the data directory so renames and creations are durable.
-// Failures are logged rather than fatal — the caller's own data writes are
-// already synced; only the direntry metadata's durability is in doubt.
-func (j *Journal) syncDir() {
-	if err := j.opts.FS.SyncDir(j.opts.Dir); err != nil {
-		j.opts.Logf("journal: directory sync of %s failed (recent renames/creations may not be durable): %v", j.opts.Dir, err)
-	}
 }
 
 // readSegment reads a segment file and cuts it back to its valid prefix,
@@ -381,8 +376,6 @@ type Ticket struct {
 }
 
 // Append durably adds one record: Write, then Sync.
-//
-//lint:durable fsync
 func (j *Journal) Append(rec Record) error {
 	t, err := j.Write(rec)
 	if err != nil {
@@ -432,8 +425,6 @@ func (j *Journal) Write(rec Record) (Ticket, error) {
 // Sync blocks until the ticket's record, and every record written before it,
 // is fsynced (group commit — concurrent callers share syncs). Rotation and
 // snapshotting happen inline when the segment has crossed the size threshold.
-//
-//lint:durable fsync
 func (j *Journal) Sync(t Ticket) error {
 	if err := j.syncTo(t.seq); err != nil {
 		return err
@@ -498,8 +489,14 @@ func (j *Journal) rotate() {
 		j.opts.Logf("journal: rotation aborted, cannot sync %s: %v", SegmentFileName(j.seg), err)
 		return
 	}
+	// The new segment's name is durable before a record goes into it.
 	newSeq := j.seg + 1
 	f, err := create(j.opts.FS, filepath.Join(j.opts.Dir, SegmentFileName(newSeq)), []byte(segMagic))
+	if err == nil {
+		if err = j.opts.FS.SyncDir(j.opts.Dir); err != nil {
+			_ = f.Close() // rotation is aborted; the sync error is the one to log
+		}
+	}
 	if err != nil {
 		j.mu.Unlock()
 		j.opts.Logf("journal: rotation aborted, cannot create %s: %v", SegmentFileName(newSeq), err)
@@ -509,7 +506,6 @@ func (j *Journal) rotate() {
 	j.syncedSeq, j.syncErr = j.appendSeq, nil
 	snap := j.state.clone()
 	j.mu.Unlock()
-	j.syncDir()
 	if err := old.Close(); err != nil {
 		// The old segment was synced above; a close failure loses no
 		// data but is worth a trace in the log.

@@ -94,27 +94,39 @@ func (j *Journal) SnapshotBytes(seq uint64) ([]byte, error) {
 
 // Mirror is the file side of a standby: a directory holding a copy of a
 // primary journal's files, written only with what passes the checks Open
-// applies, so that Open of it is a crash restart.
+// applies, so that Open of it is a crash restart. One goroutine at a time
+// may use a Mirror.
 type Mirror struct {
 	dir  string
 	fsys FS
+	// open holds the segments written since their last fsync, by file name.
+	open map[string]File
 }
 
 // OpenMirror prepares dir (created if absent) as a mirror through fsys. A
 // standby killed mid-write can leave a torn record at the end of a mirrored
 // segment, and a resume from inside a record never passes the check, so
-// each segment is first cut back to its whole records, as Open cuts it.
+// each segment is first cut back to its whole records, as Open cuts it, and
+// then fsynced: the killed standby's last bytes may never have been.
 func OpenMirror(dir string, fsys FS) (*Mirror, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	m := &Mirror{dir: dir, fsys: fsys}
+	m := &Mirror{dir: dir, fsys: fsys, open: make(map[string]File)}
 	local, err := m.Manifest()
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range local.Segments {
-		if _, _, _, err := readSegment(fsys, filepath.Join(dir, SegmentFileName(s.Seq))); errors.Is(err, errSegmentIO) {
+		path := filepath.Join(dir, SegmentFileName(s.Seq))
+		if _, _, _, err := readSegment(fsys, path); errors.Is(err, errSegmentIO) {
+			return nil, err
+		}
+		f, err := fsys.Append(path)
+		if err == nil {
+			err = errors.Join(f.Sync(), f.Close())
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -133,10 +145,45 @@ func (m *Mirror) InstallSnapshot(seq uint64, data []byte) error {
 	return install(m.fsys, m.dir, SnapshotFileName(seq), data)
 }
 
-// AppendSegment opens segment seq for appends, creating it if absent: the
-// caller writes to it only the whole records ScanSegment accepts.
-func (m *Mirror) AppendSegment(seq uint64) (File, error) {
-	return m.fsys.Append(filepath.Join(m.dir, SegmentFileName(seq)))
+// AppendSegment appends data, whole records that ScanSegment accepted, to
+// segment seq, whose mirrored copy is off bytes long. The segment it creates
+// at off 0 is in a synced directory when it returns; the bytes are durable
+// once Sync has returned nil.
+func (m *Mirror) AppendSegment(seq uint64, off int64, data []byte) error {
+	name := SegmentFileName(seq)
+	f := m.open[name]
+	if f == nil {
+		var err error
+		if f, err = m.fsys.Append(filepath.Join(m.dir, name)); err != nil {
+			return err
+		}
+		if off == 0 {
+			if err := m.fsys.SyncDir(m.dir); err != nil {
+				_ = f.Close() // nothing written yet; the sync error is the one to return
+				return err
+			}
+		}
+		m.open[name] = f
+	}
+	_, err := f.Write(data)
+	return err
+}
+
+// Sync fsyncs every segment written since its last fsync, this round's and
+// those whose fsync failed before, and closes each that synced.
+func (m *Mirror) Sync() error {
+	var errs []error
+	for name, f := range m.open {
+		err := f.Sync()
+		if err == nil {
+			delete(m.open, name)
+			err = f.Close()
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("journal: mirror %s: %w", name, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Prune removes, best-effort, the mirror's files that the primary's
@@ -151,6 +198,10 @@ func (m *Mirror) Prune(remote TailManifest) {
 	listed := remote.names()
 	for _, name := range local.names() {
 		if !slices.Contains(listed, name) {
+			if f := m.open[name]; f != nil {
+				_ = f.Close() // the file goes; its unsynced bytes are covered
+				delete(m.open, name)
+			}
 			_ = m.fsys.Remove(filepath.Join(m.dir, name))
 		}
 	}

@@ -211,6 +211,14 @@ func TestScanSegmentDetectsTornAndCorrupt(t *testing.T) {
 	if _, n, err := ScanSegment(huge, 0); !errors.Is(err, errFrameTooBig) || n != len(seg) {
 		t.Fatalf("oversized frame: n=%d err=%v, want %d, %v", n, err, len(seg), errFrameTooBig)
 	}
+	// A checksum that verifies over a payload that is no record stops the
+	// scan too: the CRC vouches for the bytes, DecodeRecord for the record.
+	for _, payload := range []string{`not json`, `{"id":1}`, `{"kind":"submitted","id":0}`} {
+		bad := encodeFrame(bytes.Clone(seg), []byte(payload))
+		if _, n, err := ScanSegment(bad, 0); !errors.Is(err, errFrameDecodes) || n != len(seg) {
+			t.Fatalf("frame %s: n=%d err=%v, want %d, %v", payload, n, err, len(seg), errFrameDecodes)
+		}
+	}
 }
 
 // FuzzApplyReply: the standby's apply step — scan a reply at the mirror's

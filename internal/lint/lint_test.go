@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,10 +12,8 @@ import (
 //
 //	// want:<analyzer>: <message substring>
 //
-// anchored to the line it appears on. An optional offset (want+1:) shifts
-// the expected line, for findings whose line cannot carry a comment (e.g.
-// a malformed //lint:ignore directive, which must stand alone).
-var wantRe = regexp.MustCompile(`// want([+-]\d+)?:([a-z]+): (.+?)\s*$`)
+// anchored to the line it appears on.
+var wantRe = regexp.MustCompile(`// want:([a-z]+): (.+?)\s*$`)
 
 type expectation struct {
 	file     string
@@ -48,15 +45,11 @@ func loadExpectations(t *testing.T, dir string) []*expectation {
 			if m == nil {
 				continue
 			}
-			offset := 0
-			if m[1] != "" {
-				offset, _ = strconv.Atoi(m[1])
-			}
 			wants = append(wants, &expectation{
 				file:     path,
-				line:     i + 1 + offset,
-				analyzer: m[2],
-				substr:   m[3],
+				line:     i + 1,
+				analyzer: m[1],
+				substr:   m[2],
 			})
 		}
 	}
@@ -138,11 +131,11 @@ func TestModuleClean(t *testing.T) {
 }
 
 // TestAnalyzerMetadata keeps the suite's registry well-formed: unique
-// non-empty names (they are the suppression keys) and one-line docs for
+// non-empty names (they label the findings) and one-line docs for
 // ftlint -list.
 func TestAnalyzerMetadata(t *testing.T) {
-	if len(All) != 2 {
-		t.Errorf("suite has %d analyzers, want 2 (errsink, ackorder)", len(All))
+	if len(All) != 1 {
+		t.Errorf("suite has %d analyzers, want 1 (errsink)", len(All))
 	}
 	seen := make(map[string]bool)
 	for _, a := range All {

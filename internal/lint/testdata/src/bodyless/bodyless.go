@@ -1,7 +1,6 @@
 // Golden case for function declarations without a body, as an assembly
-// implementation leaves them: errsink and the call graph skip the
-// declaration instead of walking its nil body, and its callers are analyzed
-// as usual.
+// implementation leaves them: errsink skips the declaration instead of
+// walking its nil body, and its callers are analyzed as usual.
 package bodyless
 
 import "os"

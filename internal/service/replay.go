@@ -57,7 +57,9 @@ func (s *Server) replay(st *journal.State) []*job {
 					Metrics:         js.Metrics,
 				}
 			}
-			//lint:ignore ackorder the terminal state was replayed FROM the fsynced journal; it is durable by construction, there is nothing left to sync before waking waiters
+			// The terminal state was replayed from the fsynced journal: it is
+			// durable already, so nothing is left to sync before waking
+			// waiters.
 			j.ackDone()
 		default: // Submitted or Started: incomplete, re-run it.
 			spec, err := s.rebuildSpec(js)
@@ -129,9 +131,9 @@ func (s *Server) rebuildSpec(js *journal.JobState) (JobSpec, error) {
 
 // failRestored marks an unrebuildable job Failed, durably, so it is not
 // retried forever across restarts. The Failed record is appended before the
-// done channel closes — ackorder caught the original ordering here, which
-// acked first and journaled after: a crash in the gap would have left a
-// waiter believing in an outcome the next incarnation had no record of.
+// done channel closes: the original ordering here acked first and journaled
+// after, and a crash in the gap would have left a waiter believing in an
+// outcome the next incarnation had no record of.
 func (s *Server) failRestored(j *job, cause error) {
 	j.state = Failed
 	j.err = fmt.Errorf("service: job not recoverable after restart: %w", cause)

@@ -16,13 +16,8 @@ import (
 // journalAppend best-effort appends a terminal record to the configured
 // journal and waits for it to be durable. Append failures are logged, not
 // fatal: the in-memory service keeps running, at reduced durability (exactly
-// what a disk-full production incident wants). The fsync directive therefore
-// asserts the barrier's contract, not a guarantee of success: with no
-// journal configured durability is vacuous by configuration, and a logged
-// append failure is the documented degraded mode — neither is a protocol
-// violation.
-//
-//lint:durable fsync
+// what a disk-full production incident wants). A logged append failure is
+// that documented degraded mode, not a broken ordering.
 func (s *Server) journalAppend(rec journal.Record) {
 	if s.cfg.Journal == nil {
 		return
@@ -205,7 +200,7 @@ func (s *Server) finish(j *job, res *core.Result, err error) {
 	// journal and re-runs on the next boot.
 	if skipJournal {
 		s.publish(j, state, res, err, finished, sinkDigest, false)
-		//lint:ignore ackorder shutdown-aborted jobs are deliberately unjournaled: the job stays incomplete in the log and re-runs next boot, so there is no record to make durable before waking waiters
+		// No record, so nothing to make durable before waking waiters.
 		j.ackDone()
 		return
 	}

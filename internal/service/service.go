@@ -253,10 +253,8 @@ func (j *job) cancelNow() { j.cancelled.Do(func() { close(j.cancel) }) }
 
 // ackDone closes the job's done channel, releasing every Wait/Done waiter:
 // the moment the outcome becomes externally observable. On a journaled
-// server the terminal record must be durable before this runs — ftlint's
-// ackorder analyzer proves that ordering on every path.
-//
-//lint:durable ack
+// server the terminal record must be durable before this runs; the
+// crash-point enumeration (crash_test.go) checks that ordering.
 func (j *job) ackDone() { close(j.done) }
 
 // svcObs is the service-lifecycle instrument bundle (nil counters, which

