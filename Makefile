@@ -5,18 +5,18 @@
 #   make race    — race-check the concurrency-critical packages, then sweep the data path at GOMAXPROCS 1, 2, 4, 8
 #   make benchbuild — build and vet the nested bench/ module (root `go build ./...` does not see it)
 #   make graphsmoke — one faulty ftgraph run that verifies its sink and prints its spans (the tool has no test of its own)
-#   make benchsmoke — one run of the fine-grain benchmark at one and two Ps (prints cpu-ns/task), the apps' kernels (ns/tile), the block read path (ns/KiB, whole tiles and boundary reads), the free list at one and two Ps, a warm LCS rerun (B/op, allocs/op), the black box's flush and a span's emit, the registry's cost per service job, then the pool's submit (BenchmarkSubmitThroughput) and spawn→execute (BenchmarkSpawnExecute) cycles; no threshold
+#   make benchsmoke — one short run of each layer's benchmark, printed beside the target's comment; no threshold
 #   make crashsoak — kill-and-restart soak of the durable journaled service (part of ci: a smoke test of the crash-point enumeration)
 #   make clustersoak — node-kill soak of the shard router + standby failover
 #   make blackbox — clustersoak + black-box/merged-trace assertions
 #   make sdcsoak — silent-data-corruption storm against selective replication
-#   make loc     — non-test Go lines per package and in total, the five largest non-test Go files, then assembly lines per directory and in total (bench/ and testdata/ excluded), then the bytes of README.md, DESIGN.md and EXPERIMENTS.md, each held to ≤ 25 KB by ROADMAP item 2's Cut F
+#   make loc     — non-test Go lines per package and in total, the five largest non-test Go files, assembly lines, then the bytes of README.md, DESIGN.md and EXPERIMENTS.md; fails when a doc is over 25 000 bytes
 
 GO ?= go
 
 .PHONY: ci build benchbuild graphsmoke benchsmoke test vet lint race soak crashsoak clustersoak blackbox sdcsoak fuzz loc
 
-ci: build benchbuild test vet lint race graphsmoke benchsmoke sdcsoak crashsoak clustersoak blackbox
+ci: build benchbuild test vet lint loc race graphsmoke benchsmoke sdcsoak crashsoak clustersoak blackbox
 
 # Tier-1 gate (ROADMAP.md): must stay green on every PR.
 build:
@@ -183,11 +183,11 @@ fuzz:
 # non-test Go files (a cut that names its targets by file reports them), then
 # assembly lines per directory and in total: the sizes that ROADMAP item 2 asks
 # every cut to report before and after. Last, the bytes of the three large
-# docs, Cut F's budget.
+# docs, which fail the target when one is over its budget of 25 000.
 LOC = awk -v what="$(1)" '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d %s%s\n", n[d], d, what; printf "%6d total%s\n", t, what }' | sort -k2
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC,)
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | awk '$$2 != "total" { printf "%6d %s (file)\n", $$1, $$2 }' | sort -rn | head -5
 	@find . -name '*.s' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + | $(call LOC, assembly)
-	@wc -c README.md DESIGN.md EXPERIMENTS.md | awk '{ printf "%6d %s (bytes)\n", $$1, $$2 }'
+	@wc -c README.md DESIGN.md EXPERIMENTS.md | awk '{ printf "%6d %s (bytes)\n", $$1, $$2 } $$2 != "total" && $$1 > 25000 { print $$2 " is over 25000 bytes"; over = 1 } END { exit over }'

@@ -70,8 +70,6 @@ type (
 	Result = core.Result
 	// Metrics are the executor counters of a run.
 	Metrics = core.Metrics
-	// Hooks are optional instrumentation callbacks.
-	Hooks = core.Hooks
 	// Status is a task's execution status.
 	Status = core.Status
 )

@@ -786,8 +786,8 @@ func pushAll(bufs [][]float64) {
 
 // The size of a Cache: it holds up to cacheDepth buffers and moves
 // cacheBatch at a time between itself and the shared list. The depth is the
-// knee of a sweep over the apps (EXPERIMENTS.md, "Per-worker free lists and
-// instruments").
+// knee of a sweep over the apps (EXPERIMENTS.md perf history, row "Per-worker
+// free lists and instruments").
 const (
 	cacheDepth = 16
 	cacheBatch = cacheDepth / 2

@@ -380,18 +380,17 @@ func TestFollowerReplicatesARecordLargerThanOneResponse(t *testing.T) {
 // fetches it again. Installed, it would be skipped forever, and promotion
 // would fall back past segments the primary had already compacted.
 func TestFollowerRefetchesCorruptSnapshot(t *testing.T) {
-	// One snapshot kept: the mirror has no older one to fall back on.
 	dir := t.TempDir()
 	flip := func(b []byte) []byte {
 		b[len(b)/2] ^= 0x08
 		return b
 	}
-	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10, KeepSnapshots: 1},
+	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10},
 		&flakyProxy{param: "snap", mutate: flip})
 	defer j.Close()
 	appendJobs(t, j, 1, 40, true)
 	appendJobs(t, j, 41, 41, false)
-	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 1 || m.Segments[0].Seq == 1 {
+	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 2 || m.Segments[0].Seq == 1 {
 		t.Fatalf("manifest %+v (err %v): want a snapshot covering compacted segments", m, err)
 	}
 
@@ -562,7 +561,7 @@ func TestFollowerReturnsSyncFailure(t *testing.T) {
 // nothing, so a power loss never leaves the mirror with neither.
 func TestFollowerPrunesAfterInstall(t *testing.T) {
 	dir := t.TempDir()
-	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10, KeepSnapshots: 1}, nil)
+	j, ts := servePrimary(t, journal.Options{Dir: dir, SegmentBytes: 2 << 10}, nil)
 	defer j.Close()
 	appendJobs(t, j, 1, 4, true)
 	f, err := NewFollower(ts.URL, t.TempDir(), nil)
@@ -577,7 +576,7 @@ func TestFollowerPrunesAfterInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendJobs(t, j, 5, 40, true)
-	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 1 || m.Segments[0].Seq == 1 {
+	if m, err := j.TailManifest(); err != nil || len(m.Snapshots) != 2 || m.Segments[0].Seq == 1 {
 		t.Fatalf("manifest %+v (err %v): want a snapshot covering compacted segments", m, err)
 	}
 

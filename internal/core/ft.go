@@ -35,8 +35,6 @@ type Config struct {
 	// Cancel, when non-nil, aborts the run cooperatively (between tasks)
 	// as soon as it is closed; Run then returns ErrCancelled.
 	Cancel <-chan struct{}
-	// Hooks is optional instrumentation.
-	Hooks Hooks
 	// Spans, when non-nil, is the process-wide distributed-trace recorder:
 	// the executor emits compute, fault-injection, recovery, and
 	// replica-digest-join spans into it under SpanCtx's trace, so one
@@ -111,6 +109,7 @@ type exec[S state] struct {
 	rec   cmap.Table[atomic.Int64] // the recovery table R: key → last life recovered
 	met   metrics
 	group *sched.Group // this run's slice of the pool (set by RunOn)
+	hooks hooks        // test instrumentation; set after construction
 }
 
 // NewFT returns a fault-tolerant executor for the spec.
@@ -408,7 +407,7 @@ func (e *exec[S]) compute(w *sched.Worker, t *task[S]) error {
 // and the histogram and the span share the pair. NABBIT's computes are seen
 // by the hooks and counted, but not timed or spanned.
 func (e *exec[S]) runCompute(w *sched.Worker, t *task[S], rj *replicaJoin) error {
-	if h := e.cfg.Hooks.OnCompute; h != nil {
+	if h := e.hooks.onCompute; h != nil {
 		h(t.key, t.Life())
 	}
 	blk := e.met.block(w)
@@ -476,13 +475,14 @@ func (e *exec[S]) emitSpan(name string, start time.Time, dur time.Duration, key 
 	})
 }
 
-// finishAndNotify marks t Computed and drains its notify array (spawning one
-// drain job per notifyBatchSize entries, re-checking under the lock until the
-// array stops growing), then fires any planned after-notify fault. A drain
-// job is t itself plus the batch's position, so the drain copies no entries
-// and allocates nothing.
+// finishAndNotify is COMPUTEANDNOTIFY after a compute that succeeded: it
+// marks t Computed and drains its notify array (one drain job per
+// notifyBatchSize entries, re-checking under the lock until the array stops
+// growing), then fires any planned after-notify fault. A drain job is t
+// itself plus the batch's position, so the drain copies no entries and
+// allocates nothing.
 func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
-	if h := e.cfg.Hooks.OnComputed; h != nil {
+	if h := e.hooks.onComputed; h != nil {
 		h(t.key, t.Life())
 	}
 	t.setStatus(Computed)
@@ -509,11 +509,12 @@ func (e *exec[S]) finishAndNotify(w *sched.Worker, t *task[S]) {
 	}
 }
 
-// catchComputeError is the catch block shared by the plain and replicated
-// compute paths: a fault in the task itself is recovered; a predecessor's
-// fault recovers the predecessor and resets this task (Guarantee 5). NABBIT
-// has no faults to catch: any error is a spec bug, unless the run was aborted
-// under the compute and its store released (taskCtx.failed).
+// catchComputeError is the catch block of COMPUTEANDNOTIFY, shared by the
+// plain and replicated compute paths: a fault in the task itself is
+// recovered; a predecessor's fault recovers the predecessor and resets this
+// task (Guarantee 5). NABBIT has no faults to catch: any error is a spec bug,
+// unless the run was aborted under the compute and its store released
+// (taskCtx.failed).
 func (e *exec[S]) catchComputeError(w *sched.Worker, t *task[S], err error) {
 	var fe *fault.Error
 	if !t.shaded() && e.aborted() {
@@ -615,7 +616,7 @@ func (e *exec[S]) isRecovering(key graph.Key, life int) bool {
 func (e *exec[S]) recoverTask(w *sched.Worker, key graph.Key) {
 	for {
 		t := e.replaceTask(w, key)
-		if h := e.cfg.Hooks.OnRecover; h != nil {
+		if h := e.hooks.onRecover; h != nil {
 			h(key, t.Life())
 		}
 		timed, sp := e.cfg.TimeLatency, e.cfg.Spans

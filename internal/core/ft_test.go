@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
+	"ftdag/internal/trace"
 )
 
 const testTimeout = 30 * time.Second
@@ -178,29 +178,24 @@ func TestFTRecursiveRecovery(t *testing.T) {
 }
 
 // TestFTGuarantee1AtMostOnceRecovery asserts that each incarnation is
-// recovered at most once, via the OnRecover hook: replaceTask assigns
-// strictly increasing life numbers per key, so a duplicate (key, life)
-// would mean two recoveries raced for the same incarnation.
+// recovered at most once, via the recover spans, one per replaceTask:
+// replaceTask assigns strictly increasing life numbers per key, so a
+// duplicate (key, life) would mean two recoveries raced for the same
+// incarnation.
 func TestFTGuarantee1AtMostOnceRecovery(t *testing.T) {
 	g := graph.Layered(6, 8, 3, 23, nil)
 	plan := fault.NewPlan()
 	for _, k := range fault.SelectTasks(g, fault.AnyTask, 20, 9) {
 		plan.Add(k, fault.AfterCompute, 2)
 	}
-	var mu sync.Mutex
-	seen := map[string]int{}
-	cfg := Config{
-		Workers: 4,
-		Plan:    plan,
-		Hooks: Hooks{
-			OnRecover: func(key graph.Key, newLife int) {
-				mu.Lock()
-				seen[fmt.Sprintf("%d/%d", key, newLife)]++
-				mu.Unlock()
-			},
-		},
-	}
+	cfg := Config{Workers: 4, Plan: plan, Spans: trace.NewSpans("test", 1<<16)}
 	verifyFT(t, g, cfg)
+	seen := map[string]int{}
+	for _, sp := range cfg.Spans.Snapshot() {
+		if sp.Name == "recover" {
+			seen[fmt.Sprintf("%d/%d", sp.Task, sp.Life)]++
+		}
+	}
 	for id, n := range seen {
 		if n != 1 {
 			t.Fatalf("incarnation %s created %d times", id, n)

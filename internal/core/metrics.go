@@ -265,13 +265,13 @@ func (r *Result) String() string {
 	return fmt.Sprintf("elapsed=%v tasks=%d reexec=%d %v", r.Elapsed, r.Tasks, r.ReexecutedTasks, r.Metrics)
 }
 
-// Hooks are optional test instrumentation callbacks. They must be safe for
+// hooks are test instrumentation callbacks. They must be safe for
 // concurrent use. Nil hooks are skipped.
-type Hooks struct {
-	// OnCompute fires before each user compute invocation.
-	OnCompute func(key graph.Key, life int)
-	// OnComputed fires after a compute completes without error.
-	OnComputed func(key graph.Key, life int)
-	// OnRecover fires when a recovery is initiated (after replaceTask).
-	OnRecover func(key graph.Key, newLife int)
+type hooks struct {
+	// onCompute fires before each user compute invocation.
+	onCompute func(key graph.Key, life int)
+	// onComputed fires after a compute completes without error.
+	onComputed func(key graph.Key, life int)
+	// onRecover fires when a recovery is initiated (after replaceTask).
+	onRecover func(key graph.Key, newLife int)
 }

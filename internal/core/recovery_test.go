@@ -161,12 +161,12 @@ func TestInjectionSparesTheRecoveredVersion(t *testing.T) {
 	g := graph.Chain(3, nil)
 	e := NewFT(g, Config{Workers: 2, Plan: fault.NewPlan().Add(0, fault.AfterCompute, 1), Timeout: testTimeout})
 	recovered := make(chan struct{})
-	e.cfg.Hooks.OnComputed = func(key graph.Key, life int) {
+	e.hooks.onComputed = func(key graph.Key, life int) {
 		if key == 0 && life == 1 {
 			close(recovered)
 		}
 	}
-	e.cfg.Hooks.OnCompute = func(key graph.Key, life int) {
+	e.hooks.onCompute = func(key graph.Key, life int) {
 		for deadline := time.Now().Add(testTimeout); key == 1 && e.met.snapshot().InjectionsFired == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Error("the injection did not finish")

@@ -197,8 +197,8 @@ func (t *task[S]) Arm(n int) {
 	}
 }
 
-// Join is the join of the notification of t by its ind-th predecessor,
-// len(t.preds) for the self-notification. FT-NABBIT clears the
+// Join is NOTIFYONCE's join of the notification of t by its ind-th
+// predecessor, len(t.preds) for the self-notification. FT-NABBIT clears the
 // predecessor's bit, which only the first notification of a round wins;
 // NABBIT decrements its counter. last reports the notification that makes
 // the task ready: the clear that empties the vector, the decrement to zero.

@@ -9,14 +9,16 @@ import (
 	"ftdag/internal/trace"
 )
 
-// runSpanned runs g under FT with a span recorder and returns the spans the
-// executor emitted, in emission order, with the run's result.
-func runSpanned(t *testing.T, g graph.Spec, cfg Config) ([]trace.Span, *Result) {
+// runSpanned runs g under FT, with hooks h, with a span recorder and returns
+// the spans the executor emitted, in emission order, with the run's result.
+func runSpanned(t *testing.T, g graph.Spec, cfg Config, h hooks) ([]trace.Span, *Result) {
 	t.Helper()
 	cfg.Spans = trace.NewSpans("test", 1<<16)
 	cfg.SpanCtx = trace.SpanContext{Trace: trace.NewTraceID()}
 	cfg.Timeout = testTimeout
-	res, err := NewFT(g, cfg).Run()
+	e := NewFT(g, cfg)
+	e.hooks = h
+	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func runSpanned(t *testing.T, g graph.Spec, cfg Config) ([]trace.Span, *Result) 
 // span per task, none of them failed, and no injection or recovery.
 func TestTraceFaultFreeRun(t *testing.T) {
 	g := graph.Layered(4, 5, 2, 3, nil)
-	spans, res := runSpanned(t, g, Config{Workers: 2})
+	spans, res := runSpanned(t, g, Config{Workers: 2}, hooks{})
 	computed := map[int64]bool{}
 	for _, sp := range spans {
 		switch {
@@ -50,7 +52,7 @@ func TestTraceFaultFreeRun(t *testing.T) {
 func TestTraceRecoverySequence(t *testing.T) {
 	const victim = 4
 	plan := fault.NewPlan().Add(victim, fault.AfterCompute, 1)
-	spans, _ := runSpanned(t, graph.Chain(10, nil), Config{Workers: 2, Plan: plan})
+	spans, _ := runSpanned(t, graph.Chain(10, nil), Config{Workers: 2, Plan: plan}, hooks{})
 	var hist []trace.Span
 	for _, sp := range spans {
 		if sp.Task == victim {
@@ -83,10 +85,8 @@ func TestTracePaperWalkthrough(t *testing.T) {
 	const B = 1
 	var hookRecovered bool
 	plan := fault.NewPlan().Add(B, fault.AfterNotify, 1)
-	spans, res := runSpanned(t, graph.PaperExample(true, nil), Config{
-		Workers: 1, Retention: 1, Plan: plan,
-		Hooks: Hooks{OnRecover: func(key graph.Key, _ int) { hookRecovered = hookRecovered || key == B }},
-	})
+	spans, res := runSpanned(t, graph.PaperExample(true, nil), Config{Workers: 1, Retention: 1, Plan: plan},
+		hooks{onRecover: func(key graph.Key, _ int) { hookRecovered = hookRecovered || key == B }})
 	if res.Metrics.OverwriteMarks < 1 {
 		t.Fatalf("no overwritten version marked: %+v", res.Metrics)
 	}
@@ -95,7 +95,7 @@ func TestTracePaperWalkthrough(t *testing.T) {
 		spanRecovered = spanRecovered || sp.Name == "recover" && sp.Task == B
 	}
 	if !spanRecovered || !hookRecovered {
-		t.Fatalf("B recovered: recover span %v, OnRecover %v", spanRecovered, hookRecovered)
+		t.Fatalf("B recovered: recover span %v, onRecover %v", spanRecovered, hookRecovered)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 )
 
 // testFS is the OS file layer with its writes, syncs, renames and removals
-// recorded by base name, with every file sync failing while fail is set and
-// every directory sync while failDir is.
+// recorded by base name, with every file sync failing while fail is set,
+// every directory sync while failDir is and every read of a snapshot while
+// failSnapRead is.
 type testFS struct {
 	FS
-	mu            sync.Mutex
-	fail, failDir error
-	ops           []string
+	mu                          sync.Mutex
+	fail, failDir, failSnapRead error
+	ops                         []string
 }
 
 func (t *testFS) failSyncs(err error) {
@@ -56,6 +57,16 @@ func (t *testFS) recorded(subs ...string) []string {
 		}
 	}
 	return out
+}
+
+func (t *testFS) ReadFile(name string) ([]byte, error) {
+	t.mu.Lock()
+	err := t.failSnapRead
+	t.mu.Unlock()
+	if err != nil && strings.HasSuffix(name, ".snap") {
+		return nil, err
+	}
+	return t.FS.ReadFile(name)
 }
 
 func (t *testFS) Create(name string) (File, error) { return t.wrap(name, t.FS.Create) }
@@ -143,6 +154,21 @@ func TestInstallOrder(t *testing.T) {
 	}
 	if err := m.InstallSnapshot(3, data[:len(data)-1]); err == nil {
 		t.Fatal("a truncated snapshot was installed")
+	}
+}
+
+// TestSnapshotReadErrorFailsOpen: a snapshot that cannot be read is an I/O
+// failure, not corruption: Open fails on it rather than fall back past it.
+func TestSnapshotReadErrorFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, Options{Dir: dir})
+	appendAll(t, j, lifecycle(1, "aa")...)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected read failure")
+	if _, err := Open(Options{Dir: dir, FS: &testFS{FS: OS, failSnapRead: boom}}); !errors.Is(err, boom) {
+		t.Fatalf("Open = %v, want the injected read failure", err)
 	}
 }
 

@@ -16,9 +16,9 @@
 // the sync section flushes every frame written so far, and the batch returns
 // together. A record nobody waits for (the service's Started) is only
 // written, and rides the next caller's fsync. Segments rotate at a size
-// threshold; each rotation snapshots the folded state and deletes the
-// segments it covers, so recovery replays one snapshot plus at most one
-// segment's worth of records.
+// threshold; each rotation snapshots the folded state and deletes what the
+// older of the two kept snapshots covers, so recovery replays one snapshot
+// plus at most two segments' worth of records.
 package journal
 
 import (
@@ -39,6 +39,10 @@ var ErrClosed = errors.New("journal: closed")
 // failure, not corruption); Open fails instead of truncating.
 var errSegmentIO = errors.New("journal: segment unreadable")
 
+// keepSnapshots is how many snapshot generations compaction keeps, with the
+// segments from the oldest on: Open falls back to it past a corrupt newest.
+const keepSnapshots = 2
+
 // Options configures Open.
 type Options struct {
 	// Dir is the data directory (created if missing). Required.
@@ -46,10 +50,6 @@ type Options struct {
 	// SegmentBytes is the rotation threshold (default 1 MiB). Each
 	// rotation writes a snapshot and compacts the covered segments.
 	SegmentBytes int64
-	// KeepSnapshots is how many snapshot generations to retain
-	// (default 2; the extra generation survives corruption of the
-	// newest).
-	KeepSnapshots int
 	// FS is the file layer the journal's files are read and written
 	// through (default OS).
 	FS FS
@@ -61,9 +61,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.KeepSnapshots < 1 {
-		o.KeepSnapshots = 2
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -151,16 +148,17 @@ func Open(opts Options) (*Journal, error) {
 	}
 	segs, snaps := files.Segments, files.Snapshots
 
-	// Seed from the newest loadable snapshot, falling back on corruption.
+	// Seed from the newest loadable snapshot, falling back on corruption;
+	// one that cannot be read at all fails Open, as a segment does.
 	state, snapSeq := newState(), uint64(0)
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, err := j.SnapshotBytes(snaps[i].Seq)
-		var st *State
-		if err == nil {
-			st, err = DecodeSnapshot(data)
-		}
 		if err != nil {
-			opts.Logf("journal: snapshot %s unreadable (%v); falling back", SnapshotFileName(snaps[i].Seq), err)
+			return nil, fmt.Errorf("journal: snapshot %s unreadable: %w", SnapshotFileName(snaps[i].Seq), err)
+		}
+		st, err := DecodeSnapshot(data)
+		if err != nil {
+			opts.Logf("journal: snapshot %s corrupt (%v); falling back", SnapshotFileName(snaps[i].Seq), err)
 			continue
 		}
 		state, snapSeq = st, snaps[i].Seq
@@ -318,8 +316,9 @@ const snapMagic = "FTSNAP01"
 const MaxSnapshotBytes = len(snapMagic) + frameHeader + maxFrameSize
 
 // writeSnapshot durably writes the state as snapshot seq (covering all
-// segments with sequence < seq) with install, then compacts: the covered
-// segments and all but the newest KeepSnapshots snapshots are deleted.
+// segments with sequence < seq) with install, then compacts: all but the
+// newest keepSnapshots snapshots are deleted, and the segments the oldest
+// snapshot left covers, so that a fallback to it replays the rest.
 func (j *Journal) writeSnapshot(st *State, seq uint64) error {
 	payload, err := st.marshalSnapshot()
 	if err != nil {
@@ -333,18 +332,19 @@ func (j *Journal) writeSnapshot(st *State, seq uint64) error {
 	j.stats.Snapshots++
 	j.stats.Unlock()
 
-	// Compact: covered segments and superseded snapshots.
+	// Compact: superseded snapshots and the segments no kept one needs.
 	files, err := scanDir(fsys, j.opts.Dir)
 	if err != nil {
 		return nil // the snapshot itself is durable; compaction is best-effort
 	}
+	kept := files.Snapshots[max(0, len(files.Snapshots)-keepSnapshots):]
+	for _, s := range files.Snapshots[:len(files.Snapshots)-len(kept)] {
+		_ = fsys.Remove(filepath.Join(j.opts.Dir, SnapshotFileName(s.Seq)))
+	}
 	for _, s := range files.Segments {
-		if s.Seq < seq {
+		if len(kept) > 0 && s.Seq < kept[0].Seq {
 			_ = fsys.Remove(filepath.Join(j.opts.Dir, SegmentFileName(s.Seq)))
 		}
-	}
-	for _, s := range files.Snapshots[:max(0, len(files.Snapshots)-j.opts.KeepSnapshots)] {
-		_ = fsys.Remove(filepath.Join(j.opts.Dir, SnapshotFileName(s.Seq)))
 	}
 	return nil
 }
@@ -521,8 +521,8 @@ func (j *Journal) rotate() {
 	}
 }
 
-// Close flushes, writes a final snapshot covering everything, compacts the
-// now-redundant segments, and closes the journal. Idempotent.
+// Close flushes, writes a final snapshot covering everything, compacts, and
+// closes the journal. Idempotent.
 func (j *Journal) Close() error {
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
@@ -549,8 +549,7 @@ func (j *Journal) Close() error {
 	if err := f.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	// A clean shutdown leaves just the snapshot: boot loads it and starts
-	// a fresh segment after it.
+	// Boot loads this snapshot and starts a fresh segment after it.
 	if err := j.writeSnapshot(snap, seg+1); err != nil && firstErr == nil {
 		firstErr = err
 	}

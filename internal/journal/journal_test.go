@@ -215,11 +215,12 @@ func TestCorruptedMidRecord(t *testing.T) {
 }
 
 // TestRotationSnapshotCompaction: a tiny segment threshold forces many
-// rotations; old segments are compacted away, snapshots stay bounded, and
-// a reopen reconstructs the full state from snapshot + live segment.
+// rotations; old segments are compacted away down to the two the retained
+// snapshots need, snapshots stay bounded, and a reopen reconstructs the full
+// state from snapshot + live segment.
 func TestRotationSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, KeepSnapshots: 2})
+	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512})
 	const jobs = 40
 	for id := int64(1); id <= jobs; id++ {
 		appendAll(t, j, lifecycle(id, fmt.Sprintf("%02x", id))...)
@@ -227,7 +228,7 @@ func TestRotationSnapshotCompaction(t *testing.T) {
 	if s := j.Stats(); s.Rotations == 0 || s.Snapshots == 0 {
 		t.Fatalf("expected rotations+snapshots, stats = %+v", s)
 	}
-	if segs := segFiles(t, dir); len(segs) != 1 {
+	if segs := segFiles(t, dir); len(segs) != keepSnapshots {
 		t.Errorf("compaction left %d segments: %v", len(segs), segs)
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -249,18 +250,17 @@ func TestRotationSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFallsBack: with the newest snapshot corrupted, Open
-// warns and falls back (to an older snapshot or raw segments) instead of
-// failing boot.
+// TestCorruptSnapshotFallsBack: with the newest snapshot corrupted after a
+// crash, Open warns and falls back to the older snapshot instead of failing
+// boot, and the segments kept since it restore every acknowledged job.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, KeepSnapshots: 2})
-	for id := int64(1); id <= 30; id++ {
+	j := mustOpen(t, Options{Dir: dir, SegmentBytes: 512})
+	const jobs = 30
+	for id := int64(1); id <= jobs; id++ {
 		appendAll(t, j, lifecycle(id, "dd")...)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Crash: no Close.
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 	if len(snaps) < 2 {
 		t.Fatalf("want ≥2 snapshots, got %v", snaps)
@@ -283,11 +283,10 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if !lg.contains("falling back") {
 		t.Errorf("no fallback warning: %v", lg.msgs)
 	}
-	// The older snapshot covers a prefix; whatever state is recovered
-	// must be internally consistent (terminal jobs keep their digests).
-	for id, js := range j2.State().Jobs {
-		if js.State == Succeeded && js.SinkDigest != "dd" {
-			t.Errorf("job %d digest corrupted across fallback: %+v", id, js)
+	st := j2.State()
+	for id := int64(1); id <= jobs; id++ {
+		if js := st.Jobs[id]; js == nil || js.State != Succeeded || js.SinkDigest != "dd" {
+			t.Errorf("job %d lost or changed across the fallback: %+v", id, js)
 		}
 	}
 }

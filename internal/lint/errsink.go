@@ -27,11 +27,11 @@ import (
 // is the sanctioned way to record that a discard is deliberate.
 //
 // Run-time tests, the crash-point enumeration (internal/service/crash_test.go)
-// first among them, fail on every other mutant of EXPERIMENTS.md's table;
-// errsink stays for the one none can see: Journal.Close dropping its
-// segment's Close error. The segment was fsynced first, so no crash image
-// loses a byte, but a file system that reports a failed write-back only at
-// close would go unheard.
+// first among them, fail on every other mutant of EXPERIMENTS.md's table
+// "Crash-point enumeration"; errsink stays for the one none can see:
+// Journal.Close dropping its segment's Close error. The segment was fsynced
+// first, so no crash image loses a byte, but a file system that reports a
+// failed write-back only at close would go unheard.
 var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc:  "errors from durability-path calls (fsync, close, journal append, checksum decode) must not be discarded",

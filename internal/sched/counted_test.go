@@ -9,14 +9,15 @@ import (
 	"ftdag/internal/sched"
 )
 
-// TestSchedCountsStayPrivate pins the scheduler's rows of EXPERIMENTS.md's
-// "shared-line atomic RMWs per task" table at zero, and a grouped job at two
-// counts, counted by the pairs themselves: over a fault-free run of a layered
-// DAG on one worker, by either executor — every job of it in the run's group —
-// the pool's worker pair is never written, its external pair takes the
-// group's one hold (Submit) and its release, and Stats, folded from the
-// group's pairs at the release, has every spawn added to and every job
-// counted done in the worker's pair of the group's tally: one add and one
+// TestSchedCountsStayPrivate pins the scheduler's rows of the "shared-line
+// atomic read-modify-writes per task" table (perf row "Quiescence without a
+// shared counter", `git show bf78316:EXPERIMENTS.md`) at zero, and a grouped
+// job at two counts, counted by the pairs themselves: over a fault-free run
+// of a layered DAG on one worker, by either executor — every job of it in the
+// run's group — the pool's worker pair is never written, its external pair
+// takes the group's one hold (Submit) and its release, and Stats, folded
+// from the group's pairs at the release, has every spawn added to and every
+// job counted done in the worker's pair of the group's tally: one add and one
 // done per job, where they used to be two of each (TestStatsAreThePairs).
 func TestSchedCountsStayPrivate(t *testing.T) {
 	g := graph.Layered(60, 32, 3, 17, nil)
