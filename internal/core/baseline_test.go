@@ -37,16 +37,20 @@ func TestBaselineFaultFree(t *testing.T) {
 // TestBaselineMatchesFT compares the two schedulers' outputs directly.
 func TestBaselineMatchesFT(t *testing.T) {
 	g := graph.Layered(6, 7, 3, 13, nil)
-	b, err := NewBaseline(g, Config{Workers: 3, Timeout: testTimeout}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFT(g, Config{Workers: 3, Timeout: testTimeout}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Sink) != len(f.Sink) || b.Sink[0] != f.Sink[0] {
-		t.Fatalf("baseline sink %v != FT sink %v", b.Sink, f.Sink)
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) {
+			b, err := runPool(pool, NewBaseline(g, Config{Workers: 3, Timeout: testTimeout}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := runPool(pool, NewFT(g, Config{Workers: 3, Timeout: testTimeout}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Sink) != len(f.Sink) || b.Sink[0] != f.Sink[0] {
+				t.Fatalf("baseline sink %v != FT sink %v", b.Sink, f.Sink)
+			}
+		})
 	}
 }
 

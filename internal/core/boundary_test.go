@@ -28,11 +28,11 @@ func TestBoundaryReadOfCorruptedPredecessor(t *testing.T) {
 	spec := a.Spec()
 	e := NewFT(spec, Config{VerifyChecksums: true})
 	e.insertIfAbsent(0)
-	e.replaceTask(nil, 0) // the producer is in its second incarnation
+	e.replaceTask(worker{}, 0) // the producer is in its second incarnation
 	ref := spec.Output(0)
 	e.store.Slot(ref.Block).Write(ref.Version, 0, 1, make([]float64, 256), nil)
 	e.store.Corrupt(ref.Block, ref.Version, 1)
-	ctx := &taskCtx[ftState]{e: e, t: e.newTask(1, 0)} // tile (0, 1) reads tile 0's last column
+	ctx := &taskCtx[ftState]{e: e, met: e.met.at(worker{}), t: e.newTask(1, 0)} // tile (0, 1) reads tile 0's last column
 	dst := make([]float64, 16)
 	err = graph.ReadPredAt(ctx, 0, dst, block.Run{Off: 15, Stride: 16, N: 16})
 	var fe *fault.Error

@@ -131,13 +131,14 @@ func TestSnapshotReverifyKeepsInputs(t *testing.T) {
 		in[i] = float64(i)
 	}
 	t1, _ := e.insertIfAbsent(1)
-	rj := &replicaJoin{inputs: []predRead{{pred: 0, data: in}}}
-	if !e.reverifyFromSnapshot(nil, t1, rj) {
+	rj := &replicaJoin[ftState]{inputs: []predRead{{pred: 0, data: in}}}
+	if !e.reverifyFromSnapshot(worker{}, t1, rj) {
 		t.Fatal("re-verification produced no digest")
 	}
 	if rj.shadowDigest != block.Checksum(in) {
 		t.Fatal("pass-through shadow digest differs from its input's")
 	}
+	e.met.release() // worker 0's cache hands what the shadow freed to the shared list
 	if got := block.Alloc(widePayload); &got[0] == &in[0] {
 		t.Fatal("the snapshot buffer was freed by the shadow")
 	}

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"ftdag/internal/block"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/sched"
+	"ftdag/internal/trace"
 )
 
 // predRead is one predecessor payload a compute obtained from ReadPred: a
@@ -136,9 +137,9 @@ func inside(a, b []float64) bool {
 // evicts their retained version. Under NABBIT, with no faults possible, an
 // access failure is a spec bug and panics.
 type taskCtx[S state] struct {
-	e *exec[S]
-	t *task[S]
-	w *sched.Worker // the worker running the compute; it counts in its block of e.met
+	e   *exec[S]
+	t   *task[S]
+	met *counters // the counters of the worker running the compute: its block of e.met
 	heldBufs
 	sum   uint64 // checksum the store kept for the written payload
 	wrote bool
@@ -165,12 +166,74 @@ var (
 	nabbitCtxPool = sync.Pool{New: func() any { return new(taskCtx[nabbitState]) }}
 )
 
+// runCompute executes the user compute of t's current incarnation with its
+// hooks, metrics and span, fires a planned after-compute fault, and returns
+// the compute's buffers to the block free list when it ends. Shared by the
+// plain and replicated (primary) paths; the replicated path passes its join,
+// which receives the digest of the written output — the checksum the store
+// just computed for it — and the snapshot of the inputs the compute read. The
+// compute span covers the injection, and its arg is 1 when the compute failed
+// either way. The clock is read once before the compute and once after it,
+// and the histogram and the span share the pair. NABBIT's computes are seen
+// by the hooks and counted, but not timed or spanned.
+func (e *exec[S]) runCompute(w worker, t *task[S], rj *replicaJoin[S]) error {
+	if h := e.hooks.onCompute; h != nil {
+		h(t.key, t.Life())
+	}
+	blk := e.met.block(w)
+	blk.computes.Add(1)
+	var timed bool
+	var sp *trace.Spans
+	pool := &nabbitCtxPool
+	if t.shaded() {
+		timed, sp, pool = e.cfg.TimeLatency, e.cfg.Spans, &ftCtxPool
+	}
+	var start time.Time
+	if timed || sp != nil {
+		start = time.Now()
+	}
+	ctx := pool.Get().(*taskCtx[S])
+	ctx.e, ctx.t, ctx.met, ctx.capture = e, t, &blk.counters, rj != nil
+	ctx.cache = &blk.cache
+	err := e.spec.Compute(ctx, t.key)
+	wrote, sum, reads := ctx.wrote, ctx.sum, ctx.reads
+	ctx.release(rj == nil)
+	*ctx = taskCtx[S]{heldBufs: ctx.heldBufs}
+	pool.Put(ctx)
+	var took time.Duration
+	if timed || sp != nil {
+		took = time.Since(start)
+	}
+	if timed {
+		blk.computeLat.Observe(int64(took))
+	}
+	switch {
+	case err != nil:
+		blk.computeErrors.Add(1)
+	case !wrote:
+		panic(fmt.Sprintf("core: task %d computed without writing its output", t.key))
+	default:
+		if rj != nil {
+			rj.inputs = reads
+			rj.primaryDigest = sum
+		}
+		if t.shaded() && e.plan.Fire(t.key, t.Life(), fault.AfterCompute) {
+			e.inject(w, t, true)
+			err = fault.Errorf(t.key, t.Life())
+		}
+	}
+	if sp != nil {
+		e.emitSpan("compute", start, took, t.key, t.Life(), boolArg(err != nil))
+	}
+	return err
+}
+
 // ReadPred returns a private copy of the block version produced by the given
 // predecessor. On corruption or eviction the error names the predecessor's
 // incarnation to recover (taskCtx.failed), which the consumer's catch does.
 func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 	slot, version := c.output(pred)
-	data, err := c.read(c.e.met.at(c.w), pred, slot, version, c.capture)
+	data, err := c.read(c.met, pred, slot, version, c.capture)
 	if err != nil {
 		return nil, c.failed(pred, err)
 	}
@@ -183,7 +246,7 @@ func (c *taskCtx[S]) ReadPred(pred graph.Key) ([]float64, error) {
 // context keeps a copy of the gathered words with their runs.
 func (c *taskCtx[S]) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
 	slot, version := c.output(pred)
-	if err := c.readAt(c.e.met.at(c.w), pred, slot, version, dst, runs, c.capture); err != nil {
+	if err := c.readAt(c.met, pred, slot, version, dst, runs, c.capture); err != nil {
 		return c.failed(pred, err)
 	}
 	return nil
@@ -210,7 +273,7 @@ func (c *taskCtx[S]) output(pred graph.Key) (*block.Slot, int) {
 // catch drops it.
 func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 	if !c.t.shaded() {
-		if c.e.aborted() {
+		if c.e.group.Aborted() {
 			return err
 		}
 		panic(fmt.Sprintf("core: baseline read of task %d's output failed: %v — spec violates use-before-redefine ordering", pred, err))
@@ -232,12 +295,11 @@ func (c *taskCtx[S]) failed(pred graph.Key, err error) error {
 // and re-execute the producer (paper §IV, cascading re-execution).
 func (c *taskCtx[S]) Write(data []float64) {
 	sum, victim, evicted := c.write(c.t.slot, c.t.out.Version, c.t.key, c.t.Life(), data)
-	met := c.e.met.at(c.w)
-	met.countWrite(evicted)
+	c.met.countWrite(evicted)
 	if c.t.shaded() && evicted && victim != c.t.key {
 		if pt, ok := c.e.tasks.Load(victim); ok {
 			pt.mark(overwritten)
-			met.overwriteMarks.Add(1)
+			c.met.overwriteMarks.Add(1)
 		}
 	}
 	c.wrote = true

@@ -9,7 +9,6 @@ import (
 
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/sched"
 )
 
 // These tests pin what the descriptor holds of other descriptors — pointers
@@ -26,7 +25,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	_, wantSink := groundTruth(t, g, 0)
 	e := NewFT(g, Config{})
 	s3, _ := e.insertIfAbsent(3)
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		// 3 traverses predecessor 2 only; the run computes 0 and 2 and
 		// notifies 3 for 2.
 		e.tryInitCompute(w, s3, 1)
@@ -34,7 +33,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if s3.ft().bits.IsSet(1) || !s3.ft().bits.IsSet(0) {
 		t.Fatalf("after traversing 2 only: bits %d/%d", s3.ft().bits.Count(), s3.ft().bits.Len())
 	}
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		// Task 1, discovered by someone else, fails; its recovery finds 3
 		// waiting, re-registers it, computes and notifies it.
 		e.insertIfAbsent(1)
@@ -43,7 +42,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 	if s3.ft().bits.IsSet(0) || s3.ft().bits.Count() != 1 {
 		t.Fatalf("after recovery of 1: bit set=%v, %d outstanding; want cleared, 1", s3.ft().bits.IsSet(0), s3.ft().bits.Count())
 	}
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		e.notifyOnce(w, s3, 2) // the self-notification: 3 computes, its traversal of 1 still to come
 	})
 	if s3.Status() != Completed {
@@ -54,7 +53,7 @@ func TestEligibleBeforeOwnTraversal(t *testing.T) {
 		t.Fatalf("task 3 wrote %v (err %v), want %v", got, err, wantSink)
 	}
 	computes := e.LiveMetrics().Computes
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		e.tryInitCompute(w, s3, 0) // the traversal that came late
 	})
 	if t1, _ := e.tasks.Load(1); t1.Life() != 1 {
@@ -73,8 +72,8 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 	e := NewFT(graph.Diamond(nil), Config{}) // preds(3) = [1, 2]
 	from, _ := e.insertIfAbsent(1)
 	stale, _ := e.insertIfAbsent(3)
-	cur := e.replaceTask(nil, 3)
-	withWorker(t, func(w *sched.Worker) {
+	cur := e.replaceTask(worker{}, 3)
+	withWorker(t, e, func(w worker) {
 		e.notifySuccessor(w, from, stale)
 		e.notifySuccessor(w, from, stale)
 	})
@@ -89,7 +88,7 @@ func TestNotifyThroughStalePointer(t *testing.T) {
 	}
 	// Not superseded: the pointer is the successor, table or no table.
 	loose := e.newTask(3, 0)
-	withWorker(t, func(w *sched.Worker) { e.notifySuccessor(w, from, loose) })
+	withWorker(t, e, func(w worker) { e.notifySuccessor(w, from, loose) })
 	if loose.ft().bits.Count() != 2 || cur.ft().bits.Count() != 2 {
 		t.Fatalf("unsuperseded pointer: its bits %d/3 (want 2), table incarnation's %d/3 (want 2)", loose.ft().bits.Count(), cur.ft().bits.Count())
 	}
@@ -147,14 +146,14 @@ func TestReadPredOfNonPredecessor(t *testing.T) {
 	e := NewFT(spec, Config{})
 	ref := spec.Output(0)
 	e.store.Write(ref.Block, ref.Version, 0, []float64{7})
-	ctx := &taskCtx[ftState]{e: e, t: e.newTask(3, 0)}
+	ctx := &taskCtx[ftState]{e: e, met: e.met.at(worker{}), t: e.newTask(3, 0)}
 	if got, err := ctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("FT ReadPred through the spec: %v, %v", got, err)
 	}
 	b := NewBaseline(spec, Config{})
 	b.store.Write(ref.Block, ref.Version, 0, []float64{7})
 	bt, _ := b.insertIfAbsent(3)
-	bctx := &taskCtx[nabbitState]{e: b, t: bt}
+	bctx := &taskCtx[nabbitState]{e: b, met: b.met.at(worker{}), t: bt}
 	if got, err := bctx.ReadPred(0); err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("baseline ReadPred through the spec: %v, %v", got, err)
 	}

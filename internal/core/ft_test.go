@@ -29,9 +29,15 @@ func groundTruth(t *testing.T, spec graph.Spec, retention int) (map[graph.Key][]
 // runFT runs the spec under the FT executor and fails the test on error.
 func runFT(t *testing.T, spec graph.Spec, cfg Config) *Result {
 	t.Helper()
+	return runFTOn(t, "sched", spec, cfg)
+}
+
+// runFTOn is runFT on the named pool (pools).
+func runFTOn(t *testing.T, pool string, spec graph.Spec, cfg Config) *Result {
+	t.Helper()
 	cfg.Timeout = testTimeout
 	cfg.VerifyChecksums = true
-	res, err := NewFT(spec, cfg).Run()
+	res, err := runPool(pool, NewFT(spec, cfg))
 	if err != nil {
 		t.Fatalf("FT run: %v", err)
 	}
@@ -42,9 +48,15 @@ func runFT(t *testing.T, spec graph.Spec, cfg Config) *Result {
 // sequential ground truth (Theorem 1, per-task form).
 func verifyFT(t *testing.T, spec graph.Spec, cfg Config) *Result {
 	t.Helper()
+	return verifyFTOn(t, "sched", spec, cfg)
+}
+
+// verifyFTOn is verifyFT on the named pool (pools).
+func verifyFTOn(t *testing.T, pool string, spec graph.Spec, cfg Config) *Result {
+	t.Helper()
 	want, _ := groundTruth(t, spec, cfg.Retention)
 	rec := NewRecorder(spec)
-	res := runFT(t, rec, cfg)
+	res := runFTOn(t, pool, rec, cfg)
 	if d := rec.Diff(want); d != "" {
 		t.Fatalf("output diverged from sequential: %s", d)
 	}
@@ -112,14 +124,18 @@ func TestFTEverySingleFault(t *testing.T) {
 					continue // nothing consumes the sink: by design not recovered
 				}
 				t.Run(fmt.Sprintf("%s/%v/task%d", name, point, key), func(t *testing.T) {
-					plan := fault.NewPlan().Add(key, point, 1)
-					rec := NewRecorder(g)
-					res := runFT(t, rec, Config{Workers: 2, Plan: plan})
-					if d := rec.Diff(want); d != "" {
-						t.Fatalf("diverged: %s", d)
-					}
-					if res.Metrics.InjectionsFired != 1 {
-						t.Fatalf("injections fired = %d, want 1", res.Metrics.InjectionsFired)
+					for _, pool := range pools {
+						t.Run(pool, func(t *testing.T) {
+							plan := fault.NewPlan().Add(key, point, 1)
+							rec := NewRecorder(g)
+							res := runFTOn(t, pool, rec, Config{Workers: 2, Plan: plan})
+							if d := rec.Diff(want); d != "" {
+								t.Fatalf("diverged: %s", d)
+							}
+							if res.Metrics.InjectionsFired != 1 {
+								t.Fatalf("injections fired = %d, want 1", res.Metrics.InjectionsFired)
+							}
+						})
 					}
 				})
 			}
@@ -159,19 +175,23 @@ func TestFTRecursiveRecovery(t *testing.T) {
 	want, _ := groundTruth(t, g, 0)
 	for _, lives := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("lives=%d", lives), func(t *testing.T) {
-			plan := fault.NewPlan()
-			keys := fault.SelectTasks(g, fault.AnyTask, 6, int64(lives))
-			for _, k := range keys {
-				plan.Add(k, fault.AfterCompute, lives)
-			}
-			rec := NewRecorder(g)
-			res := runFT(t, rec, Config{Workers: 3, Plan: plan})
-			if d := rec.Diff(want); d != "" {
-				t.Fatalf("diverged: %s", d)
-			}
-			wantFired := int64(len(keys) * lives)
-			if res.Metrics.InjectionsFired != wantFired {
-				t.Fatalf("fired %d, want %d", res.Metrics.InjectionsFired, wantFired)
+			for _, pool := range pools {
+				t.Run(pool, func(t *testing.T) {
+					plan := fault.NewPlan()
+					keys := fault.SelectTasks(g, fault.AnyTask, 6, int64(lives))
+					for _, k := range keys {
+						plan.Add(k, fault.AfterCompute, lives)
+					}
+					rec := NewRecorder(g)
+					res := runFTOn(t, pool, rec, Config{Workers: 3, Plan: plan})
+					if d := rec.Diff(want); d != "" {
+						t.Fatalf("diverged: %s", d)
+					}
+					wantFired := int64(len(keys) * lives)
+					if res.Metrics.InjectionsFired != wantFired {
+						t.Fatalf("fired %d, want %d", res.Metrics.InjectionsFired, wantFired)
+					}
+				})
 			}
 		})
 	}
@@ -269,15 +289,19 @@ func TestFTMixedPoints(t *testing.T) {
 	points := []fault.Point{fault.BeforeCompute, fault.AfterCompute, fault.AfterNotify}
 	for seed := int64(0); seed < 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plan := fault.NewPlan()
-			keys := fault.SelectTasks(g, fault.AnyTask, 15, seed)
-			for i, k := range keys {
-				plan.Add(k, points[i%len(points)], 1+i%3)
-			}
-			rec := NewRecorder(g)
-			runFT(t, rec, Config{Workers: 4, Plan: plan})
-			if d := rec.Diff(want); d != "" {
-				t.Fatalf("diverged: %s", d)
+			for _, pool := range pools {
+				t.Run(pool, func(t *testing.T) {
+					plan := fault.NewPlan()
+					keys := fault.SelectTasks(g, fault.AnyTask, 15, seed)
+					for i, k := range keys {
+						plan.Add(k, points[i%len(points)], 1+i%3)
+					}
+					rec := NewRecorder(g)
+					runFTOn(t, pool, rec, Config{Workers: 4, Plan: plan})
+					if d := rec.Diff(want); d != "" {
+						t.Fatalf("diverged: %s", d)
+					}
+				})
 			}
 		})
 	}

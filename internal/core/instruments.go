@@ -1,8 +1,12 @@
 package core
 
 import (
+	"time"
+
 	"ftdag/internal/block"
+	"ftdag/internal/graph"
 	obs "ftdag/internal/metrics" // aliased: core's own run-snapshot struct is named metrics
+	"ftdag/internal/trace"
 )
 
 // Latency is the executors' two latency distributions, as they stand: each
@@ -101,4 +105,29 @@ func Observe(r *obs.Registry, totals func() Tally) {
 	r.HistogramFunc("ftdag_recovery_latency_seconds",
 		"Duration of one incarnation's recovery: descriptor replacement, notify-array reconstruction, re-spawn.",
 		func() obs.HistogramCounts { return totals().Latency.Recovery })
+}
+
+// emitSpan records one executor span (compute, inject, recover,
+// replica-join) under the run's distributed-trace context. Callers guard
+// with a Config.Spans nil check so disabled tracing costs one branch.
+func (e *exec[S]) emitSpan(name string, start time.Time, dur time.Duration, key graph.Key, life int, arg int64) {
+	e.cfg.Spans.Emit(trace.Span{
+		Trace:  e.cfg.SpanCtx.Trace,
+		Parent: e.cfg.SpanCtx.Span,
+		Name:   name,
+		Start:  start.UnixMicro(),
+		Dur:    dur.Microseconds(),
+		Job:    e.cfg.SpanJob,
+		Task:   int64(key),
+		Life:   life,
+		Arg:    arg,
+	})
+}
+
+// boolArg encodes a boolean as a span argument.
+func boolArg(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

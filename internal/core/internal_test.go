@@ -51,11 +51,11 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 	if inserted || t0b != t0 {
 		t.Fatal("second insert did not return the existing task")
 	}
-	t1 := e.replaceTask(nil, 3)
+	t1 := e.replaceTask(worker{}, 3)
 	if t1.Life() != 1 {
 		t.Fatalf("first replacement: life=%d", t1.Life())
 	}
-	t2 := e.replaceTask(nil, 3)
+	t2 := e.replaceTask(worker{}, 3)
 	if t2.Life() != 2 {
 		t.Fatalf("second replacement: life=%d", t2.Life())
 	}
@@ -75,7 +75,7 @@ func TestReplaceTaskLifecycle(t *testing.T) {
 			t0.has(superseded), t1.has(superseded), t2.has(superseded))
 	}
 	// Replacing a never-inserted key starts at life 0.
-	fresh := e.replaceTask(nil, 1)
+	fresh := e.replaceTask(worker{}, 1)
 	if fresh.Life() != 0 {
 		t.Fatalf("replacement of absent key: life=%d", fresh.Life())
 	}

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"ftdag/internal/block"
 	"ftdag/internal/graph"
 	obs "ftdag/internal/metrics" // aliased: this file's own type is named metrics
-	"ftdag/internal/sched"
 )
 
 // counters is one block of executor counters.
@@ -85,29 +83,17 @@ func newMetrics(workers int) metrics { return metrics{blocks: make([]workerCount
 // block returns w's block. Its counters and shards are atomics and its cache
 // falls back on the shared list when another call is in it, so sharing a
 // block is correct, only slower: a pool larger than the executor was
-// configured for wraps around, and code that runs on no worker (tests driving
-// a routine directly) counts in block 0.
-func (m *metrics) block(w *sched.Worker) *workerCounters {
-	i := 0
-	if w != nil {
-		if i = w.ID(); i >= len(m.blocks) {
-			i %= len(m.blocks)
-		}
+// configured for wraps around.
+func (m *metrics) block(w worker) *workerCounters {
+	i := w.id
+	if i >= len(m.blocks) {
+		i %= len(m.blocks)
 	}
 	return &m.blocks[i]
 }
 
 // at returns the counters w counts in.
-func (m *metrics) at(w *sched.Worker) *counters { return &m.block(w).counters }
-
-// cache returns the free list of w's block, or nil — the shared list — for
-// code that runs on no worker.
-func (m *metrics) cache(w *sched.Worker) *block.Cache {
-	if w == nil {
-		return nil
-	}
-	return &m.block(w).cache
-}
+func (m *metrics) at(w worker) *counters { return &m.block(w).counters }
 
 // release hands every buffer the blocks' caches hold to the shared list, as
 // a run does when it ends, and closes them.
@@ -242,29 +228,6 @@ func (m Metrics) String() string {
 	return s
 }
 
-// Result summarises one task graph execution.
-type Result struct {
-	// Sink is the output data block of the sink task.
-	Sink []float64
-	// Elapsed is the wall-clock execution time (graph traversal only,
-	// excluding construction).
-	Elapsed time.Duration
-	// Tasks is the number of distinct tasks inserted into the task
-	// table (≥ T; recovery replaces in place so this equals T when the
-	// whole graph was reached).
-	Tasks int
-	// ReexecutedTasks is Computes − Tasks: the number of task
-	// executions beyond the first, the quantity Table II reports.
-	ReexecutedTasks int64
-	Metrics         Metrics
-	Sched           sched.Stats
-	Store           block.Stats
-}
-
-func (r *Result) String() string {
-	return fmt.Sprintf("elapsed=%v tasks=%d reexec=%d %v", r.Elapsed, r.Tasks, r.ReexecutedTasks, r.Metrics)
-}
-
 // hooks are test instrumentation callbacks. They must be safe for
 // concurrent use. Nil hooks are skipped.
 type hooks struct {
@@ -274,4 +237,8 @@ type hooks struct {
 	onComputed func(key graph.Key, life int)
 	// onRecover fires when a recovery is initiated (after replaceTask).
 	onRecover func(key graph.Key, newLife int)
+	// onInject fires in inject between poisoning the descriptor and
+	// corrupting the output: it can hold open the window in which another
+	// thread recovers the poisoned incarnation.
+	onInject func(w worker, key graph.Key, life int)
 }

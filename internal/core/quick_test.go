@@ -13,6 +13,12 @@ import (
 // points, task types, repeat-failure counts), any worker count, the
 // per-task outputs equal the fault-free sequential execution.
 func TestQuickRandomGraphsUnderFaults(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) { testQuickRandomGraphsUnderFaults(t, pool) })
+	}
+}
+
+func testQuickRandomGraphsUnderFaults(t *testing.T, pool string) {
 	type params struct {
 		Layers, Width, MaxIn uint8
 		GraphSeed            uint16
@@ -49,7 +55,7 @@ func TestQuickRandomGraphsUnderFaults(t *testing.T) {
 			Timeout:         testTimeout,
 			VerifyChecksums: true,
 		}
-		if _, err := NewFT(rec, cfg).Run(); err != nil {
+		if _, err := runPool(pool, NewFT(rec, cfg)); err != nil {
 			t.Logf("FT: %v", err)
 			return false
 		}

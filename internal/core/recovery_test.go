@@ -7,21 +7,7 @@ import (
 
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/sched"
 )
-
-// withWorker runs f on a live scheduler worker and waits for quiescence —
-// the recovery routines take a *sched.Worker for their spawns.
-func withWorker(t *testing.T, f func(w *sched.Worker)) {
-	t.Helper()
-	pool := sched.NewPool(1)
-	g := pool.NewGroup()
-	g.Submit(func(w *sched.Worker) { f(w) })
-	if !g.WaitTimeout(testTimeout) {
-		t.Fatal("worker did not quiesce")
-	}
-	pool.Close()
-}
 
 // TestReinitNotifyEntryBranches drives REINITNOTIFYENTRY through its three
 // outcomes directly: enqueue (Visited + bit set), skip on cleared bit, and
@@ -29,7 +15,7 @@ func withWorker(t *testing.T, f func(w *sched.Worker)) {
 func TestReinitNotifyEntryBranches(t *testing.T) {
 	g := graph.Diamond(nil) // preds(3) = [1, 2]
 	e := NewFT(g, Config{})
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		pred := e.newTask(1, 1) // recovered incarnation of task 1
 		succ, _ := e.insertIfAbsent(3)
 
@@ -79,7 +65,7 @@ func TestReinitNotifyEntryBranches(t *testing.T) {
 func TestRecoverFromErrorPanicsOnForeignError(t *testing.T) {
 	g := graph.Diamond(nil)
 	e := NewFT(g, Config{})
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic on non-fault error")
@@ -99,7 +85,7 @@ func (errNotAFault) Error() string { return "not a fault" }
 func TestRecoverTaskReconstructsNotifyArray(t *testing.T) {
 	g := graph.Diamond(nil) // succs(0) = [1, 2]
 	e := NewFT(g, Config{})
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		// The failed incarnation of task 0, plus: successor 1 waiting
 		// (Visited, bit set) and successor 2 already notified (bit
 		// cleared).
@@ -137,7 +123,7 @@ func TestRecoverTaskReconstructsNotifyArray(t *testing.T) {
 func TestResetNodePoisonedSelf(t *testing.T) {
 	g := graph.Chain(3, nil)
 	e := NewFT(g, Config{})
-	withWorker(t, func(w *sched.Worker) {
+	withWorker(t, e, func(w worker) {
 		task, _ := e.insertIfAbsent(2)
 		task.mark(poisoned)
 		e.resetNode(w, task)
@@ -174,7 +160,7 @@ func TestInjectionSparesTheRecoveredVersion(t *testing.T) {
 			}
 		}
 	}
-	injectWindow = func(w *sched.Worker, key graph.Key, life int) {
+	e.hooks.onInject = func(w worker, key graph.Key, life int) {
 		if key == 0 && life == 0 {
 			e.recoverTaskOnce(w, key, life)
 			select {
@@ -184,7 +170,6 @@ func TestInjectionSparesTheRecoveredVersion(t *testing.T) {
 			}
 		}
 	}
-	defer func() { injectWindow = nil }()
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +193,8 @@ func TestCorruptReadNamesTheWriter(t *testing.T) {
 	if e.store.Corrupt(ref.Block, ref.Version, 1) {
 		t.Fatal("Corrupt flagged a version another incarnation wrote")
 	}
-	e.replaceTask(nil, 0) // the producer's recovery is under way
-	ctx := &taskCtx[ftState]{e: e, t: e.newTask(1, 0)}
+	e.replaceTask(worker{}, 0) // the producer's recovery is under way
+	ctx := &taskCtx[ftState]{e: e, met: e.met.at(worker{}), t: e.newTask(1, 0)}
 	_, err := ctx.ReadPred(0)
 	var fe *fault.Error
 	if !errors.As(err, &fe) || fe.Key != 0 || fe.Life != 0 {

@@ -130,7 +130,7 @@ func testReleaseRacesAbortedComputes[S state](t *testing.T, newExec func(graph.S
 	const width = 8
 	var e *exec[S]
 	c := &churn{Static: graph.Layered(6, width, 3, 5, nil), width: width}
-	c.aborted = func() bool { return e.aborted() }
+	c.aborted = func() bool { return e.group.Aborted() }
 	cfg := Config{Workers: 4, VerifyChecksums: true}
 	cancel := make(chan struct{})
 	if how == "cancel" {

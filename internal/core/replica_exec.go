@@ -6,7 +6,6 @@ import (
 
 	"ftdag/internal/fault"
 	"ftdag/internal/replica"
-	"ftdag/internal/sched"
 )
 
 // This file is the executor half of selective task replication
@@ -21,12 +20,13 @@ import (
 // notify drain runs only after a clean join), so the downstream notify
 // closure is invalidated with it by construction.
 
-// replicaJoin is the join state of one replicated execution. The two
-// replicas each call arrive exactly once; the last arrival resolves. The
-// digest fields are plain because each is written by one replica before its
-// (sequentially consistent) arrive decrement, which happens-before the
-// resolving replica's observation of remaining == 0.
-type replicaJoin struct {
+// replicaJoin is the join state of one replicated execution of t, and the
+// shadow's job. The two replicas each call arrive exactly once; the last
+// arrival resolves. The digest fields are plain because each is written by
+// one replica before its (sequentially consistent) arrive decrement, which
+// happens-before the resolving replica's observation of remaining == 0.
+type replicaJoin[S state] struct {
+	t             *task[S]
 	remaining     atomic.Int32
 	aborted       atomic.Bool // primary failed; recovery owns the task
 	shadowFailed  atomic.Bool // shadow errored; re-verify from the input snapshot
@@ -45,17 +45,18 @@ type replicaJoin struct {
 
 // arrive records one replica's completion and reports whether the caller is
 // the last to arrive (and must therefore resolve the join).
-func (rj *replicaJoin) arrive() bool { return rj.remaining.Add(-1) == 0 }
+func (rj *replicaJoin[S]) arrive() bool { return rj.remaining.Add(-1) == 0 }
+
+// run is the shadow's job: runShadow on the worker it was placed on.
+func (rj *replicaJoin[S]) run(w worker, _ int) { rj.t.e.runShadow(w, rj.t, rj) }
 
 // computeReplicated executes t with a shadow replica. The shadow is spawned
 // first so it can overlap the primary; the primary then runs inline on w.
-func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
-	rj := &replicaJoin{}
+func (e *exec[S]) computeReplicated(w worker, t *task[S]) {
+	rj := &replicaJoin[S]{t: t}
 	rj.remaining.Store(2)
 	e.met.at(w).replicatedTasks.Add(1)
-	e.group.SpawnAvoiding(w, func(w2 *sched.Worker) {
-		e.runShadow(w2, t, rj)
-	})
+	e.group.spawnAvoiding(w, rj)
 	err := func() error { // try (primary)
 		if err := t.check(); err != nil {
 			return err
@@ -98,7 +99,7 @@ func (e *exec[S]) computeReplicated(w *sched.Worker, t *task[S]) {
 // does not trigger recovery — the resolver re-verifies the primary from its
 // input snapshot instead, so a shadow losing a store read to an
 // anti-dependent writer never costs detection coverage.
-func (e *exec[S]) runShadow(w *sched.Worker, t *task[S], rj *replicaJoin) {
+func (e *exec[S]) runShadow(w worker, t *task[S], rj *replicaJoin[S]) {
 	digest, err := e.shadowCompute(w, t, false, nil)
 	if err != nil {
 		rj.shadowFailed.Store(true)
@@ -113,12 +114,13 @@ func (e *exec[S]) runShadow(w *sched.Worker, t *task[S], rj *replicaJoin) {
 // shadowCompute runs t's compute without storing the output and returns the
 // output's digest. With snapshot set, the predecessor reads come from inputs
 // — the primary's snapshot — instead of the store (the re-verification path).
-func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inputs []predRead) (uint64, error) {
+func (e *exec[S]) shadowCompute(w worker, t *task[S], snapshot bool, inputs []predRead) (uint64, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
-	e.met.at(w).shadowComputes.Add(1)
-	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, w: w, heldBufs: heldBufs{reads: inputs, cache: e.met.cache(w)}}, snapshot: snapshot}
+	blk := e.met.block(w)
+	blk.shadowComputes.Add(1)
+	ctx := &shadowCtx[S]{taskCtx: taskCtx[S]{e: e, t: t, met: &blk.counters, heldBufs: heldBufs{reads: inputs, cache: &blk.cache}}, snapshot: snapshot}
 	err := e.spec.Compute(ctx, t.key)
 	if err == nil && !ctx.wrote {
 		err = fault.Errorf(t.key, t.Life())
@@ -141,7 +143,7 @@ func (e *exec[S]) shadowCompute(w *sched.Worker, t *task[S], snapshot bool, inpu
 // inline on the resolving worker — the distinct-worker placement was already
 // attempted by the live shadow; this retry trades that placement for
 // guaranteed verification. Reports whether a digest was produced.
-func (e *exec[S]) reverifyFromSnapshot(w *sched.Worker, t *task[S], rj *replicaJoin) bool {
+func (e *exec[S]) reverifyFromSnapshot(w worker, t *task[S], rj *replicaJoin[S]) bool {
 	digest, err := e.shadowCompute(w, t, true, rj.inputs)
 	if err != nil {
 		return false
@@ -155,7 +157,7 @@ func (e *exec[S]) reverifyFromSnapshot(w *sched.Worker, t *task[S], rj *replicaJ
 // its stored output are poisoned and the ordinary recovery machinery
 // re-executes the incarnation (the SDC plan entry has already fired, so the
 // re-execution is clean).
-func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) {
+func (e *exec[S]) resolveReplicas(w worker, t *task[S], rj *replicaJoin[S]) {
 	if rj.aborted.Load() {
 		return // the primary's catch already dispatched recovery
 	}
@@ -201,7 +203,7 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 		// A gather's copy is a tile's boundary: listed, it would sit on the
 		// free list under a length no Alloc asks for, up to the list's cap.
 		if in.runs == nil {
-			e.met.cache(w).Free(in.data)
+			e.met.block(w).cache.Free(in.data)
 		}
 	}
 	rj.inputs = nil
@@ -215,7 +217,7 @@ func (e *exec[S]) resolveReplicas(w *sched.Worker, t *task[S], rj *replicaJoin) 
 // corrupted data, so neither the poisoned flag nor checksum verification
 // can observe it. Only replica digest comparison can. It returns the
 // recomputed checksum and whether the version was still retained.
-func (e *exec[S]) injectSDC(w *sched.Worker, t *task[S]) (sum uint64, ok bool) {
+func (e *exec[S]) injectSDC(w worker, t *task[S]) (sum uint64, ok bool) {
 	sum, ok = e.store.CorruptSilently(t.out.Block, t.out.Version)
 	e.met.at(w).sdcInjected.Add(1)
 	return sum, ok

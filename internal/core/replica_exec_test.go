@@ -53,25 +53,29 @@ func TestSDCDetectedAndRecovered(t *testing.T) {
 	victims := fault.SelectTasks(g, fault.AnyTask, 3, 7)
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			plan := fault.NewPlan() // a plan fires once: one per run
-			for _, k := range victims {
-				plan.Add(k, fault.SDC, 1)
-			}
-			res := verifyFT(t, g, Config{Workers: p, Plan: plan, Replicate: set})
-			m := res.Metrics
-			if m.SDCInjected != int64(len(victims)) {
-				t.Fatalf("SDCInjected = %d, want %d", m.SDCInjected, len(victims))
-			}
-			if m.SDCDetected != m.SDCInjected {
-				t.Fatalf("SDCDetected = %d, want %d (full replication must catch every SDC)",
-					m.SDCDetected, m.SDCInjected)
-			}
-			if m.SDCMissed != 0 {
-				t.Fatalf("SDCMissed = %d, want 0", m.SDCMissed)
-			}
-			if m.Recoveries < int64(len(victims)) {
-				t.Fatalf("Recoveries = %d, want >= %d (each detection re-executes)",
-					m.Recoveries, len(victims))
+			for _, pool := range pools {
+				t.Run(pool, func(t *testing.T) {
+					plan := fault.NewPlan() // a plan fires once: one per run
+					for _, k := range victims {
+						plan.Add(k, fault.SDC, 1)
+					}
+					res := verifyFTOn(t, pool, g, Config{Workers: p, Plan: plan, Replicate: set})
+					m := res.Metrics
+					if m.SDCInjected != int64(len(victims)) {
+						t.Fatalf("SDCInjected = %d, want %d", m.SDCInjected, len(victims))
+					}
+					if m.SDCDetected != m.SDCInjected {
+						t.Fatalf("SDCDetected = %d, want %d (full replication must catch every SDC)",
+							m.SDCDetected, m.SDCInjected)
+					}
+					if m.SDCMissed != 0 {
+						t.Fatalf("SDCMissed = %d, want 0", m.SDCMissed)
+					}
+					if m.Recoveries < int64(len(victims)) {
+						t.Fatalf("Recoveries = %d, want >= %d (each detection re-executes)",
+							m.Recoveries, len(victims))
+					}
+				})
 			}
 		})
 	}

@@ -35,7 +35,7 @@ func (e *Sequential) Run() (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	ctx := &seqCtx{e: e}
+	ctx := &seqCtx{e: e, met: &e.met.blocks[0].counters}
 	for _, key := range order {
 		ctx.key, ctx.wrote = key, false
 		if err := e.spec.Compute(ctx, key); err != nil {
@@ -60,6 +60,7 @@ func (e *Sequential) Run() (*Result, error) {
 
 type seqCtx struct {
 	e   *Sequential
+	met *counters // the executor's one block
 	key graph.Key
 	heldBufs
 	wrote bool
@@ -72,17 +73,17 @@ var (
 
 func (c *seqCtx) ReadPred(pred graph.Key) ([]float64, error) {
 	slot, version := specOutput(c.e.spec, c.e.store, pred)
-	return c.read(c.e.met.at(nil), pred, slot, version, false)
+	return c.read(c.met, pred, slot, version, false)
 }
 
 func (c *seqCtx) ReadPredAt(pred graph.Key, dst []float64, runs ...block.Run) error {
 	slot, version := specOutput(c.e.spec, c.e.store, pred)
-	return c.readAt(c.e.met.at(nil), pred, slot, version, dst, runs, false)
+	return c.readAt(c.met, pred, slot, version, dst, runs, false)
 }
 
 func (c *seqCtx) Write(data []float64) {
 	slot, version := specOutput(c.e.spec, c.e.store, c.key)
 	_, _, evicted := c.write(slot, version, c.key, 0, data)
-	c.e.met.at(nil).countWrite(evicted)
+	c.met.countWrite(evicted)
 	c.wrote = true
 }

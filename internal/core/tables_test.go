@@ -296,7 +296,7 @@ func TestStoreStatsAreTheWorkersCounts(t *testing.T) {
 	ref := chain.Output(0)
 	e.store.Write(ref.Block, ref.Version, 0, []float64{1})
 	e.store.Corrupt(ref.Block, ref.Version, 0)
-	ctx := &taskCtx[ftState]{e: e, t: e.newTask(1, 0)}
+	ctx := &taskCtx[ftState]{e: e, met: e.met.at(worker{}), t: e.newTask(1, 0)}
 	if _, err := ctx.ReadPred(0); err == nil {
 		t.Fatal("ReadPred of a corrupted version succeeded")
 	}

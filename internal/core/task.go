@@ -16,7 +16,6 @@ import (
 	"ftdag/internal/block"
 	"ftdag/internal/fault"
 	"ftdag/internal/graph"
-	"ftdag/internal/sched"
 )
 
 // Status is the execution status of a task (paper §III). Once inserted into
@@ -300,10 +299,17 @@ func (t *task[S]) batch(arg int) []*task[S] {
 	return b
 }
 
+// newTask builds a fresh incarnation descriptor.
+func (e *exec[S]) newTask(key graph.Key, life int) *task[S] {
+	t := &task[S]{e: e}
+	t.resolve(e.spec, e.store, key, life)
+	return t
+}
+
 // The executor spawns three kinds of job, and each is the task descriptor
 // under another method set: a descriptor converts to any of them for free,
-// and a pointer in a sched.Runner costs no allocation, where a closure
-// capturing the executor, the task and an index costs one per spawn.
+// and a pointer in a job costs no allocation, where a closure capturing the
+// executor, the task and an index costs one per spawn.
 type (
 	// exploreJob runs INITANDCOMPUTE of the task.
 	exploreJob[S state] task[S]
@@ -314,17 +320,6 @@ type (
 	drainJob[S state] task[S]
 )
 
-func (j *exploreJob[S]) Run(w *sched.Worker, _ int) {
-	t := (*task[S])(j)
-	t.e.initAndCompute(w, t)
-}
-
-func (j *traverseJob[S]) Run(w *sched.Worker, i int) {
-	t := (*task[S])(j)
-	t.e.tryInitCompute(w, t, i)
-}
-
-func (j *drainJob[S]) Run(w *sched.Worker, arg int) {
-	t := (*task[S])(j)
-	t.e.drain(w, t, arg)
-}
+func (j *exploreJob[S]) run(w worker, _ int)  { j.e.initAndCompute(w, (*task[S])(j)) }
+func (j *traverseJob[S]) run(w worker, i int) { j.e.tryInitCompute(w, (*task[S])(j), i) }
+func (j *drainJob[S]) run(w worker, arg int)  { j.e.drain(w, (*task[S])(j), arg) }

@@ -45,3 +45,19 @@ func (p *Pool) WaitTimeout(d time.Duration) bool {
 		return false
 	}
 }
+
+// WaitTimeout is Wait with a deadline; it reports whether the group reached
+// quiescence (or abort) in time.
+func (g *Group) WaitTimeout(d time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		g.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}

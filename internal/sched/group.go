@@ -3,7 +3,6 @@ package sched
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ftdag/internal/trace"
 )
@@ -159,21 +158,4 @@ func (g *Group) Wait() {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()
-}
-
-// WaitTimeout is Wait with a deadline; it reports whether the group reached
-// quiescence (or abort) in time.
-func (g *Group) WaitTimeout(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	done := make(chan struct{})
-	go func() {
-		g.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(time.Until(deadline)):
-		return false
-	}
 }
