@@ -223,7 +223,7 @@ func TestSubmitRecoveryPolicyAndRetryAfter(t *testing.T) {
 		t.Fatalf("bogus recovery = %d, want 400", rr.Code)
 	}
 	// Drain the replicated job before filling the queue below.
-	if h, ok := srv.Job(1); ok {
+	if h, err := srv.Job(1); err == nil {
 		if _, err := h.Wait(); err != nil {
 			t.Fatalf("replicated job: %v", err)
 		}

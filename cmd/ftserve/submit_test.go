@@ -22,7 +22,9 @@ func post(mux *http.ServeMux, body string) *httptest.ResponseRecorder {
 // An oversized body is refused whole (413), not truncated to a prefix that
 // happens to parse; bytes after the first JSON value are refused (400), not
 // journaled for a replay that would choke on them; and what is accepted is
-// journaled verbatim and rebuilds into the job that ran.
+// journaled verbatim — the Submitted record's payload, read from the segment
+// while the daemon runs, since a finished job's folded state keeps none — and
+// rebuilds into the job that ran.
 func TestSubmitHostileBytes(t *testing.T) {
 	dir := t.TempDir()
 	ok := `{"synthetic":{"layers":2,"width":2,"max_in":1,"seed":3}}`
@@ -32,7 +34,8 @@ func TestSubmitHostileBytes(t *testing.T) {
 		`{"app":"FW","n":32,"b":16,"recovery":"replicate-selective","replica_budget":0.5,"unknown_field":1}`,
 	}
 	// The daemon's life is a subtest so that its journal is closed, as after
-	// a shutdown, before the payloads are read back below.
+	// a shutdown, before the jobs are read back below.
+	journaled := map[int64][]byte{}
 	t.Run("live", func(t *testing.T) {
 		be, mux := newTestDaemon(t, dir)
 		if rr := post(mux, ok+strings.Repeat(" ", 2<<20)); rr.Code != http.StatusRequestEntityTooLarge {
@@ -61,6 +64,26 @@ func TestSubmitHostileBytes(t *testing.T) {
 		if n := len(be.Service.Jobs()); n != len(accepted) {
 			t.Fatalf("%d jobs admitted, want %d: a refused body reached the service", n, len(accepted))
 		}
+		jr := be.Service.Config().Journal
+		m, err := jr.TailManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range m.Segments {
+			data, err := jr.ReadSegmentAt(seg.Seq, 0, int(seg.Size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := journal.ScanSegment(data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if rec.Kind == journal.Submitted {
+					journaled[rec.ID] = rec.Payload
+				}
+			}
+		}
 	})
 
 	jr, err := journal.Open(journal.Options{Dir: dir})
@@ -73,14 +96,15 @@ func TestSubmitHostileBytes(t *testing.T) {
 		if js == nil {
 			t.Fatalf("job %d is not in the journal", i+1)
 		}
-		if string(js.Payload) != body {
-			t.Fatalf("job %d journaled %q, want the request body %q", i+1, js.Payload, body)
+		payload := journaled[int64(i+1)]
+		if string(payload) != body {
+			t.Fatalf("job %d journaled %q, want the request body %q", i+1, payload, body)
 		}
 		live, err := rebuildJob([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := rebuildJob(js.Payload)
+		replayed, err := rebuildJob(payload)
 		if err != nil {
 			t.Fatalf("journaled payload of job %d does not rebuild: %v", i+1, err)
 		}
@@ -125,8 +149,8 @@ func TestReplaysParentJournal(t *testing.T) {
 
 	be, _ := newTestDaemon(t, dir)
 	for id := int64(1); id <= 3; id++ {
-		h, ok := be.Service.Job(id)
-		if !ok {
+		h, err := be.Service.Job(id)
+		if err != nil {
 			t.Fatalf("job %d was not restored", id)
 		}
 		if _, err := h.Wait(); err != nil {

@@ -180,7 +180,7 @@ func runCrashChild(dataDir string, seed int64, njobs, workers int, timeout time.
 		return fmt.Errorf("%d distinct jobs restored or submitted, want %d", len(have), njobs)
 	}
 	for _, st := range srv.Jobs() {
-		if h, ok := srv.Job(st.ID); ok {
+		if h, err := srv.Job(st.ID); err == nil {
 			if _, err := h.Wait(); err != nil {
 				return fmt.Errorf("%s: %w", st.Name, err)
 			}

@@ -80,16 +80,11 @@ func (rt *Router) clusterTrace(w http.ResponseWriter, r *http.Request) {
 	idStr := r.PathValue("id")
 	var tid trace.TraceID
 	if jobID, err := strconv.ParseInt(idStr, 10, 64); err == nil {
-		rt.mu.Lock()
-		j := rt.jobs[jobID]
-		if j != nil {
-			tid = j.span.Trace
-		}
-		rt.mu.Unlock()
+		j := rt.job(w, jobID)
 		if j == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", jobID))
 			return
 		}
+		tid = j.span.Trace // set once, when the router recorded the job
 		if tid.IsZero() {
 			httpError(w, http.StatusNotFound, fmt.Errorf("job %d has no trace (tracing disabled at submission?)", jobID))
 			return

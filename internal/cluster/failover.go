@@ -60,8 +60,8 @@ func (rt *Router) checkHealth() {
 // terminal status, in router-ID order. The caller holds rt.mu.
 func (rt *Router) unfinishedOn(name string) []*routedJob {
 	var out []*routedJob
-	for _, id := range rt.order {
-		if j := rt.jobs[id]; j != nil && j.backend == name && j.terminal == nil {
+	for _, j := range rt.sortedJobs() {
+		if j.backend == name && j.terminal == nil {
 			out = append(out, j)
 		}
 	}
@@ -103,8 +103,14 @@ func (rt *Router) failBackend(name string) {
 func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 	for _, j := range orphans {
 		rt.mu.Lock()
+		// A status fetch may have learned meanwhile that the job finished, or
+		// that its owner aged it out.
+		if j.terminal != nil || rt.jobs[j.id] != j {
+			rt.mu.Unlock()
+			continue
+		}
 		cands := rt.candidatesFor(j.key)
-		origin := j.span
+		origin, body := j.span, j.body
 		rt.mu.Unlock()
 		var ctx trace.SpanContext
 		if tr := rt.tracer; tr != nil && origin.Valid() {
@@ -113,7 +119,7 @@ func (rt *Router) rerouteJobs(orphans []*routedJob, spanName string) {
 		moved := false
 		for _, b := range cands {
 			start := time.Now()
-			rep, err := rt.postJob(b, j.body, ctx)
+			rep, err := rt.postJob(b, body, ctx)
 			if err != nil || rep.code != http.StatusAccepted {
 				continue
 			}

@@ -140,8 +140,9 @@ func NewNode(cfg NodeConfig) *Node {
 // Mux builds the node's route table:
 //
 //	POST /jobs              submit a job (the body is Build's to interpret)
-//	GET  /jobs              list all jobs (running jobs show live progress)
-//	GET  /jobs/{id}         one job's status (live while running)
+//	GET  /jobs              list the kept jobs (running jobs show live progress)
+//	GET  /jobs/{id}         one job's status (live while running; 410 once
+//	                        it has aged out of the retention window)
 //	POST /jobs/{id}/cancel  cancel a queued or running job
 //	GET  /jobs/{id}/trace   the job's spans as a Chrome/Perfetto trace
 //	GET  /metrics           Prometheus text exposition (scheduler, executor,
@@ -236,9 +237,13 @@ func (n *Node) job(w http.ResponseWriter, r *http.Request) (*service.Handle, boo
 	if !ok {
 		return nil, false
 	}
-	h, ok := n.cfg.Service.Job(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
+	h, err := n.cfg.Service.Job(id)
+	if err != nil {
+		code := http.StatusNotFound
+		if errors.Is(err, service.ErrExpired) {
+			code = http.StatusGone
+		}
+		httpError(w, code, fmt.Errorf("job %d: %w", id, err))
 		return nil, false
 	}
 	return h, true

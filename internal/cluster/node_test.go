@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"ftdag/internal/graph"
+	"ftdag/internal/journal"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 )
@@ -123,5 +127,46 @@ func TestNodeContract(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
+	}
+}
+
+// TestNodeAnswersAgedOutJobsWithGone: a job that has aged out of the
+// service's retention window answers 410 on its status, cancel and trace
+// routes, an ID never handed out 404, and the listing holds the window.
+func TestNodeAnswersAgedOutJobsWithGone(t *testing.T) {
+	srv := service.New(service.Config{Workers: 2, MaxConcurrentJobs: 2, Rebuild: buildTestJob})
+	t.Cleanup(func() { srv.Close() })
+	mux := NewNode(NodeConfig{Name: "window", Service: srv}).Mux()
+	const jobs = journal.KeepFinished + 1
+	for i := 0; i < jobs; i++ {
+		h, err := srv.Submit(service.JobSpec{Name: "trivial", Spec: graph.Chain(2, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		method, path string
+		code         int
+	}{
+		{"GET", "/jobs/1", http.StatusGone},
+		{"POST", "/jobs/1/cancel", http.StatusGone},
+		{"GET", "/jobs/1/trace", http.StatusGone},
+		{"GET", "/jobs/2", http.StatusOK},
+		{"GET", fmt.Sprintf("/jobs/%d", jobs+1), http.StatusNotFound},
+	} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(step.method, step.path, nil))
+		if rr.Code != step.code {
+			t.Fatalf("%s %s = %d, want %d: %s", step.method, step.path, rr.Code, step.code, rr.Body.String())
+		}
+	}
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/jobs", nil))
+	var sts []service.Status
+	if err := json.Unmarshal(rr.Body.Bytes(), &sts); err != nil || len(sts) != journal.KeepFinished || sts[0].ID != 2 {
+		t.Fatalf("listing of %d jobs (err %v), want %d from ID 2", len(sts), err, journal.KeepFinished)
 	}
 }

@@ -7,7 +7,8 @@ package cluster
 // the same bytes the backend journals and a crash restart would replay
 // through Config.Rebuild.
 // Finished jobs keep serving their durable digests from the router's
-// terminal-status cache, so a backend loss never un-finishes a job.
+// terminal-status cache, so a backend loss never un-finishes a job; the
+// cache keeps the last journal.KeepFinished of them, as a backend does.
 //
 // Determinism makes the failure races benign: if a backend completed a
 // job just before dying (terminal record not yet observed), the re-run on
@@ -15,16 +16,19 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"ftdag/internal/journal"
 	"ftdag/internal/metrics"
 	"ftdag/internal/service"
 	"ftdag/internal/trace"
@@ -61,7 +65,7 @@ type RouterConfig struct {
 type routedJob struct {
 	id       int64
 	key      string
-	body     []byte
+	body     []byte // nil once terminal is set: only a resubmission reads it
 	backend  string // current owner ("" while orphaned awaiting a survivor)
 	remoteID int64
 	terminal *RoutedStatus // cached final status; authoritative once set
@@ -104,8 +108,10 @@ type Router struct {
 	mu       sync.Mutex
 	ring     *Ring
 	backends map[string]*backendState
+	// jobs holds the routed jobs with no cached terminal status and the
+	// last journal.KeepFinished to get one, whose IDs are in finished.
 	jobs     map[int64]*routedJob
-	order    []int64
+	finished journal.Window
 	nextID   int64
 	orphans  []*routedJob // acknowledged, unfinished, and without a live candidate: placeOrphans retries
 
@@ -398,7 +404,6 @@ func (rt *Router) recordJob(key string, body []byte, backend string, remoteID in
 	rt.nextID++
 	j := &routedJob{id: rt.nextID, key: key, body: body, backend: backend, remoteID: remoteID, span: ctx}
 	rt.jobs[j.id] = j
-	rt.order = append(rt.order, j.id)
 	return RoutedStatus{
 		Status:    service.Status{ID: j.id, State: service.Queued},
 		Backend:   backend,
@@ -437,8 +442,10 @@ func (p placement) row(j *routedJob) RoutedStatus {
 // rewriting the identity to the router's: the reply to method on the job's
 // path plus suffix (GET "" for its status, POST "/cancel" to cancel it). A
 // terminal status is cached — after that the owner can die without the job's
-// digest becoming unreachable — but only while the job is still at p: a job
-// moved during the fetch is no longer the one its old owner reported on.
+// digest becoming unreachable — and the job enters the retention window, but
+// only while the job is still at p: a job moved during the fetch is no longer
+// the one its old owner reported on. An owner that answers 410 has aged the
+// job out; the router drops it too, and the error wraps service.ErrExpired.
 func (rt *Router) fetchStatus(j *routedJob, p placement, method, suffix string) (RoutedStatus, error) {
 	req, err := http.NewRequest(method, fmt.Sprintf("%s/jobs/%d%s", p.url, p.remoteID, suffix), nil)
 	if err != nil {
@@ -449,6 +456,14 @@ func (rt *Router) fetchStatus(j *routedJob, p placement, method, suffix string) 
 		return RoutedStatus{}, err
 	}
 	defer func() { _ = resp.Body.Close() }() // decodeJSON drains it
+	if resp.StatusCode == http.StatusGone {
+		rt.mu.Lock()
+		if rt.jobs[j.id] == j && j.terminal == nil && j.backend == p.backend && j.remoteID == p.remoteID {
+			delete(rt.jobs, j.id)
+		}
+		rt.mu.Unlock()
+		return RoutedStatus{}, fmt.Errorf("job %d on %s: %w", j.id, p.backend, service.ErrExpired)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return RoutedStatus{}, fmt.Errorf("%s: %s", p.backend, resp.Status)
 	}
@@ -464,27 +479,55 @@ func (rt *Router) fetchStatus(j *routedJob, p placement, method, suffix string) 
 		if j.backend != p.backend || j.remoteID != p.remoteID {
 			return RoutedStatus{}, fmt.Errorf("job %d moved off %s during the status fetch", j.id, p.backend)
 		}
-		j.terminal = &rs
+		if j.terminal == nil && rt.jobs[j.id] == j {
+			delete(rt.jobs, rt.finished.Push(j.id))
+		}
+		j.terminal, j.body = &rs, nil
 	}
 	return rs, nil
+}
+
+// job returns the routed job with the router ID id. For an ID the router
+// handed out whose job has left its table it answers 410, and 404 for any
+// other, and returns nil.
+func (rt *Router) job(w http.ResponseWriter, id int64) *routedJob {
+	rt.mu.Lock()
+	j := rt.jobs[id]
+	expired := j == nil && id >= 1 && id <= rt.nextID
+	rt.mu.Unlock()
+	switch {
+	case expired:
+		httpError(w, http.StatusGone, fmt.Errorf("job %d: %w", id, service.ErrExpired))
+	case j == nil:
+		httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
+	}
+	return j
+}
+
+// sortedJobs returns the jobs in the table in router-ID order. The caller
+// holds rt.mu.
+func (rt *Router) sortedJobs() []*routedJob {
+	out := make([]*routedJob, 0, len(rt.jobs))
+	for _, j := range rt.jobs {
+		out = append(out, j)
+	}
+	slices.SortFunc(out, func(a, b *routedJob) int { return cmp.Compare(a.id, b.id) })
+	return out
 }
 
 // askOwner serves a request on one job that the job's owner answers with
 // the job's status — GET /jobs/{id}, and POST /jobs/{id}/cancel — by sending
 // method and suffix to the owner (see fetchStatus). A job with a cached
-// terminal status is answered from the cache, and one whose owner is down
-// with 503.
+// terminal status is answered from the cache, one whose owner is down with
+// 503, and one its owner has aged out with 410.
 func (rt *Router) askOwner(method, suffix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, ok := pathID(w, r)
 		if !ok {
 			return
 		}
-		rt.mu.Lock()
-		j := rt.jobs[id]
-		rt.mu.Unlock()
+		j := rt.job(w, id)
 		if j == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
 			return
 		}
 		p := rt.placementOf(j)
@@ -497,6 +540,10 @@ func (rt *Router) askOwner(method, suffix string) http.HandlerFunc {
 			return
 		}
 		rs, err := rt.fetchStatus(j, p, method, suffix)
+		if errors.Is(err, service.ErrExpired) {
+			httpError(w, http.StatusGone, err)
+			return
+		}
 		if err != nil {
 			httpError(w, http.StatusBadGateway, err)
 			return
@@ -505,15 +552,13 @@ func (rt *Router) askOwner(method, suffix string) http.HandlerFunc {
 	}
 }
 
-// list reports every routed job: cached terminal statuses as-is, live
-// jobs via one status fetch from their owner (unreachable owners leave
-// the last-known identity with no state detail).
+// list reports every job in the router's table in ID order: cached
+// terminal statuses as-is, live jobs via one status fetch from their owner
+// (unreachable owners leave the last-known identity with no state detail,
+// and a job its owner has aged out is left out).
 func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
-	jobs := make([]*routedJob, 0, len(rt.order))
-	for _, id := range rt.order {
-		jobs = append(jobs, rt.jobs[id])
-	}
+	jobs := rt.sortedJobs()
 	rt.mu.Unlock()
 	out := make([]RoutedStatus, 0, len(jobs))
 	for _, j := range jobs {
@@ -523,6 +568,9 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 			out = append(out, *p.terminal)
 		case p.up:
 			rs, err := rt.fetchStatus(j, p, http.MethodGet, "")
+			if errors.Is(err, service.ErrExpired) {
+				continue
+			}
 			if err != nil {
 				rs = p.row(j)
 			}

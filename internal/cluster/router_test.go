@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -176,7 +177,7 @@ func TestRouterRoutesAcrossBackends(t *testing.T) {
 	b1 := newTestBackend(t, "alpha", false)
 	b2 := newTestBackend(t, "beta", false)
 	reg := metrics.NewRegistry()
-	_, ts := newTestRouter(t, reg, b1, b2)
+	rt, ts := newTestRouter(t, reg, b1, b2)
 
 	const jobs = 16
 	ids := make([]int64, 0, jobs)
@@ -198,6 +199,13 @@ func TestRouterRoutesAcrossBackends(t *testing.T) {
 			t.Fatalf("job %d: %+v, want succeeded with digest", id, rs)
 		}
 		seen[rs.Backend] = true
+		// The terminal status is cached: only a resubmission reads the body.
+		rt.mu.Lock()
+		body := rt.jobs[id].body
+		rt.mu.Unlock()
+		if body != nil {
+			t.Fatalf("job %d keeps its %d-byte body after its terminal status was cached", id, len(body))
+		}
 	}
 	if !seen["alpha"] || !seen["beta"] {
 		t.Fatalf("jobs all landed on one backend: %v", seen)
@@ -717,5 +725,126 @@ func TestRouterBoundsBackendReplies(t *testing.T) {
 	_, err := rt.postJob(rt.backends["endless"], []byte(`{"name":"x","tasks":1}`), trace.SpanContext{})
 	if took := time.Since(start); err == nil || took > 5*time.Second {
 		t.Fatalf("postJob against an endless reply: err %v after %v, want an error well inside the 10 s timeout", err, took)
+	}
+}
+
+// fakeBackend answers every submission with the next backend ID, queued,
+// and every status poll with code and, on a 200, the job succeeded.
+func fakeBackend(t *testing.T, code int) *httptest.Server {
+	var next atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, service.Status{ID: next.Add(1), State: service.Queued})
+	})
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id, _ := strconv.ParseInt(r.PathValue("id"), 10, 64)
+		if code != http.StatusOK {
+			httpError(w, code, fmt.Errorf("job %d: %w", id, service.ErrExpired))
+			return
+		}
+		writeJSON(w, http.StatusOK, service.Status{ID: id, State: service.Succeeded, SinkDigest: "aa"})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRouterAgesOutFinishedJobs: the router's terminal-status cache keeps
+// the last journal.KeepFinished jobs it learned finished. An older router
+// ID answers 410 on the jobs routes and the trace route, one never handed
+// out 404, and the listing holds the window.
+func TestRouterAgesOutFinishedJobs(t *testing.T) {
+	rt := NewRouter(RouterConfig{Client: &http.Client{Timeout: 5 * time.Second}})
+	if err := rt.AddBackend("fake", fakeBackend(t, http.StatusOK).URL); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Mux())
+	t.Cleanup(ts.Close)
+	const jobs = journal.KeepFinished + 1
+	for i := 1; i <= jobs; i++ {
+		if resp, rs := submitViaRouter(t, ts.URL, "", `{"name":"trivial"}`); resp.StatusCode != http.StatusAccepted || rs.ID != int64(i) {
+			t.Fatalf("submit %d: %s, router ID %d", i, resp.Status, rs.ID)
+		}
+		waitTerminal(t, ts.URL, int64(i), 5*time.Second)
+	}
+	get := func(method, path string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close() // only the code matters
+		return resp.StatusCode
+	}
+	for _, step := range []struct {
+		method, path string
+		code         int
+	}{
+		{"GET", "/jobs/1", http.StatusGone},
+		{"POST", "/jobs/1/cancel", http.StatusGone},
+		{"GET", "/debug/cluster-trace/1", http.StatusGone},
+		{"GET", "/jobs/2", http.StatusOK},
+		{"GET", fmt.Sprintf("/jobs/%d", jobs+1), http.StatusNotFound},
+	} {
+		if code := get(step.method, step.path); code != step.code {
+			t.Fatalf("%s %s = %d, want %d", step.method, step.path, code, step.code)
+		}
+	}
+	rt.mu.Lock()
+	kept := len(rt.jobs)
+	rt.mu.Unlock()
+	if kept != journal.KeepFinished {
+		t.Fatalf("router keeps %d jobs, want %d", kept, journal.KeepFinished)
+	}
+}
+
+// TestRouterPassesOnGone: a backend that has aged a job out answers 410,
+// and so does the router, which drops the job it never learned finished:
+// the next poll gets the router's own 410 and the listing leaves it out.
+func TestRouterPassesOnGone(t *testing.T) {
+	rt := NewRouter(RouterConfig{Client: &http.Client{Timeout: 5 * time.Second}})
+	if err := rt.AddBackend("forgetful", fakeBackend(t, http.StatusGone).URL); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Mux())
+	t.Cleanup(ts.Close)
+	resp, rs := submitViaRouter(t, ts.URL, "", `{"name":"aged"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, rs.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close() // only the code matters
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("poll %d = %s, want 410", i, resp.Status)
+		}
+	}
+	rt.mu.Lock()
+	kept := len(rt.jobs)
+	rt.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("router keeps %d jobs after the backend aged its only one out", kept)
+	}
+	if _, rs2 := submitViaRouter(t, ts.URL, "", `{"name":"aged"}`); rs2.ID != rs.ID+1 {
+		t.Fatalf("next submission got router ID %d, want %d", rs2.ID, rs.ID+1)
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []RoutedStatus
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close() // decoded above
+	if len(list) != 0 {
+		t.Fatalf("listing holds %+v, want the aged-out jobs left out", list)
 	}
 }

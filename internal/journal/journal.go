@@ -318,11 +318,16 @@ const MaxSnapshotBytes = len(snapMagic) + frameHeader + maxFrameSize
 // writeSnapshot durably writes the state as snapshot seq (covering all
 // segments with sequence < seq) with install, then compacts: all but the
 // newest keepSnapshots snapshots are deleted, and the segments the oldest
-// snapshot left covers, so that a fallback to it replays the rest.
+// snapshot left covers, so that a fallback to it replays the rest. A state
+// whose encoding is over one frame's bound is not written and compacts
+// nothing: Open would reject it, and recovery replays the segments instead.
 func (j *Journal) writeSnapshot(st *State, seq uint64) error {
 	payload, err := st.marshalSnapshot()
 	if err != nil {
 		return err
+	}
+	if len(payload) > maxFrameSize {
+		return fmt.Errorf("journal: state encodes to %d bytes, over the %d-byte frame bound", len(payload), maxFrameSize)
 	}
 	fsys := j.opts.FS
 	if err := install(fsys, j.opts.Dir, SnapshotFileName(seq), encodeFrame([]byte(snapMagic), payload)); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -105,8 +106,8 @@ func TestLifecycleRoundTrip(t *testing.T) {
 	if got := st.Jobs[4]; got.State != Failed || got.Error != "boom" {
 		t.Errorf("job 4 state = %+v", got)
 	}
-	if want := []int64{1, 2, 3, 4}; len(st.Order) != 4 || st.Order[0] != want[0] || st.Order[3] != want[3] {
-		t.Errorf("order = %v", st.Order)
+	if got := st.Finished.IDs(); !slices.Equal(got, []int64{1, 2, 4}) {
+		t.Errorf("finished = %v, want [1 2 4]", got)
 	}
 	if _, truncated := j2.Truncated(); truncated {
 		t.Error("clean reopen reported truncation")
@@ -593,8 +594,8 @@ func TestReplayFoldsIdentically(t *testing.T) {
 	}
 	st1, snap1 := replay()
 	st2, snap2 := replay()
-	if len(st1.Jobs) != 40 || len(st1.Order) != 40 {
-		t.Fatalf("replayed %d jobs, order %v; want 40", len(st1.Jobs), st1.Order)
+	if len(st1.Jobs) != 40 || len(st1.Finished.IDs()) != 20 {
+		t.Fatalf("replayed %d jobs, finished %v; want 40 and 20", len(st1.Jobs), st1.Finished.IDs())
 	}
 	if !reflect.DeepEqual(st1, st2) {
 		t.Errorf("two replays of one data dir fold differently:\n%+v\n%+v", st1, st2)

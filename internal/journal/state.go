@@ -1,7 +1,10 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
+	"slices"
 	"time"
 
 	"ftdag/internal/core"
@@ -41,14 +44,46 @@ type JobState struct {
 // Terminal reports whether the job reached a final state.
 func (js *JobState) Terminal() bool { return js.State.Terminal() }
 
-// State is the aggregate condition of every journaled job.
+// KeepFinished is how many finished jobs stay queryable: the journal's
+// state, the service's job table and the router's cache each hold the live
+// jobs plus the last KeepFinished to finish, and no other.
+const KeepFinished = 1024
+
+// Window is the retention window: the IDs of the last KeepFinished jobs to
+// finish, oldest first. The zero value is empty.
+type Window struct {
+	ids  []int64
+	next int // once full, the slot of the oldest ID
+}
+
+// Push adds the ID of a job that just finished and returns the one it
+// evicts from the window, 0 while the window is not full.
+func (w *Window) Push(id int64) (evicted int64) {
+	if len(w.ids) < KeepFinished {
+		w.ids = append(w.ids, id)
+		return 0
+	}
+	evicted, w.ids[w.next] = w.ids[w.next], id
+	w.next = (w.next + 1) % KeepFinished
+	return evicted
+}
+
+// IDs returns the window's IDs, oldest first.
+func (w *Window) IDs() []int64 {
+	return append(append(make([]int64, 0, len(w.ids)), w.ids[w.next:]...), w.ids[:w.next]...)
+}
+
+// State is the condition of the journaled jobs that are still kept: every
+// live job, and the finished ones in the retention window.
 type State struct {
 	// Jobs maps job ID to its folded state.
 	Jobs map[int64]*JobState
-	// Order lists job IDs in first-appearance (submission) order.
-	Order []int64
-	// MaxID is the highest job ID ever journaled; a service resuming
-	// from this state continues numbering after it.
+	// Finished is the retention window; Jobs holds its jobs and the live
+	// ones, nothing else.
+	Finished Window
+	// MaxID is the highest job ID ever journaled, kept when its job has
+	// left the window: a service resuming from this state continues
+	// numbering after it, so no ID is handed out twice.
 	MaxID int64
 }
 
@@ -64,7 +99,6 @@ func (st *State) apply(rec *Record) {
 	if !ok {
 		js = &JobState{ID: rec.ID}
 		st.Jobs[rec.ID] = js
-		st.Order = append(st.Order, rec.ID)
 		if rec.ID > st.MaxID {
 			st.MaxID = rec.ID
 		}
@@ -104,15 +138,26 @@ func (st *State) apply(rec *Record) {
 		js.FinishedAt = rec.Time
 		js.Error = rec.Error
 	}
+	if js.Terminal() {
+		st.finish(js)
+	}
+}
+
+// finish moves a job that reached its terminal state into the retention
+// window. Only a replay of an incomplete job reads its payload and plan, so
+// they go; the job the window evicts leaves the state.
+func (st *State) finish(js *JobState) {
+	js.Payload, js.Plan = nil, nil
+	delete(st.Jobs, st.Finished.Push(js.ID))
 }
 
 // clone deep-copies the state (payload/plan bytes are immutable once
 // journaled and are shared, not copied).
 func (st *State) clone() *State {
 	out := &State{
-		Jobs:  make(map[int64]*JobState, len(st.Jobs)),
-		Order: append([]int64(nil), st.Order...),
-		MaxID: st.MaxID,
+		Jobs:     make(map[int64]*JobState, len(st.Jobs)),
+		Finished: Window{ids: append([]int64(nil), st.Finished.ids...), next: st.Finished.next},
+		MaxID:    st.MaxID,
 	}
 	for id, js := range st.Jobs {
 		c := *js
@@ -123,18 +168,30 @@ func (st *State) clone() *State {
 
 // snapshotJSON is the serialized form of a State (snapshot files).
 type snapshotJSON struct {
-	MaxID int64       `json:"max_id"`
-	Jobs  []*JobState `json:"jobs"` // in submission order
+	MaxID int64 `json:"max_id"`
+	// Jobs are the live jobs in ID order, then the retention window's,
+	// oldest first.
+	Jobs []*JobState `json:"jobs"`
 }
 
 func (st *State) marshalSnapshot() ([]byte, error) {
-	out := snapshotJSON{MaxID: st.MaxID, Jobs: make([]*JobState, 0, len(st.Order))}
-	for _, id := range st.Order {
+	out := snapshotJSON{MaxID: st.MaxID, Jobs: make([]*JobState, 0, len(st.Jobs))}
+	for _, js := range st.Jobs {
+		if !js.Terminal() {
+			out.Jobs = append(out.Jobs, js)
+		}
+	}
+	slices.SortFunc(out.Jobs, func(a, b *JobState) int { return cmp.Compare(a.ID, b.ID) })
+	for _, id := range st.Finished.IDs() {
 		out.Jobs = append(out.Jobs, st.Jobs[id])
 	}
 	return json.Marshal(out)
 }
 
+// unmarshalSnapshot rebuilds a state from its snapshot. The finished jobs
+// pass through the window in the order the snapshot lists them, so one that
+// lists every job ever finished, in submission order, loads pruned to the
+// last KeepFinished of them.
 func unmarshalSnapshot(data []byte) (*State, error) {
 	var in snapshotJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -143,13 +200,18 @@ func unmarshalSnapshot(data []byte) (*State, error) {
 	st := newState()
 	st.MaxID = in.MaxID
 	for _, js := range in.Jobs {
+		if js == nil {
+			return nil, errors.New("journal: snapshot lists a null job")
+		}
 		if _, dup := st.Jobs[js.ID]; dup {
 			continue
 		}
 		st.Jobs[js.ID] = js
-		st.Order = append(st.Order, js.ID)
 		if js.ID > st.MaxID {
 			st.MaxID = js.ID
+		}
+		if js.Terminal() {
+			st.finish(js)
 		}
 	}
 	return st, nil

@@ -518,12 +518,12 @@ func (c *crashFS) check(t *testing.T, what string, img *disk, acked, done []int6
 	}
 	s := New(Config{Workers: 1, MaxConcurrentJobs: 1, Journal: jr, Rebuild: rebuildCrashJob, Logf: discard})
 	defer s.Close()
-	for _, id := range st.Order {
-		if st.Jobs[id].Terminal() {
+	for id, js := range st.Jobs {
+		if js.Terminal() {
 			continue
 		}
-		h, ok := s.Job(id)
-		if !ok {
+		h, err := s.Job(id)
+		if err != nil {
 			t.Fatalf("%s: incomplete job %d was not restored", what, id)
 		}
 		_, _ = h.Wait()

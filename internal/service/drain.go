@@ -86,14 +86,14 @@ wait:
 	return res
 }
 
-// unfinished returns the jobs not yet terminal, in submission order, once the
+// unfinished returns the jobs not yet terminal, in ID order, once the
 // Submits under way have registered theirs: the caller has already stopped
 // admission (closed or draining), so Submits that passed that check before it
 // was set are the only ones left to wait for.
 func (s *Server) unfinished() []*job {
 	s.submitWG.Wait()
 	var out []*job
-	for _, j := range s.all() {
+	for _, j := range s.table() {
 		j.mu.Lock()
 		terminal := j.state.Terminal()
 		j.mu.Unlock()

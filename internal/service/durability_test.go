@@ -247,8 +247,8 @@ func TestSubmitSyncFailure(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Fatalf("failed submission still listed: %+v", jobs)
 	}
-	if _, ok := s.Job(1); ok {
-		t.Fatal("failed submission still reachable by id")
+	if _, err := s.Job(1); !errors.Is(err, service.ErrExpired) {
+		t.Fatalf("failed submission's id answers %v, want it expired", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -116,8 +116,8 @@ func TestJournalDurableLifecycle(t *testing.T) {
 	s2 := durableServer(t, dir)
 	defer s2.Close()
 	for _, o := range outs {
-		h, ok := s2.Job(o.id)
-		if !ok {
+		h, err := s2.Job(o.id)
+		if err != nil {
 			t.Fatalf("job %d lost across restart", o.id)
 		}
 		st := h.Status()
@@ -181,8 +181,8 @@ func TestJournalReenqueueIncomplete(t *testing.T) {
 	s := durableServer(t, dir)
 	defer s.Close()
 	for id := int64(1); id <= 2; id++ {
-		h, ok := s.Job(id)
-		if !ok {
+		h, err := s.Job(id)
+		if err != nil {
 			t.Fatalf("incomplete job %d not restored", id)
 		}
 		res, err := h.Wait()
@@ -221,11 +221,11 @@ func TestJournalUnrebuildableFails(t *testing.T) {
 	}
 
 	s := durableServer(t, dir)
-	h, ok := s.Job(1)
-	if !ok {
+	h, err := s.Job(1)
+	if err != nil {
 		t.Fatalf("unrebuildable job not listed")
 	}
-	_, err := h.Wait()
+	_, err = h.Wait()
 	if err == nil || !strings.Contains(err.Error(), "payload") {
 		t.Fatalf("want payload error, got %v", err)
 	}
@@ -355,8 +355,8 @@ func TestShutdownGraceExpiry(t *testing.T) {
 	})
 	defer s2.Close()
 	for _, id := range append([]int64{hb.ID()}, queued...) {
-		h, ok := s2.Job(id)
-		if !ok {
+		h, err := s2.Job(id)
+		if err != nil {
 			t.Fatalf("job %d not re-enqueued", id)
 		}
 		if _, err := h.Wait(); err != nil {

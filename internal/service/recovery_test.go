@@ -100,8 +100,8 @@ func TestRecoveryPolicyJournalReplay(t *testing.T) {
 	}
 
 	s := durableServer(t, dir)
-	h, ok := s.Job(1)
-	if !ok {
+	h, err := s.Job(1)
+	if err != nil {
 		t.Fatal("incomplete job not restored")
 	}
 	res, err := h.Wait()
@@ -125,8 +125,8 @@ func TestRecoveryPolicyJournalReplay(t *testing.T) {
 	// And the policy survives a second restart on the now-terminal job.
 	s2 := durableServer(t, dir)
 	defer s2.Close()
-	h2, ok := s2.Job(1)
-	if !ok {
+	h2, err := s2.Job(1)
+	if err != nil {
 		t.Fatal("job lost across second restart")
 	}
 	if st := h2.Status(); st.Recovery != string(service.RecoverReplicateSelective) {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ftdag/internal/core"
@@ -17,13 +18,22 @@ import (
 )
 
 // replay folds the journal's state into the server: terminal jobs become
-// queryable records, incomplete jobs are rebuilt for re-execution. Jobs
-// that cannot be rebuilt are marked Failed — visibly, and durably so the
-// next incarnation does not retry them either. Returns the jobs to
-// re-enqueue, in submission order.
+// queryable records, entering the retention window in the order they
+// finished, and incomplete jobs are rebuilt for re-execution. Jobs that
+// cannot be rebuilt are marked Failed — visibly, and durably so the next
+// incarnation does not retry them either. Returns the jobs to re-enqueue, in
+// submission order.
 func (s *Server) replay(st *journal.State) []*job {
+	ids := st.Finished.IDs()
+	finished := len(ids)
+	for id, js := range st.Jobs {
+		if !js.Terminal() {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids[finished:])
 	var reenq []*job
-	for _, id := range st.Order {
+	for _, id := range ids {
 		js := st.Jobs[id]
 		j := &job{
 			id:        id,
@@ -86,7 +96,9 @@ func (s *Server) replay(st *journal.State) []*job {
 			reenq = append(reenq, j)
 		}
 		s.jobs[id] = j
-		s.order = append(s.order, id)
+		if j.state.Terminal() {
+			s.retire(id, j.state, j.res)
+		}
 	}
 	s.nextID = st.MaxID
 	return reenq

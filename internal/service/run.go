@@ -212,9 +212,9 @@ func (s *Server) finish(j *job, res *core.Result, err error) {
 
 // publish makes the terminal state visible to Status and releases what only
 // a running job needs; the job leaves s.running, its executor's counts going
-// to s.ran, in the same critical section. journaled says the terminal record
-// is in the log; a job without one (drain- or shutdown-aborted) stays
-// incomplete.
+// to s.ran, and enters the retention window, in the same critical section.
+// journaled says the terminal record is in the log; a job without one
+// (drain- or shutdown-aborted) stays incomplete.
 func (s *Server) publish(j *job, state State, res *core.Result, err error, finished time.Time, sinkDigest string, journaled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,4 +230,8 @@ func (s *Server) publish(j *job, state State, res *core.Result, err error, finis
 	j.exec = nil
 	j.spec.Spec, j.spec.Plan, j.spec.Verify, j.spec.Payload = nil, nil, nil, nil
 	j.mu.Unlock()
+	// A job whose Submit failed has left the table already.
+	if s.jobs[j.id] == j {
+		s.retire(j.id, state, res)
+	}
 }

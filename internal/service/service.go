@@ -16,11 +16,13 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +49,12 @@ var (
 	// ErrDeadlineExceeded reports that a job's per-job deadline expired
 	// before it completed; the job was aborted.
 	ErrDeadlineExceeded = errors.New("service: job deadline exceeded")
+	// ErrNoJob reports a job ID the server never handed out.
+	ErrNoJob = errors.New("service: no such job")
+	// ErrExpired reports a job ID the server handed out whose job has left
+	// the table: it finished and aged out of the retention window (see
+	// journal.KeepFinished).
+	ErrExpired = errors.New("service: job expired from the retention window")
 )
 
 // State is a job's lifecycle state.
@@ -285,8 +293,15 @@ type Server struct {
 	closed   bool
 	draining bool
 	nextID   int64
+	// jobs is the table: the live jobs and the finished ones in the
+	// retention window. A job that finishes enters finished, and the one
+	// it evicts leaves jobs.
 	jobs     map[int64]*job
-	order    []int64 // submission order, for listings
+	finished journal.Window
+	// ended is what Snapshot reports of the jobs that finished here or were
+	// restored finished: per-state counts and executor totals, summed as
+	// each job enters the window (retire).
+	ended    Snapshot
 	rejected int64
 	inQueue  int // jobs admitted but not yet picked up by a runner
 	// running holds the jobs whose Status says Running: a job joins it with
@@ -399,31 +414,37 @@ func (s *Server) totals() core.Tally {
 // Config returns the effective (default-filled) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Job returns the handle of a previously submitted job.
-func (s *Server) Job(id int64) (*Handle, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return &Handle{j: j}, true
-}
-
-// all returns every job in submission order.
-func (s *Server) all() []*job {
+// Job returns the handle of a job in the table: a live one, or one of the
+// last journal.KeepFinished to finish. It fails with ErrExpired for an ID
+// handed out whose job has left the table, and with ErrNoJob for any other.
+func (s *Server) Job(id int64) (*Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	js := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
+	if j, ok := s.jobs[id]; ok {
+		return &Handle{j: j}, nil
 	}
+	if id >= 1 && id <= s.nextID {
+		return nil, ErrExpired
+	}
+	return nil, ErrNoJob
+}
+
+// table returns the jobs in the table in ID order, which is admission order.
+func (s *Server) table() []*job {
+	s.mu.Lock()
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(js, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
 	return js
 }
 
-// Jobs returns the status of every job in submission order.
+// Jobs returns the status of every job in the table in ID order: at most
+// the live jobs and the last journal.KeepFinished to finish.
 func (s *Server) Jobs() []Status {
-	js := s.all()
+	js := s.table()
 	out := make([]Status, len(js))
 	for i, j := range js {
 		out[i] = j.status()
@@ -431,7 +452,10 @@ func (s *Server) Jobs() []Status {
 	return out
 }
 
-// Snapshot is a point-in-time view of the server for observability.
+// Snapshot is a point-in-time view of the server for observability. Queued
+// counts the jobs admitted and not yet picked up by a runner; Succeeded,
+// Failed, Cancelled and the totals, the jobs finished in this process or
+// restored finished, aged out of the table or not.
 type Snapshot struct {
 	Workers           int         `json:"workers"`
 	MaxConcurrentJobs int         `json:"max_concurrent_jobs"`
@@ -444,47 +468,45 @@ type Snapshot struct {
 	Cancelled         int         `json:"cancelled"`
 	Rejected          int64       `json:"rejected"`
 	Sched             sched.Stats `json:"sched"`
-	// Totals aggregates the executor metrics of every finished job.
+	// Totals aggregates the executor metrics of the finished jobs.
 	Totals core.Metrics `json:"totals"`
 	// ReexecutedTasks sums the finished jobs' re-execution counts (the
 	// paper's Table II quantity, service-wide).
 	ReexecutedTasks int64 `json:"reexecuted_tasks"`
 }
 
-// Snapshot aggregates job states, queue depths, scheduler counters, and
-// recovery totals. Safe to call concurrently with running jobs.
+// Snapshot reports job counts, queue depths, scheduler counters, and
+// recovery totals from sums the server keeps: it walks no job. Safe to call
+// concurrently with running jobs.
 func (s *Server) Snapshot() Snapshot {
 	s.mu.Lock()
-	snap := Snapshot{
-		Workers:           s.cfg.Workers,
-		MaxConcurrentJobs: s.cfg.MaxConcurrentJobs,
-		QueueDepth:        s.inQueue,
-		QueueCapacity:     cap(s.queue),
-		Rejected:          s.rejected,
-	}
+	snap := s.ended
+	snap.Workers, snap.MaxConcurrentJobs = s.cfg.Workers, s.cfg.MaxConcurrentJobs
+	snap.QueueDepth, snap.QueueCapacity = s.inQueue, cap(s.queue)
+	snap.Queued, snap.Running = s.inQueue, len(s.running)
+	snap.Rejected = s.rejected
 	s.mu.Unlock()
-	for _, j := range s.all() {
-		j.mu.Lock()
-		switch j.state {
-		case Queued:
-			snap.Queued++
-		case Running:
-			snap.Running++
-		case Succeeded:
-			snap.Succeeded++
-		case Failed:
-			snap.Failed++
-		case Cancelled:
-			snap.Cancelled++
-		}
-		if j.res != nil {
-			snap.Totals.Add(j.res.Metrics)
-			snap.ReexecutedTasks += j.res.ReexecutedTasks
-		}
-		j.mu.Unlock()
-	}
 	snap.Sched = s.pool.StatsSnapshot()
 	return snap
+}
+
+// retire counts a job that reached its terminal state into ended and moves
+// it into the retention window; the job the window evicts leaves the table.
+// The caller holds mu, or is replay, before the runners start.
+func (s *Server) retire(id int64, state State, res *core.Result) {
+	switch state {
+	case Succeeded:
+		s.ended.Succeeded++
+	case Failed:
+		s.ended.Failed++
+	case Cancelled:
+		s.ended.Cancelled++
+	}
+	if res != nil {
+		s.ended.Totals.Add(res.Metrics)
+		s.ended.ReexecutedTasks += res.ReexecutedTasks
+	}
+	delete(s.jobs, s.finished.Push(id))
 }
 
 // Status is an immutable snapshot of one job.

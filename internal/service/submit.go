@@ -58,7 +58,6 @@ func (s *Server) Submit(spec JobSpec) (*Handle, error) {
 	s.nextID++
 	j.id = s.nextID
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.inQueue++
 	s.submitWG.Add(1)
 	s.mu.Unlock()
@@ -174,12 +173,6 @@ func (s *Server) ackSubmit(j *job) *Handle { return &Handle{j: j} }
 func (s *Server) unregister(j *job, freeSlot bool) {
 	s.mu.Lock()
 	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	if freeSlot {
 		s.inQueue--
 	}
